@@ -6,6 +6,12 @@ mel frame generated (or, in teacher mode, observed) at the previous step.
 A linear layer produces the 80-dim mel frame. Step 0 always feeds a zero
 mel vector, so teacher and free mode agree on the first frame.
 
+Only the mel feedback and the AR hidden state change from step to step, so
+the recurrent-feature part of the AR input projection (plus bias) is
+computed for all frames in one GEMM before the loop; each step then does a
+single GEMV of ``[wx_mel | wh]`` against ``[previous mel; h]``. The BLSTM
+and the AR loop share one LSTM cell.
+
 The recurrence is inherently sequential over frames; parallelize across
 utterances, never within one.
 """
@@ -74,31 +80,25 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _lstm_step(x, h, c, wx, wh, b, size):
-    # Gate order in the stacked matrices: input, forget, cell, output.
-    z = wx @ x + wh @ h + b
+def _lstm_cell(z, c, size):
+    # z: stacked gate pre-activations in the order input, forget, cell,
+    # output; returns the new (h, c).
     i = _sigmoid(z[:size])
     f = _sigmoid(z[size : 2 * size])
     g = np.tanh(z[2 * size : 3 * size])
     o = _sigmoid(z[3 * size :])
-    c_new = f * c + i * g
-    return o * np.tanh(c_new), c_new
+    c = f * c + i * g
+    return o * np.tanh(c), c
 
 
 def _lstm_sequence(xs, wx, wh, b, size, reverse=False):
     steps = range(xs.shape[0] - 1, -1, -1) if reverse else range(xs.shape[0])
-    pre = xs @ wx.T  # input projections for all steps at once
+    pre = xs @ wx.T + b  # input projections for all steps at once
     h = np.zeros(size)
     c = np.zeros(size)
     out = np.zeros((xs.shape[0], size))
     for t in steps:
-        z = pre[t] + wh @ h + b
-        i = _sigmoid(z[:size])
-        f = _sigmoid(z[size : 2 * size])
-        g = np.tanh(z[2 * size : 3 * size])
-        o = _sigmoid(z[3 * size :])
-        c = f * c + i * g
-        h = o * np.tanh(c)
+        h, c = _lstm_cell(pre[t] + wh @ h, c, size)
         out[t] = h
     return out
 
@@ -150,16 +150,15 @@ def acoustic_forward(
     recurrent = np.hstack([fw, bw])
 
     n = aligned.n_frames
+    split = 2 * config.blstm_size
+    pre = recurrent @ weights["ar.wx"][:, :split].T + weights["ar.b"]
+    w_step = np.hstack([weights["ar.wx"][:, split:], weights["ar.wh"]])
     out = np.zeros((n, MEL_DIM))
-    h_ar = np.zeros(config.ar_size)
+    state = np.zeros(MEL_DIM + config.ar_size)  # [previous mel frame; h]
     c_ar = np.zeros(config.ar_size)
-    prev = np.zeros(MEL_DIM)
     for t in range(n):
-        x = np.concatenate([recurrent[t], prev])
-        h_ar, c_ar = _lstm_step(
-            x, h_ar, c_ar, weights["ar.wx"], weights["ar.wh"], weights["ar.b"],
-            config.ar_size,
-        )
+        h_ar, c_ar = _lstm_cell(pre[t] + w_step @ state, c_ar, config.ar_size)
         out[t] = weights["out.w"] @ h_ar + weights["out.b"]
-        prev = teacher_mel.frames[t] if mode == "teacher" else out[t]
+        state[:MEL_DIM] = teacher_mel.frames[t] if mode == "teacher" else out[t]
+        state[MEL_DIM:] = h_ar
     return FeatureMatrix(out, hop=aligned.hop, kind="melspec80")

@@ -18,6 +18,18 @@ filter
     block input. The identity path around each block means zeroed filter
     weights pass the excitation through untouched.
 
+The filter kernel works in float32 inside each block and in time tiles of
+``_TILE`` samples. The hidden state sits in a zero-margined pair of
+buffers, one read and one written per layer, so dilated taps are slices
+and nothing is padded per layer. Per tile, the kernel's tap views and the
+conditioning slice are stacked into one scratch buffer and multiplied by
+the layer's fused ``(channels, (kernel_size + 1) * channels)`` matrix in a
+single GEMM; bias, tanh, the skip output projection and the residual
+update act on that tile in place. The excitation enters and the block
+output leaves in float64, so the identity path stays exact. Against a
+float64 evaluation of the same layers, block and vocoder outputs agree
+within 1e-4 absolute (tested), below one PCM16 step of 2**-15.
+
 Only the forward pass exists here; with random weights the output is
 noise-like by design. The structural contracts (lengths, dilation
 schedule, receptive field) are what this module guarantees.
@@ -96,6 +108,10 @@ class NsfConfig:
 
 register_config("nsf", NsfConfig)
 
+# Time tile of the filter kernel, in samples: the stacked tap buffer of one
+# tile, (kernel_size + 1) * channels rows of float32, stays a few MB.
+_TILE = 4096
+
 
 def nsf_source(
     f0_upsampled: np.ndarray,
@@ -121,20 +137,6 @@ def nsf_source(
     return np.where(f0 > 0, sine, noise)
 
 
-def _dilated_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray, dilation: int) -> np.ndarray:
-    # x: (channels, length); w: (out, in, taps). Same-length output with
-    # symmetric zero padding.
-    taps = w.shape[2]
-    pad = dilation * (taps - 1) // 2
-    xp = np.pad(x, ((0, 0), (pad, pad)))
-    length = x.shape[1]
-    out = np.empty((w.shape[0], length))
-    out[:] = b[:, None]
-    for t in range(taps):
-        out += w[:, :, t] @ xp[:, t * dilation : t * dilation + length]
-    return out
-
-
 def _moving_average(x: np.ndarray, width: int) -> np.ndarray:
     # x: (length, channels); zero-padded same-length moving average.
     half = width // 2
@@ -153,25 +155,60 @@ def filter_block_forward(
 
     ``condition`` is the (length, channels) conditioning signal. The block
     output is the input plus the collapsed skip sum, so its deviation from
-    the input is confined to the block's receptive field.
+    the input is confined to the block's receptive field. Neither input is
+    modified; the result is a new float64 array.
     """
     config: NsfConfig = weights.config
     prefix = f"filter.block{block}"
-    h = weights[f"{prefix}.in.w"] @ excitation[None, :] + weights[f"{prefix}.in.b"][:, None]
-    cond_t = condition.T
-    skip = np.zeros_like(h)
+    channels, taps = config.channels, config.kernel_size
+    length = excitation.shape[0]
+    margin = config.dilations[-1] * (taps - 1) // 2
+
+    # Hidden state h lives in the interior of a zero-margined buffer, so
+    # every dilated tap is a plain slice; the margins are never written.
+    h = np.zeros((channels, length + 2 * margin), dtype=np.float32)
+    h_next = np.zeros_like(h)
+    interior = slice(margin, margin + length)
+    np.multiply(
+        weights[f"{prefix}.in.w"].astype(np.float32),
+        excitation.astype(np.float32),
+        out=h[:, interior],
+    )
+    h[:, interior] += weights[f"{prefix}.in.b"].astype(np.float32)[:, None]
+    cond = np.ascontiguousarray(condition.T, dtype=np.float32)
+    # The output projection is linear, so each layer's tile is collapsed to
+    # one channel as soon as it is computed; no (channels, length) skip sum
+    # is kept.
+    out_w = weights[f"{prefix}.out.w"].astype(np.float32)
+    collapsed = np.zeros((1, length), dtype=np.float32)
+
+    # Rows of ``stacked`` are [tap 0 | tap 1 | ... | conditioning] for one
+    # time tile, matching the column blocks of the fused layer matrix.
+    tile = min(_TILE, max(length, 1))
+    stacked = np.empty(((taps + 1) * channels, tile), dtype=np.float32)
+    z = np.empty((channels, tile), dtype=np.float32)
     for k, dilation in enumerate(config.dilations, start=1):
-        u = np.tanh(
-            _dilated_conv(
-                h, weights[f"{prefix}.layer{k}.dil.w"],
-                weights[f"{prefix}.layer{k}.dil.b"], dilation,
-            )
-            + weights[f"{prefix}.layer{k}.cond.w"] @ cond_t
-        )
-        h = h + u
-        skip = skip + u
-    collapsed = (weights[f"{prefix}.out.w"] @ skip)[0] + weights[f"{prefix}.out.b"][0]
-    return excitation + collapsed
+        w = weights[f"{prefix}.layer{k}.dil.w"]
+        fused = np.hstack(
+            [w[:, :, t] for t in range(taps)] + [weights[f"{prefix}.layer{k}.cond.w"]]
+        ).astype(np.float32)
+        bias = weights[f"{prefix}.layer{k}.dil.b"].astype(np.float32)[:, None]
+        first_tap = margin - dilation * (taps - 1) // 2
+        for t0 in range(0, length, tile):
+            n = min(tile, length - t0)
+            for t in range(taps):
+                start = first_tap + t * dilation + t0
+                stacked[t * channels : (t + 1) * channels, :n] = h[:, start : start + n]
+            stacked[taps * channels :, :n] = cond[:, t0 : t0 + n]
+            u = z[:, :n]
+            np.matmul(fused, stacked[:, :n], out=u)
+            u += bias
+            np.tanh(u, out=u)
+            collapsed[:, t0 : t0 + n] += out_w @ u
+            at = slice(margin + t0, margin + t0 + n)
+            np.add(h[:, at], u, out=h_next[:, at])
+        h, h_next = h_next, h
+    return excitation + (collapsed[0] + weights[f"{prefix}.out.b"][0])
 
 
 def nsf_forward(

@@ -92,3 +92,73 @@ def mel_center_frequencies(n_mels, low_hz, high_hz) -> np.ndarray:
 
     points = np.linspace(to_mel(low_hz), to_mel(high_hz), n_mels + 2)
     return np.array([to_hz(m) for m in points[1:-1]])
+
+
+def nsf_filter_block(excitation, condition, weights, block) -> np.ndarray:
+    """One NSF filter block in float64, one GEMM per dilated tap.
+
+    Each layer pads the hidden state afresh and sums the taps over shifted
+    views, with the conditioning projection computed over the whole signal.
+    """
+    config = weights.config
+    prefix = f"filter.block{block}"
+    length = excitation.shape[0]
+    h = weights[f"{prefix}.in.w"] @ excitation[None, :] + weights[f"{prefix}.in.b"][:, None]
+    skip = np.zeros_like(h)
+    for k, dilation in enumerate(config.dilations, start=1):
+        w = weights[f"{prefix}.layer{k}.dil.w"]
+        pad = dilation * (w.shape[2] - 1) // 2
+        hp = np.pad(h, ((0, 0), (pad, pad)))
+        z = weights[f"{prefix}.layer{k}.cond.w"] @ condition.T
+        z = z + weights[f"{prefix}.layer{k}.dil.b"][:, None]
+        for t in range(w.shape[2]):
+            z = z + w[:, :, t] @ hp[:, t * dilation : t * dilation + length]
+        u = np.tanh(z)
+        h = h + u
+        skip = skip + u
+    collapsed = (weights[f"{prefix}.out.w"] @ skip)[0] + weights[f"{prefix}.out.b"][0]
+    return excitation + collapsed
+
+
+def _lstm_gates(z, c, size):
+    # Gate order in z: input, forget, cell, output. Returns the new (h, c).
+    i = 1.0 / (1.0 + np.exp(-z[:size]))
+    f = 1.0 / (1.0 + np.exp(-z[size : 2 * size]))
+    g = np.tanh(z[2 * size : 3 * size])
+    o = 1.0 / (1.0 + np.exp(-z[3 * size :]))
+    c = f * c + i * g
+    return o * np.tanh(c), c
+
+
+def acoustic_frames(frames, weights, teacher=None) -> np.ndarray:
+    """Acoustic model forward pass with the full AR input projection per step.
+
+    Every AR step concatenates the recurrent features of that frame with the
+    previous mel frame (the model's own output, or ``teacher`` shifted by
+    one) and multiplies the whole vector by the input matrix.
+    """
+    config = weights.config
+    h = np.tanh(frames @ weights["ff1.w"].T + weights["ff1.b"])
+    h = np.tanh(h @ weights["ff2.w"].T + weights["ff2.b"])
+    n, size = h.shape[0], config.blstm_size
+    directions = []
+    for name, steps in (("fw", range(n)), ("bw", range(n - 1, -1, -1))):
+        hs, cs = np.zeros(size), np.zeros(size)
+        seq = np.zeros((n, size))
+        for t in steps:
+            z = weights[f"blstm.{name}.wx"] @ h[t] + weights[f"blstm.{name}.wh"] @ hs
+            hs, cs = _lstm_gates(z + weights[f"blstm.{name}.b"], cs, size)
+            seq[t] = hs
+        directions.append(seq)
+    recurrent = np.hstack(directions)
+
+    out = np.zeros((n, 80))
+    h_ar, c_ar = np.zeros(config.ar_size), np.zeros(config.ar_size)
+    prev = np.zeros(80)
+    for t in range(n):
+        x = np.concatenate([recurrent[t], prev])
+        z = weights["ar.wx"] @ x + weights["ar.wh"] @ h_ar + weights["ar.b"]
+        h_ar, c_ar = _lstm_gates(z, c_ar, config.ar_size)
+        out[t] = weights["out.w"] @ h_ar + weights["out.b"]
+        prev = teacher[t] if teacher is not None else out[t]
+    return out

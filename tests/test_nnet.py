@@ -17,6 +17,8 @@ from voxanon.nnet import (
     xvector_forward,
 )
 
+from _oracles import acoustic_frames
+
 
 def _fbank(n_frames, seed=0, value=None):
     if value is not None:
@@ -285,6 +287,21 @@ class TestAcoustic:
         bad = FeatureMatrix(np.ones((4, 7)), hop=0.005, kind="aligned")
         with pytest.raises(ValueError, match="width"):
             acoustic_forward(bad, small_acoustic_weights)
+
+    @pytest.mark.parametrize("mode", ["free", "teacher"])
+    def test_matches_per_step_reference(self, mode):
+        weights = init_weights("acoustic", AcousticConfig(), seed=21)
+        aligned = _aligned(24, weights.config, seed=13)
+        teacher = _mel(24, seed=14)
+        out = acoustic_forward(
+            aligned, weights, mode=mode, teacher_mel=teacher if mode == "teacher" else None
+        )
+        expected = acoustic_frames(
+            aligned.frames, weights, teacher=teacher.frames if mode == "teacher" else None
+        )
+        assert np.abs(out.frames - expected).max() <= 1e-12
+        free = acoustic_forward(aligned, weights, mode="free")
+        assert np.array_equal(out.frames[0], free.frames[0])
 
     def test_deterministic(self, small_acoustic_weights):
         config = small_acoustic_weights.config

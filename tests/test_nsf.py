@@ -11,7 +11,10 @@ from voxanon.nnet import (
     nsf_source,
     spectral_loss,
 )
+from voxanon.nnet import nsf as nsf_module
+from voxanon.nnet.nsf import _TILE
 
+from _oracles import nsf_filter_block
 from conftest import make_noise
 
 
@@ -148,6 +151,62 @@ class TestForward:
         half = (config.receptive_field - 1) // 2
         assert support.min() >= center - half
         assert support.max() <= center + half
+
+
+# The filter runs in float32 internally; against the float64 reference its
+# output may drift by at most this much, well under one PCM16 step (2**-15).
+PRECISION = 1e-4
+
+
+def _block_inputs(length, config, seed=0):
+    rng = np.random.default_rng(seed)
+    excitation = 0.1 * rng.standard_normal(length)
+    condition = rng.standard_normal((length, config.channels))
+    return excitation, condition
+
+
+class TestPrecisionContract:
+    @pytest.fixture(scope="class")
+    def full_weights(self):
+        return init_weights("nsf", NsfConfig(), seed=41)
+
+    # One tile and its neighbours, a ragged multi-tile length, a single
+    # sample, and a signal shorter than the largest dilation (512).
+    @pytest.mark.parametrize(
+        "length", [1, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 17, 511]
+    )
+    def test_filter_block_within_contract(self, full_weights, length):
+        excitation, condition = _block_inputs(length, full_weights.config, seed=length)
+        out = filter_block_forward(excitation, condition, full_weights, block=2)
+        expected = nsf_filter_block(excitation, condition, full_weights, 2)
+        assert out.shape == (length,)
+        assert np.abs(out - expected).max() <= PRECISION
+
+    def test_nsf_forward_within_contract(self, full_weights, monkeypatch):
+        mel, f0, xvec = _inputs(60, full_weights.config, seed=8)
+        out = nsf_forward(mel, f0, xvec, full_weights, seed=3)
+        monkeypatch.setattr(nsf_module, "filter_block_forward", nsf_filter_block)
+        expected = nsf_forward(mel, f0, xvec, full_weights, seed=3)
+        assert np.abs(out.samples - expected.samples).max() <= PRECISION
+
+
+class TestInputsUnchanged:
+    def test_filter_block_leaves_inputs_alone(self, small_nsf_weights):
+        excitation, condition = _block_inputs(700, small_nsf_weights.config, seed=4)
+        excitation_before, condition_before = excitation.copy(), condition.copy()
+        out = filter_block_forward(excitation, condition, small_nsf_weights, block=1)
+        assert out.dtype == np.float64
+        assert not np.shares_memory(out, excitation)
+        assert np.array_equal(excitation, excitation_before)
+        assert np.array_equal(condition, condition_before)
+
+    def test_nsf_forward_leaves_inputs_alone(self, small_nsf_weights):
+        mel, f0, xvec = _inputs(9, small_nsf_weights.config, seed=6)
+        before = (mel.frames.copy(), f0.values.copy(), xvec.vector.copy())
+        out = nsf_forward(mel, f0, xvec, small_nsf_weights, seed=2)
+        assert out.samples.dtype == np.float64
+        for array, copy in zip((mel.frames, f0.values, xvec.vector), before):
+            assert np.array_equal(array, copy)
 
 
 class TestSpectralLoss:
