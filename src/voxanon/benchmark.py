@@ -4,9 +4,11 @@ The benchmark mirrors the verification protocol used to evaluate
 anonymization: each target speaker enrolls with their speaker-level
 embedding, target trials score the speaker's own test utterances, and
 non-target trials score other speakers' utterances (optionally restricted
-to the K most similar non-target speakers). Anonymization replaces every
-target test utterance's embedding with a pseudo speaker composed from the
-pool; non-target speech stays untouched. A working anonymizer therefore
+to the K most similar non-target speakers). Anonymization is
+speaker-level: each target speaker gets one pseudo speaker composed from
+the pool, and every target trial of that speaker scores the single
+enrollment-versus-pseudo-speaker similarity in place of its utterance
+score. Non-target speech stays untouched. A working anonymizer therefore
 drives the equal error rate up from its baseline.
 
 Everything here is a pure function of (inputs, seeds): repetition seeds
@@ -30,10 +32,9 @@ from .embeddings import (
     EmbeddingPool,
     SpeakerEmbedding,
     cosine_similarity,
-    dissimilarity,
     mean_embedding,
 )
-from .metrics import EerResult, compute_eer, nearest_nontarget_subset
+from .metrics import EerResult, compute_eer, cosine_matrix, nearest_k_mask, partition_masks
 from .seeding import derive_seed
 
 
@@ -171,77 +172,36 @@ class BenchmarkReport:
         return "\n".join(rows) + "\n"
 
 
-@dataclass(frozen=True)
-class _TargetBlock:
-    # Precomputed per-target trial scores; "after" conditions only swap the
-    # target-side scores.
-    speaker: EvalSpeaker
-    target_scores: np.ndarray
-    nontarget_scores: np.ndarray
-    nontarget_genders: tuple[str | None, ...]
-
-
-def _build_blocks(
+def _protocol_trials(
     targets: Sequence[EvalSpeaker],
     nontargets: Sequence[EvalSpeaker],
-    nearest_k: int | None,
-) -> list[_TargetBlock]:
-    blocks = []
-    for target in targets:
-        others = [s for s in nontargets if s.id != target.id]
-        if not others:
-            raise ValueError(f"no non-target speakers available for {target.id!r}")
-        if nearest_k is not None:
-            kept_ids = set(
-                nearest_nontarget_subset(
-                    target.enroll, [o.enroll for o in others], nearest_k
-                )
-            )
-            others = [o for o in others if o.id in kept_ids]
-        tar_scores = np.array(
-            [cosine_similarity(target.enroll, utt) for utt in target.tests]
-        )
-        non_scores = []
-        non_genders = []
-        for other in others:
-            for utt in other.tests:
-                non_scores.append(cosine_similarity(target.enroll, utt))
-                non_genders.append(other.gender)
-        blocks.append(
-            _TargetBlock(
-                target, tar_scores, np.array(non_scores), tuple(non_genders)
-            )
-        )
-    return blocks
+    protocol: EvalProtocol,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[str, np.ndarray, np.ndarray]]]:
+    """Target row, target flag and score of every trial, plus partition masks.
 
-
-def _partition_eer(
-    blocks: Sequence[_TargetBlock],
-    target_scores: Sequence[np.ndarray],
-    gender: str | None,
-) -> EerResult:
-    tar: list[np.ndarray] = []
-    non: list[np.ndarray] = []
-    for block, scores in zip(blocks, target_scores):
-        if gender is not None and block.speaker.gender != gender:
-            continue
-        tar.append(scores)
-        if gender is None:
-            non.append(block.nontarget_scores)
-        else:
-            mask = np.array([g == gender for g in block.nontarget_genders])
-            non.append(block.nontarget_scores[mask])
-    return compute_eer(np.concatenate(tar), np.concatenate(non))
-
-
-def _partitions(
-    blocks: Sequence[_TargetBlock], gender_partition: bool
-) -> list[str | None]:
-    parts: list[str | None] = [None]
-    if gender_partition:
-        genders = sorted({b.speaker.gender for b in blocks if b.speaker.gender})
-        parts.extend(genders)
-    return parts
+    Score-grid rows are the targets' enrollments; columns are the test
+    utterances of every target, then of every non-target. A target's trials
+    are its own columns and those of its chosen non-target speakers.
+    """
+    if not nontargets:
+        raise ValueError("no non-target speakers supplied")
+    speakers = list(targets) + list(nontargets)
+    owner = np.repeat(np.arange(len(speakers)), [len(s.tests) for s in speakers])
+    enroll = np.stack([t.enroll.vector for t in targets])
+    grid = cosine_matrix(enroll, np.stack([u.vector for s in speakers for u in s.tests]))
+    candidates = cosine_matrix(enroll, np.stack([s.enroll.vector for s in nontargets]))
+    chosen = nearest_k_mask(
+        candidates, [t.id for t in targets], [s.id for s in nontargets], protocol.nearest_k
+    )
+    scored = np.hstack([np.eye(len(targets), dtype=bool), chosen])[:, owner]
+    rows, cols = np.nonzero(scored)
+    is_target = owner[cols] < len(targets)
+    parts = partition_masks(
+        rows, owner[cols], is_target,
+        [t.gender for t in targets], [s.gender for s in speakers],
+        protocol.gender_partition,
+    )
+    return rows, is_target, grid[rows, cols], parts
 
 
 def run_anonymization_benchmark(
@@ -253,6 +213,11 @@ def run_anonymization_benchmark(
 ) -> ConditionResult:
     """Measure the EER before and after anonymizing the target test sides.
 
+    Anonymization is speaker-level: per repetition, each target speaker
+    draws one pseudo speaker, and all of that speaker's target trials get
+    the same enroll-vs-pseudo score; non-target trials keep their scores.
+    A gender partition without target or non-target trials is left out.
+
     ``spec=None`` is the identity condition (before equals after). For the
     random strategy the seed in ``spec`` is the condition master seed;
     every repetition r uses ``derive_seed(seed, "rep:r")`` and every
@@ -260,18 +225,13 @@ def run_anonymization_benchmark(
     """
     if not targets:
         raise ValueError("no target speakers supplied")
-    blocks = _build_blocks(targets, nontargets, protocol.nearest_k)
-    parts = _partitions(blocks, protocol.gender_partition)
-    before_scores = [block.target_scores for block in blocks]
+    rows, is_target, before_scores, parts = _protocol_trials(targets, nontargets, protocol)
     before = {
-        part: _partition_eer(blocks, before_scores, part) for part in parts
+        name: compute_eer(before_scores[tar], before_scores[non]) for name, tar, non in parts
     }
 
     if spec is None:
-        partitions = tuple(
-            PartitionEer("pooled" if p is None else p, before[p], (before[p],))
-            for p in parts
-        )
+        partitions = tuple(PartitionEer(name, before[name], (before[name],)) for name in before)
         return ConditionResult(
             "none", None, protocol.nearest_k, 1, (None,), partitions, ()
         )
@@ -279,7 +239,7 @@ def run_anonymization_benchmark(
     if pool is None:
         raise ValueError("an embedding pool is required when a strategy is set")
 
-    after: dict[str | None, list[EerResult]] = {part: [] for part in parts}
+    after: dict[str, list[EerResult]] = {name: [] for name in before}
     events: list[AnonymizationEvent] = []
     rep_seeds: list[int | None] = []
     for rep in range(protocol.repetitions):
@@ -287,33 +247,31 @@ def run_anonymization_benchmark(
             derive_seed(spec.seed, f"rep:{rep}") if spec.strategy == "random" else None
         )
         rep_seeds.append(rep_seed)
-        rep_scores = []
-        for block in blocks:
-            speaker = block.speaker
+        pseudo_scores = np.empty(len(targets))
+        for i, speaker in enumerate(targets):
             rep_spec = spec
             event_seed = None
             if spec.strategy == "random":
                 event_seed = derive_seed(rep_seed, speaker.id)
                 rep_spec = replace(spec, seed=event_seed)
             pseudo = apply_spec(pool, rep_spec, original=speaker.enroll)
-            score = cosine_similarity(speaker.enroll, pseudo.embedding)
-            rep_scores.append(np.full(len(speaker.tests), score))
+            pseudo_scores[i] = cosine_similarity(speaker.enroll, pseudo.embedding)
             events.append(
                 AnonymizationEvent(
                     rep,
                     speaker.id,
                     event_seed,
                     pseudo.selected_ids,
-                    dissimilarity(speaker.enroll, pseudo.embedding),
+                    pseudo.measured_dissimilarity,
                 )
             )
-        for part in parts:
-            after[part].append(_partition_eer(blocks, rep_scores, part))
+        scores = np.where(is_target, pseudo_scores[rows], before_scores)
+        for name, tar, non in parts:
+            after[name].append(compute_eer(scores[tar], scores[non]))
 
     label = _condition_label(spec)
     partitions = tuple(
-        PartitionEer("pooled" if p is None else p, before[p], tuple(after[p]))
-        for p in parts
+        PartitionEer(name, before[name], tuple(after[name])) for name in before
     )
     return ConditionResult(
         label,

@@ -37,7 +37,7 @@ from .config import RunConfig, load_config
 from .embeddings import EmbeddingPool, SpeakerEmbedding, load_pool, mean_embedding, save_pool
 from .errors import ConfigError, DataError
 from .features import align_streams, extract_f0, load_f0, load_features, mel_features, save_f0, save_features
-from .metrics import Trial, compute_eer, nearest_nontarget_subset, read_trials, score_trials, wer
+from .metrics import compute_eer, cosine_matrix, nearest_k_mask, partition_masks, read_trials, trial_indices, wer
 from .seeding import derive_seed
 
 FBANK_HOP = 0.010
@@ -47,6 +47,14 @@ SYNTH_HOP = 0.005
 def speaker_of(utterance_id: str) -> str:
     """Speaker grouping convention: the stem up to the first underscore."""
     return utterance_id.split("_", 1)[0]
+
+
+def _speaker_means(utterances) -> list[SpeakerEmbedding]:
+    """One embedding per speaker, the mean of its utterances, in first-seen order."""
+    members: dict[str, list[SpeakerEmbedding]] = {}
+    for utt in utterances:
+        members.setdefault(speaker_of(utt.id), []).append(utt)
+    return [mean_embedding(m, new_id=spk) for spk, m in members.items()]
 
 
 def _ordered_map(fn, items, jobs: int):
@@ -118,17 +126,13 @@ def cmd_extract(cfg: RunConfig, wav_paths: list[str]) -> int:
         return 3
 
     utterance_embeddings = []
-    by_speaker: dict[str, list[SpeakerEmbedding]] = {}
     for utt, xvec, ppg, f0, mel80 in results:
         save_features(feature_dir / f"{utt}.ppg.jsonl", ppg)
         save_features(feature_dir / f"{utt}.mel.jsonl", mel80)
         save_f0(feature_dir / f"{utt}.f0.jsonl", f0)
         utterance_embeddings.append(xvec)
-        by_speaker.setdefault(speaker_of(utt), []).append(xvec)
     save_pool(out_dir / "utterance_xvectors.jsonl", EmbeddingPool(utterance_embeddings))
-    speakers = [
-        mean_embedding(members, new_id=spk) for spk, members in by_speaker.items()
-    ]
+    speakers = _speaker_means(utterance_embeddings)
     save_pool(out_dir / "speaker_xvectors.jsonl", EmbeddingPool(speakers))
     print(
         f"extracted {len(results)} utterances, {len(speakers)} speakers -> {out_dir}"
@@ -261,10 +265,6 @@ def cmd_synthesize(
 # evaluate
 
 
-def _gender_of(embedding: SpeakerEmbedding | None) -> str | None:
-    return embedding.gender if embedding is not None else None
-
-
 def cmd_evaluate(
     cfg: RunConfig,
     enroll_path: str,
@@ -275,20 +275,30 @@ def cmd_evaluate(
 ) -> int:
     enroll_pool = load_pool(_require_file(enroll_path, "enrollment embeddings"))
     test_pool = load_pool(_require_file(test_path, "test embeddings"))
-    trials = read_trials(_require_file(trials_path, "trial list"))
-    enroll = {e.id: e for e in enroll_pool}
-    test = {e.id: e for e in test_pool}
+    trials_file = _require_file(trials_path, "trial list")
+    trials = read_trials(trials_file)
+    k = cfg.evaluate.nearest_k
 
-    if cfg.evaluate.nearest_k is not None:
-        trials = _filter_nearest_k(enroll, test, trials, cfg.evaluate.nearest_k)
-
-    scored = score_trials(enroll, test, trials)
-    partitions = _eer_partitions(scored, enroll, test, cfg.evaluate.gender_partition)
+    rows, cols, is_target = trial_indices(trials, enroll_pool.ids, test_pool.ids)
+    if k is not None:
+        keep = is_target | _nearest_k_grid(enroll_pool, test_pool, k)[rows, cols]
+        rows, cols, is_target = rows[keep], cols[keep], is_target[keep]
+    for side, present in (("target", is_target), ("non-target", ~is_target)):
+        if not present.any():
+            with_k = "" if k is None else f" with k = {k}"
+            raise DataError(f"{trials_file}: no {side} trials to score{with_k}")
+    scores = cosine_matrix(enroll_pool.vectors, test_pool.vectors)[rows, cols]
+    parts = partition_masks(
+        rows, cols, is_target,
+        [e.gender for e in enroll_pool], [t.gender for t in test_pool],
+        cfg.evaluate.gender_partition,
+    )
 
     records = [{"config": cfg.echo()}]
     lines = ["EER report"]
-    k_text = cfg.evaluate.nearest_k if cfg.evaluate.nearest_k is not None else "all"
-    for partition, result in partitions:
+    k_text = k if k is not None else "all"
+    for partition, tar, non in parts:
+        result = compute_eer(scores[tar], scores[non])
         lines.append(
             f"  {partition:<8} K={k_text:<4} EER={result.eer:.4f} "
             f"threshold={result.threshold:.4f} "
@@ -346,68 +356,14 @@ def cmd_evaluate(
     return 0
 
 
-def _filter_nearest_k(enroll, test, trials, k: int) -> list[Trial]:
-    # Keep, per enrolled speaker, only the non-target trials whose test
-    # speaker ranks among the K most similar non-target speakers.
-    test_speakers: dict[str, list[SpeakerEmbedding]] = {}
-    for utt_id, embedding in test.items():
-        test_speakers.setdefault(speaker_of(utt_id), []).append(embedding)
-    speaker_level = {
-        spk: mean_embedding(members, new_id=spk)
-        for spk, members in test_speakers.items()
-    }
-    kept: list[Trial] = []
-    cache: dict[str, set[str]] = {}
-    for trial in trials:
-        if trial.label == "target":
-            kept.append(trial)
-            continue
-        if trial.enroll_id not in cache:
-            if trial.enroll_id not in enroll:
-                raise DataError(
-                    f"trial references unknown enrollment id {trial.enroll_id!r}"
-                )
-            candidates = [
-                emb for spk, emb in speaker_level.items() if spk != trial.enroll_id
-            ]
-            cache[trial.enroll_id] = set(
-                nearest_nontarget_subset(enroll[trial.enroll_id], candidates, k)
-            )
-        if speaker_of(trial.test_id) in cache[trial.enroll_id]:
-            kept.append(trial)
-    return kept
-
-
-def _eer_partitions(scored, enroll, test, gender_partition: bool):
-    def eer_for(gender: str | None):
-        tar = [
-            s for t, s in scored
-            if t.label == "target"
-            and (gender is None or _gender_of(enroll.get(t.enroll_id)) == gender)
-        ]
-        non = [
-            s for t, s in scored
-            if t.label == "nontarget"
-            and (
-                gender is None
-                or (
-                    _gender_of(enroll.get(t.enroll_id)) == gender
-                    and _gender_of(test.get(t.test_id)) == gender
-                )
-            )
-        ]
-        return compute_eer(tar, non) if tar and non else None
-
-    partitions = [("pooled", eer_for(None))]
-    if gender_partition:
-        genders = sorted(
-            {g for e in enroll.values() if (g := _gender_of(e)) is not None}
-        )
-        for gender in genders:
-            result = eer_for(gender)
-            if result is not None:
-                partitions.append((gender, result))
-    return [(name, result) for name, result in partitions if result is not None]
+def _nearest_k_grid(enroll_pool, test_pool, k: int) -> np.ndarray:
+    # (enrollee, test utterance): is the utterance's speaker among the K
+    # test speakers most similar to the enrollee?
+    speakers = EmbeddingPool(_speaker_means(test_pool))
+    nearest = nearest_k_mask(
+        cosine_matrix(enroll_pool.vectors, speakers.vectors), enroll_pool.ids, speakers.ids, k
+    )
+    return nearest[:, [speakers.index_of(speaker_of(utt_id)) for utt_id in test_pool.ids]]
 
 
 def _read_transcripts(path) -> dict[str, list[str]]:
@@ -433,6 +389,11 @@ def _read_transcripts(path) -> dict[str, list[str]]:
 
 def cmd_simulate(cfg: RunConfig) -> int:
     sim = cfg.simulate
+    if "random" in sim.strategies and cfg.seed is None:
+        raise ConfigError(
+            "simulate.strategies includes 'random', which needs a master seed "
+            "(set run.seed or pass --seed)"
+        )
     master = _master_seed(cfg)
     speakers = make_cluster_speakers(
         sim.n_speakers,

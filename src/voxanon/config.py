@@ -42,7 +42,6 @@ class AnonymizeSettings:
 @dataclass
 class EvaluateSettings:
     nearest_k: int | None = None  # None means all non-targets
-    repetitions: int = 5
     gender_partition: bool = True
 
 
@@ -86,10 +85,7 @@ class RunConfig:
             raise ConfigError(
                 "anonymize.strategy must be none, random, range, or nearest"
             )
-        random_configured = self.anonymize.strategy == "random" or (
-            "random" in self.simulate.strategies
-        )
-        if random_configured and self.seed is None:
+        if self.anonymize.strategy == "random" and self.seed is None:
             raise ConfigError(
                 "a master seed is required whenever a random strategy is configured "
                 "(set run.seed or pass --seed)"
@@ -212,9 +208,6 @@ _SCHEMA = {
     ),
     ("evaluate", "k"): lambda c, v, w: setattr(
         c.evaluate, "nearest_k", _parse_k(v, w)
-    ),
-    ("evaluate", "repetitions"): lambda c, v, w: setattr(
-        c.evaluate, "repetitions", _parse_int(v, w)
     ),
     ("evaluate", "gender_partition"): lambda c, v, w: setattr(
         c.evaluate, "gender_partition", _parse_bool(v, w)

@@ -20,6 +20,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError
+from .metrics import rank_by_similarity
 
 _RESERVED_METADATA_KEYS = frozenset({"id", "vec"})
 
@@ -149,22 +150,18 @@ def cosine_similarity(a: SpeakerEmbedding, b: SpeakerEmbedding) -> float:
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return _cosine(a.vector, b.vector)
+    nu = float(np.linalg.norm(a.vector))
+    nv = float(np.linalg.norm(b.vector))
+    if nu == 0.0 or nv == 0.0:
+        raise ValueError("cosine similarity undefined for zero-norm vector")
+    value = float(np.dot(a.vector, b.vector) / (nu * nv))
+    # Rounding can push |value| a few ulp past 1.
+    return min(1.0, max(-1.0, value))
 
 
 def dissimilarity(a: SpeakerEmbedding, b: SpeakerEmbedding) -> float:
     """One minus cosine similarity: 0 for aligned vectors, 2 for antipodal."""
     return 1.0 - cosine_similarity(a, b)
-
-
-def _cosine(u: np.ndarray, v: np.ndarray) -> float:
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("cosine similarity undefined for zero-norm vector")
-    value = float(np.dot(u, v) / (nu * nv))
-    # Rounding can push |value| a few ulp past 1.
-    return min(1.0, max(-1.0, value))
 
 
 def _centered_mean(matrix: np.ndarray) -> np.ndarray:
@@ -228,12 +225,9 @@ def nearest_neighbors(
     if count > len(pool):
         raise ValueError(f"count {count} exceeds pool size {len(pool)}")
     sims = pool_similarities(pool, query)
-    pairs = [(entry.id, float(s)) for entry, s in zip(pool.entries, sims)]
-    if order == "most_similar":
-        pairs.sort(key=lambda p: (-p[1], p[0]))
-    else:
-        pairs.sort(key=lambda p: (p[1], p[0]))
-    return pairs[:count]
+    ids = pool.ids
+    key = sims if order == "most_similar" else -sims
+    return [(ids[i], float(sims[i])) for i in rank_by_similarity(key[None, :], ids)[0, :count]]
 
 
 def save_pool(path, pool: EmbeddingPool) -> None:

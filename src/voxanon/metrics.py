@@ -2,6 +2,8 @@
 
 Scoring uses cosine similarity between enrollment and test embeddings
 (higher means more target-like; the accept rule is score >= threshold).
+Every protocol shares one engine: a cosine matrix, a nearest-K mask over
+speaker-level candidates, and per-gender masks over flat trial arrays.
 The equal error rate is located by linearly interpolating the false
 rejection and false acceptance rates between adjacent operating points of
 the threshold sweep, so the value is invariant to any strictly increasing
@@ -12,12 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .embeddings import SpeakerEmbedding, cosine_similarity
 from .errors import DataError
+
+if TYPE_CHECKING:
+    from .embeddings import SpeakerEmbedding
 
 TRIAL_LABELS = ("target", "nontarget")
 
@@ -71,22 +75,109 @@ class WerResult:
         return self.n_errors / self.n_ref_words
 
 
+def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(n, m) cosine similarities of the rows of ``a`` (n, d) and ``b`` (m, d),
+    clipped to [-1, 1] against rounding."""
+    if a.shape[1] != b.shape[1]:
+        raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
+    a = a / np.linalg.norm(a, axis=1, keepdims=True)
+    b = b / np.linalg.norm(b, axis=1, keepdims=True)
+    return np.clip(a @ b.T, -1.0, 1.0)
+
+
+def rank_by_similarity(sims: np.ndarray, ids: Sequence[str]) -> np.ndarray:
+    """Column indices of each row of ``sims`` (n, m), most similar first.
+
+    ``ids`` names the m columns; equal similarities rank by ascending id.
+    """
+    id_rank = np.empty(len(ids), dtype=np.intp)
+    id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return np.lexsort((np.broadcast_to(id_rank, sims.shape), -sims), axis=-1)
+
+
+def nearest_k_mask(
+    sims: np.ndarray, row_ids: Sequence[str], col_ids: Sequence[str], k: int | None
+) -> np.ndarray:
+    """Per enrolled row, the ``k`` most similar candidate columns, as a mask.
+
+    ``sims`` (n, m) scores each enrolled speaker against the speaker-level
+    candidates named by ``col_ids``. The column whose id equals the row's
+    own id is never selected; ``k=None`` selects every other column.
+    """
+    others = np.asarray(row_ids, dtype=str)[:, None] != np.asarray(col_ids, dtype=str)[None, :]
+    for row_id, available in zip(row_ids, others.sum(axis=1)):
+        if available == 0:
+            raise ValueError(f"no non-target speakers available for {row_id!r}")
+        if k is not None and k > available:
+            raise ValueError(f"k {k} exceeds available non-targets ({available})")
+    if k is None:
+        return others
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    ranked = rank_by_similarity(np.where(others, sims, -np.inf), col_ids)
+    mask = np.zeros_like(others)
+    np.put_along_axis(mask, ranked[:, :k], True, axis=1)
+    return mask
+
+
+def trial_indices(
+    trials: Sequence[Trial], enroll_ids: Sequence[str], test_ids: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Enrollment row, test column and target flag of every trial, in order."""
+    rows = {spk_id: i for i, spk_id in enumerate(enroll_ids)}
+    cols = {utt_id: j for j, utt_id in enumerate(test_ids)}
+    for trial in trials:
+        if trial.enroll_id not in rows:
+            raise DataError(f"trial references unknown enrollment id {trial.enroll_id!r}")
+        if trial.test_id not in cols:
+            raise DataError(f"trial references unknown test id {trial.test_id!r}")
+    n = len(trials)
+    return (
+        np.fromiter((rows[t.enroll_id] for t in trials), np.intp, n),
+        np.fromiter((cols[t.test_id] for t in trials), np.intp, n),
+        np.fromiter((t.label == "target" for t in trials), bool, n),
+    )
+
+
+def partition_masks(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    is_target: np.ndarray,
+    row_genders: Sequence[str | None],
+    col_genders: Sequence[str | None],
+    by_gender: bool,
+) -> list[tuple[str, np.ndarray, np.ndarray]]:
+    """Target and non-target trial masks of the pooled partition and, with
+    ``by_gender``, of each enrollment gender (sorted).
+
+    A gender partition keeps the target trials of enrollees of that gender
+    and the non-target trials where enrollee and test side both have it.
+    A partition without target or without non-target trials is left out.
+    """
+    is_non = ~is_target
+    parts = [("pooled", is_target, is_non)]
+    if by_gender:
+        for gender in sorted({g for g in row_genders if g is not None}):
+            row_match = np.array([g == gender for g in row_genders], dtype=bool)[rows]
+            col_match = np.array([g == gender for g in col_genders], dtype=bool)[cols]
+            parts.append((gender, is_target & row_match, is_non & row_match & col_match))
+    return [(name, tar, non) for name, tar, non in parts if tar.any() and non.any()]
+
+
 def score_trials(
     enroll: Mapping[str, SpeakerEmbedding],
     test: Mapping[str, SpeakerEmbedding],
     trials: Sequence[Trial],
 ) -> list[tuple[Trial, float]]:
     """Cosine-score a trial list; output order matches input order."""
-    scored = []
-    for trial in trials:
-        if trial.enroll_id not in enroll:
-            raise DataError(f"trial references unknown enrollment id {trial.enroll_id!r}")
-        if trial.test_id not in test:
-            raise DataError(f"trial references unknown test id {trial.test_id!r}")
-        scored.append(
-            (trial, cosine_similarity(enroll[trial.enroll_id], test[trial.test_id]))
-        )
-    return scored
+    if not trials:
+        return []
+    rows, cols, _ = trial_indices(trials, list(enroll), list(test))
+    grid = cosine_matrix(
+        np.stack([e.vector for e in enroll.values()]),
+        np.stack([t.vector for t in test.values()]),
+    )
+    return list(zip(trials, grid[rows, cols].tolist()))
 
 
 def compute_eer(
@@ -141,10 +232,9 @@ def nearest_nontarget_subset(
         raise ValueError("k must be at least 1")
     if k > len(nontargets):
         raise ValueError(f"k {k} exceeds available non-targets ({len(nontargets)})")
-    ranked = sorted(
-        ((-cosine_similarity(target_spk, spk), spk.id) for spk in nontargets),
-    )
-    return [spk_id for _, spk_id in ranked[:k]]
+    ids = [spk.id for spk in nontargets]
+    sims = cosine_matrix(target_spk.vector[None, :], np.stack([spk.vector for spk in nontargets]))
+    return [ids[j] for j in rank_by_similarity(sims, ids)[0, :k]]
 
 
 def wer(ref: Sequence[str], hyp: Sequence[str]) -> WerResult:

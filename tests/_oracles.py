@@ -7,8 +7,15 @@ shared helpers.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
+
+from voxanon.anonymize import apply_spec
+from voxanon.cli import speaker_of
+from voxanon.embeddings import cosine_similarity, mean_embedding
+from voxanon.metrics import compute_eer
+from voxanon.seeding import derive_seed
 
 
 def eer_midpoint_sweep(target_scores, nontarget_scores) -> float:
@@ -162,3 +169,138 @@ def acoustic_frames(frames, weights, teacher=None) -> np.ndarray:
         out[t] = weights["out.w"] @ h_ar + weights["out.b"]
         prev = teacher[t] if teacher is not None else out[t]
     return out
+
+
+# ---------------------------------------------------------------------------
+# Verification scoring one cosine_similarity call per pair, as `evaluate`
+# and `simulate` each did before they shared one scoring engine.
+
+
+def _nearest_ids(target, candidates, k):
+    # Most similar first, ties by ascending id.
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if k > len(candidates):
+        raise ValueError(f"k {k} exceeds available non-targets ({len(candidates)})")
+    ranked = sorted((-cosine_similarity(target, c), c.id) for c in candidates)
+    return [c_id for _, c_id in ranked[:k]]
+
+
+def _filter_nearest_k(enroll, test, trials, k):
+    test_speakers = {}
+    for utt_id, embedding in test.items():
+        test_speakers.setdefault(speaker_of(utt_id), []).append(embedding)
+    speaker_level = {
+        spk: mean_embedding(members, new_id=spk) for spk, members in test_speakers.items()
+    }
+    kept = []
+    cache = {}
+    for trial in trials:
+        if trial.label == "target":
+            kept.append(trial)
+            continue
+        if trial.enroll_id not in cache:
+            candidates = [emb for spk, emb in speaker_level.items() if spk != trial.enroll_id]
+            cache[trial.enroll_id] = set(_nearest_ids(enroll[trial.enroll_id], candidates, k))
+        if speaker_of(trial.test_id) in cache[trial.enroll_id]:
+            kept.append(trial)
+    return kept
+
+
+def _eer_partitions(scored, enroll, test, gender_partition):
+    def gender_of(embedding):
+        return embedding.gender if embedding is not None else None
+
+    def eer_for(gender):
+        tar = [
+            s for t, s in scored
+            if t.label == "target"
+            and (gender is None or gender_of(enroll.get(t.enroll_id)) == gender)
+        ]
+        non = [
+            s for t, s in scored
+            if t.label == "nontarget"
+            and (
+                gender is None
+                or (
+                    gender_of(enroll.get(t.enroll_id)) == gender
+                    and gender_of(test.get(t.test_id)) == gender
+                )
+            )
+        ]
+        return compute_eer(tar, non) if tar and non else None
+
+    partitions = [("pooled", eer_for(None))]
+    if gender_partition:
+        genders = sorted({g for e in enroll.values() if (g := gender_of(e)) is not None})
+        partitions.extend((gender, eer_for(gender)) for gender in genders)
+    return [(name, result) for name, result in partitions if result is not None]
+
+
+def evaluate_eers(enroll, test, trials, k, gender_partition):
+    """Partition name -> EerResult of an `evaluate` run, pair by pair.
+
+    Nearest-K keeps, per enrolled speaker, the non-target trials whose test
+    speaker (mean of its utterances) is among the K most similar.
+    """
+    if k is not None:
+        trials = _filter_nearest_k(enroll, test, trials, k)
+    scored = [(t, cosine_similarity(enroll[t.enroll_id], test[t.test_id])) for t in trials]
+    return dict(_eer_partitions(scored, enroll, test, gender_partition))
+
+
+def _build_blocks(targets, nontargets, nearest_k):
+    blocks = []
+    for target in targets:
+        others = [s for s in nontargets if s.id != target.id]
+        if not others:
+            raise ValueError(f"no non-target speakers available for {target.id!r}")
+        if nearest_k is not None:
+            kept_ids = set(_nearest_ids(target.enroll, [o.enroll for o in others], nearest_k))
+            others = [o for o in others if o.id in kept_ids]
+        tar_scores = np.array([cosine_similarity(target.enroll, utt) for utt in target.tests])
+        non_scores, non_genders = [], []
+        for other in others:
+            for utt in other.tests:
+                non_scores.append(cosine_similarity(target.enroll, utt))
+                non_genders.append(other.gender)
+        blocks.append((target, tar_scores, np.array(non_scores), non_genders))
+    return blocks
+
+
+def _partition_eer(blocks, target_scores, gender):
+    tar, non = [], []
+    for (speaker, _, non_scores, non_genders), scores in zip(blocks, target_scores):
+        if gender is not None and speaker.gender != gender:
+            continue
+        tar.append(scores)
+        if gender is None:
+            non.append(non_scores)
+        else:
+            non.append(non_scores[np.array([g == gender for g in non_genders], dtype=bool)])
+    tar, non = np.concatenate(tar), np.concatenate(non)
+    # The per-pair code raised on a partition with an empty side.
+    return compute_eer(tar, non) if tar.size and non.size else None
+
+
+def benchmark_eers(targets, nontargets, pool, spec, protocol):
+    """Partition name -> (EER before, [EER after per repetition]) of one
+    `simulate` condition, pair by pair; None where a side is empty."""
+    blocks = _build_blocks(targets, nontargets, protocol.nearest_k)
+    parts = [None]
+    if protocol.gender_partition:
+        parts.extend(sorted({b[0].gender for b in blocks if b[0].gender is not None}))
+    before = {p: _partition_eer(blocks, [b[1] for b in blocks], p) for p in parts}
+    after = {p: [] for p in parts}
+    for rep in range(protocol.repetitions if spec is not None else 0):
+        rep_seed = derive_seed(spec.seed, f"rep:{rep}") if spec.strategy == "random" else None
+        rep_scores = []
+        for speaker, tar_scores, _, _ in blocks:
+            rep_spec = spec
+            if spec.strategy == "random":
+                rep_spec = replace(spec, seed=derive_seed(rep_seed, speaker.id))
+            pseudo = apply_spec(pool, rep_spec, original=speaker.enroll)
+            rep_scores.append(np.full(len(tar_scores), cosine_similarity(speaker.enroll, pseudo.embedding)))
+        for p in parts:
+            after[p].append(_partition_eer(blocks, rep_scores, p))
+    return {"pooled" if p is None else p: (before[p], after[p]) for p in parts}

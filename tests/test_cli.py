@@ -88,6 +88,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="seed"):
             load_config(path)
 
+    def test_evaluate_repetitions_key_rejected(self, tmp_path):
+        # simulate.repetitions sets the draw count; evaluate has none.
+        path = tmp_path / "c.ini"
+        path.write_text("[evaluate]\nrepetitions = 5\n")
+        with pytest.raises(ConfigError, match="repetitions"):
+            load_config(path)
+
     def test_k_all_parses_to_none(self, tmp_path):
         path = tmp_path / "c.ini"
         path.write_text("[run]\nseed = 1\n[evaluate]\nk = all\n")
@@ -119,6 +126,43 @@ class TestExitCodes:
             "pool_size = 20\nm_grid = 3\nrepetitions = 2\n"
         )
         assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 0
+
+    def test_simulate_random_without_seed_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "noseed.ini"
+        path.write_text("[simulate]\nn_speakers = 4\nstrategies = random\n")
+        assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+        assert "seed" in capsys.readouterr().err
+
+    def test_evaluate_without_seed_exits_0(self, extracted, tmp_path):
+        # The default simulate strategies include random; evaluate draws nothing.
+        trials = tmp_path / "trials.txt"
+        trials.write_text("p01 p01_001 tar\np01 p02_001 non\n")
+        rc = main([
+            "evaluate",
+            "--enroll", str(extracted / "speaker_xvectors.jsonl"),
+            "--test", str(extracted / "utterance_xvectors.jsonl"),
+            "--trials", str(trials),
+            "--out-dir", str(tmp_path / "report"),
+        ])
+        assert rc == 0
+
+    @pytest.mark.parametrize("lines", [
+        "p01 p01_001 tar\np02 p02_001 tar\n",
+        "p01 p02_001 non\np02 p01_001 non\n",
+    ])
+    def test_one_sided_trial_list_exits_3(self, site, extracted, tmp_path, capsys, lines):
+        trials = tmp_path / "one_sided.txt"
+        trials.write_text(lines)
+        rc = main([
+            "evaluate", "--config", str(site / "run.ini"),
+            "--enroll", str(extracted / "speaker_xvectors.jsonl"),
+            "--test", str(extracted / "utterance_xvectors.jsonl"),
+            "--trials", str(trials),
+            "--out-dir", str(tmp_path / "report"),
+        ])
+        assert rc == 3
+        assert str(trials) in capsys.readouterr().err
+        assert not (tmp_path / "report" / "evaluation_report.txt").exists()
 
     def test_bad_trial_id_exits_3(self, site, extracted, tmp_path):
         trials = tmp_path / "trials.txt"
