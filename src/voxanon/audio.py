@@ -85,8 +85,8 @@ def read_wav(path, expected_rate: int | None = None) -> Waveform:
         elif chunk_id == b"data":
             payload = body
         pos += 8 + size + (size & 1)  # chunks are word aligned
-    if pos != n and payload is None and fmt is None:
-        fail(pos, "dangling bytes where a chunk header was expected")
+    if pos < n:
+        fail(pos, f"{n - pos} dangling bytes after the last complete chunk")
     if fmt is None:
         fail(n, "no fmt chunk found")
     if payload is None:

@@ -127,9 +127,9 @@ def cmd_extract(cfg: RunConfig, wav_paths: list[str]) -> int:
 
     utterance_embeddings = []
     for utt, xvec, ppg, f0, mel80 in results:
-        save_features(feature_dir / f"{utt}.ppg.jsonl", ppg)
-        save_features(feature_dir / f"{utt}.mel.jsonl", mel80)
-        save_f0(feature_dir / f"{utt}.f0.jsonl", f0)
+        save_features(feature_dir / f"{utt}.ppg.npz", ppg)
+        save_features(feature_dir / f"{utt}.mel.npz", mel80)
+        save_f0(feature_dir / f"{utt}.f0.npz", f0)
         utterance_embeddings.append(xvec)
     save_pool(out_dir / "utterance_xvectors.jsonl", EmbeddingPool(utterance_embeddings))
     speakers = _speaker_means(utterance_embeddings)
@@ -227,7 +227,7 @@ def cmd_synthesize(
         raise ConfigError(f"feature directory not found at {feature_dir}")
     pseudo = load_pool(_require_file(pseudo_path, "pseudo-speaker pool"))
     if utts is None:
-        utts = sorted(p.name[: -len(".ppg.jsonl")] for p in feature_dir.glob("*.ppg.jsonl"))
+        utts = sorted(p.name[: -len(".ppg.npz")] for p in feature_dir.glob("*.ppg.npz"))
     if not utts:
         raise DataError("no inputs")
     wav_dir = Path(cfg.out_dir) / "wav"
@@ -246,8 +246,8 @@ def cmd_synthesize(
         )
 
     def process(utt: str) -> tuple[str, object]:
-        ppg = load_features(feature_dir / f"{utt}.ppg.jsonl")
-        f0 = load_f0(feature_dir / f"{utt}.f0.jsonl")
+        ppg = load_features(feature_dir / f"{utt}.ppg.npz")
+        f0 = load_f0(feature_dir / f"{utt}.f0.npz")
         xvec = embedding_for(utt)
         aligned = align_streams(ppg, f0, xvec)
         mel = nnet.acoustic_forward(aligned, acoustic_weights, mode="free")
@@ -474,7 +474,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="configuration file (INI sections)")
     common.add_argument("--seed", type=int, help="master seed override")
-    common.add_argument("--jobs", type=int, help="parallel worker bound")
+    common.add_argument("--jobs", type=int, help="parallel worker bound (used by synthesize only)")
     common.add_argument("--out-dir", help="output directory override")
 
     parser = argparse.ArgumentParser(
@@ -499,7 +499,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("synthesize", parents=[common], help="features to waveforms")
-    p.add_argument("--features-dir", help="directory with <utt>.{ppg,f0}.jsonl files")
+    p.add_argument("--features-dir", help="directory with the <utt>.{ppg,f0}.npz files extract wrote")
     p.add_argument("--pseudo", required=True, help="pseudo-speaker pool file")
     p.add_argument("--utts", help="comma-separated utterance ids (default: all found)")
 

@@ -14,8 +14,8 @@ front ends and 5 ms for the synthesis-rate mel spectrogram and F0.
 
 from __future__ import annotations
 
-import json
 import math
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,6 +38,7 @@ VOICING_THRESHOLD = 0.45
 MEL_KINDS = {24: "fbank24", 40: "mel40", 80: "melspec80"}
 _FIXED_KIND_DIMS = {"fbank24": 24, "mel40": 40, "melspec80": 80}
 _KINDS = ("fbank24", "mel40", "melspec80", "ppg", "aligned")
+_ENTRIES = ("kind", "hop", "values")
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,83 +309,69 @@ def align_streams(
 
 
 def save_features(path, features: FeatureMatrix) -> None:
-    """Write a feature matrix in the line-delimited record format.
+    """Write a feature matrix as an ``.npz`` stream file.
 
-    The header carries kind, hop, dim, and frame count; each following
-    line is one frame. Floats round-trip exactly.
+    The archive holds three entries: ``kind`` (0-d unicode), ``hop``
+    (0-d float64) and ``values`` (the frames x dim float64 matrix).
+    Floats round-trip exactly, and equal matrices give equal bytes.
     """
-    _write_records(
-        path,
-        {"kind": features.kind, "hop": features.hop,
-         "dim": features.dim, "frames": features.n_frames},
-        features.frames,
-    )
+    _save_stream(path, features.kind, features.hop, features.frames)
 
 
 def load_features(path) -> FeatureMatrix:
-    header, rows = _read_records(path)
-    kind = header.get("kind")
-    if kind not in _KINDS:
-        raise DataError(f"{path}: unknown feature kind {kind!r}")
-    return FeatureMatrix(rows, hop=float(header["hop"]), kind=kind)
-
-
-def save_f0(path, contour: F0Contour) -> None:
-    _write_records(
-        path,
-        {"kind": "f0", "hop": contour.hop, "dim": 1, "frames": contour.n_frames},
-        contour.values[:, None],
+    return _load_stream(
+        path, _KINDS, lambda kind, hop, values: FeatureMatrix(values, hop=hop, kind=kind)
     )
 
 
+def save_f0(path, contour: F0Contour) -> None:
+    _save_stream(path, "f0", contour.hop, contour.values)
+
+
 def load_f0(path) -> F0Contour:
-    header, rows = _read_records(path)
-    if header.get("kind") != "f0":
-        raise DataError(f"{path}: expected kind 'f0', got {header.get('kind')!r}")
-    return F0Contour(rows[:, 0], hop=float(header["hop"]))
+    return _load_stream(path, ("f0",), lambda kind, hop, values: F0Contour(values, hop=hop))
 
 
-def _write_records(path, header: dict, matrix: np.ndarray) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header) + "\n")
-        for t, row in enumerate(matrix):
-            fh.write(json.dumps({"t": t, "vec": [float(x) for x in row]}) + "\n")
+def _save_stream(path, kind: str, hop: float, values: np.ndarray) -> None:
+    # np.savez appends ".npz" to a path it is given; a handle keeps the name.
+    with Path(path).open("wb") as fh:
+        np.savez(fh, kind=np.array(kind), hop=np.array(hop, dtype=np.float64), values=values)
 
 
-def _read_records(path) -> tuple[dict, np.ndarray]:
+def _load_stream(path, kinds: tuple[str, ...], build):
     path = Path(path)
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        # Given a path, np.load leaks its handle when the zip is truncated.
+        with path.open("rb") as fh:
+            kind, hop, values = _read_entries(path, fh)
     except OSError as exc:
         raise DataError(f"cannot read feature file {path}: {exc}") from exc
-    if not lines:
-        raise DataError(f"{path}: empty feature file")
+    kind = kind.tolist()
+    if kind not in kinds:
+        raise DataError(f"{path}: kind {kind!r} is not one of {', '.join(kinds)}")
+    if hop.shape != () or hop.dtype != np.float64 or not (np.isfinite(hop) and hop > 0):
+        raise DataError(f"{path}: hop must be a positive 0-d float64, got {hop.tolist()!r}")
+    if values.dtype != np.float64:
+        raise DataError(f"{path}: values must be float64, got {values.dtype}")
     try:
-        header = json.loads(lines[0])
+        return build(kind, float(hop), values)
     except ValueError as exc:
-        raise DataError(f"{path}, line 1: malformed header: {exc}") from exc
-    for key in ("kind", "hop", "dim", "frames"):
-        if key not in header:
-            raise DataError(f"{path}, line 1: header missing {key!r}")
-    dim = int(header["dim"])
-    declared = int(header["frames"])
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+        raise DataError(f"{path}: {exc}") from exc
+
+
+def _read_entries(path, fh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    try:
+        archive = np.load(fh, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        # np.load reports any file that is neither zip nor .npy as pickled data.
+        raise DataError(f"{path}: not an .npz archive, or a truncated one") from exc
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise DataError(f"{path}: a bare .npy array, not an .npz archive")
+    with archive:
+        missing = [name for name in _ENTRIES if name not in archive.files]
+        if missing:
+            raise DataError(f"{path}: archive is missing entries {missing}")
         try:
-            record = json.loads(line)
-        except ValueError as exc:
-            raise DataError(f"{path}, line {lineno}: malformed record: {exc}") from exc
-        vec = record.get("vec")
-        if not isinstance(vec, list) or len(vec) != dim:
-            raise DataError(
-                f"{path}, line {lineno}: frame record must carry a {dim}-element 'vec'"
-            )
-        rows.append(vec)
-    if len(rows) != declared:
-        raise DataError(
-            f"{path}: header declares {declared} frames, file contains {len(rows)}"
-        )
-    return header, np.array(rows, dtype=np.float64)
+            return tuple(archive[name] for name in _ENTRIES)
+        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise DataError(f"{path}: unreadable entry: {exc}") from exc

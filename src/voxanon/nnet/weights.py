@@ -9,6 +9,7 @@ bit-exact.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -136,6 +137,8 @@ def load_weights(path) -> ModelWeights:
         manifest = json.loads(raw[first_nl + 1 : second_nl].decode("utf-8"))
     except ValueError as exc:
         raise DataError(f"{path}: malformed manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DataError(f"{path}: malformed manifest: not a JSON object")
     component = manifest.get("component")
     if component not in _CONFIG_REGISTRY:
         raise DataError(f"{path}: unknown component {component!r}")
@@ -143,19 +146,26 @@ def load_weights(path) -> ModelWeights:
         raise DataError(
             f"{path}: unsupported format version {manifest.get('format_version')!r}"
         )
-    config = _CONFIG_REGISTRY[component](**manifest["config"])
-    body = raw[second_nl + 1 :]
+    try:
+        config = _CONFIG_REGISTRY[component](**manifest["config"])
+        table = [(str(e["name"]), tuple(e["shape"]), e["offset"]) for e in manifest["tensors"]]
+    except KeyError as exc:
+        raise DataError(f"{path}: manifest is missing {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed manifest: {exc}") from exc
+    # Tensors are read-only views into the file's bytes; ModelWeights copies
+    # each one once.
+    body = memoryview(raw)[second_nl + 1 :]
     tensors = {}
-    for entry in manifest["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        end = start + count * 8
-        if end > len(body):
-            raise DataError(f"{path}: tensor {entry['name']!r} blob is truncated")
-        tensors[entry["name"]] = (
-            np.frombuffer(body[start:end], dtype="<f8").reshape(shape).copy()
-        )
+    for name, shape, start in table:
+        if not all(type(d) is int and d >= 0 for d in shape):
+            raise DataError(f"{path}: tensor {name!r} has invalid shape {list(shape)}")
+        if type(start) is not int or start < 0:
+            raise DataError(f"{path}: tensor {name!r} has invalid offset {start!r}")
+        count = math.prod(shape)
+        if start + count * 8 > len(body):
+            raise DataError(f"{path}: tensor {name!r} blob is truncated")
+        tensors[name] = np.frombuffer(body, "<f8", count=count, offset=start).reshape(shape)
     try:
         return ModelWeights(component, config, tensors)
     except ValueError as exc:

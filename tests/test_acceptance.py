@@ -294,8 +294,8 @@ def test_criterion_8_pipeline_determinism(tmp_path):
         mel40 = FeatureMatrix(rng.standard_normal((20, 40)), hop=0.010, kind="mel40")
         ppg = ppg_forward(mel40, ppg_weights, tap="sigmoid6")
         f0 = F0Contour(np.where(rng.random(40) < 0.6, 180.0, 0.0))
-        save_features(features_dir / "u_1.ppg.jsonl", ppg)
-        save_f0(features_dir / "u_1.f0.jsonl", f0)
+        save_features(features_dir / "u_1.ppg.npz", ppg)
+        save_f0(features_dir / "u_1.f0.npz", f0)
         xvec = SpeakerEmbedding("u", rng.standard_normal(512))
         save_pool(tmp_path / "pseudo.jsonl", EmbeddingPool([xvec]))
 

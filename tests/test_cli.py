@@ -190,7 +190,7 @@ class TestExtract:
     def test_feature_files_written(self, extracted):
         for utt in ("p01_001", "p01_002", "p02_001"):
             for suffix in ("ppg", "mel", "f0"):
-                assert (extracted / "features" / f"{utt}.{suffix}.jsonl").exists()
+                assert (extracted / "features" / f"{utt}.{suffix}.npz").exists()
 
     def test_rerun_is_bitwise_identical(self, site, extracted, tmp_path):
         out2 = tmp_path / "again"
@@ -200,7 +200,7 @@ class TestExtract:
         )
         assert rc == 0
         for rel in ("utterance_xvectors.jsonl", "speaker_xvectors.jsonl",
-                    "features/p01_001.ppg.jsonl", "features/p02_001.f0.jsonl"):
+                    "features/p01_001.ppg.npz", "features/p02_001.f0.npz"):
             assert (extracted / rel).read_bytes() == (out2 / rel).read_bytes()
 
     def test_no_inputs_is_an_error(self, site):
@@ -215,6 +215,34 @@ class TestExtract:
         ])
         assert rc == 3
         assert "broken.wav" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("damage", [
+        pytest.param(lambda m: m["config"].update(bogus=1), id="unknown-config-key"),
+        pytest.param(lambda m: m.pop("config"), id="missing-config"),
+        pytest.param(lambda m: m.pop("tensors"), id="missing-tensors"),
+        pytest.param(lambda m: m["tensors"][0].pop("name"), id="missing-name"),
+        pytest.param(lambda m: m["tensors"][0].pop("shape"), id="missing-shape"),
+        pytest.param(lambda m: m["tensors"][0].pop("offset"), id="missing-offset"),
+        pytest.param(lambda m: m["tensors"][0].update(offset=-8), id="negative-offset"),
+        pytest.param(lambda m: m["tensors"][0].update(offset=8.0), id="float-offset"),
+        pytest.param(lambda m: m["tensors"][0].update(shape=[-1]), id="negative-shape"),
+    ])
+    def test_bad_weight_manifest_exits_3(self, site, tmp_path, capsys, damage):
+        # The manifest is checked before any tensor is read, so the broken
+        # file carries only its two header lines.
+        with (site / "weights" / "xvector.weights").open("rb") as fh:
+            magic, manifest = fh.readline(), json.loads(fh.readline())
+        damage(manifest)
+        weights = tmp_path / "weights"
+        weights.mkdir()
+        bad = weights / "xvector.weights"
+        bad.write_bytes(magic + json.dumps(manifest).encode() + b"\n")
+        config = tmp_path / "bad_weights.ini"
+        config.write_text(f"[paths]\nweights = {weights}\nout_dir = {tmp_path / 'o'}\n")
+        rc = main(["extract", "--config", str(config), str(site / "p01_001.wav")])
+        assert rc == 3
+        assert str(bad) in capsys.readouterr().err
 
 
 class TestAnonymize:
@@ -299,8 +327,8 @@ class TestSynthesize:
         assert wav1.read_bytes() == (out2 / "wav" / "p01_001.wav").read_bytes()
         from voxanon import load_f0, load_features
 
-        ppg = load_features(extracted / "features" / "p01_001.ppg.jsonl")
-        f0 = load_f0(extracted / "features" / "p01_001.f0.jsonl")
+        ppg = load_features(extracted / "features" / "p01_001.ppg.npz")
+        f0 = load_f0(extracted / "features" / "p01_001.f0.npz")
         expected = 80 * min(2 * ppg.n_frames, f0.n_frames)
         assert len(read_wav(wav1)) == expected
 
@@ -321,6 +349,21 @@ class TestSynthesize:
             assert (pair / "wav" / f"{utt}.wav").read_bytes() == (
                 trio / "wav" / f"{utt}.wav"
             ).read_bytes()
+
+    def test_corrupt_feature_file_exits_3(self, site, extracted, pseudo, tmp_path, capsys):
+        features = tmp_path / "features"
+        features.mkdir()
+        for name in ("p01_001.ppg.npz", "p01_001.f0.npz"):
+            (features / name).write_bytes((extracted / "features" / name).read_bytes())
+        corrupt = features / "p01_001.ppg.npz"
+        corrupt.write_bytes(corrupt.read_bytes()[:-100])
+        rc = main([
+            "synthesize", "--config", str(site / "run.ini"),
+            "--features-dir", str(features), "--pseudo", str(pseudo),
+            "--out-dir", str(tmp_path / "o"),
+        ])
+        assert rc == 3
+        assert str(corrupt) in capsys.readouterr().err
 
     def test_missing_weights_names_component(self, site, extracted, pseudo, tmp_path, capsys):
         partial = tmp_path / "partial_weights"

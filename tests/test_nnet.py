@@ -95,6 +95,12 @@ class TestWeights:
         with pytest.raises(DataError):
             load_weights(path)
 
+    def test_manifest_must_be_an_object(self, tmp_path):
+        path = tmp_path / "list.weights"
+        path.write_bytes(b"voxanon-weights 1\n[]\n")
+        with pytest.raises(DataError, match="not a JSON object"):
+            load_weights(path)
+
 
 @pytest.fixture(scope="module")
 def weights():

@@ -62,6 +62,15 @@ class TestWavIo:
         with pytest.raises(DataError, match="byte offset 12"):
             read_wav(path)
 
+    @pytest.mark.parametrize("tail", [1, 3, 7])
+    def test_trailing_bytes_rejected_with_offset(self, tmp_path, tail):
+        path = tmp_path / "tail.wav"
+        write_wav(path, Waveform(np.zeros(1600) + 0.1, 16000))
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes() + b"\x00" * tail)
+        with pytest.raises(DataError, match=f"{tail} dangling bytes.*byte offset {size}"):
+            read_wav(path)
+
     def test_non_pcm16_rejected(self, tmp_path):
         import struct
 
@@ -241,8 +250,11 @@ class TestAlignStreams:
 class TestFeatureFiles:
     def test_feature_roundtrip_exact(self, rng, tmp_path):
         features = FeatureMatrix(rng.standard_normal((17, 5)), hop=0.01, kind="ppg")
-        path = tmp_path / "f.jsonl"
+        path = tmp_path / "f.ppg"
         save_features(path, features)
+        assert [p.name for p in tmp_path.iterdir()] == ["f.ppg"]
+        with np.load(path, allow_pickle=False) as archive:
+            assert archive.files == ["kind", "hop", "values"]
         loaded = load_features(path)
         assert loaded.kind == "ppg"
         assert loaded.hop == features.hop
@@ -250,14 +262,61 @@ class TestFeatureFiles:
 
     def test_f0_roundtrip_exact(self, tmp_path):
         contour = _fake_f0(33)
-        path = tmp_path / "f0.jsonl"
+        path = tmp_path / "f0.npz"
         save_f0(path, contour)
         loaded = load_f0(path)
         assert np.array_equal(loaded.values, contour.values)
         assert loaded.hop == contour.hop
 
     def test_malformed_feature_file(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
+        # A feature file in the retired one-record-per-frame JSON format.
+        path = tmp_path / "bad.ppg.jsonl"
         path.write_text('{"kind": "ppg", "hop": 0.01, "dim": 3, "frames": 1}\n{"t": 0}\n')
-        with pytest.raises(DataError, match="vec"):
+        with pytest.raises(DataError, match="not an .npz archive") as info:
             load_features(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("loader, write, problem", [
+        pytest.param(load_features, None, "cannot read", id="missing-file"),
+        pytest.param(load_features, b"", "not an .npz archive", id="empty-file"),
+        pytest.param(load_features, "half", "not an .npz archive", id="truncated"),
+        pytest.param(load_features, "npy", "bare .npy", id="bare-npy"),
+        pytest.param(load_features, {"hop": None}, "missing entries", id="missing-hop"),
+        pytest.param(load_features, {"values": None}, "missing entries", id="missing-values"),
+        pytest.param(load_features, {"values": np.ones((4, 3), np.float32)}, "float64",
+                     id="float32-values"),
+        pytest.param(load_features, {"values": np.array([[None, 1.0]], dtype=object)},
+                     "Object arrays", id="object-values"),
+        pytest.param(load_features, {"hop": np.array("fast")}, "hop", id="text-hop"),
+        pytest.param(load_features, {"hop": np.array(0.0)}, "hop", id="zero-hop"),
+        pytest.param(load_features, {"hop": np.array(-0.01)}, "hop", id="negative-hop"),
+        pytest.param(load_features, {"hop": np.array(np.nan)}, "hop", id="nan-hop"),
+        pytest.param(load_features, {"hop": np.array([0.01])}, "hop", id="1d-hop"),
+        pytest.param(load_features, {"kind": np.array("spectrogram")}, "kind", id="unknown-kind"),
+        pytest.param(load_features, {"kind": np.array(3)}, "kind", id="numeric-kind"),
+        pytest.param(load_features, {"kind": np.array("f0")}, "kind", id="f0-as-features"),
+        pytest.param(load_f0, {}, "kind", id="ppg-as-f0"),
+        pytest.param(load_features, {"values": np.ones(4)}, "2-d", id="1d-features"),
+        pytest.param(load_features, {"kind": np.array("melspec80")}, "dim 80", id="wrong-dim"),
+        pytest.param(load_f0, {"kind": np.array("f0")}, "1-d", id="2d-f0"),
+        pytest.param(load_features, {"values": np.full((4, 3), np.inf)}, "non-finite",
+                     id="infinite-values"),
+    ])
+    def test_malformed_stream_names_path(self, tmp_path, loader, write, problem):
+        path = tmp_path / "stream.npz"
+        if isinstance(write, dict):
+            entries = {"kind": np.array("ppg"), "hop": np.array(0.01), "values": np.ones((4, 3))}
+            entries.update(write)
+            with path.open("wb") as fh:
+                np.savez(fh, **{k: v for k, v in entries.items() if v is not None})
+        elif write == "half":
+            save_features(path, _fake_ppg(20))
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        elif write == "npy":
+            with path.open("wb") as fh:
+                np.save(fh, np.ones((4, 3)))
+        elif write is not None:
+            path.write_bytes(write)
+        with pytest.raises(DataError, match=problem) as info:
+            loader(path)
+        assert str(path) in str(info.value)
