@@ -160,7 +160,7 @@ def _spec_from_config(cfg: RunConfig, seed: int | None) -> AnonymizationSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def cmd_anonymize(cfg: RunConfig, inputs_path: str, shared: bool) -> int:
+def cmd_anonymize(cfg: RunConfig, inputs_path: str) -> int:
     pool = load_pool(_require_file(cfg.pool_path, "embedding pool"))
     inputs = load_pool(_require_file(inputs_path, "input embeddings"))
     master = _master_seed(cfg)
@@ -176,7 +176,7 @@ def cmd_anonymize(cfg: RunConfig, inputs_path: str, shared: bool) -> int:
 
     records = []
     entries = []
-    if shared:
+    if cfg.anonymize.shared:
         # One pseudo speaker reused for every input. Range/nearest still
         # need an original; the mean of the inputs serves as the shared one.
         original = mean_embedding(list(inputs), new_id="shared-original")
@@ -494,8 +494,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sim", type=float, help="target similarity (range)")
     p.add_argument("--eps", type=float, help="similarity half-width (range)")
     p.add_argument(
-        "--shared", action="store_true",
-        help="compose one pseudo speaker and reuse it for every input",
+        "--shared", action="store_true", default=None,
+        help="compose one pseudo speaker and reuse it for every input "
+        "(overrides anonymize.shared)",
     )
 
     p = sub.add_parser("synthesize", parents=[common], help="features to waveforms")
@@ -514,33 +515,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> None:
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.jobs is not None:
-        cfg.jobs = args.jobs
-    if args.out_dir is not None:
-        cfg.out_dir = args.out_dir
-    if getattr(args, "strategy", None) is not None:
-        cfg.anonymize.strategy = args.strategy
-    if getattr(args, "m", None) is not None:
-        cfg.anonymize.n_select = args.m
-    if getattr(args, "sim", None) is not None:
-        cfg.anonymize.target_similarity = args.sim
-    if getattr(args, "eps", None) is not None:
-        cfg.anonymize.half_width = args.eps
+# argparse dest -> the INI key it overrides; see the voxanon.config docstring.
+_FLAG_KEYS = {
+    "seed": "run.seed",
+    "jobs": "run.jobs",
+    "out_dir": "paths.out_dir",
+    "strategy": "anonymize.strategy",
+    "m": "anonymize.m",
+    "sim": "anonymize.sim",
+    "eps": "anonymize.eps",
+    "shared": "anonymize.shared",
+}
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, validate=False) if args.config else RunConfig()
-        _apply_overrides(cfg, args)
-        cfg.validate()
+        cfg = load_config(
+            args.config, {key: getattr(args, dest, None) for dest, key in _FLAG_KEYS.items()}
+        )
         if args.command == "extract":
             return cmd_extract(cfg, args.wavs)
         if args.command == "anonymize":
-            return cmd_anonymize(cfg, args.inputs, args.shared)
+            return cmd_anonymize(cfg, args.inputs)
         if args.command == "synthesize":
             utts = args.utts.split(",") if args.utts else None
             return cmd_synthesize(cfg, args.features_dir, args.pseudo, utts)

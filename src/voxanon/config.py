@@ -1,33 +1,53 @@
 """Run configuration: plain-text key/value sections with strict validation.
 
-Configuration files use INI sections. Unknown sections or keys are
-rejected outright so typos never silently fall back to defaults, and every
-report embeds the effective configuration for provenance.
+Configuration files use INI sections. Unknown sections or keys, a
+``[DEFAULT]`` section, and files that cannot be read as UTF-8 text are
+rejected outright, so typos never silently fall back to defaults. Every
+report embeds the effective configuration (``RunConfig.echo``) for
+provenance.
+
+Sections and keys. ``key = field`` marks an INI alias for a dataclass
+field of another name (``_ALIASES``); ``--flag`` is the command-line
+option that overrides the key::
+
+    [run]        seed (--seed), jobs (--jobs)
+    [paths]      pool = pool_path, weights = weights_dir, out_dir (--out-dir)
+    [features]   sample_rate, f0_threshold
+    [models]     ppg_tap
+    [anonymize]  strategy (--strategy), m = n_select (--m),
+                 sim = target_similarity (--sim), eps = half_width (--eps),
+                 shared (--shared)
+    [evaluate]   k = nearest_k, gender_partition
+    [simulate]   n_speakers, utterances_per_speaker, dim, cluster_std,
+                 pool_size, strategies, m_grid, s_grid, eps = half_width,
+                 k_grid, repetitions, include_baseline
+
+List keys are comma separated, and a nearest-K value of ``all`` keeps
+every candidate.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
+from typing import Annotated, get_args, get_origin, get_type_hints
 
 from .errors import ConfigError
+
+# A nearest-K setting: a count, or None (written ``all``) for every candidate.
+NearestK = Annotated[int | None, "all"]
 
 
 @dataclass
 class FeatureSettings:
     sample_rate: int = 16000
     f0_threshold: float = 0.45
-    mel_low_hz: float = 20.0
-    mel_high_hz: float = 7600.0
 
 
 @dataclass
 class ModelSettings:
     ppg_tap: str = "softmax"  # softmax | sigmoid6
-    xvec_dim: int = 512
-    stats_pooling: str = "std"  # std | variance
-    n_train_speakers: int = 200
 
 
 @dataclass
@@ -41,7 +61,7 @@ class AnonymizeSettings:
 
 @dataclass
 class EvaluateSettings:
-    nearest_k: int | None = None  # None means all non-targets
+    nearest_k: NearestK = None
     gender_partition: bool = True
 
 
@@ -56,7 +76,7 @@ class SimulateSettings:
     m_grid: tuple[int, ...] = (10, 50, 100, 200)
     s_grid: tuple[float, ...] = ()
     half_width: float = 0.05
-    k_grid: tuple[int | None, ...] = (None,)
+    k_grid: tuple[NearestK, ...] = (None,)
     repetitions: int = 5
     include_baseline: bool = True
 
@@ -79,8 +99,6 @@ class RunConfig:
             raise ConfigError("run.jobs must be at least 1")
         if self.models.ppg_tap not in ("softmax", "sigmoid6"):
             raise ConfigError("models.ppg_tap must be 'softmax' or 'sigmoid6'")
-        if self.models.stats_pooling not in ("std", "variance"):
-            raise ConfigError("models.stats_pooling must be 'std' or 'variance'")
         if self.anonymize.strategy not in ("none", "random", "range", "nearest"):
             raise ConfigError(
                 "anonymize.strategy must be none, random, range, or nearest"
@@ -93,187 +111,149 @@ class RunConfig:
         for strategy in self.simulate.strategies:
             if strategy not in ("random", "range", "nearest"):
                 raise ConfigError(f"simulate.strategies contains unknown {strategy!r}")
+        for key, ks in (("evaluate.k", (self.evaluate.nearest_k,)),
+                        ("simulate.k_grid", self.simulate.k_grid)):
+            if any(k is not None and k < 1 for k in ks):
+                raise ConfigError(f"{key} must be at least 1 or 'all'")
+        if self.simulate.repetitions < 1:
+            raise ConfigError("simulate.repetitions must be at least 1")
 
     def echo(self) -> dict:
-        flat: dict[str, object] = {
-            "run.seed": self.seed,
-            "run.jobs": self.jobs,
-            "paths.pool": self.pool_path,
-            "paths.weights": self.weights_dir,
-            "paths.out_dir": self.out_dir,
-        }
-        for section_name, section in (
-            ("features", self.features),
-            ("models", self.models),
-            ("anonymize", self.anonymize),
-            ("evaluate", self.evaluate),
-            ("simulate", self.simulate),
-        ):
-            for key, value in vars(section).items():
-                if isinstance(value, tuple):
-                    value = list(value)
-                flat[f"{section_name}.{key}"] = value
+        flat: dict[str, object] = {}
+        for key, (attr, _) in _SCHEMA.items():
+            owner, name = _owner(self, attr)
+            value = getattr(owner, name)
+            # Section fields echo under their field names, run and paths
+            # fields under their INI keys.
+            flat[attr if owner is not self else key] = (
+                list(value) if isinstance(value, tuple) else value
+            )
         return flat
 
 
-def _parse_int(text: str, where: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"{where}: expected an integer, got {text!r}") from None
-
-
-def _parse_float(text: str, where: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"{where}: expected a number, got {text!r}") from None
-
-
-def _parse_bool(text: str, where: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "yes", "on", "1"):
-        return True
-    if lowered in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(f"{where}: expected a boolean, got {text!r}")
-
-
-def _parse_int_list(text: str, where: str) -> tuple[int, ...]:
-    items = [part.strip() for part in text.split(",") if part.strip()]
-    return tuple(_parse_int(item, where) for item in items)
-
-
-def _parse_float_list(text: str, where: str) -> tuple[float, ...]:
-    items = [part.strip() for part in text.split(",") if part.strip()]
-    return tuple(_parse_float(item, where) for item in items)
-
-
-def _parse_k(text: str, where: str) -> int | None:
-    return None if text.strip().lower() == "all" else _parse_int(text, where)
-
-
-def _parse_k_list(text: str, where: str) -> tuple[int | None, ...]:
-    items = [part.strip() for part in text.split(",") if part.strip()]
-    return tuple(_parse_k(item, where) for item in items)
-
-
-def _parse_str_list(text: str, where: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
-
-
-# (section, key) -> setter(config, raw_text, where)
-_SCHEMA = {
-    ("run", "seed"): lambda c, v, w: setattr(c, "seed", _parse_int(v, w)),
-    ("run", "jobs"): lambda c, v, w: setattr(c, "jobs", _parse_int(v, w)),
-    ("paths", "pool"): lambda c, v, w: setattr(c, "pool_path", v),
-    ("paths", "weights"): lambda c, v, w: setattr(c, "weights_dir", v),
-    ("paths", "out_dir"): lambda c, v, w: setattr(c, "out_dir", v),
-    ("features", "sample_rate"): lambda c, v, w: setattr(
-        c.features, "sample_rate", _parse_int(v, w)
-    ),
-    ("features", "f0_threshold"): lambda c, v, w: setattr(
-        c.features, "f0_threshold", _parse_float(v, w)
-    ),
-    ("features", "mel_low_hz"): lambda c, v, w: setattr(
-        c.features, "mel_low_hz", _parse_float(v, w)
-    ),
-    ("features", "mel_high_hz"): lambda c, v, w: setattr(
-        c.features, "mel_high_hz", _parse_float(v, w)
-    ),
-    ("models", "ppg_tap"): lambda c, v, w: setattr(c.models, "ppg_tap", v.strip()),
-    ("models", "xvec_dim"): lambda c, v, w: setattr(
-        c.models, "xvec_dim", _parse_int(v, w)
-    ),
-    ("models", "stats_pooling"): lambda c, v, w: setattr(
-        c.models, "stats_pooling", v.strip()
-    ),
-    ("models", "n_train_speakers"): lambda c, v, w: setattr(
-        c.models, "n_train_speakers", _parse_int(v, w)
-    ),
-    ("anonymize", "strategy"): lambda c, v, w: setattr(
-        c.anonymize, "strategy", v.strip()
-    ),
-    ("anonymize", "m"): lambda c, v, w: setattr(
-        c.anonymize, "n_select", _parse_int(v, w)
-    ),
-    ("anonymize", "sim"): lambda c, v, w: setattr(
-        c.anonymize, "target_similarity", _parse_float(v, w)
-    ),
-    ("anonymize", "eps"): lambda c, v, w: setattr(
-        c.anonymize, "half_width", _parse_float(v, w)
-    ),
-    ("anonymize", "shared"): lambda c, v, w: setattr(
-        c.anonymize, "shared", _parse_bool(v, w)
-    ),
-    ("evaluate", "k"): lambda c, v, w: setattr(
-        c.evaluate, "nearest_k", _parse_k(v, w)
-    ),
-    ("evaluate", "gender_partition"): lambda c, v, w: setattr(
-        c.evaluate, "gender_partition", _parse_bool(v, w)
-    ),
-    ("simulate", "n_speakers"): lambda c, v, w: setattr(
-        c.simulate, "n_speakers", _parse_int(v, w)
-    ),
-    ("simulate", "utterances_per_speaker"): lambda c, v, w: setattr(
-        c.simulate, "utterances_per_speaker", _parse_int(v, w)
-    ),
-    ("simulate", "dim"): lambda c, v, w: setattr(
-        c.simulate, "dim", _parse_int(v, w)
-    ),
-    ("simulate", "cluster_std"): lambda c, v, w: setattr(
-        c.simulate, "cluster_std", _parse_float(v, w)
-    ),
-    ("simulate", "pool_size"): lambda c, v, w: setattr(
-        c.simulate, "pool_size", _parse_int(v, w)
-    ),
-    ("simulate", "strategies"): lambda c, v, w: setattr(
-        c.simulate, "strategies", _parse_str_list(v, w)
-    ),
-    ("simulate", "m_grid"): lambda c, v, w: setattr(
-        c.simulate, "m_grid", _parse_int_list(v, w)
-    ),
-    ("simulate", "s_grid"): lambda c, v, w: setattr(
-        c.simulate, "s_grid", _parse_float_list(v, w)
-    ),
-    ("simulate", "eps"): lambda c, v, w: setattr(
-        c.simulate, "half_width", _parse_float(v, w)
-    ),
-    ("simulate", "k_grid"): lambda c, v, w: setattr(
-        c.simulate, "k_grid", _parse_k_list(v, w)
-    ),
-    ("simulate", "repetitions"): lambda c, v, w: setattr(
-        c.simulate, "repetitions", _parse_int(v, w)
-    ),
-    ("simulate", "include_baseline"): lambda c, v, w: setattr(
-        c.simulate, "include_baseline", _parse_bool(v, w)
-    ),
+# field path -> INI key, wherever the two differ
+_ALIASES = {
+    "seed": "run.seed",
+    "jobs": "run.jobs",
+    "pool_path": "paths.pool",
+    "weights_dir": "paths.weights",
+    "out_dir": "paths.out_dir",
+    "anonymize.n_select": "anonymize.m",
+    "anonymize.target_similarity": "anonymize.sim",
+    "anonymize.half_width": "anonymize.eps",
+    "evaluate.nearest_k": "evaluate.k",
+    "simulate.half_width": "simulate.eps",
 }
 
 
-def load_config(path, validate: bool = True) -> RunConfig:
-    """Parse a configuration file; unknown sections or keys are errors.
+def _build_schema() -> dict[str, tuple[str, object]]:
+    """INI key ("section.key") -> (field path, field type), in field order."""
+    schema = {}
+    hints = get_type_hints(RunConfig)
+    for top in fields(RunConfig):
+        section = hints[top.name]
+        if not is_dataclass(section):
+            schema[_ALIASES[top.name]] = (top.name, section)
+            continue
+        section_hints = get_type_hints(section, include_extras=True)
+        for f in fields(section):
+            attr = f"{top.name}.{f.name}"
+            schema[_ALIASES.get(attr, attr)] = (attr, section_hints[f.name])
+    return schema
 
-    Set ``validate=False`` when command-line overrides will be applied
-    before cross-field validation runs.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(interpolation=None)
+
+_SCHEMA = _build_schema()
+
+_EXPECTED = {int: "an integer", float: "a number"}
+
+
+def _owner(config: RunConfig, attr: str):
+    """The object holding field path ``attr``, and the field's name on it."""
+    section, _, name = attr.rpartition(".")
+    return (getattr(config, section) if section else config), name
+
+
+def _parse_scalar(text: str, kind, where: str):
+    text = text.strip()
+    if get_origin(kind) is Annotated:
+        kind, none_text = get_args(kind)
+        if text.lower() == none_text:
+            return None
+    if type(None) in get_args(kind):
+        kind = get_args(kind)[0]
+    if kind is str:
+        return text
+    if kind is bool:
+        lowered = text.lower()
+        if lowered in ("true", "yes", "on", "1"):
+            return True
+        if lowered in ("false", "no", "off", "0"):
+            return False
+        raise ConfigError(f"{where}: expected a boolean, got {text!r}")
     try:
-        parser.read(path, encoding="utf-8")
+        return kind(text)
+    except ValueError:
+        raise ConfigError(f"{where}: expected {_EXPECTED[kind]}, got {text!r}") from None
+
+
+def _parse_list(text: str, item_kind, where: str) -> tuple:
+    return tuple(
+        _parse_scalar(part, item_kind, where) for part in text.split(",") if part.strip()
+    )
+
+
+def _read_ini(path: Path) -> configparser.ConfigParser:
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"config file {path} is not UTF-8 text (byte {exc.start}: {exc.reason})"
+        ) from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from None
+    # No header matches a name containing a newline, so [DEFAULT] is an
+    # ordinary (and unknown) section rather than defaults for every section.
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
+    try:
+        parser.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
+    return parser
+
+
+def load_config(path=None, overrides: dict | None = None) -> RunConfig:
+    """Read a configuration file, apply overrides, validate once.
+
+    ``path`` None starts from the defaults. ``overrides`` maps INI keys
+    ("section.key") to values already of the field's type; None values
+    are skipped. Unknown sections or keys are errors.
+    """
     config = RunConfig()
-    for section in parser.sections():
-        for key, value in parser.items(section):
-            setter = _SCHEMA.get((section, key))
-            if setter is None:
-                raise ConfigError(
-                    f"{path}: unknown configuration key '{key}' in section [{section}]"
-                )
-            setter(config, value, f"{path} [{section}] {key}")
-    if validate:
+    if path is not None:
+        path = Path(path)
+        parser = _read_ini(path)
+        for section in parser.sections():
+            for key, text in parser.items(section):
+                if f"{section}.{key}" not in _SCHEMA:
+                    raise ConfigError(
+                        f"{path}: unknown configuration key '{key}' in section [{section}]"
+                    )
+                attr, kind = _SCHEMA[f"{section}.{key}"]
+                where = f"{path} [{section}] {key}"
+                if get_origin(kind) is tuple:
+                    value = _parse_list(text, get_args(kind)[0], where)
+                else:
+                    value = _parse_scalar(text, kind, where)
+                setattr(*_owner(config, attr), value)
+    for key, value in (overrides or {}).items():
+        if value is not None:
+            setattr(*_owner(config, _SCHEMA[key][0]), value)
+    try:
         config.validate()
+    except ConfigError as exc:
+        if path is None:
+            raise
+        raise ConfigError(f"{path}: {exc}") from None
     return config

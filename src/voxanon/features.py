@@ -62,8 +62,8 @@ class FeatureMatrix:
             raise ValueError(
                 f"kind {self.kind!r} requires dim {expected}, got {frames.shape[1]}"
             )
-        if self.hop <= 0:
-            raise ValueError("hop must be positive")
+        if not (np.isfinite(self.hop) and self.hop > 0):
+            raise ValueError(f"hop must be a finite positive number, got {self.hop!r}")
         frames.setflags(write=False)
         object.__setattr__(self, "frames", frames)
 
@@ -96,8 +96,8 @@ class F0Contour:
             raise ValueError(
                 f"voiced F0 values must lie in [{F0_MIN_HZ}, {F0_MAX_HZ}] Hz"
             )
-        if self.hop <= 0:
-            raise ValueError("hop must be positive")
+        if not (np.isfinite(self.hop) and self.hop > 0):
+            raise ValueError(f"hop must be a finite positive number, got {self.hop!r}")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -349,8 +349,8 @@ def _load_stream(path, kinds: tuple[str, ...], build):
     kind = kind.tolist()
     if kind not in kinds:
         raise DataError(f"{path}: kind {kind!r} is not one of {', '.join(kinds)}")
-    if hop.shape != () or hop.dtype != np.float64 or not (np.isfinite(hop) and hop > 0):
-        raise DataError(f"{path}: hop must be a positive 0-d float64, got {hop.tolist()!r}")
+    if hop.shape != () or hop.dtype != np.float64:
+        raise DataError(f"{path}: hop must be a 0-d float64, got {hop.tolist()!r}")
     if values.dtype != np.float64:
         raise DataError(f"{path}: values must be float64, got {values.dtype}")
     try:

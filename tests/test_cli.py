@@ -111,6 +111,47 @@ class TestConfig:
         with pytest.raises(ConfigError, match="not found"):
             load_config("/nonexistent/conf.ini")
 
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\nbogus = 1\n",
+        "[DEFAULT]\nseed = 4\n[run]\n",
+    ], ids=["default-only", "default-leak"])
+    def test_default_section_rejected(self, tmp_path, text):
+        path = tmp_path / "c.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=r"\[DEFAULT\]") as info:
+            load_config(path)
+        assert str(path) in str(info.value)
+
+    def test_directory_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read") as info:
+            load_config(tmp_path)
+        assert str(tmp_path) in str(info.value)
+
+    def test_unreadable_file_rejected(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.ini"
+        path.write_text("[run]\nseed = 1\n")
+
+        def denied(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_text", denied)
+        with pytest.raises(ConfigError, match="Permission denied") as info:
+            load_config(path)
+        assert str(path) in str(info.value)
+
+    def test_non_utf8_rejected(self, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_bytes(b"[run]\nseed = 1\n# caf\xe9\n")
+        with pytest.raises(ConfigError, match="UTF-8") as info:
+            load_config(path)
+        assert str(path) in str(info.value)
+
+    def test_overrides_applied_before_validation(self, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text("[anonymize]\nstrategy = random\nm = 5\n")
+        config = load_config(path, {"run.seed": 3, "anonymize.m": None})
+        assert (config.seed, config.anonymize.n_select) == (3, 5)
+
 
 class TestExitCodes:
     def test_malformed_config_exits_2(self, tmp_path):
@@ -126,6 +167,21 @@ class TestExitCodes:
             "pool_size = 20\nm_grid = 3\nrepetitions = 2\n"
         )
         assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("command, text, key", [
+        ("simulate", "[simulate]\nrepetitions = 0\n", "simulate.repetitions"),
+        ("simulate", "[simulate]\nk_grid = all, 0\n", "simulate.k_grid"),
+        ("evaluate", "[evaluate]\nk = 0\n", "evaluate.k"),
+    ])
+    def test_zero_count_exits_2_naming_key(self, tmp_path, capsys, command, text, key):
+        path = tmp_path / "zero.ini"
+        path.write_text(text)
+        args = [command, "--config", str(path), "--out-dir", str(tmp_path / "o")]
+        if command == "evaluate":
+            args += ["--enroll", "e.jsonl", "--test", "t.jsonl", "--trials", "trials.txt"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert key in err and str(path) in err
 
     def test_simulate_random_without_seed_exits_2(self, tmp_path, capsys):
         path = tmp_path / "noseed.ini"
@@ -277,6 +333,20 @@ class TestAnonymize:
         pseudo = load_pool(out / "pseudo_xvectors.jsonl")
         vectors = [e.vector for e in pseudo]
         assert all(np.array_equal(vectors[0], v) for v in vectors[1:])
+
+    def test_shared_from_config_matches_flag(self, site, extracted, tmp_path):
+        config = tmp_path / "shared.ini"
+        config.write_text((site / "run.ini").read_text() + "shared = true\n")
+        outs = []
+        for name, args in (("flag", ["--config", str(site / "run.ini"), "--shared"]),
+                           ("key", ["--config", str(config)])):
+            outs.append(tmp_path / name)
+            rc = main(["anonymize", *args, "--out-dir", str(outs[-1]),
+                       "--inputs", str(extracted / "speaker_xvectors.jsonl")])
+            assert rc == 0
+        assert (outs[0] / "pseudo_xvectors.jsonl").read_bytes() == (
+            outs[1] / "pseudo_xvectors.jsonl"
+        ).read_bytes()
 
     def test_unreachable_range_exits_3_with_closest(self, site, extracted, tmp_path, capsys):
         rc = main([

@@ -320,3 +320,12 @@ class TestFeatureFiles:
         with pytest.raises(DataError, match=problem) as info:
             loader(path)
         assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("hop", [0.0, -0.01, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda hop: FeatureMatrix(np.ones((2, 3)), hop=hop, kind="ppg"), id="features"),
+        pytest.param(lambda hop: F0Contour(np.zeros(4), hop=hop), id="f0"),
+    ])
+    def test_in_memory_stream_rejects_bad_hop(self, build, hop):
+        with pytest.raises(ValueError, match="hop must be a finite positive number"):
+            build(hop)
