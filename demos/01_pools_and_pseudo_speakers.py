@@ -3,18 +3,16 @@ Pseudo speakers from an embedding pool
 ======================================
 
 Builds a small speaker-embedding pool and composes anonymous pseudo
-speakers with the three selection strategies: random, range, and nearest.
+speakers with ``apply_spec`` under the three selection strategies:
+random, range, and nearest.
 """
 
 import numpy as np
 
 from voxanon import (
+    AnonymizationSpec,
     SpeakerEmbedding,
-    anonymize_nearest,
-    anonymize_random,
-    anonymize_range,
-    cosine_similarity,
-    dissimilarity,
+    apply_spec,
     make_random_pool,
 )
 
@@ -28,15 +26,16 @@ original = SpeakerEmbedding("alice", rng.standard_normal(64))
 
 # Strategy 1: random selection. The seed fully determines the draw, so a
 # pseudo speaker can be reproduced from its provenance alone.
-pseudo = anonymize_random(pool, n_select=20, seed=123)
+pseudo = apply_spec(pool, AnonymizationSpec("random", n_select=20, seed=123), original)
 print("\nrandom selection (m=20, seed=123)")
 print("  first ids:", ", ".join(pseudo.selected_ids[:5]), "...")
-print(f"  dissimilarity vs alice: {dissimilarity(original, pseudo.embedding):.3f}")
+print(f"  dissimilarity vs alice: {pseudo.measured_dissimilarity:.3f}")
 
 # Strategy 2: range selection. Pick everyone whose similarity to alice
 # falls in a window, so the distance of the pseudo speaker is steerable.
 for target_similarity in (0.2, 0.0, -0.2):
-    result = anonymize_range(pool, original, target_similarity, half_width=0.1)
+    spec = AnonymizationSpec("range", target_similarity=target_similarity, half_width=0.1)
+    result = apply_spec(pool, spec, original)
     print(
         f"range s={target_similarity:+.1f}: {len(result.selected_ids):3d} candidates, "
         f"measured dissimilarity {result.measured_dissimilarity:.3f}"
@@ -44,11 +43,8 @@ for target_similarity in (0.2, 0.0, -0.2):
 
 # Strategy 3: nearest selection keeps the pseudo speaker voice-adjacent.
 for m in (5, 50):
-    result = anonymize_nearest(pool, original, m)
-    print(
-        f"nearest m={m:3d}: similarity to alice "
-        f"{cosine_similarity(original, result.embedding):+.3f}"
-    )
+    result = apply_spec(pool, AnonymizationSpec("nearest", n_select=m), original)
+    print(f"nearest m={m:3d}: similarity to alice {result.similarity:+.3f}")
 
 # Every strategy reports its selection, and the embedding is always the
 # plain mean of the selected pool entries, so results are auditable.

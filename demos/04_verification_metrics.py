@@ -13,8 +13,9 @@ from voxanon import (
     SpeakerEmbedding,
     Trial,
     compute_eer,
-    nearest_nontarget_subset,
-    score_trials,
+    cosine_matrix,
+    rank_by_similarity,
+    trial_indices,
     wer,
 )
 
@@ -37,12 +38,19 @@ trials = [
     for enrolled in enroll
     for utt in test
 ]
-scored = score_trials(enroll, test, trials)
-for trial, score in scored[:4]:
+# One cosine matrix scores every enrollment against every test utterance;
+# each trial reads its cell.
+rows, cols, is_target = trial_indices(trials, list(enroll), list(test))
+grid = cosine_matrix(
+    np.stack([e.vector for e in enroll.values()]),
+    np.stack([t.vector for t in test.values()]),
+)
+scores = grid[rows, cols]
+for trial, score in zip(trials[:4], scores):
     print(f"{trial.enroll_id} vs {trial.test_id}: {score:+.3f} ({trial.label})")
 
-tar = [s for t, s in scored if t.label == "target"]
-non = [s for t, s in scored if t.label == "nontarget"]
+tar = scores[is_target]
+non = scores[~is_target]
 result = compute_eer(tar, non)
 print(f"\nEER {result.eer:.2%} at threshold {result.threshold:.3f} "
       f"({result.n_target} target / {result.n_nontarget} nontarget trials)")
@@ -50,9 +58,11 @@ print(f"\nEER {result.eer:.2%} at threshold {result.threshold:.3f} "
 # Keeping only the K most similar non-target speakers makes the protocol
 # harder: distant speakers cannot deflate the error rate.
 candidates = [SpeakerEmbedding(f"non{i}", rng.standard_normal(32)) for i in range(8)]
+ids = [c.id for c in candidates]
+sims = cosine_matrix(enroll["spk1"].vector[None, :], np.stack([c.vector for c in candidates]))
+ranked = [ids[j] for j in rank_by_similarity(sims, ids)[0]]
 for k in (2, 8):
-    kept = nearest_nontarget_subset(enroll["spk1"], candidates, k)
-    print(f"nearest K={k}: {kept}")
+    print(f"nearest K={k}: {ranked[:k]}")
 
 # Word error rate from a minimal edit alignment.
 reference = "the cat sat on the mat".split()

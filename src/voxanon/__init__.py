@@ -9,9 +9,6 @@ metrics harness.
 from .anonymize import (
     AnonymizationSpec,
     PseudoSpeaker,
-    anonymize_nearest,
-    anonymize_random,
-    anonymize_range,
     apply_spec,
 )
 from .audio import Waveform, read_wav, write_wav
@@ -34,7 +31,6 @@ from .embeddings import (
     dissimilarity,
     load_pool,
     mean_embedding,
-    nearest_neighbors,
     pool_similarities,
     save_pool,
 )
@@ -55,9 +51,11 @@ from .metrics import (
     Trial,
     WerResult,
     compute_eer,
-    nearest_nontarget_subset,
+    cosine_matrix,
+    nearest_k_mask,
+    rank_by_similarity,
     read_trials,
-    score_trials,
+    trial_indices,
     wer,
     write_trials,
 )

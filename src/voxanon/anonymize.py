@@ -1,7 +1,10 @@
 """Pseudo-speaker composition from an embedding pool.
 
-A pseudo speaker is the mean of a subset of pool embeddings. Three
-selection strategies are provided:
+A pseudo speaker is the mean of a subset of pool embeddings, and
+:func:`apply_spec` is the one path that builds it. It picks pool indices
+as the spec's strategy says, averages the picked entries in pool order,
+and measures the cosine similarity of the result to the original speaker
+once. The strategies differ only in how they pick:
 
 ``random``
     A seed-determined uniform draw of ``n_select`` distinct entries. Does
@@ -12,30 +15,30 @@ selection strategies are provided:
     which places the pseudo speaker at a controllable distance from the
     original.
 ``nearest``
-    The ``n_select`` entries most similar to the original speaker.
+    The ``n_select`` entries most similar to the original speaker, ranked
+    by :func:`~voxanon.metrics.rank_by_similarity` (ties by ascending id).
 
-All strategies are pure functions over an immutable pool. Randomness is
-confined to the explicit seed: the random draw is a partial Fisher-Yates
-shuffle driven by a PCG64 stream (algorithm id below), so selections
-replay exactly across platforms. Averaging always runs in pool order, so a
-full selection equals the pool mean bit for bit regardless of strategy.
+Selection is a pure function of an immutable pool. Randomness is confined
+to the explicit seed: the random draw is a partial Fisher-Yates shuffle
+driven by a PCG64 stream (algorithm id below), so selections replay
+exactly across platforms. Averaging always runs in pool order, so a full
+selection equals the pool mean bit for bit regardless of strategy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from .embeddings import (
     EmbeddingPool,
     SpeakerEmbedding,
-    dissimilarity,
+    cosine_similarity,
     mean_embedding,
-    nearest_neighbors,
     pool_similarities,
 )
+from .metrics import rank_by_similarity
 
 SELECTION_ALGORITHM = "pcg64-fisher-yates-v1"
 
@@ -49,9 +52,7 @@ class AnonymizationSpec:
     ``n_select`` is required for the random and nearest strategies;
     ``target_similarity`` and ``half_width`` for the range strategy. The
     random strategy additionally requires ``seed`` so its draw is
-    replayable. ``subsample``/``seed`` optionally thin the range strategy's
-    candidate window to a seeded random subset (off by default; the default
-    averages every candidate, which is deterministic).
+    replayable.
     """
 
     strategy: str
@@ -59,7 +60,6 @@ class AnonymizationSpec:
     target_similarity: float | None = None
     half_width: float | None = None
     seed: int | None = None
-    subsample: int | None = None
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -76,11 +76,6 @@ class AnonymizationSpec:
                 raise ValueError("strategy 'range' requires target_similarity in [-1, 1]")
             if self.half_width is None or not self.half_width > 0.0:
                 raise ValueError("strategy 'range' requires half_width > 0")
-        if self.subsample is not None:
-            if self.subsample < 1:
-                raise ValueError("subsample must be >= 1")
-            if self.seed is None:
-                raise ValueError("subsample requires a seed")
 
 
 @dataclass(frozen=True)
@@ -88,14 +83,20 @@ class PseudoSpeaker:
     """An anonymized pseudo-speaker embedding with its selection provenance.
 
     ``embedding`` always equals the mean of the pool entries named in
-    ``selected_ids``. ``measured_dissimilarity`` is filled whenever an
-    original speaker was supplied to the selection.
+    ``selected_ids``. ``similarity`` is the cosine similarity of the
+    original speaker to ``embedding``, filled whenever an original speaker
+    was supplied to the selection.
     """
 
     embedding: SpeakerEmbedding
     selected_ids: tuple[str, ...]
     spec: AnonymizationSpec
-    measured_dissimilarity: float | None = None
+    similarity: float | None = None
+
+    @property
+    def measured_dissimilarity(self) -> float | None:
+        """One minus ``similarity``, as :func:`~voxanon.embeddings.dissimilarity`."""
+        return None if self.similarity is None else 1.0 - self.similarity
 
 
 def _sample_without_replacement(n: int, k: int, seed: int) -> list[int]:
@@ -109,129 +110,47 @@ def _sample_without_replacement(n: int, k: int, seed: int) -> list[int]:
     return [int(v) for v in idx[:k]]
 
 
-def _mean_of_indices(
-    pool: EmbeddingPool, indices: Sequence[int], new_id: str
-) -> SpeakerEmbedding:
-    # Average in pool order so the same subset always yields the same bits.
-    ordered = sorted(indices)
-    return mean_embedding([pool.entries[i] for i in ordered], new_id=new_id)
-
-
-def anonymize_random(pool: EmbeddingPool, n_select: int, seed: int) -> PseudoSpeaker:
-    """Mean of ``n_select`` distinct pool entries drawn uniformly at random.
-
-    The draw is fully determined by ``seed``; repeated calls with the same
-    arguments return identical selections and embeddings.
-    """
-    if n_select < 1:
-        raise ValueError("n_select must be at least 1")
-    if n_select > len(pool):
-        raise ValueError(f"n_select {n_select} exceeds pool size {len(pool)}")
-    indices = _sample_without_replacement(len(pool), n_select, seed)
-    indices.sort()
-    embedding = _mean_of_indices(
-        pool, indices, new_id=f"pseudo:random:n={n_select}:seed={seed}"
-    )
-    spec = AnonymizationSpec("random", n_select=n_select, seed=seed)
-    selected = tuple(pool.entries[i].id for i in indices)
-    return PseudoSpeaker(embedding, selected, spec)
-
-
-def anonymize_range(
-    pool: EmbeddingPool,
-    original: SpeakerEmbedding,
-    target_similarity: float,
-    half_width: float,
-    subsample: int | None = None,
-    seed: int | None = None,
-) -> PseudoSpeaker:
-    """Mean of every pool entry whose similarity to ``original`` falls in
-    ``[target_similarity - half_width, target_similarity + half_width]``.
-
-    An empty candidate window is a hard error: silently widening the window
-    would misreport the achieved similarity. The error names the window and
-    the closest achievable similarity so the caller can retry with a wider
-    ``half_width``. When ``subsample`` is set, a seeded random subset of the
-    window is averaged instead of all candidates.
-    """
-    spec = AnonymizationSpec(
-        "range",
-        target_similarity=target_similarity,
-        half_width=half_width,
-        subsample=subsample,
-        seed=seed,
-    )
-    sims = pool_similarities(pool, original)
-    lo = target_similarity - half_width
-    hi = target_similarity + half_width
-    candidates = np.flatnonzero((sims >= lo) & (sims <= hi))
-    if candidates.size == 0:
-        closest = float(sims[int(np.argmin(np.abs(sims - target_similarity)))])
-        raise ValueError(
-            f"no pool candidates with similarity in [{lo:.6f}, {hi:.6f}] "
-            f"(target_similarity={target_similarity}, half_width={half_width}); "
-            f"closest achievable similarity is {closest:.6f}; widen half_width"
-        )
-    indices = [int(i) for i in candidates]
-    if subsample is not None and subsample < len(indices):
-        picks = _sample_without_replacement(len(indices), subsample, seed)
-        indices = sorted(indices[p] for p in picks)
-    embedding = _mean_of_indices(
-        pool,
-        indices,
-        new_id=f"pseudo:range:s={target_similarity}:eps={half_width}:of={original.id}",
-    )
-    selected = tuple(pool.entries[i].id for i in indices)
-    measured = dissimilarity(original, embedding)
-    return PseudoSpeaker(embedding, selected, spec, measured_dissimilarity=measured)
-
-
-def anonymize_nearest(
-    pool: EmbeddingPool, original: SpeakerEmbedding, n_select: int
-) -> PseudoSpeaker:
-    """Mean of the ``n_select`` pool entries most similar to ``original``.
-
-    Fully deterministic; neighbor ties are broken by ascending id.
-    """
-    ranked = nearest_neighbors(pool, original, n_select, order="most_similar")
-    selected = tuple(entry_id for entry_id, _ in ranked)
-    indices = [pool.index_of(entry_id) for entry_id in selected]
-    embedding = _mean_of_indices(
-        pool, indices, new_id=f"pseudo:nearest:n={n_select}:of={original.id}"
-    )
-    spec = AnonymizationSpec("nearest", n_select=n_select)
-    measured = dissimilarity(original, embedding)
-    return PseudoSpeaker(embedding, selected, spec, measured_dissimilarity=measured)
-
-
 def apply_spec(
     pool: EmbeddingPool,
     spec: AnonymizationSpec,
     original: SpeakerEmbedding | None = None,
 ) -> PseudoSpeaker:
-    """Run the strategy described by ``spec`` against ``pool``.
+    """The pseudo speaker that ``spec`` selects from ``pool``.
 
     ``original`` is required for the range and nearest strategies. For the
-    random strategy it is optional and only used to report the measured
-    dissimilarity.
+    random strategy it is optional and only used to measure the similarity.
+    ``selected_ids`` lists nearest picks most similar first and the picks
+    of the other strategies in pool order; the same draw with the same
+    arguments always returns the same selection and embedding bits.
+
+    An empty range window is a hard error: silently widening it would
+    misreport the achieved similarity. The error names the window and the
+    closest achievable similarity so the caller can retry with a wider
+    ``half_width``.
     """
-    if spec.strategy == "random":
-        result = anonymize_random(pool, spec.n_select, spec.seed)
-        if original is not None:
-            result = replace(
-                result,
-                measured_dissimilarity=dissimilarity(original, result.embedding),
-            )
-        return result
-    if original is None:
+    if spec.strategy != "random" and original is None:
         raise ValueError(f"strategy {spec.strategy!r} requires an original speaker")
     if spec.strategy == "range":
-        return anonymize_range(
-            pool,
-            original,
-            spec.target_similarity,
-            spec.half_width,
-            subsample=spec.subsample,
-            seed=spec.seed,
-        )
-    return anonymize_nearest(pool, original, spec.n_select)
+        sims = pool_similarities(pool, original)
+        s, eps = spec.target_similarity, spec.half_width
+        picks = [int(i) for i in np.flatnonzero((sims >= s - eps) & (sims <= s + eps))]
+        if not picks:
+            closest = float(sims[int(np.argmin(np.abs(sims - s)))])
+            raise ValueError(
+                f"no pool candidates with similarity in [{s - eps:.6f}, {s + eps:.6f}] "
+                f"(target_similarity={s}, half_width={eps}); "
+                f"closest achievable similarity is {closest:.6f}; widen half_width"
+            )
+        new_id = f"pseudo:range:s={s}:eps={eps}:of={original.id}"
+    elif spec.n_select > len(pool):
+        raise ValueError(f"n_select {spec.n_select} exceeds pool size {len(pool)}")
+    elif spec.strategy == "random":
+        picks = sorted(_sample_without_replacement(len(pool), spec.n_select, spec.seed))
+        new_id = f"pseudo:random:n={spec.n_select}:seed={spec.seed}"
+    else:
+        ranked = rank_by_similarity(pool_similarities(pool, original)[None, :], pool.ids)
+        picks = [int(i) for i in ranked[0, : spec.n_select]]
+        new_id = f"pseudo:nearest:n={spec.n_select}:of={original.id}"
+    embedding = mean_embedding([pool.entries[i] for i in sorted(picks)], new_id=new_id)
+    similarity = None if original is None else cosine_similarity(original, embedding)
+    return PseudoSpeaker(embedding, tuple(pool.entries[i].id for i in picks), spec, similarity)

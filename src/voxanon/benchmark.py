@@ -28,12 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .anonymize import AnonymizationSpec, apply_spec
-from .embeddings import (
-    EmbeddingPool,
-    SpeakerEmbedding,
-    cosine_similarity,
-    mean_embedding,
-)
+from .embeddings import EmbeddingPool, SpeakerEmbedding, mean_embedding
 from .metrics import EerResult, compute_eer, cosine_matrix, nearest_k_mask, partition_masks
 from .seeding import derive_seed
 
@@ -214,8 +209,10 @@ def run_anonymization_benchmark(
     """Measure the EER before and after anonymizing the target test sides.
 
     Anonymization is speaker-level: per repetition, each target speaker
-    draws one pseudo speaker, and all of that speaker's target trials get
+    gets one pseudo speaker, and all of that speaker's target trials get
     the same enroll-vs-pseudo score; non-target trials keep their scores.
+    The deterministic strategies draw their pseudo speakers once and reuse
+    them in every repetition; each repetition still records its events.
     A gender partition without target or non-target trials is left out.
 
     ``spec=None`` is the identity condition (before equals after). For the
@@ -239,32 +236,32 @@ def run_anonymization_benchmark(
     if pool is None:
         raise ValueError("an embedding pool is required when a strategy is set")
 
+    seeded = spec.strategy == "random"
+    # A deterministic strategy gives every repetition the same pseudo speakers.
+    fixed = None if seeded else [apply_spec(pool, spec, original=t.enroll) for t in targets]
     after: dict[str, list[EerResult]] = {name: [] for name in before}
     events: list[AnonymizationEvent] = []
     rep_seeds: list[int | None] = []
     for rep in range(protocol.repetitions):
-        rep_seed = (
-            derive_seed(spec.seed, f"rep:{rep}") if spec.strategy == "random" else None
-        )
+        rep_seed = derive_seed(spec.seed, f"rep:{rep}") if seeded else None
         rep_seeds.append(rep_seed)
-        pseudo_scores = np.empty(len(targets))
-        for i, speaker in enumerate(targets):
-            rep_spec = spec
-            event_seed = None
-            if spec.strategy == "random":
-                event_seed = derive_seed(rep_seed, speaker.id)
-                rep_spec = replace(spec, seed=event_seed)
-            pseudo = apply_spec(pool, rep_spec, original=speaker.enroll)
-            pseudo_scores[i] = cosine_similarity(speaker.enroll, pseudo.embedding)
+        pseudos = fixed if not seeded else [
+            apply_spec(
+                pool, replace(spec, seed=derive_seed(rep_seed, t.id)), original=t.enroll
+            )
+            for t in targets
+        ]
+        for speaker, pseudo in zip(targets, pseudos):
             events.append(
                 AnonymizationEvent(
                     rep,
                     speaker.id,
-                    event_seed,
+                    pseudo.spec.seed if seeded else None,
                     pseudo.selected_ids,
                     pseudo.measured_dissimilarity,
                 )
             )
+        pseudo_scores = np.array([pseudo.similarity for pseudo in pseudos])
         scores = np.where(is_target, pseudo_scores[rows], before_scores)
         for name, tar, non in parts:
             after[name].append(compute_eer(scores[tar], scores[non]))

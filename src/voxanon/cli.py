@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nnet
-from .anonymize import SELECTION_ALGORITHM, AnonymizationSpec, apply_spec
+from .anonymize import SELECTION_ALGORITHM, STRATEGIES, AnonymizationSpec, apply_spec
 from .audio import read_wav, write_wav
 from .benchmark import (
     BenchmarkReport,
@@ -35,7 +35,7 @@ from .benchmark import (
 )
 from .config import RunConfig, load_config
 from .embeddings import EmbeddingPool, SpeakerEmbedding, load_pool, mean_embedding, save_pool
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, read_lines
 from .features import align_streams, extract_f0, load_f0, load_features, mel_features, save_f0, save_features
 from .metrics import compute_eer, cosine_matrix, nearest_k_mask, partition_masks, read_trials, trial_indices, wer
 from .seeding import derive_seed
@@ -144,18 +144,20 @@ def cmd_extract(cfg: RunConfig, wav_paths: list[str]) -> int:
 # anonymize
 
 
-def _spec_from_config(cfg: RunConfig, seed: int | None) -> AnonymizationSpec:
+def _spec_from_config(cfg: RunConfig) -> AnonymizationSpec:
+    # The spec holds only what its strategy reads, so the provenance
+    # records no setting (nor seed) that did not shape the selection.
     a = cfg.anonymize
     if a.strategy == "none":
         raise ConfigError("anonymize.strategy is 'none'; nothing to do")
+    if a.strategy == "range":
+        params = {"target_similarity": a.target_similarity, "half_width": a.half_width}
+    else:
+        params = {"n_select": a.n_select}
+    if a.strategy == "random":
+        params["seed"] = cfg.seed
     try:
-        return AnonymizationSpec(
-            a.strategy,
-            n_select=a.n_select,
-            target_similarity=a.target_similarity,
-            half_width=a.half_width,
-            seed=seed,
-        )
+        return AnonymizationSpec(a.strategy, **params)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -164,7 +166,7 @@ def cmd_anonymize(cfg: RunConfig, inputs_path: str) -> int:
     pool = load_pool(_require_file(cfg.pool_path, "embedding pool"))
     inputs = load_pool(_require_file(inputs_path, "input embeddings"))
     master = _master_seed(cfg)
-    base_spec = _spec_from_config(cfg, seed=None if cfg.seed is None else 0)
+    base_spec = _spec_from_config(cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -369,9 +371,7 @@ def _nearest_k_grid(enroll_pool, test_pool, k: int) -> np.ndarray:
 def _read_transcripts(path) -> dict[str, list[str]]:
     path = _require_file(path, "transcript file")
     transcripts = {}
-    for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    for lineno, line in enumerate(read_lines(path, "transcript file"), start=1):
         if not line.strip():
             continue
         parts = line.split()
@@ -489,7 +489,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("anonymize", parents=[common], help="embeddings to pseudo speakers")
     p.add_argument("--inputs", required=True, help="embedding pool file to anonymize")
-    p.add_argument("--strategy", choices=["random", "range", "nearest"])
+    p.add_argument("--strategy", choices=STRATEGIES)
     p.add_argument("--m", type=int, help="selection count (random/nearest)")
     p.add_argument("--sim", type=float, help="target similarity (range)")
     p.add_argument("--eps", type=float, help="similarity half-width (range)")

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Annotated, get_args, get_origin, get_type_hints
 
+from .anonymize import STRATEGIES
 from .errors import ConfigError
 
 # A nearest-K setting: a count, or None (written ``all``) for every candidate.
@@ -52,7 +53,7 @@ class ModelSettings:
 
 @dataclass
 class AnonymizeSettings:
-    strategy: str = "none"  # none | random | range | nearest
+    strategy: str = "none"  # none, or one of anonymize.STRATEGIES
     n_select: int | None = None
     target_similarity: float | None = None
     half_width: float | None = None
@@ -99,17 +100,15 @@ class RunConfig:
             raise ConfigError("run.jobs must be at least 1")
         if self.models.ppg_tap not in ("softmax", "sigmoid6"):
             raise ConfigError("models.ppg_tap must be 'softmax' or 'sigmoid6'")
-        if self.anonymize.strategy not in ("none", "random", "range", "nearest"):
-            raise ConfigError(
-                "anonymize.strategy must be none, random, range, or nearest"
-            )
+        if self.anonymize.strategy not in ("none",) + STRATEGIES:
+            raise ConfigError(f"anonymize.strategy must be 'none' or one of {STRATEGIES}")
         if self.anonymize.strategy == "random" and self.seed is None:
             raise ConfigError(
                 "a master seed is required whenever a random strategy is configured "
                 "(set run.seed or pass --seed)"
             )
         for strategy in self.simulate.strategies:
-            if strategy not in ("random", "range", "nearest"):
+            if strategy not in STRATEGIES:
                 raise ConfigError(f"simulate.strategies contains unknown {strategy!r}")
         for key, ks in (("evaluate.k", (self.evaluate.nearest_k,)),
                         ("simulate.k_grid", self.simulate.k_grid)):
@@ -163,6 +162,7 @@ def _build_schema() -> dict[str, tuple[str, object]]:
 
 
 _SCHEMA = _build_schema()
+_SECTIONS = {key.partition(".")[0] for key in _SCHEMA}
 
 _EXPECTED = {int: "an integer", float: "a number"}
 
@@ -235,6 +235,8 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
         path = Path(path)
         parser = _read_ini(path)
         for section in parser.sections():
+            if section not in _SECTIONS:
+                raise ConfigError(f"{path}: unknown section [{section}]")
             for key, text in parser.items(section):
                 if f"{section}.{key}" not in _SCHEMA:
                     raise ConfigError(

@@ -2,9 +2,9 @@
 
 A speaker embedding is a fixed-dimensional vector with an identity label.
 This module provides the similarity measures used everywhere else
-(cosine similarity and its dissimilarity complement), averaging, exhaustive
-nearest-neighbor queries over a pool, and a line-delimited text format for
-persisting pools.
+(cosine similarity and its dissimilarity complement), averaging, the
+similarity of a query to every pool entry, and a line-delimited text format
+for persisting pools.
 
 Pools are expected to be small (up to roughly 10^4 entries), so all queries
 are exhaustive; there is deliberately no approximate index.
@@ -19,8 +19,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError
-from .metrics import rank_by_similarity
+from .errors import DataError, read_lines
 
 _RESERVED_METADATA_KEYS = frozenset({"id", "vec"})
 
@@ -207,29 +206,6 @@ def pool_similarities(pool: EmbeddingPool, query: SpeakerEmbedding) -> np.ndarra
     return np.clip(sims, -1.0, 1.0)
 
 
-def nearest_neighbors(
-    pool: EmbeddingPool,
-    query: SpeakerEmbedding,
-    count: int,
-    order: str = "most_similar",
-) -> list[tuple[str, float]]:
-    """The ``count`` pool entries ranked by cosine similarity to ``query``.
-
-    ``order`` is ``"most_similar"`` or ``"least_similar"``. Ties are broken
-    by ascending id so results are deterministic.
-    """
-    if order not in ("most_similar", "least_similar"):
-        raise ValueError(f"unknown order {order!r}")
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    if count > len(pool):
-        raise ValueError(f"count {count} exceeds pool size {len(pool)}")
-    sims = pool_similarities(pool, query)
-    ids = pool.ids
-    key = sims if order == "most_similar" else -sims
-    return [(ids[i], float(sims[i])) for i in rank_by_similarity(key[None, :], ids)[0, :count]]
-
-
 def save_pool(path, pool: EmbeddingPool) -> None:
     """Write a pool as line-delimited JSON records.
 
@@ -256,10 +232,7 @@ def load_pool(path) -> EmbeddingPool:
     ``DataError`` naming the offending line or record.
     """
     path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read pool file {path}: {exc}") from exc
+    lines = read_lines(path, "pool file")
     if not lines:
         raise DataError(f"{path}: empty pool file (missing header)")
 
@@ -268,10 +241,10 @@ def load_pool(path) -> EmbeddingPool:
         raise DataError(f"{path}, line 1: header must declare 'dim' and 'count'")
     dim = header["dim"]
     count = header["count"]
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise DataError(f"{path}, line 1: 'dim' must be a positive integer")
-    if not isinstance(count, int) or count < 0:
-        raise DataError(f"{path}, line 1: 'count' must be a non-negative integer")
+    if type(count) is not int or count < 1:
+        raise DataError(f"{path}, line 1: 'count' must be a positive integer")
 
     entries: list[SpeakerEmbedding] = []
     seen: set[str] = set()
@@ -298,7 +271,7 @@ def load_pool(path) -> EmbeddingPool:
         metadata = record or None
         try:
             entries.append(SpeakerEmbedding(entry_id, vec, metadata))
-        except ValueError as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             raise DataError(f"{path}, line {lineno}: {exc}") from exc
     if len(entries) != count:
         raise DataError(
@@ -310,7 +283,7 @@ def load_pool(path) -> EmbeddingPool:
 def _parse_record(path, lineno: int, line: str) -> dict:
     try:
         record = json.loads(line)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise DataError(f"{path}, line {lineno}: malformed record: {exc}") from exc
     if not isinstance(record, dict):
         raise DataError(f"{path}, line {lineno}: record must be a JSON object")

@@ -14,14 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError
-
-if TYPE_CHECKING:
-    from .embeddings import SpeakerEmbedding
+from .errors import DataError, read_lines
 
 TRIAL_LABELS = ("target", "nontarget")
 
@@ -103,6 +100,8 @@ def nearest_k_mask(
     ``sims`` (n, m) scores each enrolled speaker against the speaker-level
     candidates named by ``col_ids``. The column whose id equals the row's
     own id is never selected; ``k=None`` selects every other column.
+    Restricting non-target trials to the nearest speakers keeps far-away
+    speakers from deflating the error rate. Ties rank by ascending id.
     """
     others = np.asarray(row_ids, dtype=str)[:, None] != np.asarray(col_ids, dtype=str)[None, :]
     for row_id, available in zip(row_ids, others.sum(axis=1)):
@@ -164,22 +163,6 @@ def partition_masks(
     return [(name, tar, non) for name, tar, non in parts if tar.any() and non.any()]
 
 
-def score_trials(
-    enroll: Mapping[str, SpeakerEmbedding],
-    test: Mapping[str, SpeakerEmbedding],
-    trials: Sequence[Trial],
-) -> list[tuple[Trial, float]]:
-    """Cosine-score a trial list; output order matches input order."""
-    if not trials:
-        return []
-    rows, cols, _ = trial_indices(trials, list(enroll), list(test))
-    grid = cosine_matrix(
-        np.stack([e.vector for e in enroll.values()]),
-        np.stack([t.vector for t in test.values()]),
-    )
-    return list(zip(trials, grid[rows, cols].tolist()))
-
-
 def compute_eer(
     target_scores: Sequence[float], nontarget_scores: Sequence[float]
 ) -> EerResult:
@@ -216,25 +199,6 @@ def compute_eer(
     eer = frr[i - 1] + t * (frr[i] - frr[i - 1])
     threshold = thresholds[i - 1] + t * (thresholds[i] - thresholds[i - 1])
     return EerResult(float(eer), float(threshold), tar.size, non.size)
-
-
-def nearest_nontarget_subset(
-    target_spk: SpeakerEmbedding,
-    nontargets: Sequence[SpeakerEmbedding],
-    k: int,
-) -> list[str]:
-    """Ids of the ``k`` non-target speakers most similar to the target.
-
-    Restricting trials to the nearest non-targets keeps far-away speakers
-    from deflating the error rate. Ties break by ascending id.
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if k > len(nontargets):
-        raise ValueError(f"k {k} exceeds available non-targets ({len(nontargets)})")
-    ids = [spk.id for spk in nontargets]
-    sims = cosine_matrix(target_spk.vector[None, :], np.stack([spk.vector for spk in nontargets]))
-    return [ids[j] for j in rank_by_similarity(sims, ids)[0, :k]]
 
 
 def wer(ref: Sequence[str], hyp: Sequence[str]) -> WerResult:
@@ -300,10 +264,7 @@ def wer(ref: Sequence[str], hyp: Sequence[str]) -> WerResult:
 def read_trials(path) -> list[Trial]:
     """Parse a trial list file: one ``enroll_id test_id {tar|non}`` per line."""
     path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read trial file {path}: {exc}") from exc
+    lines = read_lines(path, "trial file")
     trials = []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():

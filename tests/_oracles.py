@@ -11,10 +11,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from voxanon.anonymize import apply_spec
 from voxanon.cli import speaker_of
-from voxanon.embeddings import cosine_similarity, mean_embedding
-from voxanon.metrics import compute_eer
+from voxanon.embeddings import cosine_similarity, dissimilarity, mean_embedding, pool_similarities
+from voxanon.metrics import compute_eer, rank_by_similarity
 from voxanon.seeding import derive_seed
 
 
@@ -299,8 +298,103 @@ def benchmark_eers(targets, nontargets, pool, spec, protocol):
             rep_spec = spec
             if spec.strategy == "random":
                 rep_spec = replace(spec, seed=derive_seed(rep_seed, speaker.id))
-            pseudo = apply_spec(pool, rep_spec, original=speaker.enroll)
-            rep_scores.append(np.full(len(tar_scores), cosine_similarity(speaker.enroll, pseudo.embedding)))
+            _, embedding, _ = select_pseudo_speaker(pool, rep_spec, original=speaker.enroll)
+            rep_scores.append(np.full(len(tar_scores), cosine_similarity(speaker.enroll, embedding)))
         for p in parts:
             after[p].append(_partition_eer(blocks, rep_scores, p))
     return {"pooled" if p is None else p: (before[p], after[p]) for p in parts}
+
+
+# ---------------------------------------------------------------------------
+# Pseudo-speaker selection as three separate strategy bodies with their own
+# validation, indexing, averaging and scoring, as it was before
+# `anonymize.apply_spec` became the one selection path. The bodies are kept
+# as they were, except that each returns (selected_ids, embedding,
+# measured dissimilarity) in place of a PseudoSpeaker, and the range body
+# has lost its seeded `subsample` thinning.
+
+
+def _sample_without_replacement(n, k, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    idx = np.arange(n)
+    for i in range(k):
+        j = int(rng.integers(i, n))
+        idx[i], idx[j] = idx[j], idx[i]
+    return [int(v) for v in idx[:k]]
+
+
+def _mean_of_indices(pool, indices, new_id):
+    ordered = sorted(indices)
+    return mean_embedding([pool.entries[i] for i in ordered], new_id=new_id)
+
+
+def _nearest_neighbors(pool, query, count):
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    if count > len(pool):
+        raise ValueError(f"count {count} exceeds pool size {len(pool)}")
+    sims = pool_similarities(pool, query)
+    ids = pool.ids
+    return [(ids[i], float(sims[i])) for i in rank_by_similarity(sims[None, :], ids)[0, :count]]
+
+
+def _anonymize_random(pool, n_select, seed):
+    if n_select < 1:
+        raise ValueError("n_select must be at least 1")
+    if n_select > len(pool):
+        raise ValueError(f"n_select {n_select} exceeds pool size {len(pool)}")
+    indices = _sample_without_replacement(len(pool), n_select, seed)
+    indices.sort()
+    embedding = _mean_of_indices(
+        pool, indices, new_id=f"pseudo:random:n={n_select}:seed={seed}"
+    )
+    selected = tuple(pool.entries[i].id for i in indices)
+    return selected, embedding, None
+
+
+def _anonymize_range(pool, original, target_similarity, half_width):
+    sims = pool_similarities(pool, original)
+    lo = target_similarity - half_width
+    hi = target_similarity + half_width
+    candidates = np.flatnonzero((sims >= lo) & (sims <= hi))
+    if candidates.size == 0:
+        closest = float(sims[int(np.argmin(np.abs(sims - target_similarity)))])
+        raise ValueError(
+            f"no pool candidates with similarity in [{lo:.6f}, {hi:.6f}] "
+            f"(target_similarity={target_similarity}, half_width={half_width}); "
+            f"closest achievable similarity is {closest:.6f}; widen half_width"
+        )
+    indices = [int(i) for i in candidates]
+    embedding = _mean_of_indices(
+        pool,
+        indices,
+        new_id=f"pseudo:range:s={target_similarity}:eps={half_width}:of={original.id}",
+    )
+    selected = tuple(pool.entries[i].id for i in indices)
+    measured = dissimilarity(original, embedding)
+    return selected, embedding, measured
+
+
+def _anonymize_nearest(pool, original, n_select):
+    ranked = _nearest_neighbors(pool, original, n_select)
+    selected = tuple(entry_id for entry_id, _ in ranked)
+    indices = [pool.index_of(entry_id) for entry_id in selected]
+    embedding = _mean_of_indices(
+        pool, indices, new_id=f"pseudo:nearest:n={n_select}:of={original.id}"
+    )
+    measured = dissimilarity(original, embedding)
+    return selected, embedding, measured
+
+
+def select_pseudo_speaker(pool, spec, original=None):
+    """(selected_ids, embedding, measured dissimilarity) of ``spec``, by the
+    strategy body it names."""
+    if spec.strategy == "random":
+        selected, embedding, _ = _anonymize_random(pool, spec.n_select, spec.seed)
+        measured = None if original is None else dissimilarity(original, embedding)
+        return selected, embedding, measured
+    if original is None:
+        raise ValueError(f"strategy {spec.strategy!r} requires an original speaker")
+    if spec.strategy == "range":
+        return _anonymize_range(pool, original, spec.target_similarity, spec.half_width)
+    return _anonymize_nearest(pool, original, spec.n_select)

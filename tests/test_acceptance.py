@@ -20,7 +20,7 @@ from voxanon import (
     SpeakerEmbedding,
     Waveform,
     align_streams,
-    anonymize_range,
+    apply_spec,
     compute_eer,
     cosine_similarity,
     dissimilarity,
@@ -113,7 +113,8 @@ def test_criterion_3_range_selection_monotonicity():
         measured = []
         for requested in (0.1, 0.2, 0.4, 0.6):
             s = 1.0 - requested
-            result = anonymize_range(pool, original, s, half_width)
+            spec = AnonymizationSpec("range", target_similarity=s, half_width=half_width)
+            result = apply_spec(pool, spec, original)
             for selected in result.selected_ids:
                 sim = cosine_similarity(original, pool.get(selected))
                 assert s - half_width <= sim <= s + half_width

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import voxanon.benchmark as benchmark
 from voxanon import (
     AnonymizationSpec,
     EvalProtocol,
+    apply_spec,
     cosine_similarity,
     dissimilarity,
     make_cluster_speakers,
@@ -166,3 +168,28 @@ class TestBenchmark:
         assert result.pooled.mean_after > result.pooled.before.eer
         low, high = result.dissimilarity_range
         assert 0.0 <= low <= high <= 2.0
+
+    @pytest.mark.parametrize("spec", [
+        AnonymizationSpec("random", n_select=5, seed=9),
+        AnonymizationSpec("nearest", n_select=5),
+        AnonymizationSpec("range", target_similarity=0.0, half_width=0.3),
+    ], ids=lambda spec: spec.strategy)
+    def test_deterministic_strategies_draw_once(self, speakers, pool, monkeypatch, spec):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return apply_spec(*args, **kwargs)
+
+        monkeypatch.setattr(benchmark, "apply_spec", counted)
+        reps = 3
+        result = run_anonymization_benchmark(
+            speakers, speakers, pool, spec, EvalProtocol(repetitions=reps)
+        )
+        draws = reps if spec.strategy == "random" else 1
+        assert len(calls) == draws * len(speakers)
+        assert [e.repetition for e in result.events] == [
+            rep for rep in range(reps) for _ in speakers
+        ]
+        for event in result.events:
+            assert (event.seed is None) == (spec.strategy != "random")

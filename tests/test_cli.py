@@ -76,6 +76,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match="mystery"):
             load_config(path)
 
+    @pytest.mark.parametrize("text, section", [
+        ("[mystery]\n", "mystery"),
+        ("[run]\nseed = 1\n[mystery]\n", "mystery"),
+        ("[DEFAULT]\n", "DEFAULT"),
+    ])
+    def test_empty_unknown_section_rejected(self, tmp_path, text, section):
+        path = tmp_path / "c.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=rf"unknown section \[{section}\]") as info:
+            load_config(path)
+        assert str(path) in str(info.value)
+
     def test_bad_value_rejected(self, tmp_path):
         path = tmp_path / "c.ini"
         path.write_text("[run]\nseed = sometimes\n")
@@ -233,6 +245,49 @@ class TestExitCodes:
         assert rc == 3
 
 
+_CORRUPT_INPUTS = [
+    ("pool-vec-object", "inputs", '{"dim": 2, "count": 1}\n{"id": "a", "vec": [1.0, {}]}\n', 3, "line 2"),
+    ("pool-count-zero", "inputs", '{"dim": 2, "count": 0}\n', 3, "line 1"),
+    ("pool-not-utf8", "inputs", b'{"dim": 1, "count": 1}\n{"id": "\xe9", "vec": [1.0]}\n', 3, "line 2"),
+    ("trials-not-utf8", "trials", b"p01 p01_001 tar\np01 p02_001 non\n\xff\n", 3, "line 3"),
+    ("transcript-not-utf8", "ref", b"p01_001 a b\np01_002 caf\xe9\n", 3, "line 2"),
+    ("config-empty-unknown-section", "config", "[mystery]\n", 2, "[mystery]"),
+]
+
+
+class TestCorruptInputs:
+    """Each reader's corrupt file is a named error: exit 2 or 3, never 4."""
+
+    @pytest.mark.parametrize("kind, slot, content, code, where", _CORRUPT_INPUTS,
+                             ids=[case[0] for case in _CORRUPT_INPUTS])
+    def test_exit_code_names_file(self, site, extracted, tmp_path, capsys, kind, slot, content, code, where):
+        bad = tmp_path / f"{slot}.bad"
+        if isinstance(content, bytes):
+            bad.write_bytes(content)
+        else:
+            bad.write_text(content)
+        files = {"config": site / "run.ini"}
+        files[slot] = bad
+        trials = tmp_path / "trials.txt"
+        trials.write_text("p01 p01_001 tar\np01 p02_001 non\n")
+        hyp = tmp_path / "hyp.trn"
+        hyp.write_text("p01_001 a b\np01_002 c\n")
+        if slot in ("inputs", "config"):
+            args = ["anonymize", "--inputs", str(files.get("inputs", extracted / "speaker_xvectors.jsonl"))]
+        else:
+            args = [
+                "evaluate",
+                "--enroll", str(extracted / "speaker_xvectors.jsonl"),
+                "--test", str(extracted / "utterance_xvectors.jsonl"),
+                "--trials", str(files.get("trials", trials)),
+                "--ref-trn", str(files.get("ref", hyp)), "--hyp-trn", str(hyp),
+            ]
+        rc = main(args + ["--config", str(files["config"]), "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == code, err
+        assert str(bad) in err and where in err
+
+
 class TestExtract:
     def test_speaker_level_is_mean_of_utterances(self, extracted):
         utterances = load_pool(extracted / "utterance_xvectors.jsonl")
@@ -321,6 +376,35 @@ class TestAnonymize:
         )
         assert record["strategy"] == "random"
         assert len(record["selected_ids"]) == 8
+
+    @pytest.mark.parametrize("flags", [
+        ["--strategy", "random"],
+        ["--strategy", "nearest", "--sim", "0.5", "--eps", "0.1"],
+        ["--strategy", "range", "--sim", "0.0", "--eps", "1.0"],
+    ], ids=["random", "nearest", "range"])
+    @pytest.mark.parametrize("shared", [False, True], ids=["each", "shared"])
+    def test_provenance_records_only_what_shaped_the_selection(
+        self, site, extracted, tmp_path, flags, shared
+    ):
+        # run.ini sets a master seed and m = 8 for every strategy.
+        out = tmp_path / "o"
+        rc = main([
+            "anonymize", "--config", str(site / "run.ini"), *flags,
+            "--inputs", str(extracted / "speaker_xvectors.jsonl"), "--out-dir", str(out),
+            *(["--shared"] if shared else []),
+        ])
+        assert rc == 0
+        records = [json.loads(line) for line in (out / "anonymize_provenance.jsonl").read_text().splitlines()]
+        strategy = flags[1]
+        for record in records:
+            assert record["strategy"] == strategy
+            if strategy == "random":
+                assert isinstance(record["seed"], int) and record["algorithm"] is not None
+            else:
+                assert record["seed"] is None and record["algorithm"] is None
+            assert (record["m"] is None) == (strategy == "range")
+            assert (record["s"] is None) == (strategy != "range")
+            assert (record["eps"] is None) == (strategy != "range")
 
     def test_shared_pseudo_speaker(self, site, extracted, tmp_path):
         out = tmp_path / "shared"

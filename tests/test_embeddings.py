@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from voxanon import (
+    AnonymizationSpec,
     EmbeddingPool,
     SpeakerEmbedding,
+    apply_spec,
     cosine_similarity,
     dissimilarity,
     load_pool,
     mean_embedding,
-    nearest_neighbors,
+    pool_similarities,
+    rank_by_similarity,
     save_pool,
 )
 from voxanon.errors import DataError
@@ -148,17 +151,23 @@ def _toy_pool():
     )
 
 
+def _ranked(pool, query):
+    # The nearest-first ranking that nearest selection takes its picks from.
+    sims = pool_similarities(pool, query)
+    return [(pool.ids[i], float(sims[i])) for i in rank_by_similarity(sims[None, :], pool.ids)[0]]
+
+
 class TestNearestNeighbors:
     def test_single_most_similar(self):
         pool = _toy_pool()
         query = SpeakerEmbedding("q", [1.0, 0.0])
-        assert nearest_neighbors(pool, query, 1) == [("east", 1.0)]
+        assert _ranked(pool, query)[:1] == [("east", 1.0)]
 
     def test_full_pool_is_sorted_permutation(self, rng):
         entries = [random_embedding(rng, 8, f"e{i:02d}") for i in range(12)]
         pool = EmbeddingPool(entries)
         query = random_embedding(rng, 8, "q")
-        ranked = nearest_neighbors(pool, query, len(pool))
+        ranked = _ranked(pool, query)
         assert sorted(identifier for identifier, _ in ranked) == sorted(pool.ids)
         sims = [s for _, s in ranked]
         assert all(sims[i] >= sims[i + 1] for i in range(len(sims) - 1))
@@ -171,15 +180,10 @@ class TestNearestNeighbors:
             ((entry.id, cosine_fsum(query.vector, entry.vector)) for entry in entries),
             key=lambda p: (-p[1], p[0]),
         )[:5]
-        got = nearest_neighbors(pool, query, 5)
+        got = _ranked(pool, query)[:5]
         assert [identifier for identifier, _ in got] == [e[0] for e in expected]
         for (_, s_got), (_, s_exp) in zip(got, expected):
             assert abs(s_got - s_exp) < 1e-12
-
-    def test_least_similar_order(self):
-        pool = _toy_pool()
-        query = SpeakerEmbedding("q", [1.0, 0.0])
-        assert nearest_neighbors(pool, query, 1, order="least_similar") == [("west", -1.0)]
 
     def test_ties_break_by_ascending_id(self):
         pool = EmbeddingPool(
@@ -190,16 +194,13 @@ class TestNearestNeighbors:
             ]
         )
         query = SpeakerEmbedding("q", [1.0, 0.0])
-        ranked = nearest_neighbors(pool, query, 2)
+        ranked = _ranked(pool, query)[:2]
         assert [identifier for identifier, _ in ranked] == ["alpha", "zeta"]
 
     def test_count_exceeds_pool(self):
+        spec = AnonymizationSpec("nearest", n_select=4)
         with pytest.raises(ValueError, match="exceeds pool size"):
-            nearest_neighbors(_toy_pool(), SpeakerEmbedding("q", [1.0, 0.0]), 4)
-
-    def test_bad_order(self):
-        with pytest.raises(ValueError, match="order"):
-            nearest_neighbors(_toy_pool(), SpeakerEmbedding("q", [1.0, 0.0]), 1, order="up")
+            apply_spec(_toy_pool(), spec, SpeakerEmbedding("q", [1.0, 0.0]))
 
 
 class TestPool:

@@ -5,9 +5,11 @@ from voxanon import (
     SpeakerEmbedding,
     Trial,
     compute_eer,
-    nearest_nontarget_subset,
+    cosine_matrix,
+    nearest_k_mask,
+    rank_by_similarity,
     read_trials,
-    score_trials,
+    trial_indices,
     wer,
     write_trials,
 )
@@ -17,14 +19,22 @@ from _oracles import cosine_fsum, edit_distance, eer_midpoint_sweep
 from conftest import random_embedding
 
 
+def _score(enroll, test, trials):
+    # Trial scores the way the engine gives them: one cosine matrix, one
+    # (row, column) cell per trial.
+    rows, cols, _ = trial_indices(trials, list(enroll), list(test))
+    grid = cosine_matrix(
+        np.stack([e.vector for e in enroll.values()]),
+        np.stack([t.vector for t in test.values()]),
+    )
+    return list(zip(trials, grid[rows, cols].tolist()))
+
+
 class TestScoreTrials:
     def test_identical_embedding_scores_one(self):
         v = SpeakerEmbedding("v", [0.2, 0.5, -0.1])
-        scored = score_trials({"v": v}, {"v": v}, [Trial("v", "v", "target")])
+        scored = _score({"v": v}, {"v": v}, [Trial("v", "v", "target")])
         assert abs(scored[0][1] - 1.0) < 1e-12
-
-    def test_empty_trials_empty_output(self):
-        assert score_trials({}, {}, []) == []
 
     def test_grid_matches_direct_oracle(self, rng):
         enroll = {f"e{i}": random_embedding(rng, 8, f"e{i}") for i in range(5)}
@@ -34,7 +44,7 @@ class TestScoreTrials:
             for i in range(5)
             for j in range(5)
         ]
-        scored = score_trials(enroll, test, trials)
+        scored = _score(enroll, test, trials)
         assert [t for t, _ in scored] == trials  # order preserved
         for trial, score in scored:
             expected = cosine_fsum(
@@ -46,9 +56,9 @@ class TestScoreTrials:
         enroll = {"e": random_embedding(rng, 4, "e")}
         test = {"t": random_embedding(rng, 4, "t")}
         with pytest.raises(DataError, match="ghost"):
-            score_trials(enroll, test, [Trial("ghost", "t", "target")])
+            _score(enroll, test, [Trial("ghost", "t", "target")])
         with pytest.raises(DataError, match="phantom"):
-            score_trials(enroll, test, [Trial("e", "phantom", "target")])
+            _score(enroll, test, [Trial("e", "phantom", "target")])
 
     def test_bad_label_rejected(self):
         with pytest.raises(ValueError, match="label"):
@@ -113,11 +123,22 @@ class TestComputeEer:
             assert max(frr, far) >= result.eer - 1e-12
 
 
+def _nearest(target, others, k):
+    # The engine's nearest-K non-target mask for one enrollee, as ids in
+    # rank order.
+    ids = [o.id for o in others]
+    sims = cosine_matrix(target.vector[None, :], np.stack([o.vector for o in others]))
+    mask = nearest_k_mask(sims, [target.id], ids, k)[0]
+    ranked = [ids[j] for j in rank_by_similarity(sims, ids)[0]]
+    assert {i for i, keep in zip(ids, mask) if keep} == set(ranked[:k])
+    return ranked[:k]
+
+
 class TestNearestNontargetSubset:
     def test_all_returns_every_id(self, rng):
         target = random_embedding(rng, 6, "t")
         others = [random_embedding(rng, 6, f"n{i}") for i in range(7)]
-        subset = nearest_nontarget_subset(target, others, len(others))
+        subset = _nearest(target, others, len(others))
         assert sorted(subset) == sorted(o.id for o in others)
 
     def test_analytic_nearest(self):
@@ -127,14 +148,14 @@ class TestNearestNontargetSubset:
             SpeakerEmbedding("deg45", [np.cos(np.radians(45)), np.sin(np.radians(45))]),
             SpeakerEmbedding("deg170", [np.cos(np.radians(170)), np.sin(np.radians(170))]),
         ]
-        assert nearest_nontarget_subset(target, others, 1) == ["deg10"]
-        assert nearest_nontarget_subset(target, others, 2) == ["deg10", "deg45"]
+        assert _nearest(target, others, 1) == ["deg10"]
+        assert _nearest(target, others, 2) == ["deg10", "deg45"]
 
     def test_k_too_large(self, rng):
         target = random_embedding(rng, 4, "t")
         others = [random_embedding(rng, 4, "n0")]
         with pytest.raises(ValueError, match="exceeds"):
-            nearest_nontarget_subset(target, others, 2)
+            _nearest(target, others, 2)
 
     def test_tie_break_by_id(self):
         target = SpeakerEmbedding("t", [1.0, 0.0])
@@ -142,7 +163,7 @@ class TestNearestNontargetSubset:
             SpeakerEmbedding("zz", [2.0, 0.0]),
             SpeakerEmbedding("aa", [3.0, 0.0]),
         ]
-        assert nearest_nontarget_subset(target, others, 1) == ["aa"]
+        assert _nearest(target, others, 1) == ["aa"]
 
 
 class TestWer:
