@@ -81,6 +81,8 @@ def read_wav(path, expected_rate: int | None = None) -> Waveform:
             audio_format, channels = struct.unpack_from("<HH", body, 0)
             rate = struct.unpack_from("<I", body, 4)[0]
             bits = struct.unpack_from("<H", body, 14)[0]
+            if rate == 0:
+                fail(pos, "fmt chunk declares a sample rate of 0 Hz")
             fmt = (audio_format, channels, rate, bits)
         elif chunk_id == b"data":
             payload = body

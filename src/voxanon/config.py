@@ -35,6 +35,7 @@ from typing import Annotated, get_args, get_origin, get_type_hints
 
 from .anonymize import STRATEGIES
 from .errors import ConfigError
+from .nnet.ppg import TAPS
 
 # A nearest-K setting: a count, or None (written ``all``) for every candidate.
 NearestK = Annotated[int | None, "all"]
@@ -98,8 +99,8 @@ class RunConfig:
     def validate(self) -> None:
         if self.jobs < 1:
             raise ConfigError("run.jobs must be at least 1")
-        if self.models.ppg_tap not in ("softmax", "sigmoid6"):
-            raise ConfigError("models.ppg_tap must be 'softmax' or 'sigmoid6'")
+        if self.models.ppg_tap not in TAPS:
+            raise ConfigError(f"models.ppg_tap must be one of {TAPS}")
         if self.anonymize.strategy not in ("none",) + STRATEGIES:
             raise ConfigError(f"anonymize.strategy must be 'none' or one of {STRATEGIES}")
         if self.anonymize.strategy == "random" and self.seed is None:

@@ -260,6 +260,9 @@ def load_pool(path) -> EmbeddingPool:
             raise DataError(f"{path}, line {lineno}: 'id' must be a string")
         if not isinstance(vec, list):
             raise DataError(f"{path}, line {lineno}: 'vec' must be an array")
+        # json reads true/false as bools, which pass as 1/0; check only lines naming them.
+        if ("true" in line or "false" in line) and any(type(v) is bool for v in vec):
+            raise DataError(f"{path}, line {lineno}: 'vec' holds a boolean, not a number")
         if len(vec) != dim:
             raise DataError(
                 f"{path}, line {lineno}: record {entry_id!r} has dim {len(vec)}, "

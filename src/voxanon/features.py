@@ -15,7 +15,6 @@ front ends and 5 ms for the synthesis-rate mel spectrogram and F0.
 from __future__ import annotations
 
 import math
-import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from .audio import Waveform
 from .embeddings import SpeakerEmbedding
-from .errors import DataError
+from .errors import DataError, read_npz, write_npz
 
 FRAME_SECONDS = 0.025
 FFT_SIZE = 512
@@ -38,7 +37,6 @@ VOICING_THRESHOLD = 0.45
 MEL_KINDS = {24: "fbank24", 40: "mel40", 80: "melspec80"}
 _FIXED_KIND_DIMS = {"fbank24": 24, "mel40": 40, "melspec80": 80}
 _KINDS = ("fbank24", "mel40", "melspec80", "ppg", "aligned")
-_ENTRIES = ("kind", "hop", "values")
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,19 +331,12 @@ def load_f0(path) -> F0Contour:
 
 
 def _save_stream(path, kind: str, hop: float, values: np.ndarray) -> None:
-    # np.savez appends ".npz" to a path it is given; a handle keeps the name.
-    with Path(path).open("wb") as fh:
-        np.savez(fh, kind=np.array(kind), hop=np.array(hop, dtype=np.float64), values=values)
+    write_npz(path, kind=np.array(kind), hop=np.array(hop, dtype=np.float64), values=values)
 
 
 def _load_stream(path, kinds: tuple[str, ...], build):
     path = Path(path)
-    try:
-        # Given a path, np.load leaks its handle when the zip is truncated.
-        with path.open("rb") as fh:
-            kind, hop, values = _read_entries(path, fh)
-    except OSError as exc:
-        raise DataError(f"cannot read feature file {path}: {exc}") from exc
+    kind, hop, values = read_npz(path, ("kind", "hop", "values"), "feature file")
     kind = kind.tolist()
     if kind not in kinds:
         raise DataError(f"{path}: kind {kind!r} is not one of {', '.join(kinds)}")
@@ -357,21 +348,3 @@ def _load_stream(path, kinds: tuple[str, ...], build):
         return build(kind, float(hop), values)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
-
-
-def _read_entries(path, fh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    try:
-        archive = np.load(fh, allow_pickle=False)
-    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
-        # np.load reports any file that is neither zip nor .npy as pickled data.
-        raise DataError(f"{path}: not an .npz archive, or a truncated one") from exc
-    if not isinstance(archive, np.lib.npyio.NpzFile):
-        raise DataError(f"{path}: a bare .npy array, not an .npz archive")
-    with archive:
-        missing = [name for name in _ENTRIES if name not in archive.files]
-        if missing:
-            raise DataError(f"{path}: archive is missing entries {missing}")
-        try:
-            return tuple(archive[name] for name in _ENTRIES)
-        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
-            raise DataError(f"{path}: unreadable entry: {exc}") from exc

@@ -25,7 +25,6 @@ class PpgConfig:
     hidden_size: int = 1024
     hidden_layers: int = 6
     n_states: int = 1944
-    tap: str = "softmax"
 
     component = "ppg"
 
@@ -36,12 +35,6 @@ class PpgConfig:
             raise ValueError("context_frames must be odd and positive")
         if self.input_dim < 1 or self.hidden_size < 1 or self.n_states < 1:
             raise ValueError("layer sizes must be positive")
-        if self.tap not in TAPS:
-            raise ValueError(f"tap must be one of {TAPS}, got {self.tap!r}")
-
-    @property
-    def tap_dim(self) -> int:
-        return self.n_states if self.tap == "softmax" else self.hidden_size
 
     def tensor_shapes(self) -> dict[str, tuple[int, ...]]:
         shapes: dict[str, tuple[int, ...]] = {}
@@ -69,19 +62,17 @@ def _softmax_rows(x: np.ndarray) -> np.ndarray:
 
 
 def ppg_forward(
-    frames: FeatureMatrix, weights: ModelWeights, tap: str | None = None
+    frames: FeatureMatrix, weights: ModelWeights, tap: str = "softmax"
 ) -> FeatureMatrix:
     """Posterior features for every input frame.
 
     Edge frames are replicated to fill the splice context, so the output
-    has exactly as many rows as the input. ``tap`` overrides the config
-    default; with the softmax tap every row sums to one.
+    has exactly as many rows as the input. ``tap`` is one of ``TAPS``;
+    with the softmax tap every row sums to one.
     """
     if weights.component != "ppg":
         raise ValueError(f"expected ppg weights, got {weights.component!r}")
     config: PpgConfig = weights.config
-    if tap is None:
-        tap = config.tap
     if tap not in TAPS:
         raise ValueError(f"tap must be one of {TAPS}, got {tap!r}")
     if frames.dim != config.input_dim:

@@ -1,25 +1,26 @@
 """Loadable parameter sets for the four network components.
 
-A weight file is a two-line plain-text manifest (magic line, then a JSON
-object echoing the component config and the tensor name/shape/offset
-table) followed by raw little-endian float64 blobs. Round-trips are
-bit-exact.
+A weight file is an ``.npz`` archive of two entries: ``manifest``, a JSON
+string holding the component, ``format_version`` 2, the config and the
+``[name, shape]`` table of ``tensor_shapes()``; and ``values``, every tensor
+flattened and concatenated in table order as one float64 array. Loaded
+tensors are read-only views of that array. Round-trips are bit-exact, and
+equal weights give equal bytes.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-from ..errors import DataError
+from ..errors import DataError, read_npz, write_npz
 
-MAGIC = "voxanon-weights"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 # component name -> config class; populated by the component modules.
 _CONFIG_REGISTRY: dict[str, type] = {}
@@ -31,7 +32,9 @@ def register_config(component: str, config_cls: type) -> None:
 
 @dataclass(frozen=True, eq=False)
 class ModelWeights:
-    """Named tensors plus the component config they were shaped by."""
+    """Named tensors plus the component config they were shaped by.
+
+    Tensors are read-only float64 views; float64 input is not copied."""
 
     component: str
     config: object
@@ -48,7 +51,7 @@ class ModelWeights:
                 f"(missing {sorted(missing)}, unexpected {sorted(extra)})"
             )
         for name, shape in expected.items():
-            arr = np.array(self.tensors[name], dtype=np.float64)
+            arr = np.asarray(self.tensors[name], dtype=np.float64).view()
             if arr.shape != tuple(shape):
                 raise ValueError(
                     f"{self.component} weights: tensor {name!r} has shape "
@@ -98,49 +101,28 @@ def _fan_in(name: str, shape: tuple[int, ...], shapes: dict) -> int:
 
 
 def save_weights(path, weights: ModelWeights) -> None:
-    path = Path(path)
-    table = []
-    blobs = []
-    offset = 0
-    for name in weights.config.tensor_shapes():
-        arr = np.ascontiguousarray(weights[name], dtype="<f8")
-        blob = arr.tobytes()
-        table.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        blobs.append(blob)
-        offset += len(blob)
+    shapes = weights.config.tensor_shapes()
     manifest = {
         "component": weights.component,
         "format_version": FORMAT_VERSION,
         "config": asdict(weights.config),
-        "tensors": table,
+        "tensors": [[name, list(shape)] for name, shape in shapes.items()],
     }
-    with path.open("wb") as fh:
-        fh.write(f"{MAGIC} {FORMAT_VERSION}\n".encode("utf-8"))
-        fh.write((json.dumps(manifest) + "\n").encode("utf-8"))
-        for blob in blobs:
-            fh.write(blob)
+    values = np.concatenate([weights[name].ravel() for name in shapes]).astype("<f8", copy=False)
+    write_npz(path, manifest=np.array(json.dumps(manifest)), values=values)
 
 
 def load_weights(path) -> ModelWeights:
     path = Path(path)
+    manifest, values = read_npz(path, ("manifest", "values"), "weight file")
     try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read weight file {path}: {exc}") from exc
-    first_nl = raw.find(b"\n")
-    if first_nl < 0 or not raw[:first_nl].decode("utf-8", "replace").startswith(MAGIC):
-        raise DataError(f"{path}: not a {MAGIC} file")
-    second_nl = raw.find(b"\n", first_nl + 1)
-    if second_nl < 0:
-        raise DataError(f"{path}: truncated manifest")
-    try:
-        manifest = json.loads(raw[first_nl + 1 : second_nl].decode("utf-8"))
-    except ValueError as exc:
+        manifest = json.loads(manifest.tolist())
+    except (TypeError, ValueError, RecursionError) as exc:
         raise DataError(f"{path}: malformed manifest: {exc}") from exc
     if not isinstance(manifest, dict):
         raise DataError(f"{path}: malformed manifest: not a JSON object")
     component = manifest.get("component")
-    if component not in _CONFIG_REGISTRY:
+    if not isinstance(component, str) or component not in _CONFIG_REGISTRY:
         raise DataError(f"{path}: unknown component {component!r}")
     if manifest.get("format_version") != FORMAT_VERSION:
         raise DataError(
@@ -148,24 +130,24 @@ def load_weights(path) -> ModelWeights:
         )
     try:
         config = _CONFIG_REGISTRY[component](**manifest["config"])
-        table = [(str(e["name"]), tuple(e["shape"]), e["offset"]) for e in manifest["tensors"]]
+        shapes = config.tensor_shapes()
     except KeyError as exc:
         raise DataError(f"{path}: manifest is missing {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed manifest: {exc}") from exc
-    # Tensors are read-only views into the file's bytes; ModelWeights copies
-    # each one once.
-    body = memoryview(raw)[second_nl + 1 :]
-    tensors = {}
-    for name, shape, start in table:
-        if not all(type(d) is int and d >= 0 for d in shape):
-            raise DataError(f"{path}: tensor {name!r} has invalid shape {list(shape)}")
-        if type(start) is not int or start < 0:
-            raise DataError(f"{path}: tensor {name!r} has invalid offset {start!r}")
+    if manifest.get("tensors") != [[name, list(shape)] for name, shape in shapes.items()]:
+        raise DataError(f"{path}: tensor table does not match the {component} config")
+    size = sum(math.prod(shape) for shape in shapes.values())
+    if values.dtype != np.float64 or values.shape != (size,):
+        raise DataError(
+            f"{path}: values must be a 1-d float64 array of {size} elements, "
+            f"got {values.dtype} of shape {values.shape}"
+        )
+    tensors, start = {}, 0
+    for name, shape in shapes.items():
         count = math.prod(shape)
-        if start + count * 8 > len(body):
-            raise DataError(f"{path}: tensor {name!r} blob is truncated")
-        tensors[name] = np.frombuffer(body, "<f8", count=count, offset=start).reshape(shape)
+        tensors[name] = values[start : start + count].reshape(shape)
+        start += count
     try:
         return ModelWeights(component, config, tensors)
     except ValueError as exc:

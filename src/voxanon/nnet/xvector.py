@@ -33,13 +33,11 @@ class XVectorConfig:
     """Shape parameters of the embedding network.
 
     The frame-level structure is fixed; only the training-softmax width
-    and the pooling statistic are configurable. ``pool_with_std`` selects
-    standard deviation for the second pooling half (the usual convention);
-    set it False to pool raw variance instead.
+    is configurable. Pooling concatenates the mean and the standard
+    deviation of the frame-level outputs.
     """
 
     n_train_speakers: int = 200
-    pool_with_std: bool = True
 
     component = "xvector"
 
@@ -100,10 +98,8 @@ def xvector_embedding(frames: FeatureMatrix, weights: ModelWeights) -> np.ndarra
     # deviations from the first frame so constant sequences pool to the
     # same bits at any length.
     mean = h[0] + (h - h[0]).mean(axis=0)
-    second = np.square(h - mean).mean(axis=0)
-    if weights.config.pool_with_std:
-        second = np.sqrt(second)
-    pooled = np.concatenate([mean, second])
+    std = np.sqrt(np.square(h - mean).mean(axis=0))
+    pooled = np.concatenate([mean, std])
     return pooled @ weights["segment6.w"].T + weights["segment6.b"]
 
 

@@ -274,7 +274,7 @@ def test_criterion_8_pipeline_determinism(tmp_path):
 
         # Synthesis rerun, bit for bit, through the real command.
         rng = np.random.default_rng(5)
-        ppg_weights = init_weights("ppg", PpgConfig(tap="sigmoid6"), seed=50)
+        ppg_weights = init_weights("ppg", PpgConfig(), seed=50)
         acoustic = init_weights(
             "acoustic",
             AcousticConfig(content_dim=1024, xvec_dim=512,

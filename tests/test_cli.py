@@ -14,7 +14,7 @@ from voxanon import (
 )
 from voxanon.cli import main, speaker_of
 from voxanon.config import load_config
-from voxanon.errors import ConfigError
+from voxanon.errors import ConfigError, write_npz
 from voxanon.nnet import AcousticConfig, NsfConfig, PpgConfig, XVectorConfig, init_weights, save_weights
 
 
@@ -329,28 +329,48 @@ class TestExtract:
 
 
     @pytest.mark.parametrize("damage", [
-        pytest.param(lambda m: m["config"].update(bogus=1), id="unknown-config-key"),
-        pytest.param(lambda m: m.pop("config"), id="missing-config"),
-        pytest.param(lambda m: m.pop("tensors"), id="missing-tensors"),
-        pytest.param(lambda m: m["tensors"][0].pop("name"), id="missing-name"),
-        pytest.param(lambda m: m["tensors"][0].pop("shape"), id="missing-shape"),
-        pytest.param(lambda m: m["tensors"][0].pop("offset"), id="missing-offset"),
-        pytest.param(lambda m: m["tensors"][0].update(offset=-8), id="negative-offset"),
-        pytest.param(lambda m: m["tensors"][0].update(offset=8.0), id="float-offset"),
-        pytest.param(lambda m: m["tensors"][0].update(shape=[-1]), id="negative-shape"),
+        pytest.param(lambda m, e: m["config"].update(bogus=1), id="unknown-config-key"),
+        pytest.param(lambda m, e: m.pop("config"), id="missing-config"),
+        pytest.param(lambda m, e: m.pop("tensors"), id="missing-tensors"),
+        pytest.param(lambda m, e: m["tensors"][0].pop(0), id="missing-name"),
+        pytest.param(lambda m, e: m["tensors"][0].pop(1), id="missing-shape"),
+        pytest.param(lambda m, e: m["tensors"][0].__setitem__(1, [-1]), id="negative-shape"),
+        pytest.param(lambda m, e: m.update(format_version=1), id="version-1-manifest"),
+        pytest.param(lambda m, e: m.update(component="vocoder"), id="unknown-component"),
+        pytest.param(lambda m, e: m.update(component=["xvector"]), id="list-component"),
+        pytest.param(lambda m, e: e.update(manifest=np.array("{")), id="manifest-not-json"),
+        pytest.param(lambda m, e: e.update(manifest=np.array("[]")), id="manifest-not-object"),
+        pytest.param(lambda m, e: e.pop("values"), id="missing-values"),
+        pytest.param(lambda m, e: e.update(extra=np.zeros(1)), id="extra-entry"),
+        pytest.param(lambda m, e: e.update(values=e["values"][:-1]), id="short-values"),
+        pytest.param(lambda m, e: e.update(values=e["values"].reshape(2, -1)), id="2d-values"),
+        pytest.param(lambda m, e: e.update(values=e["values"].astype(np.float32)),
+                     id="float32-values"),
+        pytest.param(lambda m, e: e["values"].__setitem__(7, np.nan), id="nan-value"),
+        pytest.param(lambda m, e: e.update(values=e["values"].astype(object)), id="object-values"),
     ])
     def test_bad_weight_manifest_exits_3(self, site, tmp_path, capsys, damage):
-        # The manifest is checked before any tensor is read, so the broken
-        # file carries only its two header lines.
-        with (site / "weights" / "xvector.weights").open("rb") as fh:
-            magic, manifest = fh.readline(), json.loads(fh.readline())
-        damage(manifest)
+        with np.load(site / "weights" / "xvector.weights", allow_pickle=False) as archive:
+            manifest, entries = json.loads(archive["manifest"].tolist()), {"values": archive["values"]}
+        damage(manifest, entries)
+        entries.setdefault("manifest", np.array(json.dumps(manifest)))
         weights = tmp_path / "weights"
         weights.mkdir()
         bad = weights / "xvector.weights"
-        bad.write_bytes(magic + json.dumps(manifest).encode() + b"\n")
+        write_npz(bad, **entries)
+        self._assert_extract_rejects(site, tmp_path, capsys, bad)
+
+    def test_version_1_weight_file_exits_3(self, site, tmp_path, capsys):
+        weights = tmp_path / "weights"
+        weights.mkdir()
+        bad = weights / "xvector.weights"
+        bad.write_bytes(b'voxanon-weights 1\n{"component": "xvector"}\n' + bytes(80))
+        self._assert_extract_rejects(site, tmp_path, capsys, bad)
+
+    @staticmethod
+    def _assert_extract_rejects(site, tmp_path, capsys, bad):
         config = tmp_path / "bad_weights.ini"
-        config.write_text(f"[paths]\nweights = {weights}\nout_dir = {tmp_path / 'o'}\n")
+        config.write_text(f"[paths]\nweights = {bad.parent}\nout_dir = {tmp_path / 'o'}\n")
         rc = main(["extract", "--config", str(config), str(site / "p01_001.wav")])
         assert rc == 3
         assert str(bad) in capsys.readouterr().err

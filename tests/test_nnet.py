@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from voxanon import FeatureMatrix, SpeakerEmbedding
-from voxanon.errors import DataError
+from voxanon.errors import DataError, write_npz
 from voxanon.nnet import (
     AcousticConfig,
     ModelWeights,
@@ -85,6 +85,13 @@ class TestWeights:
         with pytest.raises(ValueError, match="softmax.w"):
             ModelWeights("ppg", config, tensors)
 
+    def test_caller_arrays_stay_writable(self):
+        weights = init_weights("ppg", PpgConfig(hidden_size=4, n_states=3, hidden_layers=1), seed=1)
+        tensors = {name: np.array(tensor) for name, tensor in weights.tensors.items()}
+        shared = ModelWeights("ppg", weights.config, tensors)
+        assert all(tensor.flags.writeable for tensor in tensors.values())
+        assert not shared["softmax.w"].flags.writeable
+
     def test_component_config_mismatch(self):
         with pytest.raises(ValueError, match="component"):
             init_weights("xvector", PpgConfig(), seed=0)
@@ -97,9 +104,38 @@ class TestWeights:
 
     def test_manifest_must_be_an_object(self, tmp_path):
         path = tmp_path / "list.weights"
-        path.write_bytes(b"voxanon-weights 1\n[]\n")
+        write_npz(path, manifest=np.array("[]"), values=np.zeros(3))
         with pytest.raises(DataError, match="not a JSON object"):
             load_weights(path)
+
+    def test_save_is_deterministic(self, tmp_path):
+        weights = init_weights("ppg", PpgConfig(hidden_size=8, n_states=5, hidden_layers=2), seed=2)
+        save_weights(tmp_path / "a.weights", weights)
+        save_weights(tmp_path / "b.weights", weights)
+        assert (tmp_path / "a.weights").read_bytes() == (tmp_path / "b.weights").read_bytes()
+
+    def test_file_holds_manifest_and_values(self, tmp_path):
+        path = tmp_path / "ppg.weights"
+        save_weights(path, init_weights("ppg", PpgConfig(hidden_size=8, n_states=5), seed=2))
+        with np.load(path, allow_pickle=False) as archive:
+            assert sorted(archive.files) == ["manifest", "values"]
+
+    def test_loaded_tensors_are_read_only_views_of_one_array(self, tmp_path):
+        path = tmp_path / "ppg.weights"
+        save_weights(path, init_weights("ppg", PpgConfig(hidden_size=8, n_states=5), seed=3))
+        loaded = load_weights(path)
+
+        def root(arr):
+            while arr.base is not None:
+                arr = arr.base
+            return arr
+
+        values = root(loaded["hidden1.w"])
+        assert values.ndim == 1
+        assert values.size == sum(t.size for t in loaded.tensors.values())
+        for tensor in loaded.tensors.values():
+            assert root(tensor) is values and np.shares_memory(tensor, values)
+            assert not tensor.flags.writeable
 
 
 @pytest.fixture(scope="module")
@@ -174,16 +210,6 @@ class TestXVector:
         # The embedding wrapper cannot represent a zero vector.
         with pytest.raises(ValueError, match="zero norm"):
             xvector_forward(_fbank(20, seed=2), zeroed)
-
-    def test_variance_pooling_flag(self):
-        config_std = XVectorConfig(n_train_speakers=5, pool_with_std=True)
-        config_var = XVectorConfig(n_train_speakers=5, pool_with_std=False)
-        w_std = init_weights("xvector", config_std, seed=4)
-        w_var = ModelWeights("xvector", config_var, dict(w_std.tensors))
-        frames = _fbank(25, seed=8)
-        assert not np.allclose(
-            xvector_embedding(frames, w_std), xvector_embedding(frames, w_var)
-        )
 
 
 class TestPpg:
