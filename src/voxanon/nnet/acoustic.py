@@ -23,13 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..features import FeatureMatrix
-from .weights import ModelWeights, register_config
+from .weights import ModelWeights, TensorTable, register_config
 
 MEL_DIM = 80
 
 
 @dataclass(frozen=True)
-class AcousticConfig:
+class AcousticConfig(TensorTable):
     """Layer sizes; ``content_dim`` is the width of the content block in the
     aligned input (posterior tap width), so the expected input dimension is
     ``content_dim + 2 + xvec_dim``."""
@@ -51,10 +51,10 @@ class AcousticConfig:
     def input_dim(self) -> int:
         return self.content_dim + 2 + self.xvec_dim
 
-    def tensor_shapes(self) -> dict[str, tuple[int, ...]]:
+    def tensor_items(self):
         blstm_in = self.ff_size
         ar_in = 2 * self.blstm_size + MEL_DIM
-        return {
+        yield from {
             "ff1.w": (self.ff_size, self.input_dim),
             "ff1.b": (self.ff_size,),
             "ff2.w": (self.ff_size, self.ff_size),
@@ -70,7 +70,7 @@ class AcousticConfig:
             "ar.b": (4 * self.ar_size,),
             "out.w": (MEL_DIM, self.ar_size),
             "out.b": (MEL_DIM,),
-        }
+        }.items()
 
 
 register_config("acoustic", AcousticConfig)

@@ -4,8 +4,10 @@ Three stages:
 
 condition
     Projects per-frame [mel, speaker embedding] features to the filter
-    channel width, upsamples by frame replication to the sample rate, and
-    smooths with a fixed moving average (replication alone aliases).
+    channel width, at frame rate. The filter reads the projection as the
+    sample-rate signal it defines: each frame replicated
+    ``upsample_factor`` times, then smoothed by a zero-padded moving
+    average of ``smooth_width`` samples (replication alone aliases).
 source
     A phase-continuous sine excitation on voiced samples and seeded
     Gaussian noise on unvoiced samples.
@@ -18,17 +20,27 @@ filter
     block input. The identity path around each block means zeroed filter
     weights pass the excitation through untouched.
 
-The filter kernel works in float32 inside each block and in time tiles of
-``_TILE`` samples. The hidden state sits in a zero-margined pair of
-buffers, one read and one written per layer, so dilated taps are slices
-and nothing is padded per layer. Per tile, the kernel's tap views and the
-conditioning slice are stacked into one scratch buffer and multiplied by
-the layer's fused ``(channels, (kernel_size + 1) * channels)`` matrix in a
-single GEMM; bias, tanh, the skip output projection and the residual
-update act on that tile in place. The excitation enters and the block
-output leaves in float64, so the identity path stays exact. Against a
-float64 evaluation of the same layers, block and vocoder outputs agree
-within 1e-4 absolute (tested), below one PCM16 step of 2**-15.
+Replication and the moving average are linear, so over a tile of whole
+frames a layer's conditioning term ``cond.w @ smooth(up(P))`` equals
+``Y @ S``. ``Y = cond.w @ P.T`` is computed at frame rate for the tile's
+frames and ``band = ceil((smooth_width // 2) / upsample_factor)``
+neighbours on each side. ``S`` is the smoother's response to each of those
+unit frames: one constant matrix for every layer, block and tile. No
+sample-rate conditioning signal is formed.
+
+The filter kernel works in float32 inside each block, in tiles of whole
+frames (51 frames of 80 samples by default). The hidden state sits in a
+zero-margined pair of buffers, one read and one written per layer, so
+dilated taps are slices and nothing is padded per layer. Per tile, one GEMM
+multiplies the layer's fused matrix ``[taps | Y slice | bias]`` by the
+stacked operand ``[tap views; S; ones]``. ``S`` and the ones row are written
+once per block call; per tile only the tap views and the
+``(channels, frames + 2 * band)`` slice of ``Y`` are copied. Tanh, the skip
+output projection and the residual update then act on the tile in place.
+The excitation enters and the block output leaves in float64, so the
+identity path stays exact. Against a float64 evaluation of the same layers
+over the explicitly upsampled and smoothed conditioning, block and vocoder
+outputs agree within 1e-4 absolute (tested), below one PCM16 step of 2**-15.
 
 Only the forward pass exists here; with random weights the output is
 noise-like by design. The structural contracts (lengths, dilation
@@ -44,11 +56,11 @@ import numpy as np
 from ..audio import Waveform
 from ..embeddings import SpeakerEmbedding
 from ..features import F0Contour, FeatureMatrix
-from .weights import ModelWeights, register_config
+from .weights import ModelWeights, TensorTable, register_config
 
 
 @dataclass(frozen=True)
-class NsfConfig:
+class NsfConfig(TensorTable):
     mel_dim: int = 80
     xvec_dim: int = 512
     channels: int = 64
@@ -85,32 +97,32 @@ class NsfConfig:
         """Samples covered by one block: 1 + (kernel-1) * sum(dilations)."""
         return 1 + (self.kernel_size - 1) * sum(self.dilations)
 
-    def tensor_shapes(self) -> dict[str, tuple[int, ...]]:
-        shapes: dict[str, tuple[int, ...]] = {
-            "cond.proj.w": (self.channels, self.mel_dim + self.xvec_dim),
-            "cond.proj.b": (self.channels,),
-        }
+    def tensor_items(self):
+        yield "cond.proj.w", (self.channels, self.mel_dim + self.xvec_dim)
+        yield "cond.proj.b", (self.channels,)
         for b in range(1, self.blocks + 1):
-            shapes[f"filter.block{b}.in.w"] = (self.channels, 1)
-            shapes[f"filter.block{b}.in.b"] = (self.channels,)
+            yield f"filter.block{b}.in.w", (self.channels, 1)
+            yield f"filter.block{b}.in.b", (self.channels,)
             for k in range(1, self.layers_per_block + 1):
-                shapes[f"filter.block{b}.layer{k}.dil.w"] = (
+                yield f"filter.block{b}.layer{k}.dil.w", (
                     self.channels, self.channels, self.kernel_size,
                 )
-                shapes[f"filter.block{b}.layer{k}.dil.b"] = (self.channels,)
-                shapes[f"filter.block{b}.layer{k}.cond.w"] = (
-                    self.channels, self.channels,
-                )
-            shapes[f"filter.block{b}.out.w"] = (1, self.channels)
-            shapes[f"filter.block{b}.out.b"] = (1,)
-        return shapes
+                yield f"filter.block{b}.layer{k}.dil.b", (self.channels,)
+                yield f"filter.block{b}.layer{k}.cond.w", (self.channels, self.channels)
+            yield f"filter.block{b}.out.w", (1, self.channels)
+            yield f"filter.block{b}.out.b", (1,)
 
 
 register_config("nsf", NsfConfig)
 
-# Time tile of the filter kernel, in samples: the stacked tap buffer of one
-# tile, (kernel_size + 1) * channels rows of float32, stays a few MB.
+# Sample budget of one filter tile. A tile holds whole frames, and no more
+# frames than channels, so the interpolation rows that replace the
+# conditioning rows in the GEMM operand never outnumber them.
 _TILE = 4096
+
+
+def _tile_frames(config: NsfConfig) -> int:
+    return max(1, min(_TILE // config.upsample_factor, config.channels))
 
 
 def nsf_source(
@@ -145,6 +157,20 @@ def _moving_average(x: np.ndarray, width: int) -> np.ndarray:
     return (cumsum[width:] - cumsum[:-width]) / width
 
 
+def _interpolation(frames: int, factor: int, width: int) -> np.ndarray:
+    """The (frames + 2 * band, frames * factor) map ``S`` from frame-rate
+    values to the smoothed, upsampled signal over ``frames`` whole frames.
+
+    Row i is the smoother's response to unit frame ``i - band`` over those
+    samples, found by running the smoother over replicated unit frames;
+    ``band`` frames on each side cover the smoothing window's reach.
+    """
+    band = -(-(width // 2) // factor)
+    units = np.repeat(np.eye(frames + 2 * band), factor, axis=0)
+    response = _moving_average(units, width)
+    return response[band * factor : (band + frames) * factor].T
+
+
 def filter_block_forward(
     excitation: np.ndarray,
     condition: np.ndarray,
@@ -153,15 +179,25 @@ def filter_block_forward(
 ) -> np.ndarray:
     """Run one filter block over a 1-d signal; used directly in diagnostics.
 
-    ``condition`` is the (length, channels) conditioning signal. The block
-    output is the input plus the collapsed skip sum, so its deviation from
-    the input is confined to the block's receptive field. Neither input is
-    modified; the result is a new float64 array.
+    ``condition`` is the frame-rate conditioning projection, shape
+    (ceil(len(excitation) / upsample_factor), channels). The block reads it
+    as the sample-rate signal of the module docstring: every frame
+    replicated ``upsample_factor`` times, smoothed by the zero-padded
+    ``smooth_width`` moving average, and cut to the excitation's length.
+    The block output is the input plus the collapsed skip sum, so its
+    deviation from the input is confined to the block's receptive field.
+    Neither input is modified; the result is a new float64 array.
     """
     config: NsfConfig = weights.config
     prefix = f"filter.block{block}"
-    channels, taps = config.channels, config.kernel_size
+    channels, taps, factor = config.channels, config.kernel_size, config.upsample_factor
     length = excitation.shape[0]
+    n_frames = -(-length // factor)
+    if condition.shape != (n_frames, channels):
+        raise ValueError(
+            f"condition for {length} samples must have shape {(n_frames, channels)}, "
+            f"got {condition.shape}"
+        )
     margin = config.dilations[-1] * (taps - 1) // 2
 
     # Hidden state h lives in the interior of a zero-margined buffer, so
@@ -175,34 +211,49 @@ def filter_block_forward(
         out=h[:, interior],
     )
     h[:, interior] += weights[f"{prefix}.in.b"].astype(np.float32)[:, None]
-    cond = np.ascontiguousarray(condition.T, dtype=np.float32)
     # The output projection is linear, so each layer's tile is collapsed to
     # one channel as soon as it is computed; no (channels, length) skip sum
     # is kept.
     out_w = weights[f"{prefix}.out.w"].astype(np.float32)
     collapsed = np.zeros((1, length), dtype=np.float32)
 
-    # Rows of ``stacked`` are [tap 0 | tap 1 | ... | conditioning] for one
-    # time tile, matching the column blocks of the fused layer matrix.
-    tile = min(_TILE, max(length, 1))
-    stacked = np.empty(((taps + 1) * channels, tile), dtype=np.float32)
+    # Rows of ``stacked`` are [tap 0 | ... | tap taps-1 | S | ones] for one
+    # tile of whole frames, matching the column blocks [taps | Y | bias] of
+    # the fused layer matrix; S and the ones row are written once.
+    frames = min(_tile_frames(config), max(n_frames, 1))
+    interp = _interpolation(frames, factor, config.smooth_width)
+    window, tile = interp.shape
+    band = (window - frames) // 2
+    tap_rows = taps * channels
+    stacked = np.empty((tap_rows + window + 1, tile), dtype=np.float32)
+    stacked[tap_rows:-1] = interp
+    stacked[-1] = 1.0
+    fused = np.empty((channels, tap_rows + window + 1), dtype=np.float32)
+    y_cols = slice(tap_rows, tap_rows + window)
+
+    # Every layer's conditioning term Y = cond.w @ condition.T at frame
+    # rate, zero beyond the signal so each tile's window slice is plain.
+    layers = config.layers_per_block
+    cond_w = np.vstack([weights[f"{prefix}.layer{k}.cond.w"] for k in range(1, layers + 1)])
+    y = np.zeros((layers, channels, -(-n_frames // frames) * frames + 2 * band), dtype=np.float32)
+    y[:, :, band : band + n_frames] = (cond_w @ condition.T).reshape(layers, channels, n_frames)
+
     z = np.empty((channels, tile), dtype=np.float32)
     for k, dilation in enumerate(config.dilations, start=1):
         w = weights[f"{prefix}.layer{k}.dil.w"]
-        fused = np.hstack(
-            [w[:, :, t] for t in range(taps)] + [weights[f"{prefix}.layer{k}.cond.w"]]
-        ).astype(np.float32)
-        bias = weights[f"{prefix}.layer{k}.dil.b"].astype(np.float32)[:, None]
+        for t in range(taps):
+            fused[:, t * channels : (t + 1) * channels] = w[:, :, t]
+        fused[:, -1] = weights[f"{prefix}.layer{k}.dil.b"]
         first_tap = margin - dilation * (taps - 1) // 2
-        for t0 in range(0, length, tile):
+        for f0 in range(0, n_frames, frames):
+            t0 = f0 * factor
             n = min(tile, length - t0)
             for t in range(taps):
                 start = first_tap + t * dilation + t0
                 stacked[t * channels : (t + 1) * channels, :n] = h[:, start : start + n]
-            stacked[taps * channels :, :n] = cond[:, t0 : t0 + n]
+            fused[:, y_cols] = y[k - 1, :, f0 : f0 + window]
             u = z[:, :n]
             np.matmul(fused, stacked[:, :n], out=u)
-            u += bias
             np.tanh(u, out=u)
             collapsed[:, t0 : t0 + n] += out_w @ u
             at = slice(margin + t0, margin + t0 + n)
@@ -244,11 +295,9 @@ def nsf_forward(
             f"speaker embedding dim {xvec.dim} does not match model {config.xvec_dim}"
         )
 
-    # Condition module.
+    # Condition module, at frame rate; the filter upsamples and smooths it.
     per_frame = np.hstack([mel.frames, np.tile(xvec.vector, (mel.n_frames, 1))])
-    projected = per_frame @ weights["cond.proj.w"].T + weights["cond.proj.b"]
-    upsampled = np.repeat(projected, config.upsample_factor, axis=0)
-    condition = _moving_average(upsampled, config.smooth_width)
+    condition = per_frame @ weights["cond.proj.w"].T + weights["cond.proj.b"]
 
     # Source module.
     f0_up = np.repeat(f0.values, config.upsample_factor)

@@ -13,13 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..features import FeatureMatrix
-from .weights import ModelWeights, register_config
+from .weights import ModelWeights, TensorTable, register_config
 
 TAPS = ("softmax", "sigmoid6")
 
 
 @dataclass(frozen=True)
-class PpgConfig:
+class PpgConfig(TensorTable):
     input_dim: int = 40
     context_frames: int = 11
     hidden_size: int = 1024
@@ -36,16 +36,14 @@ class PpgConfig:
         if self.input_dim < 1 or self.hidden_size < 1 or self.n_states < 1:
             raise ValueError("layer sizes must be positive")
 
-    def tensor_shapes(self) -> dict[str, tuple[int, ...]]:
-        shapes: dict[str, tuple[int, ...]] = {}
+    def tensor_items(self):
         in_dim = self.input_dim * self.context_frames
         for i in range(1, self.hidden_layers + 1):
-            shapes[f"hidden{i}.w"] = (self.hidden_size, in_dim)
-            shapes[f"hidden{i}.b"] = (self.hidden_size,)
+            yield f"hidden{i}.w", (self.hidden_size, in_dim)
+            yield f"hidden{i}.b", (self.hidden_size,)
             in_dim = self.hidden_size
-        shapes["softmax.w"] = (self.n_states, self.hidden_size)
-        shapes["softmax.b"] = (self.n_states,)
-        return shapes
+        yield "softmax.w", (self.n_states, self.hidden_size)
+        yield "softmax.b", (self.n_states,)
 
 
 register_config("ppg", PpgConfig)

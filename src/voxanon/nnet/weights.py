@@ -10,11 +10,12 @@ equal weights give equal bytes.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -28,6 +29,18 @@ _CONFIG_REGISTRY: dict[str, type] = {}
 
 def register_config(component: str, config_cls: type) -> None:
     _CONFIG_REGISTRY[component] = config_cls
+
+
+class TensorTable:
+    """Base of the component configs: ``tensor_items`` yields each tensor's
+    ``(name, shape)`` in table order, so a reader can stop after as many
+    entries as a file stores."""
+
+    def tensor_items(self) -> Iterator[tuple[str, tuple[int, ...]]]:
+        raise NotImplementedError
+
+    def tensor_shapes(self) -> dict[str, tuple[int, ...]]:
+        return dict(self.tensor_items())
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,15 +141,20 @@ def load_weights(path) -> ModelWeights:
         raise DataError(
             f"{path}: unsupported format version {manifest.get('format_version')!r}"
         )
+    # A config may declare any number of layers: read no more of its table
+    # than one entry past the stored one, so a mismatch costs what the file does.
+    table = manifest.get("tensors")
+    stored = len(table) if isinstance(table, list) else 0
     try:
         config = _CONFIG_REGISTRY[component](**manifest["config"])
-        shapes = config.tensor_shapes()
+        declared = list(itertools.islice(config.tensor_items(), stored + 1))
     except KeyError as exc:
         raise DataError(f"{path}: manifest is missing {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed manifest: {exc}") from exc
-    if manifest.get("tensors") != [[name, list(shape)] for name, shape in shapes.items()]:
+    if table != [[name, list(shape)] for name, shape in declared]:
         raise DataError(f"{path}: tensor table does not match the {component} config")
+    shapes = dict(declared)
     size = sum(math.prod(shape) for shape in shapes.values())
     if values.dtype != np.float64 or values.shape != (size,):
         raise DataError(

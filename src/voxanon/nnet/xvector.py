@@ -19,7 +19,7 @@ import numpy as np
 
 from ..embeddings import SpeakerEmbedding
 from ..features import FeatureMatrix
-from .weights import ModelWeights, register_config
+from .weights import ModelWeights, TensorTable, register_config
 
 INPUT_DIM = 24
 EMBED_DIM = 512
@@ -29,7 +29,7 @@ MIN_FRAMES = 15  # total splice context of the frame-level stack
 
 
 @dataclass(frozen=True)
-class XVectorConfig:
+class XVectorConfig(TensorTable):
     """Shape parameters of the embedding network.
 
     The frame-level structure is fixed; only the training-softmax width
@@ -45,23 +45,21 @@ class XVectorConfig:
         if self.n_train_speakers < 1:
             raise ValueError("n_train_speakers must be positive")
 
-    def tensor_shapes(self) -> dict[str, tuple[int, ...]]:
-        shapes: dict[str, tuple[int, ...]] = {}
+    def tensor_items(self):
         in_dim = INPUT_DIM
         for i, (offsets, out_dim) in enumerate(
             zip(SPLICE_OFFSETS, FRAME_LAYER_SIZES), start=1
         ):
-            shapes[f"frame{i}.w"] = (out_dim, in_dim * len(offsets))
-            shapes[f"frame{i}.b"] = (out_dim,)
+            yield f"frame{i}.w", (out_dim, in_dim * len(offsets))
+            yield f"frame{i}.b", (out_dim,)
             in_dim = out_dim
         pooled = 2 * FRAME_LAYER_SIZES[-1]
-        shapes["segment6.w"] = (EMBED_DIM, pooled)
-        shapes["segment6.b"] = (EMBED_DIM,)
-        shapes["segment7.w"] = (EMBED_DIM, EMBED_DIM)
-        shapes["segment7.b"] = (EMBED_DIM,)
-        shapes["softmax.w"] = (self.n_train_speakers, EMBED_DIM)
-        shapes["softmax.b"] = (self.n_train_speakers,)
-        return shapes
+        yield "segment6.w", (EMBED_DIM, pooled)
+        yield "segment6.b", (EMBED_DIM,)
+        yield "segment7.w", (EMBED_DIM, EMBED_DIM)
+        yield "segment7.b", (EMBED_DIM,)
+        yield "softmax.w", (self.n_train_speakers, EMBED_DIM)
+        yield "softmax.b", (self.n_train_speakers,)
 
 
 register_config("xvector", XVectorConfig)

@@ -103,12 +103,20 @@ def mel_center_frequencies(n_mels, low_hz, high_hz) -> np.ndarray:
 def nsf_filter_block(excitation, condition, weights, block) -> np.ndarray:
     """One NSF filter block in float64, one GEMM per dilated tap.
 
-    Each layer pads the hidden state afresh and sums the taps over shifted
-    views, with the conditioning projection computed over the whole signal.
+    ``condition`` is the frame-rate projection. It is expanded here to the
+    sample rate: every frame replicated ``upsample_factor`` times, a
+    zero-padded moving average of ``smooth_width`` samples summed window by
+    window, then cut to the excitation's length. Each layer pads the hidden
+    state afresh and sums the taps over shifted views, with the
+    conditioning projection computed over the whole signal.
     """
     config = weights.config
     prefix = f"filter.block{block}"
     length = excitation.shape[0]
+    half = config.smooth_width // 2
+    upsampled = np.pad(np.repeat(condition, config.upsample_factor, axis=0), ((half, half), (0, 0)))
+    windows = np.lib.stride_tricks.sliding_window_view(upsampled, config.smooth_width, axis=0)
+    condition = windows.sum(axis=-1)[:length] / config.smooth_width
     h = weights[f"{prefix}.in.w"] @ excitation[None, :] + weights[f"{prefix}.in.b"][:, None]
     skip = np.zeros_like(h)
     for k, dilation in enumerate(config.dilations, start=1):

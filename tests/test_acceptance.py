@@ -200,7 +200,8 @@ def test_criterion_5_architecture_shapes():
         length = 6000
         center = length // 2
         condition = np.tile(
-            np.random.default_rng(3).standard_normal(nconfig.channels), (length, 1)
+            np.random.default_rng(3).standard_normal(nconfig.channels),
+            (length // nconfig.upsample_factor, 1),
         )
         impulse = np.zeros(length)
         impulse[center] = 1.0

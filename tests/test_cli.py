@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import voxanon
 from voxanon import (
     Waveform,
     load_pool,
@@ -286,6 +290,53 @@ class TestCorruptInputs:
         err = capsys.readouterr().err
         assert rc == code, err
         assert str(bad) in err and where in err
+
+
+    @pytest.mark.parametrize("slot, where", [
+        ("f0", "p01_001.f0.npz"),
+        ("nsf", "nsf.weights"),
+        ("acoustic", "acoustic.weights"),
+        ("pseudo", "line 2"),
+    ])
+    def test_synthesize_exit_code_names_file(
+        self, site, extracted, pseudo, tmp_path, capsys, slot, where
+    ):
+        features, weights = tmp_path / "features", tmp_path / "weights"
+        features.mkdir()
+        weights.mkdir()
+        for name in ("p01_001.ppg.npz", "p01_001.f0.npz"):
+            (features / name).symlink_to(extracted / "features" / name)
+        for name in ("acoustic.weights", "nsf.weights"):
+            (weights / name).symlink_to(site / "weights" / name)
+        pool = tmp_path / "pseudo.jsonl"
+        pool.symlink_to(pseudo)
+        bad = {"f0": features / "p01_001.f0.npz", "nsf": weights / "nsf.weights",
+               "acoustic": weights / "acoustic.weights", "pseudo": pool}[slot]
+        raw = bad.read_bytes()
+        bad.unlink()
+        if slot == "pseudo":
+            bad.write_text('{"dim": 512, "count": 1}\n{"id": "p01", "vec": [1.0, 2.0]}\n')
+        else:
+            bad.write_bytes(raw[: len(raw) // 2])
+        config = tmp_path / "run.ini"
+        config.write_text(f"[run]\nseed = 77\n[paths]\nweights = {weights}\n")
+        rc = main([
+            "synthesize", "--config", str(config), "--features-dir", str(features),
+            "--pseudo", str(pool), "--utts", "p01_001", "--out-dir", str(tmp_path / "o"),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 3, err
+        assert str(bad) in err and where in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(voxanon.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-m", "voxanon", "--help"], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "synthesize" in proc.stdout
 
 
 class TestExtract:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from voxanon.nnet import (
     spectral_loss,
 )
 from voxanon.nnet import nsf as nsf_module
-from voxanon.nnet.nsf import _TILE
+from voxanon.nnet.nsf import _TILE, _interpolation, _tile_frames
 
 from _oracles import nsf_filter_block
 from conftest import make_noise
@@ -139,7 +141,8 @@ class TestForward:
         length = 6000
         center = length // 2
         condition = np.tile(
-            np.random.default_rng(0).standard_normal(config.channels), (length, 1)
+            np.random.default_rng(0).standard_normal(config.channels),
+            (length // config.upsample_factor, 1),
         )
         impulse = np.zeros(length)
         impulse[center] = 1.0
@@ -157,12 +160,43 @@ class TestForward:
 # output may drift by at most this much, well under one PCM16 step (2**-15).
 PRECISION = 1e-4
 
+# The default kernel, one sample per frame with no smoothing, and a
+# smoothing window that reaches three neighbour frames on each side.
+CONTRACT_CONFIGS = {
+    "default": NsfConfig(),
+    "factor1-width1": NsfConfig(upsample_factor=1, smooth_width=1),
+    "factor4-width21": NsfConfig(upsample_factor=4, smooth_width=21),
+}
+
+
+def _tile(config):
+    return _tile_frames(config) * config.upsample_factor
+
+
+DEFAULT_TILE = _tile(NsfConfig())
+
 
 def _block_inputs(length, config, seed=0):
     rng = np.random.default_rng(seed)
     excitation = 0.1 * rng.standard_normal(length)
-    condition = rng.standard_normal((length, config.channels))
+    condition = rng.standard_normal((-(-length // config.upsample_factor), config.channels))
     return excitation, condition
+
+
+def _check_block(weights, length):
+    excitation, condition = _block_inputs(length, weights.config, seed=length)
+    out = filter_block_forward(excitation, condition, weights, block=2)
+    expected = nsf_filter_block(excitation, condition, weights, 2)
+    assert out.shape == (length,)
+    assert np.abs(out - expected).max() <= PRECISION
+
+
+def _check_forward(weights, n_frames, monkeypatch):
+    mel, f0, xvec = _inputs(n_frames, weights.config, seed=8)
+    out = nsf_forward(mel, f0, xvec, weights, seed=3)
+    monkeypatch.setattr(nsf_module, "filter_block_forward", nsf_filter_block)
+    expected = nsf_forward(mel, f0, xvec, weights, seed=3)
+    assert np.abs(out.samples - expected.samples).max() <= PRECISION
 
 
 class TestPrecisionContract:
@@ -170,24 +204,72 @@ class TestPrecisionContract:
     def full_weights(self):
         return init_weights("nsf", NsfConfig(), seed=41)
 
-    # One tile and its neighbours, a ragged multi-tile length, a single
-    # sample, and a signal shorter than the largest dilation (512).
+    # A single sample, one tile (51 frames) and its neighbours, lengths
+    # around the 4096-sample tile budget, a ragged multi-tile length, and a
+    # signal shorter than the largest dilation (512).
     @pytest.mark.parametrize(
-        "length", [1, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 17, 511]
+        "length",
+        [1, DEFAULT_TILE - 1, DEFAULT_TILE, DEFAULT_TILE + 1,
+         _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 17, 511],
     )
     def test_filter_block_within_contract(self, full_weights, length):
-        excitation, condition = _block_inputs(length, full_weights.config, seed=length)
-        out = filter_block_forward(excitation, condition, full_weights, block=2)
-        expected = nsf_filter_block(excitation, condition, full_weights, 2)
-        assert out.shape == (length,)
-        assert np.abs(out - expected).max() <= PRECISION
+        _check_block(full_weights, length)
 
     def test_nsf_forward_within_contract(self, full_weights, monkeypatch):
-        mel, f0, xvec = _inputs(60, full_weights.config, seed=8)
-        out = nsf_forward(mel, f0, xvec, full_weights, seed=3)
-        monkeypatch.setattr(nsf_module, "filter_block_forward", nsf_filter_block)
-        expected = nsf_forward(mel, f0, xvec, full_weights, seed=3)
-        assert np.abs(out.samples - expected.samples).max() <= PRECISION
+        _check_forward(full_weights, 60, monkeypatch)
+
+
+class TestPrecisionContractAcrossConfigs:
+    @pytest.fixture(scope="class", params=["factor1-width1", "factor4-width21"])
+    def full_weights(self, request):
+        return init_weights("nsf", CONTRACT_CONFIGS[request.param], seed=41)
+
+    # Lengths as (tiles, extra samples), as in TestPrecisionContract.
+    @pytest.mark.parametrize(
+        "tiles,extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 17), (0, 511)]
+    )
+    def test_filter_block_within_contract(self, full_weights, tiles, extra):
+        _check_block(full_weights, tiles * _tile(full_weights.config) + extra)
+
+    def test_nsf_forward_within_contract(self, full_weights, monkeypatch):
+        _check_forward(full_weights, 2 * _tile_frames(full_weights.config) + 5, monkeypatch)
+
+
+class TestFrameRateConditioning:
+    def test_default_tile_is_51_frames(self):
+        assert DEFAULT_TILE == 51 * 80
+
+    @pytest.mark.parametrize("name", list(CONTRACT_CONFIGS))
+    def test_interpolation_is_the_smoother_over_whole_frames(self, name):
+        config = CONTRACT_CONFIGS[name]
+        frames, factor = _tile_frames(config), config.upsample_factor
+        band = -(-(config.smooth_width // 2) // factor)
+        interp = _interpolation(frames, factor, config.smooth_width)
+        assert interp.shape == (frames + 2 * band, frames * factor)
+        # Every sample's window lies inside the band, so its weights sum to 1.
+        assert np.allclose(interp.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+        assert np.all(interp >= 0)
+
+    def test_condition_shape_checked(self, small_nsf_weights):
+        config = small_nsf_weights.config
+        excitation, condition = _block_inputs(3 * config.upsample_factor + 1, config)
+        with pytest.raises(ValueError, match="shape"):
+            filter_block_forward(excitation, condition[:-1], small_nsf_weights, block=1)
+
+    def test_nsf_forward_peak_memory(self):
+        # 596 frames is one ~3 s utterance. A float64 (samples, channels)
+        # conditioning signal and its smoothing temporaries alone come to
+        # about 96 MB at this size.
+        config = NsfConfig()
+        weights = init_weights("nsf", config, seed=41)
+        mel, f0, xvec = _inputs(596, config, seed=1)
+        tracemalloc.start()
+        try:
+            nsf_forward(mel, f0, xvec, weights, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 60e6
 
 
 class TestInputsUnchanged:

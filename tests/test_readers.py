@@ -1,19 +1,22 @@
 """The file readers fuzzed: whatever the bytes, only a DataError naming the file escapes.
 
-Covered: ``load_pool``, ``read_wav``, and the ``.npz`` archive reader behind
-``load_weights``, ``load_features`` and ``load_f0``.
+Covered: ``load_pool``, ``read_wav``, ``read_trials``, the transcript reader
+of ``evaluate``, and the ``.npz`` archive reader behind ``load_weights``,
+``load_features`` and ``load_f0``.
 """
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from voxanon import load_pool, read_wav
+from voxanon import load_pool, read_trials, read_wav
+from voxanon.cli import _read_transcripts
 from voxanon.errors import DataError, write_npz
 from voxanon.features import FeatureMatrix, F0Contour, load_f0, load_features, save_f0, save_features
-from voxanon.nnet import PpgConfig, init_weights, load_weights, save_weights
+from voxanon.nnet import NsfConfig, PpgConfig, init_weights, load_weights, save_weights
 
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
@@ -109,6 +112,49 @@ def test_pool_id_spelling_true_still_loads(tmp_path):
     assert load_pool(path).entries[0].vector.tolist() == [1.0, 0.5]
 
 
+# ------------------------------------------------- trials and transcripts
+
+_TEXT_READERS = {"trials": read_trials, "transcripts": _read_transcripts}
+# Tokens a trial or transcript line is made of, and the separators between
+# them, including characters that split lines or words only in Unicode.
+_TOKEN = st.one_of(
+    st.sampled_from(["p01", "p01_001", "tar", "non", "target", "a", "\xe9", "\u2028", "#"]),
+    st.text(max_size=4),
+)
+_SEPARATOR = st.sampled_from([" ", "  ", "\t", "\n", "\r\n", "\x0b", "\x1c", "\x85", "\u3000", ""])
+_LINE_TEXT = st.lists(st.tuples(_TOKEN, _SEPARATOR), max_size=12).map(
+    lambda parts: "".join(token + sep for token, sep in parts)
+)
+
+
+@FUZZ
+@given(st.sampled_from(sorted(_TEXT_READERS)), st.binary(max_size=200))
+def test_text_reader_arbitrary_bytes(tmp_path, reader, data):
+    _only_data_errors(tmp_path, data, _TEXT_READERS[reader], "fuzz.txt")
+
+
+@FUZZ
+@given(st.sampled_from(sorted(_TEXT_READERS)), _LINE_TEXT, st.sampled_from(["utf-8", "latin-1"]))
+def test_text_reader_line_shaped_text(tmp_path, reader, text, encoding):
+    data = text.encode(encoding, "replace")
+    _only_data_errors(tmp_path, data, _TEXT_READERS[reader], "fuzz.txt")
+
+
+@pytest.mark.parametrize("reader, text, where", [
+    ("trials", "p01 p01_001 tar\np01 p02_001\n", "line 2"),
+    ("trials", "p01 p01_001 target\n", "line 1"),
+    ("trials", "\n \n", "no trials"),
+    ("transcripts", "p01_001 a b\np01_002\n", "line 2"),
+    ("transcripts", "\t\n", "no transcripts"),
+])
+def test_bad_text_file_names_file(tmp_path, reader, text, where):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(DataError) as info:
+        _TEXT_READERS[reader](path)
+    assert str(path) in str(info.value) and where in str(info.value)
+
+
 # ---------------------------------------------------------------- read_wav
 
 def _chunk(chunk_id: bytes, body: bytes) -> bytes:
@@ -195,10 +241,11 @@ def test_archive_truncated_or_flipped(tmp_path, archives, reader, data):
     _only_data_errors(tmp_path, bytes(raw), _READERS[reader], "fuzz.npz")
 
 
-# Integers stay small: a config that declares millions of layers costs time
-# and memory linear in that count before the table check rejects it.
+# Integers are small or huge; a huge layer count is rejected at the cost of
+# the stored table (test_weight_config_declaring_huge_network_is_cheap).
 _SMALL = st.one_of(
-    st.none(), st.booleans(), st.integers(-2, 6), st.floats(allow_nan=True, allow_infinity=True),
+    st.none(), st.booleans(), st.integers(-2, 6), st.integers(10**6, 10**18),
+    st.floats(allow_nan=True, allow_infinity=True),
     st.text(max_size=4), st.lists(st.integers(-1, 4), max_size=3), st.dictionaries(
         st.text(max_size=3), st.integers(), max_size=2),
 )
@@ -283,6 +330,33 @@ def test_weight_manifest_damaged(tmp_path, archives, damage):
     path = tmp_path / "damaged.weights"
     write_npz(path, **entries)
     _read_expecting_only_data_errors(load_weights, path)
+
+
+@pytest.mark.parametrize("config, key", [
+    (_PPG, "hidden_layers"),
+    (NsfConfig(mel_dim=1, xvec_dim=1, channels=1, blocks=1, layers_per_block=1), "layers_per_block"),
+    (NsfConfig(mel_dim=1, xvec_dim=1, channels=1, blocks=1, layers_per_block=1), "blocks"),
+], ids=["ppg-layers", "nsf-layers", "nsf-blocks"])
+def test_weight_config_declaring_huge_network_is_cheap(tmp_path, config, key):
+    # A file of about a kilobyte declares 200,000 layers; the reader must
+    # reject it without building a table of that size.
+    path = tmp_path / "huge.weights"
+    save_weights(path, init_weights(config.component, config, seed=1))
+    with np.load(path, allow_pickle=False) as archive:
+        entries = {name: archive[name] for name in archive.files}
+    manifest = json.loads(entries["manifest"].tolist())
+    manifest["config"][key] = 200_000
+    entries["manifest"] = np.array(json.dumps(manifest))
+    write_npz(path, **entries)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match="tensor table does not match") as info:
+            load_weights(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(path) in str(info.value)
+    assert peak < 2e6
 
 
 def _first_member_damaged(raw: bytes, method=None, flags=None, data=b"") -> bytes:
