@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .anonymize import AnonymizationSpec, apply_spec
+from .anonymize import AnonymizationSpec, PseudoSpeaker, apply_spec
 from .embeddings import EmbeddingPool, SpeakerEmbedding, mean_embedding
 from .metrics import EerResult, compute_eer, cosine_matrix, nearest_k_mask, partition_masks
 from .seeding import derive_seed
@@ -167,17 +167,36 @@ class BenchmarkReport:
         return "\n".join(rows) + "\n"
 
 
-def _protocol_trials(
+@dataclass(frozen=True)
+class ProtocolTrials:
+    """The trials of one protocol and their EERs before anonymization.
+
+    ``rows`` is each trial's target index, ``is_target`` its target flag and
+    ``scores`` its original score; ``parts`` holds (partition name, target
+    mask, non-target mask) triples, and ``before`` each partition's EER.
+    """
+
+    rows: np.ndarray
+    is_target: np.ndarray
+    scores: np.ndarray
+    parts: tuple[tuple[str, np.ndarray, np.ndarray], ...]
+    before: dict[str, EerResult]
+
+
+def protocol_trials(
     targets: Sequence[EvalSpeaker],
     nontargets: Sequence[EvalSpeaker],
     protocol: EvalProtocol,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[str, np.ndarray, np.ndarray]]]:
-    """Target row, target flag and score of every trial, plus partition masks.
+) -> ProtocolTrials:
+    """Score every trial of ``protocol`` and compute the "before" EERs.
 
     Score-grid rows are the targets' enrollments; columns are the test
     utterances of every target, then of every non-target. A target's trials
-    are its own columns and those of its chosen non-target speakers.
+    are its own columns and those of its chosen non-target speakers. A
+    gender partition without target or non-target trials is left out.
     """
+    if not targets:
+        raise ValueError("no target speakers supplied")
     if not nontargets:
         raise ValueError("no non-target speakers supplied")
     speakers = list(targets) + list(nontargets)
@@ -196,7 +215,63 @@ def _protocol_trials(
         [t.gender for t in targets], [s.gender for s in speakers],
         protocol.gender_partition,
     )
-    return rows, is_target, grid[rows, cols], parts
+    scores = grid[rows, cols]
+    before = {name: compute_eer(scores[tar], scores[non]) for name, tar, non in parts}
+    return ProtocolTrials(rows, is_target, scores, tuple(parts), before)
+
+
+@dataclass(frozen=True)
+class PseudoDraws:
+    """The pseudo speakers of one strategy: per repetition, its seed (None
+    for a deterministic strategy) and one selection per target speaker."""
+
+    spec: AnonymizationSpec
+    rep_seeds: tuple[int | None, ...]
+    pseudos: tuple[tuple[PseudoSpeaker, ...], ...]
+    events: tuple[AnonymizationEvent, ...]
+
+
+def draw_pseudo_speakers(
+    targets: Sequence[EvalSpeaker],
+    pool: EmbeddingPool,
+    spec: AnonymizationSpec,
+    repetitions: int,
+) -> PseudoDraws:
+    """Draw every repetition's pseudo speakers for ``spec``.
+
+    The deterministic strategies draw their pseudo speakers once and reuse
+    them in every repetition; each repetition still records its events.
+    For the random strategy the seed in ``spec`` is the condition master
+    seed; every repetition r uses ``derive_seed(seed, "rep:r")`` and every
+    speaker within it a further per-id derivation. The draws do not depend
+    on the trial protocol, so one set serves every nearest-K setting.
+    """
+    seeded = spec.strategy == "random"
+    fixed = None if seeded else tuple(apply_spec(pool, spec, original=t.enroll) for t in targets)
+    rep_seeds = []
+    pseudos = []
+    events = []
+    for rep in range(repetitions):
+        rep_seed = derive_seed(spec.seed, f"rep:{rep}") if seeded else None
+        drawn = fixed if not seeded else tuple(
+            apply_spec(
+                pool, replace(spec, seed=derive_seed(rep_seed, t.id)), original=t.enroll
+            )
+            for t in targets
+        )
+        rep_seeds.append(rep_seed)
+        pseudos.append(drawn)
+        events.extend(
+            AnonymizationEvent(
+                rep,
+                speaker.id,
+                pseudo.spec.seed if seeded else None,
+                pseudo.selected_ids,
+                pseudo.measured_dissimilarity,
+            )
+            for speaker, pseudo in zip(targets, drawn)
+        )
+    return PseudoDraws(spec, tuple(rep_seeds), tuple(pseudos), tuple(events))
 
 
 def run_anonymization_benchmark(
@@ -205,27 +280,25 @@ def run_anonymization_benchmark(
     pool: EmbeddingPool | None,
     spec: AnonymizationSpec | None,
     protocol: EvalProtocol,
+    *,
+    trials: ProtocolTrials | None = None,
+    draws: PseudoDraws | None = None,
 ) -> ConditionResult:
     """Measure the EER before and after anonymizing the target test sides.
 
     Anonymization is speaker-level: per repetition, each target speaker
     gets one pseudo speaker, and all of that speaker's target trials get
     the same enroll-vs-pseudo score; non-target trials keep their scores.
-    The deterministic strategies draw their pseudo speakers once and reuse
-    them in every repetition; each repetition still records its events.
-    A gender partition without target or non-target trials is left out.
+    See ``protocol_trials`` for the trials and ``draw_pseudo_speakers`` for
+    the draws; a caller running several conditions over the same speakers
+    passes each in once computed (``trials`` for this ``protocol``,
+    ``draws`` for this ``spec`` and ``protocol.repetitions``).
 
-    ``spec=None`` is the identity condition (before equals after). For the
-    random strategy the seed in ``spec`` is the condition master seed;
-    every repetition r uses ``derive_seed(seed, "rep:r")`` and every
-    speaker within it a further per-id derivation.
+    ``spec=None`` is the identity condition (before equals after).
     """
-    if not targets:
-        raise ValueError("no target speakers supplied")
-    rows, is_target, before_scores, parts = _protocol_trials(targets, nontargets, protocol)
-    before = {
-        name: compute_eer(before_scores[tar], before_scores[non]) for name, tar, non in parts
-    }
+    if trials is None:
+        trials = protocol_trials(targets, nontargets, protocol)
+    before = trials.before
 
     if spec is None:
         partitions = tuple(PartitionEer(name, before[name], (before[name],)) for name in before)
@@ -233,51 +306,31 @@ def run_anonymization_benchmark(
             "none", None, protocol.nearest_k, 1, (None,), partitions, ()
         )
 
-    if pool is None:
-        raise ValueError("an embedding pool is required when a strategy is set")
+    if draws is None:
+        if pool is None:
+            raise ValueError("an embedding pool is required when a strategy is set")
+        draws = draw_pseudo_speakers(targets, pool, spec, protocol.repetitions)
+    elif draws.spec != spec or len(draws.pseudos) != protocol.repetitions:
+        raise ValueError("pseudo-speaker draws do not match the spec and repetitions")
 
-    seeded = spec.strategy == "random"
-    # A deterministic strategy gives every repetition the same pseudo speakers.
-    fixed = None if seeded else [apply_spec(pool, spec, original=t.enroll) for t in targets]
     after: dict[str, list[EerResult]] = {name: [] for name in before}
-    events: list[AnonymizationEvent] = []
-    rep_seeds: list[int | None] = []
-    for rep in range(protocol.repetitions):
-        rep_seed = derive_seed(spec.seed, f"rep:{rep}") if seeded else None
-        rep_seeds.append(rep_seed)
-        pseudos = fixed if not seeded else [
-            apply_spec(
-                pool, replace(spec, seed=derive_seed(rep_seed, t.id)), original=t.enroll
-            )
-            for t in targets
-        ]
-        for speaker, pseudo in zip(targets, pseudos):
-            events.append(
-                AnonymizationEvent(
-                    rep,
-                    speaker.id,
-                    pseudo.spec.seed if seeded else None,
-                    pseudo.selected_ids,
-                    pseudo.measured_dissimilarity,
-                )
-            )
+    for pseudos in draws.pseudos:
         pseudo_scores = np.array([pseudo.similarity for pseudo in pseudos])
-        scores = np.where(is_target, pseudo_scores[rows], before_scores)
-        for name, tar, non in parts:
+        scores = np.where(trials.is_target, pseudo_scores[trials.rows], trials.scores)
+        for name, tar, non in trials.parts:
             after[name].append(compute_eer(scores[tar], scores[non]))
 
-    label = _condition_label(spec)
     partitions = tuple(
         PartitionEer(name, before[name], tuple(after[name])) for name in before
     )
     return ConditionResult(
-        label,
+        _condition_label(spec),
         spec,
         protocol.nearest_k,
         protocol.repetitions,
-        tuple(rep_seeds),
+        draws.rep_seeds,
         partitions,
-        tuple(events),
+        draws.events,
     )
 
 

@@ -29,8 +29,10 @@ from .audio import read_wav, write_wav
 from .benchmark import (
     BenchmarkReport,
     EvalProtocol,
+    draw_pseudo_speakers,
     make_cluster_speakers,
     make_random_pool,
+    protocol_trials,
     run_anonymization_benchmark,
 )
 from .config import RunConfig, load_config
@@ -404,6 +406,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
     )
     pool = make_random_pool(sim.pool_size, sim.dim, seed=derive_seed(master, "pool"))
 
+    specs = [spec for strategy in sim.strategies for spec in _simulate_specs(sim, strategy, master)]
+    draws = [draw_pseudo_speakers(speakers, pool, spec, sim.repetitions) for spec in specs]
     conditions = []
     for k in sim.k_grid:
         protocol = EvalProtocol(
@@ -411,15 +415,17 @@ def cmd_simulate(cfg: RunConfig) -> int:
             repetitions=sim.repetitions,
             gender_partition=cfg.evaluate.gender_partition,
         )
+        trials = protocol_trials(speakers, speakers, protocol)
         if sim.include_baseline:
             conditions.append(
-                run_anonymization_benchmark(speakers, speakers, None, None, protocol)
+                run_anonymization_benchmark(speakers, speakers, None, None, protocol, trials=trials)
             )
-        for strategy in sim.strategies:
-            for spec in _simulate_specs(sim, strategy, master):
-                conditions.append(
-                    run_anonymization_benchmark(speakers, speakers, pool, spec, protocol)
+        for spec, drawn in zip(specs, draws):
+            conditions.append(
+                run_anonymization_benchmark(
+                    speakers, speakers, pool, spec, protocol, trials=trials, draws=drawn
                 )
+            )
 
     report = BenchmarkReport(conditions, config_echo=cfg.echo())
     out_dir = Path(cfg.out_dir)

@@ -99,6 +99,15 @@ class RunConfig:
     def validate(self) -> None:
         if self.jobs < 1:
             raise ConfigError("run.jobs must be at least 1")
+        if self.features.sample_rate <= 0:
+            raise ConfigError(
+                f"features.sample_rate must be positive, got {self.features.sample_rate}"
+            )
+        if not 0.0 <= self.features.f0_threshold <= 1.0:
+            raise ConfigError(
+                "features.f0_threshold must be a number in [0, 1], "
+                f"got {self.features.f0_threshold!r}"
+            )
         if self.models.ppg_tap not in TAPS:
             raise ConfigError(f"models.ppg_tap must be one of {TAPS}")
         if self.anonymize.strategy not in ("none",) + STRATEGIES:

@@ -14,6 +14,7 @@ front ends and 5 ms for the synthesis-rate mel spectrogram and F0.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -157,8 +158,20 @@ def mel_filterbank(
     return weights
 
 
+@functools.lru_cache(maxsize=32)
+def _mel_basis(n_mels: int, sample_rate: int) -> np.ndarray:
+    """The read-only default filterbank, built once per (n_mels, rate)."""
+    weights = mel_filterbank(n_mels, sample_rate)
+    weights.setflags(write=False)
+    return weights
+
+
+@functools.lru_cache(maxsize=32)
 def _hann_periodic(length: int) -> np.ndarray:
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(length) / length)
+    """The read-only periodic Hann window, built once per length."""
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(length) / length)
+    window.setflags(write=False)
+    return window
 
 
 def mel_features(
@@ -192,7 +205,7 @@ def mel_features(
     window = _hann_periodic(frame_len)
     spectrum = np.fft.rfft(frames * window, n=FFT_SIZE, axis=1)
     power = spectrum.real**2 + spectrum.imag**2
-    energies = power @ mel_filterbank(n_mels, fs).T
+    energies = power @ _mel_basis(n_mels, fs).T
     logmel = np.log(np.maximum(energies, LOG_FLOOR))
     return FeatureMatrix(logmel, hop=hop_seconds, kind=MEL_KINDS[n_mels])
 
@@ -217,12 +230,23 @@ def extract_f0(
     interpolation before conversion to Hz. Degenerate input (silence,
     noise) simply yields unvoiced frames.
 
+    The numerator of r is one time-domain product per lag over all frames
+    at once. The two energies come from one prefix sum and one suffix sum
+    of x^2 per frame: the head sum over n < L - tau and the tail sum over
+    n >= tau each add non-negative terms only, so neither can cancel and a
+    zero energy stays exactly zero. An FFT autocorrelation is not used:
+    its numerator carries an absolute error of about eps times the frame
+    energy, which a (near-)zero tail energy turns into a spurious voiced
+    frame, e.g. on digital silence just after a click.
+
     The estimator is deliberately a single interchangeable method; callers
     wanting a different tracker can swap this function as long as they keep
     the 5 ms hop and the shared framing rule.
     """
     if waveform.sample_rate < 8000:
         raise ValueError("F0 extraction requires a sample rate of at least 8 kHz")
+    if not math.isfinite(threshold):
+        raise ValueError(f"voicing threshold must be finite, got {threshold!r}")
     fs = waveform.sample_rate
     frame_len = round(FRAME_SECONDS * fs)
     hop_len = round(F0_HOP_SECONDS * fs)
@@ -236,34 +260,29 @@ def extract_f0(
     lags = np.arange(lag_min, lag_max + 1)
 
     n_frames = frames.shape[0]
-    corr = np.zeros((n_frames, lags.size))
-    tiny = np.finfo(np.float64).tiny
+    num = np.empty((n_frames, lags.size))
     for i, tau in enumerate(lags):
-        head = frames[:, : frame_len - tau]
-        tail = frames[:, tau:]
-        num = np.einsum("ij,ij->i", head, tail)
-        denom = np.sqrt(np.einsum("ij,ij->i", head, head) * np.einsum("ij,ij->i", tail, tail))
-        corr[:, i] = num / np.maximum(denom, tiny)
+        num[:, i] = np.einsum("ij,ij->i", frames[:, : frame_len - tau], frames[:, tau:])
+    power = frames * frames
+    head = np.cumsum(power, axis=1)[:, frame_len - 1 - lags]
+    tail = np.cumsum(power[:, ::-1], axis=1)[:, frame_len - 1 - lags]
+    denom = np.sqrt(head * tail)
+    corr = num / np.maximum(denom, np.finfo(np.float64).tiny)
 
-    values = np.zeros(n_frames)
-    octave_cost = 0.01 * np.log2(lags / lags[0])
-    best = np.argmax(corr - octave_cost, axis=1)
-    for t in range(n_frames):
-        b = int(best[t])
-        strength = corr[t, b]
-        if strength < threshold:
-            continue
-        lag = float(lags[b])
-        if 0 < b < lags.size - 1:
-            # Parabolic refinement of the correlation peak.
-            left, mid, right = corr[t, b - 1], corr[t, b], corr[t, b + 1]
-            denom = left - 2.0 * mid + right
-            if denom < 0:
-                lag += 0.5 * (left - right) / denom
-        f0 = fs / lag
-        if fmin <= f0 <= fmax:
-            values[t] = f0
-    return F0Contour(values, hop=F0_HOP_SECONDS)
+    rows = np.arange(n_frames)
+    best = np.argmax(corr - 0.01 * np.log2(lags / lags[0]), axis=1)
+    strength = corr[rows, best]
+    # Parabolic refinement of the correlation peak, where it has two
+    # neighbours and bends downward.
+    left = corr[rows, np.maximum(best - 1, 0)]
+    right = corr[rows, np.minimum(best + 1, lags.size - 1)]
+    bend = left - 2.0 * strength + right
+    refine = (best > 0) & (best < lags.size - 1) & (bend < 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shift = np.where(refine, 0.5 * (left - right) / bend, 0.0)
+        f0 = fs / (lags[best] + shift)
+    keep = (strength >= threshold) & (f0 >= fmin) & (f0 <= fmax)
+    return F0Contour(np.where(keep, f0, 0.0), hop=F0_HOP_SECONDS)
 
 
 def align_streams(

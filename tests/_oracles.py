@@ -88,6 +88,53 @@ def nccf_peak(frame, lag_min, lag_max) -> float:
     return best
 
 
+def extract_f0_per_lag(samples, sample_rate, threshold=0.45, fmin=50.0, fmax=600.0):
+    """F0 contour values, and each frame's correlation at its picked lag,
+    from the per-lag tracker the library used before its energies came from
+    prefix sums: three products per lag, then a per-frame peak pick."""
+    fs = sample_rate
+    frame_len = round(0.025 * fs)
+    hop_len = round(0.005 * fs)
+    n_frames = (len(samples) - frame_len) // hop_len + 1
+    samples = np.asarray(samples, dtype=np.float64)
+    windows = np.lib.stride_tricks.sliding_window_view(samples, frame_len)
+    frames = np.array(windows[: (n_frames - 1) * hop_len + 1 : hop_len])
+    frames -= frames.mean(axis=1, keepdims=True)
+
+    lag_min = max(2, math.ceil(fs / fmax))
+    lag_max = min(frame_len - 1, math.floor(fs / fmin))
+    lags = np.arange(lag_min, lag_max + 1)
+
+    corr = np.zeros((n_frames, lags.size))
+    tiny = np.finfo(np.float64).tiny
+    for i, tau in enumerate(lags):
+        head = frames[:, : frame_len - tau]
+        tail = frames[:, tau:]
+        num = np.einsum("ij,ij->i", head, tail)
+        denom = np.sqrt(np.einsum("ij,ij->i", head, head) * np.einsum("ij,ij->i", tail, tail))
+        corr[:, i] = num / np.maximum(denom, tiny)
+
+    values = np.zeros(n_frames)
+    octave_cost = 0.01 * np.log2(lags / lags[0])
+    best = np.argmax(corr - octave_cost, axis=1)
+    strengths = corr[np.arange(n_frames), best]
+    for t in range(n_frames):
+        b = int(best[t])
+        strength = corr[t, b]
+        if strength < threshold:
+            continue
+        lag = float(lags[b])
+        if 0 < b < lags.size - 1:
+            left, mid, right = corr[t, b - 1], corr[t, b], corr[t, b + 1]
+            denom = left - 2.0 * mid + right
+            if denom < 0:
+                lag += 0.5 * (left - right) / denom
+        f0 = fs / lag
+        if fmin <= f0 <= fmax:
+            values[t] = f0
+    return values, strengths
+
+
 def mel_center_frequencies(n_mels, low_hz, high_hz) -> np.ndarray:
     """Filter center frequencies from the HTK mel formula."""
     def to_mel(hz):

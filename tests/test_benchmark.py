@@ -193,3 +193,61 @@ class TestBenchmark:
         ]
         for event in result.events:
             assert (event.seed is None) == (spec.strategy != "random")
+
+
+class TestSharedGridWork:
+    SPECS = [
+        AnonymizationSpec("random", n_select=5, seed=9),
+        AnonymizationSpec("nearest", n_select=5),
+        AnonymizationSpec("range", target_similarity=0.0, half_width=0.3),
+    ]
+
+    @pytest.mark.parametrize("nearest_k", [None, 2])
+    def test_shared_trials_and_draws_match_a_lone_condition(self, speakers, pool, nearest_k):
+        protocol = EvalProtocol(nearest_k=nearest_k, repetitions=2, gender_partition=True)
+        trials = benchmark.protocol_trials(speakers, speakers, protocol)
+        for spec in self.SPECS:
+            draws = benchmark.draw_pseudo_speakers(speakers, pool, spec, protocol.repetitions)
+            shared = run_anonymization_benchmark(
+                speakers, speakers, pool, spec, protocol, trials=trials, draws=draws
+            )
+            alone = run_anonymization_benchmark(speakers, speakers, pool, spec, protocol)
+            assert shared.to_records() == alone.to_records()
+            assert shared.events == alone.events
+
+    def test_mismatched_draws_rejected(self, speakers, pool):
+        draws = benchmark.draw_pseudo_speakers(speakers, pool, self.SPECS[1], 2)
+        for spec, reps in ((self.SPECS[1], 3), (AnonymizationSpec("nearest", n_select=4), 2)):
+            with pytest.raises(ValueError, match="do not match"):
+                run_anonymization_benchmark(
+                    speakers, speakers, pool, spec, EvalProtocol(repetitions=reps), draws=draws
+                )
+
+    def test_simulate_draws_and_scores_once_for_the_k_grid(self, tmp_path, monkeypatch):
+        from voxanon.cli import main
+
+        counts = {"apply_spec": 0, "compute_eer": 0}
+
+        def counted(name):
+            inner = getattr(benchmark, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return inner(*args, **kwargs)
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(benchmark, name, counted(name))
+        n, reps, ks, parts = 6, 2, 2, 3
+        path = tmp_path / "sim.ini"
+        path.write_text(
+            "[run]\nseed = 4\n"
+            f"[simulate]\nn_speakers = {n}\nutterances_per_speaker = 3\ndim = 16\n"
+            f"pool_size = 30\nstrategies = random, nearest\nm_grid = 3\nrepetitions = {reps}\n"
+            "k_grid = all, 2\n"
+        )
+        assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 0
+        # random draws per repetition, nearest once; neither per K.
+        assert counts["apply_spec"] == reps * n + n
+        # Per K: the "before" EERs once, then every repetition of both specs.
+        assert counts["compute_eer"] == ks * (parts + 2 * reps * parts)

@@ -199,6 +199,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert key in err and str(path) in err
 
+    @pytest.mark.parametrize("text, key", [
+        ("f0_threshold = nan", "features.f0_threshold"),
+        ("f0_threshold = -3", "features.f0_threshold"),
+        ("f0_threshold = inf", "features.f0_threshold"),
+        ("sample_rate = 0", "features.sample_rate"),
+    ])
+    def test_bad_front_end_value_exits_2(self, site, tmp_path, capsys, text, key):
+        path = tmp_path / "front.ini"
+        path.write_text(f"[paths]\nweights = {site / 'weights'}\n[features]\n{text}\n")
+        args = ["extract", "--config", str(path), "--out-dir", str(tmp_path / "o"),
+                str(site / "p01_001.wav")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert key in err and str(path) in err
+
     def test_simulate_random_without_seed_exits_2(self, tmp_path, capsys):
         path = tmp_path / "noseed.ini"
         path.write_text("[simulate]\nn_speakers = 4\nstrategies = random\n")

@@ -124,7 +124,7 @@ class TestEchoRoundTrip:
         assert _load_text(tmp_path, _to_ini(config), "again.ini").echo() == config.echo()
 
     @FUZZ
-    @given(st.floats(allow_nan=False, allow_infinity=True), st.lists(
+    @given(st.floats(0.0, 1.0), st.lists(
         st.one_of(st.none(), st.integers(1, 10**30)), max_size=4))
     def test_values_survive(self, tmp_path, threshold, k_grid):
         text = f"[features]\nf0_threshold = {threshold!r}\n[simulate]\nk_grid = {_ini_value(k_grid)}\n"
@@ -132,6 +132,24 @@ class TestEchoRoundTrip:
         assert config.simulate.k_grid == tuple(k_grid)
         assert config.features.f0_threshold == threshold
         assert _load_text(tmp_path, _to_ini(config), "again.ini").echo() == config.echo()
+
+
+class TestFrontEndValues:
+    @pytest.mark.parametrize("text", ["nan", "-3", "inf", "-inf", "1.5", "-0.01"])
+    def test_bad_threshold_rejected(self, tmp_path, text):
+        with pytest.raises(ConfigError, match=r"c\.ini: features\.f0_threshold") as caught:
+            _load_text(tmp_path, f"[features]\nf0_threshold = {text}\n")
+        assert str(tmp_path) in str(caught.value)
+
+    @pytest.mark.parametrize("text", ["0", "1", "0.45"])
+    def test_threshold_bounds_accepted(self, tmp_path, text):
+        config = _load_text(tmp_path, f"[features]\nf0_threshold = {text}\n")
+        assert config.features.f0_threshold == float(text)
+
+    @pytest.mark.parametrize("text", ["0", "-16000"])
+    def test_nonpositive_sample_rate_rejected(self, tmp_path, text):
+        with pytest.raises(ConfigError, match=r"c\.ini: features\.sample_rate must be positive"):
+            _load_text(tmp_path, f"[features]\nsample_rate = {text}\n")
 
 
 _NAMES = st.sampled_from(sorted({part for key in _SCHEMA for part in key.split(".")}

@@ -19,9 +19,9 @@ from voxanon import (
     write_wav,
 )
 from voxanon.errors import DataError
-from voxanon.features import LOG_FLOOR, frame_count
+from voxanon.features import LOG_FLOOR, _hann_periodic, _mel_basis, frame_count, mel_filterbank
 
-from _oracles import fft_peak_hz, mel_center_frequencies, nccf_peak
+from _oracles import extract_f0_per_lag, fft_peak_hz, mel_center_frequencies, nccf_peak
 from conftest import make_noise, make_tone
 
 
@@ -135,6 +135,12 @@ class TestMelFeatures:
         features = mel_features(make_noise(seconds=0.3, seed=9), 80, 0.005)
         assert np.all(np.isfinite(features.frames))
 
+    def test_filterbank_and_window_built_once_read_only(self):
+        basis = _mel_basis(40, 16000)
+        assert _mel_basis(40, 16000) is basis and _hann_periodic(400) is _hann_periodic(400)
+        assert not basis.flags.writeable and not _hann_periodic(400).flags.writeable
+        assert np.array_equal(basis, mel_filterbank(40, 16000))
+
 
 class TestExtractF0:
     def test_pure_tone_recovered(self):
@@ -181,6 +187,58 @@ class TestExtractF0:
         contour = extract_f0(make_tone(599.0, seconds=0.5))
         voiced = contour.values[contour.values > 0]
         assert np.all((voiced >= 50.0) & (voiced <= 600.0))
+
+
+def _click_then_silence(fs=16000):
+    samples = np.zeros(fs)
+    samples[fs // 2 : fs // 2 + 2] = [0.5, -0.5]
+    return samples
+
+
+class TestExtractF0MatchesPerLag:
+    """Fixed inputs on which the array tracker must reproduce the per-lag one."""
+
+    @pytest.mark.parametrize("samples", [
+        pytest.param(_click_then_silence(), id="click-then-silence"),
+        pytest.param(np.zeros(8000), id="silence"),
+        pytest.param(np.full(4000, 0.3), id="dc-offset"),
+        pytest.param(make_tone(200.0, seconds=400 / 16000).samples, id="400-samples"),
+        pytest.param(make_tone(200.0, seconds=401 / 16000).samples, id="401-samples"),
+        pytest.param(make_tone(599.0, seconds=0.5).samples, id="599-hz"),
+        pytest.param(make_noise(seconds=0.5, seed=4).samples, id="noise"),
+    ])
+    def test_default_range(self, samples):
+        got = extract_f0(Waveform(samples, 16000)).values
+        want, _ = extract_f0_per_lag(samples, 16000)
+        assert np.array_equal(got > 0, want > 0)
+        assert np.max(np.abs(got - want)) <= 1e-9
+
+    def test_click_then_silence_unvoiced(self):
+        assert np.all(extract_f0(Waveform(_click_then_silence(), 16000)).values == 0.0)
+
+    def test_two_lag_range(self):
+        # fs / fmax = 80 and fs / fmin = 81: no lag has two neighbours.
+        samples = make_tone(200.0, seconds=0.25).samples
+        fmin, fmax = 16000 / 81, 200.0
+        got = extract_f0(Waveform(samples, 16000), fmin=fmin, fmax=fmax).values
+        want, _ = extract_f0_per_lag(samples, 16000, fmin=fmin, fmax=fmax)
+        assert np.any(want > 0)
+        assert np.array_equal(got > 0, want > 0)
+        assert np.max(np.abs(got - want)) <= 1e-9
+
+    def test_threshold_is_inclusive(self):
+        # A 200 Hz square wave framed on whole periods has r exactly 1 at
+        # lag 80 in both trackers, so threshold 1.0 still voices it.
+        samples = np.where(np.arange(4000) % 80 < 40, 0.5, -0.5)
+        got = extract_f0(Waveform(samples, 16000), threshold=1.0).values
+        want, strength = extract_f0_per_lag(samples, 16000, threshold=1.0)
+        assert np.all(strength == 1.0) and np.all(got > 0)
+        assert np.max(np.abs(got - want)) <= 1e-9
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_rejected(self, threshold):
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            extract_f0(make_tone(200.0, seconds=0.1), threshold=threshold)
 
 
 def _fake_ppg(n_frames, dim=6, seed=0):
