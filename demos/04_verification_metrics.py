@@ -10,11 +10,13 @@ counts word errors.
 import numpy as np
 
 from voxanon import (
+    EmbeddingPool,
     SpeakerEmbedding,
     Trial,
     compute_eer,
-    cosine_matrix,
+    pool_similarities,
     rank_by_similarity,
+    score_trials,
     trial_indices,
     wer,
 )
@@ -39,18 +41,17 @@ trials = [
     for utt in test
 ]
 # One cosine matrix scores every enrollment against every test utterance;
-# each trial reads its cell.
-rows, cols, is_target = trial_indices(trials, list(enroll), list(test))
-grid = cosine_matrix(
-    np.stack([e.vector for e in enroll.values()]),
-    np.stack([t.vector for t in test.values()]),
+# each trial reads its cell. This is the scoring path `evaluate` takes
+# (here without the nearest-K filter and the gender partitions).
+scored = score_trials(
+    EmbeddingPool(enroll.values()), EmbeddingPool(test.values()),
+    *trial_indices(trials, list(enroll), list(test)), k=None, by_gender=False,
 )
-scores = grid[rows, cols]
-for trial, score in zip(trials[:4], scores):
+for trial, score in zip(trials[:4], scored.scores):
     print(f"{trial.enroll_id} vs {trial.test_id}: {score:+.3f} ({trial.label})")
 
-tar = scores[is_target]
-non = scores[~is_target]
+tar = scored.scores[scored.is_target]
+non = scored.scores[~scored.is_target]
 result = compute_eer(tar, non)
 print(f"\nEER {result.eer:.2%} at threshold {result.threshold:.3f} "
       f"({result.n_target} target / {result.n_nontarget} nontarget trials)")
@@ -59,8 +60,8 @@ print(f"\nEER {result.eer:.2%} at threshold {result.threshold:.3f} "
 # harder: distant speakers cannot deflate the error rate.
 candidates = [SpeakerEmbedding(f"non{i}", rng.standard_normal(32)) for i in range(8)]
 ids = [c.id for c in candidates]
-sims = cosine_matrix(enroll["spk1"].vector[None, :], np.stack([c.vector for c in candidates]))
-ranked = [ids[j] for j in rank_by_similarity(sims, ids)[0]]
+sims = pool_similarities(EmbeddingPool(candidates), enroll["spk1"])
+ranked = [ids[j] for j in rank_by_similarity(sims[None, :], ids)[0]]
 for k in (2, 8):
     print(f"nearest K={k}: {ranked[:k]}")
 

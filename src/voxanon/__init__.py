@@ -16,7 +16,6 @@ from .benchmark import (
     AnonymizationEvent,
     BenchmarkReport,
     ConditionResult,
-    EvalProtocol,
     EvalSpeaker,
     make_cluster_speakers,
     make_random_pool,
@@ -48,6 +47,7 @@ from .features import (
 )
 from .metrics import (
     EerResult,
+    ScoredTrials,
     Trial,
     WerResult,
     compute_eer,
@@ -55,6 +55,7 @@ from .metrics import (
     nearest_k_mask,
     rank_by_similarity,
     read_trials,
+    score_trials,
     trial_indices,
     wer,
     write_trials,

@@ -1,15 +1,15 @@
 """Anonymization-strength benchmark on embedding-level speaker data.
 
-The benchmark mirrors the verification protocol used to evaluate
-anonymization: each target speaker enrolls with their speaker-level
-embedding, target trials score the speaker's own test utterances, and
-non-target trials score other speakers' utterances (optionally restricted
-to the K most similar non-target speakers). Anonymization is
-speaker-level: each target speaker gets one pseudo speaker composed from
-the pool, and every target trial of that speaker scores the single
-enrollment-versus-pseudo-speaker similarity in place of its utterance
-score. Non-target speech stays untouched. A working anonymizer therefore
-drives the equal error rate up from its baseline.
+The benchmark takes one list of speakers, each with a speaker-level
+enrollment embedding and per-utterance test embeddings. Its trials are the
+full enroll x test grid of that list, scored by ``metrics.score_trials``:
+a trial is a target trial when the test utterance belongs to the enrolled
+speaker, and non-target trials can be restricted to the K most similar
+other speakers. Anonymization is speaker-level: each speaker gets one
+pseudo speaker composed from the pool, and every target trial of that
+speaker scores the single enrollment-versus-pseudo-speaker similarity in
+place of its utterance score. Non-target speech stays untouched. A working
+anonymizer therefore drives the equal error rate up from its baseline.
 
 Everything here is a pure function of (inputs, seeds): repetition seeds
 derive from the strategy seed, and per-speaker seeds derive from the
@@ -21,50 +21,35 @@ simulation command and the test suites.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from .anonymize import AnonymizationSpec, PseudoSpeaker, apply_spec
-from .embeddings import EmbeddingPool, SpeakerEmbedding, mean_embedding
-from .metrics import EerResult, compute_eer, cosine_matrix, nearest_k_mask, partition_masks
+from .embeddings import EmbeddingPool, SpeakerEmbedding, mean_embedding, speaker_of
+from .metrics import EerResult, ScoredTrials, compute_eer, score_trials
 from .seeding import derive_seed
 
 
 @dataclass(frozen=True)
 class EvalSpeaker:
     """One speaker in the benchmark: a speaker-level enrollment embedding
-    plus per-utterance test embeddings."""
+    plus per-utterance test embeddings, whose ids name the speaker
+    (``speaker_of``)."""
 
     id: str
     enroll: SpeakerEmbedding
     tests: tuple[SpeakerEmbedding, ...]
 
+    def __post_init__(self):
+        for utt in self.tests:
+            if speaker_of(utt.id) != self.id:
+                raise ValueError(f"utterance id {utt.id!r} does not name speaker {self.id!r}")
+
     @property
     def gender(self) -> str | None:
         return self.enroll.gender
-
-
-@dataclass(frozen=True)
-class EvalProtocol:
-    """Evaluation protocol knobs.
-
-    ``nearest_k`` restricts each target's non-target trials to its K most
-    similar non-target speakers (None means all). ``repetitions`` controls
-    how many anonymization draws are averaged for seeded strategies.
-    """
-
-    nearest_k: int | None = None
-    repetitions: int = 1
-    gender_partition: bool = False
-
-    def __post_init__(self):
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be at least 1")
-        if self.nearest_k is not None and self.nearest_k < 1:
-            raise ValueError("nearest_k must be at least 1 (or None for all)")
 
 
 @dataclass(frozen=True)
@@ -96,7 +81,6 @@ class ConditionResult:
     label: str
     spec: AnonymizationSpec | None
     nearest_k: int | None
-    repetitions: int
     rep_seeds: tuple[int | None, ...]
     partitions: tuple[PartitionEer, ...]
     events: tuple[AnonymizationEvent, ...]
@@ -142,12 +126,10 @@ class BenchmarkReport:
     conditions: list[ConditionResult]
     config_echo: dict = field(default_factory=dict)
 
-    def to_record_lines(self) -> list[str]:
-        lines = [json.dumps({"config": self.config_echo}, sort_keys=True)]
-        for condition in self.conditions:
-            for record in condition.to_records():
-                lines.append(json.dumps(record, sort_keys=True))
-        return lines
+    def to_records(self) -> list[dict]:
+        return [{"config": self.config_echo}] + [
+            record for condition in self.conditions for record in condition.to_records()
+        ]
 
     def to_table(self) -> str:
         header = (
@@ -169,61 +151,43 @@ class BenchmarkReport:
 
 @dataclass(frozen=True)
 class ProtocolTrials:
-    """The trials of one protocol and their EERs before anonymization.
+    """The scored trials of one nearest-K setting and, per partition, their
+    EER before anonymization."""
 
-    ``rows`` is each trial's target index, ``is_target`` its target flag and
-    ``scores`` its original score; ``parts`` holds (partition name, target
-    mask, non-target mask) triples, and ``before`` each partition's EER.
-    """
-
-    rows: np.ndarray
-    is_target: np.ndarray
-    scores: np.ndarray
-    parts: tuple[tuple[str, np.ndarray, np.ndarray], ...]
+    nearest_k: int | None
+    scored: ScoredTrials
     before: dict[str, EerResult]
 
 
 def protocol_trials(
-    targets: Sequence[EvalSpeaker],
-    nontargets: Sequence[EvalSpeaker],
-    protocol: EvalProtocol,
+    speakers: Sequence[EvalSpeaker], nearest_k: int | None, gender_partition: bool
 ) -> ProtocolTrials:
-    """Score every trial of ``protocol`` and compute the "before" EERs.
+    """Score the full enroll x test grid of ``speakers`` and compute the
+    "before" EERs.
 
-    Score-grid rows are the targets' enrollments; columns are the test
-    utterances of every target, then of every non-target. A target's trials
-    are its own columns and those of its chosen non-target speakers. A
-    gender partition without target or non-target trials is left out.
+    Rows are the speakers' enrollments and columns every speaker's test
+    utterances; a trial is a target trial when the utterance belongs to the
+    row's speaker. ``score_trials`` applies ``nearest_k`` and the gender
+    partitions.
     """
-    if not targets:
-        raise ValueError("no target speakers supplied")
-    if not nontargets:
-        raise ValueError("no non-target speakers supplied")
-    speakers = list(targets) + list(nontargets)
+    if len(speakers) < 2:
+        raise ValueError("the benchmark needs at least two speakers")
+    enroll = EmbeddingPool(s.enroll for s in speakers)
+    test = EmbeddingPool(utt for s in speakers for utt in s.tests)
     owner = np.repeat(np.arange(len(speakers)), [len(s.tests) for s in speakers])
-    enroll = np.stack([t.enroll.vector for t in targets])
-    grid = cosine_matrix(enroll, np.stack([u.vector for s in speakers for u in s.tests]))
-    candidates = cosine_matrix(enroll, np.stack([s.enroll.vector for s in nontargets]))
-    chosen = nearest_k_mask(
-        candidates, [t.id for t in targets], [s.id for s in nontargets], protocol.nearest_k
+    rows, cols = np.divmod(np.arange(len(enroll) * len(test)), len(test))
+    scored = score_trials(
+        enroll, test, rows, cols, owner[cols] == rows, nearest_k, gender_partition
     )
-    scored = np.hstack([np.eye(len(targets), dtype=bool), chosen])[:, owner]
-    rows, cols = np.nonzero(scored)
-    is_target = owner[cols] < len(targets)
-    parts = partition_masks(
-        rows, owner[cols], is_target,
-        [t.gender for t in targets], [s.gender for s in speakers],
-        protocol.gender_partition,
-    )
-    scores = grid[rows, cols]
-    before = {name: compute_eer(scores[tar], scores[non]) for name, tar, non in parts}
-    return ProtocolTrials(rows, is_target, scores, tuple(parts), before)
+    scores = scored.scores
+    before = {name: compute_eer(scores[tar], scores[non]) for name, tar, non in scored.parts}
+    return ProtocolTrials(nearest_k, scored, before)
 
 
 @dataclass(frozen=True)
 class PseudoDraws:
     """The pseudo speakers of one strategy: per repetition, its seed (None
-    for a deterministic strategy) and one selection per target speaker."""
+    for a deterministic strategy) and one selection per speaker."""
 
     spec: AnonymizationSpec
     rep_seeds: tuple[int | None, ...]
@@ -232,7 +196,7 @@ class PseudoDraws:
 
 
 def draw_pseudo_speakers(
-    targets: Sequence[EvalSpeaker],
+    speakers: Sequence[EvalSpeaker],
     pool: EmbeddingPool,
     spec: AnonymizationSpec,
     repetitions: int,
@@ -244,10 +208,12 @@ def draw_pseudo_speakers(
     For the random strategy the seed in ``spec`` is the condition master
     seed; every repetition r uses ``derive_seed(seed, "rep:r")`` and every
     speaker within it a further per-id derivation. The draws do not depend
-    on the trial protocol, so one set serves every nearest-K setting.
+    on the trials, so one set serves every nearest-K setting.
     """
+    if repetitions < 1:
+        raise ValueError("repetitions must be at least 1")
     seeded = spec.strategy == "random"
-    fixed = None if seeded else tuple(apply_spec(pool, spec, original=t.enroll) for t in targets)
+    fixed = None if seeded else tuple(apply_spec(pool, spec, original=s.enroll) for s in speakers)
     rep_seeds = []
     pseudos = []
     events = []
@@ -255,9 +221,9 @@ def draw_pseudo_speakers(
         rep_seed = derive_seed(spec.seed, f"rep:{rep}") if seeded else None
         drawn = fixed if not seeded else tuple(
             apply_spec(
-                pool, replace(spec, seed=derive_seed(rep_seed, t.id)), original=t.enroll
+                pool, replace(spec, seed=derive_seed(rep_seed, s.id)), original=s.enroll
             )
-            for t in targets
+            for s in speakers
         )
         rep_seeds.append(rep_seed)
         pseudos.append(drawn)
@@ -269,68 +235,40 @@ def draw_pseudo_speakers(
                 pseudo.selected_ids,
                 pseudo.measured_dissimilarity,
             )
-            for speaker, pseudo in zip(targets, drawn)
+            for speaker, pseudo in zip(speakers, drawn)
         )
     return PseudoDraws(spec, tuple(rep_seeds), tuple(pseudos), tuple(events))
 
 
 def run_anonymization_benchmark(
-    targets: Sequence[EvalSpeaker],
-    nontargets: Sequence[EvalSpeaker],
-    pool: EmbeddingPool | None,
-    spec: AnonymizationSpec | None,
-    protocol: EvalProtocol,
-    *,
-    trials: ProtocolTrials | None = None,
-    draws: PseudoDraws | None = None,
+    trials: ProtocolTrials, draws: PseudoDraws | None = None
 ) -> ConditionResult:
     """Measure the EER before and after anonymizing the target test sides.
 
-    Anonymization is speaker-level: per repetition, each target speaker
-    gets one pseudo speaker, and all of that speaker's target trials get
-    the same enroll-vs-pseudo score; non-target trials keep their scores.
-    See ``protocol_trials`` for the trials and ``draw_pseudo_speakers`` for
-    the draws; a caller running several conditions over the same speakers
-    passes each in once computed (``trials`` for this ``protocol``,
-    ``draws`` for this ``spec`` and ``protocol.repetitions``).
-
-    ``spec=None`` is the identity condition (before equals after).
+    ``trials`` and ``draws`` must come from the same speaker list. Per
+    repetition of ``draws``, every target trial of a speaker scores that
+    speaker's enroll-vs-pseudo similarity; non-target trials keep their
+    scores. ``draws=None`` is the identity condition (after equals before).
     """
-    if trials is None:
-        trials = protocol_trials(targets, nontargets, protocol)
     before = trials.before
-
-    if spec is None:
-        partitions = tuple(PartitionEer(name, before[name], (before[name],)) for name in before)
-        return ConditionResult(
-            "none", None, protocol.nearest_k, 1, (None,), partitions, ()
-        )
-
     if draws is None:
-        if pool is None:
-            raise ValueError("an embedding pool is required when a strategy is set")
-        draws = draw_pseudo_speakers(targets, pool, spec, protocol.repetitions)
-    elif draws.spec != spec or len(draws.pseudos) != protocol.repetitions:
-        raise ValueError("pseudo-speaker draws do not match the spec and repetitions")
+        partitions = tuple(PartitionEer(name, eer, (eer,)) for name, eer in before.items())
+        return ConditionResult("none", None, trials.nearest_k, (None,), partitions, ())
 
+    scored = trials.scored
     after: dict[str, list[EerResult]] = {name: [] for name in before}
     for pseudos in draws.pseudos:
         pseudo_scores = np.array([pseudo.similarity for pseudo in pseudos])
-        scores = np.where(trials.is_target, pseudo_scores[trials.rows], trials.scores)
-        for name, tar, non in trials.parts:
+        scores = np.where(scored.is_target, pseudo_scores[scored.rows], scored.scores)
+        for name, tar, non in scored.parts:
             after[name].append(compute_eer(scores[tar], scores[non]))
 
     partitions = tuple(
         PartitionEer(name, before[name], tuple(after[name])) for name in before
     )
     return ConditionResult(
-        _condition_label(spec),
-        spec,
-        protocol.nearest_k,
-        protocol.repetitions,
-        draws.rep_seeds,
-        partitions,
-        draws.events,
+        _condition_label(draws.spec), draws.spec, trials.nearest_k, draws.rep_seeds,
+        partitions, draws.events,
     )
 
 

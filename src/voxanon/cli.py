@@ -15,7 +15,6 @@ per-item sub-seeds, so outputs are bitwise reproducible.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -28,7 +27,6 @@ from .anonymize import SELECTION_ALGORITHM, STRATEGIES, AnonymizationSpec, apply
 from .audio import read_wav, write_wav
 from .benchmark import (
     BenchmarkReport,
-    EvalProtocol,
     draw_pseudo_speakers,
     make_cluster_speakers,
     make_random_pool,
@@ -36,27 +34,22 @@ from .benchmark import (
     run_anonymization_benchmark,
 )
 from .config import RunConfig, load_config
-from .embeddings import EmbeddingPool, SpeakerEmbedding, load_pool, mean_embedding, save_pool
-from .errors import ConfigError, DataError, read_lines
+from .embeddings import (
+    EmbeddingPool,
+    SpeakerEmbedding,
+    load_pool,
+    mean_embedding,
+    save_pool,
+    speaker_means,
+    speaker_of,
+)
+from .errors import ConfigError, DataError, read_lines, write_jsonl
 from .features import align_streams, extract_f0, load_f0, load_features, mel_features, save_f0, save_features
-from .metrics import compute_eer, cosine_matrix, nearest_k_mask, partition_masks, read_trials, trial_indices, wer
+from .metrics import compute_eer, read_trials, score_trials, trial_indices, wer
 from .seeding import derive_seed
 
 FBANK_HOP = 0.010
 SYNTH_HOP = 0.005
-
-
-def speaker_of(utterance_id: str) -> str:
-    """Speaker grouping convention: the stem up to the first underscore."""
-    return utterance_id.split("_", 1)[0]
-
-
-def _speaker_means(utterances) -> list[SpeakerEmbedding]:
-    """One embedding per speaker, the mean of its utterances, in first-seen order."""
-    members: dict[str, list[SpeakerEmbedding]] = {}
-    for utt in utterances:
-        members.setdefault(speaker_of(utt.id), []).append(utt)
-    return [mean_embedding(m, new_id=spk) for spk, m in members.items()]
 
 
 def _ordered_map(fn, items, jobs: int):
@@ -134,7 +127,7 @@ def cmd_extract(cfg: RunConfig, wav_paths: list[str]) -> int:
         save_f0(feature_dir / f"{utt}.f0.npz", f0)
         utterance_embeddings.append(xvec)
     save_pool(out_dir / "utterance_xvectors.jsonl", EmbeddingPool(utterance_embeddings))
-    speakers = _speaker_means(utterance_embeddings)
+    speakers = speaker_means(utterance_embeddings)
     save_pool(out_dir / "speaker_xvectors.jsonl", EmbeddingPool(speakers))
     print(
         f"extracted {len(results)} utterances, {len(speakers)} speakers -> {out_dir}"
@@ -195,9 +188,7 @@ def cmd_anonymize(cfg: RunConfig, inputs_path: str) -> int:
             records.append(_provenance_record(entry.id, pseudo))
 
     save_pool(out_dir / "pseudo_xvectors.jsonl", EmbeddingPool(entries))
-    with (out_dir / "anonymize_provenance.jsonl").open("w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    write_jsonl(out_dir / "anonymize_provenance.jsonl", records)
     print(f"anonymized {len(entries)} embeddings -> {out_dir / 'pseudo_xvectors.jsonl'}")
     return 0
 
@@ -277,31 +268,29 @@ def cmd_evaluate(
     ref_path: str | None,
     hyp_path: str | None,
 ) -> int:
+    if (ref_path is None) != (hyp_path is None):
+        raise ConfigError("supply both --ref-trn and --hyp-trn, or neither")
     enroll_pool = load_pool(_require_file(enroll_path, "enrollment embeddings"))
     test_pool = load_pool(_require_file(test_path, "test embeddings"))
     trials_file = _require_file(trials_path, "trial list")
     trials = read_trials(trials_file)
     k = cfg.evaluate.nearest_k
 
-    rows, cols, is_target = trial_indices(trials, enroll_pool.ids, test_pool.ids)
-    if k is not None:
-        keep = is_target | _nearest_k_grid(enroll_pool, test_pool, k)[rows, cols]
-        rows, cols, is_target = rows[keep], cols[keep], is_target[keep]
-    for side, present in (("target", is_target), ("non-target", ~is_target)):
+    try:
+        indices = trial_indices(trials, enroll_pool.ids, test_pool.ids)
+    except DataError as exc:
+        raise DataError(f"{trials_file}, {exc}") from None
+    scored = score_trials(enroll_pool, test_pool, *indices, k, cfg.evaluate.gender_partition)
+    for side, present in (("target", scored.is_target), ("non-target", ~scored.is_target)):
         if not present.any():
             with_k = "" if k is None else f" with k = {k}"
             raise DataError(f"{trials_file}: no {side} trials to score{with_k}")
-    scores = cosine_matrix(enroll_pool.vectors, test_pool.vectors)[rows, cols]
-    parts = partition_masks(
-        rows, cols, is_target,
-        [e.gender for e in enroll_pool], [t.gender for t in test_pool],
-        cfg.evaluate.gender_partition,
-    )
 
     records = [{"config": cfg.echo()}]
     lines = ["EER report"]
     k_text = k if k is not None else "all"
-    for partition, tar, non in parts:
+    scores = scored.scores
+    for partition, tar, non in scored.parts:
         result = compute_eer(scores[tar], scores[non])
         lines.append(
             f"  {partition:<8} K={k_text:<4} EER={result.eer:.4f} "
@@ -320,8 +309,6 @@ def cmd_evaluate(
             }
         )
 
-    if (ref_path is None) != (hyp_path is None):
-        raise ConfigError("supply both --ref-trn and --hyp-trn, or neither")
     if ref_path is not None:
         refs = _read_transcripts(ref_path)
         hyps = _read_transcripts(hyp_path)
@@ -353,21 +340,9 @@ def cmd_evaluate(
     out_dir.mkdir(parents=True, exist_ok=True)
     report_text = "\n".join(lines) + "\n"
     (out_dir / "evaluation_report.txt").write_text(report_text, encoding="utf-8")
-    with (out_dir / "evaluation_report.jsonl").open("w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    write_jsonl(out_dir / "evaluation_report.jsonl", records)
     print(report_text, end="")
     return 0
-
-
-def _nearest_k_grid(enroll_pool, test_pool, k: int) -> np.ndarray:
-    # (enrollee, test utterance): is the utterance's speaker among the K
-    # test speakers most similar to the enrollee?
-    speakers = EmbeddingPool(_speaker_means(test_pool))
-    nearest = nearest_k_mask(
-        cosine_matrix(enroll_pool.vectors, speakers.vectors), enroll_pool.ids, speakers.ids, k
-    )
-    return nearest[:, [speakers.index_of(speaker_of(utt_id)) for utt_id in test_pool.ids]]
 
 
 def _read_transcripts(path) -> dict[str, list[str]]:
@@ -410,48 +385,32 @@ def cmd_simulate(cfg: RunConfig) -> int:
     draws = [draw_pseudo_speakers(speakers, pool, spec, sim.repetitions) for spec in specs]
     conditions = []
     for k in sim.k_grid:
-        protocol = EvalProtocol(
-            nearest_k=k,
-            repetitions=sim.repetitions,
-            gender_partition=cfg.evaluate.gender_partition,
-        )
-        trials = protocol_trials(speakers, speakers, protocol)
+        trials = protocol_trials(speakers, k, cfg.evaluate.gender_partition)
         if sim.include_baseline:
-            conditions.append(
-                run_anonymization_benchmark(speakers, speakers, None, None, protocol, trials=trials)
-            )
-        for spec, drawn in zip(specs, draws):
-            conditions.append(
-                run_anonymization_benchmark(
-                    speakers, speakers, pool, spec, protocol, trials=trials, draws=drawn
-                )
-            )
+            conditions.append(run_anonymization_benchmark(trials))
+        conditions.extend(run_anonymization_benchmark(trials, drawn) for drawn in draws)
 
     report = BenchmarkReport(conditions, config_echo=cfg.echo())
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "benchmark_report.txt").write_text(report.to_table(), encoding="utf-8")
-    with (out_dir / "benchmark_report.jsonl").open("w", encoding="utf-8") as fh:
-        for line in report.to_record_lines():
-            fh.write(line + "\n")
-    with (out_dir / "benchmark_provenance.jsonl").open("w", encoding="utf-8") as fh:
-        for condition in conditions:
-            for event in condition.events:
-                fh.write(
-                    json.dumps(
-                        {
-                            "condition": condition.label,
-                            "k": condition.nearest_k,
-                            "repetition": event.repetition,
-                            "speaker_id": event.speaker_id,
-                            "seed": event.seed,
-                            "selected_ids": list(event.selected_ids),
-                            "dissimilarity": event.dissimilarity,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+    write_jsonl(out_dir / "benchmark_report.jsonl", report.to_records())
+    write_jsonl(
+        out_dir / "benchmark_provenance.jsonl",
+        (
+            {
+                "condition": condition.label,
+                "k": condition.nearest_k,
+                "repetition": event.repetition,
+                "speaker_id": event.speaker_id,
+                "seed": event.seed,
+                "selected_ids": list(event.selected_ids),
+                "dissimilarity": event.dissimilarity,
+            }
+            for condition in conditions
+            for event in condition.events
+        ),
+    )
     print(report.to_table(), end="")
     return 0
 

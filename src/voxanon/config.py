@@ -99,9 +99,10 @@ class RunConfig:
     def validate(self) -> None:
         if self.jobs < 1:
             raise ConfigError("run.jobs must be at least 1")
-        if self.features.sample_rate <= 0:
+        # The F0 tracker needs 8 kHz, and the mel front ends reach 7600 Hz.
+        if self.features.sample_rate < 8000:
             raise ConfigError(
-                f"features.sample_rate must be positive, got {self.features.sample_rate}"
+                f"features.sample_rate must be at least 8000 Hz, got {self.features.sample_rate}"
             )
         if not 0.0 <= self.features.f0_threshold <= 1.0:
             raise ConfigError(

@@ -3,8 +3,8 @@
 A speaker embedding is a fixed-dimensional vector with an identity label.
 This module provides the similarity measures used everywhere else
 (cosine similarity and its dissimilarity complement), averaging, the
-similarity of a query to every pool entry, and a line-delimited text format
-for persisting pools.
+speaker-level means of utterance embeddings, the similarity of a query to
+every pool entry, and a line-delimited text format for persisting pools.
 
 Pools are expected to be small (up to roughly 10^4 entries), so all queries
 are exhaustive; there is deliberately no approximate index.
@@ -194,6 +194,20 @@ def mean_embedding(
     if new_id is None:
         new_id = "mean(" + ",".join(e.id for e in embeddings) + ")"
     return SpeakerEmbedding(new_id, mean)
+
+
+def speaker_of(utterance_id: str) -> str:
+    """Speaker grouping convention: the stem up to the first underscore."""
+    return utterance_id.split("_", 1)[0]
+
+
+def speaker_means(utterances: Iterable[SpeakerEmbedding]) -> list[SpeakerEmbedding]:
+    """One embedding per speaker, the mean of its utterances in their order,
+    with speakers in first-seen order."""
+    members: dict[str, list[SpeakerEmbedding]] = {}
+    for utt in utterances:
+        members.setdefault(speaker_of(utt.id), []).append(utt)
+    return [mean_embedding(m, new_id=spk) for spk, m in members.items()]
 
 
 def pool_similarities(pool: EmbeddingPool, query: SpeakerEmbedding) -> np.ndarray:

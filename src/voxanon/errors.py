@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and the two checked readers:
-``read_lines`` for text files and ``read_npz`` (writer ``write_npz``) for the
-``.npz`` archives of feature streams and weights."""
+"""Exception types shared across the package, the two checked readers
+(``read_lines`` for text files, ``read_npz`` for the ``.npz`` archives of
+feature streams and weights) and their writers ``write_npz`` and
+``write_jsonl``."""
 
+import json
 import lzma
 import zipfile
 import zlib
@@ -73,3 +75,10 @@ def write_npz(path: Path, **entries: np.ndarray) -> None:
     # np.savez appends ".npz" to a path it is given; a handle keeps the name.
     with Path(path).open("wb") as fh:
         np.savez(fh, **entries)
+
+
+def write_jsonl(path: Path, records) -> None:
+    """Write ``records`` as JSON lines, one object a line with sorted keys."""
+    with Path(path).open("w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")

@@ -2,8 +2,10 @@
 
 Scoring uses cosine similarity between enrollment and test embeddings
 (higher means more target-like; the accept rule is score >= threshold).
-Every protocol shares one engine: a cosine matrix, a nearest-K mask over
-speaker-level candidates, and per-gender masks over flat trial arrays.
+``evaluate`` (trials from a list file) and ``simulate`` (the full enroll x
+test grid) both score through ``score_trials``: a nearest-K mask over the
+test speakers' mean embeddings, one cosine matrix read per trial, and
+per-gender masks over the flat trial arrays.
 The equal error rate is located by linearly interpolating the false
 rejection and false acceptance rates between adjacent operating points of
 the threshold sweep, so the value is invariant to any strictly increasing
@@ -12,24 +14,27 @@ transform of the scores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .embeddings import EmbeddingPool, speaker_means, speaker_of
 from .errors import DataError, read_lines
 
 TRIAL_LABELS = ("target", "nontarget")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trial:
-    """One verification trial: does ``test_id``'s speech come from ``enroll_id``?"""
+    """One verification trial: does ``test_id``'s speech come from ``enroll_id``?
+    ``line`` is the trial's line in the file it was read from, for error messages."""
 
     enroll_id: str
     test_id: str
     label: str
+    line: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.label not in TRIAL_LABELS:
@@ -122,14 +127,18 @@ def nearest_k_mask(
 def trial_indices(
     trials: Sequence[Trial], enroll_ids: Sequence[str], test_ids: Sequence[str]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Enrollment row, test column and target flag of every trial, in order."""
+    """Enrollment row, test column and target flag of every trial, in order;
+    an unknown id raises ``DataError`` naming the trial's line."""
     rows = {spk_id: i for i, spk_id in enumerate(enroll_ids)}
     cols = {utt_id: j for j, utt_id in enumerate(test_ids)}
     for trial in trials:
-        if trial.enroll_id not in rows:
-            raise DataError(f"trial references unknown enrollment id {trial.enroll_id!r}")
-        if trial.test_id not in cols:
-            raise DataError(f"trial references unknown test id {trial.test_id!r}")
+        if trial.enroll_id not in rows or trial.test_id not in cols:
+            where = "" if trial.line is None else f"line {trial.line}: "
+            side, unknown = (
+                ("enrollment", trial.enroll_id) if trial.enroll_id not in rows
+                else ("test", trial.test_id)
+            )
+            raise DataError(f"{where}trial references unknown {side} id {unknown!r}")
     n = len(trials)
     return (
         np.fromiter((rows[t.enroll_id] for t in trials), np.intp, n),
@@ -161,6 +170,48 @@ def partition_masks(
             col_match = np.array([g == gender for g in col_genders], dtype=bool)[cols]
             parts.append((gender, is_target & row_match, is_non & row_match & col_match))
     return [(name, tar, non) for name, tar, non in parts if tar.any() and non.any()]
+
+
+@dataclass(frozen=True)
+class ScoredTrials:
+    """Trials in order: enrollment row, test column, target flag and cosine
+    score, plus the (partition name, target mask, non-target mask) triples
+    of ``partition_masks``."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    is_target: np.ndarray
+    scores: np.ndarray
+    parts: tuple[tuple[str, np.ndarray, np.ndarray], ...]
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
+def score_trials(
+    enroll: EmbeddingPool, test: EmbeddingPool, rows: np.ndarray, cols: np.ndarray,
+    is_target: np.ndarray, k: int | None, by_gender: bool,
+) -> ScoredTrials:
+    """Score the trials (``rows``, ``cols``, ``is_target``) of ``enroll`` against ``test``.
+
+    With ``k``, a non-target trial is kept only if its test speaker (the
+    mean of that speaker's utterances, grouped by ``speaker_of``) is among
+    the K test speakers most similar to the enrollee; a test speaker with
+    the enrollee's own id is never among them. ``k=None`` keeps every trial.
+    """
+    if k is not None:
+        speakers = EmbeddingPool(speaker_means(test))
+        nearest = nearest_k_mask(
+            cosine_matrix(enroll.vectors, speakers.vectors), enroll.ids, speakers.ids, k
+        )
+        speaker_col = np.array([speakers.index_of(speaker_of(utt_id)) for utt_id in test.ids])
+        keep = is_target | nearest[rows, speaker_col[cols]]
+        rows, cols, is_target = rows[keep], cols[keep], is_target[keep]
+    scores = cosine_matrix(enroll.vectors, test.vectors)[rows, cols]
+    parts = partition_masks(
+        rows, cols, is_target, [e.gender for e in enroll], [t.gender for t in test], by_gender
+    )
+    return ScoredTrials(rows, cols, is_target, scores, tuple(parts))
 
 
 def compute_eer(
@@ -275,7 +326,7 @@ def read_trials(path) -> list[Trial]:
                 f"{path}, line {lineno}: expected 'enroll_id test_id tar|non', got {line!r}"
             )
         label = "target" if parts[2] == "tar" else "nontarget"
-        trials.append(Trial(parts[0], parts[1], label))
+        trials.append(Trial(parts[0], parts[1], label, lineno))
     if not trials:
         raise DataError(f"{path}: trial file contains no trials")
     return trials

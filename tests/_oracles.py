@@ -337,16 +337,16 @@ def _partition_eer(blocks, target_scores, gender):
     return compute_eer(tar, non) if tar.size and non.size else None
 
 
-def benchmark_eers(targets, nontargets, pool, spec, protocol):
+def benchmark_eers(speakers, pool, spec, nearest_k, repetitions, gender_partition):
     """Partition name -> (EER before, [EER after per repetition]) of one
     `simulate` condition, pair by pair; None where a side is empty."""
-    blocks = _build_blocks(targets, nontargets, protocol.nearest_k)
+    blocks = _build_blocks(speakers, speakers, nearest_k)
     parts = [None]
-    if protocol.gender_partition:
+    if gender_partition:
         parts.extend(sorted({b[0].gender for b in blocks if b[0].gender is not None}))
     before = {p: _partition_eer(blocks, [b[1] for b in blocks], p) for p in parts}
     after = {p: [] for p in parts}
-    for rep in range(protocol.repetitions if spec is not None else 0):
+    for rep in range(repetitions if spec is not None else 0):
         rep_seed = derive_seed(spec.seed, f"rep:{rep}") if spec.strategy == "random" else None
         rep_scores = []
         for speaker, tar_scores, _, _ in blocks:

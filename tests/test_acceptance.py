@@ -14,7 +14,6 @@ import pytest
 
 from voxanon import (
     AnonymizationSpec,
-    EvalProtocol,
     F0Contour,
     FeatureMatrix,
     SpeakerEmbedding,
@@ -33,6 +32,7 @@ from voxanon import (
     run_anonymization_benchmark,
     wer,
 )
+from voxanon.benchmark import draw_pseudo_speakers, protocol_trials
 from voxanon.cli import main
 from voxanon.nnet import (
     AcousticConfig,
@@ -90,15 +90,13 @@ def test_criterion_2_synthetic_anonymization_direction():
         master = 424242
         speakers = make_cluster_speakers(30, 20, 64, 0.05, seed=master)
         pool = make_random_pool(500, 64, seed=master + 1)
-        protocol = EvalProtocol(repetitions=5)
-        baseline = run_anonymization_benchmark(
-            speakers, speakers, None, None, protocol
-        )
+        trials = protocol_trials(speakers, None, False)
+        baseline = run_anonymization_benchmark(trials)
         assert baseline.pooled.before.eer <= 0.05
         for m in (10, 50, 100, 200):
             spec = AnonymizationSpec("random", n_select=m, seed=master + m)
             result = run_anonymization_benchmark(
-                speakers, speakers, pool, spec, protocol
+                trials, draw_pseudo_speakers(speakers, pool, spec, 5)
             )
             assert result.pooled.before.eer <= 0.05
             assert result.pooled.mean_after >= 0.25, (m, result.pooled.mean_after)
@@ -130,7 +128,7 @@ def test_criterion_4_dissimilarity_range_from_provenance():
         pool = make_random_pool(150, 32, seed=8)
         spec = AnonymizationSpec("random", n_select=20, seed=4321)
         result = run_anonymization_benchmark(
-            speakers, speakers, pool, spec, EvalProtocol(repetitions=5)
+            protocol_trials(speakers, None, False), draw_pseudo_speakers(speakers, pool, spec, 5)
         )
         by_id = {s.id: s for s in speakers}
         values = []

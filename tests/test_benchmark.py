@@ -4,7 +4,7 @@ import pytest
 import voxanon.benchmark as benchmark
 from voxanon import (
     AnonymizationSpec,
-    EvalProtocol,
+    EvalSpeaker,
     apply_spec,
     cosine_similarity,
     dissimilarity,
@@ -26,6 +26,15 @@ def speakers():
 @pytest.fixture(scope="module")
 def pool():
     return make_random_pool(80, 32, seed=101)
+
+
+def run_condition(speakers, pool, spec, nearest_k=None, repetitions=1, gender_partition=False):
+    trials = benchmark.protocol_trials(speakers, nearest_k, gender_partition)
+    if spec is None:
+        return run_anonymization_benchmark(trials)
+    return run_anonymization_benchmark(
+        trials, benchmark.draw_pseudo_speakers(speakers, pool, spec, repetitions)
+    )
 
 
 class TestSyntheticGenerators:
@@ -57,41 +66,47 @@ class TestSyntheticGenerators:
 
 
 class TestProtocol:
-    def test_validation(self):
+    def test_validation(self, speakers, pool):
+        spec = AnonymizationSpec("nearest", n_select=5)
         with pytest.raises(ValueError, match="repetitions"):
-            EvalProtocol(repetitions=0)
-        with pytest.raises(ValueError, match="nearest_k"):
-            EvalProtocol(nearest_k=0)
+            benchmark.draw_pseudo_speakers(speakers, pool, spec, 0)
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            benchmark.protocol_trials(speakers, 0, False)
+
+    def test_one_speaker_rejected(self, speakers):
+        with pytest.raises(ValueError, match="at least two speakers"):
+            benchmark.protocol_trials(speakers[:1], None, False)
+
+    def test_utterance_ids_must_name_the_speaker(self, speakers):
+        # Nearest-K groups test utterances into speakers by their ids.
+        speaker = speakers[0]
+        with pytest.raises(ValueError, match="does not name speaker 'other'"):
+            EvalSpeaker("other", speaker.enroll, speaker.tests)
 
 
 class TestBenchmark:
     def test_identity_condition_before_equals_after(self, speakers):
-        result = run_anonymization_benchmark(
-            speakers, speakers, None, None, EvalProtocol()
-        )
+        result = run_condition(speakers, None, None)
         assert result.label == "none"
         for part in result.partitions:
             assert part.before.eer == part.mean_after
 
     def test_report_is_deterministic(self, speakers, pool):
         spec = AnonymizationSpec("random", n_select=8, seed=2024)
-        protocol = EvalProtocol(repetitions=3, gender_partition=True)
-        a = run_anonymization_benchmark(speakers, speakers, pool, spec, protocol)
-        b = run_anonymization_benchmark(speakers, speakers, pool, spec, protocol)
+        a = run_condition(speakers, pool, spec, repetitions=3, gender_partition=True)
+        b = run_condition(speakers, pool, spec, repetitions=3, gender_partition=True)
         assert a.to_records() == b.to_records()
         assert a.events == b.events
 
     def test_anonymization_raises_eer_on_separable_clusters(self, speakers, pool):
         spec = AnonymizationSpec("random", n_select=10, seed=7)
-        protocol = EvalProtocol(repetitions=3)
-        result = run_anonymization_benchmark(speakers, speakers, pool, spec, protocol)
+        result = run_condition(speakers, pool, spec, repetitions=3)
         assert result.pooled.before.eer <= 0.05
         assert result.pooled.mean_after > result.pooled.before.eer
 
     def test_provenance_recomputes_to_reported_range(self, speakers, pool):
         spec = AnonymizationSpec("random", n_select=6, seed=55)
-        protocol = EvalProtocol(repetitions=4)
-        result = run_anonymization_benchmark(speakers, speakers, pool, spec, protocol)
+        result = run_condition(speakers, pool, spec, repetitions=4)
         by_id = {s.id: s for s in speakers}
         recomputed = []
         for event in result.events:
@@ -103,41 +118,29 @@ class TestBenchmark:
 
     def test_nearest_k_all_equals_unfiltered(self, speakers, pool):
         spec = AnonymizationSpec("nearest", n_select=5)
-        unfiltered = run_anonymization_benchmark(
-            speakers, speakers, pool, spec, EvalProtocol(nearest_k=None)
-        )
-        k_all = run_anonymization_benchmark(
-            speakers, speakers, pool, spec, EvalProtocol(nearest_k=len(speakers) - 1)
-        )
+        unfiltered = run_condition(speakers, pool, spec, nearest_k=None)
+        k_all = run_condition(speakers, pool, spec, nearest_k=len(speakers) - 1)
         assert unfiltered.pooled.before.eer == k_all.pooled.before.eer
         assert unfiltered.pooled.mean_after == k_all.pooled.mean_after
 
     def test_nearest_k_restricts_nontargets(self, speakers, pool):
         spec = AnonymizationSpec("nearest", n_select=5)
-        result = run_anonymization_benchmark(
-            speakers, speakers, pool, spec, EvalProtocol(nearest_k=2)
-        )
+        result = run_condition(speakers, pool, spec, nearest_k=2)
         per_target_nontarget_utts = 2 * 6  # K speakers x utterances each
         expected = len(speakers) * per_target_nontarget_utts
         assert result.pooled.before.n_nontarget == expected
 
     def test_gender_partitions_present(self, speakers, pool):
         spec = AnonymizationSpec("random", n_select=4, seed=3)
-        result = run_anonymization_benchmark(
-            speakers, speakers, pool, spec,
-            EvalProtocol(repetitions=2, gender_partition=True),
-        )
+        result = run_condition(speakers, pool, spec, repetitions=2, gender_partition=True)
         names = [p.partition for p in result.partitions]
         assert names == ["pooled", "female", "male"]
 
     def test_seed_isolation_per_speaker(self, speakers, pool):
         # Dropping one speaker must not change the draws of the others.
         spec = AnonymizationSpec("random", n_select=6, seed=99)
-        protocol = EvalProtocol(repetitions=2)
-        full = run_anonymization_benchmark(speakers, speakers, pool, spec, protocol)
-        reduced = run_anonymization_benchmark(
-            speakers[:-1], speakers, pool, spec, protocol
-        )
+        full = benchmark.draw_pseudo_speakers(speakers, pool, spec, 2)
+        reduced = benchmark.draw_pseudo_speakers(speakers[:-1], pool, spec, 2)
         full_events = {
             (e.repetition, e.speaker_id): e.selected_ids for e in full.events
         }
@@ -146,9 +149,7 @@ class TestBenchmark:
 
     def test_record_fields(self, speakers, pool):
         spec = AnonymizationSpec("random", n_select=4, seed=1)
-        result = run_anonymization_benchmark(
-            speakers, speakers, pool, spec, EvalProtocol(repetitions=2)
-        )
+        result = run_condition(speakers, pool, spec, repetitions=2)
         record = result.to_records()[0]
         for key in ("condition", "k", "m", "s", "eer_before", "eer_after",
                     "dis_min", "dis_max", "seeds"):
@@ -162,9 +163,7 @@ class TestBenchmark:
         # windows wide enough to hold candidates for all targets.
         pool = make_random_pool(400, 32, seed=9)
         spec = AnonymizationSpec("range", target_similarity=0.0, half_width=0.3)
-        result = run_anonymization_benchmark(
-            speakers, speakers, pool, spec, EvalProtocol(repetitions=1)
-        )
+        result = run_condition(speakers, pool, spec)
         assert result.pooled.mean_after > result.pooled.before.eer
         low, high = result.dissimilarity_range
         assert 0.0 <= low <= high <= 2.0
@@ -183,9 +182,7 @@ class TestBenchmark:
 
         monkeypatch.setattr(benchmark, "apply_spec", counted)
         reps = 3
-        result = run_anonymization_benchmark(
-            speakers, speakers, pool, spec, EvalProtocol(repetitions=reps)
-        )
+        result = run_condition(speakers, pool, spec, repetitions=reps)
         draws = reps if spec.strategy == "random" else 1
         assert len(calls) == draws * len(speakers)
         assert [e.repetition for e in result.events] == [
@@ -196,33 +193,6 @@ class TestBenchmark:
 
 
 class TestSharedGridWork:
-    SPECS = [
-        AnonymizationSpec("random", n_select=5, seed=9),
-        AnonymizationSpec("nearest", n_select=5),
-        AnonymizationSpec("range", target_similarity=0.0, half_width=0.3),
-    ]
-
-    @pytest.mark.parametrize("nearest_k", [None, 2])
-    def test_shared_trials_and_draws_match_a_lone_condition(self, speakers, pool, nearest_k):
-        protocol = EvalProtocol(nearest_k=nearest_k, repetitions=2, gender_partition=True)
-        trials = benchmark.protocol_trials(speakers, speakers, protocol)
-        for spec in self.SPECS:
-            draws = benchmark.draw_pseudo_speakers(speakers, pool, spec, protocol.repetitions)
-            shared = run_anonymization_benchmark(
-                speakers, speakers, pool, spec, protocol, trials=trials, draws=draws
-            )
-            alone = run_anonymization_benchmark(speakers, speakers, pool, spec, protocol)
-            assert shared.to_records() == alone.to_records()
-            assert shared.events == alone.events
-
-    def test_mismatched_draws_rejected(self, speakers, pool):
-        draws = benchmark.draw_pseudo_speakers(speakers, pool, self.SPECS[1], 2)
-        for spec, reps in ((self.SPECS[1], 3), (AnonymizationSpec("nearest", n_select=4), 2)):
-            with pytest.raises(ValueError, match="do not match"):
-                run_anonymization_benchmark(
-                    speakers, speakers, pool, spec, EvalProtocol(repetitions=reps), draws=draws
-                )
-
     def test_simulate_draws_and_scores_once_for_the_k_grid(self, tmp_path, monkeypatch):
         from voxanon.cli import main
 

@@ -204,6 +204,7 @@ class TestExitCodes:
         ("f0_threshold = -3", "features.f0_threshold"),
         ("f0_threshold = inf", "features.f0_threshold"),
         ("sample_rate = 0", "features.sample_rate"),
+        ("sample_rate = 4000", "features.sample_rate"),
     ])
     def test_bad_front_end_value_exits_2(self, site, tmp_path, capsys, text, key):
         path = tmp_path / "front.ini"
@@ -269,6 +270,10 @@ _CORRUPT_INPUTS = [
     ("pool-count-zero", "inputs", '{"dim": 2, "count": 0}\n', 3, "line 1"),
     ("pool-not-utf8", "inputs", b'{"dim": 1, "count": 1}\n{"id": "\xe9", "vec": [1.0]}\n', 3, "line 2"),
     ("trials-not-utf8", "trials", b"p01 p01_001 tar\np01 p02_001 non\n\xff\n", 3, "line 3"),
+    ("trials-unknown-enroll-id", "trials", "p01 p01_001 tar\n\np09 p02_001 non\n", 3,
+     "line 3: trial references unknown enrollment id 'p09'"),
+    ("trials-unknown-test-id", "trials", "p01 p01_001 tar\np01 p02_999 non\n", 3,
+     "line 2: trial references unknown test id 'p02_999'"),
     ("transcript-not-utf8", "ref", b"p01_001 a b\np01_002 caf\xe9\n", 3, "line 2"),
     ("config-empty-unknown-section", "config", "[mystery]\n", 2, "[mystery]"),
 ]
@@ -658,6 +663,28 @@ class TestEvaluate:
         assert wer_record["substitutions"] == 1
         assert wer_record["insertions"] == 1
         assert wer_record["n_ref_words"] == 5
+
+
+    @pytest.mark.parametrize("flag", ["--ref-trn", "--hyp-trn"])
+    def test_one_transcript_flag_exits_2_before_scoring(
+        self, site, extracted, tmp_path, capsys, flag
+    ):
+        # The trial list names an unknown id, so scoring would fail with 3.
+        trials = tmp_path / "trials.txt"
+        trials.write_text("p01 p01_001 tar\np09 p02_001 non\n")
+        transcripts = tmp_path / "x.trn"
+        transcripts.write_text("p01_001 a b\n")
+        out = tmp_path / "report"
+        rc = main([
+            "evaluate", "--config", str(site / "run.ini"),
+            "--enroll", str(extracted / "speaker_xvectors.jsonl"),
+            "--test", str(extracted / "utterance_xvectors.jsonl"),
+            "--trials", str(trials), flag, str(transcripts), "--out-dir", str(out),
+        ])
+        assert rc == 2
+        assert "supply both --ref-trn and --hyp-trn" in capsys.readouterr().err
+        assert not (out / "evaluation_report.txt").exists()
+        assert not (out / "evaluation_report.jsonl").exists()
 
 
 class TestSimulate:

@@ -146,9 +146,9 @@ class TestFrontEndValues:
         config = _load_text(tmp_path, f"[features]\nf0_threshold = {text}\n")
         assert config.features.f0_threshold == float(text)
 
-    @pytest.mark.parametrize("text", ["0", "-16000"])
+    @pytest.mark.parametrize("text", ["0", "-16000", "4000", "7999"])
     def test_nonpositive_sample_rate_rejected(self, tmp_path, text):
-        with pytest.raises(ConfigError, match=r"c\.ini: features\.sample_rate must be positive"):
+        with pytest.raises(ConfigError, match=r"c\.ini: features\.sample_rate must be at least 8000"):
             _load_text(tmp_path, f"[features]\nsample_rate = {text}\n")
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from voxanon import (
+    EmbeddingPool,
     SpeakerEmbedding,
     Trial,
     compute_eer,
@@ -9,6 +10,7 @@ from voxanon import (
     nearest_k_mask,
     rank_by_similarity,
     read_trials,
+    score_trials,
     trial_indices,
     wer,
     write_trials,
@@ -20,14 +22,13 @@ from conftest import random_embedding
 
 
 def _score(enroll, test, trials):
-    # Trial scores the way the engine gives them: one cosine matrix, one
+    # Trial scores the way `evaluate` gets them: one cosine matrix, one
     # (row, column) cell per trial.
-    rows, cols, _ = trial_indices(trials, list(enroll), list(test))
-    grid = cosine_matrix(
-        np.stack([e.vector for e in enroll.values()]),
-        np.stack([t.vector for t in test.values()]),
+    scored = score_trials(
+        EmbeddingPool(enroll.values()), EmbeddingPool(test.values()),
+        *trial_indices(trials, list(enroll), list(test)), None, False,
     )
-    return list(zip(trials, grid[rows, cols].tolist()))
+    return list(zip(trials, scored.scores.tolist()))
 
 
 class TestScoreTrials:
@@ -226,6 +227,17 @@ class TestTrialFiles:
         path = tmp_path / "trials.txt"
         write_trials(path, trials)
         assert read_trials(path) == trials
+
+    @pytest.mark.parametrize("text, message", [
+        ("e t tar\n\nghost t non\n", "line 3: trial references unknown enrollment id 'ghost'"),
+        ("e t tar\ne phantom non\n", "line 2: trial references unknown test id 'phantom'"),
+    ])
+    def test_unknown_id_names_line(self, tmp_path, text, message):
+        path = tmp_path / "trials.txt"
+        path.write_text(text)
+        with pytest.raises(DataError) as caught:
+            trial_indices(read_trials(path), ["e"], ["t"])
+        assert str(caught.value) == message
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "bad.txt"

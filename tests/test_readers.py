@@ -14,7 +14,7 @@ import pytest
 
 from voxanon import load_pool, read_trials, read_wav
 from voxanon.cli import _read_transcripts
-from voxanon.errors import DataError, write_npz
+from voxanon.errors import DataError, write_jsonl, write_npz
 from voxanon.features import FeatureMatrix, F0Contour, load_f0, load_features, save_f0, save_features
 from voxanon.nnet import NsfConfig, PpgConfig, init_weights, load_weights, save_weights
 
@@ -153,6 +153,13 @@ def test_bad_text_file_names_file(tmp_path, reader, text, where):
     with pytest.raises(DataError) as info:
         _TEXT_READERS[reader](path)
     assert str(path) in str(info.value) and where in str(info.value)
+
+
+def test_write_jsonl_sorts_keys_one_record_a_line(tmp_path):
+    # The byte format of every JSON-lines report the commands write.
+    path = tmp_path / "records.jsonl"
+    write_jsonl(path, iter([{"b": 1, "a": [0.1, None]}, {"c": "\xe9"}]))
+    assert path.read_bytes() == b'{"a": [0.1, null], "b": 1}\n{"c": "\\u00e9"}\n'
 
 
 # ---------------------------------------------------------------- read_wav

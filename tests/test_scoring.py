@@ -1,8 +1,8 @@
 """The shared trial-scoring engine against the pair-by-pair reference paths.
 
 Fixtures carry exact score ties (duplicate and power-of-two rescaled
-speakers), a speaker without a gender and enrollment or target sets that
-are strict subsets of the test or non-target speakers.
+speakers), a speaker without a gender and an enrollment set that is a
+strict subset of the test speakers.
 """
 
 import json
@@ -13,7 +13,6 @@ import pytest
 from voxanon import (
     AnonymizationSpec,
     EmbeddingPool,
-    EvalProtocol,
     EvalSpeaker,
     SpeakerEmbedding,
     Trial,
@@ -22,10 +21,13 @@ from voxanon import (
     mean_embedding,
     run_anonymization_benchmark,
     save_pool,
+    score_trials,
     write_trials,
 )
+from voxanon.benchmark import draw_pseudo_speakers, protocol_trials
 from voxanon.cli import main, speaker_of
 from voxanon.metrics import cosine_matrix, nearest_k_mask, partition_masks
+from voxanon.seeding import derive_seed
 
 from _oracles import benchmark_eers, evaluate_eers
 
@@ -62,17 +64,16 @@ def _assert_same_eer(got, expected):
     assert abs(got.threshold - expected.threshold) <= 1e-12
 
 
-@pytest.mark.parametrize("k", K_VALUES)
-@pytest.mark.parametrize("enrolled", ["all", "subset"])
-def test_evaluate_matches_pairwise_reference(speakers, tmp_path, k, enrolled):
-    chosen = speakers if enrolled == "all" else speakers[1::3]
-    enroll = {s.id: s.enroll for s in chosen}
-    test = {utt.id: utt for s in speakers for utt in s.tests}
-    trials = [
+def _full_grid_trials(enroll, test):
+    return [
         Trial(e, t, "target" if speaker_of(t) == e else "nontarget")
         for e in enroll
         for t in test
     ]
+
+
+def _run_evaluate(tmp_path, enroll, test, trials, k):
+    """Partition name -> EER record of an `evaluate` run with gender partitions."""
     save_pool(tmp_path / "enroll.jsonl", EmbeddingPool(enroll.values()))
     save_pool(tmp_path / "test.jsonl", EmbeddingPool(test.values()))
     write_trials(tmp_path / "trials.txt", trials)
@@ -88,7 +89,17 @@ def test_evaluate_matches_pairwise_reference(speakers, tmp_path, k, enrolled):
     records = [
         json.loads(line) for line in (out / "evaluation_report.jsonl").read_text().splitlines()
     ]
-    got = {r["partition"]: r for r in records if r.get("kind") == "eer"}
+    return {r["partition"]: r for r in records if r.get("kind") == "eer"}
+
+
+@pytest.mark.parametrize("k", K_VALUES)
+@pytest.mark.parametrize("enrolled", ["all", "subset"])
+def test_evaluate_matches_pairwise_reference(speakers, tmp_path, k, enrolled):
+    chosen = speakers if enrolled == "all" else speakers[1::3]
+    enroll = {s.id: s.enroll for s in chosen}
+    test = {utt.id: utt for s in speakers for utt in s.tests}
+    trials = _full_grid_trials(enroll, test)
+    got = _run_evaluate(tmp_path, enroll, test, trials, k)
     expected = evaluate_eers(enroll, test, trials, k, gender_partition=True)
     assert list(got) == list(expected)
     for name, result in expected.items():
@@ -99,19 +110,18 @@ def test_evaluate_matches_pairwise_reference(speakers, tmp_path, k, enrolled):
 
 
 @pytest.mark.parametrize("k", K_VALUES)
-@pytest.mark.parametrize("targets", ["all", "subset"])
 @pytest.mark.parametrize("strategy", [None, "random", "nearest"])
-def test_benchmark_matches_pairwise_reference(speakers, k, targets, strategy):
-    chosen = speakers if targets == "all" else speakers[::2]
+def test_benchmark_matches_pairwise_reference(speakers, k, strategy):
     pool = make_random_pool(40, 12, seed=32)
     spec = {
         None: None,
         "random": AnonymizationSpec("random", n_select=5, seed=33),
         "nearest": AnonymizationSpec("nearest", n_select=3),
     }[strategy]
-    protocol = EvalProtocol(nearest_k=k, repetitions=2, gender_partition=True)
-    result = run_anonymization_benchmark(chosen, speakers, pool, spec, protocol)
-    expected = benchmark_eers(chosen, speakers, pool, spec, protocol)
+    trials = protocol_trials(speakers, k, True)
+    draws = None if spec is None else draw_pseudo_speakers(speakers, pool, spec, 2)
+    result = run_anonymization_benchmark(trials, draws)
+    expected = benchmark_eers(speakers, pool, spec, k, 2, True)
     # The reference has no result where a partition lacks target or
     # non-target trials; the engine leaves such a partition out.
     present = [name for name, (before, _) in expected.items() if before is not None]
@@ -125,6 +135,38 @@ def test_benchmark_matches_pairwise_reference(speakers, k, targets, strategy):
             assert len(part.after) == len(after)
             for got, want in zip(part.after, after):
                 _assert_same_eer(got, want)
+
+
+@pytest.mark.parametrize("k", [None, 1, 3, 5])
+def test_simulate_baseline_equals_evaluate_bit_for_bit(tmp_path, k):
+    # evaluate's pools come from the generator call and sub-seed simulate
+    # uses, so both commands score the same speakers and trials.
+    seed = 5
+    speakers = make_cluster_speakers(8, 4, 12, 0.3, seed=derive_seed(seed, "speakers"))
+    enroll = {s.id: s.enroll for s in speakers}
+    test = {utt.id: utt for s in speakers for utt in s.tests}
+    got = _run_evaluate(tmp_path, enroll, test, _full_grid_trials(enroll, test), k)
+
+    k_text = "all" if k is None else k
+    (tmp_path / "sim.ini").write_text(
+        f"[run]\nseed = {seed}\n[evaluate]\ngender_partition = true\n"
+        "[simulate]\nn_speakers = 8\nutterances_per_speaker = 4\ndim = 12\n"
+        "cluster_std = 0.3\npool_size = 20\nstrategies = nearest\nm_grid = 3\n"
+        f"k_grid = {k_text}\nrepetitions = 1\ninclude_baseline = true\n"
+    )
+    sim_out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(tmp_path / "sim.ini"), "--out-dir", str(sim_out)]) == 0
+    rows = [json.loads(line) for line in (sim_out / "benchmark_report.jsonl").read_text().splitlines()]
+    baseline = {r["partition"]: r for r in rows if r.get("condition") == "none"}
+
+    before = protocol_trials(speakers, k, True).before
+    assert list(got) == list(baseline) == list(before) == ["pooled", "female", "male"]
+    for name, result in before.items():
+        r = got[name]
+        assert (r["eer"], r["threshold"]) == (result.eer, result.threshold)
+        assert (r["n_target"], r["n_nontarget"]) == (result.n_target, result.n_nontarget)
+        assert baseline[name]["k"] == k_text
+        assert baseline[name]["eer_before"] == baseline[name]["eer_after"] == r["eer"]
 
 
 class TestEngine:
@@ -159,6 +201,25 @@ class TestEngine:
             nearest_k_mask(sims, ["b"], ["a", "b", "c"], 3)
         with pytest.raises(ValueError, match="no non-target"):
             nearest_k_mask(np.zeros((1, 1)), ["a"], ["a"], None)
+
+    def test_score_trials_keeps_targets_and_nearest_speakers(self, speakers):
+        enroll = EmbeddingPool(s.enroll for s in speakers)
+        test = EmbeddingPool(utt for s in speakers for utt in s.tests)
+        rows, cols = np.divmod(np.arange(len(enroll) * len(test)), len(test))
+        is_target = np.array([speaker_of(test.ids[c]) == enroll.ids[r] for r, c in zip(rows, cols)])
+        full = score_trials(enroll, test, rows, cols, is_target, None, False)
+        assert len(full) == rows.size
+        assert np.array_equal(full.scores, cosine_matrix(enroll.vectors, test.vectors).ravel())
+        nearest = score_trials(enroll, test, rows, cols, is_target, 1, False)
+        assert np.array_equal(nearest.rows[nearest.is_target], rows[is_target])
+        for i, enroll_id in enumerate(enroll.ids):
+            non = nearest.cols[(nearest.rows == i) & ~nearest.is_target]
+            chosen = {speaker_of(test.ids[c]) for c in non}
+            assert len(chosen) == 1 and len(non) == 4
+            if enroll_id == "spk002":
+                # spk009 and spk010 tie exactly with spk002; the lower id wins.
+                assert chosen == {"spk009"}
+        assert len(nearest) == is_target.sum() + len(enroll) * 4
 
     def test_partition_with_an_empty_side_is_left_out(self):
         rows = np.array([0, 0, 1, 1])
