@@ -16,9 +16,11 @@ from voxanon import (
     compute_eer,
     pool_similarities,
     rank_by_similarity,
+    read_trials,
     score_trials,
     trial_indices,
     wer,
+    write_trials,
 )
 
 rng = np.random.default_rng(3)
@@ -40,12 +42,18 @@ trials = [
     for enrolled in enroll
     for utt in test
 ]
+# A trial list file reads back as columns: each trial's ids coded against
+# the distinct ids, and a target mask.
+write_trials("demo_trials.txt", trials)
+columns = read_trials("demo_trials.txt")
+print(f"{len(columns.is_target)} trials over {len(columns.enroll_ids)} enrollments "
+      f"and {len(columns.test_ids)} test utterances")
 # One cosine matrix scores every enrollment against every test utterance;
 # each trial reads its cell. This is the scoring path `evaluate` takes
 # (here without the nearest-K filter and the gender partitions).
 scored = score_trials(
     EmbeddingPool(enroll.values()), EmbeddingPool(test.values()),
-    *trial_indices(trials, list(enroll), list(test)), k=None, by_gender=False,
+    *trial_indices(columns, list(enroll), list(test)), k=None, by_gender=False,
 )
 for trial, score in zip(trials[:4], scored.scores):
     print(f"{trial.enroll_id} vs {trial.test_id}: {score:+.3f} ({trial.label})")

@@ -49,6 +49,7 @@ from .metrics import (
     EerResult,
     ScoredTrials,
     Trial,
+    TrialList,
     WerResult,
     compute_eer,
     cosine_matrix,

@@ -125,6 +125,14 @@ class RunConfig:
                         ("simulate.k_grid", self.simulate.k_grid)):
             if any(k is not None and k < 1 for k in ks):
                 raise ConfigError(f"{key} must be at least 1 or 'all'")
+        # Each simulated speaker has n_speakers - 1 non-target speakers.
+        n_speakers = self.simulate.n_speakers
+        if n_speakers < 2:
+            raise ConfigError(f"simulate.n_speakers must be at least 2, got {n_speakers}")
+        if any(k is not None and k > n_speakers - 1 for k in self.simulate.k_grid):
+            raise ConfigError(
+                f"simulate.k_grid entries must be at most n_speakers - 1 = {n_speakers - 1}"
+            )
         if self.simulate.repetitions < 1:
             raise ConfigError("simulate.repetitions must be at least 1")
 

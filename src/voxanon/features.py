@@ -34,6 +34,9 @@ F0_HOP_SECONDS = 0.005
 F0_MIN_HZ = 50.0
 F0_MAX_HZ = 600.0
 VOICING_THRESHOLD = 0.45
+# A frame whose mean-removed energy is at most this times L * max x^2 holds
+# only the rounding residue of mean removal (a constant offset) and is unvoiced.
+F0_ENERGY_FLOOR = float(np.finfo(np.float64).eps)
 
 MEL_KINDS = {24: "fbank24", 40: "mel40", 80: "melspec80"}
 _FIXED_KIND_DIMS = {"fbank24": 24, "mel40": 40, "melspec80": 80}
@@ -228,7 +231,10 @@ def extract_f0(
     from stealing the pick; the voicing decision compares the raw r at the
     chosen lag against ``threshold``. The peak lag is refined by parabolic
     interpolation before conversion to Hz. Degenerate input (silence,
-    noise) simply yields unvoiced frames.
+    noise) simply yields unvoiced frames. So does a frame of length L whose
+    mean-removed energy is at most ``F0_ENERGY_FLOOR * L * max x^2``: a
+    constant offset leaves a residue of about one ulp after mean removal,
+    and that residue correlates perfectly with itself at every lag.
 
     The numerator of r is one time-domain product per lag over all frames
     at once. The two energies come from one prefix sum and one suffix sum
@@ -251,6 +257,8 @@ def extract_f0(
     frame_len = round(FRAME_SECONDS * fs)
     hop_len = round(F0_HOP_SECONDS * fs)
     frames = np.array(frame_signal(waveform.samples, frame_len, hop_len))
+    peak = np.maximum(frames.max(axis=1), -frames.min(axis=1))
+    energy_floor = F0_ENERGY_FLOOR * frame_len * peak * peak
     frames -= frames.mean(axis=1, keepdims=True)
 
     lag_min = max(2, math.ceil(fs / fmax))
@@ -281,7 +289,8 @@ def extract_f0(
     with np.errstate(divide="ignore", invalid="ignore"):
         shift = np.where(refine, 0.5 * (left - right) / bend, 0.0)
         f0 = fs / (lags[best] + shift)
-    keep = (strength >= threshold) & (f0 >= fmin) & (f0 <= fmax)
+    voiced = (strength >= threshold) & (power.sum(axis=1) > energy_floor)
+    keep = voiced & (f0 >= fmin) & (f0 <= fmax)
     return F0Contour(np.where(keep, f0, 0.0), hop=F0_HOP_SECONDS)
 
 

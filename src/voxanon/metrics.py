@@ -1,4 +1,7 @@
-"""Speaker-verification trial scoring, EER, and word error rate.
+"""Speaker-verification trial lists, trial scoring, EER, and word error rate.
+
+A trial list file is read into id-coded columns (``TrialList``), with no
+object per trial; ``Trial`` is only the record ``write_trials`` writes.
 
 Scoring uses cosine similarity between enrollment and test embeddings
 (higher means more target-like; the accept rule is score >= threshold).
@@ -14,7 +17,8 @@ transform of the scores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -28,19 +32,28 @@ TRIAL_LABELS = ("target", "nontarget")
 
 @dataclass(frozen=True, slots=True)
 class Trial:
-    """One verification trial: does ``test_id``'s speech come from ``enroll_id``?
-    ``line`` is the trial's line in the file it was read from, for error messages."""
+    """One verification trial to write: does ``test_id``'s speech come from ``enroll_id``?"""
 
     enroll_id: str
     test_id: str
     label: str
-    line: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.label not in TRIAL_LABELS:
-            raise ValueError(
-                f"trial label must be one of {TRIAL_LABELS}, got {self.label!r}"
-            )
+            raise ValueError(f"trial label must be one of {TRIAL_LABELS}, got {self.label!r}")
+
+
+@dataclass(frozen=True)
+class TrialList:
+    """A trial list in file order: per-trial codes ``enroll``/``test`` into the
+    distinct ids (first-seen order), target flags and line numbers."""
+
+    enroll_ids: tuple[str, ...]
+    test_ids: tuple[str, ...]
+    enroll: np.ndarray
+    test: np.ndarray
+    is_target: np.ndarray
+    lines: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -125,26 +138,22 @@ def nearest_k_mask(
 
 
 def trial_indices(
-    trials: Sequence[Trial], enroll_ids: Sequence[str], test_ids: Sequence[str]
+    trials: TrialList, enroll_ids: Sequence[str], test_ids: Sequence[str]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Enrollment row, test column and target flag of every trial, in order;
-    an unknown id raises ``DataError`` naming the trial's line."""
+    """Enrollment row, test column and target flag of every trial, one lookup per
+    distinct id; an unknown id raises ``DataError`` naming its first trial's line."""
     rows = {spk_id: i for i, spk_id in enumerate(enroll_ids)}
     cols = {utt_id: j for j, utt_id in enumerate(test_ids)}
-    for trial in trials:
-        if trial.enroll_id not in rows or trial.test_id not in cols:
-            where = "" if trial.line is None else f"line {trial.line}: "
-            side, unknown = (
-                ("enrollment", trial.enroll_id) if trial.enroll_id not in rows
-                else ("test", trial.test_id)
-            )
-            raise DataError(f"{where}trial references unknown {side} id {unknown!r}")
-    n = len(trials)
-    return (
-        np.fromiter((rows[t.enroll_id] for t in trials), np.intp, n),
-        np.fromiter((cols[t.test_id] for t in trials), np.intp, n),
-        np.fromiter((t.label == "target" for t in trials), bool, n),
-    )
+    row = np.array([rows.get(i, -1) for i in trials.enroll_ids], dtype=np.intp)[trials.enroll]
+    col = np.array([cols.get(i, -1) for i in trials.test_ids], dtype=np.intp)[trials.test]
+    unknown = (row < 0) | (col < 0)
+    if unknown.any():
+        first = int(np.argmax(unknown))
+        side, ids, codes = (("enrollment", trials.enroll_ids, trials.enroll) if row[first] < 0
+                            else ("test", trials.test_ids, trials.test))
+        raise DataError(f"line {trials.lines[first]}: trial references unknown "
+                        f"{side} id {ids[codes[first]]!r}")
+    return row, col, trials.is_target
 
 
 def partition_masks(
@@ -268,42 +277,26 @@ def wer(ref: Sequence[str], hyp: Sequence[str]) -> WerResult:
     if not ref:
         raise ValueError("reference word sequence is empty")
     n, m = len(ref), len(hyp)
-    cost = np.zeros((n + 1, m + 1), dtype=np.int64)
-    aligned = np.zeros((n + 1, m + 1), dtype=np.int64)  # max diagonal steps
-    cost[:, 0] = np.arange(n + 1)
-    cost[0, :] = np.arange(m + 1)
+    # key = cost * big - aligned steps, so the smallest key is a minimal-cost
+    # alignment with the most aligned steps (aligned < big).
+    big = n + m + 1
+    key = np.zeros((n + 1, m + 1), dtype=np.int64)
+    key[:, 0] = np.arange(n + 1) * big
+    key[0, :] = np.arange(m + 1) * big
     for i in range(1, n + 1):
         for j in range(1, m + 1):
-            sub = cost[i - 1, j - 1] + (ref[i - 1] != hyp[j - 1])
-            dele = cost[i - 1, j] + 1
-            ins = cost[i, j - 1] + 1
-            best = min(sub, dele, ins)
-            steps = -1
-            if sub == best:
-                steps = aligned[i - 1, j - 1] + 1
-            if dele == best:
-                steps = max(steps, aligned[i - 1, j])
-            if ins == best:
-                steps = max(steps, aligned[i, j - 1])
-            cost[i, j] = best
-            aligned[i, j] = steps
+            key[i, j] = min(key[i - 1, j - 1] + (ref[i - 1] != hyp[j - 1]) * big - 1,
+                            key[i - 1, j] + big, key[i, j - 1] + big)
 
     subs = dels = inss = 0
     i, j = n, m
     while i > 0 or j > 0:
-        if (
-            i > 0 and j > 0
-            and cost[i, j] == cost[i - 1, j - 1] + (ref[i - 1] != hyp[j - 1])
-            and aligned[i, j] == aligned[i - 1, j - 1] + 1
-        ):
-            subs += ref[i - 1] != hyp[j - 1]
+        sub = i > 0 and j > 0 and ref[i - 1] != hyp[j - 1]
+        if i > 0 and j > 0 and key[i, j] == key[i - 1, j - 1] + sub * big - 1:
+            subs += sub
             i -= 1
             j -= 1
-        elif (
-            i > 0
-            and cost[i, j] == cost[i - 1, j] + 1
-            and aligned[i, j] == aligned[i - 1, j]
-        ):
+        elif i > 0 and key[i, j] == key[i - 1, j] + big:
             dels += 1
             i -= 1
         else:
@@ -312,24 +305,31 @@ def wer(ref: Sequence[str], hyp: Sequence[str]) -> WerResult:
     return WerResult(int(subs), int(dels), int(inss), n)
 
 
-def read_trials(path) -> list[Trial]:
-    """Parse a trial list file: one ``enroll_id test_id {tar|non}`` per line."""
+def read_trials(path) -> TrialList:
+    """Parse a trial list file, one ``enroll_id test_id {tar|non}`` per line,
+    into ``TrialList`` columns coded as it reads: no object and no id string
+    is kept per trial, only one string per distinct id."""
     path = Path(path)
-    lines = read_lines(path, "trial file")
-    trials = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
+    enroll_codes, test_codes = {}, {}
+    enroll, test, lines = array("q"), array("q"), array("q")
+    is_target = bytearray()
+    for lineno, line in enumerate(read_lines(path, "trial file"), start=1):
         parts = line.split()
+        if not parts:
+            continue
         if len(parts) != 3 or parts[2] not in ("tar", "non"):
             raise DataError(
                 f"{path}, line {lineno}: expected 'enroll_id test_id tar|non', got {line!r}"
             )
-        label = "target" if parts[2] == "tar" else "nontarget"
-        trials.append(Trial(parts[0], parts[1], label, lineno))
-    if not trials:
+        enroll.append(enroll_codes.setdefault(parts[0], len(enroll_codes)))
+        test.append(test_codes.setdefault(parts[1], len(test_codes)))
+        is_target.append(parts[2] == "tar")
+        lines.append(lineno)
+    if not lines:
         raise DataError(f"{path}: trial file contains no trials")
-    return trials
+    return TrialList(tuple(enroll_codes), tuple(test_codes), np.frombuffer(enroll, np.int64),
+                     np.frombuffer(test, np.int64), np.frombuffer(is_target, bool),
+                     np.frombuffer(lines, np.int64))
 
 
 def write_trials(path, trials: Sequence[Trial]) -> None:

@@ -154,6 +154,9 @@ def load_weights(path) -> ModelWeights:
         raise DataError(f"{path}: malformed manifest: {exc}") from exc
     if table != [[name, list(shape)] for name, shape in declared]:
         raise DataError(f"{path}: tensor table does not match the {component} config")
+    # 2.0 == 2, so a float config value can match the table and still not size a tensor.
+    if not all(isinstance(dim, int) for _, shape in declared for dim in shape):
+        raise DataError(f"{path}: malformed manifest: a non-integer size in the {component} config")
     shapes = dict(declared)
     size = sum(math.prod(shape) for shape in shapes.values())
     if values.dtype != np.float64 or values.shape != (size,):

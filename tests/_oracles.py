@@ -8,11 +8,14 @@ shared helpers.
 
 import math
 from dataclasses import replace
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from voxanon.cli import speaker_of
 from voxanon.embeddings import cosine_similarity, dissimilarity, mean_embedding, pool_similarities
+from voxanon.errors import DataError, read_lines
 from voxanon.metrics import compute_eer, rank_by_similarity
 from voxanon.seeding import derive_seed
 
@@ -91,7 +94,8 @@ def nccf_peak(frame, lag_min, lag_max) -> float:
 def extract_f0_per_lag(samples, sample_rate, threshold=0.45, fmin=50.0, fmax=600.0):
     """F0 contour values, and each frame's correlation at its picked lag,
     from the per-lag tracker the library used before its energies came from
-    prefix sums: three products per lag, then a per-frame peak pick."""
+    prefix sums: three products per lag, then a per-frame peak pick. A frame
+    whose mean-removed energy is at most eps * L * max x^2 is unvoiced."""
     fs = sample_rate
     frame_len = round(0.025 * fs)
     hop_len = round(0.005 * fs)
@@ -99,7 +103,9 @@ def extract_f0_per_lag(samples, sample_rate, threshold=0.45, fmin=50.0, fmax=600
     samples = np.asarray(samples, dtype=np.float64)
     windows = np.lib.stride_tricks.sliding_window_view(samples, frame_len)
     frames = np.array(windows[: (n_frames - 1) * hop_len + 1 : hop_len])
+    peaks = np.max(np.abs(frames), axis=1) ** 2
     frames -= frames.mean(axis=1, keepdims=True)
+    energies = np.einsum("ij,ij->i", frames, frames)
 
     lag_min = max(2, math.ceil(fs / fmax))
     lag_max = min(frame_len - 1, math.floor(fs / fmin))
@@ -121,7 +127,7 @@ def extract_f0_per_lag(samples, sample_rate, threshold=0.45, fmin=50.0, fmax=600
     for t in range(n_frames):
         b = int(best[t])
         strength = corr[t, b]
-        if strength < threshold:
+        if strength < threshold or energies[t] <= np.finfo(np.float64).eps * frame_len * peaks[t]:
             continue
         lag = float(lags[b])
         if 0 < b < lags.size - 1:
@@ -133,6 +139,53 @@ def extract_f0_per_lag(samples, sample_rate, threshold=0.45, fmin=50.0, fmax=600
         if fmin <= f0 <= fmax:
             values[t] = f0
     return values, strengths
+
+
+class _LineTrial(NamedTuple):
+    enroll_id: str
+    test_id: str
+    label: str
+    line: int
+
+
+def read_trial_objects(path) -> list:
+    """The trial list parsed one record per line, as the library did before
+    it read trial lists into id-coded columns."""
+    path = Path(path)
+    trials = []
+    for lineno, line in enumerate(read_lines(path, "trial file"), start=1):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != 3 or parts[2] not in ("tar", "non"):
+            raise DataError(
+                f"{path}, line {lineno}: expected 'enroll_id test_id tar|non', got {line!r}"
+            )
+        label = "target" if parts[2] == "tar" else "nontarget"
+        trials.append(_LineTrial(parts[0], parts[1], label, lineno))
+    if not trials:
+        raise DataError(f"{path}: trial file contains no trials")
+    return trials
+
+
+def trial_object_indices(trials, enroll_ids, test_ids):
+    """Row, column and target flag per trial record, checking each trial's
+    ids in turn; the first unknown id raises ``DataError`` naming its line."""
+    rows = {spk_id: i for i, spk_id in enumerate(enroll_ids)}
+    cols = {utt_id: j for j, utt_id in enumerate(test_ids)}
+    for trial in trials:
+        if trial.enroll_id not in rows or trial.test_id not in cols:
+            side, unknown = (
+                ("enrollment", trial.enroll_id) if trial.enroll_id not in rows
+                else ("test", trial.test_id)
+            )
+            raise DataError(f"line {trial.line}: trial references unknown {side} id {unknown!r}")
+    n = len(trials)
+    return (
+        np.fromiter((rows[t.enroll_id] for t in trials), np.intp, n),
+        np.fromiter((cols[t.test_id] for t in trials), np.intp, n),
+        np.fromiter((t.label == "target" for t in trials), bool, n),
+    )
 
 
 def mel_center_frequencies(n_mels, low_hz, high_hz) -> np.ndarray:

@@ -187,6 +187,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, text, key", [
         ("simulate", "[simulate]\nrepetitions = 0\n", "simulate.repetitions"),
         ("simulate", "[simulate]\nk_grid = all, 0\n", "simulate.k_grid"),
+        ("simulate", "[simulate]\nn_speakers = 1\n", "simulate.n_speakers"),
+        ("simulate", "[simulate]\nn_speakers = 3\nk_grid = 5\n", "simulate.k_grid"),
         ("evaluate", "[evaluate]\nk = 0\n", "evaluate.k"),
     ])
     def test_zero_count_exits_2_naming_key(self, tmp_path, capsys, command, text, key):

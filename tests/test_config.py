@@ -127,7 +127,10 @@ class TestEchoRoundTrip:
     @given(st.floats(0.0, 1.0), st.lists(
         st.one_of(st.none(), st.integers(1, 10**30)), max_size=4))
     def test_values_survive(self, tmp_path, threshold, k_grid):
-        text = f"[features]\nf0_threshold = {threshold!r}\n[simulate]\nk_grid = {_ini_value(k_grid)}\n"
+        # Enough speakers that every K has as many non-target speakers.
+        n_speakers = max((k for k in k_grid if k is not None), default=1) + 1
+        text = (f"[features]\nf0_threshold = {threshold!r}\n[simulate]\n"
+                f"n_speakers = {n_speakers}\nk_grid = {_ini_value(k_grid)}\n")
         config = _load_text(tmp_path, text)
         assert config.simulate.k_grid == tuple(k_grid)
         assert config.features.f0_threshold == threshold
@@ -150,6 +153,25 @@ class TestFrontEndValues:
     def test_nonpositive_sample_rate_rejected(self, tmp_path, text):
         with pytest.raises(ConfigError, match=r"c\.ini: features\.sample_rate must be at least 8000"):
             _load_text(tmp_path, f"[features]\nsample_rate = {text}\n")
+
+
+class TestSimulateGrid:
+    @pytest.mark.parametrize("text, message", [
+        ("n_speakers = 1", "simulate.n_speakers must be at least 2, got 1"),
+        ("n_speakers = 0\nk_grid = all", "simulate.n_speakers must be at least 2, got 0"),
+        ("n_speakers = 3\nk_grid = all, 5",
+         "simulate.k_grid entries must be at most n_speakers - 1 = 2"),
+        ("n_speakers = 2\nk_grid = 2",
+         "simulate.k_grid entries must be at most n_speakers - 1 = 1"),
+    ])
+    def test_impossible_grid_rejected(self, tmp_path, text, message):
+        with pytest.raises(ConfigError) as caught:
+            _load_text(tmp_path, f"[simulate]\n{text}\n")
+        assert str(caught.value) == f"{tmp_path / 'c.ini'}: {message}"
+
+    @pytest.mark.parametrize("text", ["n_speakers = 2", "n_speakers = 3\nk_grid = all, 1, 2"])
+    def test_smallest_grid_accepted(self, tmp_path, text):
+        _load_text(tmp_path, f"[simulate]\n{text}\n")
 
 
 _NAMES = st.sampled_from(sorted({part for key in _SCHEMA for part in key.split(".")}

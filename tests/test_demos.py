@@ -14,7 +14,8 @@ def test_demos_found():
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(script, tmp_path, monkeypatch, capsys):
-    # 02_dsp_front_end.py writes demo_tone.wav into the working directory.
+    # 02_dsp_front_end.py and 04_verification_metrics.py write files into
+    # the working directory.
     monkeypatch.chdir(tmp_path)
     runpy.run_path(str(script), run_name="__main__")
     assert capsys.readouterr().out

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from voxanon import (
     EmbeddingPool,
@@ -17,27 +19,35 @@ from voxanon import (
 )
 from voxanon.errors import DataError
 
-from _oracles import cosine_fsum, edit_distance, eer_midpoint_sweep
+from _oracles import (
+    cosine_fsum,
+    edit_distance,
+    eer_midpoint_sweep,
+    read_trial_objects,
+    trial_object_indices,
+)
 from conftest import random_embedding
 
 
-def _score(enroll, test, trials):
-    # Trial scores the way `evaluate` gets them: one cosine matrix, one
-    # (row, column) cell per trial.
+def _score(tmp_path, enroll, test, trials):
+    # Trial scores the way `evaluate` gets them: a trial list file read into
+    # columns, one cosine matrix, one (row, column) cell per trial.
+    write_trials(tmp_path / "trials.txt", trials)
     scored = score_trials(
         EmbeddingPool(enroll.values()), EmbeddingPool(test.values()),
-        *trial_indices(trials, list(enroll), list(test)), None, False,
+        *trial_indices(read_trials(tmp_path / "trials.txt"), list(enroll), list(test)),
+        None, False,
     )
     return list(zip(trials, scored.scores.tolist()))
 
 
 class TestScoreTrials:
-    def test_identical_embedding_scores_one(self):
+    def test_identical_embedding_scores_one(self, tmp_path):
         v = SpeakerEmbedding("v", [0.2, 0.5, -0.1])
-        scored = _score({"v": v}, {"v": v}, [Trial("v", "v", "target")])
+        scored = _score(tmp_path, {"v": v}, {"v": v}, [Trial("v", "v", "target")])
         assert abs(scored[0][1] - 1.0) < 1e-12
 
-    def test_grid_matches_direct_oracle(self, rng):
+    def test_grid_matches_direct_oracle(self, tmp_path, rng):
         enroll = {f"e{i}": random_embedding(rng, 8, f"e{i}") for i in range(5)}
         test = {f"t{j}": random_embedding(rng, 8, f"t{j}") for j in range(5)}
         trials = [
@@ -45,7 +55,7 @@ class TestScoreTrials:
             for i in range(5)
             for j in range(5)
         ]
-        scored = _score(enroll, test, trials)
+        scored = _score(tmp_path, enroll, test, trials)
         assert [t for t, _ in scored] == trials  # order preserved
         for trial, score in scored:
             expected = cosine_fsum(
@@ -53,13 +63,13 @@ class TestScoreTrials:
             )
             assert abs(score - expected) < 1e-12
 
-    def test_unresolvable_id_named(self, rng):
+    def test_unresolvable_id_named(self, tmp_path, rng):
         enroll = {"e": random_embedding(rng, 4, "e")}
         test = {"t": random_embedding(rng, 4, "t")}
         with pytest.raises(DataError, match="ghost"):
-            _score(enroll, test, [Trial("ghost", "t", "target")])
+            _score(tmp_path, enroll, test, [Trial("ghost", "t", "target")])
         with pytest.raises(DataError, match="phantom"):
-            _score(enroll, test, [Trial("e", "phantom", "target")])
+            _score(tmp_path, enroll, test, [Trial("e", "phantom", "target")])
 
     def test_bad_label_rejected(self):
         with pytest.raises(ValueError, match="label"):
@@ -218,15 +228,82 @@ class TestWer:
             assert fwd.insertions == rev.deletions
 
 
+# Trial list files for the parser parity test: repeated ids, blank lines,
+# CRLF and Unicode whitespace (of which VT and U+2028 also end a line), and now
+# and then an unknown id or a malformed line.
+_ENROLL_IDS = ["p01", "p02", "p03", "\xe9"]
+_TEST_IDS = ["p01_001", "p01_002", "p02_001", "p03_001", "\xe9_1"]
+_SPACE = st.sampled_from([" ", "  ", "\t", "\xa0", "\u3000"] * 4 + ["\x0b", "\u2028"])
+_TRIAL_LINE = st.builds(
+    lambda lead, e, s1, t, s2, tag, trail: lead + e + s1 + t + s2 + tag + trail,
+    st.sampled_from(["", "", " ", "\u3000"]), st.sampled_from(_ENROLL_IDS * 6 + ["ghost"]),
+    _SPACE, st.sampled_from(_TEST_IDS * 5 + ["phantom"]), _SPACE,
+    st.sampled_from(["tar", "non"] * 5 + ["maybe"]), st.sampled_from(["", "", " ", "\t"]),
+)
+_BLANK_LINE = st.sampled_from(["", " ", "\t\u3000", "\xa0"] * 3 + ["a b"])
+_TRIAL_TEXT = st.lists(
+    st.tuples(st.one_of(_TRIAL_LINE, _BLANK_LINE), st.sampled_from(["\n", "\r\n", "\r", "\x85"])),
+    max_size=10,
+).map(lambda lines: "".join(text + end for text, end in lines))
+
+
+def _indices_or_error(read, index, path, enroll_ids, test_ids):
+    try:
+        return tuple((a.dtype.kind, a.tolist()) for a in index(read(path), enroll_ids, test_ids))
+    except DataError as exc:
+        return str(exc)
+
+
 class TestTrialFiles:
     def test_roundtrip(self, tmp_path):
         trials = [
             Trial("spk1", "spk1_u01", "target"),
             Trial("spk1", "spk2_u03", "nontarget"),
+            Trial("spk2", "spk1_u01", "nontarget"),
         ]
         path = tmp_path / "trials.txt"
         write_trials(path, trials)
-        assert read_trials(path) == trials
+        got = read_trials(path)
+        assert (got.enroll_ids, got.test_ids) == (("spk1", "spk2"), ("spk1_u01", "spk2_u03"))
+        assert got.enroll.tolist() == [0, 0, 1] and got.test.tolist() == [0, 1, 0]
+        assert got.is_target.tolist() == [True, False, False]
+        assert got.lines.tolist() == [1, 2, 3]
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.builds(
+        Trial,
+        st.text(st.characters(codec="utf-8").filter(lambda c: not c.isspace()),
+                min_size=1, max_size=4),
+        st.sampled_from(_TEST_IDS),
+        st.sampled_from(["target", "nontarget"]),
+    ), min_size=1, max_size=10))
+    def test_write_read_round_trip(self, tmp_path, trials):
+        path = tmp_path / "trials.txt"
+        write_trials(path, trials)
+        got = read_trials(path)
+        decoded = [
+            Trial(got.enroll_ids[e], got.test_ids[t], "target" if tar else "nontarget")
+            for e, t, tar in zip(got.enroll, got.test, got.is_target)
+        ]
+        assert decoded == trials
+        assert got.lines.tolist() == list(range(1, len(trials) + 1))
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_TRIAL_TEXT, st.permutations(_ENROLL_IDS), st.permutations(_TEST_IDS),
+           st.sampled_from([0, 0, 0, 1]), st.sampled_from([0, 0, 0, 1]))
+    def test_columns_match_object_parser(
+        self, tmp_path, text, enroll_ids, test_ids, enroll_drop, test_drop
+    ):
+        # Pools hold the ids in another order than the file, and may leave
+        # one out, so that some trials name an unknown id.
+        enroll_ids, test_ids = enroll_ids[enroll_drop:], test_ids[test_drop:]
+        path = tmp_path / "trials.txt"
+        path.write_bytes(text.encode("utf-8"))
+        pools = (path, enroll_ids, test_ids)
+        got = _indices_or_error(read_trials, trial_indices, *pools)
+        assert got == _indices_or_error(read_trial_objects, trial_object_indices, *pools)
 
     @pytest.mark.parametrize("text, message", [
         ("e t tar\n\nghost t non\n", "line 3: trial references unknown enrollment id 'ghost'"),

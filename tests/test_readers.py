@@ -19,7 +19,7 @@ from voxanon.features import FeatureMatrix, F0Contour, load_f0, load_features, s
 from voxanon.nnet import NsfConfig, PpgConfig, init_weights, load_weights, save_weights
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 FUZZ = settings(
@@ -331,6 +331,7 @@ def test_archive_with_one_entry_damaged(tmp_path, archives, reader, damage):
 
 @FUZZ
 @given(_MANIFEST_DAMAGE)
+@example(damage=("config", "input_dim", 2.0))  # equals the table's 2, but sizes no slice
 def test_weight_manifest_damaged(tmp_path, archives, damage):
     entries = dict(archives["weights"][0])
     entries["manifest"] = _damaged_manifest(entries["manifest"], damage)

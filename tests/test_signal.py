@@ -216,6 +216,18 @@ class TestExtractF0MatchesPerLag:
     def test_click_then_silence_unvoiced(self):
         assert np.all(extract_f0(Waveform(_click_then_silence(), 16000)).values == 0.0)
 
+    @pytest.mark.parametrize("offset", [0.3, -0.7, 0.1, 0.25])
+    def test_constant_offset_unvoiced(self, offset):
+        # Mean removal leaves about one ulp of most offsets (0.25 is exact and
+        # leaves none), and that residue's correlation is 1 at every lag; the
+        # energy floor keeps it unvoiced in both trackers.
+        samples = np.full(4000, offset)
+        assert np.all(extract_f0(Waveform(samples, 16000)).values == 0.0)
+        assert np.all(extract_f0_per_lag(samples, 16000)[0] == 0.0)
+        # A tone riding on the same offset is still voiced.
+        tone = offset + 0.2 * make_tone(200.0, seconds=0.25).samples
+        assert np.all(extract_f0(Waveform(tone, 16000)).values > 0.0)
+
     def test_two_lag_range(self):
         # fs / fmax = 80 and fs / fmin = 81: no lag has two neighbours.
         samples = make_tone(200.0, seconds=0.25).samples
