@@ -50,7 +50,9 @@ register_config("ppg", PpgConfig)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
+    # exp overflows to inf below about -709, and 1 / (1 + inf) is exactly 0.
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def _softmax_rows(x: np.ndarray) -> np.ndarray:

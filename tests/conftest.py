@@ -4,6 +4,16 @@ import pytest
 from voxanon import SpeakerEmbedding, Waveform
 from voxanon.nnet import AcousticConfig, NsfConfig, PpgConfig, init_weights
 
+try:
+    from hypothesis import settings
+except ImportError:  # the hypothesis tests skip themselves
+    pass
+else:
+    # Every run draws the same examples and keeps no example database, so a
+    # run that passes passes again. Per-test max_examples still apply.
+    settings.register_profile("deterministic", derandomize=True, database=None)
+    settings.load_profile("deterministic")
+
 
 def make_tone(freq_hz, seconds=1.0, fs=16000, amplitude=0.5):
     t = np.arange(int(seconds * fs)) / fs

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -247,6 +249,21 @@ class TestPpg:
         assert out.dim == 32
         assert np.all((out.frames > 0) & (out.frames < 1))
 
+    def test_saturated_hidden_layer_gives_distributions_without_warning(
+        self, small_ppg_weights
+    ):
+        tensors = dict(small_ppg_weights.tensors)
+        tensors["hidden1.b"] = tensors["hidden1.b"] - 1000.0
+        weights = ModelWeights("ppg", small_ppg_weights.config, tensors)
+        frames = FeatureMatrix(
+            np.random.default_rng(5).standard_normal((10, 40)), hop=0.01, kind="mel40"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ppg_forward(frames, weights, tap="softmax")
+        assert np.all(np.isfinite(out.frames))
+        assert np.max(np.abs(out.frames.sum(axis=1) - 1.0)) <= 1e-9
+
     def test_wrong_input_dim(self, small_ppg_weights):
         frames = FeatureMatrix(np.ones((5, 24)), hop=0.01, kind="fbank24")
         with pytest.raises(ValueError, match="40"):
@@ -320,20 +337,46 @@ class TestAcoustic:
         with pytest.raises(ValueError, match="width"):
             acoustic_forward(bad, small_acoustic_weights)
 
-    @pytest.mark.parametrize("mode", ["free", "teacher"])
-    def test_matches_per_step_reference(self, mode):
+    @pytest.mark.parametrize("mode, n_frames", [
+        pytest.param("free", 24, id="free"),
+        pytest.param("teacher", 24, id="teacher"),
+        pytest.param("free", 600, id="free-600-frames"),
+        pytest.param("teacher", 600, id="teacher-600-frames"),
+    ])
+    def test_matches_per_step_reference(self, mode, n_frames):
+        # The recurrences run in float32 against a float64 oracle: the
+        # contract is 1e-6 absolute on every output value.
         weights = init_weights("acoustic", AcousticConfig(), seed=21)
-        aligned = _aligned(24, weights.config, seed=13)
-        teacher = _mel(24, seed=14)
+        aligned = _aligned(n_frames, weights.config, seed=13)
+        teacher = _mel(n_frames, seed=14)
         out = acoustic_forward(
             aligned, weights, mode=mode, teacher_mel=teacher if mode == "teacher" else None
         )
         expected = acoustic_frames(
             aligned.frames, weights, teacher=teacher.frames if mode == "teacher" else None
         )
-        assert np.abs(out.frames - expected).max() <= 1e-12
+        assert out.frames.dtype == np.float64
+        assert np.abs(out.frames - expected).max() <= 1e-6
         free = acoustic_forward(aligned, weights, mode="free")
         assert np.array_equal(out.frames[0], free.frames[0])
+
+    @pytest.mark.parametrize("mode", ["free", "teacher"])
+    def test_closed_gates_emit_output_bias_without_warning(self, small_acoustic_weights, mode):
+        # Every gate pre-activation near -1000: a sigmoid through exp(-x)
+        # overflows there, while 1/2 + tanh(x/2)/2 gives exactly 0, so no
+        # cell ever opens and every frame is the output bias.
+        config = small_acoustic_weights.config
+        tensors = dict(small_acoustic_weights.tensors)
+        for name in ("blstm.fw.b", "blstm.bw.b", "ar.b"):
+            tensors[name] = np.full_like(tensors[name], -1000.0)
+        weights = ModelWeights("acoustic", config, tensors)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = acoustic_forward(
+                _aligned(8, config, seed=3), weights, mode=mode,
+                teacher_mel=_mel(8, seed=4) if mode == "teacher" else None,
+            )
+        assert np.array_equal(out.frames, np.tile(tensors["out.b"], (8, 1)))
 
     def test_deterministic(self, small_acoustic_weights):
         config = small_acoustic_weights.config

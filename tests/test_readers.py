@@ -26,6 +26,12 @@ FUZZ = settings(
     max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 
+
+def test_fuzz_examples_are_derandomized():
+    # conftest.py loads a profile that fixes every draw and keeps no database.
+    assert FUZZ.derandomize and FUZZ.database is None
+
+
 _JSON = st.recursive(
     st.one_of(
         st.none(), st.booleans(), st.integers(-3, 10**400), st.text(max_size=4),
