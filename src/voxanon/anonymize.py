@@ -34,8 +34,8 @@ import numpy as np
 from .embeddings import (
     EmbeddingPool,
     SpeakerEmbedding,
+    centered_mean,
     cosine_similarity,
-    mean_embedding,
     pool_similarities,
 )
 from .metrics import rank_by_similarity
@@ -101,13 +101,15 @@ class PseudoSpeaker:
 
 def _sample_without_replacement(n: int, k: int, seed: int) -> list[int]:
     # Partial Fisher-Yates over 0..n-1 using PCG64 integer draws; the first
-    # k slots after the partial shuffle are a uniform k-subset.
-    rng = np.random.Generator(np.random.PCG64(seed))
-    idx = np.arange(n)
-    for i in range(k):
-        j = int(rng.integers(i, n))
-        idx[i], idx[j] = idx[j], idx[i]
-    return [int(v) for v in idx[:k]]
+    # k slots after the partial shuffle are a uniform k-subset. Slot i swaps
+    # with slot j_i drawn from [i, n). One call draws all k targets: a
+    # broadcast low consumes the PCG64 stream exactly as k scalar
+    # `rng.integers(i, n)` calls do. `slots` keeps only the moved entries.
+    swaps = np.random.Generator(np.random.PCG64(seed)).integers(np.arange(k), n).tolist()
+    slots: dict[int, int] = {}
+    for i, j in enumerate(swaps):
+        slots[i], slots[j] = slots.get(j, j), slots.get(i, i)
+    return [slots.get(i, i) for i in range(k)]
 
 
 def apply_spec(
@@ -151,6 +153,6 @@ def apply_spec(
         ranked = rank_by_similarity(pool_similarities(pool, original)[None, :], pool.ids)
         picks = [int(i) for i in ranked[0, : spec.n_select]]
         new_id = f"pseudo:nearest:n={spec.n_select}:of={original.id}"
-    embedding = mean_embedding([pool.entries[i] for i in sorted(picks)], new_id=new_id)
+    embedding = SpeakerEmbedding(new_id, centered_mean(pool.vectors[sorted(picks)]))
     similarity = None if original is None else cosine_similarity(original, embedding)
-    return PseudoSpeaker(embedding, tuple(pool.entries[i].id for i in picks), spec, similarity)
+    return PseudoSpeaker(embedding, tuple(pool.ids[i] for i in picks), spec, similarity)

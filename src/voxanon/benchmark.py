@@ -248,7 +248,10 @@ def run_anonymization_benchmark(
     ``trials`` and ``draws`` must come from the same speaker list. Per
     repetition of ``draws``, every target trial of a speaker scores that
     speaker's enroll-vs-pseudo similarity; non-target trials keep their
-    scores. ``draws=None`` is the identity condition (after equals before).
+    scores. The EERs of a draw that several repetitions share (the
+    deterministic strategies reuse one) are computed once and repeated, so
+    ``after`` still holds one result per repetition. ``draws=None`` is the
+    identity condition (after equals before).
     """
     before = trials.before
     if draws is None:
@@ -256,15 +259,19 @@ def run_anonymization_benchmark(
         return ConditionResult("none", None, trials.nearest_k, (None,), partitions, ())
 
     scored = trials.scored
-    after: dict[str, list[EerResult]] = {name: [] for name in before}
+    after_of: dict[int, dict[str, EerResult]] = {}  # by id of the draw's tuple
     for pseudos in draws.pseudos:
-        pseudo_scores = np.array([pseudo.similarity for pseudo in pseudos])
-        scores = np.where(scored.is_target, pseudo_scores[scored.rows], scored.scores)
-        for name, tar, non in scored.parts:
-            after[name].append(compute_eer(scores[tar], scores[non]))
+        if id(pseudos) not in after_of:
+            pseudo_scores = np.array([pseudo.similarity for pseudo in pseudos])
+            scores = np.where(scored.is_target, pseudo_scores[scored.rows], scored.scores)
+            after_of[id(pseudos)] = {
+                name: compute_eer(scores[tar], scores[non]) for name, tar, non in scored.parts
+            }
 
     partitions = tuple(
-        PartitionEer(name, before[name], tuple(after[name])) for name in before
+        PartitionEer(name, before[name],
+                     tuple(after_of[id(pseudos)][name] for pseudos in draws.pseudos))
+        for name in before
     )
     return ConditionResult(
         _condition_label(draws.spec), draws.spec, trials.nearest_k, draws.rep_seeds,

@@ -98,6 +98,7 @@ class EmbeddingPool:
         norms = np.linalg.norm(matrix, axis=1)
         norms.setflags(write=False)
         self._entries = entries
+        self._ids = tuple(by_id)
         self._dim = dim
         self._by_id = by_id
         self._matrix = matrix
@@ -113,7 +114,7 @@ class EmbeddingPool:
 
     @property
     def ids(self) -> tuple[str, ...]:
-        return tuple(entry.id for entry in self._entries)
+        return self._ids
 
     @property
     def vectors(self) -> np.ndarray:
@@ -163,11 +164,16 @@ def dissimilarity(a: SpeakerEmbedding, b: SpeakerEmbedding) -> float:
     return 1.0 - cosine_similarity(a, b)
 
 
-def _centered_mean(matrix: np.ndarray) -> np.ndarray:
+def centered_mean(matrix: np.ndarray) -> np.ndarray:
+    """The mean of the rows of ``matrix``, in row order; raises ``ValueError``
+    when it has zero norm."""
     # Summing deviations from the first row keeps the mean of k identical
     # vectors exactly equal to that vector, for any k.
     base = matrix[0]
-    return base + (matrix - base).mean(axis=0)
+    mean = base + (matrix - base).mean(axis=0)
+    if not np.any(mean):
+        raise ValueError("mean embedding has zero norm (members cancel out)")
+    return mean
 
 
 def mean_embedding(
@@ -188,9 +194,7 @@ def mean_embedding(
             raise ValueError(
                 f"dimension mismatch while averaging: {e.id!r} has dim {e.dim}, expected {dim}"
             )
-    mean = _centered_mean(np.stack([e.vector for e in embeddings]))
-    if not np.any(mean):
-        raise ValueError("mean embedding has zero norm (members cancel out)")
+    mean = centered_mean(np.stack([e.vector for e in embeddings]))
     if new_id is None:
         new_id = "mean(" + ",".join(e.id for e in embeddings) + ")"
     return SpeakerEmbedding(new_id, mean)

@@ -77,8 +77,12 @@ def write_npz(path: Path, **entries: np.ndarray) -> None:
         np.savez(fh, **entries)
 
 
+# What ``json.dumps(record, sort_keys=True)`` builds anew for every record.
+_SORTED_JSON = json.JSONEncoder(sort_keys=True)
+
+
 def write_jsonl(path: Path, records) -> None:
     """Write ``records`` as JSON lines, one object a line with sorted keys."""
     with Path(path).open("w", encoding="utf-8") as fh:
         for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            fh.write(_SORTED_JSON.encode(record) + "\n")

@@ -10,9 +10,10 @@ test grid) both score through ``score_trials``: a nearest-K mask over the
 test speakers' mean embeddings, one cosine matrix read per trial, and
 per-gender masks over the flat trial arrays.
 The equal error rate is located by linearly interpolating the false
-rejection and false acceptance rates between adjacent operating points of
-the threshold sweep, so the value is invariant to any strictly increasing
-transform of the scores.
+rejection and false acceptance rates between the two operating points
+that bracket their crossing, so the value is invariant to any strictly
+increasing transform of the scores. Both score sides are sorted once and
+the crossing is found by bisection, with O(log n) count queries.
 """
 
 from __future__ import annotations
@@ -231,34 +232,49 @@ def compute_eer(
     With the accept rule score >= threshold, the false rejection rate
     FRR(t) = P(target < t) is non-decreasing in t and the false acceptance
     rate FAR(t) = P(nontarget >= t) is non-increasing, so FRR - FAR crosses
-    zero exactly once. Operating points are evaluated at every distinct
-    score (plus sentinels past both ends) and the crossing is located by
-    linear interpolation between the two bracketing points.
+    zero exactly once. Operating points sit at every distinct score (plus a
+    sentinel past the top). The first one with FRR - FAR >= 0 is found
+    by bisection over each sorted side, and the crossing is located by
+    linear interpolation between it and the operating point just below.
     """
-    tar = np.asarray(target_scores, dtype=np.float64)
-    non = np.asarray(nontarget_scores, dtype=np.float64)
+    tar = np.sort(np.asarray(target_scores, dtype=np.float64))
+    non = np.sort(np.asarray(nontarget_scores, dtype=np.float64))
     if tar.size == 0:
         raise ValueError("target score list is empty")
     if non.size == 0:
         raise ValueError("nontarget score list is empty")
-    if not (np.all(np.isfinite(tar)) and np.all(np.isfinite(non))):
+    if not (np.isfinite(tar[[0, -1]]).all() and np.isfinite(non[[0, -1]]).all()):
         raise ValueError("scores must be finite")
 
-    tar_sorted = np.sort(tar)
-    non_sorted = np.sort(non)
-    values = np.unique(np.concatenate([tar_sorted, non_sorted]))
-    thresholds = np.concatenate([[values[0] - 1.0], values, [values[-1] + 1.0]])
-    frr = np.searchsorted(tar_sorted, thresholds, side="left") / tar.size
-    far = (non.size - np.searchsorted(non_sorted, thresholds, side="left")) / non.size
+    def rates(threshold: float) -> tuple[float, float]:
+        return (int(tar.searchsorted(threshold)) / tar.size,
+                (non.size - int(non.searchsorted(threshold))) / non.size)
 
-    diff = frr - far
-    i = int(np.argmax(diff >= 0.0))  # first crossing; diff[0] is always -1
-    if diff[i] == 0.0:
-        return EerResult(float(frr[i]), float(thresholds[i]), tar.size, non.size)
-    t = (far[i - 1] - frr[i - 1]) / ((frr[i] - frr[i - 1]) + (far[i - 1] - far[i]))
-    eer = frr[i - 1] + t * (frr[i] - frr[i - 1])
-    threshold = thresholds[i - 1] + t * (thresholds[i] - thresholds[i - 1])
-    return EerResult(float(eer), float(threshold), tar.size, non.size)
+    def first_crossing(side: np.ndarray) -> float:
+        # The smallest score of ``side`` where FRR - FAR >= 0, or +inf; the
+        # difference never decreases along the sorted scores.
+        lo, hi = 0, side.size
+        while lo < hi:
+            mid = (lo + hi) // 2
+            frr, far = rates(side[mid])
+            if frr - far >= 0.0:
+                hi = mid
+            else:
+                lo = mid + 1
+        return float(side[lo]) if lo < side.size else np.inf
+
+    hi_t = min(first_crossing(tar), first_crossing(non), float(max(tar[-1], non[-1])) + 1.0)
+    frr_hi, far_hi = rates(hi_t)
+    if frr_hi - far_hi == 0.0:
+        return EerResult(frr_hi, hi_t, tar.size, non.size)
+    # The operating point below is the largest score under hi_t. One exists,
+    # as FRR - FAR is -1 at the lowest score, so the low sentinel never brackets.
+    lo_t = max(float(side[n - 1]) for side in (tar, non) if (n := int(side.searchsorted(hi_t))))
+    frr_lo, far_lo = rates(lo_t)
+    t = (far_lo - frr_lo) / ((frr_hi - frr_lo) + (far_lo - far_hi))
+    eer = frr_lo + t * (frr_hi - frr_lo)
+    threshold = lo_t + t * (hi_t - lo_t)
+    return EerResult(eer, threshold, tar.size, non.size)
 
 
 def wer(ref: Sequence[str], hyp: Sequence[str]) -> WerResult:

@@ -42,6 +42,35 @@ def eer_midpoint_sweep(target_scores, nontarget_scores) -> float:
     return float(frr[i - 1] + t * (frr[i] - frr[i - 1]))
 
 
+def eer_threshold_sweep(target_scores, nontarget_scores):
+    """(eer, threshold, n_target, n_nontarget) from the full threshold sweep.
+
+    The operating points are every distinct score of either side plus a
+    sentinel past each end; FRR and FAR are counted at all of them with two
+    full-length ``searchsorted`` passes, and the crossing is interpolated
+    between the first point with FRR - FAR >= 0 and the point before it.
+    This is ``metrics.compute_eer`` as it was before it found the crossing
+    by bisection, kept to pin the current one bit for bit.
+    """
+    tar = np.asarray(target_scores, dtype=np.float64)
+    non = np.asarray(nontarget_scores, dtype=np.float64)
+    tar_sorted = np.sort(tar)
+    non_sorted = np.sort(non)
+    values = np.unique(np.concatenate([tar_sorted, non_sorted]))
+    thresholds = np.concatenate([[values[0] - 1.0], values, [values[-1] + 1.0]])
+    frr = np.searchsorted(tar_sorted, thresholds, side="left") / tar.size
+    far = (non.size - np.searchsorted(non_sorted, thresholds, side="left")) / non.size
+
+    diff = frr - far
+    i = int(np.argmax(diff >= 0.0))  # first crossing; diff[0] is always -1
+    if diff[i] == 0.0:
+        return float(frr[i]), float(thresholds[i]), tar.size, non.size
+    t = (far[i - 1] - frr[i - 1]) / ((frr[i] - frr[i - 1]) + (far[i - 1] - far[i]))
+    eer = frr[i - 1] + t * (frr[i] - frr[i - 1])
+    threshold = thresholds[i - 1] + t * (thresholds[i] - thresholds[i - 1])
+    return float(eer), float(threshold), tar.size, non.size
+
+
 def edit_distance(ref, hyp) -> int:
     """Full-table edit distance with unit costs, no traceback."""
     n, m = len(ref), len(hyp)
@@ -418,17 +447,20 @@ def benchmark_eers(speakers, pool, spec, nearest_k, repetitions, gender_partitio
 # validation, indexing, averaging and scoring, as it was before
 # `anonymize.apply_spec` became the one selection path. The bodies are kept
 # as they were, except that each returns (selected_ids, embedding,
-# measured dissimilarity) in place of a PseudoSpeaker, and the range body
-# has lost its seeded `subsample` thinning.
+# measured dissimilarity) in place of a PseudoSpeaker, the range body has
+# lost its seeded `subsample` thinning, and the sampler's shuffle keeps only
+# the slots it moved.
 
 
 def _sample_without_replacement(n, k, seed):
+    # One scalar draw per slot. `idx` stores only the slots a swap moved,
+    # so n may be far larger than memory.
     rng = np.random.Generator(np.random.PCG64(seed))
-    idx = np.arange(n)
+    idx = {}
     for i in range(k):
         j = int(rng.integers(i, n))
-        idx[i], idx[j] = idx[j], idx[i]
-    return [int(v) for v in idx[:k]]
+        idx[i], idx[j] = idx.get(j, j), idx.get(i, i)
+    return [idx.get(i, i) for i in range(k)]
 
 
 def _mean_of_indices(pool, indices, new_id):

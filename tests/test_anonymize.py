@@ -12,7 +12,9 @@ from voxanon import (
     mean_embedding,
     pool_similarities,
 )
+from voxanon.anonymize import _sample_without_replacement
 
+from _oracles import _sample_without_replacement as oracle_sample
 from _oracles import select_pseudo_speaker
 from conftest import random_embedding
 
@@ -321,3 +323,15 @@ class TestAgainstStrategyBodies:
                 if name != "empty":
                     count = len(apply_spec(pool, spec, original).selected_ids)
                     assert count == {"full": len(pool), "single": 1}[name]
+
+
+class TestSampleWithoutReplacement:
+    # The one-call draw against the scalar loop, one `rng.integers(i, n)` per slot.
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 250, 2**31, 2**32 - 1, 2**32, 2**32 + 3, 2**33, 2**62])
+    def test_one_call_draw_equals_scalar_loop(self, n):
+        rng = np.random.default_rng(n % 1009)
+        for _ in range(20):
+            seed = int(rng.integers(0, 2**63))
+            for k in sorted({1, min(n, 250), int(rng.integers(1, min(n, 250) + 1))}):
+                assert _sample_without_replacement(n, k, seed) == oracle_sample(n, k, seed)

@@ -219,5 +219,6 @@ class TestSharedGridWork:
         assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 0
         # random draws per repetition, nearest once; neither per K.
         assert counts["apply_spec"] == reps * n + n
-        # Per K: the "before" EERs once, then every repetition of both specs.
-        assert counts["compute_eer"] == ks * (parts + 2 * reps * parts)
+        # Per K: the "before" EERs once, then each distinct draw once: every
+        # random repetition, and nearest's one draw shared by its repetitions.
+        assert counts["compute_eer"] == ks * (parts + reps * parts + parts)

@@ -1,6 +1,8 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from voxanon import (
@@ -23,6 +25,7 @@ from _oracles import (
     cosine_fsum,
     edit_distance,
     eer_midpoint_sweep,
+    eer_threshold_sweep,
     read_trial_objects,
     trial_object_indices,
 )
@@ -76,6 +79,12 @@ class TestScoreTrials:
             Trial("a", "b", "impostor")
 
 
+def _bits(result):
+    # (eer, threshold, n_target, n_nontarget) with the floats as exact bits.
+    eer, threshold, n_target, n_nontarget = result
+    return eer.hex(), threshold.hex(), n_target, n_nontarget
+
+
 class TestComputeEer:
     def test_perfect_separation(self):
         result = compute_eer([0.9, 0.8], [0.1, 0.2])
@@ -121,6 +130,38 @@ class TestComputeEer:
         base = compute_eer(tar, non).eer
         for transform in (np.exp, np.tanh, lambda x: 3.0 * x + 7.0):
             assert abs(compute_eer(transform(tar), transform(non)).eer - base) < 1e-9
+
+    # Quarter steps on a small range: most scores tie, within a side and
+    # across sides. No score is -0.0, whose place among equal scores in the
+    # sweep's sort, and so the sign of a zero threshold, is not pinned.
+    _tied_scores = st.lists(st.integers(-8, 8).map(lambda v: v / 4.0), min_size=1, max_size=40)
+
+    @settings(max_examples=400, deadline=None)
+    @given(tar=_tied_scores, non=_tied_scores)
+    @example(tar=[0.5], non=[0.5])
+    @example(tar=[0.25], non=[-0.75])
+    @example(tar=[-0.75], non=[0.25])
+    @example(tar=[1.0] * 7, non=[1.0] * 3)
+    @example(tar=[0.5] * 4, non=[0.25])
+    @example(tar=[0.25], non=[0.5] * 4)
+    @example(tar=[2.0, 2.0], non=[1e6])
+    @example(tar=[-3.0, 4.5], non=[0.0] * 5)
+    def test_equals_full_threshold_sweep_bit_for_bit(self, tar, non):
+        assert _bits(astuple(compute_eer(tar, non))) == _bits(eer_threshold_sweep(tar, non))
+
+    def test_equals_full_threshold_sweep_on_cosine_scores(self):
+        rng = np.random.default_rng(23)
+        for _ in range(100):
+            tar = np.clip(rng.normal(0.4, 0.3, int(rng.integers(1, 3000))), -1.0, 1.0)
+            non = np.clip(rng.normal(0.0, 0.3, int(rng.integers(1, 3000))), -1.0, 1.0)
+            assert _bits(astuple(compute_eer(tar, non))) == _bits(eer_threshold_sweep(tar, non))
+
+    def test_non_finite_scores_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                compute_eer([0.5, bad, 0.1], [0.2])
+            with pytest.raises(ValueError, match="finite"):
+                compute_eer([0.5], [bad, 0.2])
 
     def test_bracket_invariant_random(self):
         rng = np.random.default_rng(17)
