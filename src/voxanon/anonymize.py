@@ -23,11 +23,15 @@ to the explicit seed: the random draw is a partial Fisher-Yates shuffle
 driven by a PCG64 stream (algorithm id below), so selections replay
 exactly across platforms. Averaging always runs in pool order, so a full
 selection equals the pool mean bit for bit regardless of strategy.
+
+:class:`AnonymizationSpec` owns the strategy policy every command shares:
+which parameters a strategy reads (``of``), how per-item seeds derive from
+its seed (``derived``), its label, and its provenance fields (``record``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,6 +43,7 @@ from .embeddings import (
     pool_similarities,
 )
 from .metrics import rank_by_similarity
+from .seeding import derive_seed
 
 SELECTION_ALGORITHM = "pcg64-fisher-yates-v1"
 
@@ -76,6 +81,32 @@ class AnonymizationSpec:
                 raise ValueError("strategy 'range' requires target_similarity in [-1, 1]")
             if self.half_width is None or not self.half_width > 0.0:
                 raise ValueError("strategy 'range' requires half_width > 0")
+
+    @classmethod
+    def of(cls, strategy, n_select=None, target_similarity=None, half_width=None, seed=None):
+        """The spec of ``strategy`` keeping only the parameters it reads, so
+        its label and record name no setting (nor seed) that did not shape
+        the selection."""
+        if strategy == "range":
+            return cls(strategy, target_similarity=target_similarity, half_width=half_width)
+        return cls(strategy, n_select=n_select, seed=seed if strategy == "random" else None)
+
+    def derived(self, label: str) -> AnonymizationSpec:
+        """This spec with its seed derived for ``label`` by
+        :func:`~voxanon.seeding.derive_seed`; an unseeded spec is itself."""
+        return self if self.seed is None else replace(self, seed=derive_seed(self.seed, label))
+
+    @property
+    def label(self) -> str:
+        if self.strategy == "range":
+            return f"range(s={self.target_similarity:g},eps={self.half_width:g})"
+        return f"{self.strategy}(m={self.n_select})"
+
+    def record(self) -> dict:
+        """The provenance fields; a seeded draw names its algorithm id."""
+        algorithm = None if self.seed is None else SELECTION_ALGORITHM
+        return {"strategy": self.strategy, "m": self.n_select, "s": self.target_similarity,
+                "eps": self.half_width, "seed": self.seed, "algorithm": algorithm}
 
 
 @dataclass(frozen=True)

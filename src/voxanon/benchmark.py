@@ -13,7 +13,8 @@ anonymizer therefore drives the equal error rate up from its baseline.
 
 Everything here is a pure function of (inputs, seeds): repetition seeds
 derive from the strategy seed, and per-speaker seeds derive from the
-repetition seed, so adding a speaker never perturbs the draws of others.
+repetition seed, both through ``AnonymizationSpec.derived``, so adding a
+speaker never perturbs the draws of others.
 
 The module also provides the synthetic data generators used by the
 simulation command and the test suites.
@@ -21,7 +22,7 @@ simulation command and the test suites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +30,6 @@ import numpy as np
 from .anonymize import AnonymizationSpec, PseudoSpeaker, apply_spec
 from .embeddings import EmbeddingPool, SpeakerEmbedding, mean_embedding, speaker_of
 from .metrics import EerResult, ScoredTrials, compute_eer, score_trials
-from .seeding import derive_seed
 
 
 @dataclass(frozen=True)
@@ -203,36 +203,30 @@ def draw_pseudo_speakers(
 ) -> PseudoDraws:
     """Draw every repetition's pseudo speakers for ``spec``.
 
-    The deterministic strategies draw their pseudo speakers once and reuse
-    them in every repetition; each repetition still records its events.
-    For the random strategy the seed in ``spec`` is the condition master
-    seed; every repetition r uses ``derive_seed(seed, "rep:r")`` and every
-    speaker within it a further per-id derivation. The draws do not depend
-    on the trials, so one set serves every nearest-K setting.
+    A seeded ``spec`` holds the condition master seed: repetition r draws
+    with ``spec.derived(f"rep:{r}")`` and every speaker within it with a
+    further ``derived(speaker.id)``. An unseeded (deterministic) spec
+    derives to itself, so its pseudo speakers are drawn once and reused in
+    every repetition; each repetition still records its events. The draws
+    do not depend on the trials, so one set serves every nearest-K setting.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1")
-    seeded = spec.strategy == "random"
-    fixed = None if seeded else tuple(apply_spec(pool, spec, original=s.enroll) for s in speakers)
     rep_seeds = []
     pseudos = []
     events = []
+    drawn = None
     for rep in range(repetitions):
-        rep_seed = derive_seed(spec.seed, f"rep:{rep}") if seeded else None
-        drawn = fixed if not seeded else tuple(
-            apply_spec(
-                pool, replace(spec, seed=derive_seed(rep_seed, s.id)), original=s.enroll
+        rep_spec = spec.derived(f"rep:{rep}")
+        if drawn is None or rep_spec is not spec:
+            drawn = tuple(
+                apply_spec(pool, rep_spec.derived(s.id), original=s.enroll) for s in speakers
             )
-            for s in speakers
-        )
-        rep_seeds.append(rep_seed)
+        rep_seeds.append(rep_spec.seed)
         pseudos.append(drawn)
         events.extend(
             AnonymizationEvent(
-                rep,
-                speaker.id,
-                pseudo.spec.seed if seeded else None,
-                pseudo.selected_ids,
+                rep, speaker.id, pseudo.spec.seed, pseudo.selected_ids,
                 pseudo.measured_dissimilarity,
             )
             for speaker, pseudo in zip(speakers, drawn)
@@ -274,17 +268,9 @@ def run_anonymization_benchmark(
         for name in before
     )
     return ConditionResult(
-        _condition_label(draws.spec), draws.spec, trials.nearest_k, draws.rep_seeds,
+        draws.spec.label, draws.spec, trials.nearest_k, draws.rep_seeds,
         partitions, draws.events,
     )
-
-
-def _condition_label(spec: AnonymizationSpec) -> str:
-    if spec.strategy == "random":
-        return f"random(m={spec.n_select})"
-    if spec.strategy == "nearest":
-        return f"nearest(m={spec.n_select})"
-    return f"range(s={spec.target_similarity:g},eps={spec.half_width:g})"
 
 
 # ---------------------------------------------------------------------------

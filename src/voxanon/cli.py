@@ -17,13 +17,12 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import nnet
-from .anonymize import SELECTION_ALGORITHM, STRATEGIES, AnonymizationSpec, apply_spec
+from .anonymize import STRATEGIES, AnonymizationSpec, apply_spec
 from .audio import read_wav, write_wav
 from .benchmark import (
     BenchmarkReport,
@@ -77,10 +76,6 @@ def _weights_path(cfg: RunConfig, component: str) -> Path:
     if not path.exists():
         raise ConfigError(f"{component} weights not found at {path}")
     return path
-
-
-def _master_seed(cfg: RunConfig) -> int:
-    return cfg.seed if cfg.seed is not None else 0
 
 
 # ---------------------------------------------------------------------------
@@ -139,73 +134,43 @@ def cmd_extract(cfg: RunConfig, wav_paths: list[str]) -> int:
 # anonymize
 
 
-def _spec_from_config(cfg: RunConfig) -> AnonymizationSpec:
-    # The spec holds only what its strategy reads, so the provenance
-    # records no setting (nor seed) that did not shape the selection.
-    a = cfg.anonymize
-    if a.strategy == "none":
-        raise ConfigError("anonymize.strategy is 'none'; nothing to do")
-    if a.strategy == "range":
-        params = {"target_similarity": a.target_similarity, "half_width": a.half_width}
-    else:
-        params = {"n_select": a.n_select}
-    if a.strategy == "random":
-        params["seed"] = cfg.seed
-    try:
-        return AnonymizationSpec(a.strategy, **params)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def cmd_anonymize(cfg: RunConfig, inputs_path: str) -> int:
     pool = load_pool(_require_file(cfg.pool_path, "embedding pool"))
     inputs = load_pool(_require_file(inputs_path, "input embeddings"))
-    master = _master_seed(cfg)
-    base_spec = _spec_from_config(cfg)
+    a = cfg.anonymize
+    if a.strategy == "none":
+        raise ConfigError("anonymize.strategy is 'none'; nothing to do")
+    try:
+        spec = AnonymizationSpec.of(
+            a.strategy, a.n_select, a.target_similarity, a.half_width, cfg.seed
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def pseudo_for(original: SpeakerEmbedding, label: str):
-        spec = base_spec
-        if base_spec.strategy == "random":
-            spec = replace(base_spec, seed=derive_seed(master, f"anon:{label}"))
-        return apply_spec(pool, spec, original=original)
-
-    records = []
-    entries = []
-    if cfg.anonymize.shared:
+    shared = None
+    if a.shared:
         # One pseudo speaker reused for every input. Range/nearest still
         # need an original; the mean of the inputs serves as the shared one.
         original = mean_embedding(list(inputs), new_id="shared-original")
-        pseudo = pseudo_for(original, "shared")
-        for entry in inputs:
-            entries.append(SpeakerEmbedding(entry.id, pseudo.embedding.vector))
-            records.append(_provenance_record(entry.id, pseudo))
-    else:
-        for entry in inputs:
-            pseudo = pseudo_for(entry, entry.id)
-            entries.append(SpeakerEmbedding(entry.id, pseudo.embedding.vector))
-            records.append(_provenance_record(entry.id, pseudo))
+        shared = apply_spec(pool, spec.derived("anon:shared"), original=original)
+    entries = []
+    records = []
+    for entry in inputs:
+        pseudo = shared or apply_spec(pool, spec.derived(f"anon:{entry.id}"), original=entry)
+        entries.append(SpeakerEmbedding(entry.id, pseudo.embedding.vector))
+        records.append({
+            "input_id": entry.id,
+            **pseudo.spec.record(),
+            "selected_ids": list(pseudo.selected_ids),
+            "measured_dissimilarity": pseudo.measured_dissimilarity,
+        })
 
     save_pool(out_dir / "pseudo_xvectors.jsonl", EmbeddingPool(entries))
     write_jsonl(out_dir / "anonymize_provenance.jsonl", records)
     print(f"anonymized {len(entries)} embeddings -> {out_dir / 'pseudo_xvectors.jsonl'}")
     return 0
-
-
-def _provenance_record(input_id: str, pseudo) -> dict:
-    spec = pseudo.spec
-    return {
-        "input_id": input_id,
-        "strategy": spec.strategy,
-        "m": spec.n_select,
-        "s": spec.target_similarity,
-        "eps": spec.half_width,
-        "seed": spec.seed,
-        "algorithm": SELECTION_ALGORITHM if spec.strategy == "random" else None,
-        "selected_ids": list(pseudo.selected_ids),
-        "measured_dissimilarity": pseudo.measured_dissimilarity,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +192,7 @@ def cmd_synthesize(
         raise DataError("no inputs")
     wav_dir = Path(cfg.out_dir) / "wav"
     wav_dir.mkdir(parents=True, exist_ok=True)
-    master = _master_seed(cfg)
+    master = cfg.seed or 0
 
     def embedding_for(utt: str) -> SpeakerEmbedding:
         for key in (utt, speaker_of(utt)):
@@ -371,7 +336,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
             "simulate.strategies includes 'random', which needs a master seed "
             "(set run.seed or pass --seed)"
         )
-    master = _master_seed(cfg)
+    master = cfg.seed or 0
     speakers = make_cluster_speakers(
         sim.n_speakers,
         sim.utterances_per_speaker,
@@ -381,8 +346,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
     )
     pool = make_random_pool(sim.pool_size, sim.dim, seed=derive_seed(master, "pool"))
 
-    specs = [spec for strategy in sim.strategies for spec in _simulate_specs(sim, strategy, master)]
-    draws = [draw_pseudo_speakers(speakers, pool, spec, sim.repetitions) for spec in specs]
+    draws = [
+        draw_pseudo_speakers(speakers, pool, spec, sim.repetitions) for spec in sim.specs(master)
+    ]
     conditions = []
     for k in sim.k_grid:
         trials = protocol_trials(speakers, k, cfg.evaluate.gender_partition)
@@ -413,22 +379,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
     )
     print(report.to_table(), end="")
     return 0
-
-
-def _simulate_specs(sim, strategy: str, master: int):
-    if strategy == "random":
-        for m in sim.m_grid:
-            yield AnonymizationSpec(
-                "random", n_select=m, seed=derive_seed(master, f"random:m={m}")
-            )
-    elif strategy == "nearest":
-        for m in sim.m_grid:
-            yield AnonymizationSpec("nearest", n_select=m)
-    elif strategy == "range":
-        for s in sim.s_grid:
-            yield AnonymizationSpec(
-                "range", target_similarity=s, half_width=sim.half_width
-            )
 
 
 # ---------------------------------------------------------------------------

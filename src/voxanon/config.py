@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Annotated, get_args, get_origin, get_type_hints
 
-from .anonymize import STRATEGIES
+from .anonymize import STRATEGIES, AnonymizationSpec
 from .errors import ConfigError
 from .nnet.ppg import TAPS
 
@@ -81,6 +81,31 @@ class SimulateSettings:
     k_grid: tuple[NearestK, ...] = (None,)
     repetitions: int = 5
     include_baseline: bool = True
+
+    def specs(self, master: int) -> list[AnonymizationSpec]:
+        """The spec of every simulated condition: each strategy over its grid
+        (``s_grid`` for range, ``m_grid`` otherwise), seeded from ``master``
+        by its grid value. An empty grid, or a value no spec or pool can
+        use, raises ``ConfigError`` naming the key."""
+        specs = []
+        for strategy in self.strategies:
+            ranged = strategy == "range"
+            name, grid = ("s", self.s_grid) if ranged else ("m", self.m_grid)
+            if not grid:
+                raise ConfigError(
+                    f"simulate.{name}_grid is empty, but simulate.strategies lists {strategy!r}"
+                )
+            for value in grid:
+                where = f"simulate.{name}_grid = {value}"
+                where += f", simulate.eps = {self.half_width}" if ranged else ""
+                try:  # `of` keeps only the parameter the strategy reads
+                    spec = AnonymizationSpec.of(strategy, value, value, self.half_width, master)
+                except ValueError as exc:
+                    raise ConfigError(f"{where}: {exc}") from None
+                if not ranged and value > self.pool_size:
+                    raise ConfigError(f"{where} exceeds simulate.pool_size = {self.pool_size}")
+                specs.append(spec.derived(f"{strategy}:{name}={value}"))
+        return specs
 
 
 @dataclass
@@ -133,8 +158,12 @@ class RunConfig:
             raise ConfigError(
                 f"simulate.k_grid entries must be at most n_speakers - 1 = {n_speakers - 1}"
             )
-        if self.simulate.repetitions < 1:
-            raise ConfigError("simulate.repetitions must be at least 1")
+        for name in ("utterances_per_speaker", "dim", "pool_size", "repetitions"):
+            if getattr(self.simulate, name) < 1:
+                raise ConfigError(
+                    f"simulate.{name} must be at least 1, got {getattr(self.simulate, name)}"
+                )
+        self.simulate.specs(master=0)  # only its checks matter here
 
     def echo(self) -> dict:
         flat: dict[str, object] = {}

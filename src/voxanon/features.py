@@ -170,7 +170,7 @@ def _mel_basis(n_mels: int, sample_rate: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _hann_periodic(length: int) -> np.ndarray:
+def hann_periodic(length: int) -> np.ndarray:
     """The read-only periodic Hann window, built once per length."""
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(length) / length)
     window.setflags(write=False)
@@ -205,7 +205,7 @@ def mel_features(
     frame_len = round(FRAME_SECONDS * fs)
     hop_len = round(hop_seconds * fs)
     frames = frame_signal(waveform.samples, frame_len, hop_len)
-    window = _hann_periodic(frame_len)
+    window = hann_periodic(frame_len)
     spectrum = np.fft.rfft(frames * window, n=FFT_SIZE, axis=1)
     power = spectrum.real**2 + spectrum.imag**2
     energies = power @ _mel_basis(n_mels, fs).T

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..audio import Waveform
-from ..features import frame_signal
+from ..features import frame_signal, hann_periodic
 
 # (fft_size, hop) triples; window length equals the FFT size.
 STFT_CONFIGS = ((512, 80), (128, 40), (2048, 320))
@@ -20,8 +20,7 @@ AMPLITUDE_FLOOR = 1e-12
 
 def _log_amplitudes(samples: np.ndarray, n_fft: int, hop: int) -> np.ndarray:
     frames = frame_signal(samples, n_fft, hop)
-    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n_fft) / n_fft)
-    spectrum = np.fft.rfft(frames * window, axis=1)
+    spectrum = np.fft.rfft(frames * hann_periodic(n_fft), axis=1)
     return np.log(np.abs(spectrum) + AMPLITUDE_FLOOR)
 
 

@@ -7,12 +7,13 @@ from voxanon import (
     SpeakerEmbedding,
     apply_spec,
     cosine_similarity,
+    derive_seed,
     dissimilarity,
     make_similarity_ladder_pool,
     mean_embedding,
     pool_similarities,
 )
-from voxanon.anonymize import _sample_without_replacement
+from voxanon.anonymize import SELECTION_ALGORITHM, _sample_without_replacement
 
 from _oracles import _sample_without_replacement as oracle_sample
 from _oracles import select_pseudo_speaker
@@ -56,6 +57,57 @@ class TestSpecValidation:
     def test_unknown_strategy(self):
         with pytest.raises(ValueError, match="strategy"):
             AnonymizationSpec("mystery", n_select=1)
+
+
+# Every parameter of each strategy set, to see which ones ``of`` keeps.
+_EVERY = dict(n_select=5, target_similarity=0.3, half_width=0.125, seed=7)
+
+
+class TestSpecPolicy:
+    def test_of_keeps_only_what_the_strategy_reads(self):
+        assert AnonymizationSpec.of("random", **_EVERY) == AnonymizationSpec(
+            "random", n_select=5, seed=7
+        )
+        assert AnonymizationSpec.of("nearest", **_EVERY) == AnonymizationSpec("nearest", n_select=5)
+        assert AnonymizationSpec.of("range", **_EVERY) == AnonymizationSpec(
+            "range", target_similarity=0.3, half_width=0.125
+        )
+
+    def test_of_checks_what_it_keeps(self):
+        with pytest.raises(ValueError, match="n_select"):
+            AnonymizationSpec.of("nearest", n_select=0, target_similarity=0.3, half_width=0.1)
+        with pytest.raises(ValueError, match="seed"):
+            AnonymizationSpec.of("random", n_select=3)
+        with pytest.raises(ValueError, match="unknown strategy"):
+            AnonymizationSpec.of("mystery", **_EVERY)
+
+    def test_derived_seeds(self):
+        spec = AnonymizationSpec.of("random", **_EVERY)
+        assert spec.derived("anon:p01") == AnonymizationSpec(
+            "random", n_select=5, seed=derive_seed(7, "anon:p01")
+        )
+        assert spec.derived("rep:2").derived("spk003").seed == derive_seed(
+            derive_seed(7, "rep:2"), "spk003"
+        )
+
+    @pytest.mark.parametrize("strategy", ["nearest", "range"])
+    def test_unseeded_spec_derives_to_itself(self, strategy):
+        spec = AnonymizationSpec.of(strategy, **_EVERY)
+        assert spec.derived("anon:p01") is spec and spec.derived("rep:0") is spec
+
+    @pytest.mark.parametrize("strategy, label, record", [
+        ("random", "random(m=5)",
+         dict(strategy="random", m=5, s=None, eps=None, seed=7, algorithm=SELECTION_ALGORITHM)),
+        ("nearest", "nearest(m=5)",
+         dict(strategy="nearest", m=5, s=None, eps=None, seed=None, algorithm=None)),
+        ("range", "range(s=0.3,eps=0.125)",
+         dict(strategy="range", m=None, s=0.3, eps=0.125, seed=None, algorithm=None)),
+    ])
+    def test_label_and_record(self, strategy, label, record):
+        spec = AnonymizationSpec.of(strategy, **_EVERY)
+        assert spec.label == label
+        assert spec.record() == record and list(spec.record()) == list(record)
+        assert SELECTION_ALGORITHM == "pcg64-fisher-yates-v1"
 
 
 class TestRandomSelection:

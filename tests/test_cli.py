@@ -189,7 +189,17 @@ class TestExitCodes:
         ("simulate", "[simulate]\nk_grid = all, 0\n", "simulate.k_grid"),
         ("simulate", "[simulate]\nn_speakers = 1\n", "simulate.n_speakers"),
         ("simulate", "[simulate]\nn_speakers = 3\nk_grid = 5\n", "simulate.k_grid"),
+        ("simulate", "[simulate]\nm_grid = 0\n", "simulate.m_grid"),
+        ("simulate", "[simulate]\nm_grid = 50\npool_size = 40\n", "simulate.m_grid"),
+        ("simulate", "[simulate]\nstrategies = range\ns_grid = 2.0\n", "simulate.s_grid"),
+        ("simulate", "[simulate]\nstrategies = range\ns_grid = 0.5\neps = 0\n", "simulate.eps"),
+        ("simulate", "[simulate]\npool_size = 0\n", "simulate.pool_size"),
+        ("simulate", "[simulate]\ndim = 0\n", "simulate.dim"),
+        ("simulate", "[simulate]\nutterances_per_speaker = 0\n", "simulate.utterances_per_speaker"),
+        ("simulate", "[simulate]\nstrategies = range\n", "simulate.s_grid"),
+        ("simulate", "[simulate]\nstrategies = nearest\nm_grid =\n", "simulate.m_grid"),
         ("evaluate", "[evaluate]\nk = 0\n", "evaluate.k"),
+        ("evaluate", "[simulate]\nstrategies = random, range\n", "simulate.s_grid"),
     ])
     def test_zero_count_exits_2_naming_key(self, tmp_path, capsys, command, text, key):
         path = tmp_path / "zero.ini"

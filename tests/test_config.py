@@ -36,8 +36,8 @@ ACCEPTED = [
     ("simulate", "utterances_per_speaker", "4", ("simulate", "utterances_per_speaker"), 4),
     ("simulate", "dim", "16", ("simulate", "dim"), 16),
     ("simulate", "cluster_std", "0.25", ("simulate", "cluster_std"), 0.25),
-    ("simulate", "pool_size", "80", ("simulate", "pool_size"), 80),
-    ("simulate", "strategies", "range, nearest,", ("simulate", "strategies"), ("range", "nearest")),
+    ("simulate", "pool_size", "200", ("simulate", "pool_size"), 200),
+    ("simulate", "strategies", "nearest, random,", ("simulate", "strategies"), ("nearest", "random")),
     ("simulate", "m_grid", "2,4 , 8", ("simulate", "m_grid"), (2, 4, 8)),
     ("simulate", "s_grid", "0.5,0.9", ("simulate", "s_grid"), (0.5, 0.9)),
     ("simulate", "s_grid", "", ("simulate", "s_grid"), ()),

@@ -19,7 +19,7 @@ from voxanon import (
     write_wav,
 )
 from voxanon.errors import DataError
-from voxanon.features import LOG_FLOOR, _hann_periodic, _mel_basis, frame_count, mel_filterbank
+from voxanon.features import LOG_FLOOR, _mel_basis, frame_count, hann_periodic, mel_filterbank
 
 from _oracles import extract_f0_per_lag, fft_peak_hz, mel_center_frequencies, nccf_peak
 from conftest import make_noise, make_tone
@@ -137,8 +137,8 @@ class TestMelFeatures:
 
     def test_filterbank_and_window_built_once_read_only(self):
         basis = _mel_basis(40, 16000)
-        assert _mel_basis(40, 16000) is basis and _hann_periodic(400) is _hann_periodic(400)
-        assert not basis.flags.writeable and not _hann_periodic(400).flags.writeable
+        assert _mel_basis(40, 16000) is basis and hann_periodic(400) is hann_periodic(400)
+        assert not basis.flags.writeable and not hann_periodic(400).flags.writeable
         assert np.array_equal(basis, mel_filterbank(40, 16000))
 
 
