@@ -263,6 +263,51 @@ def nsf_filter_block(excitation, condition, weights, block) -> np.ndarray:
     return excitation + collapsed
 
 
+def _float64(weights, name) -> np.ndarray:
+    return np.asarray(weights[name], dtype=np.float64)
+
+
+def ppg_posteriors(frames, weights, tap="softmax") -> np.ndarray:
+    """PPG network output in float64, spliced one frame at a time.
+
+    Row t of the spliced input concatenates input rows t - half .. t + half,
+    each index clipped into the utterance (edge replication). The sigmoid is
+    ``(1 + tanh(x / 2)) / 2``; the softmax divides ``exp(x - max)`` by its
+    row sum. Each layer is one float64 GEMM over the stacked rows.
+    """
+    config = weights.config
+    n, half = frames.shape[0], config.context_frames // 2
+    h = np.array([
+        np.concatenate([frames[min(max(t + d, 0), n - 1)] for d in range(-half, half + 1)])
+        for t in range(n)
+    ], dtype=np.float64)
+    for i in range(1, config.hidden_layers + 1):
+        x = h @ _float64(weights, f"hidden{i}.w").T + _float64(weights, f"hidden{i}.b")
+        h = 0.5 * (1.0 + np.tanh(0.5 * x))
+    if tap == "sigmoid6":
+        return h
+    logits = h @ _float64(weights, "softmax.w").T + _float64(weights, "softmax.b")
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def xvector_embedding_ref(frames, weights) -> np.ndarray:
+    """x-vector embedding in float64: each frame layer splices its valid
+    output rows one at a time, the statistics are the two-pass mean and
+    population standard deviation, and the embedding is the segment6
+    affine of their concatenation."""
+    offsets = ((-2, -1, 0, 1, 2), (-2, 0, 2), (-3, 0, 3), (0,), (0,))
+    h = np.asarray(frames, dtype=np.float64)
+    for i, taps in enumerate(offsets, start=1):
+        first, last = -min(taps), h.shape[0] - max(taps)
+        spliced = np.array([np.concatenate([h[t + d] for d in taps]) for t in range(first, last)])
+        h = np.maximum(spliced @ _float64(weights, f"frame{i}.w").T + _float64(weights, f"frame{i}.b"), 0.0)
+    mean = h.sum(axis=0) / h.shape[0]
+    std = np.sqrt(np.square(h - mean).sum(axis=0) / h.shape[0])
+    pooled = np.concatenate([mean, std])
+    return _float64(weights, "segment6.w") @ pooled + _float64(weights, "segment6.b")
+
+
 def _lstm_gates(z, c, size):
     # Gate order in z: input, forget, cell, output. Returns the new (h, c).
     i = 1.0 / (1.0 + np.exp(-z[:size]))

@@ -19,7 +19,7 @@ from voxanon.nnet import (
     xvector_forward,
 )
 
-from _oracles import acoustic_frames
+from _oracles import acoustic_frames, ppg_posteriors, xvector_embedding_ref
 
 
 def _fbank(n_frames, seed=0, value=None):
@@ -213,6 +213,15 @@ class TestXVector:
         with pytest.raises(ValueError, match="zero norm"):
             xvector_forward(_fbank(20, seed=2), zeroed)
 
+    @pytest.mark.parametrize("n_frames", [24, 600])
+    def test_matches_float64_reference(self, n_frames):
+        weights = init_weights("xvector", XVectorConfig(), seed=22)
+        frames = _fbank(n_frames, seed=15)
+        got = xvector_embedding(frames, weights)
+        expected = xvector_embedding_ref(frames.frames, weights)
+        assert got.dtype == np.float64
+        assert np.abs(got - expected).max() <= 1e-12
+
 
 class TestPpg:
     def test_output_rows_match_input(self, small_ppg_weights):
@@ -277,6 +286,21 @@ class TestPpg:
         frames = FeatureMatrix(np.ones((2, 40)), hop=0.01, kind="mel40")
         with pytest.raises(ValueError, match="tap"):
             ppg_forward(frames, small_ppg_weights, tap="layer9")
+
+    @pytest.mark.parametrize("tap, n_frames", [
+        pytest.param("softmax", 24, id="softmax-24"),
+        pytest.param("softmax", 600, id="softmax-600"),
+        pytest.param("sigmoid6", 24, id="sigmoid6-24"),
+    ])
+    def test_matches_float64_reference(self, tap, n_frames):
+        weights = init_weights("ppg", PpgConfig(), seed=23)
+        frames = FeatureMatrix(
+            np.random.default_rng(16).standard_normal((n_frames, 40)), hop=0.01, kind="mel40"
+        )
+        out = ppg_forward(frames, weights, tap=tap)
+        expected = ppg_posteriors(frames.frames, weights, tap=tap)
+        assert out.frames.dtype == np.float64
+        assert np.abs(out.frames - expected).max() <= 1e-12
 
 
 def _aligned(n_frames, config, seed=0):
