@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nnet
-from .anonymize import STRATEGIES, AnonymizationSpec, apply_spec
+from .anonymize import STRATEGIES, apply_spec
 from .audio import read_wav, write_wav
 from .benchmark import (
     BenchmarkReport,
@@ -138,14 +138,9 @@ def cmd_anonymize(cfg: RunConfig, inputs_path: str) -> int:
     pool = load_pool(_require_file(cfg.pool_path, "embedding pool"))
     inputs = load_pool(_require_file(inputs_path, "input embeddings"))
     a = cfg.anonymize
-    if a.strategy == "none":
+    spec = a.spec(cfg.seed)
+    if spec is None:
         raise ConfigError("anonymize.strategy is 'none'; nothing to do")
-    try:
-        spec = AnonymizationSpec.of(
-            a.strategy, a.n_select, a.target_similarity, a.half_width, cfg.seed
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -346,9 +341,14 @@ def cmd_simulate(cfg: RunConfig) -> int:
     )
     pool = make_random_pool(sim.pool_size, sim.dim, seed=derive_seed(master, "pool"))
 
-    draws = [
-        draw_pseudo_speakers(speakers, pool, spec, sim.repetitions) for spec in sim.specs(master)
-    ]
+    draws = []
+    for spec in sim.specs(master):
+        try:
+            draws.append(draw_pseudo_speakers(speakers, pool, spec, sim.repetitions))
+        except ValueError as exc:  # a range window with no candidate in the generated pool
+            if spec.strategy != "range":
+                raise
+            raise ConfigError(f"{sim.where('range', spec.target_similarity)}: {exc}") from None
     conditions = []
     for k in sim.k_grid:
         trials = protocol_trials(speakers, k, cfg.evaluate.gender_partition)

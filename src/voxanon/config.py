@@ -60,6 +60,23 @@ class AnonymizeSettings:
     half_width: float | None = None
     shared: bool = False
 
+    def spec(self, seed: int | None) -> AnonymizationSpec | None:
+        """The spec of ``strategy``, or None for ``none``. A value the
+        strategy cannot use raises ``ConfigError`` naming the keys it reads."""
+        if self.strategy == "none":
+            return None
+        try:
+            return AnonymizationSpec.of(
+                self.strategy, self.n_select, self.target_similarity, self.half_width, seed
+            )
+        except ValueError as exc:
+            if self.strategy == "range":
+                where = (f"anonymize.sim (--sim) = {self.target_similarity}, "
+                         f"anonymize.eps (--eps) = {self.half_width}")
+            else:
+                where = f"anonymize.m (--m) = {self.n_select}"
+            raise ConfigError(f"{where}: {exc}") from None
+
 
 @dataclass
 class EvaluateSettings:
@@ -96,8 +113,7 @@ class SimulateSettings:
                     f"simulate.{name}_grid is empty, but simulate.strategies lists {strategy!r}"
                 )
             for value in grid:
-                where = f"simulate.{name}_grid = {value}"
-                where += f", simulate.eps = {self.half_width}" if ranged else ""
+                where = self.where(strategy, value)
                 try:  # `of` keeps only the parameter the strategy reads
                     spec = AnonymizationSpec.of(strategy, value, value, self.half_width, master)
                 except ValueError as exc:
@@ -106,6 +122,12 @@ class SimulateSettings:
                     raise ConfigError(f"{where} exceeds simulate.pool_size = {self.pool_size}")
                 specs.append(spec.derived(f"{strategy}:{name}={value}"))
         return specs
+
+    def where(self, strategy: str, value) -> str:
+        """The keys that set one grid value of ``strategy``, for messages."""
+        if strategy == "range":
+            return f"simulate.s_grid = {value}, simulate.eps = {self.half_width}"
+        return f"simulate.m_grid = {value}"
 
 
 @dataclass
@@ -143,6 +165,7 @@ class RunConfig:
                 "a master seed is required whenever a random strategy is configured "
                 "(set run.seed or pass --seed)"
             )
+        self.anonymize.spec(self.seed)  # only its checks matter here
         for strategy in self.simulate.strategies:
             if strategy not in STRATEGIES:
                 raise ConfigError(f"simulate.strategies contains unknown {strategy!r}")

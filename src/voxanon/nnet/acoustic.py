@@ -8,8 +8,8 @@ mel vector, so teacher and free mode agree on the first frame.
 
 All three recurrences (BLSTM forward, BLSTM backward and the AR loop) run
 through one ``_lstm_sequence``. Whatever does not depend on the previous
-step is computed for all frames before the loop, in float64: the input
-projections plus biases. Each step then does one float32 GEMV of the step
+step is computed for all frames before the loop, in float64 over the
+float32 weights: the input projections plus biases. Each step then does one float32 GEMV of the step
 matrix against ``h`` and the gate math in float32.
 
 The AR loop is a plain LSTM because the mel feedback is folded out of the
@@ -96,7 +96,7 @@ def _lstm_sequence(pre, wh, size, reverse=False):
     """Run one LSTM over precomputed input projections; returns float64 states.
 
     ``pre`` holds each step's input projection plus bias in float64, gates
-    stacked as input, forget, cell, output. Each step computes
+    stacked as input, forget, cell, output; ``wh`` is float32. Each step computes
     ``pre[t] + wh @ h`` and the gates in float32. The sigmoid gates use
     ``sigmoid(x) = 1/2 + tanh(x/2)/2``, which cannot overflow: their rows of
     ``pre`` and ``wh`` are halved up front (exact in binary), so one tanh
@@ -105,7 +105,7 @@ def _lstm_sequence(pre, wh, size, reverse=False):
     scale = np.full(4 * size, 0.5, dtype=np.float32)
     scale[2 * size : 3 * size] = 1.0
     pre = pre.astype(np.float32) * scale
-    wh = wh.astype(np.float32) * scale[:, None]
+    wh = wh * scale[:, None]
     h = np.zeros(size, dtype=np.float32)
     c = np.zeros(size, dtype=np.float32)
     out = np.empty((pre.shape[0], size))
@@ -161,14 +161,14 @@ def acoustic_forward(
         for name in ("fw", "bw")
     ])
 
-    wx_mel = weights["ar.wx"][:, 2 * size :]
+    wx_mel = weights["ar.wx"][:, 2 * size :].astype(np.float64)  # the folds stay float64
     pre = recurrent @ weights["ar.wx"][:, : 2 * size].T + weights["ar.b"]
     if mode == "teacher":
         pre[1:] += teacher_mel.frames[:-1] @ wx_mel.T
         w_step = weights["ar.wh"]
     else:  # the frame fed back at step t is out.w @ h[t-1] + out.b
         pre[1:] += wx_mel @ weights["out.b"]
-        w_step = weights["ar.wh"] + wx_mel @ weights["out.w"]
+        w_step = (weights["ar.wh"] + wx_mel @ weights["out.w"]).astype(np.float32)
     hidden = _lstm_sequence(pre, w_step, config.ar_size)
     out = hidden @ weights["out.w"].T + weights["out.b"]
     return FeatureMatrix(out, hop=aligned.hop, kind="melspec80")

@@ -205,16 +205,12 @@ def filter_block_forward(
     h = np.zeros((channels, length + 2 * margin), dtype=np.float32)
     h_next = np.zeros_like(h)
     interior = slice(margin, margin + length)
-    np.multiply(
-        weights[f"{prefix}.in.w"].astype(np.float32),
-        excitation.astype(np.float32),
-        out=h[:, interior],
-    )
-    h[:, interior] += weights[f"{prefix}.in.b"].astype(np.float32)[:, None]
+    np.multiply(weights[f"{prefix}.in.w"], excitation.astype(np.float32), out=h[:, interior])
+    h[:, interior] += weights[f"{prefix}.in.b"][:, None]
     # The output projection is linear, so each layer's tile is collapsed to
     # one channel as soon as it is computed; no (channels, length) skip sum
     # is kept.
-    out_w = weights[f"{prefix}.out.w"].astype(np.float32)
+    out_w = weights[f"{prefix}.out.w"]
     collapsed = np.zeros((1, length), dtype=np.float32)
 
     # Rows of ``stacked`` are [tap 0 | ... | tap taps-1 | S | ones] for one
@@ -259,7 +255,7 @@ def filter_block_forward(
             at = slice(margin + t0, margin + t0 + n)
             np.add(h[:, at], u, out=h_next[:, at])
         h, h_next = h_next, h
-    return excitation + (collapsed[0] + weights[f"{prefix}.out.b"][0])
+    return excitation + (collapsed[0].astype(np.float64) + weights[f"{prefix}.out.b"][0])
 
 
 def nsf_forward(

@@ -1,11 +1,16 @@
 """Loadable parameter sets for the four network components.
 
 A weight file is an ``.npz`` archive of two entries: ``manifest``, a JSON
-string holding the component, ``format_version`` 2, the config and the
+string holding the component, ``format_version`` 3, the config and the
 ``[name, shape]`` table of ``tensor_shapes()``; and ``values``, every tensor
-flattened and concatenated in table order as one float64 array. Loaded
-tensors are read-only views of that array. Round-trips are bit-exact, and
-equal weights give equal bytes.
+flattened and concatenated in table order as one little-endian float32
+array. Loaded tensors are read-only views of that array, so the file's
+float32 values are the only copy of the weights in memory. Round-trips are
+bit-exact, and equal weights give equal bytes.
+
+float32 is the one weight dtype: ``ModelWeights`` rounds any other input
+once, when it is built. Format 2 stored float64 values; such a file is
+rejected, naming the file and its version.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 
 from ..errors import DataError, read_npz, write_npz
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 # component name -> config class; populated by the component modules.
 _CONFIG_REGISTRY: dict[str, type] = {}
@@ -47,7 +52,10 @@ class TensorTable:
 class ModelWeights:
     """Named tensors plus the component config they were shaped by.
 
-    Tensors are read-only float64 views; float64 input is not copied."""
+    Tensors are read-only float32 views; float32 input is not copied. Other
+    input is rounded to float32 once, here: a finite value beyond the float32
+    range becomes infinite and fails the finiteness check, which names the
+    tensor."""
 
     component: str
     config: object
@@ -64,7 +72,8 @@ class ModelWeights:
                 f"(missing {sorted(missing)}, unexpected {sorted(extra)})"
             )
         for name, shape in expected.items():
-            arr = np.asarray(self.tensors[name], dtype=np.float64).view()
+            with np.errstate(over="ignore"):
+                arr = np.asarray(self.tensors[name], dtype=np.float32).view()
             if arr.shape != tuple(shape):
                 raise ValueError(
                     f"{self.component} weights: tensor {name!r} has shape "
@@ -88,6 +97,7 @@ def init_weights(component: str, config, seed: int) -> ModelWeights:
     Tensors are drawn in declaration order from one PCG64 stream, each
     uniform on [-1/sqrt(fan_in), +1/sqrt(fan_in)] where fan_in is the
     product of the non-leading dimensions of the matching weight matrix.
+    The draws are float64 and each tensor is rounded to float32 once.
     """
     if config.component != component:
         raise ValueError(
@@ -99,7 +109,7 @@ def init_weights(component: str, config, seed: int) -> ModelWeights:
     for name, shape in shapes.items():
         fan_in = _fan_in(name, shape, shapes)
         bound = 1.0 / np.sqrt(fan_in)
-        tensors[name] = rng.uniform(-bound, bound, size=shape)
+        tensors[name] = rng.uniform(-bound, bound, size=shape).astype(np.float32)
     return ModelWeights(component, config, tensors)
 
 
@@ -121,7 +131,7 @@ def save_weights(path, weights: ModelWeights) -> None:
         "config": asdict(weights.config),
         "tensors": [[name, list(shape)] for name, shape in shapes.items()],
     }
-    values = np.concatenate([weights[name].ravel() for name in shapes]).astype("<f8", copy=False)
+    values = np.concatenate([weights[name].ravel() for name in shapes]).astype("<f4", copy=False)
     write_npz(path, manifest=np.array(json.dumps(manifest)), values=values)
 
 
@@ -139,7 +149,8 @@ def load_weights(path) -> ModelWeights:
         raise DataError(f"{path}: unknown component {component!r}")
     if manifest.get("format_version") != FORMAT_VERSION:
         raise DataError(
-            f"{path}: unsupported format version {manifest.get('format_version')!r}"
+            f"{path}: unsupported format version {manifest.get('format_version')!r} "
+            f"(this build reads version {FORMAT_VERSION}, float32 values)"
         )
     # A config may declare any number of layers: read no more of its table
     # than one entry past the stored one, so a mismatch costs what the file does.
@@ -159,9 +170,9 @@ def load_weights(path) -> ModelWeights:
         raise DataError(f"{path}: malformed manifest: a non-integer size in the {component} config")
     shapes = dict(declared)
     size = sum(math.prod(shape) for shape in shapes.values())
-    if values.dtype != np.float64 or values.shape != (size,):
+    if values.dtype != np.float32 or values.shape != (size,):
         raise DataError(
-            f"{path}: values must be a 1-d float64 array of {size} elements, "
+            f"{path}: values must be a 1-d float32 array of {size} elements, "
             f"got {values.dtype} of shape {values.shape}"
         )
     tensors, start = {}, 0

@@ -200,13 +200,22 @@ class TestExitCodes:
         ("simulate", "[simulate]\nstrategies = nearest\nm_grid =\n", "simulate.m_grid"),
         ("evaluate", "[evaluate]\nk = 0\n", "evaluate.k"),
         ("evaluate", "[simulate]\nstrategies = random, range\n", "simulate.s_grid"),
+        ("anonymize --strategy random --m 0 --seed 1", "", "anonymize.m (--m) = 0"),
+        ("anonymize --strategy nearest", "", "anonymize.m (--m) = None"),
+        ("anonymize", "[anonymize]\nstrategy = nearest\nm = -2\n", "anonymize.m"),
+        ("anonymize --strategy range --sim 2.0 --eps 0.05", "", "anonymize.sim (--sim) = 2.0"),
+        ("anonymize --strategy range --sim 0.5 --eps 0", "", "anonymize.eps (--eps) = 0.0"),
+        ("anonymize", "[anonymize]\nstrategy = range\nsim = 0.5\n", "anonymize.eps (--eps) = None"),
     ])
     def test_zero_count_exits_2_naming_key(self, tmp_path, capsys, command, text, key):
         path = tmp_path / "zero.ini"
         path.write_text(text)
-        args = [command, "--config", str(path), "--out-dir", str(tmp_path / "o")]
+        command, *flags = command.split()
+        args = [command, "--config", str(path), "--out-dir", str(tmp_path / "o"), *flags]
         if command == "evaluate":
             args += ["--enroll", "e.jsonl", "--test", "t.jsonl", "--trials", "trials.txt"]
+        if command == "anonymize":
+            args += ["--inputs", "in.jsonl"]
         assert main(args) == 2
         err = capsys.readouterr().err
         assert key in err and str(path) in err
@@ -226,6 +235,17 @@ class TestExitCodes:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert key in err and str(path) in err
+
+    def test_empty_range_window_exits_2_naming_keys(self, tmp_path, capsys):
+        # The generated pool has no entry within 0.01 of similarity 0.95.
+        path = tmp_path / "window.ini"
+        path.write_text("[simulate]\nstrategies = range\ns_grid = 0.95\neps = 0.01\n")
+        args = ["simulate", "--config", str(path), "--seed", "1", "--out-dir", str(tmp_path / "o")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "simulate.s_grid = 0.95, simulate.eps = 0.01" in err
+        assert "closest achievable similarity is 0.273651" in err
+        assert not (tmp_path / "o").exists()
 
     def test_simulate_random_without_seed_exits_2(self, tmp_path, capsys):
         path = tmp_path / "noseed.ini"
@@ -427,8 +447,11 @@ class TestExtract:
         pytest.param(lambda m, e: e.update(extra=np.zeros(1)), id="extra-entry"),
         pytest.param(lambda m, e: e.update(values=e["values"][:-1]), id="short-values"),
         pytest.param(lambda m, e: e.update(values=e["values"].reshape(2, -1)), id="2d-values"),
-        pytest.param(lambda m, e: e.update(values=e["values"].astype(np.float32)),
-                     id="float32-values"),
+        pytest.param(lambda m, e: e.update(values=e["values"].astype(np.float64)),
+                     id="float64-values"),
+        pytest.param(lambda m, e: (m.update(format_version=2),
+                                   e.update(values=e["values"].astype(np.float64))),
+                     id="version-2-float64-file"),
         pytest.param(lambda m, e: e["values"].__setitem__(7, np.nan), id="nan-value"),
         pytest.param(lambda m, e: e.update(values=e["values"].astype(object)), id="object-values"),
     ])

@@ -24,7 +24,7 @@ ACCEPTED = [
     ("features", "sample_rate", "8000", ("features", "sample_rate"), 8000),
     ("features", "f0_threshold", "0.3", ("features", "f0_threshold"), 0.3),
     ("models", "ppg_tap", "sigmoid6", ("models", "ppg_tap"), "sigmoid6"),
-    ("anonymize", "strategy", "nearest", ("anonymize", "strategy"), "nearest"),
+    ("anonymize", "strategy", "none", ("anonymize", "strategy"), "none"),
     ("anonymize", "m", "12", ("anonymize", "n_select"), 12),
     ("anonymize", "sim", "0.75", ("anonymize", "target_similarity"), 0.75),
     ("anonymize", "eps", "1e-2", ("anonymize", "half_width"), 0.01),
@@ -97,6 +97,11 @@ class TestAcceptedKeys:
         for name in attr:
             owner = getattr(owner, name)
         assert owner == expected and type(owner) is type(expected)
+
+    def test_strategy_parses_with_the_key_it_reads(self, tmp_path):
+        # A strategy alone is an incomplete spec; nearest also reads m.
+        config = _load_text(tmp_path, "[anonymize]\nstrategy = nearest\nm = 12\n")
+        assert (config.anonymize.strategy, config.anonymize.n_select) == ("nearest", 12)
 
     def test_every_table_key_is_covered(self):
         assert {f"{s}.{k}" for s, k, *_ in ACCEPTED} == set(_SCHEMA)

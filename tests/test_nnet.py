@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -61,6 +62,53 @@ class TestWeights:
         assert loaded.config == config
         for name in weights.tensors:
             assert weights[name].tobytes() == loaded[name].tobytes()
+
+    def test_float32_roundtrip_bit_exact(self, tmp_path):
+        weights = init_weights("xvector", XVectorConfig(n_train_speakers=5), seed=6)
+        path = tmp_path / "xvector.weights"
+        save_weights(path, weights)
+        with np.load(path, allow_pickle=False) as archive:
+            assert archive["values"].dtype == np.dtype("<f4")
+            assert json.loads(archive["manifest"].tolist())["format_version"] == 3
+        loaded = load_weights(path)
+        for name, tensor in weights.tensors.items():
+            assert tensor.dtype == loaded[name].dtype == np.float32
+            assert tensor.tobytes() == loaded[name].tobytes()
+
+    def test_float64_input_is_rounded_once(self):
+        config = PpgConfig(hidden_size=4, n_states=3, hidden_layers=1)
+        drawn = init_weights("ppg", config, seed=1)
+        fine = {name: np.asarray(t, dtype=np.float64) + 1e-12 for name, t in drawn.tensors.items()}
+        before = {name: t.copy() for name, t in fine.items()}
+        rounded = ModelWeights("ppg", config, fine)
+        for name, tensor in fine.items():
+            assert rounded[name].dtype == np.float32
+            assert rounded[name].tobytes() == tensor.astype(np.float32).tobytes()
+            assert np.array_equal(tensor, before[name])  # the caller's array is untouched
+        # float32 input is not copied.
+        kept = ModelWeights("ppg", config, drawn.tensors)
+        assert all(np.shares_memory(kept[name], drawn[name]) for name in drawn.tensors)
+
+    def test_tensor_beyond_float32_range_names_the_tensor_without_warning(self):
+        config = PpgConfig(hidden_size=4, n_states=3, hidden_layers=1)
+        tensors = dict(init_weights("ppg", config, seed=1).tensors)
+        tensors["hidden1.b"] = np.full(4, 1e39)  # finite in float64 only
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="'hidden1.b' has non-finite values"):
+                ModelWeights("ppg", config, tensors)
+
+    def test_version_2_file_rejected_naming_file_and_version(self, tmp_path):
+        path = tmp_path / "ppg.weights"
+        save_weights(path, init_weights("ppg", PpgConfig(hidden_size=8, n_states=5), seed=2))
+        with np.load(path, allow_pickle=False) as archive:
+            manifest = json.loads(archive["manifest"].tolist())
+            values = archive["values"].astype(np.float64)
+        manifest["format_version"] = 2
+        write_npz(path, manifest=np.array(json.dumps(manifest)), values=values)
+        with pytest.raises(DataError, match="format version 2") as info:
+            load_weights(path)
+        assert str(path) in str(info.value)
 
     def test_roundtrip_preserves_forward_output(self, tmp_path):
         config = PpgConfig(input_dim=5, context_frames=3, hidden_size=8,
@@ -194,7 +242,23 @@ class TestXVector:
         pooled = np.concatenate([h, np.zeros_like(h)])
         expected = weights["segment6.w"] @ pooled + weights["segment6.b"]
         got = xvector_embedding(_fbank(20, value=value), weights)
-        assert np.allclose(got, expected, rtol=0, atol=1e-10)
+        # The frame layers run in float32; the trace above is float64.
+        assert np.allclose(got, expected, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("n_frames", [20, 200])
+    def test_constant_input_pools_exactly_zero_spread(self, weights, n_frames):
+        # segment6 reads only the std half, all ones: each embedding value
+        # is the sum of the pooled stds, 0 only if every std is exactly 0.
+        tensors = dict(weights.tensors)
+        seg = np.zeros(tensors["segment6.w"].shape)
+        seg[:, seg.shape[1] // 2 :] = 1.0
+        tensors["segment6.w"] = seg
+        tensors["segment6.b"] = np.zeros(512)
+        std_only = ModelWeights("xvector", weights.config, tensors)
+        raw = xvector_embedding(_fbank(n_frames, value=0.37), std_only)
+        assert np.array_equal(raw, np.zeros(512))
+        # A varying input pools a positive spread through the same weights.
+        assert np.all(xvector_embedding(_fbank(n_frames, seed=3), std_only) > 0)
 
     def test_context_sensitivity(self, weights):
         base = _fbank(30, seed=5)
@@ -220,7 +284,8 @@ class TestXVector:
         got = xvector_embedding(frames, weights)
         expected = xvector_embedding_ref(frames.frames, weights)
         assert got.dtype == np.float64
-        assert np.abs(got - expected).max() <= 1e-12
+        # The frame layers run in float32 against a float64 oracle.
+        assert np.abs(got - expected).max() <= 1e-6
 
 
 class TestPpg:
@@ -300,7 +365,9 @@ class TestPpg:
         out = ppg_forward(frames, weights, tap=tap)
         expected = ppg_posteriors(frames.frames, weights, tap=tap)
         assert out.frames.dtype == np.float64
-        assert np.abs(out.frames - expected).max() <= 1e-12
+        # The sigmoid stack and the softmax GEMM run in float32 against a
+        # float64 oracle.
+        assert np.abs(out.frames - expected).max() <= 1e-6
 
 
 def _aligned(n_frames, config, seed=0):
