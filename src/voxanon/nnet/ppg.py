@@ -13,7 +13,7 @@ each row sums to one within float64 rounding, and the output is float64.
 Precision contract: every output value, of either tap, is within 1e-6
 absolute of the float64 reference (``tests/_oracles.py``
 ``ppg_posteriors``). On full-size ``init_weights`` (seed 23) the drift is
-at most 7.6e-10 on the softmax tap and 2.2e-7 on the sigmoid6 tap, at 24
+at most 7.6e-10 on the softmax tap and 2.1e-7 on the sigmoid6 tap, at 24
 frames and at 600 alike.
 """
 
