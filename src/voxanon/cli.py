@@ -15,15 +15,16 @@ per-item sub-seeds, so outputs are bitwise reproducible.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
+import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from . import nnet
 from .anonymize import STRATEGIES, apply_spec
-from .audio import read_wav, write_wav
+from .audio import Waveform, read_wav, write_wav
 from .benchmark import (
     BenchmarkReport,
     draw_pseudo_speakers,
@@ -43,21 +44,21 @@ from .embeddings import (
     speaker_of,
 )
 from .errors import ConfigError, DataError, read_lines, write_jsonl
-from .features import align_streams, extract_f0, load_f0, load_features, mel_features, save_f0, save_features
+from .features import (
+    F0Contour,
+    align_streams,
+    extract_f0,
+    load_f0,
+    load_features,
+    mel_features,
+    save_f0,
+    save_features,
+)
 from .metrics import compute_eer, read_trials, score_trials, trial_indices, wer
 from .seeding import derive_seed
 
 FBANK_HOP = 0.010
 SYNTH_HOP = 0.005
-
-
-def _ordered_map(fn, items, jobs: int):
-    # Output order always equals input order, never completion order.
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def _require_file(path: str | None, what: str) -> Path:
@@ -83,6 +84,8 @@ def _weights_path(cfg: RunConfig, component: str) -> Path:
 
 
 def cmd_extract(cfg: RunConfig, wav_paths: list[str]) -> int:
+    from . import nnet
+
     if not wav_paths:
         raise DataError("no inputs")
     xvec_weights = nnet.load_weights(_weights_path(cfg, "xvector"))
@@ -171,12 +174,24 @@ def cmd_anonymize(cfg: RunConfig, inputs_path: str) -> int:
 # ---------------------------------------------------------------------------
 # synthesize
 
+# Audio seconds each synthesize worker must have to earn its start. On
+# 2 vCPUs with full-size weights, a worker start (a spawned interpreter
+# importing numpy and voxanon, then loading the acoustic and NSF weights)
+# took 0.31 s. Two workers lost to the in-process run on two 1.5 s
+# utterances (1.72 against 1.62 s) and won on two 2 s ones (1.89 against
+# 2.16 s), so a worker breaks even at 1.5-2 s of audio.
+_SECONDS_PER_WORKER = 1.75
+# Each worker runs its BLAS on one thread: the CPUs are already split among
+# the workers. The first variable serves OpenBLAS, the others OpenMP and MKL.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 def cmd_synthesize(
     cfg: RunConfig, features_dir: str | None, pseudo_path: str, utts: list[str] | None
 ) -> int:
-    acoustic_weights = nnet.load_weights(_weights_path(cfg, "acoustic"))
-    nsf_weights = nnet.load_weights(_weights_path(cfg, "nsf"))
+    from . import nnet
+
+    weight_paths = (_weights_path(cfg, "acoustic"), _weights_path(cfg, "nsf"))
     feature_dir = Path(features_dir) if features_dir else Path(cfg.out_dir) / "features"
     if not feature_dir.is_dir():
         raise ConfigError(f"feature directory not found at {feature_dir}")
@@ -200,20 +215,90 @@ def cmd_synthesize(
             f"(looked for ids {utt!r} and {speaker_of(utt)!r})"
         )
 
-    def process(utt: str) -> tuple[str, object]:
-        ppg = load_features(feature_dir / f"{utt}.ppg.npz")
-        f0 = load_f0(feature_dir / f"{utt}.f0.npz")
-        xvec = embedding_for(utt)
-        aligned = align_streams(ppg, f0, xvec)
-        mel = nnet.acoustic_forward(aligned, acoustic_weights, mode="free")
-        f0_trimmed = type(f0)(f0.values[: aligned.n_frames], hop=f0.hop)
-        seed = derive_seed(master, f"nsf:{utt}")
-        return utt, nnet.nsf_forward(mel, f0_trimmed, xvec, nsf_weights, seed)
-
-    for utt, waveform in _ordered_map(process, utts, cfg.jobs):
+    # The F0 contours are small, and their lengths set the worker count.
+    tasks = [
+        (feature_dir / f"{utt}.ppg.npz", load_f0(feature_dir / f"{utt}.f0.npz"),
+         embedding_for(utt), derive_seed(master, f"nsf:{utt}"))
+        for utt in utts
+    ]
+    seconds = sum(f0.n_frames * f0.hop for _, f0, _, _ in tasks)
+    workers = min(cfg.jobs or _cpu_count(), len(tasks), int(seconds // _SECONDS_PER_WORKER))
+    if workers <= 1:
+        weights = [nnet.load_weights(path) for path in weight_paths]
+        waveforms = [_synthesize_utterance(task, *weights) for task in tasks]
+    else:
+        waveforms = _synthesize_in_workers(tasks, weight_paths, workers)
+    for utt, waveform in zip(utts, waveforms):
         write_wav(wav_dir / f"{utt}.wav", waveform)
     print(f"synthesized {len(utts)} utterances -> {wav_dir}")
     return 0
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _synthesize_utterance(task, acoustic_weights, nsf_weights) -> Waveform:
+    """The waveform of one ``(ppg_path, f0, pseudo_speaker, seed)`` task."""
+    from . import nnet
+
+    ppg_path, f0, xvec, seed = task
+    aligned = align_streams(load_features(ppg_path), f0, xvec)
+    mel = nnet.acoustic_forward(aligned, acoustic_weights, mode="free")
+    f0_trimmed = F0Contour(f0.values[: aligned.n_frames], hop=f0.hop)
+    return nnet.nsf_forward(mel, f0_trimmed, xvec, nsf_weights, seed)
+
+
+def _synthesize_in_workers(tasks, weight_paths, workers: int) -> list[Waveform]:
+    """The waveforms of ``tasks``, in input order, from ``workers`` spawned
+    processes with one BLAS thread each. A task's exception is raised here
+    unchanged; every worker has exited when this returns or raises."""
+    import multiprocessing  # with the executor, 14 ms of every command's start
+    from concurrent.futures import ProcessPoolExecutor
+
+    with _worker_environment(), ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("spawn")
+    ) as executor:
+        futures = [executor.submit(_synthesize_in_worker, weight_paths, task) for task in tasks]
+        try:
+            return [future.result() for future in futures]
+        finally:
+            for future in futures:  # after a failure, start no further task
+                future.cancel()
+
+
+@contextlib.contextmanager
+def _worker_environment():
+    # Workers start, and read their BLAS thread count, inside this block;
+    # the parent's own BLAS is already loaded and keeps its threads.
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
+def _synthesize_in_worker(weight_paths, task) -> Waveform:
+    return _synthesize_utterance(task, *_worker_weights(*weight_paths))
+
+
+@functools.cache
+def _worker_weights(acoustic_path: Path, nsf_path: Path):
+    # Called in worker processes only: each loads the weights on its first
+    # task and keeps them for the next. A failed load is not cached, so every
+    # task it meets raises the same DataError. (A pool initializer that
+    # raised would break the pool and lose that error.)
+    from . import nnet
+
+    return nnet.load_weights(acoustic_path), nnet.load_weights(nsf_path)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +409,7 @@ def _read_transcripts(path) -> dict[str, list[str]]:
 # simulate
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def cmd_simulate(cfg: RunConfig, config_path: str | None) -> int:
     sim = cfg.simulate
     if "random" in sim.strategies and cfg.seed is None:
         raise ConfigError(
@@ -348,7 +433,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
         except ValueError as exc:  # a range window with no candidate in the generated pool
             if spec.strategy != "range":
                 raise
-            raise ConfigError(f"{sim.where('range', spec.target_similarity)}: {exc}") from None
+            where = sim.where("range", spec.target_similarity)
+            if config_path is not None:  # as load_config names it for the checks it runs
+                where = f"{config_path}: {where}"
+            raise ConfigError(f"{where}: {exc}") from None
     conditions = []
     for k in sim.k_grid:
         trials = protocol_trials(speakers, k, cfg.evaluate.gender_partition)
@@ -389,7 +477,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="configuration file (INI sections)")
     common.add_argument("--seed", type=int, help="master seed override")
-    common.add_argument("--jobs", type=int, help="parallel worker bound (used by synthesize only)")
+    common.add_argument(
+        "--jobs", type=int,
+        help="cap on synthesize's worker processes (default run.jobs = auto: one per CPU; "
+        "extract ignores it)",
+    )
     common.add_argument("--out-dir", help="output directory override")
 
     parser = argparse.ArgumentParser(
@@ -461,7 +553,7 @@ def main(argv=None) -> int:
                 cfg, args.enroll, args.test, args.trials, args.ref_trn, args.hyp_trn
             )
         if args.command == "simulate":
-            return cmd_simulate(cfg)
+            return cmd_simulate(cfg, args.config)
         raise RuntimeError(f"unhandled command {args.command!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -23,7 +23,9 @@ option that overrides the key::
                  k_grid, repetitions, include_baseline
 
 List keys are comma separated, and a nearest-K value of ``all`` keeps
-every candidate.
+every candidate. ``jobs`` caps the worker processes of ``synthesize``; its
+default ``auto`` allows one per CPU the command may run on, and ``extract``
+ignores it.
 """
 
 from __future__ import annotations
@@ -35,10 +37,12 @@ from typing import Annotated, get_args, get_origin, get_type_hints
 
 from .anonymize import STRATEGIES, AnonymizationSpec
 from .errors import ConfigError
-from .nnet.ppg import TAPS
+from .features import TAPS
 
 # A nearest-K setting: a count, or None (written ``all``) for every candidate.
 NearestK = Annotated[int | None, "all"]
+# A worker cap: a count, or None (written ``auto``) for one per CPU.
+Jobs = Annotated[int | None, "auto"]
 
 
 @dataclass
@@ -133,7 +137,7 @@ class SimulateSettings:
 @dataclass
 class RunConfig:
     seed: int | None = None
-    jobs: int = 1
+    jobs: Jobs = None
     pool_path: str | None = None
     weights_dir: str | None = None
     out_dir: str = "out"
@@ -144,8 +148,8 @@ class RunConfig:
     simulate: SimulateSettings = field(default_factory=SimulateSettings)
 
     def validate(self) -> None:
-        if self.jobs < 1:
-            raise ConfigError("run.jobs must be at least 1")
+        if self.jobs is not None and self.jobs < 1:
+            raise ConfigError("run.jobs must be at least 1 or 'auto'")
         # The F0 tracker needs 8 kHz, and the mel front ends reach 7600 Hz.
         if self.features.sample_rate < 8000:
             raise ConfigError(
@@ -219,7 +223,7 @@ _ALIASES = {
 def _build_schema() -> dict[str, tuple[str, object]]:
     """INI key ("section.key") -> (field path, field type), in field order."""
     schema = {}
-    hints = get_type_hints(RunConfig)
+    hints = get_type_hints(RunConfig, include_extras=True)
     for top in fields(RunConfig):
         section = hints[top.name]
         if not is_dataclass(section):

@@ -37,6 +37,9 @@ stacked operand ``[tap views; S; ones]``. ``S`` and the ones row are written
 once per block call; per tile only the tap views and the
 ``(channels, frames + 2 * band)`` slice of ``Y`` are copied. Tanh, the skip
 output projection and the residual update then act on the tile in place.
+The residual update reads ``h`` from the operand's middle tap rows, which
+hold the undelayed tile; the last layer skips it, as no later layer reads
+its output ``h``.
 The excitation enters and the block output leaves in float64, so the
 identity path stays exact. Against a float64 evaluation of the same layers
 over the explicitly upsampled and smoothed conditioning, block and vocoder
@@ -235,6 +238,7 @@ def filter_block_forward(
     y[:, :, band : band + n_frames] = (cond_w @ condition.T).reshape(layers, channels, n_frames)
 
     z = np.empty((channels, tile), dtype=np.float32)
+    middle_tap = slice(taps // 2 * channels, (taps // 2 + 1) * channels)
     for k, dilation in enumerate(config.dilations, start=1):
         w = weights[f"{prefix}.layer{k}.dil.w"]
         for t in range(taps):
@@ -252,8 +256,8 @@ def filter_block_forward(
             np.matmul(fused, stacked[:, :n], out=u)
             np.tanh(u, out=u)
             collapsed[:, t0 : t0 + n] += out_w @ u
-            at = slice(margin + t0, margin + t0 + n)
-            np.add(h[:, at], u, out=h_next[:, at])
+            if k < layers:
+                np.add(stacked[middle_tap, :n], u, out=h_next[:, margin + t0 : margin + t0 + n])
         h, h_next = h_next, h
     return excitation + (collapsed[0].astype(np.float64) + weights[f"{prefix}.out.b"][0])
 

@@ -23,10 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..features import FeatureMatrix
+from ..features import TAPS, FeatureMatrix
 from .weights import ModelWeights, TensorTable, register_config
-
-TAPS = ("softmax", "sigmoid6")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -16,9 +17,13 @@ from voxanon import (
     save_pool,
     write_wav,
 )
+import voxanon.nnet
+from voxanon import cli
 from voxanon.cli import main, speaker_of
 from voxanon.config import load_config
+from voxanon.embeddings import EmbeddingPool, SpeakerEmbedding
 from voxanon.errors import ConfigError, write_npz
+from voxanon.features import F0Contour, FeatureMatrix, save_f0, save_features
 from voxanon.nnet import AcousticConfig, NsfConfig, PpgConfig, XVectorConfig, init_weights, save_weights
 
 
@@ -57,6 +62,48 @@ def site(tmp_path_factory):
         "[anonymize]\nstrategy = random\nm = 8\n"
     )
     return root
+
+
+@pytest.fixture(scope="session")
+def long_site(tmp_path_factory):
+    """Features for three 2 s utterances, small acoustic and NSF weights and
+    a pseudo pool: enough audio for synthesize to start two workers, one of
+    which then takes a second utterance."""
+    root = tmp_path_factory.mktemp("long_site")
+    rng = np.random.default_rng(1)
+    features, weights = root / "features", root / "weights"
+    features.mkdir()
+    weights.mkdir()
+    for utt, f0_hz in (("p01_001", 180.0), ("p01_002", 210.0), ("p02_001", 120.0)):
+        ppg = rng.dirichlet(np.ones(12), size=200)
+        save_features(features / f"{utt}.ppg.npz", FeatureMatrix(ppg, hop=0.01, kind="ppg"))
+        f0 = np.where(np.arange(400) % 100 < 70, f0_hz, 0.0)  # voiced and unvoiced runs
+        save_f0(features / f"{utt}.f0.npz", F0Contour(f0, hop=0.005))
+    components = [
+        ("acoustic", AcousticConfig(content_dim=12, xvec_dim=6, ff_size=16, blstm_size=8, ar_size=16)),
+        ("nsf", NsfConfig(xvec_dim=6, channels=8, blocks=2, layers_per_block=4)),
+    ]
+    for component, config in components:
+        save_weights(weights / f"{component}.weights", init_weights(component, config, seed=7))
+    save_pool(root / "pseudo.jsonl", EmbeddingPool(
+        [SpeakerEmbedding(spk, rng.standard_normal(6)) for spk in ("p01", "p02")]
+    ))
+    (root / "run.ini").write_text(f"[run]\nseed = 5\n[paths]\nweights = {weights}\n")
+    return root
+
+
+@pytest.fixture
+def nsf_calls(monkeypatch):
+    """The nsf_forward calls made in this process, which workers never add to."""
+    calls = []
+    original = voxanon.nnet.nsf_forward
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].n_frames)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(voxanon.nnet, "nsf_forward", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")
@@ -199,6 +246,7 @@ class TestExitCodes:
         ("simulate", "[simulate]\nstrategies = range\n", "simulate.s_grid"),
         ("simulate", "[simulate]\nstrategies = nearest\nm_grid =\n", "simulate.m_grid"),
         ("evaluate", "[evaluate]\nk = 0\n", "evaluate.k"),
+        ("synthesize --pseudo p.jsonl", "[run]\njobs = 0\n", "run.jobs"),
         ("evaluate", "[simulate]\nstrategies = random, range\n", "simulate.s_grid"),
         ("anonymize --strategy random --m 0 --seed 1", "", "anonymize.m (--m) = 0"),
         ("anonymize --strategy nearest", "", "anonymize.m (--m) = None"),
@@ -243,7 +291,7 @@ class TestExitCodes:
         args = ["simulate", "--config", str(path), "--seed", "1", "--out-dir", str(tmp_path / "o")]
         assert main(args) == 2
         err = capsys.readouterr().err
-        assert "simulate.s_grid = 0.95, simulate.eps = 0.01" in err
+        assert f"{path}: simulate.s_grid = 0.95, simulate.eps = 0.01" in err
         assert "closest achievable similarity is 0.273651" in err
         assert not (tmp_path / "o").exists()
 
@@ -344,26 +392,42 @@ class TestCorruptInputs:
         assert str(bad) in err and where in err
 
 
-    @pytest.mark.parametrize("slot, where", [
-        ("f0", "p01_001.f0.npz"),
-        ("nsf", "nsf.weights"),
-        ("acoustic", "acoustic.weights"),
-        ("pseudo", "line 2"),
+    @pytest.mark.parametrize("slot, where, pooled", [
+        pytest.param(slot, where, pooled, id=f"{slot}-{where}" + ("-pooled" if pooled else ""))
+        for slot, where, pooled in [
+            ("f0", "p01_001.f0.npz", False),
+            ("nsf", "nsf.weights", False),
+            ("acoustic", "acoustic.weights", False),
+            ("pseudo", "line 2", False),
+            ("f0", "p01_001.f0.npz", True),
+            ("ppg", "p01_001.ppg.npz", True),
+            ("nsf", "nsf.weights", True),
+            ("acoustic", "acoustic.weights", True),
+        ]
     ])
     def test_synthesize_exit_code_names_file(
-        self, site, extracted, pseudo, tmp_path, capsys, slot, where
+        self, site, extracted, pseudo, long_site, tmp_path, capsys, slot, where, pooled
     ):
+        # The pooled cases have audio enough for two workers, which load the
+        # weights and the PPGs and raise these errors.
+        if pooled:
+            utts = ["p01_001", "p02_001"]
+            sources = long_site / "features", long_site / "weights", long_site / "pseudo.jsonl"
+        else:
+            utts = ["p01_001"]
+            sources = extracted / "features", site / "weights", pseudo
         features, weights = tmp_path / "features", tmp_path / "weights"
         features.mkdir()
         weights.mkdir()
-        for name in ("p01_001.ppg.npz", "p01_001.f0.npz"):
-            (features / name).symlink_to(extracted / "features" / name)
+        for name in (f"{utt}.{kind}.npz" for utt in utts for kind in ("ppg", "f0")):
+            (features / name).symlink_to(sources[0] / name)
         for name in ("acoustic.weights", "nsf.weights"):
-            (weights / name).symlink_to(site / "weights" / name)
+            (weights / name).symlink_to(sources[1] / name)
         pool = tmp_path / "pseudo.jsonl"
-        pool.symlink_to(pseudo)
-        bad = {"f0": features / "p01_001.f0.npz", "nsf": weights / "nsf.weights",
-               "acoustic": weights / "acoustic.weights", "pseudo": pool}[slot]
+        pool.symlink_to(sources[2])
+        bad = {"f0": features / "p01_001.f0.npz", "ppg": features / "p01_001.ppg.npz",
+               "nsf": weights / "nsf.weights", "acoustic": weights / "acoustic.weights",
+               "pseudo": pool}[slot]
         raw = bad.read_bytes()
         bad.unlink()
         if slot == "pseudo":
@@ -372,13 +436,17 @@ class TestCorruptInputs:
             bad.write_bytes(raw[: len(raw) // 2])
         config = tmp_path / "run.ini"
         config.write_text(f"[run]\nseed = 77\n[paths]\nweights = {weights}\n")
+        environ = dict(os.environ)
         rc = main([
             "synthesize", "--config", str(config), "--features-dir", str(features),
-            "--pseudo", str(pool), "--utts", "p01_001", "--out-dir", str(tmp_path / "o"),
+            "--pseudo", str(pool), "--utts", ",".join(utts), "--jobs", "2",
+            "--out-dir", str(tmp_path / "o"),
         ])
         err = capsys.readouterr().err
         assert rc == 3, err
         assert str(bad) in err and where in err
+        assert multiprocessing.active_children() == []
+        assert dict(os.environ) == environ
 
 
 def test_python_dash_m_runs_the_cli():
@@ -662,6 +730,63 @@ class TestSynthesize:
         ])
         assert rc == 2
         assert "nsf" in capsys.readouterr().err
+
+
+class TestSynthesizeWorkers:
+    """synthesize runs utterances in spawned workers once the audio pays for
+    their start; the output bytes are those of the in-process run."""
+
+    UTTS = ("p01_001", "p01_002", "p02_001")
+
+    def run(self, long_site, out: Path, *extra: str) -> int:
+        return main([
+            "synthesize", "--config", str(long_site / "run.ini"),
+            "--features-dir", str(long_site / "features"),
+            "--pseudo", str(long_site / "pseudo.jsonl"), "--out-dir", str(out), *extra,
+        ])
+
+    def test_workers_write_the_in_process_bytes(self, long_site, tmp_path, monkeypatch, nsf_calls):
+        monkeypatch.setattr(cli, "_cpu_count", lambda: 2)  # default jobs = auto: two workers
+        environ = dict(os.environ)
+        assert self.run(long_site, tmp_path / "pooled") == 0
+        assert nsf_calls == []
+        assert multiprocessing.active_children() == []
+        assert dict(os.environ) == environ
+
+        assert self.run(long_site, tmp_path / "serial", "--jobs", "1") == 0
+        assert nsf_calls == [400, 400, 400]
+        for utt in self.UTTS:
+            pooled = (tmp_path / "pooled" / "wav" / f"{utt}.wav").read_bytes()
+            assert pooled == (tmp_path / "serial" / "wav" / f"{utt}.wav").read_bytes()
+            assert len(read_wav(tmp_path / "pooled" / "wav" / f"{utt}.wav")) == 400 * 80
+
+    def test_short_inputs_stay_in_process(self, site, extracted, pseudo, long_site, tmp_path, nsf_calls):
+        # One utterance, however long, or 0.6 s of audio in all: no worker.
+        assert self.run(long_site, tmp_path / "one", "--utts", "p01_001", "--jobs", "2") == 0
+        assert main([
+            "synthesize", "--config", str(site / "run.ini"),
+            "--features-dir", str(extracted / "features"), "--pseudo", str(pseudo),
+            "--out-dir", str(tmp_path / "short"), "--jobs", "2",
+        ]) == 0
+        assert len(nsf_calls) == 4
+
+    def test_python_dash_m_synthesize_spawns_workers(self, long_site, tmp_path):
+        # Spawned workers re-import the main module, here voxanon.__main__.
+        src = Path(voxanon.__file__).resolve().parents[1]
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "voxanon", "synthesize", "--config", str(long_site / "run.ini"),
+             "--features-dir", str(long_site / "features"),
+             "--pseudo", str(long_site / "pseudo.jsonl"),
+             "--out-dir", str(tmp_path / "pooled"), "--jobs", "2"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert self.run(long_site, tmp_path / "serial", "--jobs", "1") == 0
+        for utt in self.UTTS:
+            assert (tmp_path / "pooled" / "wav" / f"{utt}.wav").read_bytes() == (
+                tmp_path / "serial" / "wav" / f"{utt}.wav"
+            ).read_bytes()
 
 
 class TestEvaluate:

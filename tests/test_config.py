@@ -1,5 +1,7 @@
 """load_config: fuzzed input, echo round trips and the accepted keys."""
 
+from typing import Annotated, get_args, get_origin
+
 import pytest
 
 from voxanon.config import _SCHEMA, RunConfig, load_config
@@ -18,6 +20,7 @@ FUZZ = settings(
 ACCEPTED = [
     ("run", "seed", "42", ("seed",), 42),
     ("run", "jobs", "3", ("jobs",), 3),
+    ("run", "jobs", "Auto", ("jobs",), None),
     ("paths", "pool", "pools/p.jsonl", ("pool_path",), "pools/p.jsonl"),
     ("paths", "weights", "w", ("weights_dir",), "w"),
     ("paths", "out_dir", "o u t", ("out_dir",), "o u t"),
@@ -76,12 +79,14 @@ def _ini_value(value) -> str:
 def _to_ini(config: RunConfig) -> str:
     echo = config.echo()
     sections: dict[str, list[str]] = {}
-    for key, (attr, _) in _SCHEMA.items():
+    for key, (attr, kind) in _SCHEMA.items():
         value = echo[attr if "." in attr else key]
-        if value is None and not key.endswith(".k"):
+        if value is None and get_origin(kind) is not Annotated:
             continue  # an unset optional has no INI spelling
+        # None of an Annotated key is spelled by its annotation: all, auto.
+        text = get_args(kind)[1] if value is None else _ini_value(value)
         section, name = key.split(".")
-        sections.setdefault(section, []).append(f"{name} = {_ini_value(value)}")
+        sections.setdefault(section, []).append(f"{name} = {text}")
     return "".join(
         f"[{section}]\n" + "".join(line + "\n" for line in lines)
         for section, lines in sections.items()
