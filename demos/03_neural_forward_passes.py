@@ -36,7 +36,6 @@ wav = Waveform(
 # Front-end streams.
 fbank = mel_features(wav, 24, 0.010)
 mel40 = mel_features(wav, 40, 0.010)
-mel80 = mel_features(wav, 80, 0.005)
 f0 = extract_f0(wav)
 
 # Speaker embedding network: frame layers, stats pooling, segment affine.
@@ -53,11 +52,11 @@ print(f"ppg: {ppg.frames.shape}, row sums within {np.abs(ppg.frames.sum(1) - 1).
 aligned = align_streams(ppg, f0, xvec)
 print(f"aligned: {aligned.frames.shape} (content + logF0 + voicing + embedding)")
 
-# Acoustic model in free-running mode.
+# Acoustic model, feeding back its own mel frames.
 acoustic_weights = init_weights(
     "acoustic", AcousticConfig(content_dim=ppg.dim, xvec_dim=xvec.dim), seed=12
 )
-mel_generated = acoustic_forward(aligned, acoustic_weights, mode="free")
+mel_generated = acoustic_forward(aligned, acoustic_weights)
 print(f"generated mel: {mel_generated.frames.shape}")
 
 # Waveform model: excitation from F0, filtered by dilated-conv blocks.

@@ -58,7 +58,6 @@ from .metrics import compute_eer, read_trials, score_trials, trial_indices, wer
 from .seeding import derive_seed
 
 FBANK_HOP = 0.010
-SYNTH_HOP = 0.005
 
 
 def _require_file(path: str | None, what: str) -> Path:
@@ -100,11 +99,10 @@ def cmd_extract(cfg: RunConfig, wav_paths: list[str]) -> int:
         wav = read_wav(path, expected_rate=cfg.features.sample_rate)
         fbank = mel_features(wav, 24, FBANK_HOP)
         mel40 = mel_features(wav, 40, FBANK_HOP)
-        mel80 = mel_features(wav, 80, SYNTH_HOP)
         f0 = extract_f0(wav, threshold=cfg.features.f0_threshold)
         xvec = nnet.xvector_forward(fbank, xvec_weights, embedding_id=utt)
         ppg = nnet.ppg_forward(mel40, ppg_weights, tap=cfg.models.ppg_tap)
-        return utt, xvec, ppg, f0, mel80
+        return utt, xvec, ppg, f0
 
     results = []
     failures = []
@@ -119,9 +117,8 @@ def cmd_extract(cfg: RunConfig, wav_paths: list[str]) -> int:
         return 3
 
     utterance_embeddings = []
-    for utt, xvec, ppg, f0, mel80 in results:
+    for utt, xvec, ppg, f0 in results:
         save_features(feature_dir / f"{utt}.ppg.npz", ppg)
-        save_features(feature_dir / f"{utt}.mel.npz", mel80)
         save_f0(feature_dir / f"{utt}.f0.npz", f0)
         utterance_embeddings.append(xvec)
     save_pool(out_dir / "utterance_xvectors.jsonl", EmbeddingPool(utterance_embeddings))
@@ -247,7 +244,7 @@ def _synthesize_utterance(task, acoustic_weights, nsf_weights) -> Waveform:
 
     ppg_path, f0, xvec, seed = task
     aligned = align_streams(load_features(ppg_path), f0, xvec)
-    mel = nnet.acoustic_forward(aligned, acoustic_weights, mode="free")
+    mel = nnet.acoustic_forward(aligned, acoustic_weights)
     f0_trimmed = F0Contour(f0.values[: aligned.n_frames], hop=f0.hop)
     return nnet.nsf_forward(mel, f0_trimmed, xvec, nsf_weights, seed)
 
@@ -315,8 +312,13 @@ def cmd_evaluate(
 ) -> int:
     if (ref_path is None) != (hyp_path is None):
         raise ConfigError("supply both --ref-trn and --hyp-trn, or neither")
-    enroll_pool = load_pool(_require_file(enroll_path, "enrollment embeddings"))
-    test_pool = load_pool(_require_file(test_path, "test embeddings"))
+    enroll_file = _require_file(enroll_path, "enrollment embeddings")
+    enroll_pool = load_pool(enroll_file)
+    test_file = _require_file(test_path, "test embeddings")
+    test_pool = load_pool(test_file)
+    if enroll_pool.dim != test_pool.dim:
+        raise DataError(f"dimension mismatch: {enroll_file} holds {enroll_pool.dim}-dim "
+                        f"embeddings, {test_file} {test_pool.dim}-dim")
     trials_file = _require_file(trials_path, "trial list")
     trials = read_trials(trials_file)
     k = cfg.evaluate.nearest_k
@@ -325,7 +327,10 @@ def cmd_evaluate(
         indices = trial_indices(trials, enroll_pool.ids, test_pool.ids)
     except DataError as exc:
         raise DataError(f"{trials_file}, {exc}") from None
-    scored = score_trials(enroll_pool, test_pool, *indices, k, cfg.evaluate.gender_partition)
+    try:
+        scored = score_trials(enroll_pool, test_pool, *indices, k, cfg.evaluate.gender_partition)
+    except ValueError as exc:  # too few non-target speakers for the nearest-K filter
+        raise DataError(f"evaluate.k = {k} with test speakers from {test_file}: {exc}") from None
     for side, present in (("target", scored.is_target), ("non-target", ~scored.is_target)):
         if not present.any():
             with_k = "" if k is None else f" with k = {k}"
@@ -409,7 +414,7 @@ def _read_transcripts(path) -> dict[str, list[str]]:
 # simulate
 
 
-def cmd_simulate(cfg: RunConfig, config_path: str | None) -> int:
+def cmd_simulate(cfg: RunConfig) -> int:
     sim = cfg.simulate
     if "random" in sim.strategies and cfg.seed is None:
         raise ConfigError(
@@ -433,10 +438,7 @@ def cmd_simulate(cfg: RunConfig, config_path: str | None) -> int:
         except ValueError as exc:  # a range window with no candidate in the generated pool
             if spec.strategy != "range":
                 raise
-            where = sim.where("range", spec.target_similarity)
-            if config_path is not None:  # as load_config names it for the checks it runs
-                where = f"{config_path}: {where}"
-            raise ConfigError(f"{where}: {exc}") from None
+            raise ConfigError(f"{sim.where('range', spec.target_similarity)}: {exc}") from None
     conditions = []
     for k in sim.k_grid:
         trials = protocol_trials(speakers, k, cfg.evaluate.gender_partition)
@@ -537,6 +539,7 @@ _FLAG_KEYS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    cfg = None
     try:
         cfg = load_config(
             args.config, {key: getattr(args, dest, None) for dest, key in _FLAG_KEYS.items()}
@@ -553,10 +556,12 @@ def main(argv=None) -> int:
                 cfg, args.enroll, args.test, args.trials, args.ref_trn, args.hyp_trn
             )
         if args.command == "simulate":
-            return cmd_simulate(cfg, args.config)
+            return cmd_simulate(cfg)
         raise RuntimeError(f"unhandled command {args.command!r}")
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        # load_config names the file in its own errors; a command's do not.
+        where = f"{args.config}: " if cfg is not None and args.config is not None else ""
+        print(f"config error: {where}{exc}", file=sys.stderr)
         return 2
     except (DataError, ValueError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)

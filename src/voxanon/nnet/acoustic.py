@@ -2,9 +2,9 @@
 
 Two tanh feedforward layers, a bidirectional LSTM, then a unidirectional
 LSTM whose input at each step concatenates the recurrent features with the
-mel frame generated (or, in teacher mode, observed) at the previous step.
-A linear layer produces the 80-dim mel frame. Step 0 always feeds a zero
-mel vector, so teacher and free mode agree on the first frame.
+mel frame the model generated at the previous step (a zero mel vector at
+step 0). A linear layer produces the 80-dim mel frame. The model always
+runs free: it feeds back its own output, as at anonymization time.
 
 All three recurrences (BLSTM forward, BLSTM backward and the AR loop) run
 through one ``_lstm_sequence``. Whatever does not depend on the previous
@@ -13,20 +13,16 @@ float32 weights: the input projections plus biases. Each step then does one floa
 matrix against ``h`` and the gate math in float32.
 
 The AR loop is a plain LSTM because the mel feedback is folded out of the
-step. With ``wx_mel`` the mel columns of ``ar.wx``:
-
-- free mode: the frame fed back at step t is ``out.w @ h[t-1] + out.b``,
-  so the step matrix is ``ar.wh + wx_mel @ out.w`` and steps 1.. gain
-  ``wx_mel @ out.b``;
-- teacher mode: the step matrix stays ``ar.wh`` and steps 1.. gain
-  ``teacher[t-1] @ wx_mel.T``, one GEMM for all frames.
+step. With ``wx_mel`` the mel columns of ``ar.wx``, the frame fed back at
+step t is ``out.w @ h[t-1] + out.b``, so the step matrix is
+``ar.wh + wx_mel @ out.w`` and steps 1.. gain ``wx_mel @ out.b``.
 
 The mel output is then one float64 GEMM over all AR hidden states.
 
 Precision contract: every output value is within 1e-6 absolute of the
 float64 per-step reference (``tests/_oracles.py`` ``acoustic_frames``).
-On full-size ``init_weights`` the drift is at most 3e-9 in free mode and
-1.5e-8 in teacher mode, at 24 frames and at 600 alike.
+On full-size ``init_weights`` the drift is at most 3e-9, at 24 frames and
+at 600 alike.
 
 The recurrence is inherently sequential over frames; parallelize across
 utterances, never within one.
@@ -118,18 +114,10 @@ def _lstm_sequence(pre, wh, size, reverse=False):
     return out
 
 
-def acoustic_forward(
-    aligned: FeatureMatrix,
-    weights: ModelWeights,
-    mode: str = "free",
-    teacher_mel: FeatureMatrix | None = None,
-) -> FeatureMatrix:
-    """Generate a mel spectrogram from aligned synthesis-rate features.
-
-    ``mode`` is ``"free"`` (feed back the model's own previous frame) or
-    ``"teacher"`` (feed the supplied natural mel frames, shifted by one
-    step). Output is (frames x 80) at the input hop.
-    """
+def acoustic_forward(aligned: FeatureMatrix, weights: ModelWeights) -> FeatureMatrix:
+    """Generate a mel spectrogram from aligned synthesis-rate features,
+    feeding back the model's own previous frame. Output is (frames x 80) at
+    the input hop."""
     if weights.component != "acoustic":
         raise ValueError(f"expected acoustic weights, got {weights.component!r}")
     config: AcousticConfig = weights.config
@@ -139,18 +127,6 @@ def acoustic_forward(
         raise ValueError(
             f"aligned width {aligned.dim} does not match model input {config.input_dim}"
         )
-    if mode not in ("free", "teacher"):
-        raise ValueError(f"mode must be 'free' or 'teacher', got {mode!r}")
-    if mode == "teacher":
-        if teacher_mel is None:
-            raise ValueError("teacher mode requires teacher_mel")
-        if teacher_mel.n_frames != aligned.n_frames:
-            raise ValueError(
-                f"teacher_mel has {teacher_mel.n_frames} frames, aligned input has "
-                f"{aligned.n_frames}"
-            )
-        if teacher_mel.dim != MEL_DIM:
-            raise ValueError(f"teacher_mel must be {MEL_DIM}-dim")
 
     h = np.tanh(aligned.frames @ weights["ff1.w"].T + weights["ff1.b"])
     h = np.tanh(h @ weights["ff2.w"].T + weights["ff2.b"])
@@ -161,14 +137,11 @@ def acoustic_forward(
         for name in ("fw", "bw")
     ])
 
-    wx_mel = weights["ar.wx"][:, 2 * size :].astype(np.float64)  # the folds stay float64
+    # The frame fed back at step t is out.w @ h[t-1] + out.b; the folds stay float64.
+    wx_mel = weights["ar.wx"][:, 2 * size :].astype(np.float64)
     pre = recurrent @ weights["ar.wx"][:, : 2 * size].T + weights["ar.b"]
-    if mode == "teacher":
-        pre[1:] += teacher_mel.frames[:-1] @ wx_mel.T
-        w_step = weights["ar.wh"]
-    else:  # the frame fed back at step t is out.w @ h[t-1] + out.b
-        pre[1:] += wx_mel @ weights["out.b"]
-        w_step = (weights["ar.wh"] + wx_mel @ weights["out.w"]).astype(np.float32)
+    pre[1:] += wx_mel @ weights["out.b"]
+    w_step = (weights["ar.wh"] + wx_mel @ weights["out.w"]).astype(np.float32)
     hidden = _lstm_sequence(pre, w_step, config.ar_size)
     out = hidden @ weights["out.w"].T + weights["out.b"]
     return FeatureMatrix(out, hop=aligned.hop, kind="melspec80")

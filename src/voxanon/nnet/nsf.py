@@ -89,6 +89,9 @@ class NsfConfig(TensorTable):
             raise ValueError("dimensions must be positive")
         if self.smooth_width < 1 or self.smooth_width % 2 == 0:
             raise ValueError("smooth_width must be odd and positive")
+        # write_wav stores the byte rate, 2 * sample_rate, as a u32.
+        if not 1 <= self.sample_rate <= 2**31 - 1:
+            raise ValueError(f"sample_rate must be in [1, 2**31 - 1], got {self.sample_rate}")
 
     @property
     def dilations(self) -> tuple[int, ...]:

@@ -18,9 +18,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, get_type_hints
 
 import numpy as np
 
@@ -157,7 +158,7 @@ def load_weights(path) -> ModelWeights:
     table = manifest.get("tensors")
     stored = len(table) if isinstance(table, list) else 0
     try:
-        config = _CONFIG_REGISTRY[component](**manifest["config"])
+        config = _config_of(component, manifest["config"])
         declared = list(itertools.islice(config.tensor_items(), stored + 1))
     except KeyError as exc:
         raise DataError(f"{path}: manifest is missing {exc}") from exc
@@ -165,9 +166,6 @@ def load_weights(path) -> ModelWeights:
         raise DataError(f"{path}: malformed manifest: {exc}") from exc
     if table != [[name, list(shape)] for name, shape in declared]:
         raise DataError(f"{path}: tensor table does not match the {component} config")
-    # 2.0 == 2, so a float config value can match the table and still not size a tensor.
-    if not all(isinstance(dim, int) for _, shape in declared for dim in shape):
-        raise DataError(f"{path}: malformed manifest: a non-integer size in the {component} config")
     shapes = dict(declared)
     size = sum(math.prod(shape) for shape in shapes.values())
     if values.dtype != np.float32 or values.shape != (size,):
@@ -184,3 +182,25 @@ def load_weights(path) -> ModelWeights:
         return ModelWeights(component, config, tensors)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
+
+
+def _config_of(component: str, values) -> TensorTable:
+    """The ``component`` config built from the manifest's ``values``, each
+    checked against its field's type first: an ``int`` field takes a plain
+    int (not a bool, nor a float such as 2.0, which equals 2 in the tensor
+    table but sizes no array), a ``float`` field a finite int or float
+    (``json`` reads ``NaN`` and ``Infinity``). An unknown key is left to the
+    constructor, which raises ``TypeError``."""
+    if not isinstance(values, dict):
+        raise TypeError("config is not a JSON object")
+    config_cls = _CONFIG_REGISTRY[component]
+    hints = get_type_hints(config_cls)
+    for key, value in values.items():
+        kind = hints.get(key)
+        if kind is int and type(value) is not int:
+            raise TypeError(f"{component} config {key} = {value!r}: expected an integer")
+        # abs(), not math.isfinite: an int past the float range cannot convert.
+        if kind is float and not (type(value) in (int, float)
+                                  and abs(value) <= sys.float_info.max):
+            raise TypeError(f"{component} config {key} = {value!r}: expected a finite number")
+    return config_cls(**values)

@@ -318,12 +318,12 @@ def _lstm_gates(z, c, size):
     return o * np.tanh(c), c
 
 
-def acoustic_frames(frames, weights, teacher=None) -> np.ndarray:
+def acoustic_frames(frames, weights) -> np.ndarray:
     """Acoustic model forward pass with the full AR input projection per step.
 
     Every AR step concatenates the recurrent features of that frame with the
-    previous mel frame (the model's own output, or ``teacher`` shifted by
-    one) and multiplies the whole vector by the input matrix.
+    model's own previous mel frame and multiplies the whole vector by the
+    input matrix.
     """
     config = weights.config
     h = np.tanh(frames @ weights["ff1.w"].T + weights["ff1.b"])
@@ -348,7 +348,7 @@ def acoustic_frames(frames, weights, teacher=None) -> np.ndarray:
         z = weights["ar.wx"] @ x + weights["ar.wh"] @ h_ar + weights["ar.b"]
         h_ar, c_ar = _lstm_gates(z, c_ar, config.ar_size)
         out[t] = weights["out.w"] @ h_ar + weights["out.b"]
-        prev = teacher[t] if teacher is not None else out[t]
+        prev = out[t]
     return out
 
 

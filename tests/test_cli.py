@@ -470,9 +470,12 @@ class TestExtract:
         assert np.allclose(speakers.get("p01").vector, expected, rtol=0, atol=1e-12)
 
     def test_feature_files_written(self, extracted):
-        for utt in ("p01_001", "p01_002", "p02_001"):
-            for suffix in ("ppg", "mel", "f0"):
-                assert (extracted / "features" / f"{utt}.{suffix}.npz").exists()
+        # Exactly what synthesize reads: an artifact nothing reads fails here.
+        written = {path.name for path in (extracted / "features").iterdir()}
+        assert written == {
+            f"{utt}.{suffix}.npz"
+            for utt in ("p01_001", "p01_002", "p02_001") for suffix in ("ppg", "f0")
+        }
 
     def test_rerun_is_bitwise_identical(self, site, extracted, tmp_path):
         out2 = tmp_path / "again"
@@ -648,6 +651,17 @@ class TestAnonymize:
         ])
         assert rc == 2
 
+    def test_missing_pool_file_names_config(self, extracted, tmp_path, capsys):
+        config = tmp_path / "pool.ini"
+        config.write_text("[run]\nseed = 1\n[paths]\npool = missing.jsonl\n"
+                          "[anonymize]\nstrategy = random\nm = 2\n")
+        rc = main([
+            "anonymize", "--config", str(config), "--out-dir", str(tmp_path / "o"),
+            "--inputs", str(extracted / "speaker_xvectors.jsonl"),
+        ])
+        assert rc == 2
+        assert f"{config}: embedding pool not found at missing.jsonl" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="session")
 def pseudo(site, extracted, tmp_path_factory):
@@ -730,6 +744,44 @@ class TestSynthesize:
         ])
         assert rc == 2
         assert "nsf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("upsample_factor", 80.0),
+        ("smooth_width", 81.0),
+        ("sample_rate", 16000.5),
+        ("sample_rate", 2**32),
+        ("sample_rate", 0),
+        ("noise_std", float("nan")),
+        ("sine_amplitude", True),
+    ])
+    def test_bad_nsf_config_value_exits_3_naming_weights(self, long_site, tmp_path, capsys, key, value):
+        weights = tmp_path / "weights"
+        weights.mkdir()
+        (weights / "acoustic.weights").symlink_to(long_site / "weights" / "acoustic.weights")
+        with np.load(long_site / "weights" / "nsf.weights", allow_pickle=False) as archive:
+            manifest, values = json.loads(archive["manifest"].tolist()), archive["values"]
+        manifest["config"][key] = value
+        write_npz(weights / "nsf.weights", manifest=np.array(json.dumps(manifest)), values=values)
+        config = tmp_path / "run.ini"
+        config.write_text(f"[run]\nseed = 5\n[paths]\nweights = {weights}\n")
+        rc = main([
+            "synthesize", "--config", str(config), "--features-dir", str(long_site / "features"),
+            "--pseudo", str(long_site / "pseudo.jsonl"), "--utts", "p01_001",
+            "--out-dir", str(tmp_path / "o"),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 3, err
+        assert str(weights / "nsf.weights") in err and key in err
+
+    def test_unset_weights_names_config(self, extracted, pseudo, tmp_path, capsys):
+        config = tmp_path / "noweights.ini"
+        config.write_text("[run]\nseed = 1\n")
+        rc = main([
+            "synthesize", "--config", str(config), "--features-dir", str(extracted / "features"),
+            "--pseudo", str(pseudo), "--out-dir", str(tmp_path / "o"),
+        ])
+        assert rc == 2
+        assert f"{config}: paths.weights is not set" in capsys.readouterr().err
 
 
 class TestSynthesizeWorkers:
@@ -845,6 +897,40 @@ class TestEvaluate:
         assert "supply both --ref-trn and --hyp-trn" in capsys.readouterr().err
         assert not (out / "evaluation_report.txt").exists()
         assert not (out / "evaluation_report.jsonl").exists()
+
+    def test_k_beyond_non_targets_names_key_and_test_pool(self, extracted, tmp_path, capsys):
+        config = tmp_path / "k.ini"
+        config.write_text("[evaluate]\nk = 5\n")
+        test_pool = extracted / "utterance_xvectors.jsonl"
+        trials = tmp_path / "trials.txt"
+        trials.write_text("p01 p01_001 tar\np01 p02_001 non\n")
+        rc = main([
+            "evaluate", "--config", str(config), "--enroll", str(extracted / "speaker_xvectors.jsonl"),
+            "--test", str(test_pool), "--trials", str(trials), "--out-dir", str(tmp_path / "report"),
+        ])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "evaluate.k = 5" in err and str(test_pool) in err
+        assert "k 5 exceeds available non-targets (1)" in err
+
+    def test_dimension_mismatch_names_both_pools(self, tmp_path, capsys):
+        pools = {}
+        for side, dim in (("enroll", 4), ("test", 5)):
+            pools[side] = tmp_path / f"{side}.jsonl"
+            save_pool(pools[side], EmbeddingPool([
+                SpeakerEmbedding(name, np.arange(1.0, dim + 1) * (i + 1))
+                for i, name in enumerate(("p01", "p02") if side == "enroll" else ("p01_001", "p02_001"))
+            ]))
+        trials = tmp_path / "trials.txt"
+        trials.write_text("p01 p01_001 tar\np01 p02_001 non\n")
+        rc = main([
+            "evaluate", "--enroll", str(pools["enroll"]), "--test", str(pools["test"]),
+            "--trials", str(trials), "--out-dir", str(tmp_path / "report"),
+        ])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert str(pools["enroll"]) in err and str(pools["test"]) in err
+        assert "4-dim" in err and "5-dim" in err
 
 
 class TestSimulate:

@@ -377,28 +377,12 @@ def _aligned(n_frames, config, seed=0):
     )
 
 
-def _mel(n_frames, seed=0):
-    rng = np.random.default_rng(seed)
-    return FeatureMatrix(rng.standard_normal((n_frames, 80)), hop=0.005, kind="melspec80")
-
-
 class TestAcoustic:
     def test_output_shape(self, small_acoustic_weights):
         config = small_acoustic_weights.config
         out = acoustic_forward(_aligned(12, config), small_acoustic_weights)
         assert out.frames.shape == (12, 80)
         assert out.kind == "melspec80"
-
-    def test_first_frame_agrees_between_modes(self, small_acoustic_weights):
-        config = small_acoustic_weights.config
-        aligned = _aligned(6, config, seed=5)
-        teacher = _mel(6, seed=6)
-        free = acoustic_forward(aligned, small_acoustic_weights, mode="free")
-        forced = acoustic_forward(
-            aligned, small_acoustic_weights, mode="teacher", teacher_mel=teacher
-        )
-        assert np.array_equal(free.frames[0], forced.frames[0])
-        assert not np.allclose(free.frames[1:], forced.frames[1:])
 
     def test_zero_weights_emit_output_bias(self, small_acoustic_weights):
         config = small_acoustic_weights.config
@@ -410,49 +394,26 @@ class TestAcoustic:
         out = acoustic_forward(_aligned(7, config, seed=9), weights)
         assert np.array_equal(out.frames, np.tile(bias, (7, 1)))
 
-    def test_teacher_mel_required(self, small_acoustic_weights):
-        config = small_acoustic_weights.config
-        with pytest.raises(ValueError, match="teacher_mel"):
-            acoustic_forward(_aligned(4, config), small_acoustic_weights, mode="teacher")
-
-    def test_teacher_mel_length_checked(self, small_acoustic_weights):
-        config = small_acoustic_weights.config
-        with pytest.raises(ValueError, match="frames"):
-            acoustic_forward(
-                _aligned(4, config), small_acoustic_weights,
-                mode="teacher", teacher_mel=_mel(5),
-            )
-
     def test_input_width_checked(self, small_acoustic_weights):
         bad = FeatureMatrix(np.ones((4, 7)), hop=0.005, kind="aligned")
         with pytest.raises(ValueError, match="width"):
             acoustic_forward(bad, small_acoustic_weights)
 
-    @pytest.mark.parametrize("mode, n_frames", [
-        pytest.param("free", 24, id="free"),
-        pytest.param("teacher", 24, id="teacher"),
-        pytest.param("free", 600, id="free-600-frames"),
-        pytest.param("teacher", 600, id="teacher-600-frames"),
+    @pytest.mark.parametrize("n_frames", [
+        pytest.param(24, id="free"),
+        pytest.param(600, id="free-600-frames"),
     ])
-    def test_matches_per_step_reference(self, mode, n_frames):
+    def test_matches_per_step_reference(self, n_frames):
         # The recurrences run in float32 against a float64 oracle: the
         # contract is 1e-6 absolute on every output value.
         weights = init_weights("acoustic", AcousticConfig(), seed=21)
         aligned = _aligned(n_frames, weights.config, seed=13)
-        teacher = _mel(n_frames, seed=14)
-        out = acoustic_forward(
-            aligned, weights, mode=mode, teacher_mel=teacher if mode == "teacher" else None
-        )
-        expected = acoustic_frames(
-            aligned.frames, weights, teacher=teacher.frames if mode == "teacher" else None
-        )
+        out = acoustic_forward(aligned, weights)
+        expected = acoustic_frames(aligned.frames, weights)
         assert out.frames.dtype == np.float64
         assert np.abs(out.frames - expected).max() <= 1e-6
-        free = acoustic_forward(aligned, weights, mode="free")
-        assert np.array_equal(out.frames[0], free.frames[0])
 
-    @pytest.mark.parametrize("mode", ["free", "teacher"])
-    def test_closed_gates_emit_output_bias_without_warning(self, small_acoustic_weights, mode):
+    def test_closed_gates_emit_output_bias_without_warning(self, small_acoustic_weights):
         # Every gate pre-activation near -1000: a sigmoid through exp(-x)
         # overflows there, while 1/2 + tanh(x/2)/2 gives exactly 0, so no
         # cell ever opens and every frame is the output bias.
@@ -463,10 +424,7 @@ class TestAcoustic:
         weights = ModelWeights("acoustic", config, tensors)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = acoustic_forward(
-                _aligned(8, config, seed=3), weights, mode=mode,
-                teacher_mel=_mel(8, seed=4) if mode == "teacher" else None,
-            )
+            out = acoustic_forward(_aligned(8, config, seed=3), weights)
         assert np.array_equal(out.frames, np.tile(tensors["out.b"], (8, 1)))
 
     def test_deterministic(self, small_acoustic_weights):

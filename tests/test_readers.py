@@ -373,6 +373,21 @@ def test_weight_config_declaring_huge_network_is_cheap(tmp_path, config, key):
     assert peak < 2e6
 
 
+def test_weight_config_bool_is_no_integer(tmp_path):
+    # true == 1, so the tensor table matches, but a layer count is an int.
+    path = tmp_path / "bool.weights"
+    save_weights(path, init_weights("ppg", _PPG, seed=1))
+    with np.load(path, allow_pickle=False) as archive:
+        entries = {name: archive[name] for name in archive.files}
+    manifest = json.loads(entries["manifest"].tolist())
+    manifest["config"]["hidden_layers"] = True
+    entries["manifest"] = np.array(json.dumps(manifest))
+    write_npz(path, **entries)
+    with pytest.raises(DataError, match="hidden_layers = True: expected an integer") as info:
+        load_weights(path)
+    assert str(path) in str(info.value)
+
+
 def _first_member_damaged(raw: bytes, method=None, flags=None, data=b"") -> bytes:
     """``raw`` with the first zip member's compression method, flags or
     leading data bytes overwritten, in both its local and central headers."""
