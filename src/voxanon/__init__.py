@@ -27,7 +27,6 @@ from .embeddings import (
     EmbeddingPool,
     SpeakerEmbedding,
     cosine_similarity,
-    dissimilarity,
     load_pool,
     mean_embedding,
     pool_similarities,

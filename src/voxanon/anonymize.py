@@ -126,7 +126,8 @@ class PseudoSpeaker:
 
     @property
     def measured_dissimilarity(self) -> float | None:
-        """One minus ``similarity``, as :func:`~voxanon.embeddings.dissimilarity`."""
+        """One minus ``similarity``: 0 for the original's own direction, 2 for
+        the opposite one. ``anonymize`` and ``simulate`` record it."""
         return None if self.similarity is None else 1.0 - self.similarity
 
 

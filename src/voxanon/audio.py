@@ -38,10 +38,6 @@ class Waveform:
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
     def __len__(self) -> int:
         return int(self.samples.size)
 

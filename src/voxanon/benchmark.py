@@ -302,11 +302,11 @@ def make_cluster_speakers(
             (utterances_per_speaker, dim)
         )
         tests = tuple(
-            SpeakerEmbedding(f"{spk_id}_u{j:03d}", utterances[j], {"gender": gender})
+            SpeakerEmbedding(f"{spk_id}_u{j:03d}", utterances[j], gender)
             for j in range(utterances_per_speaker)
         )
         enroll = mean_embedding(tests, new_id=spk_id)
-        enroll = SpeakerEmbedding(spk_id, enroll.vector, {"gender": gender})
+        enroll = SpeakerEmbedding(spk_id, enroll.vector, gender)
         speakers.append(EvalSpeaker(spk_id, enroll, tests))
     return speakers
 
@@ -319,7 +319,7 @@ def make_random_pool(size: int, dim: int, seed: int) -> EmbeddingPool:
         vec = rng.standard_normal(dim)
         vec /= np.linalg.norm(vec)
         gender = "female" if i % 2 == 0 else "male"
-        entries.append(SpeakerEmbedding(f"pool{i:04d}", vec, {"gender": gender}))
+        entries.append(SpeakerEmbedding(f"pool{i:04d}", vec, gender))
     return EmbeddingPool(entries)
 
 

@@ -60,15 +60,6 @@ from .seeding import derive_seed
 FBANK_HOP = 0.010
 
 
-def _require_file(path: str | None, what: str) -> Path:
-    if path is None:
-        raise ConfigError(f"no {what} configured")
-    resolved = Path(path)
-    if not resolved.exists():
-        raise ConfigError(f"{what} not found at {resolved}")
-    return resolved
-
-
 def _weights_path(cfg: RunConfig, component: str) -> Path:
     if cfg.weights_dir is None:
         raise ConfigError(f"paths.weights is not set ({component} weights needed)")
@@ -135,8 +126,12 @@ def cmd_extract(cfg: RunConfig, wav_paths: list[str]) -> int:
 
 
 def cmd_anonymize(cfg: RunConfig, inputs_path: str) -> int:
-    pool = load_pool(_require_file(cfg.pool_path, "embedding pool"))
-    inputs = load_pool(_require_file(inputs_path, "input embeddings"))
+    if cfg.pool_path is None:
+        raise ConfigError("no embedding pool configured")
+    if not Path(cfg.pool_path).exists():
+        raise ConfigError(f"embedding pool not found at {cfg.pool_path}")
+    pool = load_pool(cfg.pool_path)
+    inputs = load_pool(inputs_path)
     a = cfg.anonymize
     spec = a.spec(cfg.seed)
     if spec is None:
@@ -191,8 +186,8 @@ def cmd_synthesize(
     weight_paths = (_weights_path(cfg, "acoustic"), _weights_path(cfg, "nsf"))
     feature_dir = Path(features_dir) if features_dir else Path(cfg.out_dir) / "features"
     if not feature_dir.is_dir():
-        raise ConfigError(f"feature directory not found at {feature_dir}")
-    pseudo = load_pool(_require_file(pseudo_path, "pseudo-speaker pool"))
+        raise DataError(f"feature directory not found at {feature_dir}")
+    pseudo = load_pool(pseudo_path)
     if utts is None:
         utts = sorted(p.name[: -len(".ppg.npz")] for p in feature_dir.glob("*.ppg.npz"))
     if not utts:
@@ -239,14 +234,19 @@ def _cpu_count() -> int:
 
 
 def _synthesize_utterance(task, acoustic_weights, nsf_weights) -> Waveform:
-    """The waveform of one ``(ppg_path, f0, pseudo_speaker, seed)`` task."""
+    """The waveform of one ``(ppg_path, f0, pseudo_speaker, seed)`` task.
+    Inputs the networks cannot take (a PPG of another width, say) raise a
+    ``DataError`` naming the utterance's PPG file."""
     from . import nnet
 
     ppg_path, f0, xvec, seed = task
-    aligned = align_streams(load_features(ppg_path), f0, xvec)
-    mel = nnet.acoustic_forward(aligned, acoustic_weights)
-    f0_trimmed = F0Contour(f0.values[: aligned.n_frames], hop=f0.hop)
-    return nnet.nsf_forward(mel, f0_trimmed, xvec, nsf_weights, seed)
+    try:
+        aligned = align_streams(load_features(ppg_path), f0, xvec)
+        mel = nnet.acoustic_forward(aligned, acoustic_weights)
+        f0_trimmed = F0Contour(f0.values[: aligned.n_frames], hop=f0.hop)
+        return nnet.nsf_forward(mel, f0_trimmed, xvec, nsf_weights, seed)
+    except ValueError as exc:
+        raise DataError(f"{ppg_path}: {exc}") from None
 
 
 def _synthesize_in_workers(tasks, weight_paths, workers: int) -> list[Waveform]:
@@ -310,31 +310,26 @@ def cmd_evaluate(
     ref_path: str | None,
     hyp_path: str | None,
 ) -> int:
-    if (ref_path is None) != (hyp_path is None):
-        raise ConfigError("supply both --ref-trn and --hyp-trn, or neither")
-    enroll_file = _require_file(enroll_path, "enrollment embeddings")
-    enroll_pool = load_pool(enroll_file)
-    test_file = _require_file(test_path, "test embeddings")
-    test_pool = load_pool(test_file)
+    enroll_pool = load_pool(enroll_path)
+    test_pool = load_pool(test_path)
     if enroll_pool.dim != test_pool.dim:
-        raise DataError(f"dimension mismatch: {enroll_file} holds {enroll_pool.dim}-dim "
-                        f"embeddings, {test_file} {test_pool.dim}-dim")
-    trials_file = _require_file(trials_path, "trial list")
-    trials = read_trials(trials_file)
+        raise DataError(f"dimension mismatch: {enroll_path} holds {enroll_pool.dim}-dim "
+                        f"embeddings, {test_path} {test_pool.dim}-dim")
+    trials = read_trials(trials_path)
     k = cfg.evaluate.nearest_k
 
     try:
         indices = trial_indices(trials, enroll_pool.ids, test_pool.ids)
     except DataError as exc:
-        raise DataError(f"{trials_file}, {exc}") from None
+        raise DataError(f"{trials_path}, {exc}") from None
     try:
         scored = score_trials(enroll_pool, test_pool, *indices, k, cfg.evaluate.gender_partition)
     except ValueError as exc:  # too few non-target speakers for the nearest-K filter
-        raise DataError(f"evaluate.k = {k} with test speakers from {test_file}: {exc}") from None
+        raise DataError(f"evaluate.k = {k} with test speakers from {test_path}: {exc}") from None
     for side, present in (("target", scored.is_target), ("non-target", ~scored.is_target)):
         if not present.any():
             with_k = "" if k is None else f" with k = {k}"
-            raise DataError(f"{trials_file}: no {side} trials to score{with_k}")
+            raise DataError(f"{trials_path}: no {side} trials to score{with_k}")
 
     records = [{"config": cfg.echo()}]
     lines = ["EER report"]
@@ -365,7 +360,7 @@ def cmd_evaluate(
         totals = np.zeros(4, dtype=np.int64)  # S, D, I, N
         for utt, ref_words in sorted(refs.items()):
             if utt not in hyps:
-                raise DataError(f"transcript {utt!r} missing from hypothesis file")
+                raise DataError(f"{hyp_path}: no transcript of {utt!r}, which {ref_path} holds")
             result = wer(ref_words, hyps[utt])
             totals += (
                 result.substitutions, result.deletions,
@@ -396,7 +391,7 @@ def cmd_evaluate(
 
 
 def _read_transcripts(path) -> dict[str, list[str]]:
-    path = _require_file(path, "transcript file")
+    path = Path(path)
     transcripts = {}
     for lineno, line in enumerate(read_lines(path, "transcript file"), start=1):
         if not line.strip():
@@ -478,13 +473,13 @@ def cmd_simulate(cfg: RunConfig) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="configuration file (INI sections)")
-    common.add_argument("--seed", type=int, help="master seed override")
+    common.add_argument("--seed", dest="run.seed", type=int, help="master seed override")
     common.add_argument(
-        "--jobs", type=int,
+        "--jobs", dest="run.jobs", type=int,
         help="cap on synthesize's worker processes (default run.jobs = auto: one per CPU; "
         "extract ignores it)",
     )
-    common.add_argument("--out-dir", help="output directory override")
+    common.add_argument("--out-dir", dest="paths.out_dir", help="output directory override")
 
     parser = argparse.ArgumentParser(
         prog="voxanon",
@@ -498,12 +493,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("anonymize", parents=[common], help="embeddings to pseudo speakers")
     p.add_argument("--inputs", required=True, help="embedding pool file to anonymize")
-    p.add_argument("--strategy", choices=STRATEGIES)
-    p.add_argument("--m", type=int, help="selection count (random/nearest)")
-    p.add_argument("--sim", type=float, help="target similarity (range)")
-    p.add_argument("--eps", type=float, help="similarity half-width (range)")
+    p.add_argument("--strategy", dest="anonymize.strategy", choices=STRATEGIES)
+    p.add_argument("--m", dest="anonymize.m", type=int, help="selection count (random/nearest)")
+    p.add_argument("--sim", dest="anonymize.sim", type=float, help="target similarity (range)")
+    p.add_argument("--eps", dest="anonymize.eps", type=float, help="similarity half-width (range)")
     p.add_argument(
-        "--shared", action="store_true", default=None,
+        "--shared", dest="anonymize.shared", action="store_true", default=None,
         help="compose one pseudo speaker and reuse it for every input "
         "(overrides anonymize.shared)",
     )
@@ -524,26 +519,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# argparse dest -> the INI key it overrides; see the voxanon.config docstring.
-_FLAG_KEYS = {
-    "seed": "run.seed",
-    "jobs": "run.jobs",
-    "out_dir": "paths.out_dir",
-    "strategy": "anonymize.strategy",
-    "m": "anonymize.m",
-    "sim": "anonymize.sim",
-    "eps": "anonymize.eps",
-    "shared": "anonymize.shared",
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     cfg = None
     try:
-        cfg = load_config(
-            args.config, {key: getattr(args, dest, None) for dest, key in _FLAG_KEYS.items()}
-        )
+        if args.command == "evaluate" and (args.ref_trn is None) != (args.hyp_trn is None):
+            raise ConfigError("supply both --ref-trn and --hyp-trn, or neither")
+        # An override flag's dest is the INI key it sets, e.g. "anonymize.m".
+        cfg = load_config(args.config, {k: v for k, v in vars(args).items() if "." in k})
         if args.command == "extract":
             return cmd_extract(cfg, args.wavs)
         if args.command == "anonymize":
@@ -559,7 +542,8 @@ def main(argv=None) -> int:
             return cmd_simulate(cfg)
         raise RuntimeError(f"unhandled command {args.command!r}")
     except ConfigError as exc:
-        # load_config names the file in its own errors; a command's do not.
+        # load_config names the file in its own errors, and the transcript
+        # flag check before it concerns no file; a command's errors do not.
         where = f"{args.config}: " if cfg is not None and args.config is not None else ""
         print(f"config error: {where}{exc}", file=sys.stderr)
         return 2

@@ -25,7 +25,10 @@ option that overrides the key::
 List keys are comma separated, and a nearest-K value of ``all`` keeps
 every candidate. ``jobs`` caps the worker processes of ``synthesize``; its
 default ``auto`` allows one per CPU the command may run on, and ``extract``
-ignores it.
+ignores it. ``sample_rate`` is at least 15200 Hz, twice the 7600 Hz top
+edge of the mel front ends, so that no mel band is empty. ``cluster_std``
+is a finite number in [0, 1e6], far below the spread at which the
+generated embeddings overflow.
 """
 
 from __future__ import annotations
@@ -37,12 +40,15 @@ from typing import Annotated, get_args, get_origin, get_type_hints
 
 from .anonymize import STRATEGIES, AnonymizationSpec
 from .errors import ConfigError
-from .features import TAPS
+from .features import MEL_HIGH_HZ, TAPS
 
 # A nearest-K setting: a count, or None (written ``all``) for every candidate.
 NearestK = Annotated[int | None, "all"]
 # A worker cap: a count, or None (written ``auto``) for one per CPU.
 Jobs = Annotated[int | None, "auto"]
+# Simulated utterances are unit vectors plus cluster_std times standard
+# normal noise; a noise of 1e308 overflows them to inf, 1e6 is far from it.
+MAX_CLUSTER_STD = 1e6
 
 
 @dataclass
@@ -150,10 +156,12 @@ class RunConfig:
     def validate(self) -> None:
         if self.jobs is not None and self.jobs < 1:
             raise ConfigError("run.jobs must be at least 1 or 'auto'")
-        # The F0 tracker needs 8 kHz, and the mel front ends reach 7600 Hz.
-        if self.features.sample_rate < 8000:
+        # Below twice the mel front ends' top edge, their top bands hold no
+        # FFT bin and read a constant. (The F0 tracker needs only 8 kHz.)
+        if self.features.sample_rate < 2 * MEL_HIGH_HZ:
             raise ConfigError(
-                f"features.sample_rate must be at least 8000 Hz, got {self.features.sample_rate}"
+                f"features.sample_rate must be at least {2 * MEL_HIGH_HZ:g} Hz, "
+                f"got {self.features.sample_rate}"
             )
         if not 0.0 <= self.features.f0_threshold <= 1.0:
             raise ConfigError(
@@ -184,6 +192,11 @@ class RunConfig:
         if any(k is not None and k > n_speakers - 1 for k in self.simulate.k_grid):
             raise ConfigError(
                 f"simulate.k_grid entries must be at most n_speakers - 1 = {n_speakers - 1}"
+            )
+        if not 0.0 <= self.simulate.cluster_std <= MAX_CLUSTER_STD:
+            raise ConfigError(
+                f"simulate.cluster_std must be a number in [0, {MAX_CLUSTER_STD:.0f}], "
+                f"got {self.simulate.cluster_std!r}"
             )
         for name in ("utterances_per_speaker", "dim", "pool_size", "repetitions"):
             if getattr(self.simulate, name) < 1:

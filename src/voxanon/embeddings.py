@@ -1,8 +1,8 @@
 """Speaker embedding geometry and pool storage.
 
-A speaker embedding is a fixed-dimensional vector with an identity label.
-This module provides the similarity measures used everywhere else
-(cosine similarity and its dissimilarity complement), averaging, the
+A speaker embedding is an identity label, a fixed-dimensional vector and
+an optional gender tag, the one tag a pool entry needs (gender-partitioned
+scoring reads it). This module provides cosine similarity, averaging, the
 speaker-level means of utterance embeddings, the similarity of a query to
 every pool entry, and a line-delimited text format for persisting pools.
 
@@ -15,28 +15,27 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import DataError, read_lines
 
-_RESERVED_METADATA_KEYS = frozenset({"id", "vec"})
-
 
 @dataclass(frozen=True, eq=False)
 class SpeakerEmbedding:
-    """A fixed-dimensional speaker identity vector.
+    """A fixed-dimensional speaker identity vector with an optional gender.
 
     The vector must be finite with a strictly positive Euclidean norm so
-    that cosine similarity against it is always defined. ``metadata``
-    carries side information such as ``gender``; it is never interpreted
-    by the geometry operations.
+    that cosine similarity against it is always defined. ``gender`` is a
+    nonempty string or None; only gender partitions read it, never the
+    geometry operations. These three fields are all a pool record holds
+    (see :func:`save_pool`).
     """
 
     id: str
     vector: np.ndarray
-    metadata: Mapping[str, object] | None = None
+    gender: str | None = None
 
     def __post_init__(self):
         if not self.id:
@@ -48,27 +47,17 @@ class SpeakerEmbedding:
             raise ValueError(f"embedding {self.id!r}: vector has non-finite components")
         if not np.any(vec):
             raise ValueError(f"embedding {self.id!r}: vector has zero norm")
+        if self.gender is not None and not (isinstance(self.gender, str) and self.gender):
+            raise ValueError(
+                f"embedding {self.id!r}: gender must be a nonempty string or None, "
+                f"got {self.gender!r}"
+            )
         vec.setflags(write=False)
         object.__setattr__(self, "vector", vec)
-        if self.metadata is not None:
-            meta = dict(self.metadata)
-            bad = _RESERVED_METADATA_KEYS.intersection(meta)
-            if bad:
-                raise ValueError(
-                    f"embedding {self.id!r}: metadata keys {sorted(bad)} are reserved"
-                )
-            object.__setattr__(self, "metadata", meta)
 
     @property
     def dim(self) -> int:
         return int(self.vector.shape[0])
-
-    @property
-    def gender(self) -> str | None:
-        if self.metadata is None:
-            return None
-        value = self.metadata.get("gender")
-        return None if value is None else str(value)
 
 
 class EmbeddingPool:
@@ -159,11 +148,6 @@ def cosine_similarity(a: SpeakerEmbedding, b: SpeakerEmbedding) -> float:
     return min(1.0, max(-1.0, value))
 
 
-def dissimilarity(a: SpeakerEmbedding, b: SpeakerEmbedding) -> float:
-    """One minus cosine similarity: 0 for aligned vectors, 2 for antipodal."""
-    return 1.0 - cosine_similarity(a, b)
-
-
 def centered_mean(matrix: np.ndarray) -> np.ndarray:
     """The mean of the rows of ``matrix``, in row order; raises ``ValueError``
     when it has zero norm."""
@@ -228,7 +212,7 @@ def save_pool(path, pool: EmbeddingPool) -> None:
     """Write a pool as line-delimited JSON records.
 
     The first line is a header with ``dim`` and ``count``; every following
-    line is one embedding with ``id``, optional metadata fields, and
+    line is one embedding with ``id``, ``gender`` where it is set, and
     ``vec``. Floats are serialized at full round-trip precision, so
     save-then-load is the identity on pools.
     """
@@ -237,8 +221,8 @@ def save_pool(path, pool: EmbeddingPool) -> None:
         fh.write(json.dumps({"dim": pool.dim, "count": len(pool)}) + "\n")
         for entry in pool:
             record: dict[str, object] = {"id": entry.id}
-            for key in sorted(entry.metadata or {}):
-                record[key] = entry.metadata[key]
+            if entry.gender is not None:
+                record["gender"] = entry.gender
             record["vec"] = [float(x) for x in entry.vector]
             fh.write(json.dumps(record) + "\n")
 
@@ -246,7 +230,9 @@ def save_pool(path, pool: EmbeddingPool) -> None:
 def load_pool(path) -> EmbeddingPool:
     """Load a pool written by :func:`save_pool`.
 
-    Malformed lines, dimension inconsistencies, and duplicate ids raise
+    A record holds ``id``, ``vec`` and optionally ``gender``, nothing else.
+    Malformed lines, other fields, a gender that is neither a nonempty
+    string nor null, dimension inconsistencies, and duplicate ids raise
     ``DataError`` naming the offending line or record.
     """
     path = Path(path)
@@ -272,8 +258,11 @@ def load_pool(path) -> EmbeddingPool:
         record = _parse_record(path, lineno, line)
         if "id" not in record or "vec" not in record:
             raise DataError(f"{path}, line {lineno}: record must contain 'id' and 'vec'")
-        entry_id = record.pop("id")
-        vec = record.pop("vec")
+        extra = sorted(set(record).difference(("id", "gender", "vec")))
+        if extra:
+            raise DataError(f"{path}, line {lineno}: unknown fields {extra}; a record "
+                            "holds 'id', an optional 'gender' and 'vec'")
+        entry_id, vec = record["id"], record["vec"]
         if not isinstance(entry_id, str):
             raise DataError(f"{path}, line {lineno}: 'id' must be a string")
         if not isinstance(vec, list):
@@ -289,9 +278,8 @@ def load_pool(path) -> EmbeddingPool:
         if entry_id in seen:
             raise DataError(f"{path}, line {lineno}: duplicate id {entry_id!r}")
         seen.add(entry_id)
-        metadata = record or None
         try:
-            entries.append(SpeakerEmbedding(entry_id, vec, metadata))
+            entries.append(SpeakerEmbedding(entry_id, vec, record.get("gender")))
         except (ValueError, TypeError, OverflowError) as exc:
             raise DataError(f"{path}, line {lineno}: {exc}") from exc
     if len(entries) != count:

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from voxanon.cli import speaker_of
-from voxanon.embeddings import cosine_similarity, dissimilarity, mean_embedding, pool_similarities
+from voxanon.embeddings import cosine_similarity, mean_embedding, pool_similarities
 from voxanon.errors import DataError, read_lines
 from voxanon.metrics import compute_eer, rank_by_similarity
 from voxanon.seeding import derive_seed
@@ -556,7 +556,7 @@ def _anonymize_range(pool, original, target_similarity, half_width):
         new_id=f"pseudo:range:s={target_similarity}:eps={half_width}:of={original.id}",
     )
     selected = tuple(pool.entries[i].id for i in indices)
-    measured = dissimilarity(original, embedding)
+    measured = 1.0 - cosine_similarity(original, embedding)
     return selected, embedding, measured
 
 
@@ -567,7 +567,7 @@ def _anonymize_nearest(pool, original, n_select):
     embedding = _mean_of_indices(
         pool, indices, new_id=f"pseudo:nearest:n={n_select}:of={original.id}"
     )
-    measured = dissimilarity(original, embedding)
+    measured = 1.0 - cosine_similarity(original, embedding)
     return selected, embedding, measured
 
 
@@ -576,7 +576,7 @@ def select_pseudo_speaker(pool, spec, original=None):
     strategy body it names."""
     if spec.strategy == "random":
         selected, embedding, _ = _anonymize_random(pool, spec.n_select, spec.seed)
-        measured = None if original is None else dissimilarity(original, embedding)
+        measured = None if original is None else 1.0 - cosine_similarity(original, embedding)
         return selected, embedding, measured
     if original is None:
         raise ValueError(f"strategy {spec.strategy!r} requires an original speaker")

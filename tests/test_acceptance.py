@@ -22,7 +22,6 @@ from voxanon import (
     apply_spec,
     compute_eer,
     cosine_similarity,
-    dissimilarity,
     extract_f0,
     make_cluster_speakers,
     make_random_pool,
@@ -135,7 +134,7 @@ def test_criterion_4_dissimilarity_range_from_provenance():
         for event in result.events:
             members = [pool.get(i) for i in sorted(event.selected_ids)]
             pseudo = mean_embedding(members)
-            value = dissimilarity(by_id[event.speaker_id].enroll, pseudo)
+            value = 1.0 - cosine_similarity(by_id[event.speaker_id].enroll, pseudo)
             assert value == event.dissimilarity
             values.append(value)
         assert result.dissimilarity_range == (min(values), max(values))

@@ -8,7 +8,6 @@ from voxanon import (
     apply_spec,
     cosine_similarity,
     derive_seed,
-    dissimilarity,
     make_similarity_ladder_pool,
     mean_embedding,
     pool_similarities,
@@ -291,7 +290,7 @@ class TestApplySpec:
             result = apply_spec(pool, spec, original)
             assert result.spec is spec
             assert result.similarity == cosine_similarity(original, result.embedding)
-            assert result.measured_dissimilarity == dissimilarity(original, result.embedding)
+            assert result.measured_dissimilarity == 1.0 - cosine_similarity(original, result.embedding)
         unmeasured = apply_spec(pool, AnonymizationSpec("random", n_select=4, seed=2))
         assert unmeasured.similarity is None and unmeasured.measured_dissimilarity is None
 

@@ -7,7 +7,6 @@ from voxanon import (
     EvalSpeaker,
     apply_spec,
     cosine_similarity,
-    dissimilarity,
     make_cluster_speakers,
     make_random_pool,
     make_similarity_ladder_pool,
@@ -111,7 +110,7 @@ class TestBenchmark:
         recomputed = []
         for event in result.events:
             pseudo = mean_embedding([pool.get(i) for i in sorted(event.selected_ids)])
-            value = dissimilarity(by_id[event.speaker_id].enroll, pseudo)
+            value = 1.0 - cosine_similarity(by_id[event.speaker_id].enroll, pseudo)
             assert value == event.dissimilarity
             recomputed.append(value)
         assert result.dissimilarity_range == (min(recomputed), max(recomputed))

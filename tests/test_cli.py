@@ -23,7 +23,7 @@ from voxanon.cli import main, speaker_of
 from voxanon.config import load_config
 from voxanon.embeddings import EmbeddingPool, SpeakerEmbedding
 from voxanon.errors import ConfigError, write_npz
-from voxanon.features import F0Contour, FeatureMatrix, save_f0, save_features
+from voxanon.features import F0Contour, FeatureMatrix, load_features, save_f0, save_features
 from voxanon.nnet import AcousticConfig, NsfConfig, PpgConfig, XVectorConfig, init_weights, save_weights
 
 
@@ -245,6 +245,10 @@ class TestExitCodes:
         ("simulate", "[simulate]\nutterances_per_speaker = 0\n", "simulate.utterances_per_speaker"),
         ("simulate", "[simulate]\nstrategies = range\n", "simulate.s_grid"),
         ("simulate", "[simulate]\nstrategies = nearest\nm_grid =\n", "simulate.m_grid"),
+        ("simulate", "[simulate]\ncluster_std = nan\n", "simulate.cluster_std"),
+        ("simulate", "[simulate]\ncluster_std = inf\n", "simulate.cluster_std"),
+        ("simulate", "[simulate]\ncluster_std = 1e308\n", "simulate.cluster_std"),
+        ("simulate", "[simulate]\ncluster_std = -0.1\n", "simulate.cluster_std"),
         ("evaluate", "[evaluate]\nk = 0\n", "evaluate.k"),
         ("synthesize --pseudo p.jsonl", "[run]\njobs = 0\n", "run.jobs"),
         ("evaluate", "[simulate]\nstrategies = random, range\n", "simulate.s_grid"),
@@ -274,6 +278,8 @@ class TestExitCodes:
         ("f0_threshold = inf", "features.f0_threshold"),
         ("sample_rate = 0", "features.sample_rate"),
         ("sample_rate = 4000", "features.sample_rate"),
+        ("sample_rate = 8000", "features.sample_rate"),
+        ("sample_rate = 12000", "features.sample_rate"),
     ])
     def test_bad_front_end_value_exits_2(self, site, tmp_path, capsys, text, key):
         path = tmp_path / "front.ini"
@@ -313,6 +319,41 @@ class TestExitCodes:
             "--out-dir", str(tmp_path / "report"),
         ])
         assert rc == 0
+
+    @pytest.mark.parametrize("command, flag, code", [
+        ("anonymize", "--inputs", 3), ("synthesize", "--features-dir", 3),
+        ("synthesize", "--pseudo", 3), ("evaluate", "--enroll", 3), ("evaluate", "--test", 3),
+        ("evaluate", "--trials", 3), ("evaluate", "--ref-trn", 3), ("evaluate", "--hyp-trn", 3),
+        ("evaluate", "--ref-trn-alone", 2), ("evaluate", "--hyp-trn-lacking-an-utterance", 3),
+    ])
+    def test_flag_error_names_its_file_not_the_config(
+        self, site, extracted, pseudo, tmp_path, capsys, command, flag, code
+    ):
+        config = site / "run.ini"
+        trials, ref, hyp = tmp_path / "trials.txt", tmp_path / "ref.trn", tmp_path / "hyp.trn"
+        trials.write_text("p01 p01_001 tar\np01 p02_001 non\n")
+        ref.write_text("p01_001 a b\np01_002 c\n")
+        hyp.write_text("p01_001 a b\np01_002 c\n")
+        paths = {
+            "anonymize": {"--inputs": extracted / "speaker_xvectors.jsonl"},
+            "synthesize": {"--features-dir": extracted / "features", "--pseudo": pseudo},
+            "evaluate": {"--enroll": extracted / "speaker_xvectors.jsonl",
+                         "--test": extracted / "utterance_xvectors.jsonl",
+                         "--trials": trials, "--ref-trn": ref, "--hyp-trn": hyp},
+        }[command]
+        if flag == "--ref-trn-alone":
+            del paths["--hyp-trn"]
+            named = "--ref-trn and --hyp-trn"
+        elif flag == "--hyp-trn-lacking-an-utterance":
+            hyp.write_text("p01_001 a b\n")
+            named = f"{hyp}: no transcript of 'p01_002', which {ref} holds"
+        else:
+            paths[flag] = named = tmp_path / "missing"
+        args = [command, "--config", str(config), "--out-dir", str(tmp_path / "o")]
+        rc = main(args + [str(part) for item in paths.items() for part in item])
+        err = capsys.readouterr().err
+        assert rc == code, err
+        assert str(named) in err and str(config) not in err
 
     @pytest.mark.parametrize("lines", [
         "p01 p01_001 tar\np02 p02_001 tar\n",
@@ -403,6 +444,8 @@ class TestCorruptInputs:
             ("ppg", "p01_001.ppg.npz", True),
             ("nsf", "nsf.weights", True),
             ("acoustic", "acoustic.weights", True),
+            ("ppg-width", "p01_001.ppg.npz", False),
+            ("ppg-width", "p01_001.ppg.npz", True),
         ]
     ])
     def test_synthesize_exit_code_names_file(
@@ -426,12 +469,15 @@ class TestCorruptInputs:
         pool = tmp_path / "pseudo.jsonl"
         pool.symlink_to(sources[2])
         bad = {"f0": features / "p01_001.f0.npz", "ppg": features / "p01_001.ppg.npz",
-               "nsf": weights / "nsf.weights", "acoustic": weights / "acoustic.weights",
-               "pseudo": pool}[slot]
+               "ppg-width": features / "p01_001.ppg.npz", "nsf": weights / "nsf.weights",
+               "acoustic": weights / "acoustic.weights", "pseudo": pool}[slot]
         raw = bad.read_bytes()
+        ppg = load_features(bad) if slot == "ppg-width" else None
         bad.unlink()
         if slot == "pseudo":
             bad.write_text('{"dim": 512, "count": 1}\n{"id": "p01", "vec": [1.0, 2.0]}\n')
+        elif slot == "ppg-width":  # a readable PPG narrower than the acoustic model's input
+            save_features(bad, FeatureMatrix(ppg.frames[:, :-2], hop=ppg.hop, kind="ppg"))
         else:
             bad.write_bytes(raw[: len(raw) // 2])
         config = tmp_path / "run.ini"

@@ -24,7 +24,7 @@ ACCEPTED = [
     ("paths", "pool", "pools/p.jsonl", ("pool_path",), "pools/p.jsonl"),
     ("paths", "weights", "w", ("weights_dir",), "w"),
     ("paths", "out_dir", "o u t", ("out_dir",), "o u t"),
-    ("features", "sample_rate", "8000", ("features", "sample_rate"), 8000),
+    ("features", "sample_rate", "22050", ("features", "sample_rate"), 22050),
     ("features", "f0_threshold", "0.3", ("features", "f0_threshold"), 0.3),
     ("models", "ppg_tap", "sigmoid6", ("models", "ppg_tap"), "sigmoid6"),
     ("anonymize", "strategy", "none", ("anonymize", "strategy"), "none"),
@@ -159,10 +159,14 @@ class TestFrontEndValues:
         config = _load_text(tmp_path, f"[features]\nf0_threshold = {text}\n")
         assert config.features.f0_threshold == float(text)
 
-    @pytest.mark.parametrize("text", ["0", "-16000", "4000", "7999"])
+    @pytest.mark.parametrize("text", ["0", "-16000", "4000", "7999", "8000", "12000", "15199"])
     def test_nonpositive_sample_rate_rejected(self, tmp_path, text):
-        with pytest.raises(ConfigError, match=r"c\.ini: features\.sample_rate must be at least 8000"):
+        # Below twice MEL_HIGH_HZ the top mel bands hold no FFT bin.
+        with pytest.raises(ConfigError, match=r"c\.ini: features\.sample_rate must be at least 15200"):
             _load_text(tmp_path, f"[features]\nsample_rate = {text}\n")
+
+    def test_lowest_sample_rate_accepted(self, tmp_path):
+        assert _load_text(tmp_path, "[features]\nsample_rate = 15200\n").features.sample_rate == 15200
 
 
 class TestSimulateGrid:
@@ -178,6 +182,15 @@ class TestSimulateGrid:
         with pytest.raises(ConfigError) as caught:
             _load_text(tmp_path, f"[simulate]\n{text}\n")
         assert str(caught.value) == f"{tmp_path / 'c.ini'}: {message}"
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e308", "1000000.5", "-0.1"])
+    def test_cluster_std_outside_bounds_rejected(self, tmp_path, text):
+        with pytest.raises(ConfigError, match=r"c\.ini: simulate\.cluster_std must be a number in \[0, 1000000\]"):
+            _load_text(tmp_path, f"[simulate]\ncluster_std = {text}\n")
+
+    @pytest.mark.parametrize("text", ["0", "1e6"])
+    def test_cluster_std_bounds_accepted(self, tmp_path, text):
+        assert _load_text(tmp_path, f"[simulate]\ncluster_std = {text}\n").simulate.cluster_std == float(text)
 
     @pytest.mark.parametrize("text", ["n_speakers = 2", "n_speakers = 3\nk_grid = all, 1, 2"])
     def test_smallest_grid_accepted(self, tmp_path, text):

@@ -7,7 +7,6 @@ from voxanon import (
     SpeakerEmbedding,
     apply_spec,
     cosine_similarity,
-    dissimilarity,
     load_pool,
     mean_embedding,
     pool_similarities,
@@ -76,28 +75,6 @@ class TestCosineSimilarity:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             SpeakerEmbedding("n", [1.0, np.nan])
-
-
-class TestDissimilarity:
-    def test_identical(self):
-        v = SpeakerEmbedding("v", [0.3, -0.2, 0.9])
-        assert dissimilarity(v, v) < 1e-12
-
-    def test_antipodal(self):
-        a = SpeakerEmbedding("a", [1.0, 0.0])
-        b = SpeakerEmbedding("b", [-1.0, 0.0])
-        assert dissimilarity(a, b) == 2.0
-
-    def test_orthogonal(self):
-        a = SpeakerEmbedding("a", [1.0, 0.0])
-        b = SpeakerEmbedding("b", [0.0, 1.0])
-        assert dissimilarity(a, b) == 1.0
-
-    def test_range(self, rng):
-        for i in range(100):
-            a = random_embedding(rng, 6, f"a{i}")
-            b = random_embedding(rng, 6, f"b{i}")
-            assert 0.0 <= dissimilarity(a, b) <= 2.0
 
 
 class TestMeanEmbedding:
@@ -225,10 +202,8 @@ class TestPoolIo:
     def test_roundtrip_is_identity(self, rng, tmp_path):
         entries = []
         for i in range(10):
-            metadata = {"gender": "female" if i % 2 else "male", "source": f"set{i}"}
-            entries.append(
-                SpeakerEmbedding(f"spk{i:02d}", rng.standard_normal(32), metadata)
-            )
+            gender = [None, "female", "male"][i % 3]
+            entries.append(SpeakerEmbedding(f"spk{i:02d}", rng.standard_normal(32), gender))
         pool = EmbeddingPool(entries)
         path = tmp_path / "pool.jsonl"
         save_pool(path, pool)
@@ -237,7 +212,7 @@ class TestPoolIo:
         assert loaded.dim == pool.dim
         for original, copy in zip(pool, loaded):
             assert np.array_equal(original.vector, copy.vector)
-            assert original.metadata == copy.metadata
+            assert original.gender == copy.gender
 
     def test_double_roundtrip_bytes_stable(self, rng, tmp_path):
         pool = EmbeddingPool([random_embedding(rng, 8, f"e{i}") for i in range(4)])
@@ -278,3 +253,32 @@ class TestPoolIo:
         path.write_text('{"dim": 1, "count": 3}\n{"id": "only", "vec": [1.0]}\n')
         with pytest.raises(DataError, match="declares 3"):
             load_pool(path)
+
+    @pytest.mark.parametrize("fields, problem", [
+        ('"gender": 5, ', "gender must be a nonempty string or None, got 5"),
+        ('"gender": true, ', "gender must be a nonempty string or None, got True"),
+        ('"gender": "", ', "gender must be a nonempty string or None, got ''"),
+        ('"gender": ["f"], ', "gender must be a nonempty string or None, got ['f']"),
+        ('"gender": "f", "source": "set1", ', "unknown fields ['source']"),
+    ], ids=["int", "bool", "empty", "list", "extra-field"])
+    def test_record_is_id_gender_and_vec_only(self, tmp_path, fields, problem):
+        path = tmp_path / "strict.jsonl"
+        path.write_text(
+            '{"dim": 1, "count": 2}\n'
+            '{"id": "ok", "gender": null, "vec": [1.0]}\n'
+            f'{{"id": "bad", {fields}"vec": [1.0]}}\n'
+        )
+        with pytest.raises(DataError) as info:
+            load_pool(path)
+        assert f"{path}, line 3" in str(info.value) and problem in str(info.value)
+
+    def test_gender_written_only_when_set(self, tmp_path):
+        path = tmp_path / "pool.jsonl"
+        save_pool(path, EmbeddingPool([
+            SpeakerEmbedding("a", [1.0]), SpeakerEmbedding("b", [0.5], "f"),
+        ]))
+        assert path.read_text() == (
+            '{"dim": 1, "count": 2}\n'
+            '{"id": "a", "vec": [1.0]}\n'
+            '{"id": "b", "gender": "f", "vec": [0.5]}\n'
+        )

@@ -33,12 +33,11 @@ from _oracles import benchmark_eers, evaluate_eers
 
 
 def _copy_speaker(source, new_id, scale, gender):
-    meta = None if gender is None else {"gender": gender}
     tests = tuple(
-        SpeakerEmbedding(f"{new_id}_u{j:03d}", scale * utt.vector, meta)
+        SpeakerEmbedding(f"{new_id}_u{j:03d}", scale * utt.vector, gender)
         for j, utt in enumerate(source.tests)
     )
-    enroll = SpeakerEmbedding(new_id, mean_embedding(tests).vector, meta)
+    enroll = SpeakerEmbedding(new_id, mean_embedding(tests).vector, gender)
     return EvalSpeaker(new_id, enroll, tests)
 
 
