@@ -15,7 +15,6 @@ per-item sub-seeds, so outputs are bitwise reproducible.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import os
 import sys
@@ -167,15 +166,16 @@ def cmd_anonymize(cfg: RunConfig, inputs_path: str) -> int:
 # synthesize
 
 # Audio seconds each synthesize worker must have to earn its start. On
-# 2 vCPUs with full-size weights, a worker start (a spawned interpreter
-# importing numpy and voxanon, then loading the acoustic and NSF weights)
-# took 0.31 s. Two workers lost to the in-process run on two 1.5 s
-# utterances (1.72 against 1.62 s) and won on two 2 s ones (1.89 against
-# 2.16 s), so a worker breaks even at 1.5-2 s of audio.
-_SECONDS_PER_WORKER = 1.75
-# Each worker runs its BLAS on one thread: the CPUs are already split among
-# the workers. The first variable serves OpenBLAS, the others OpenMP and MKL.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# 2 vCPUs with full-size weights, workers are forked from a parent that has
+# loaded the weights, so a start costs little; two workers against the
+# in-process run, alternating, won 19 of 20 runs on two 0.73 s utterances
+# and every run from 0.98 s up, but only 25 of 36 on two 0.48 s ones and
+# 35 of 48 on two 0.23 s ones, with medians that crossed between rounds.
+# The bar lies between those loads.
+_SECONDS_PER_WORKER = 0.6
+# OpenBLAS's thread-count functions as its builds name them:
+# ``{prefix}_get_num_threads{suffix}`` and ``{prefix}_set_num_threads{suffix}``.
+_OPENBLAS_NAMES = (("scipy_openblas", "64_"), ("openblas", ""), ("openblas", "64_"))
 
 
 def cmd_synthesize(
@@ -213,13 +213,14 @@ def cmd_synthesize(
          embedding_for(utt), derive_seed(master, f"nsf:{utt}"))
         for utt in utts
     ]
+    weights = [nnet.load_weights(path) for path in weight_paths]
     seconds = sum(f0.n_frames * f0.hop for _, f0, _, _ in tasks)
     workers = min(cfg.jobs or _cpu_count(), len(tasks), int(seconds // _SECONDS_PER_WORKER))
-    if workers <= 1:
-        weights = [nnet.load_weights(path) for path in weight_paths]
+    threads = _openblas_threads() if workers > 1 and hasattr(os, "fork") else None
+    if threads is None:  # one worker, or no way to give a worker one BLAS thread
         waveforms = [_synthesize_utterance(task, *weights) for task in tasks]
     else:
-        waveforms = _synthesize_in_workers(tasks, weight_paths, workers)
+        waveforms = _synthesize_in_workers(tasks, weights, workers, *threads)
     for utt, waveform in zip(utts, waveforms):
         write_wav(wav_dir / f"{utt}.wav", waveform)
     print(f"synthesized {len(utts)} utterances -> {wav_dir}")
@@ -231,6 +232,31 @@ def _cpu_count() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+@functools.cache
+def _openblas_threads():
+    """OpenBLAS's ``(get, set)`` thread-count functions in the library numpy
+    calls, or None where numpy's BLAS is not OpenBLAS.
+
+    They are looked up through numpy's ``_multiarray_umath`` extension,
+    because ``dlsym`` on a module also searches the libraries it links."""
+    import ctypes
+
+    try:
+        from numpy._core import _multiarray_umath
+
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except (ImportError, OSError):
+        return None
+    for prefix, suffix in _OPENBLAS_NAMES:
+        get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+        set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
 
 
 def _synthesize_utterance(task, acoustic_weights, nsf_weights) -> Waveform:
@@ -249,53 +275,47 @@ def _synthesize_utterance(task, acoustic_weights, nsf_weights) -> Waveform:
         raise DataError(f"{ppg_path}: {exc}") from None
 
 
-def _synthesize_in_workers(tasks, weight_paths, workers: int) -> list[Waveform]:
-    """The waveforms of ``tasks``, in input order, from ``workers`` spawned
-    processes with one BLAS thread each. A task's exception is raised here
-    unchanged; every worker has exited when this returns or raises."""
+def _synthesize_in_workers(tasks, weights, workers: int, get_threads, set_threads) -> list[Waveform]:
+    """The waveforms of ``tasks``, in input order, from ``workers`` processes
+    forked from this one. They inherit ``weights`` and OpenBLAS's thread
+    count, which is 1 while the pool runs and restored after. A task's
+    exception is raised here unchanged; every worker has exited when this
+    returns or raises.
+
+    Forking is safe while no other thread holds a lock: the executor forks
+    every worker before it starts its own thread, the CLI starts none, and
+    OpenBLAS stops its threads in a fork handler."""
     import multiprocessing  # with the executor, 14 ms of every command's start
     from concurrent.futures import ProcessPoolExecutor
 
-    with _worker_environment(), ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context("spawn")
-    ) as executor:
-        futures = [executor.submit(_synthesize_in_worker, weight_paths, task) for task in tasks]
-        try:
-            return [future.result() for future in futures]
-        finally:
-            for future in futures:  # after a failure, start no further task
-                future.cancel()
-
-
-@contextlib.contextmanager
-def _worker_environment():
-    # Workers start, and read their BLAS thread count, inside this block;
-    # the parent's own BLAS is already loaded and keeps its threads.
-    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    threads = get_threads()
+    set_threads(1)  # the workers split the CPUs; this process only waits
     try:
-        yield
+        with ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_keep_weights, initargs=weights,
+        ) as executor:
+            futures = [executor.submit(_synthesize_kept, task) for task in tasks]
+            try:
+                return [future.result() for future in futures]
+            finally:
+                for future in futures:  # after a failure, start no further task
+                    future.cancel()
     finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+        set_threads(threads)
 
 
-def _synthesize_in_worker(weight_paths, task) -> Waveform:
-    return _synthesize_utterance(task, *_worker_weights(*weight_paths))
+# A pool worker's acoustic and NSF weights, which its initializer keeps.
+_kept_weights = ()
 
 
-@functools.cache
-def _worker_weights(acoustic_path: Path, nsf_path: Path):
-    # Called in worker processes only: each loads the weights on its first
-    # task and keeps them for the next. A failed load is not cached, so every
-    # task it meets raises the same DataError. (A pool initializer that
-    # raised would break the pool and lose that error.)
-    from . import nnet
+def _keep_weights(*weights) -> None:
+    global _kept_weights
+    _kept_weights = weights
 
-    return nnet.load_weights(acoustic_path), nnet.load_weights(nsf_path)
+
+def _synthesize_kept(task) -> Waveform:
+    return _synthesize_utterance(task, *_kept_weights)
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +377,11 @@ def cmd_evaluate(
     if ref_path is not None:
         refs = _read_transcripts(ref_path)
         hyps = _read_transcripts(hyp_path)
+        unscored = sorted(hyps.keys() - refs.keys())
+        if unscored:
+            raise DataError(
+                f"{hyp_path}: transcript of {unscored[0]!r}, which {ref_path} does not hold"
+            )
         totals = np.zeros(4, dtype=np.int64)  # S, D, I, N
         for utt, ref_words in sorted(refs.items()):
             if utt not in hyps:
@@ -392,14 +417,18 @@ def cmd_evaluate(
 
 def _read_transcripts(path) -> dict[str, list[str]]:
     path = Path(path)
-    transcripts = {}
+    transcripts, first_lines = {}, {}
     for lineno, line in enumerate(read_lines(path, "transcript file"), start=1):
         if not line.strip():
             continue
         parts = line.split()
         if len(parts) < 2:
             raise DataError(f"{path}, line {lineno}: expected 'utt_id words...'")
-        transcripts[parts[0]] = parts[1:]
+        utt = parts[0]
+        if utt in first_lines:
+            raise DataError(f"{path}, lines {first_lines[utt]} and {lineno}: utterance {utt!r} repeated")
+        first_lines[utt] = lineno
+        transcripts[utt] = parts[1:]
     if not transcripts:
         raise DataError(f"{path}: no transcripts found")
     return transcripts

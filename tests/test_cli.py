@@ -22,7 +22,7 @@ from voxanon import cli
 from voxanon.cli import main, speaker_of
 from voxanon.config import load_config
 from voxanon.embeddings import EmbeddingPool, SpeakerEmbedding
-from voxanon.errors import ConfigError, write_npz
+from voxanon.errors import ConfigError, DataError, write_npz
 from voxanon.features import F0Contour, FeatureMatrix, load_features, save_f0, save_features
 from voxanon.nnet import AcousticConfig, NsfConfig, PpgConfig, XVectorConfig, init_weights, save_weights
 
@@ -104,6 +104,12 @@ def nsf_calls(monkeypatch):
 
     monkeypatch.setattr(voxanon.nnet, "nsf_forward", counted)
     return calls
+
+
+def blas_threads() -> int | None:
+    """This process's OpenBLAS thread count, read as synthesize reads it."""
+    functions = cli._openblas_threads()
+    return functions[0]() if functions else None
 
 
 @pytest.fixture(scope="session")
@@ -325,6 +331,9 @@ class TestExitCodes:
         ("synthesize", "--pseudo", 3), ("evaluate", "--enroll", 3), ("evaluate", "--test", 3),
         ("evaluate", "--trials", 3), ("evaluate", "--ref-trn", 3), ("evaluate", "--hyp-trn", 3),
         ("evaluate", "--ref-trn-alone", 2), ("evaluate", "--hyp-trn-lacking-an-utterance", 3),
+        ("evaluate", "--hyp-trn-with-an-extra-utterance", 3),
+        ("evaluate", "--ref-trn-repeating-an-utterance", 3),
+        ("evaluate", "--hyp-trn-repeating-an-utterance", 3),
     ])
     def test_flag_error_names_its_file_not_the_config(
         self, site, extracted, pseudo, tmp_path, capsys, command, flag, code
@@ -347,6 +356,13 @@ class TestExitCodes:
         elif flag == "--hyp-trn-lacking-an-utterance":
             hyp.write_text("p01_001 a b\n")
             named = f"{hyp}: no transcript of 'p01_002', which {ref} holds"
+        elif flag == "--hyp-trn-with-an-extra-utterance":
+            hyp.write_text("p01_001 a b\np01_002 c\np02_001 d\n")
+            named = f"{hyp}: transcript of 'p02_001', which {ref} does not hold"
+        elif flag.endswith("-repeating-an-utterance"):
+            repeated = ref if flag.startswith("--ref-trn") else hyp
+            repeated.write_text("p01_001 a b\np01_002 c\n\np01_001 a\n")
+            named = f"{repeated}, lines 1 and 4: utterance 'p01_001' repeated"
         else:
             paths[flag] = named = tmp_path / "missing"
         args = [command, "--config", str(config), "--out-dir", str(tmp_path / "o")]
@@ -482,7 +498,7 @@ class TestCorruptInputs:
             bad.write_bytes(raw[: len(raw) // 2])
         config = tmp_path / "run.ini"
         config.write_text(f"[run]\nseed = 77\n[paths]\nweights = {weights}\n")
-        environ = dict(os.environ)
+        environ, threads = dict(os.environ), blas_threads()
         rc = main([
             "synthesize", "--config", str(config), "--features-dir", str(features),
             "--pseudo", str(pool), "--utts", ",".join(utts), "--jobs", "2",
@@ -493,6 +509,7 @@ class TestCorruptInputs:
         assert str(bad) in err and where in err
         assert multiprocessing.active_children() == []
         assert dict(os.environ) == environ
+        assert blas_threads() == threads
 
 
 def test_python_dash_m_runs_the_cli():
@@ -831,8 +848,9 @@ class TestSynthesize:
 
 
 class TestSynthesizeWorkers:
-    """synthesize runs utterances in spawned workers once the audio pays for
-    their start; the output bytes are those of the in-process run."""
+    """synthesize runs utterances in workers forked from the loaded parent
+    once the audio pays for their start; the output bytes are those of the
+    in-process run."""
 
     UTTS = ("p01_001", "p01_002", "p02_001")
 
@@ -843,23 +861,51 @@ class TestSynthesizeWorkers:
             "--pseudo", str(long_site / "pseudo.jsonl"), "--out-dir", str(out), *extra,
         ])
 
+    def assert_same_bytes(self, tmp_path, a: str, b: str) -> None:
+        for utt in self.UTTS:
+            assert (tmp_path / a / "wav" / f"{utt}.wav").read_bytes() == (
+                tmp_path / b / "wav" / f"{utt}.wav"
+            ).read_bytes()
+
     def test_workers_write_the_in_process_bytes(self, long_site, tmp_path, monkeypatch, nsf_calls):
         monkeypatch.setattr(cli, "_cpu_count", lambda: 2)  # default jobs = auto: two workers
-        environ = dict(os.environ)
+        environ, threads = dict(os.environ), blas_threads()
         assert self.run(long_site, tmp_path / "pooled") == 0
         assert nsf_calls == []
         assert multiprocessing.active_children() == []
         assert dict(os.environ) == environ
+        assert blas_threads() == threads
 
         assert self.run(long_site, tmp_path / "serial", "--jobs", "1") == 0
         assert nsf_calls == [400, 400, 400]
+        self.assert_same_bytes(tmp_path, "pooled", "serial")
         for utt in self.UTTS:
-            pooled = (tmp_path / "pooled" / "wav" / f"{utt}.wav").read_bytes()
-            assert pooled == (tmp_path / "serial" / "wav" / f"{utt}.wav").read_bytes()
             assert len(read_wav(tmp_path / "pooled" / "wav" / f"{utt}.wav")) == 400 * 80
 
+    def test_each_worker_runs_one_blas_thread(self, long_site, tmp_path, monkeypatch):
+        if cli._openblas_threads() is None:
+            pytest.skip("numpy's BLAS is not OpenBLAS")
+        original = voxanon.nnet.nsf_forward
+
+        def checked(*args, **kwargs):  # forked workers inherit this patch
+            if blas_threads() != 1:
+                raise DataError(f"worker runs {blas_threads()} BLAS threads")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(voxanon.nnet, "nsf_forward", checked)
+        assert self.run(long_site, tmp_path / "pooled", "--jobs", "2") == 0
+
+    def test_no_thread_control_runs_in_process(self, long_site, tmp_path, monkeypatch, nsf_calls):
+        assert self.run(long_site, tmp_path / "pooled", "--jobs", "2") == 0
+        assert nsf_calls == []
+        monkeypatch.setattr(cli, "_openblas_threads", lambda: None)
+        assert self.run(long_site, tmp_path / "unpooled", "--jobs", "2") == 0
+        assert nsf_calls == [400, 400, 400]
+        assert multiprocessing.active_children() == []
+        self.assert_same_bytes(tmp_path, "unpooled", "pooled")
+
     def test_short_inputs_stay_in_process(self, site, extracted, pseudo, long_site, tmp_path, nsf_calls):
-        # One utterance, however long, or 0.6 s of audio in all: no worker.
+        # One utterance, however long, or 0.54 s of audio in all: no worker.
         assert self.run(long_site, tmp_path / "one", "--utts", "p01_001", "--jobs", "2") == 0
         assert main([
             "synthesize", "--config", str(site / "run.ini"),
@@ -868,8 +914,10 @@ class TestSynthesizeWorkers:
         ]) == 0
         assert len(nsf_calls) == 4
 
-    def test_python_dash_m_synthesize_spawns_workers(self, long_site, tmp_path):
-        # Spawned workers re-import the main module, here voxanon.__main__.
+    def test_python_dash_m_synthesize_forks_workers(self, long_site, tmp_path):
+        # The workers are forked from the command's process, so they import
+        # nothing and re-run no main module. The timeout turns a deadlock
+        # at fork into a failure.
         src = Path(voxanon.__file__).resolve().parents[1]
         path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
@@ -881,10 +929,7 @@ class TestSynthesizeWorkers:
         )
         assert proc.returncode == 0, proc.stderr
         assert self.run(long_site, tmp_path / "serial", "--jobs", "1") == 0
-        for utt in self.UTTS:
-            assert (tmp_path / "pooled" / "wav" / f"{utt}.wav").read_bytes() == (
-                tmp_path / "serial" / "wav" / f"{utt}.wav"
-            ).read_bytes()
+        self.assert_same_bytes(tmp_path, "pooled", "serial")
 
 
 class TestEvaluate:
