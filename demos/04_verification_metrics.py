@@ -14,7 +14,7 @@ from voxanon import (
     SpeakerEmbedding,
     Trial,
     compute_eer,
-    pool_similarities,
+    cosine_matrix,
     rank_by_similarity,
     read_trials,
     score_trials,
@@ -65,11 +65,11 @@ print(f"\nEER {result.eer:.2%} at threshold {result.threshold:.3f} "
       f"({result.n_target} target / {result.n_nontarget} nontarget trials)")
 
 # Keeping only the K most similar non-target speakers makes the protocol
-# harder: distant speakers cannot deflate the error rate.
-candidates = [SpeakerEmbedding(f"non{i}", rng.standard_normal(32)) for i in range(8)]
-ids = [c.id for c in candidates]
-sims = pool_similarities(EmbeddingPool(candidates), enroll["spk1"])
-ranked = [ids[j] for j in rank_by_similarity(sims[None, :], ids)[0]]
+# harder: distant speakers cannot deflate the error rate. The same cosine
+# ranks one query against a whole pool, which holds its vectors as one matrix.
+candidates = EmbeddingPool(SpeakerEmbedding(f"non{i}", rng.standard_normal(32)) for i in range(8))
+sims = cosine_matrix(enroll["spk1"].vector[None, :], candidates)
+ranked = [candidates.ids[j] for j in rank_by_similarity(sims, candidates.ids)[0]]
 for k in (2, 8):
     print(f"nearest K={k}: {ranked[:k]}")
 

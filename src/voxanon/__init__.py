@@ -19,17 +19,15 @@ from .benchmark import (
     EvalSpeaker,
     make_cluster_speakers,
     make_random_pool,
-    make_similarity_ladder_pool,
     run_anonymization_benchmark,
 )
 from .config import RunConfig, load_config
 from .embeddings import (
     EmbeddingPool,
     SpeakerEmbedding,
-    cosine_similarity,
+    centered_mean,
+    cosine_matrix,
     load_pool,
-    mean_embedding,
-    pool_similarities,
     save_pool,
 )
 from .errors import ConfigError, DataError
@@ -51,7 +49,6 @@ from .metrics import (
     TrialList,
     WerResult,
     compute_eer,
-    cosine_matrix,
     nearest_k_mask,
     rank_by_similarity,
     read_trials,

@@ -2,9 +2,12 @@
 
 A pseudo speaker is the mean of a subset of pool embeddings, and
 :func:`apply_spec` is the one path that builds it. It picks pool indices
-as the spec's strategy says, averages the picked entries in pool order,
-and measures the cosine similarity of the result to the original speaker
-once. The strategies differ only in how they pick:
+as the spec's strategy says, averages the picked rows in pool order with
+:func:`~voxanon.embeddings.centered_mean`, and measures the cosine
+similarity of the result to the original speaker once. Ranking the pool
+and that measurement both use :func:`~voxanon.embeddings.cosine_matrix`,
+the ranking against the pool's cached unit rows, so a selection is one
+matrix-vector product. The strategies differ only in how they pick:
 
 ``random``
     A seed-determined uniform draw of ``n_select`` distinct entries. Does
@@ -35,13 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .embeddings import (
-    EmbeddingPool,
-    SpeakerEmbedding,
-    centered_mean,
-    cosine_similarity,
-    pool_similarities,
-)
+from .embeddings import EmbeddingPool, SpeakerEmbedding, centered_mean, cosine_matrix
 from .metrics import rank_by_similarity
 from .seeding import derive_seed
 
@@ -164,8 +161,9 @@ def apply_spec(
     """
     if spec.strategy != "random" and original is None:
         raise ValueError(f"strategy {spec.strategy!r} requires an original speaker")
+    query = None if original is None else original.vector[None, :]
     if spec.strategy == "range":
-        sims = pool_similarities(pool, original)
+        sims = cosine_matrix(query, pool)[0]
         s, eps = spec.target_similarity, spec.half_width
         picks = [int(i) for i in np.flatnonzero((sims >= s - eps) & (sims <= s + eps))]
         if not picks:
@@ -182,9 +180,11 @@ def apply_spec(
         picks = sorted(_sample_without_replacement(len(pool), spec.n_select, spec.seed))
         new_id = f"pseudo:random:n={spec.n_select}:seed={spec.seed}"
     else:
-        ranked = rank_by_similarity(pool_similarities(pool, original)[None, :], pool.ids)
+        ranked = rank_by_similarity(cosine_matrix(query, pool), pool.ids)
         picks = [int(i) for i in ranked[0, : spec.n_select]]
         new_id = f"pseudo:nearest:n={spec.n_select}:of={original.id}"
     embedding = SpeakerEmbedding(new_id, centered_mean(pool.vectors[sorted(picks)]))
-    similarity = None if original is None else cosine_similarity(original, embedding)
+    similarity = None
+    if query is not None:
+        similarity = float(cosine_matrix(query, embedding.vector[None, :])[0, 0])
     return PseudoSpeaker(embedding, tuple(pool.ids[i] for i in picks), spec, similarity)

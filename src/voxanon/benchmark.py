@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .anonymize import AnonymizationSpec, PseudoSpeaker, apply_spec
-from .embeddings import EmbeddingPool, SpeakerEmbedding, mean_embedding, speaker_of
+from .embeddings import EmbeddingPool, SpeakerEmbedding, centered_mean, speaker_of
 from .metrics import EerResult, ScoredTrials, compute_eer, score_trials
 
 
@@ -305,8 +305,7 @@ def make_cluster_speakers(
             SpeakerEmbedding(f"{spk_id}_u{j:03d}", utterances[j], gender)
             for j in range(utterances_per_speaker)
         )
-        enroll = mean_embedding(tests, new_id=spk_id)
-        enroll = SpeakerEmbedding(spk_id, enroll.vector, gender)
+        enroll = SpeakerEmbedding(spk_id, centered_mean(utterances), gender)
         speakers.append(EvalSpeaker(spk_id, enroll, tests))
     return speakers
 
@@ -322,38 +321,3 @@ def make_random_pool(size: int, dim: int, seed: int) -> EmbeddingPool:
         entries.append(SpeakerEmbedding(f"pool{i:04d}", vec, gender))
     return EmbeddingPool(entries)
 
-
-def make_similarity_ladder_pool(
-    original: SpeakerEmbedding,
-    size: int,
-    sim_low: float,
-    sim_high: float,
-) -> EmbeddingPool:
-    """A pool of unit vectors whose similarities to ``original`` sweep a range.
-
-    Entries lie in a fixed half-plane spanned by the original's direction
-    and one deterministic orthogonal direction, at similarities evenly
-    covering [sim_low, sim_high]. Because all entries sit on the same side,
-    averaging a similarity window lands near the window's center instead of
-    collapsing onto the original's axis, which is what range-selection
-    experiments need.
-    """
-    if not -1.0 <= sim_low < sim_high <= 1.0:
-        raise ValueError("need -1 <= sim_low < sim_high <= 1")
-    if size < 2:
-        raise ValueError("ladder pool needs at least two entries")
-    if original.dim < 2:
-        raise ValueError("ladder pool requires an embedding dimension of at least 2")
-    axis = original.vector / np.linalg.norm(original.vector)
-    # Deterministic orthogonal direction: the basis vector least aligned
-    # with the axis, Gram-Schmidt orthogonalized.
-    pivot = int(np.argmin(np.abs(axis)))
-    basis = np.zeros(original.dim)
-    basis[pivot] = 1.0
-    ortho = basis - np.dot(basis, axis) * axis
-    ortho /= np.linalg.norm(ortho)
-    entries = []
-    for i, s in enumerate(np.linspace(sim_low, sim_high, size)):
-        vec = s * axis + np.sqrt(1.0 - s * s) * ortho
-        entries.append(SpeakerEmbedding(f"ladder{i:04d}", vec))
-    return EmbeddingPool(entries)

@@ -36,8 +36,8 @@ from .config import RunConfig, load_config
 from .embeddings import (
     EmbeddingPool,
     SpeakerEmbedding,
+    centered_mean,
     load_pool,
-    mean_embedding,
     save_pool,
     speaker_means,
     speaker_of,
@@ -106,14 +106,13 @@ def cmd_extract(cfg: RunConfig, wav_paths: list[str]) -> int:
     if failures:
         return 3
 
-    utterance_embeddings = []
-    for utt, xvec, ppg, f0 in results:
+    for utt, _, ppg, f0 in results:
         save_features(feature_dir / f"{utt}.ppg.npz", ppg)
         save_f0(feature_dir / f"{utt}.f0.npz", f0)
-        utterance_embeddings.append(xvec)
-    save_pool(out_dir / "utterance_xvectors.jsonl", EmbeddingPool(utterance_embeddings))
-    speakers = speaker_means(utterance_embeddings)
-    save_pool(out_dir / "speaker_xvectors.jsonl", EmbeddingPool(speakers))
+    utterances = EmbeddingPool(xvec for _, xvec, _, _ in results)
+    save_pool(out_dir / "utterance_xvectors.jsonl", utterances)
+    speakers = speaker_means(utterances)
+    save_pool(out_dir / "speaker_xvectors.jsonl", speakers)
     print(
         f"extracted {len(results)} utterances, {len(speakers)} speakers -> {out_dir}"
     )
@@ -142,7 +141,7 @@ def cmd_anonymize(cfg: RunConfig, inputs_path: str) -> int:
     if a.shared:
         # One pseudo speaker reused for every input. Range/nearest still
         # need an original; the mean of the inputs serves as the shared one.
-        original = mean_embedding(list(inputs), new_id="shared-original")
+        original = SpeakerEmbedding("shared-original", centered_mean(inputs.vectors))
         shared = apply_spec(pool, spec.derived("anon:shared"), original=original)
     entries = []
     records = []
@@ -201,7 +200,7 @@ def cmd_synthesize(
             if key in pseudo:
                 return pseudo.get(key)
         if len(pseudo) == 1:
-            return pseudo.entries[0]
+            return pseudo.get(pseudo.ids[0])
         raise DataError(
             f"no pseudo embedding for utterance {utt!r} "
             f"(looked for ids {utt!r} and {speaker_of(utt)!r})"
@@ -384,6 +383,8 @@ def cmd_evaluate(
             )
         totals = np.zeros(4, dtype=np.int64)  # S, D, I, N
         for utt, ref_words in sorted(refs.items()):
+            if not ref_words:  # it would add nothing to the WER denominator
+                raise DataError(f"{ref_path}: reference utterance {utt!r} has no words")
             if utt not in hyps:
                 raise DataError(f"{hyp_path}: no transcript of {utt!r}, which {ref_path} holds")
             result = wer(ref_words, hyps[utt])
@@ -416,14 +417,15 @@ def cmd_evaluate(
 
 
 def _read_transcripts(path) -> dict[str, list[str]]:
+    """Utterance id -> words, one ``utt_id words...`` per line. A line that
+    holds only an id is an utterance with no words: an empty recognition
+    result, which WER counts as all deletions."""
     path = Path(path)
     transcripts, first_lines = {}, {}
     for lineno, line in enumerate(read_lines(path, "transcript file"), start=1):
-        if not line.strip():
-            continue
         parts = line.split()
-        if len(parts) < 2:
-            raise DataError(f"{path}, line {lineno}: expected 'utt_id words...'")
+        if not parts:
+            continue
         utt = parts[0]
         if utt in first_lines:
             raise DataError(f"{path}, lines {first_lines[utt]} and {lineno}: utterance {utt!r} repeated")

@@ -2,9 +2,11 @@
 
 A speaker embedding is an identity label, a fixed-dimensional vector and
 an optional gender tag, the one tag a pool entry needs (gender-partitioned
-scoring reads it). This module provides cosine similarity, averaging, the
-speaker-level means of utterance embeddings, the similarity of a query to
-every pool entry, and a line-delimited text format for persisting pools.
+scoring reads it). A pool holds those three as columns, with the vectors
+in one matrix. This module has the package's one cosine
+(:func:`cosine_matrix`, rows against rows) and its one mean
+(:func:`centered_mean`), the speaker-level means of utterance embeddings,
+and a line-delimited text format for persisting pools.
 
 Pools are expected to be small (up to roughly 10^4 entries), so all queries
 are exhaustive; there is deliberately no approximate index.
@@ -12,6 +14,7 @@ are exhaustive; there is deliberately no approximate index.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,20 +41,13 @@ class SpeakerEmbedding:
     gender: str | None = None
 
     def __post_init__(self):
-        if not self.id:
-            raise ValueError("embedding id must be a nonempty string")
+        _check_labels(self.id, self.gender)
         vec = np.array(self.vector, dtype=np.float64)
         if vec.ndim != 1 or vec.size == 0:
             raise ValueError(f"embedding {self.id!r}: vector must be 1-d and nonempty")
-        if not np.all(np.isfinite(vec)):
-            raise ValueError(f"embedding {self.id!r}: vector has non-finite components")
-        if not np.any(vec):
-            raise ValueError(f"embedding {self.id!r}: vector has zero norm")
-        if self.gender is not None and not (isinstance(self.gender, str) and self.gender):
-            raise ValueError(
-                f"embedding {self.id!r}: gender must be a nonempty string or None, "
-                f"got {self.gender!r}"
-            )
+        problem = _row_problem(vec[None, :])
+        if problem is not None:
+            raise ValueError(f"embedding {self.id!r}: {problem[1]}")
         vec.setflags(write=False)
         object.__setattr__(self, "vector", vec)
 
@@ -60,97 +56,123 @@ class SpeakerEmbedding:
         return int(self.vector.shape[0])
 
 
+def _check_labels(entry_id, gender) -> None:
+    if not entry_id:
+        raise ValueError("embedding id must be a nonempty string")
+    if gender is not None and not (isinstance(gender, str) and gender):
+        raise ValueError(
+            f"embedding {entry_id!r}: gender must be a nonempty string or None, got {gender!r}"
+        )
+
+
+def _row_problem(vectors: np.ndarray) -> tuple[int, str] | None:
+    """The first row of ``vectors`` that cosine similarity cannot take and
+    why, or None when every row is finite with a nonzero norm."""
+    nonfinite = ~np.isfinite(vectors).all(axis=1)
+    bad = nonfinite | ~vectors.any(axis=1)
+    if not bad.any():
+        return None
+    row = int(bad.argmax())
+    return row, "vector has non-finite components" if nonfinite[row] else "vector has zero norm"
+
+
 class EmbeddingPool:
-    """An ordered, immutable collection of same-dimension embeddings.
+    """An ordered, immutable pool held as columns: ``ids``, ``genders`` and
+    one read-only (n, dim) float64 matrix ``vectors``.
 
     Entry order is stable and significant: save/load round-trips preserve
     it, and all averaging in this package runs in pool order so that
-    results are reproducible bit for bit.
+    results are reproducible bit for bit. No object is kept per entry;
+    :meth:`get` and iteration build a :class:`SpeakerEmbedding` on demand.
     """
 
     def __init__(self, entries: Iterable[SpeakerEmbedding]):
-        entries = tuple(entries)
+        entries = list(entries)
         if not entries:
             raise ValueError("pool must contain at least one embedding")
-        dim = entries[0].dim
-        by_id: dict[str, int] = {}
-        for i, entry in enumerate(entries):
-            if entry.dim != dim:
+        for entry in entries:
+            if entry.dim != entries[0].dim:
                 raise ValueError(
-                    f"pool entry {entry.id!r} has dim {entry.dim}, expected {dim}"
+                    f"pool entry {entry.id!r} has dim {entry.dim}, expected {entries[0].dim}"
                 )
-            if entry.id in by_id:
-                raise ValueError(f"duplicate id in pool: {entry.id!r}")
-            by_id[entry.id] = i
-        matrix = np.stack([entry.vector for entry in entries])
-        matrix.setflags(write=False)
-        norms = np.linalg.norm(matrix, axis=1)
-        norms.setflags(write=False)
-        self._entries = entries
-        self._ids = tuple(by_id)
-        self._dim = dim
-        self._by_id = by_id
-        self._matrix = matrix
-        self._norms = norms
+        self._set_columns([e.id for e in entries], [e.gender for e in entries],
+                          np.stack([e.vector for e in entries]))
 
-    @property
-    def dim(self) -> int:
-        return self._dim
+    @classmethod
+    def from_columns(cls, ids: Sequence[str], genders: Sequence[str | None],
+                     vectors: np.ndarray) -> EmbeddingPool:
+        """A pool of rows already checked as :class:`SpeakerEmbedding` checks
+        one: nonempty ids and genders, finite vectors with nonzero norms. The
+        pool takes ``vectors`` and makes it read-only."""
+        pool = cls.__new__(cls)
+        pool._set_columns(ids, genders, vectors)
+        return pool
 
-    @property
-    def entries(self) -> tuple[SpeakerEmbedding, ...]:
-        return self._entries
+    def _set_columns(self, ids, genders, vectors: np.ndarray) -> None:
+        self.ids, self.genders, self.vectors = tuple(ids), tuple(genders), vectors
+        self.dim = int(vectors.shape[1])
+        self._by_id = {entry_id: i for i, entry_id in enumerate(self.ids)}
+        if len(self._by_id) != len(self.ids):
+            twin = next(e for i, e in enumerate(self.ids) if self._by_id[e] != i)
+            raise ValueError(f"duplicate id in pool: {twin!r}")
+        vectors.setflags(write=False)
 
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return self._ids
-
-    @property
-    def vectors(self) -> np.ndarray:
-        """All entry vectors stacked into a read-only (n, dim) matrix."""
-        return self._matrix
+    @functools.cached_property
+    def unit_vectors(self) -> np.ndarray:
+        """The rows scaled to unit norm, computed once, by the expression
+        :func:`cosine_matrix` applies to a matrix, so the bits agree."""
+        units = _unit_rows(self.vectors)
+        units.setflags(write=False)
+        return units
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.ids)
 
     def __iter__(self) -> Iterator[SpeakerEmbedding]:
-        return iter(self._entries)
+        return map(self._record, range(len(self)))
 
     def __contains__(self, embedding_id: str) -> bool:
         return embedding_id in self._by_id
 
     def get(self, embedding_id: str) -> SpeakerEmbedding:
-        try:
-            return self._entries[self._by_id[embedding_id]]
-        except KeyError:
-            raise KeyError(f"no embedding with id {embedding_id!r} in pool") from None
+        return self._record(self.index_of(embedding_id))
 
     def index_of(self, embedding_id: str) -> int:
         if embedding_id not in self._by_id:
             raise KeyError(f"no embedding with id {embedding_id!r} in pool")
         return self._by_id[embedding_id]
 
+    def _record(self, i: int) -> SpeakerEmbedding:
+        return SpeakerEmbedding(self.ids[i], self.vectors[i], self.genders[i])
 
-def cosine_similarity(a: SpeakerEmbedding, b: SpeakerEmbedding) -> float:
-    """Cosine similarity between two embeddings, in [-1, 1].
 
-    Symmetric in its arguments and invariant to positive rescaling of
-    either vector. Raises ``ValueError`` on dimension mismatch.
+def _unit_rows(rows) -> np.ndarray:
+    if isinstance(rows, EmbeddingPool):
+        return rows.unit_vectors
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def cosine_matrix(a, b) -> np.ndarray:
+    """(n, m) cosine similarities of the rows of ``a`` (n, d) and ``b`` (m, d),
+    clipped to [-1, 1] against rounding.
+
+    This is the package's one cosine. Either side may be an
+    :class:`EmbeddingPool`, whose unit rows are computed once by the same
+    expression. Raises ``ValueError`` on a dimension mismatch.
     """
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    nu = float(np.linalg.norm(a.vector))
-    nv = float(np.linalg.norm(b.vector))
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("cosine similarity undefined for zero-norm vector")
-    value = float(np.dot(a.vector, b.vector) / (nu * nv))
-    # Rounding can push |value| a few ulp past 1.
-    return min(1.0, max(-1.0, value))
+    a, b = _unit_rows(a), _unit_rows(b)
+    if a.shape[1] != b.shape[1]:
+        raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
+    return np.clip(a @ b.T, -1.0, 1.0)
 
 
 def centered_mean(matrix: np.ndarray) -> np.ndarray:
     """The mean of the rows of ``matrix``, in row order; raises ``ValueError``
-    when it has zero norm."""
+    when it has zero norm.
+
+    This is the package's one mean. It is not re-normalized; cosine
+    scoring is scale invariant, so the raw mean is safe.
+    """
     # Summing deviations from the first row keeps the mean of k identical
     # vectors exactly equal to that vector, for any k.
     base = matrix[0]
@@ -160,52 +182,19 @@ def centered_mean(matrix: np.ndarray) -> np.ndarray:
     return mean
 
 
-def mean_embedding(
-    embeddings: Sequence[SpeakerEmbedding], new_id: str | None = None
-) -> SpeakerEmbedding:
-    """Componentwise arithmetic mean of a nonempty set of embeddings.
-
-    The result is not re-normalized; cosine scoring is scale invariant so
-    the raw mean is safe. The new id records which members were averaged
-    unless ``new_id`` overrides it.
-    """
-    embeddings = list(embeddings)
-    if not embeddings:
-        raise ValueError("cannot average an empty set of embeddings")
-    dim = embeddings[0].dim
-    for e in embeddings:
-        if e.dim != dim:
-            raise ValueError(
-                f"dimension mismatch while averaging: {e.id!r} has dim {e.dim}, expected {dim}"
-            )
-    mean = centered_mean(np.stack([e.vector for e in embeddings]))
-    if new_id is None:
-        new_id = "mean(" + ",".join(e.id for e in embeddings) + ")"
-    return SpeakerEmbedding(new_id, mean)
-
-
 def speaker_of(utterance_id: str) -> str:
     """Speaker grouping convention: the stem up to the first underscore."""
     return utterance_id.split("_", 1)[0]
 
 
-def speaker_means(utterances: Iterable[SpeakerEmbedding]) -> list[SpeakerEmbedding]:
-    """One embedding per speaker, the mean of its utterances in their order,
-    with speakers in first-seen order."""
-    members: dict[str, list[SpeakerEmbedding]] = {}
-    for utt in utterances:
-        members.setdefault(speaker_of(utt.id), []).append(utt)
-    return [mean_embedding(m, new_id=spk) for spk, m in members.items()]
-
-
-def pool_similarities(pool: EmbeddingPool, query: SpeakerEmbedding) -> np.ndarray:
-    """Cosine similarity of the query against every pool entry, in pool order."""
-    if query.dim != pool.dim:
-        raise ValueError(f"query dim {query.dim} does not match pool dim {pool.dim}")
-    q = query.vector
-    qn = float(np.linalg.norm(q))
-    sims = (pool.vectors @ q) / (pool._norms * qn)
-    return np.clip(sims, -1.0, 1.0)
+def speaker_means(utterances: EmbeddingPool) -> EmbeddingPool:
+    """One row per speaker, the mean of its utterances' rows in pool order,
+    with speakers in first-seen order and no gender."""
+    members: dict[str, list[int]] = {}
+    for i, utt_id in enumerate(utterances.ids):
+        members.setdefault(speaker_of(utt_id), []).append(i)
+    means = np.stack([centered_mean(utterances.vectors[rows]) for rows in members.values()])
+    return EmbeddingPool.from_columns(list(members), [None] * len(members), means)
 
 
 def save_pool(path, pool: EmbeddingPool) -> None:
@@ -219,11 +208,11 @@ def save_pool(path, pool: EmbeddingPool) -> None:
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         fh.write(json.dumps({"dim": pool.dim, "count": len(pool)}) + "\n")
-        for entry in pool:
-            record: dict[str, object] = {"id": entry.id}
-            if entry.gender is not None:
-                record["gender"] = entry.gender
-            record["vec"] = [float(x) for x in entry.vector]
+        for entry_id, gender, vec in zip(pool.ids, pool.genders, pool.vectors):
+            record: dict[str, object] = {"id": entry_id}
+            if gender is not None:
+                record["gender"] = gender
+            record["vec"] = vec.tolist()
             fh.write(json.dumps(record) + "\n")
 
 
@@ -232,8 +221,9 @@ def load_pool(path) -> EmbeddingPool:
 
     A record holds ``id``, ``vec`` and optionally ``gender``, nothing else.
     Malformed lines, other fields, a gender that is neither a nonempty
-    string nor null, dimension inconsistencies, and duplicate ids raise
-    ``DataError`` naming the offending line or record.
+    string nor null, dimension inconsistencies, duplicate ids, and
+    non-finite or zero-norm vectors raise ``DataError`` naming the
+    offending line or record.
     """
     path = Path(path)
     lines = read_lines(path, "pool file")
@@ -250,7 +240,11 @@ def load_pool(path) -> EmbeddingPool:
     if type(count) is not int or count < 1:
         raise DataError(f"{path}, line 1: 'count' must be a positive integer")
 
-    entries: list[SpeakerEmbedding] = []
+    # One column entry per record, and the line each record came from.
+    ids: list[str] = []
+    genders: list[str | None] = []
+    rows: list[np.ndarray] = []
+    linenos: list[int] = []
     seen: set[str] = set()
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -262,7 +256,7 @@ def load_pool(path) -> EmbeddingPool:
         if extra:
             raise DataError(f"{path}, line {lineno}: unknown fields {extra}; a record "
                             "holds 'id', an optional 'gender' and 'vec'")
-        entry_id, vec = record["id"], record["vec"]
+        entry_id, vec, gender = record["id"], record["vec"], record.get("gender")
         if not isinstance(entry_id, str):
             raise DataError(f"{path}, line {lineno}: 'id' must be a string")
         if not isinstance(vec, list):
@@ -279,14 +273,27 @@ def load_pool(path) -> EmbeddingPool:
             raise DataError(f"{path}, line {lineno}: duplicate id {entry_id!r}")
         seen.add(entry_id)
         try:
-            entries.append(SpeakerEmbedding(entry_id, vec, record.get("gender")))
+            _check_labels(entry_id, gender)
+            row = np.array(vec, dtype=np.float64)
         except (ValueError, TypeError, OverflowError) as exc:
             raise DataError(f"{path}, line {lineno}: {exc}") from exc
-    if len(entries) != count:
+        if row.ndim != 1:
+            raise DataError(f"{path}, line {lineno}: embedding {entry_id!r}: "
+                            "vector must be 1-d and nonempty")
+        ids.append(entry_id)
+        genders.append(gender)
+        rows.append(row)
+        linenos.append(lineno)
+    if len(rows) != count:
         raise DataError(
-            f"{path}: header declares {count} records, file contains {len(entries)}"
+            f"{path}: header declares {count} records, file contains {len(rows)}"
         )
-    return EmbeddingPool(entries)
+    vectors = np.stack(rows)
+    problem = _row_problem(vectors)
+    if problem is not None:
+        bad, message = problem
+        raise DataError(f"{path}, line {linenos[bad]}: embedding {ids[bad]!r}: {message}")
+    return EmbeddingPool.from_columns(ids, genders, vectors)
 
 
 def _parse_record(path, lineno: int, line: str) -> dict:

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingPool, speaker_means, speaker_of
+from .embeddings import EmbeddingPool, cosine_matrix, speaker_means, speaker_of
 from .errors import DataError, read_lines
 
 TRIAL_LABELS = ("target", "nontarget")
@@ -89,16 +89,6 @@ class WerResult:
     def rate(self) -> float:
         # May exceed 1 when the hypothesis is much longer than the reference.
         return self.n_errors / self.n_ref_words
-
-
-def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(n, m) cosine similarities of the rows of ``a`` (n, d) and ``b`` (m, d),
-    clipped to [-1, 1] against rounding."""
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
-    a = a / np.linalg.norm(a, axis=1, keepdims=True)
-    b = b / np.linalg.norm(b, axis=1, keepdims=True)
-    return np.clip(a @ b.T, -1.0, 1.0)
 
 
 def rank_by_similarity(sims: np.ndarray, ids: Sequence[str]) -> np.ndarray:
@@ -210,17 +200,13 @@ def score_trials(
     the enrollee's own id is never among them. ``k=None`` keeps every trial.
     """
     if k is not None:
-        speakers = EmbeddingPool(speaker_means(test))
-        nearest = nearest_k_mask(
-            cosine_matrix(enroll.vectors, speakers.vectors), enroll.ids, speakers.ids, k
-        )
+        speakers = speaker_means(test)
+        nearest = nearest_k_mask(cosine_matrix(enroll, speakers), enroll.ids, speakers.ids, k)
         speaker_col = np.array([speakers.index_of(speaker_of(utt_id)) for utt_id in test.ids])
         keep = is_target | nearest[rows, speaker_col[cols]]
         rows, cols, is_target = rows[keep], cols[keep], is_target[keep]
-    scores = cosine_matrix(enroll.vectors, test.vectors)[rows, cols]
-    parts = partition_masks(
-        rows, cols, is_target, [e.gender for e in enroll], [t.gender for t in test], by_gender
-    )
+    scores = cosine_matrix(enroll, test)[rows, cols]
+    parts = partition_masks(rows, cols, is_target, enroll.genders, test.genders, by_gender)
     return ScoredTrials(rows, cols, is_target, scores, tuple(parts))
 
 

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from voxanon.cli import speaker_of
-from voxanon.embeddings import cosine_similarity, mean_embedding, pool_similarities
+from voxanon.embeddings import SpeakerEmbedding, centered_mean, cosine_matrix
 from voxanon.errors import DataError, read_lines
 from voxanon.metrics import compute_eer, rank_by_similarity
 from voxanon.seeding import derive_seed
@@ -95,6 +95,17 @@ def cosine_fsum(u, v) -> float:
     nu = math.sqrt(math.fsum(x * x for x in u))
     nv = math.sqrt(math.fsum(y * y for y in v))
     return dot / (nu * nv)
+
+
+def cosine(a, b) -> float:
+    """The cosine similarity of two embeddings, one pair at a time, by the
+    package's one cosine."""
+    return float(cosine_matrix(a.vector[None, :], b.vector[None, :])[0, 0])
+
+
+def mean_of(embeddings, new_id="mean"):
+    """The embedding whose vector is the package's one mean of ``embeddings``."""
+    return SpeakerEmbedding(new_id, centered_mean(np.stack([e.vector for e in embeddings])))
 
 
 def fft_peak_hz(frame, sample_rate, n_fft=16384) -> float:
@@ -353,7 +364,7 @@ def acoustic_frames(frames, weights) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Verification scoring one cosine_similarity call per pair, as `evaluate`
+# Verification scoring one cosine call per pair, as `evaluate`
 # and `simulate` each did before they shared one scoring engine.
 
 
@@ -363,7 +374,7 @@ def _nearest_ids(target, candidates, k):
         raise ValueError("k must be at least 1")
     if k > len(candidates):
         raise ValueError(f"k {k} exceeds available non-targets ({len(candidates)})")
-    ranked = sorted((-cosine_similarity(target, c), c.id) for c in candidates)
+    ranked = sorted((-cosine(target, c), c.id) for c in candidates)
     return [c_id for _, c_id in ranked[:k]]
 
 
@@ -372,7 +383,7 @@ def _filter_nearest_k(enroll, test, trials, k):
     for utt_id, embedding in test.items():
         test_speakers.setdefault(speaker_of(utt_id), []).append(embedding)
     speaker_level = {
-        spk: mean_embedding(members, new_id=spk) for spk, members in test_speakers.items()
+        spk: mean_of(members, new_id=spk) for spk, members in test_speakers.items()
     }
     kept = []
     cache = {}
@@ -426,7 +437,7 @@ def evaluate_eers(enroll, test, trials, k, gender_partition):
     """
     if k is not None:
         trials = _filter_nearest_k(enroll, test, trials, k)
-    scored = [(t, cosine_similarity(enroll[t.enroll_id], test[t.test_id])) for t in trials]
+    scored = [(t, cosine(enroll[t.enroll_id], test[t.test_id])) for t in trials]
     return dict(_eer_partitions(scored, enroll, test, gender_partition))
 
 
@@ -439,11 +450,11 @@ def _build_blocks(targets, nontargets, nearest_k):
         if nearest_k is not None:
             kept_ids = set(_nearest_ids(target.enroll, [o.enroll for o in others], nearest_k))
             others = [o for o in others if o.id in kept_ids]
-        tar_scores = np.array([cosine_similarity(target.enroll, utt) for utt in target.tests])
+        tar_scores = np.array([cosine(target.enroll, utt) for utt in target.tests])
         non_scores, non_genders = [], []
         for other in others:
             for utt in other.tests:
-                non_scores.append(cosine_similarity(target.enroll, utt))
+                non_scores.append(cosine(target.enroll, utt))
                 non_genders.append(other.gender)
         blocks.append((target, tar_scores, np.array(non_scores), non_genders))
     return blocks
@@ -481,7 +492,7 @@ def benchmark_eers(speakers, pool, spec, nearest_k, repetitions, gender_partitio
             if spec.strategy == "random":
                 rep_spec = replace(spec, seed=derive_seed(rep_seed, speaker.id))
             _, embedding, _ = select_pseudo_speaker(pool, rep_spec, original=speaker.enroll)
-            rep_scores.append(np.full(len(tar_scores), cosine_similarity(speaker.enroll, embedding)))
+            rep_scores.append(np.full(len(tar_scores), cosine(speaker.enroll, embedding)))
         for p in parts:
             after[p].append(_partition_eer(blocks, rep_scores, p))
     return {"pooled" if p is None else p: (before[p], after[p]) for p in parts}
@@ -493,8 +504,10 @@ def benchmark_eers(speakers, pool, spec, nearest_k, repetitions, gender_partitio
 # `anonymize.apply_spec` became the one selection path. The bodies are kept
 # as they were, except that each returns (selected_ids, embedding,
 # measured dissimilarity) in place of a PseudoSpeaker, the range body has
-# lost its seeded `subsample` thinning, and the sampler's shuffle keeps only
-# the slots it moved.
+# lost its seeded `subsample` thinning, the sampler's shuffle keeps only
+# the slots it moved, and the bodies score and average through the package's
+# one cosine (`cosine_matrix`, over the pool's plain vectors, not its cached
+# unit rows) and one mean (`centered_mean`).
 
 
 def _sample_without_replacement(n, k, seed):
@@ -510,7 +523,7 @@ def _sample_without_replacement(n, k, seed):
 
 def _mean_of_indices(pool, indices, new_id):
     ordered = sorted(indices)
-    return mean_embedding([pool.entries[i] for i in ordered], new_id=new_id)
+    return mean_of([pool.get(pool.ids[i]) for i in ordered], new_id=new_id)
 
 
 def _nearest_neighbors(pool, query, count):
@@ -518,7 +531,7 @@ def _nearest_neighbors(pool, query, count):
         raise ValueError("count must be at least 1")
     if count > len(pool):
         raise ValueError(f"count {count} exceeds pool size {len(pool)}")
-    sims = pool_similarities(pool, query)
+    sims = cosine_matrix(query.vector[None, :], pool.vectors)[0]
     ids = pool.ids
     return [(ids[i], float(sims[i])) for i in rank_by_similarity(sims[None, :], ids)[0, :count]]
 
@@ -533,12 +546,12 @@ def _anonymize_random(pool, n_select, seed):
     embedding = _mean_of_indices(
         pool, indices, new_id=f"pseudo:random:n={n_select}:seed={seed}"
     )
-    selected = tuple(pool.entries[i].id for i in indices)
+    selected = tuple(pool.ids[i] for i in indices)
     return selected, embedding, None
 
 
 def _anonymize_range(pool, original, target_similarity, half_width):
-    sims = pool_similarities(pool, original)
+    sims = cosine_matrix(original.vector[None, :], pool.vectors)[0]
     lo = target_similarity - half_width
     hi = target_similarity + half_width
     candidates = np.flatnonzero((sims >= lo) & (sims <= hi))
@@ -555,8 +568,8 @@ def _anonymize_range(pool, original, target_similarity, half_width):
         indices,
         new_id=f"pseudo:range:s={target_similarity}:eps={half_width}:of={original.id}",
     )
-    selected = tuple(pool.entries[i].id for i in indices)
-    measured = 1.0 - cosine_similarity(original, embedding)
+    selected = tuple(pool.ids[i] for i in indices)
+    measured = 1.0 - cosine(original, embedding)
     return selected, embedding, measured
 
 
@@ -567,7 +580,7 @@ def _anonymize_nearest(pool, original, n_select):
     embedding = _mean_of_indices(
         pool, indices, new_id=f"pseudo:nearest:n={n_select}:of={original.id}"
     )
-    measured = 1.0 - cosine_similarity(original, embedding)
+    measured = 1.0 - cosine(original, embedding)
     return selected, embedding, measured
 
 
@@ -576,7 +589,7 @@ def select_pseudo_speaker(pool, spec, original=None):
     strategy body it names."""
     if spec.strategy == "random":
         selected, embedding, _ = _anonymize_random(pool, spec.n_select, spec.seed)
-        measured = None if original is None else 1.0 - cosine_similarity(original, embedding)
+        measured = None if original is None else 1.0 - cosine(original, embedding)
         return selected, embedding, measured
     if original is None:
         raise ValueError(f"strategy {spec.strategy!r} requires an original speaker")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from voxanon import SpeakerEmbedding, Waveform
+from voxanon import EmbeddingPool, SpeakerEmbedding, Waveform
 from voxanon.nnet import AcousticConfig, NsfConfig, PpgConfig, init_weights
 
 try:
@@ -27,6 +27,42 @@ def make_noise(seconds=1.0, fs=16000, std=0.2, seed=0):
 
 def random_embedding(rng, dim, name):
     return SpeakerEmbedding(name, rng.standard_normal(dim))
+
+
+def make_similarity_ladder_pool(
+    original: SpeakerEmbedding,
+    size: int,
+    sim_low: float,
+    sim_high: float,
+) -> EmbeddingPool:
+    """A pool of unit vectors whose similarities to ``original`` sweep a range.
+
+    Entries lie in a fixed half-plane spanned by the original's direction
+    and one deterministic orthogonal direction, at similarities evenly
+    covering [sim_low, sim_high]. Because all entries sit on the same side,
+    averaging a similarity window lands near the window's center instead of
+    collapsing onto the original's axis, which is what range-selection
+    experiments need.
+    """
+    if not -1.0 <= sim_low < sim_high <= 1.0:
+        raise ValueError("need -1 <= sim_low < sim_high <= 1")
+    if size < 2:
+        raise ValueError("ladder pool needs at least two entries")
+    if original.dim < 2:
+        raise ValueError("ladder pool requires an embedding dimension of at least 2")
+    axis = original.vector / np.linalg.norm(original.vector)
+    # Deterministic orthogonal direction: the basis vector least aligned
+    # with the axis, Gram-Schmidt orthogonalized.
+    pivot = int(np.argmin(np.abs(axis)))
+    basis = np.zeros(original.dim)
+    basis[pivot] = 1.0
+    ortho = basis - np.dot(basis, axis) * axis
+    ortho /= np.linalg.norm(ortho)
+    entries = []
+    for i, s in enumerate(np.linspace(sim_low, sim_high, size)):
+        vec = s * axis + np.sqrt(1.0 - s * s) * ortho
+        entries.append(SpeakerEmbedding(f"ladder{i:04d}", vec))
+    return EmbeddingPool(entries)
 
 
 @pytest.fixture

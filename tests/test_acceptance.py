@@ -21,12 +21,9 @@ from voxanon import (
     align_streams,
     apply_spec,
     compute_eer,
-    cosine_similarity,
     extract_f0,
     make_cluster_speakers,
     make_random_pool,
-    make_similarity_ladder_pool,
-    mean_embedding,
     mel_features,
     run_anonymization_benchmark,
     wer,
@@ -48,8 +45,8 @@ from voxanon.nnet import (
     xvector_forward,
 )
 
-from _oracles import edit_distance, eer_midpoint_sweep, fft_peak_hz
-from conftest import make_tone
+from _oracles import cosine, edit_distance, eer_midpoint_sweep, fft_peak_hz, mean_of
+from conftest import make_similarity_ladder_pool, make_tone
 
 
 @contextmanager
@@ -113,7 +110,7 @@ def test_criterion_3_range_selection_monotonicity():
             spec = AnonymizationSpec("range", target_similarity=s, half_width=half_width)
             result = apply_spec(pool, spec, original)
             for selected in result.selected_ids:
-                sim = cosine_similarity(original, pool.get(selected))
+                sim = cosine(original, pool.get(selected))
                 assert s - half_width <= sim <= s + half_width
             measured.append(result.measured_dissimilarity)
         assert all(measured[i] <= measured[i + 1] for i in range(len(measured) - 1)), (
@@ -133,8 +130,8 @@ def test_criterion_4_dissimilarity_range_from_provenance():
         values = []
         for event in result.events:
             members = [pool.get(i) for i in sorted(event.selected_ids)]
-            pseudo = mean_embedding(members)
-            value = 1.0 - cosine_similarity(by_id[event.speaker_id].enroll, pseudo)
+            pseudo = mean_of(members)
+            value = 1.0 - cosine(by_id[event.speaker_id].enroll, pseudo)
             assert value == event.dissimilarity
             values.append(value)
         assert result.dissimilarity_range == (min(values), max(values))

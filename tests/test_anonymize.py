@@ -6,17 +6,14 @@ from voxanon import (
     EmbeddingPool,
     SpeakerEmbedding,
     apply_spec,
-    cosine_similarity,
+    cosine_matrix,
     derive_seed,
-    make_similarity_ladder_pool,
-    mean_embedding,
-    pool_similarities,
 )
 from voxanon.anonymize import SELECTION_ALGORITHM, _sample_without_replacement
 
 from _oracles import _sample_without_replacement as oracle_sample
-from _oracles import select_pseudo_speaker
-from conftest import random_embedding
+from _oracles import cosine, mean_of, select_pseudo_speaker
+from conftest import make_similarity_ladder_pool, random_embedding
 
 
 def _pool(rng, size, dim=8):
@@ -112,7 +109,7 @@ class TestSpecPolicy:
 class TestRandomSelection:
     def test_full_selection_equals_pool_mean_for_any_seed(self, rng):
         pool = _pool(rng, 9)
-        pool_mean = mean_embedding(list(pool)).vector
+        pool_mean = mean_of(list(pool)).vector
         for seed in (0, 1, 987654321):
             result = _random(pool, len(pool), seed)
             assert np.array_equal(result.embedding.vector, pool_mean)
@@ -137,7 +134,7 @@ class TestRandomSelection:
         pool = _pool(rng, 25)
         for seed in range(20):
             result = _random(pool, 10, seed=seed)
-            recomputed = mean_embedding([pool.get(i) for i in result.selected_ids])
+            recomputed = mean_of([pool.get(i) for i in result.selected_ids])
             assert np.allclose(
                 result.embedding.vector, recomputed.vector, rtol=0, atol=1e-12
             )
@@ -178,7 +175,7 @@ class TestRangeSelection:
         original = random_embedding(rng, 8, "orig")
         result = _range(pool, original, 0.0, 2.5)
         assert np.array_equal(
-            result.embedding.vector, mean_embedding(list(pool)).vector
+            result.embedding.vector, mean_of(list(pool)).vector
         )
 
     def test_empty_window_reports_closest(self):
@@ -205,7 +202,7 @@ class TestRangeSelection:
             except ValueError:
                 continue
             for identifier in result.selected_ids:
-                sim = cosine_similarity(original, pool.get(identifier))
+                sim = cosine(original, pool.get(identifier))
                 assert s - eps <= sim <= s + eps
 
     def test_monotone_dissimilarity_on_dense_pool(self):
@@ -223,7 +220,7 @@ class TestNearestSelection:
         pool = _pool(rng, 15)
         original = random_embedding(rng, 8, "orig")
         result = _nearest(pool, original, 1)
-        sims = [cosine_similarity(original, entry) for entry in pool]
+        sims = [cosine(original, entry) for entry in pool]
         assert result.selected_ids[0] == pool.ids[int(np.argmax(sims))]
 
     def test_matches_bruteforce_average(self, rng):
@@ -232,10 +229,10 @@ class TestNearestSelection:
         result = _nearest(pool, original, 10)
         ranked = sorted(
             pool.ids,
-            key=lambda i: (-cosine_similarity(original, pool.get(i)), i),
+            key=lambda i: (-cosine(original, pool.get(i)), i),
         )[:10]
         assert sorted(result.selected_ids) == sorted(ranked)
-        expected = mean_embedding([pool.get(i) for i in sorted(ranked)])
+        expected = mean_of([pool.get(i) for i in sorted(ranked)])
         assert np.allclose(result.embedding.vector, expected.vector, rtol=0, atol=1e-12)
 
     def test_full_selection_equals_pool_mean(self, rng):
@@ -243,13 +240,13 @@ class TestNearestSelection:
         original = random_embedding(rng, 8, "orig")
         result = _nearest(pool, original, len(pool))
         assert np.array_equal(
-            result.embedding.vector, mean_embedding(list(pool)).vector
+            result.embedding.vector, mean_of(list(pool)).vector
         )
 
     def test_strategies_agree_on_full_selection(self, rng):
         pool = _pool(rng, 9)
         original = random_embedding(rng, 8, "orig")
-        pool_mean = mean_embedding(list(pool)).vector
+        pool_mean = mean_of(list(pool)).vector
         nearest = _nearest(pool, original, len(pool))
         random = _random(pool, len(pool), seed=777)
         assert np.array_equal(nearest.embedding.vector, pool_mean)
@@ -289,8 +286,8 @@ class TestApplySpec:
         ):
             result = apply_spec(pool, spec, original)
             assert result.spec is spec
-            assert result.similarity == cosine_similarity(original, result.embedding)
-            assert result.measured_dissimilarity == 1.0 - cosine_similarity(original, result.embedding)
+            assert result.similarity == cosine(original, result.embedding)
+            assert result.measured_dissimilarity == 1.0 - cosine(original, result.embedding)
         unmeasured = apply_spec(pool, AnonymizationSpec("random", n_select=4, seed=2))
         assert unmeasured.similarity is None and unmeasured.measured_dissimilarity is None
 
@@ -359,7 +356,7 @@ class TestAgainstStrategyBodies:
         for trial in range(12):
             pool = _tied_pool(rng, int(rng.integers(5, 30)))
             original = random_embedding(rng, pool.dim, f"orig{trial}")
-            sims = np.sort(pool_similarities(pool, original))
+            sims = np.sort(cosine_matrix(original.vector[None, :], pool)[0])
             gaps = np.diff(sims)
             lone = int(np.argmax(np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))))
             widest = int(np.argmax(gaps))

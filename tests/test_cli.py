@@ -334,6 +334,7 @@ class TestExitCodes:
         ("evaluate", "--hyp-trn-with-an-extra-utterance", 3),
         ("evaluate", "--ref-trn-repeating-an-utterance", 3),
         ("evaluate", "--hyp-trn-repeating-an-utterance", 3),
+        ("evaluate", "--ref-trn-with-a-wordless-utterance", 3),
     ])
     def test_flag_error_names_its_file_not_the_config(
         self, site, extracted, pseudo, tmp_path, capsys, command, flag, code
@@ -363,6 +364,9 @@ class TestExitCodes:
             repeated = ref if flag.startswith("--ref-trn") else hyp
             repeated.write_text("p01_001 a b\np01_002 c\n\np01_001 a\n")
             named = f"{repeated}, lines 1 and 4: utterance 'p01_001' repeated"
+        elif flag == "--ref-trn-with-a-wordless-utterance":
+            ref.write_text("p01_001 a b\np01_002\n")
+            named = f"{ref}: reference utterance 'p01_002' has no words"
         else:
             paths[flag] = named = tmp_path / "missing"
         args = [command, "--config", str(config), "--out-dir", str(tmp_path / "o")]
@@ -966,6 +970,28 @@ class TestEvaluate:
         assert wer_record["substitutions"] == 1
         assert wer_record["insertions"] == 1
         assert wer_record["n_ref_words"] == 5
+
+    def test_wordless_hypothesis_counts_as_deletions(self, site, extracted, tmp_path):
+        # A hypothesis line with an id and no words is an empty recognition.
+        trials = tmp_path / "trials.txt"
+        trials.write_text("p01 p01_001 tar\np01 p02_001 non\n")
+        refs, hyps = tmp_path / "ref.trn", tmp_path / "hyp.trn"
+        refs.write_text("p01_001 the quick fox\np01_002 a b\n")
+        hyps.write_text("p01_001 the quick fox\np01_002\n")
+        out = tmp_path / "report"
+        rc = main([
+            "evaluate", "--config", str(site / "run.ini"),
+            "--enroll", str(extracted / "speaker_xvectors.jsonl"),
+            "--test", str(extracted / "utterance_xvectors.jsonl"),
+            "--trials", str(trials), "--ref-trn", str(refs), "--hyp-trn", str(hyps),
+            "--out-dir", str(out),
+        ])
+        assert rc == 0
+        records = [json.loads(line) for line in (out / "evaluation_report.jsonl").read_text().splitlines()]
+        wer_record = next(r for r in records if r.get("kind") == "wer")
+        assert (wer_record["substitutions"], wer_record["deletions"], wer_record["insertions"],
+                wer_record["n_ref_words"]) == (0, 2, 0, 5)
+        assert wer_record["rate"] == 2 / 5
 
 
     @pytest.mark.parametrize("flag", ["--ref-trn", "--hyp-trn"])

@@ -6,10 +6,9 @@ from voxanon import (
     EmbeddingPool,
     SpeakerEmbedding,
     apply_spec,
-    cosine_similarity,
+    centered_mean,
+    cosine_matrix,
     load_pool,
-    mean_embedding,
-    pool_similarities,
     rank_by_similarity,
     save_pool,
 )
@@ -19,16 +18,22 @@ from _oracles import cosine_fsum
 from conftest import random_embedding
 
 
+def _cos(a, b):
+    return cosine_matrix(a.vector[None, :], b.vector[None, :])[0, 0]
+
+
 class TestCosineSimilarity:
+    """The package's one cosine, ``cosine_matrix``, one pair at a time."""
+
     def test_self_similarity_is_one(self, rng):
         for i in range(50):
             e = random_embedding(rng, int(rng.integers(1, 40)), f"v{i}")
-            assert abs(cosine_similarity(e, e) - 1.0) < 1e-12
+            assert abs(_cos(e, e) - 1.0) < 1e-12
 
     def test_orthogonal(self):
         a = SpeakerEmbedding("a", [1.0, 0.0])
         b = SpeakerEmbedding("b", [0.0, 1.0])
-        assert cosine_similarity(a, b) == 0.0
+        assert _cos(a, b) == 0.0
 
     def test_known_value_against_high_precision_oracle(self):
         mpmath = pytest.importorskip("mpmath")
@@ -38,7 +43,7 @@ class TestCosineSimilarity:
         )
         a = SpeakerEmbedding("a", [1.0, 1.0])
         b = SpeakerEmbedding("b", [1.0, 0.0])
-        got = cosine_similarity(a, b)
+        got = _cos(a, b)
         assert abs(got - expected) < 1e-12
         # Agrees with the 8-decimal reference value to rounding.
         assert round(got, 8) == 0.70710678
@@ -47,26 +52,26 @@ class TestCosineSimilarity:
         for i in range(100):
             a = random_embedding(rng, 16, f"a{i}")
             b = random_embedding(rng, 16, f"b{i}")
-            assert cosine_similarity(a, b) == cosine_similarity(b, a)
+            assert _cos(a, b) == _cos(b, a)
 
     def test_scale_invariance(self, rng):
         for i in range(50):
             a = random_embedding(rng, 12, f"a{i}")
             c = float(rng.uniform(1e-6, 1e6))
             scaled = SpeakerEmbedding("scaled", c * a.vector)
-            assert abs(cosine_similarity(a, scaled) - 1.0) < 1e-12
+            assert abs(_cos(a, scaled) - 1.0) < 1e-12
 
     def test_range(self, rng):
         for i in range(100):
             a = random_embedding(rng, 8, f"a{i}")
             b = random_embedding(rng, 8, f"b{i}")
-            assert -1.0 <= cosine_similarity(a, b) <= 1.0
+            assert -1.0 <= _cos(a, b) <= 1.0
 
     def test_dimension_mismatch(self):
         a = SpeakerEmbedding("a", [1.0, 0.0])
         b = SpeakerEmbedding("b", [1.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="dimension mismatch"):
-            cosine_similarity(a, b)
+            _cos(a, b)
 
     def test_zero_norm_rejected_at_construction(self):
         with pytest.raises(ValueError, match="zero norm"):
@@ -76,46 +81,38 @@ class TestCosineSimilarity:
         with pytest.raises(ValueError, match="non-finite"):
             SpeakerEmbedding("n", [1.0, np.nan])
 
+    def test_pool_unit_rows_keep_the_bits(self, rng):
+        # A pool's cached unit rows give the bits its plain matrix gives, on
+        # either side, against a matrix or another pool.
+        pool = EmbeddingPool([random_embedding(rng, 24, f"e{i:02d}") for i in range(30)])
+        other = EmbeddingPool([random_embedding(rng, 24, f"o{i:02d}") for i in range(7)])
+        for query in (rng.standard_normal((1, 24)), rng.standard_normal((3, 24))):
+            assert np.array_equal(cosine_matrix(query, pool), cosine_matrix(query, pool.vectors))
+            assert np.array_equal(cosine_matrix(pool, query), cosine_matrix(pool.vectors, query))
+        assert np.array_equal(cosine_matrix(other, pool), cosine_matrix(other.vectors, pool.vectors))
+        assert not pool.unit_vectors.flags.writeable
+
 
 class TestMeanEmbedding:
+    """The package's one mean, ``centered_mean``."""
+
     def test_singleton(self):
-        v = SpeakerEmbedding("v", [0.1, 0.2, 0.3])
-        assert np.array_equal(mean_embedding([v]).vector, v.vector)
+        v = np.array([[0.1, 0.2, 0.3]])
+        assert np.array_equal(centered_mean(v), v[0])
 
     def test_pair(self):
-        a = SpeakerEmbedding("a", [1.0, 0.0])
-        b = SpeakerEmbedding("b", [0.0, 1.0])
-        assert np.array_equal(mean_embedding([a, b]).vector, [0.5, 0.5])
+        assert np.array_equal(centered_mean(np.array([[1.0, 0.0], [0.0, 1.0]])), [0.5, 0.5])
 
     def test_duplicates_exact_for_any_count(self, rng):
         # Averaging k copies of v must return v bit for bit, including
         # awkward counts like 3 and 7 where naive summation rounds.
         for k in [1, 2, 3, 5, 7, 11, 100]:
-            v = random_embedding(rng, 16, "v")
-            copies = [SpeakerEmbedding(f"c{i}", v.vector) for i in range(k)]
-            assert np.array_equal(mean_embedding(copies).vector, v.vector), k
-
-    def test_provenance_id(self):
-        a = SpeakerEmbedding("a", [1.0])
-        b = SpeakerEmbedding("b", [3.0])
-        result = mean_embedding([a, b])
-        assert "a" in result.id and "b" in result.id
-
-    def test_empty_set(self):
-        with pytest.raises(ValueError, match="empty"):
-            mean_embedding([])
-
-    def test_dim_mismatch(self):
-        a = SpeakerEmbedding("a", [1.0, 0.0])
-        b = SpeakerEmbedding("b", [1.0, 0.0, 0.0])
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            mean_embedding([a, b])
+            v = random_embedding(rng, 16, "v").vector
+            assert np.array_equal(centered_mean(np.tile(v, (k, 1))), v), k
 
     def test_zero_norm_mean(self):
-        a = SpeakerEmbedding("a", [1.0, 0.0])
-        b = SpeakerEmbedding("b", [-1.0, 0.0])
         with pytest.raises(ValueError, match="zero norm"):
-            mean_embedding([a, b])
+            centered_mean(np.array([[1.0, 0.0], [-1.0, 0.0]]))
 
 
 def _toy_pool():
@@ -130,7 +127,7 @@ def _toy_pool():
 
 def _ranked(pool, query):
     # The nearest-first ranking that nearest selection takes its picks from.
-    sims = pool_similarities(pool, query)
+    sims = cosine_matrix(query.vector[None, :], pool)[0]
     return [(pool.ids[i], float(sims[i])) for i in rank_by_similarity(sims[None, :], pool.ids)[0]]
 
 

@@ -95,6 +95,14 @@ def test_pool_shaped_text(tmp_path, text):
     ("[" * 100_000, "line 1"),
     ('{"dim": 2, "count": 1}\n{"id": "a", "vec": [true, 0.5]}\n', "line 2"),
     ('{"dim": 1, "count": 1}\n{"id": "false", "vec": [false]}\n', "line 2"),
+    # Finite values and norms are checked over the whole matrix after every
+    # line is read, and still name the line of the first bad row.
+    ('{"dim": 2, "count": 3}\n{"id": "a", "vec": [1.0, 0.0]}\n{"id": "z", "vec": [0.0, -0.0]}\n'
+     '{"id": "b", "vec": [0.0, 1.0]}\n', "line 3: embedding 'z': vector has zero norm"),
+    ('{"dim": 2, "count": 3}\n{"id": "a", "vec": [1.0, 0.0]}\n\n{"id": "n", "vec": [NaN, 1.0]}\n'
+     '{"id": "i", "vec": [1.0, -Infinity]}\n', "line 4: embedding 'n': vector has non-finite components"),
+    ('{"dim": 1, "count": 3}\n{"id": "a", "vec": [1]}\n\n{"id": "b", "vec": [2]}\n'
+     '{"id": "c", "vec": [' + "9" * 400 + "]}\n", "line 5: int too large"),
 ])
 def test_bad_pool_names_file_and_line(tmp_path, text, where):
     path = tmp_path / "bad.jsonl"
@@ -115,7 +123,7 @@ def test_non_utf8_pool_names_line(tmp_path):
 def test_pool_id_spelling_true_still_loads(tmp_path):
     path = tmp_path / "ok.jsonl"
     path.write_text('{"dim": 2, "count": 1}\n{"id": "true", "vec": [1, 0.5]}\n')
-    assert load_pool(path).entries[0].vector.tolist() == [1.0, 0.5]
+    assert load_pool(path).vectors.tolist() == [[1.0, 0.5]]
 
 
 # ------------------------------------------------- trials and transcripts
@@ -150,7 +158,7 @@ def test_text_reader_line_shaped_text(tmp_path, reader, text, encoding):
     ("trials", "p01 p01_001 tar\np01 p02_001\n", "line 2"),
     ("trials", "p01 p01_001 target\n", "line 1"),
     ("trials", "\n \n", "no trials"),
-    ("transcripts", "p01_001 a b\np01_002\n", "line 2"),
+    ("transcripts", "p01_001 a b\np01_002\n\np01_001 c\n", "lines 1 and 4"),
     ("transcripts", "\t\n", "no transcripts"),
 ])
 def test_bad_text_file_names_file(tmp_path, reader, text, where):

@@ -18,7 +18,6 @@ from voxanon import (
     Trial,
     make_cluster_speakers,
     make_random_pool,
-    mean_embedding,
     run_anonymization_benchmark,
     save_pool,
     score_trials,
@@ -29,7 +28,7 @@ from voxanon.cli import main, speaker_of
 from voxanon.metrics import cosine_matrix, nearest_k_mask, partition_masks
 from voxanon.seeding import derive_seed
 
-from _oracles import benchmark_eers, evaluate_eers
+from _oracles import benchmark_eers, evaluate_eers, mean_of
 
 
 def _copy_speaker(source, new_id, scale, gender):
@@ -37,7 +36,7 @@ def _copy_speaker(source, new_id, scale, gender):
         SpeakerEmbedding(f"{new_id}_u{j:03d}", scale * utt.vector, gender)
         for j, utt in enumerate(source.tests)
     )
-    enroll = SpeakerEmbedding(new_id, mean_embedding(tests).vector, gender)
+    enroll = SpeakerEmbedding(new_id, mean_of(tests).vector, gender)
     return EvalSpeaker(new_id, enroll, tests)
 
 

@@ -11,21 +11,29 @@ TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 # Hooks on ``nearest_nontarget_subset``, which nearest-K filtering inside
 # ``score_trials`` replaced; ``metrics.nearest_nontarget_*`` reads 0 until
-# the benchmark hooks its successor.
+# the benchmark hooks its successor. The counter hooks ``cosine_similarity``
+# in each module that once called it; the package's one cosine is now
+# ``embeddings.cosine_matrix``, so ``embeddings.cosine_calls*`` reads 0.
 KNOWN_DEAD = {
     ("voxanon.cli", "nearest_nontarget_subset"),
     ("voxanon.benchmark", "nearest_nontarget_subset"),
+    *((module, "cosine_similarity") for module in (
+        "voxanon.embeddings", "voxanon.metrics", "voxanon.benchmark", "voxanon.anonymize",
+        "voxanon.cli",
+    )),
 }
 
 
-def _layers():
+def _tracing():
     spec = importlib.util.spec_from_file_location("_perfbench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.LAYERS
+    return module
 
 
 def test_every_hooked_attribute_resolves():
-    hooks = {(module, attr) for module, attr, *_ in _layers()}
+    tracing = _tracing()
+    hooks = {(module, attr) for module, attr, *_ in tracing.LAYERS}
+    hooks |= {(module, "cosine_similarity") for module in tracing.COSINE_CALLERS}
     missing = {(m, a) for m, a in hooks if not hasattr(importlib.import_module(m), a)}
     assert missing == KNOWN_DEAD
