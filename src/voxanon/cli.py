@@ -60,9 +60,9 @@ FBANK_HOP = 0.010
 
 
 def _weights_path(cfg: RunConfig, component: str) -> Path:
-    if cfg.weights_dir is None:
+    if cfg.paths.weights is None:
         raise ConfigError(f"paths.weights is not set ({component} weights needed)")
-    path = Path(cfg.weights_dir) / f"{component}.weights"
+    path = Path(cfg.paths.weights) / f"{component}.weights"
     if not path.exists():
         raise ConfigError(f"{component} weights not found at {path}")
     return path
@@ -79,7 +79,7 @@ def cmd_extract(cfg: RunConfig, wav_paths: list[str]) -> int:
         raise DataError("no inputs")
     xvec_weights = nnet.load_weights(_weights_path(cfg, "xvector"))
     ppg_weights = nnet.load_weights(_weights_path(cfg, "ppg"))
-    out_dir = Path(cfg.out_dir)
+    out_dir = Path(cfg.paths.out_dir)
     feature_dir = out_dir / "features"
     feature_dir.mkdir(parents=True, exist_ok=True)
 
@@ -124,17 +124,17 @@ def cmd_extract(cfg: RunConfig, wav_paths: list[str]) -> int:
 
 
 def cmd_anonymize(cfg: RunConfig, inputs_path: str) -> int:
-    if cfg.pool_path is None:
+    if cfg.paths.pool is None:
         raise ConfigError("no embedding pool configured")
-    if not Path(cfg.pool_path).exists():
-        raise ConfigError(f"embedding pool not found at {cfg.pool_path}")
-    pool = load_pool(cfg.pool_path)
+    if not Path(cfg.paths.pool).exists():
+        raise ConfigError(f"embedding pool not found at {cfg.paths.pool}")
+    pool = load_pool(cfg.paths.pool)
     inputs = load_pool(inputs_path)
     a = cfg.anonymize
-    spec = a.spec(cfg.seed)
+    spec = a.spec(cfg.run.seed)
     if spec is None:
         raise ConfigError("anonymize.strategy is 'none'; nothing to do")
-    out_dir = Path(cfg.out_dir)
+    out_dir = Path(cfg.paths.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     shared = None
@@ -183,7 +183,7 @@ def cmd_synthesize(
     from . import nnet
 
     weight_paths = (_weights_path(cfg, "acoustic"), _weights_path(cfg, "nsf"))
-    feature_dir = Path(features_dir) if features_dir else Path(cfg.out_dir) / "features"
+    feature_dir = Path(features_dir) if features_dir else Path(cfg.paths.out_dir) / "features"
     if not feature_dir.is_dir():
         raise DataError(f"feature directory not found at {feature_dir}")
     pseudo = load_pool(pseudo_path)
@@ -191,9 +191,9 @@ def cmd_synthesize(
         utts = sorted(p.name[: -len(".ppg.npz")] for p in feature_dir.glob("*.ppg.npz"))
     if not utts:
         raise DataError("no inputs")
-    wav_dir = Path(cfg.out_dir) / "wav"
+    wav_dir = Path(cfg.paths.out_dir) / "wav"
     wav_dir.mkdir(parents=True, exist_ok=True)
-    master = cfg.seed or 0
+    master = cfg.run.seed or 0
 
     def embedding_for(utt: str) -> SpeakerEmbedding:
         for key in (utt, speaker_of(utt)):
@@ -214,7 +214,7 @@ def cmd_synthesize(
     ]
     weights = [nnet.load_weights(path) for path in weight_paths]
     seconds = sum(f0.n_frames * f0.hop for _, f0, _, _ in tasks)
-    workers = min(cfg.jobs or _cpu_count(), len(tasks), int(seconds // _SECONDS_PER_WORKER))
+    workers = min(cfg.run.jobs or _cpu_count(), len(tasks), int(seconds // _SECONDS_PER_WORKER))
     threads = _openblas_threads() if workers > 1 and hasattr(os, "fork") else None
     if threads is None:  # one worker, or no way to give a worker one BLAS thread
         waveforms = [_synthesize_utterance(task, *weights) for task in tasks]
@@ -335,7 +335,7 @@ def cmd_evaluate(
         raise DataError(f"dimension mismatch: {enroll_path} holds {enroll_pool.dim}-dim "
                         f"embeddings, {test_path} {test_pool.dim}-dim")
     trials = read_trials(trials_path)
-    k = cfg.evaluate.nearest_k
+    k = cfg.evaluate.k
 
     try:
         indices = trial_indices(trials, enroll_pool.ids, test_pool.ids)
@@ -407,7 +407,7 @@ def cmd_evaluate(
             }
         )
 
-    out_dir = Path(cfg.out_dir)
+    out_dir = Path(cfg.paths.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_text = "\n".join(lines) + "\n"
     (out_dir / "evaluation_report.txt").write_text(report_text, encoding="utf-8")
@@ -442,12 +442,12 @@ def _read_transcripts(path) -> dict[str, list[str]]:
 
 def cmd_simulate(cfg: RunConfig) -> int:
     sim = cfg.simulate
-    if "random" in sim.strategies and cfg.seed is None:
+    if "random" in sim.strategies and cfg.run.seed is None:
         raise ConfigError(
             "simulate.strategies includes 'random', which needs a master seed "
             "(set run.seed or pass --seed)"
         )
-    master = cfg.seed or 0
+    master = cfg.run.seed or 0
     speakers = make_cluster_speakers(
         sim.n_speakers,
         sim.utterances_per_speaker,
@@ -473,7 +473,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         conditions.extend(run_anonymization_benchmark(trials, drawn) for drawn in draws)
 
     report = BenchmarkReport(conditions, config_echo=cfg.echo())
-    out_dir = Path(cfg.out_dir)
+    out_dir = Path(cfg.paths.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "benchmark_report.txt").write_text(report.to_table(), encoding="utf-8")
     write_jsonl(out_dir / "benchmark_report.jsonl", report.to_records())

@@ -6,35 +6,36 @@ rejected outright, so typos never silently fall back to defaults. Every
 report embeds the effective configuration (``RunConfig.echo``) for
 provenance.
 
-Sections and keys. ``key = field`` marks an INI alias for a dataclass
-field of another name (``_ALIASES``); ``--flag`` is the command-line
-option that overrides the key::
+Sections and keys, each with the command-line option that overrides it
+(``--flag``), if any. Each section is a field of ``RunConfig`` and each
+key a field of that section, named as in the file::
 
     [run]        seed (--seed), jobs (--jobs)
-    [paths]      pool = pool_path, weights = weights_dir, out_dir (--out-dir)
+    [paths]      pool, weights, out_dir (--out-dir)
     [features]   sample_rate, f0_threshold
     [models]     ppg_tap
-    [anonymize]  strategy (--strategy), m = n_select (--m),
-                 sim = target_similarity (--sim), eps = half_width (--eps),
+    [anonymize]  strategy (--strategy), m (--m), sim (--sim), eps (--eps),
                  shared (--shared)
-    [evaluate]   k = nearest_k, gender_partition
+    [evaluate]   k, gender_partition
     [simulate]   n_speakers, utterances_per_speaker, dim, cluster_std,
-                 pool_size, strategies, m_grid, s_grid, eps = half_width,
-                 k_grid, repetitions, include_baseline
+                 pool_size, strategies, m_grid, s_grid, eps, k_grid,
+                 repetitions, include_baseline
 
 List keys are comma separated, and a nearest-K value of ``all`` keeps
-every candidate. ``jobs`` caps the worker processes of ``synthesize``; its
-default ``auto`` allows one per CPU the command may run on, and ``extract``
-ignores it. ``sample_rate`` is at least 15200 Hz, twice the 7600 Hz top
-edge of the mel front ends, so that no mel band is empty. ``cluster_std``
-is a finite number in [0, 1e6], far below the spread at which the
-generated embeddings overflow.
+every candidate. A ``[paths]`` value read from a file is relative to that
+file's directory; the defaults and ``--out-dir`` are relative to the
+working directory. ``jobs`` caps the worker processes of ``synthesize``;
+its default ``auto`` allows one per CPU the command may run on, and
+``extract`` ignores it. ``sample_rate`` is at least 15200 Hz, twice the
+7600 Hz top edge of the mel front ends, so that no mel band is empty.
+``cluster_std`` is a finite number in [0, 1e6], far below the spread at
+which the generated embeddings overflow.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Annotated, get_args, get_origin, get_type_hints
 
@@ -52,6 +53,19 @@ MAX_CLUSTER_STD = 1e6
 
 
 @dataclass
+class RunSettings:
+    seed: int | None = None
+    jobs: Jobs = None
+
+
+@dataclass
+class PathSettings:
+    pool: str | None = None
+    weights: str | None = None
+    out_dir: str = "out"
+
+
+@dataclass
 class FeatureSettings:
     sample_rate: int = 16000
     f0_threshold: float = 0.45
@@ -65,9 +79,9 @@ class ModelSettings:
 @dataclass
 class AnonymizeSettings:
     strategy: str = "none"  # none, or one of anonymize.STRATEGIES
-    n_select: int | None = None
-    target_similarity: float | None = None
-    half_width: float | None = None
+    m: int | None = None
+    sim: float | None = None
+    eps: float | None = None
     shared: bool = False
 
     def spec(self, seed: int | None) -> AnonymizationSpec | None:
@@ -76,21 +90,18 @@ class AnonymizeSettings:
         if self.strategy == "none":
             return None
         try:
-            return AnonymizationSpec.of(
-                self.strategy, self.n_select, self.target_similarity, self.half_width, seed
-            )
+            return AnonymizationSpec.of(self.strategy, self.m, self.sim, self.eps, seed)
         except ValueError as exc:
             if self.strategy == "range":
-                where = (f"anonymize.sim (--sim) = {self.target_similarity}, "
-                         f"anonymize.eps (--eps) = {self.half_width}")
+                where = f"anonymize.sim (--sim) = {self.sim}, anonymize.eps (--eps) = {self.eps}"
             else:
-                where = f"anonymize.m (--m) = {self.n_select}"
+                where = f"anonymize.m (--m) = {self.m}"
             raise ConfigError(f"{where}: {exc}") from None
 
 
 @dataclass
 class EvaluateSettings:
-    nearest_k: NearestK = None
+    k: NearestK = None
     gender_partition: bool = True
 
 
@@ -104,7 +115,7 @@ class SimulateSettings:
     strategies: tuple[str, ...] = ("random",)
     m_grid: tuple[int, ...] = (10, 50, 100, 200)
     s_grid: tuple[float, ...] = ()
-    half_width: float = 0.05
+    eps: float = 0.05
     k_grid: tuple[NearestK, ...] = (None,)
     repetitions: int = 5
     include_baseline: bool = True
@@ -125,7 +136,7 @@ class SimulateSettings:
             for value in grid:
                 where = self.where(strategy, value)
                 try:  # `of` keeps only the parameter the strategy reads
-                    spec = AnonymizationSpec.of(strategy, value, value, self.half_width, master)
+                    spec = AnonymizationSpec.of(strategy, value, value, self.eps, master)
                 except ValueError as exc:
                     raise ConfigError(f"{where}: {exc}") from None
                 if not ranged and value > self.pool_size:
@@ -136,17 +147,14 @@ class SimulateSettings:
     def where(self, strategy: str, value) -> str:
         """The keys that set one grid value of ``strategy``, for messages."""
         if strategy == "range":
-            return f"simulate.s_grid = {value}, simulate.eps = {self.half_width}"
+            return f"simulate.s_grid = {value}, simulate.eps = {self.eps}"
         return f"simulate.m_grid = {value}"
 
 
 @dataclass
 class RunConfig:
-    seed: int | None = None
-    jobs: Jobs = None
-    pool_path: str | None = None
-    weights_dir: str | None = None
-    out_dir: str = "out"
+    run: RunSettings = field(default_factory=RunSettings)
+    paths: PathSettings = field(default_factory=PathSettings)
     features: FeatureSettings = field(default_factory=FeatureSettings)
     models: ModelSettings = field(default_factory=ModelSettings)
     anonymize: AnonymizeSettings = field(default_factory=AnonymizeSettings)
@@ -154,7 +162,7 @@ class RunConfig:
     simulate: SimulateSettings = field(default_factory=SimulateSettings)
 
     def validate(self) -> None:
-        if self.jobs is not None and self.jobs < 1:
+        if self.run.jobs is not None and self.run.jobs < 1:
             raise ConfigError("run.jobs must be at least 1 or 'auto'")
         # Below twice the mel front ends' top edge, their top bands hold no
         # FFT bin and read a constant. (The F0 tracker needs only 8 kHz.)
@@ -172,16 +180,16 @@ class RunConfig:
             raise ConfigError(f"models.ppg_tap must be one of {TAPS}")
         if self.anonymize.strategy not in ("none",) + STRATEGIES:
             raise ConfigError(f"anonymize.strategy must be 'none' or one of {STRATEGIES}")
-        if self.anonymize.strategy == "random" and self.seed is None:
+        if self.anonymize.strategy == "random" and self.run.seed is None:
             raise ConfigError(
                 "a master seed is required whenever a random strategy is configured "
                 "(set run.seed or pass --seed)"
             )
-        self.anonymize.spec(self.seed)  # only its checks matter here
+        self.anonymize.spec(self.run.seed)  # only its checks matter here
         for strategy in self.simulate.strategies:
             if strategy not in STRATEGIES:
                 raise ConfigError(f"simulate.strategies contains unknown {strategy!r}")
-        for key, ks in (("evaluate.k", (self.evaluate.nearest_k,)),
+        for key, ks in (("evaluate.k", (self.evaluate.k,)),
                         ("simulate.k_grid", self.simulate.k_grid)):
             if any(k is not None and k < 1 for k in ks):
                 raise ConfigError(f"{key} must be at least 1 or 'all'")
@@ -206,46 +214,20 @@ class RunConfig:
         self.simulate.specs(master=0)  # only its checks matter here
 
     def echo(self) -> dict:
-        flat: dict[str, object] = {}
-        for key, (attr, _) in _SCHEMA.items():
-            owner, name = _owner(self, attr)
-            value = getattr(owner, name)
-            # Section fields echo under their field names, run and paths
-            # fields under their INI keys.
-            flat[attr if owner is not self else key] = (
-                list(value) if isinstance(value, tuple) else value
-            )
-        return flat
+        """The effective configuration: INI key -> value, lists for tuples."""
+        return {
+            f"{section}.{key}": list(value) if isinstance(value, tuple) else value
+            for section, settings in asdict(self).items()
+            for key, value in settings.items()
+        }
 
 
-# field path -> INI key, wherever the two differ
-_ALIASES = {
-    "seed": "run.seed",
-    "jobs": "run.jobs",
-    "pool_path": "paths.pool",
-    "weights_dir": "paths.weights",
-    "out_dir": "paths.out_dir",
-    "anonymize.n_select": "anonymize.m",
-    "anonymize.target_similarity": "anonymize.sim",
-    "anonymize.half_width": "anonymize.eps",
-    "evaluate.nearest_k": "evaluate.k",
-    "simulate.half_width": "simulate.eps",
-}
-
-
-def _build_schema() -> dict[str, tuple[str, object]]:
-    """INI key ("section.key") -> (field path, field type), in field order."""
+def _build_schema() -> dict[str, object]:
+    """INI key ("section.key") -> its type, in field order."""
     schema = {}
-    hints = get_type_hints(RunConfig, include_extras=True)
-    for top in fields(RunConfig):
-        section = hints[top.name]
-        if not is_dataclass(section):
-            schema[_ALIASES[top.name]] = (top.name, section)
-            continue
-        section_hints = get_type_hints(section, include_extras=True)
-        for f in fields(section):
-            attr = f"{top.name}.{f.name}"
-            schema[_ALIASES.get(attr, attr)] = (attr, section_hints[f.name])
+    for section, settings in get_type_hints(RunConfig).items():
+        hints = get_type_hints(settings, include_extras=True)
+        schema.update((f"{section}.{key}", kind) for key, kind in hints.items())
     return schema
 
 
@@ -253,12 +235,6 @@ _SCHEMA = _build_schema()
 _SECTIONS = {key.partition(".")[0] for key in _SCHEMA}
 
 _EXPECTED = {int: "an integer", float: "a number"}
-
-
-def _owner(config: RunConfig, attr: str):
-    """The object holding field path ``attr``, and the field's name on it."""
-    section, _, name = attr.rpartition(".")
-    return (getattr(config, section) if section else config), name
 
 
 def _parse_scalar(text: str, kind, where: str):
@@ -316,7 +292,8 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
 
     ``path`` None starts from the defaults. ``overrides`` maps INI keys
     ("section.key") to values already of the field's type; None values
-    are skipped. Unknown sections or keys are errors.
+    are skipped. A ``[paths]`` value in the file is joined to the file's
+    directory; an override is not. Unknown sections or keys are errors.
     """
     config = RunConfig()
     if path is not None:
@@ -330,16 +307,19 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
                     raise ConfigError(
                         f"{path}: unknown configuration key '{key}' in section [{section}]"
                     )
-                attr, kind = _SCHEMA[f"{section}.{key}"]
+                kind = _SCHEMA[f"{section}.{key}"]
                 where = f"{path} [{section}] {key}"
                 if get_origin(kind) is tuple:
                     value = _parse_list(text, get_args(kind)[0], where)
                 else:
                     value = _parse_scalar(text, kind, where)
-                setattr(*_owner(config, attr), value)
+                if section == "paths":  # relative to the file that sets it
+                    value = str(path.parent / value)
+                setattr(getattr(config, section), key, value)
     for key, value in (overrides or {}).items():
         if value is not None:
-            setattr(*_owner(config, _SCHEMA[key][0]), value)
+            section, _, name = key.partition(".")
+            setattr(getattr(config, section), name, value)
     try:
         config.validate()
     except ConfigError as exc:

@@ -167,7 +167,7 @@ class TestConfig:
     def test_k_all_parses_to_none(self, tmp_path):
         path = tmp_path / "c.ini"
         path.write_text("[run]\nseed = 1\n[evaluate]\nk = all\n")
-        assert load_config(path).evaluate.nearest_k is None
+        assert load_config(path).evaluate.k is None
 
     def test_echo_contains_everything(self, tmp_path):
         path = tmp_path / "c.ini"
@@ -219,7 +219,7 @@ class TestConfig:
         path = tmp_path / "c.ini"
         path.write_text("[anonymize]\nstrategy = random\nm = 5\n")
         config = load_config(path, {"run.seed": 3, "anonymize.m": None})
-        assert (config.seed, config.anonymize.n_select) == (3, 5)
+        assert (config.run.seed, config.anonymize.m) == (3, 5)
 
 
 class TestExitCodes:
@@ -727,7 +727,27 @@ class TestAnonymize:
             "--inputs", str(extracted / "speaker_xvectors.jsonl"),
         ])
         assert rc == 2
-        assert f"{config}: embedding pool not found at missing.jsonl" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{config}: embedding pool not found at {tmp_path / 'missing.jsonl'}" in err
+
+    def test_relative_pool_read_from_another_directory(self, site, extracted, tmp_path, monkeypatch):
+        # A [paths] value is relative to its config file, not to the cwd.
+        conf = tmp_path / "conf"
+        conf.mkdir()
+        (conf / "pool.jsonl").write_bytes((site / "pool.jsonl").read_bytes())
+        (conf / "run.ini").write_text("[run]\nseed = 77\n[paths]\npool = pool.jsonl\n"
+                                      "[anonymize]\nstrategy = random\nm = 8\n")
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        inputs = str(extracted / "speaker_xvectors.jsonl")
+        assert main(["anonymize", "--config", "../conf/run.ini", "--inputs", inputs,
+                     "--out-dir", "o"]) == 0
+        assert main(["anonymize", "--config", str(site / "run.ini"), "--inputs", inputs,
+                     "--out-dir", "absolute"]) == 0
+        assert (elsewhere / "o" / "pseudo_xvectors.jsonl").read_bytes() == (
+            elsewhere / "absolute" / "pseudo_xvectors.jsonl"
+        ).read_bytes()
 
 
 @pytest.fixture(scope="session")
@@ -849,6 +869,38 @@ class TestSynthesize:
         ])
         assert rc == 2
         assert f"{config}: paths.weights is not set" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("utts, entries, same_as", [
+        ("p01_001", (("p01_001", 0), ("p01", 1)), (("p01_001", 0),)),
+        ("p01_001,p01_002,p02_001", (("other", 0),), (("p01", 0), ("p02", 0))),
+        ("p01_001,p02_001", (("p03", 0), ("p04_001", 1)), None),
+    ], ids=["utterance-beats-speaker", "one-entry-pool-serves-all", "no-entry-exits-3"])
+    def test_pseudo_speaker_lookup(self, long_site, tmp_path, capsys, utts, entries, same_as):
+        # An utterance takes its own entry, else its speaker's, else the
+        # only entry of a one-entry pool; (id, row) pairs pick the vectors.
+        vectors = np.random.default_rng(2).standard_normal((2, 6))
+
+        def run(name, entries):
+            pool = tmp_path / f"{name}.jsonl"
+            save_pool(pool, EmbeddingPool([SpeakerEmbedding(i, vectors[row]) for i, row in entries]))
+            return main([
+                "synthesize", "--config", str(long_site / "run.ini"),
+                "--features-dir", str(long_site / "features"), "--pseudo", str(pool),
+                "--utts", utts, "--out-dir", str(tmp_path / name), "--jobs", "1",
+            ])
+
+        if same_as is None:
+            assert run("lookup", entries) == 3
+            err = capsys.readouterr().err
+            assert "no pseudo embedding for utterance 'p01_001'" in err
+            assert "(looked for ids 'p01_001' and 'p01')" in err
+            return
+        assert run("lookup", entries) == 0
+        assert run("expected", same_as) == 0
+        for utt in utts.split(","):
+            assert (tmp_path / "lookup" / "wav" / f"{utt}.wav").read_bytes() == (
+                tmp_path / "expected" / "wav" / f"{utt}.wav"
+            ).read_bytes()
 
 
 class TestSynthesizeWorkers:

@@ -1,9 +1,13 @@
 """load_config: fuzzed input, echo round trips and the accepted keys."""
 
+import argparse
+from dataclasses import fields
+from pathlib import Path
 from typing import Annotated, get_args, get_origin
 
 import pytest
 
+from voxanon import cli
 from voxanon.config import _SCHEMA, RunConfig, load_config
 from voxanon.errors import ConfigError
 
@@ -16,38 +20,39 @@ FUZZ = settings(
 )
 
 # Every key the reader accepted before the schema was built from the
-# dataclass fields, with a text and the value it parsed to then.
+# dataclass fields, with a text and the value it parsed to then. A
+# [paths] value is now joined to the directory of the file that sets it.
 ACCEPTED = [
-    ("run", "seed", "42", ("seed",), 42),
-    ("run", "jobs", "3", ("jobs",), 3),
-    ("run", "jobs", "Auto", ("jobs",), None),
-    ("paths", "pool", "pools/p.jsonl", ("pool_path",), "pools/p.jsonl"),
-    ("paths", "weights", "w", ("weights_dir",), "w"),
-    ("paths", "out_dir", "o u t", ("out_dir",), "o u t"),
-    ("features", "sample_rate", "22050", ("features", "sample_rate"), 22050),
-    ("features", "f0_threshold", "0.3", ("features", "f0_threshold"), 0.3),
-    ("models", "ppg_tap", "sigmoid6", ("models", "ppg_tap"), "sigmoid6"),
-    ("anonymize", "strategy", "none", ("anonymize", "strategy"), "none"),
-    ("anonymize", "m", "12", ("anonymize", "n_select"), 12),
-    ("anonymize", "sim", "0.75", ("anonymize", "target_similarity"), 0.75),
-    ("anonymize", "eps", "1e-2", ("anonymize", "half_width"), 0.01),
-    ("anonymize", "shared", "yes", ("anonymize", "shared"), True),
-    ("evaluate", "k", "ALL", ("evaluate", "nearest_k"), None),
-    ("evaluate", "k", "7", ("evaluate", "nearest_k"), 7),
-    ("evaluate", "gender_partition", "off", ("evaluate", "gender_partition"), False),
-    ("simulate", "n_speakers", "9", ("simulate", "n_speakers"), 9),
-    ("simulate", "utterances_per_speaker", "4", ("simulate", "utterances_per_speaker"), 4),
-    ("simulate", "dim", "16", ("simulate", "dim"), 16),
-    ("simulate", "cluster_std", "0.25", ("simulate", "cluster_std"), 0.25),
-    ("simulate", "pool_size", "200", ("simulate", "pool_size"), 200),
-    ("simulate", "strategies", "nearest, random,", ("simulate", "strategies"), ("nearest", "random")),
-    ("simulate", "m_grid", "2,4 , 8", ("simulate", "m_grid"), (2, 4, 8)),
-    ("simulate", "s_grid", "0.5,0.9", ("simulate", "s_grid"), (0.5, 0.9)),
-    ("simulate", "s_grid", "", ("simulate", "s_grid"), ()),
-    ("simulate", "eps", "0.1", ("simulate", "half_width"), 0.1),
-    ("simulate", "k_grid", "all, 3", ("simulate", "k_grid"), (None, 3)),
-    ("simulate", "repetitions", "2", ("simulate", "repetitions"), 2),
-    ("simulate", "include_baseline", "0", ("simulate", "include_baseline"), False),
+    ("run", "seed", "42", 42),
+    ("run", "jobs", "3", 3),
+    ("run", "jobs", "Auto", None),
+    ("paths", "pool", "pools/p.jsonl", "pools/p.jsonl"),
+    ("paths", "weights", "w", "w"),
+    ("paths", "out_dir", "o u t", "o u t"),
+    ("features", "sample_rate", "22050", 22050),
+    ("features", "f0_threshold", "0.3", 0.3),
+    ("models", "ppg_tap", "sigmoid6", "sigmoid6"),
+    ("anonymize", "strategy", "none", "none"),
+    ("anonymize", "m", "12", 12),
+    ("anonymize", "sim", "0.75", 0.75),
+    ("anonymize", "eps", "1e-2", 0.01),
+    ("anonymize", "shared", "yes", True),
+    ("evaluate", "k", "ALL", None),
+    ("evaluate", "k", "7", 7),
+    ("evaluate", "gender_partition", "off", False),
+    ("simulate", "n_speakers", "9", 9),
+    ("simulate", "utterances_per_speaker", "4", 4),
+    ("simulate", "dim", "16", 16),
+    ("simulate", "cluster_std", "0.25", 0.25),
+    ("simulate", "pool_size", "200", 200),
+    ("simulate", "strategies", "nearest, random,", ("nearest", "random")),
+    ("simulate", "m_grid", "2,4 , 8", (2, 4, 8)),
+    ("simulate", "s_grid", "0.5,0.9", (0.5, 0.9)),
+    ("simulate", "s_grid", "", ()),
+    ("simulate", "eps", "0.1", 0.1),
+    ("simulate", "k_grid", "all, 3", (None, 3)),
+    ("simulate", "repetitions", "2", 2),
+    ("simulate", "include_baseline", "0", False),
 ]
 
 DEAD_KEYS = [
@@ -79,8 +84,8 @@ def _ini_value(value) -> str:
 def _to_ini(config: RunConfig) -> str:
     echo = config.echo()
     sections: dict[str, list[str]] = {}
-    for key, (attr, kind) in _SCHEMA.items():
-        value = echo[attr if "." in attr else key]
+    for key, kind in _SCHEMA.items():
+        value = echo[key]
         if value is None and get_origin(kind) is not Annotated:
             continue  # an unset optional has no INI spelling
         # None of an Annotated key is spelled by its annotation: all, auto.
@@ -94,19 +99,22 @@ def _to_ini(config: RunConfig) -> str:
 
 
 class TestAcceptedKeys:
-    @pytest.mark.parametrize("section, key, text, attr, expected", ACCEPTED,
-                             ids=[f"{s}.{k}={t}" for s, k, t, _, _ in ACCEPTED])
-    def test_parses_as_before(self, tmp_path, section, key, text, attr, expected):
+    @pytest.mark.parametrize("section, key, text, expected", ACCEPTED,
+                             ids=[f"{s}.{k}={t}" for s, k, t, _ in ACCEPTED])
+    def test_parses_as_before(self, tmp_path, section, key, text, expected):
         config = _load_text(tmp_path, f"[{section}]\n{key} = {text}\n")
-        owner = config
-        for name in attr:
-            owner = getattr(owner, name)
-        assert owner == expected and type(owner) is type(expected)
+        if section == "paths":
+            expected = str(tmp_path / expected)
+        value = getattr(getattr(config, section), key)
+        assert value == expected and type(value) is type(expected)
+        assert config.echo()[f"{section}.{key}"] == (
+            list(expected) if isinstance(expected, tuple) else expected
+        )
 
     def test_strategy_parses_with_the_key_it_reads(self, tmp_path):
         # A strategy alone is an incomplete spec; nearest also reads m.
         config = _load_text(tmp_path, "[anonymize]\nstrategy = nearest\nm = 12\n")
-        assert (config.anonymize.strategy, config.anonymize.n_select) == ("nearest", 12)
+        assert (config.anonymize.strategy, config.anonymize.m) == ("nearest", 12)
 
     def test_every_table_key_is_covered(self):
         assert {f"{s}.{k}" for s, k, *_ in ACCEPTED} == set(_SCHEMA)
@@ -117,21 +125,79 @@ class TestAcceptedKeys:
             _load_text(tmp_path, f"[{section}]\n{key} = {text}\n")
 
 
+class TestOneNamePerSetting:
+    """A setting has one name: its INI key is its flag's dest, its field
+    path and its echo key."""
+
+    def test_every_override_flag_sets_a_key(self):
+        parser = cli._build_parser()
+        (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        dests = {
+            action.dest
+            for command in commands.choices.values()
+            for action in command._actions
+            if "." in action.dest
+        }
+        assert dests == {"run.seed", "run.jobs", "paths.out_dir", "anonymize.strategy",
+                         "anonymize.m", "anonymize.sim", "anonymize.eps", "anonymize.shared"}
+        assert dests <= set(_SCHEMA)
+
+    def test_echo_keys_are_the_schema_keys(self):
+        assert list(RunConfig().echo()) == list(_SCHEMA)
+
+    def test_sections_are_the_config_fields(self):
+        assert [f.name for f in fields(RunConfig)] == [
+            "run", "paths", "features", "models", "anonymize", "evaluate", "simulate"
+        ]
+
+
+class TestPaths:
+    """A [paths] value in a file is relative to the file's directory (see
+    ACCEPTED); the defaults and overrides to the working directory."""
+
+    def test_absolute_path_kept(self, tmp_path):
+        assert _load_text(tmp_path, "[paths]\nweights = /abs/w\n").paths.weights == "/abs/w"
+
+    def test_defaults_and_overrides_stay_relative(self, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text("[run]\nseed = 1\n")
+        config = load_config(path, {"paths.out_dir": "o"})
+        assert (config.paths.out_dir, config.paths.pool) == ("o", None)
+        assert load_config(path).paths.out_dir == "out"
+
+    def test_file_in_working_directory_keeps_the_text(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.ini").write_text("[paths]\npool = pool.jsonl\n")
+        assert load_config("c.ini").paths.pool == "pool.jsonl"
+
+
 class TestEchoRoundTrip:
-    def test_defaults(self, tmp_path):
+    """An echo written as INI reads back as the same configuration from
+    the working directory, which its relative paths are relative to."""
+
+    @pytest.fixture(autouse=True)
+    def in_tmp_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+
+    @staticmethod
+    def reload(config: RunConfig) -> RunConfig:
+        Path("again.ini").write_text(_to_ini(config), encoding="utf-8")
+        return load_config("again.ini")
+
+    def test_defaults(self):
         config = RunConfig()
-        assert _load_text(tmp_path, _to_ini(config)).echo() == config.echo()
+        assert self.reload(config).echo() == config.echo()
 
     def test_every_key_set(self, tmp_path):
         sections: dict[str, dict[str, str]] = {}
-        for section, key, text, _, _ in ACCEPTED:
+        for section, key, text, _ in ACCEPTED:
             sections.setdefault(section, {})[key] = text
         text = "".join(
             f"[{section}]\n" + "".join(f"{k} = {t}\n" for k, t in keys.items())
             for section, keys in sections.items()
         )
         config = _load_text(tmp_path, text)
-        assert _load_text(tmp_path, _to_ini(config), "again.ini").echo() == config.echo()
+        assert self.reload(config).echo() == config.echo()
 
     @FUZZ
     @given(st.floats(0.0, 1.0), st.lists(
@@ -144,7 +210,7 @@ class TestEchoRoundTrip:
         config = _load_text(tmp_path, text)
         assert config.simulate.k_grid == tuple(k_grid)
         assert config.features.f0_threshold == threshold
-        assert _load_text(tmp_path, _to_ini(config), "again.ini").echo() == config.echo()
+        assert self.reload(config).echo() == config.echo()
 
 
 class TestFrontEndValues:
