@@ -13,8 +13,6 @@ from .anonymize import (
 )
 from .audio import Waveform, read_wav, write_wav
 from .benchmark import (
-    AnonymizationEvent,
-    BenchmarkReport,
     ConditionResult,
     EvalSpeaker,
     make_cluster_speakers,

@@ -11,19 +11,23 @@ speaker scores the single enrollment-versus-pseudo-speaker similarity in
 place of its utterance score. Non-target speech stays untouched. A working
 anonymizer therefore drives the equal error rate up from its baseline.
 
+A run is three types: ``ProtocolTrials`` (one nearest-K setting's scored
+trials and "before" EERs), ``PseudoDraws`` (one strategy's distinct draws,
+each pseudo speaker its own provenance) and ``ConditionResult`` (per
+partition, the EER before and one per repetition after). ``report_table``,
+``report_records`` and ``report_provenance`` lay out ``simulate``'s files.
+
 Everything here is a pure function of (inputs, seeds): repetition seeds
 derive from the strategy seed, and per-speaker seeds derive from the
 repetition seed, both through ``AnonymizationSpec.derived``, so adding a
-speaker never perturbs the draws of others.
-
-The module also provides the synthetic data generators used by the
-simulation command and the test suites.
+speaker never perturbs the draws of others. The synthetic data generators
+at the end serve the simulation command and the test suites.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -53,103 +57,6 @@ class EvalSpeaker:
 
 
 @dataclass(frozen=True)
-class AnonymizationEvent:
-    """Provenance of one pseudo-speaker draw inside the benchmark."""
-
-    repetition: int
-    speaker_id: str
-    seed: int | None
-    selected_ids: tuple[str, ...]
-    dissimilarity: float
-
-
-@dataclass(frozen=True)
-class PartitionEer:
-    partition: str
-    before: EerResult
-    after: tuple[EerResult, ...]
-
-    @property
-    def mean_after(self) -> float:
-        return float(np.mean([r.eer for r in self.after]))
-
-
-@dataclass(frozen=True)
-class ConditionResult:
-    """Benchmark outcome for one anonymization condition."""
-
-    label: str
-    spec: AnonymizationSpec | None
-    nearest_k: int | None
-    rep_seeds: tuple[int | None, ...]
-    partitions: tuple[PartitionEer, ...]
-    events: tuple[AnonymizationEvent, ...]
-
-    @property
-    def pooled(self) -> PartitionEer:
-        return next(p for p in self.partitions if p.partition == "pooled")
-
-    @property
-    def dissimilarity_range(self) -> tuple[float, float] | None:
-        """Min and max measured dissimilarity across all draws."""
-        if not self.events:
-            return None
-        values = [event.dissimilarity for event in self.events]
-        return (min(values), max(values))
-
-    def to_records(self) -> list[dict]:
-        dis = self.dissimilarity_range
-        records = []
-        for part in self.partitions:
-            records.append(
-                {
-                    "condition": self.label,
-                    "k": self.nearest_k if self.nearest_k is not None else "all",
-                    "m": self.spec.n_select if self.spec else None,
-                    "s": self.spec.target_similarity if self.spec else None,
-                    "partition": part.partition,
-                    "eer_before": part.before.eer,
-                    "eer_after": part.mean_after,
-                    "eer_after_reps": [r.eer for r in part.after],
-                    "dis_min": dis[0] if dis else None,
-                    "dis_max": dis[1] if dis else None,
-                    "seeds": [s for s in self.rep_seeds if s is not None],
-                }
-            )
-        return records
-
-
-@dataclass
-class BenchmarkReport:
-    """A stack of condition results plus the configuration echo."""
-
-    conditions: list[ConditionResult]
-    config_echo: dict = field(default_factory=dict)
-
-    def to_records(self) -> list[dict]:
-        return [{"config": self.config_echo}] + [
-            record for condition in self.conditions for record in condition.to_records()
-        ]
-
-    def to_table(self) -> str:
-        header = (
-            f"{'condition':<24} {'K':>4} {'part':>8} {'EER before':>11} "
-            f"{'EER after':>10} {'dis range':>15}"
-        )
-        rows = [header, "-" * len(header)]
-        for condition in self.conditions:
-            dis = condition.dissimilarity_range
-            dis_text = f"{dis[0]:.3f}-{dis[1]:.3f}" if dis else "-"
-            k_text = str(condition.nearest_k) if condition.nearest_k else "all"
-            for part in condition.partitions:
-                rows.append(
-                    f"{condition.label:<24} {k_text:>4} {part.partition:>8} "
-                    f"{part.before.eer:>10.2%} {part.mean_after:>9.2%} {dis_text:>15}"
-                )
-        return "\n".join(rows) + "\n"
-
-
-@dataclass(frozen=True)
 class ProtocolTrials:
     """The scored trials of one nearest-K setting and, per partition, their
     EER before anonymization."""
@@ -157,6 +64,11 @@ class ProtocolTrials:
     nearest_k: int | None
     scored: ScoredTrials
     before: dict[str, EerResult]
+
+
+def _partition_eers(scored: ScoredTrials, scores: np.ndarray) -> dict[str, EerResult]:
+    """Partition name -> EER of ``scores``, one score per trial of ``scored``."""
+    return {name: compute_eer(scores[tar], scores[non]) for name, tar, non in scored.parts}
 
 
 def protocol_trials(
@@ -176,23 +88,28 @@ def protocol_trials(
     test = EmbeddingPool(utt for s in speakers for utt in s.tests)
     owner = np.repeat(np.arange(len(speakers)), [len(s.tests) for s in speakers])
     rows, cols = np.divmod(np.arange(len(enroll) * len(test)), len(test))
-    scored = score_trials(
-        enroll, test, rows, cols, owner[cols] == rows, nearest_k, gender_partition
-    )
-    scores = scored.scores
-    before = {name: compute_eer(scores[tar], scores[non]) for name, tar, non in scored.parts}
-    return ProtocolTrials(nearest_k, scored, before)
+    is_target = owner[cols] == rows
+    scored = score_trials(enroll, test, rows, cols, is_target, nearest_k, gender_partition)
+    return ProtocolTrials(nearest_k, scored, _partition_eers(scored, scored.scores))
 
 
 @dataclass(frozen=True)
 class PseudoDraws:
-    """The pseudo speakers of one strategy: per repetition, its seed (None
-    for a deterministic strategy) and one selection per speaker."""
+    """The pseudo speakers of one strategy: each repetition's seed (None
+    for a deterministic strategy) and the distinct draws, one pseudo
+    speaker per speaker in each. A seeded spec draws per repetition and a
+    deterministic one once; repetition r uses ``draws[r % len(draws)]``."""
 
     spec: AnonymizationSpec
+    speaker_ids: tuple[str, ...]
     rep_seeds: tuple[int | None, ...]
-    pseudos: tuple[tuple[PseudoSpeaker, ...], ...]
-    events: tuple[AnonymizationEvent, ...]
+    draws: tuple[tuple[PseudoSpeaker, ...], ...]
+
+    def events(self) -> Iterator[tuple[int, str, PseudoSpeaker]]:
+        """(repetition, speaker id, pseudo speaker), repetition-major."""
+        for rep in range(len(self.rep_seeds)):
+            pseudos = self.draws[rep % len(self.draws)]
+            yield from ((rep, sid, pseudo) for sid, pseudo in zip(self.speaker_ids, pseudos))
 
 
 def draw_pseudo_speakers(
@@ -206,32 +123,45 @@ def draw_pseudo_speakers(
     A seeded ``spec`` holds the condition master seed: repetition r draws
     with ``spec.derived(f"rep:{r}")`` and every speaker within it with a
     further ``derived(speaker.id)``. An unseeded (deterministic) spec
-    derives to itself, so its pseudo speakers are drawn once and reused in
-    every repetition; each repetition still records its events. The draws
-    do not depend on the trials, so one set serves every nearest-K setting.
+    derives to itself, so its pseudo speakers are drawn once and serve
+    every repetition. The draws do not depend on the trials, so one set
+    serves every nearest-K setting.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1")
-    rep_seeds = []
-    pseudos = []
-    events = []
-    drawn = None
-    for rep in range(repetitions):
-        rep_spec = spec.derived(f"rep:{rep}")
-        if drawn is None or rep_spec is not spec:
-            drawn = tuple(
-                apply_spec(pool, rep_spec.derived(s.id), original=s.enroll) for s in speakers
-            )
-        rep_seeds.append(rep_spec.seed)
-        pseudos.append(drawn)
-        events.extend(
-            AnonymizationEvent(
-                rep, speaker.id, pseudo.spec.seed, pseudo.selected_ids,
-                pseudo.measured_dissimilarity,
-            )
-            for speaker, pseudo in zip(speakers, drawn)
-        )
-    return PseudoDraws(spec, tuple(rep_seeds), tuple(pseudos), tuple(events))
+    rep_specs = [spec.derived(f"rep:{rep}") for rep in range(repetitions)]
+    distinct = rep_specs if spec.seed is not None else rep_specs[:1]
+    draws = tuple(
+        tuple(apply_spec(pool, rep_spec.derived(s.id), original=s.enroll) for s in speakers)
+        for rep_spec in distinct
+    )
+    return PseudoDraws(spec, tuple(s.id for s in speakers), tuple(r.seed for r in rep_specs), draws)
+
+
+@dataclass(frozen=True)
+class ConditionResult:
+    """Benchmark outcome for one anonymization condition: per partition,
+    the EER before and, per repetition, the EER after. ``draws`` None is
+    the identity condition."""
+
+    nearest_k: int | None
+    draws: PseudoDraws | None
+    before: dict[str, EerResult]
+    after: dict[str, tuple[EerResult, ...]]
+
+    @property
+    def label(self) -> str:
+        return "none" if self.draws is None else self.draws.spec.label
+
+    def mean_after(self, partition: str) -> float:
+        return float(np.mean([r.eer for r in self.after[partition]]))
+
+    @property
+    def dissimilarity_range(self) -> tuple[float, float] | None:
+        """Min and max measured dissimilarity across all draws."""
+        draws = self.draws.draws if self.draws else ()
+        values = [pseudo.measured_dissimilarity for pseudos in draws for pseudo in pseudos]
+        return (min(values), max(values)) if values else None
 
 
 def run_anonymization_benchmark(
@@ -239,38 +169,90 @@ def run_anonymization_benchmark(
 ) -> ConditionResult:
     """Measure the EER before and after anonymizing the target test sides.
 
-    ``trials`` and ``draws`` must come from the same speaker list. Per
-    repetition of ``draws``, every target trial of a speaker scores that
-    speaker's enroll-vs-pseudo similarity; non-target trials keep their
-    scores. The EERs of a draw that several repetitions share (the
-    deterministic strategies reuse one) are computed once and repeated, so
-    ``after`` still holds one result per repetition. ``draws=None`` is the
-    identity condition (after equals before).
+    ``trials`` and ``draws`` must come from the same speaker list. In each
+    distinct draw, every target trial of a speaker scores that speaker's
+    enroll-vs-pseudo similarity; non-target trials keep their scores. Each
+    draw is scored once, and each repetition takes its draw's EERs.
+    ``draws=None`` is the identity condition (after equals before).
     """
     before = trials.before
     if draws is None:
-        partitions = tuple(PartitionEer(name, eer, (eer,)) for name, eer in before.items())
-        return ConditionResult("none", None, trials.nearest_k, (None,), partitions, ())
-
+        return ConditionResult(trials.nearest_k, None, before,
+                               {name: (eer,) for name, eer in before.items()})
     scored = trials.scored
-    after_of: dict[int, dict[str, EerResult]] = {}  # by id of the draw's tuple
-    for pseudos in draws.pseudos:
-        if id(pseudos) not in after_of:
-            pseudo_scores = np.array([pseudo.similarity for pseudo in pseudos])
-            scores = np.where(scored.is_target, pseudo_scores[scored.rows], scored.scores)
-            after_of[id(pseudos)] = {
-                name: compute_eer(scores[tar], scores[non]) for name, tar, non in scored.parts
-            }
+    per_draw = []
+    for pseudos in draws.draws:
+        pseudo_scores = np.array([pseudo.similarity for pseudo in pseudos])
+        scores = np.where(scored.is_target, pseudo_scores[scored.rows], scored.scores)
+        per_draw.append(_partition_eers(scored, scores))
+    reps = range(len(draws.rep_seeds))
+    after = {name: tuple(per_draw[r % len(per_draw)][name] for r in reps) for name in before}
+    return ConditionResult(trials.nearest_k, draws, before, after)
 
-    partitions = tuple(
-        PartitionEer(name, before[name],
-                     tuple(after_of[id(pseudos)][name] for pseudos in draws.pseudos))
-        for name in before
+
+# ---------------------------------------------------------------------------
+# Reports
+
+
+def report_table(conditions: Sequence[ConditionResult]) -> str:
+    """The text report: one row per condition, nearest-K and partition."""
+    header = (
+        f"{'condition':<24} {'K':>4} {'part':>8} {'EER before':>11} "
+        f"{'EER after':>10} {'dis range':>15}"
     )
-    return ConditionResult(
-        draws.spec.label, draws.spec, trials.nearest_k, draws.rep_seeds,
-        partitions, draws.events,
-    )
+    rows = [header, "-" * len(header)]
+    for c in conditions:
+        dis = c.dissimilarity_range
+        dis_text = f"{dis[0]:.3f}-{dis[1]:.3f}" if dis else "-"
+        k_text = str(c.nearest_k) if c.nearest_k else "all"
+        rows.extend(
+            f"{c.label:<24} {k_text:>4} {name:>8} "
+            f"{before.eer:>10.2%} {c.mean_after(name):>9.2%} {dis_text:>15}"
+            for name, before in c.before.items()
+        )
+    return "\n".join(rows) + "\n"
+
+
+def report_records(conditions: Sequence[ConditionResult], echo: dict) -> list[dict]:
+    """The JSON-lines report: the config echo, then one record per
+    condition, nearest-K and partition."""
+    records = [{"config": echo}]
+    for c in conditions:
+        spec = c.draws.spec if c.draws else None
+        dis_min, dis_max = c.dissimilarity_range or (None, None)
+        records.extend(
+            {
+                "condition": c.label,
+                "k": c.nearest_k if c.nearest_k is not None else "all",
+                "m": spec.n_select if spec else None,
+                "s": spec.target_similarity if spec else None,
+                "partition": name,
+                "eer_before": before.eer,
+                "eer_after": c.mean_after(name),
+                "eer_after_reps": [r.eer for r in c.after[name]],
+                "dis_min": dis_min,
+                "dis_max": dis_max,
+                "seeds": [s for s in c.draws.rep_seeds if s is not None] if c.draws else [],
+            }
+            for name, before in c.before.items()
+        )
+    return records
+
+
+def report_provenance(conditions: Sequence[ConditionResult]) -> Iterator[dict]:
+    """The provenance records: one per anonymized condition, repetition and
+    speaker, naming the pool entries its pseudo speaker averages."""
+    for c in conditions:
+        for rep, speaker_id, pseudo in c.draws.events() if c.draws else ():
+            yield {
+                "condition": c.label,
+                "k": c.nearest_k,
+                "repetition": rep,
+                "speaker_id": speaker_id,
+                "seed": pseudo.spec.seed,
+                "selected_ids": list(pseudo.selected_ids),
+                "dissimilarity": pseudo.measured_dissimilarity,
+            }
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +260,7 @@ def run_anonymization_benchmark(
 
 
 def make_cluster_speakers(
-    n_speakers: int,
-    utterances_per_speaker: int,
-    dim: int,
-    cluster_std: float,
-    seed: int,
+    n_speakers: int, utterances_per_speaker: int, dim: int, cluster_std: float, seed: int
 ) -> list[EvalSpeaker]:
     """Synthetic speakers as Gaussian clusters around unit-norm means.
 
@@ -298,12 +276,9 @@ def make_cluster_speakers(
         center /= np.linalg.norm(center)
         gender = "female" if i % 2 == 0 else "male"
         spk_id = f"spk{i:03d}"
-        utterances = center + cluster_std * rng.standard_normal(
-            (utterances_per_speaker, dim)
-        )
+        utterances = center + cluster_std * rng.standard_normal((utterances_per_speaker, dim))
         tests = tuple(
-            SpeakerEmbedding(f"{spk_id}_u{j:03d}", utterances[j], gender)
-            for j in range(utterances_per_speaker)
+            SpeakerEmbedding(f"{spk_id}_u{j:03d}", utt, gender) for j, utt in enumerate(utterances)
         )
         enroll = SpeakerEmbedding(spk_id, centered_mean(utterances), gender)
         speakers.append(EvalSpeaker(spk_id, enroll, tests))
@@ -313,11 +288,7 @@ def make_cluster_speakers(
 def make_random_pool(size: int, dim: int, seed: int) -> EmbeddingPool:
     """A pool of unit-norm random embeddings standing in for external speakers."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    entries = []
-    for i in range(size):
-        vec = rng.standard_normal(dim)
-        vec /= np.linalg.norm(vec)
-        gender = "female" if i % 2 == 0 else "male"
-        entries.append(SpeakerEmbedding(f"pool{i:04d}", vec, gender))
-    return EmbeddingPool(entries)
-
+    rows = [rng.standard_normal(dim) for _ in range(size)]
+    vectors = np.stack([row / np.linalg.norm(row) for row in rows])
+    genders = ["female" if i % 2 == 0 else "male" for i in range(size)]
+    return EmbeddingPool.from_columns([f"pool{i:04d}" for i in range(size)], genders, vectors)

@@ -25,11 +25,13 @@ import numpy as np
 from .anonymize import STRATEGIES, apply_spec
 from .audio import Waveform, read_wav, write_wav
 from .benchmark import (
-    BenchmarkReport,
     draw_pseudo_speakers,
     make_cluster_speakers,
     make_random_pool,
     protocol_trials,
+    report_provenance,
+    report_records,
+    report_table,
     run_anonymization_benchmark,
 )
 from .config import RunConfig, load_config
@@ -130,6 +132,9 @@ def cmd_anonymize(cfg: RunConfig, inputs_path: str) -> int:
         raise ConfigError(f"embedding pool not found at {cfg.paths.pool}")
     pool = load_pool(cfg.paths.pool)
     inputs = load_pool(inputs_path)
+    if inputs.dim != pool.dim:
+        raise DataError(f"dimension mismatch: {inputs_path} holds {inputs.dim}-dim "
+                        f"embeddings, the pool {cfg.paths.pool} {pool.dim}-dim")
     a = cfg.anonymize
     spec = a.spec(cfg.run.seed)
     if spec is None:
@@ -449,10 +454,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         )
     master = cfg.run.seed or 0
     speakers = make_cluster_speakers(
-        sim.n_speakers,
-        sim.utterances_per_speaker,
-        sim.dim,
-        sim.cluster_std,
+        sim.n_speakers, sim.utterances_per_speaker, sim.dim, sim.cluster_std,
         seed=derive_seed(master, "speakers"),
     )
     pool = make_random_pool(sim.pool_size, sim.dim, seed=derive_seed(master, "pool"))
@@ -472,28 +474,13 @@ def cmd_simulate(cfg: RunConfig) -> int:
             conditions.append(run_anonymization_benchmark(trials))
         conditions.extend(run_anonymization_benchmark(trials, drawn) for drawn in draws)
 
-    report = BenchmarkReport(conditions, config_echo=cfg.echo())
+    table = report_table(conditions)
     out_dir = Path(cfg.paths.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "benchmark_report.txt").write_text(report.to_table(), encoding="utf-8")
-    write_jsonl(out_dir / "benchmark_report.jsonl", report.to_records())
-    write_jsonl(
-        out_dir / "benchmark_provenance.jsonl",
-        (
-            {
-                "condition": condition.label,
-                "k": condition.nearest_k,
-                "repetition": event.repetition,
-                "speaker_id": event.speaker_id,
-                "seed": event.seed,
-                "selected_ids": list(event.selected_ids),
-                "dissimilarity": event.dissimilarity,
-            }
-            for condition in conditions
-            for event in condition.events
-        ),
-    )
-    print(report.to_table(), end="")
+    (out_dir / "benchmark_report.txt").write_text(table, encoding="utf-8")
+    write_jsonl(out_dir / "benchmark_report.jsonl", report_records(conditions, cfg.echo()))
+    write_jsonl(out_dir / "benchmark_provenance.jsonl", report_provenance(conditions))
+    print(table, end="")
     return 0
 
 

@@ -22,14 +22,14 @@ key a field of that section, named as in the file::
                  repetitions, include_baseline
 
 List keys are comma separated, and a nearest-K value of ``all`` keeps
-every candidate. A ``[paths]`` value read from a file is relative to that
-file's directory; the defaults and ``--out-dir`` are relative to the
-working directory. ``jobs`` caps the worker processes of ``synthesize``;
-its default ``auto`` allows one per CPU the command may run on, and
-``extract`` ignores it. ``sample_rate`` is at least 15200 Hz, twice the
-7600 Hz top edge of the mel front ends, so that no mel band is empty.
-``cluster_std`` is a finite number in [0, 1e6], far below the spread at
-which the generated embeddings overflow.
+every candidate. No ``[paths]`` value may be empty. One read from a file
+is relative to that file's directory; the defaults and ``--out-dir`` are
+relative to the working directory. ``jobs`` caps the worker processes of
+``synthesize``; its default ``auto`` allows one per CPU the command may
+run on, and ``extract`` ignores it. ``sample_rate`` is at least 15200
+Hz, twice the 7600 Hz top edge of the mel front ends, so that no mel band
+is empty. ``cluster_std`` is a finite number in [0, 1e6], far below the
+spread at which the generated embeddings overflow.
 """
 
 from __future__ import annotations
@@ -162,6 +162,8 @@ class RunConfig:
     simulate: SimulateSettings = field(default_factory=SimulateSettings)
 
     def validate(self) -> None:
+        if self.paths.out_dir == "":
+            raise ConfigError("paths.out_dir (--out-dir) is empty")
         if self.run.jobs is not None and self.run.jobs < 1:
             raise ConfigError("run.jobs must be at least 1 or 'auto'")
         # Below twice the mel front ends' top edge, their top bands hold no
@@ -314,6 +316,8 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
                 else:
                     value = _parse_scalar(text, kind, where)
                 if section == "paths":  # relative to the file that sets it
+                    if not value:
+                        raise ConfigError(f"{path}: paths.{key} is empty")
                     value = str(path.parent / value)
                 setattr(getattr(config, section), key, value)
     for key, value in (overrides or {}).items():

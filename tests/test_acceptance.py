@@ -28,7 +28,7 @@ from voxanon import (
     run_anonymization_benchmark,
     wer,
 )
-from voxanon.benchmark import draw_pseudo_speakers, protocol_trials
+from voxanon.benchmark import draw_pseudo_speakers, protocol_trials, report_records
 from voxanon.cli import main
 from voxanon.nnet import (
     AcousticConfig,
@@ -88,14 +88,14 @@ def test_criterion_2_synthetic_anonymization_direction():
         pool = make_random_pool(500, 64, seed=master + 1)
         trials = protocol_trials(speakers, None, False)
         baseline = run_anonymization_benchmark(trials)
-        assert baseline.pooled.before.eer <= 0.05
+        assert baseline.before["pooled"].eer <= 0.05
         for m in (10, 50, 100, 200):
             spec = AnonymizationSpec("random", n_select=m, seed=master + m)
             result = run_anonymization_benchmark(
                 trials, draw_pseudo_speakers(speakers, pool, spec, 5)
             )
-            assert result.pooled.before.eer <= 0.05
-            assert result.pooled.mean_after >= 0.25, (m, result.pooled.mean_after)
+            assert result.before["pooled"].eer <= 0.05
+            assert result.mean_after("pooled") >= 0.25, (m, result.mean_after("pooled"))
         assert time.perf_counter() - start < 60.0
 
 
@@ -128,14 +128,14 @@ def test_criterion_4_dissimilarity_range_from_provenance():
         )
         by_id = {s.id: s for s in speakers}
         values = []
-        for event in result.events:
-            members = [pool.get(i) for i in sorted(event.selected_ids)]
+        for _, speaker_id, drawn in result.draws.events():
+            members = [pool.get(i) for i in sorted(drawn.selected_ids)]
             pseudo = mean_of(members)
-            value = 1.0 - cosine(by_id[event.speaker_id].enroll, pseudo)
-            assert value == event.dissimilarity
+            value = 1.0 - cosine(by_id[speaker_id].enroll, pseudo)
+            assert value == drawn.measured_dissimilarity
             values.append(value)
         assert result.dissimilarity_range == (min(values), max(values))
-        record = result.to_records()[0]
+        record = report_records([result], {})[1]
         assert record["dis_min"] == min(values)
         assert record["dis_max"] == max(values)
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -87,31 +89,31 @@ class TestBenchmark:
     def test_identity_condition_before_equals_after(self, speakers):
         result = run_condition(speakers, None, None)
         assert result.label == "none"
-        for part in result.partitions:
-            assert part.before.eer == part.mean_after
+        for name, before in result.before.items():
+            assert before.eer == result.mean_after(name)
 
     def test_report_is_deterministic(self, speakers, pool):
         spec = AnonymizationSpec("random", n_select=8, seed=2024)
         a = run_condition(speakers, pool, spec, repetitions=3, gender_partition=True)
         b = run_condition(speakers, pool, spec, repetitions=3, gender_partition=True)
-        assert a.to_records() == b.to_records()
-        assert a.events == b.events
+        assert benchmark.report_records([a], {})[1:] == benchmark.report_records([b], {})[1:]
+        assert list(benchmark.report_provenance([a])) == list(benchmark.report_provenance([b]))
 
     def test_anonymization_raises_eer_on_separable_clusters(self, speakers, pool):
         spec = AnonymizationSpec("random", n_select=10, seed=7)
         result = run_condition(speakers, pool, spec, repetitions=3)
-        assert result.pooled.before.eer <= 0.05
-        assert result.pooled.mean_after > result.pooled.before.eer
+        assert result.before["pooled"].eer <= 0.05
+        assert result.mean_after("pooled") > result.before["pooled"].eer
 
     def test_provenance_recomputes_to_reported_range(self, speakers, pool):
         spec = AnonymizationSpec("random", n_select=6, seed=55)
         result = run_condition(speakers, pool, spec, repetitions=4)
         by_id = {s.id: s for s in speakers}
         recomputed = []
-        for event in result.events:
-            pseudo = mean_of([pool.get(i) for i in sorted(event.selected_ids)])
-            value = 1.0 - cosine(by_id[event.speaker_id].enroll, pseudo)
-            assert value == event.dissimilarity
+        for _, speaker_id, drawn in result.draws.events():
+            pseudo = mean_of([pool.get(i) for i in sorted(drawn.selected_ids)])
+            value = 1.0 - cosine(by_id[speaker_id].enroll, pseudo)
+            assert value == drawn.measured_dissimilarity
             recomputed.append(value)
         assert result.dissimilarity_range == (min(recomputed), max(recomputed))
 
@@ -119,20 +121,20 @@ class TestBenchmark:
         spec = AnonymizationSpec("nearest", n_select=5)
         unfiltered = run_condition(speakers, pool, spec, nearest_k=None)
         k_all = run_condition(speakers, pool, spec, nearest_k=len(speakers) - 1)
-        assert unfiltered.pooled.before.eer == k_all.pooled.before.eer
-        assert unfiltered.pooled.mean_after == k_all.pooled.mean_after
+        assert unfiltered.before["pooled"].eer == k_all.before["pooled"].eer
+        assert unfiltered.mean_after("pooled") == k_all.mean_after("pooled")
 
     def test_nearest_k_restricts_nontargets(self, speakers, pool):
         spec = AnonymizationSpec("nearest", n_select=5)
         result = run_condition(speakers, pool, spec, nearest_k=2)
         per_target_nontarget_utts = 2 * 6  # K speakers x utterances each
         expected = len(speakers) * per_target_nontarget_utts
-        assert result.pooled.before.n_nontarget == expected
+        assert result.before["pooled"].n_nontarget == expected
 
     def test_gender_partitions_present(self, speakers, pool):
         spec = AnonymizationSpec("random", n_select=4, seed=3)
         result = run_condition(speakers, pool, spec, repetitions=2, gender_partition=True)
-        names = [p.partition for p in result.partitions]
+        names = list(result.before)
         assert names == ["pooled", "female", "male"]
 
     def test_seed_isolation_per_speaker(self, speakers, pool):
@@ -141,15 +143,15 @@ class TestBenchmark:
         full = benchmark.draw_pseudo_speakers(speakers, pool, spec, 2)
         reduced = benchmark.draw_pseudo_speakers(speakers[:-1], pool, spec, 2)
         full_events = {
-            (e.repetition, e.speaker_id): e.selected_ids for e in full.events
+            (rep, speaker_id): pseudo.selected_ids for rep, speaker_id, pseudo in full.events()
         }
-        for event in reduced.events:
-            assert full_events[(event.repetition, event.speaker_id)] == event.selected_ids
+        for rep, speaker_id, pseudo in reduced.events():
+            assert full_events[(rep, speaker_id)] == pseudo.selected_ids
 
     def test_record_fields(self, speakers, pool):
         spec = AnonymizationSpec("random", n_select=4, seed=1)
         result = run_condition(speakers, pool, spec, repetitions=2)
-        record = result.to_records()[0]
+        record = benchmark.report_records([result], {})[1]
         for key in ("condition", "k", "m", "s", "eer_before", "eer_after",
                     "dis_min", "dis_max", "seeds"):
             assert key in record
@@ -163,7 +165,7 @@ class TestBenchmark:
         pool = make_random_pool(400, 32, seed=9)
         spec = AnonymizationSpec("range", target_similarity=0.0, half_width=0.3)
         result = run_condition(speakers, pool, spec)
-        assert result.pooled.mean_after > result.pooled.before.eer
+        assert result.mean_after("pooled") > result.before["pooled"].eer
         low, high = result.dissimilarity_range
         assert 0.0 <= low <= high <= 2.0
 
@@ -184,11 +186,12 @@ class TestBenchmark:
         result = run_condition(speakers, pool, spec, repetitions=reps)
         draws = reps if spec.strategy == "random" else 1
         assert len(calls) == draws * len(speakers)
-        assert [e.repetition for e in result.events] == [
+        events = list(result.draws.events())
+        assert [rep for rep, _, _ in events] == [
             rep for rep in range(reps) for _ in speakers
         ]
-        for event in result.events:
-            assert (event.seed is None) == (spec.strategy != "random")
+        for _, _, pseudo in events:
+            assert (pseudo.spec.seed is None) == (spec.strategy != "random")
 
 
 class TestSharedGridWork:
@@ -221,3 +224,52 @@ class TestSharedGridWork:
         # Per K: the "before" EERs once, then each distinct draw once: every
         # random repetition, and nearest's one draw shared by its repetitions.
         assert counts["compute_eer"] == ks * (parts + reps * parts + parts)
+
+
+class TestSimulateFiles:
+    def test_provenance_and_repetition_layout(self, tmp_path):
+        from voxanon.cli import main
+
+        n, reps = 6, 2
+        path = tmp_path / "sim.ini"
+        path.write_text(
+            "[run]\nseed = 4\n"
+            f"[simulate]\nn_speakers = {n}\nutterances_per_speaker = 3\ndim = 16\n"
+            f"pool_size = 30\nstrategies = random, nearest\nm_grid = 3\nrepetitions = {reps}\n"
+            "k_grid = all, 2\n"
+        )
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(path), "--out-dir", str(out)]) == 0
+
+        def rows(name):
+            return [json.loads(line) for line in (out / name).read_text().splitlines()]
+
+        provenance = rows("benchmark_provenance.jsonl")
+        labels = ["random(m=3)", "nearest(m=3)"]
+        assert [(r["condition"], r["k"], r["repetition"], r["speaker_id"]) for r in provenance] == [
+            (label, k, rep, f"spk{i:03d}")
+            for k in (None, 2) for label in labels for rep in range(reps) for i in range(n)
+        ]
+        for row in provenance:
+            assert set(row) == {
+                "condition", "k", "repetition", "speaker_id", "seed", "selected_ids", "dissimilarity",
+            }
+        by_key = {(r["condition"], r["k"], r["repetition"], r["speaker_id"]): r for r in provenance}
+        for k in (None, 2):
+            for i in range(n):
+                first, second = (by_key[("nearest(m=3)", k, rep, f"spk{i:03d}")] for rep in (0, 1))
+                assert first["seed"] is None and second["seed"] is None
+                assert first["selected_ids"] == second["selected_ids"]
+                first, second = (by_key[("random(m=3)", k, rep, f"spk{i:03d}")] for rep in (0, 1))
+                assert None not in (first["seed"], second["seed"])
+                assert first["seed"] != second["seed"]
+
+        report = rows("benchmark_report.jsonl")[1:]
+        assert {r["condition"] for r in report} == {"none", *labels}
+        for row in report:
+            # The identity condition has one "after", its "before".
+            expected = 1 if row["condition"] == "none" else reps
+            assert len(row["eer_after_reps"]) == expected
+            assert (row["seeds"] == []) == (row["condition"] != "random(m=3)")
+            if row["condition"] == "random(m=3)":
+                assert len(row["seeds"]) == reps

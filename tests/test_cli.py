@@ -264,6 +264,9 @@ class TestExitCodes:
         ("anonymize --strategy range --sim 2.0 --eps 0.05", "", "anonymize.sim (--sim) = 2.0"),
         ("anonymize --strategy range --sim 0.5 --eps 0", "", "anonymize.eps (--eps) = 0.0"),
         ("anonymize", "[anonymize]\nstrategy = range\nsim = 0.5\n", "anonymize.eps (--eps) = None"),
+        ("anonymize --strategy random --m 2 --seed 1", "[paths]\npool =\n", "paths.pool"),
+        ("extract", "[paths]\nweights =\n", "paths.weights"),
+        ("simulate", "[paths]\nout_dir =\n", "paths.out_dir"),
     ])
     def test_zero_count_exits_2_naming_key(self, tmp_path, capsys, command, text, key):
         path = tmp_path / "zero.ini"
@@ -295,6 +298,16 @@ class TestExitCodes:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert key in err and str(path) in err
+
+    @pytest.mark.parametrize("with_config", [False, True], ids=["flag", "flag-and-config"])
+    def test_empty_out_dir_flag_exits_2(self, tmp_path, capsys, with_config):
+        path = tmp_path / "ok.ini"
+        path.write_text("[run]\nseed = 5\n")
+        config = ["--config", str(path)] if with_config else []
+        assert main(["simulate", *config, "--out-dir", ""]) == 2
+        err = capsys.readouterr().err
+        assert "paths.out_dir" in err
+        assert (str(path) in err) == with_config
 
     def test_empty_range_window_exits_2_naming_keys(self, tmp_path, capsys):
         # The generated pool has no entry within 0.01 of similarity 0.95.
@@ -706,6 +719,21 @@ class TestAnonymize:
         assert rc == 3
         err = capsys.readouterr().err
         assert "closest achievable similarity" in err
+
+    @pytest.mark.parametrize("strategy", ["random", "nearest", "range"])
+    def test_dimension_mismatch_names_both_files(self, site, tmp_path, capsys, strategy):
+        # The site's pool holds 512-dim embeddings.
+        inputs = tmp_path / "inputs32.jsonl"
+        save_pool(inputs, make_random_pool(4, 32, seed=5))
+        rc = main([
+            "anonymize", "--config", str(site / "run.ini"), "--inputs", str(inputs),
+            "--strategy", strategy, "--sim", "0.0", "--eps", "1.0",
+            "--out-dir", str(tmp_path / "o"),
+        ])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"{inputs} holds 32-dim" in err
+        assert f"{site / 'pool.jsonl'} 512-dim" in err
 
     def test_missing_pool_exits_2(self, site, extracted, tmp_path):
         config = tmp_path / "nopool.ini"

@@ -123,15 +123,15 @@ def test_benchmark_matches_pairwise_reference(speakers, k, strategy):
     # The reference has no result where a partition lacks target or
     # non-target trials; the engine leaves such a partition out.
     present = [name for name, (before, _) in expected.items() if before is not None]
-    assert [p.partition for p in result.partitions] == present
-    for part in result.partitions:
-        before, after = expected[part.partition]
-        _assert_same_eer(part.before, before)
+    assert list(result.before) == present
+    for name in result.before:
+        before, after = expected[name]
+        _assert_same_eer(result.before[name], before)
         if spec is None:
-            assert part.after == (part.before,)
+            assert result.after[name] == (result.before[name],)
         else:
-            assert len(part.after) == len(after)
-            for got, want in zip(part.after, after):
+            assert len(result.after[name]) == len(after)
+            for got, want in zip(result.after[name], after):
                 _assert_same_eer(got, want)
 
 
