@@ -1,15 +1,19 @@
-"""Anonymization-strength benchmark on embedding-level speaker data.
+"""Verification protocol and anonymization-strength benchmark.
 
-The benchmark takes one list of speakers, each with a speaker-level
-enrollment embedding and per-utterance test embeddings. Its trials are the
-full enroll x test grid of that list, scored by ``metrics.score_trials``:
-a trial is a target trial when the test utterance belongs to the enrolled
-speaker, and non-target trials can be restricted to the K most similar
-other speakers. Anonymization is speaker-level: each speaker gets one
-pseudo speaker composed from the pool, and every target trial of that
-speaker scores the single enrollment-versus-pseudo-speaker similarity in
-place of its utterance score. Non-target speech stays untouched. A working
-anonymizer therefore drives the equal error rate up from its baseline.
+``verify`` is the one step from scored trials to a verification result:
+it takes the ``ScoredTrials`` of ``metrics.score_trials``, rejects a set
+with no target or no non-target trial, and computes the per-partition
+"before" EERs into a ``ProtocolTrials``. ``evaluate`` passes it the trials
+of a trial list file; ``simulate`` passes it, through ``protocol_trials``,
+the full enroll x test grid of two pools, where a trial is a target trial
+when ``speaker_of`` the test utterance id is the enrollment id and
+non-target trials can be restricted to the K most similar other speakers.
+
+Anonymization is speaker-level: each enrollment gets one pseudo speaker
+composed from the pool, and every target trial of that speaker scores the
+single enrollment-versus-pseudo-speaker similarity in place of its
+utterance score. Non-target speech stays untouched. A working anonymizer
+therefore drives the equal error rate up from its baseline.
 
 A run is three types: ``ProtocolTrials`` (one nearest-K setting's scored
 trials and "before" EERs), ``PseudoDraws`` (one strategy's distinct draws,
@@ -38,8 +42,8 @@ from .metrics import EerResult, ScoredTrials, compute_eer, score_trials
 
 @dataclass(frozen=True)
 class EvalSpeaker:
-    """One speaker in the benchmark: a speaker-level enrollment embedding
-    plus per-utterance test embeddings, whose ids name the speaker
+    """One generated speaker: a speaker-level enrollment embedding plus
+    per-utterance test embeddings, whose ids name the speaker
     (``speaker_of``)."""
 
     id: str
@@ -50,10 +54,6 @@ class EvalSpeaker:
         for utt in self.tests:
             if speaker_of(utt.id) != self.id:
                 raise ValueError(f"utterance id {utt.id!r} does not name speaker {self.id!r}")
-
-    @property
-    def gender(self) -> str | None:
-        return self.enroll.gender
 
 
 @dataclass(frozen=True)
@@ -71,26 +71,32 @@ def _partition_eers(scored: ScoredTrials, scores: np.ndarray) -> dict[str, EerRe
     return {name: compute_eer(scores[tar], scores[non]) for name, tar, non in scored.parts}
 
 
-def protocol_trials(
-    speakers: Sequence[EvalSpeaker], nearest_k: int | None, gender_partition: bool
-) -> ProtocolTrials:
-    """Score the full enroll x test grid of ``speakers`` and compute the
-    "before" EERs.
-
-    Rows are the speakers' enrollments and columns every speaker's test
-    utterances; a trial is a target trial when the utterance belongs to the
-    row's speaker. ``score_trials`` applies ``nearest_k`` and the gender
-    partitions.
-    """
-    if len(speakers) < 2:
-        raise ValueError("the benchmark needs at least two speakers")
-    enroll = EmbeddingPool(s.enroll for s in speakers)
-    test = EmbeddingPool(utt for s in speakers for utt in s.tests)
-    owner = np.repeat(np.arange(len(speakers)), [len(s.tests) for s in speakers])
-    rows, cols = np.divmod(np.arange(len(enroll) * len(test)), len(test))
-    is_target = owner[cols] == rows
-    scored = score_trials(enroll, test, rows, cols, is_target, nearest_k, gender_partition)
+def verify(scored: ScoredTrials, nearest_k: int | None) -> ProtocolTrials:
+    """The "before" EERs of ``scored``, the trials ``score_trials`` kept
+    for ``nearest_k``. Raises ``ValueError`` when no target or no
+    non-target trial is left to score."""
+    for side, present in (("target", scored.is_target), ("non-target", ~scored.is_target)):
+        if not present.any():
+            raise ValueError(f"no {side} trials to score")
     return ProtocolTrials(nearest_k, scored, _partition_eers(scored, scored.scores))
+
+
+def protocol_trials(
+    enroll: EmbeddingPool, test: EmbeddingPool, nearest_k: int | None, gender_partition: bool
+) -> ProtocolTrials:
+    """Score the full enroll x test grid and compute the "before" EERs.
+
+    Rows are the enrollments and columns the test utterances; a trial is a
+    target trial when ``speaker_of`` the utterance id is the row's id.
+    ``score_trials`` applies ``nearest_k`` and the gender partitions.
+    """
+    if len(enroll) < 2:
+        raise ValueError("the benchmark needs at least two speakers")
+    test_speakers = np.array([speaker_of(utt_id) for utt_id in test.ids])
+    rows, cols = np.divmod(np.arange(len(enroll) * len(test)), len(test))
+    is_target = (np.array(enroll.ids)[:, None] == test_speakers).ravel()
+    scored = score_trials(enroll, test, rows, cols, is_target, nearest_k, gender_partition)
+    return verify(scored, nearest_k)
 
 
 @dataclass(frozen=True)
@@ -113,16 +119,17 @@ class PseudoDraws:
 
 
 def draw_pseudo_speakers(
-    speakers: Sequence[EvalSpeaker],
+    enroll: EmbeddingPool,
     pool: EmbeddingPool,
     spec: AnonymizationSpec,
     repetitions: int,
 ) -> PseudoDraws:
-    """Draw every repetition's pseudo speakers for ``spec``.
+    """Draw every repetition's pseudo speakers for ``spec``, one per
+    enrollment of ``enroll``.
 
     A seeded ``spec`` holds the condition master seed: repetition r draws
     with ``spec.derived(f"rep:{r}")`` and every speaker within it with a
-    further ``derived(speaker.id)``. An unseeded (deterministic) spec
+    further ``derived(speaker id)``. An unseeded (deterministic) spec
     derives to itself, so its pseudo speakers are drawn once and serve
     every repetition. The draws do not depend on the trials, so one set
     serves every nearest-K setting.
@@ -132,10 +139,10 @@ def draw_pseudo_speakers(
     rep_specs = [spec.derived(f"rep:{rep}") for rep in range(repetitions)]
     distinct = rep_specs if spec.seed is not None else rep_specs[:1]
     draws = tuple(
-        tuple(apply_spec(pool, rep_spec.derived(s.id), original=s.enroll) for s in speakers)
+        tuple(apply_spec(pool, rep_spec.derived(entry.id), original=entry) for entry in enroll)
         for rep_spec in distinct
     )
-    return PseudoDraws(spec, tuple(s.id for s in speakers), tuple(r.seed for r in rep_specs), draws)
+    return PseudoDraws(spec, enroll.ids, tuple(r.seed for r in rep_specs), draws)
 
 
 @dataclass(frozen=True)
@@ -169,7 +176,7 @@ def run_anonymization_benchmark(
 ) -> ConditionResult:
     """Measure the EER before and after anonymizing the target test sides.
 
-    ``trials`` and ``draws`` must come from the same speaker list. In each
+    ``trials`` and ``draws`` must come from the same enrollment pool. In each
     distinct draw, every target trial of a speaker scores that speaker's
     enroll-vs-pseudo similarity; non-target trials keep their scores. Each
     draw is scored once, and each repetition takes its draw's EERs.

@@ -18,9 +18,8 @@ import argparse
 import functools
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
-
-import numpy as np
 
 from .anonymize import STRATEGIES, apply_spec
 from .audio import Waveform, read_wav, write_wav
@@ -33,6 +32,7 @@ from .benchmark import (
     report_records,
     report_table,
     run_anonymization_benchmark,
+    verify,
 )
 from .config import RunConfig, load_config
 from .embeddings import (
@@ -55,7 +55,7 @@ from .features import (
     save_f0,
     save_features,
 )
-from .metrics import compute_eer, read_trials, score_trials, trial_indices, wer
+from .metrics import WerResult, read_trials, score_trials, trial_indices, wer
 from .seeding import derive_seed
 
 FBANK_HOP = 0.010
@@ -350,33 +350,22 @@ def cmd_evaluate(
         scored = score_trials(enroll_pool, test_pool, *indices, k, cfg.evaluate.gender_partition)
     except ValueError as exc:  # too few non-target speakers for the nearest-K filter
         raise DataError(f"evaluate.k = {k} with test speakers from {test_path}: {exc}") from None
-    for side, present in (("target", scored.is_target), ("non-target", ~scored.is_target)):
-        if not present.any():
-            with_k = "" if k is None else f" with k = {k}"
-            raise DataError(f"{trials_path}: no {side} trials to score{with_k}")
+    try:
+        before = verify(scored, k).before
+    except ValueError as exc:  # no target or no non-target trial
+        with_k = "" if k is None else f" with k = {k}"
+        raise DataError(f"{trials_path}: {exc}{with_k}") from None
 
     records = [{"config": cfg.echo()}]
     lines = ["EER report"]
     k_text = k if k is not None else "all"
-    scores = scored.scores
-    for partition, tar, non in scored.parts:
-        result = compute_eer(scores[tar], scores[non])
+    for partition, result in before.items():
         lines.append(
             f"  {partition:<8} K={k_text:<4} EER={result.eer:.4f} "
             f"threshold={result.threshold:.4f} "
             f"(targets={result.n_target}, nontargets={result.n_nontarget})"
         )
-        records.append(
-            {
-                "kind": "eer",
-                "partition": partition,
-                "k": k_text,
-                "eer": result.eer,
-                "threshold": result.threshold,
-                "n_target": result.n_target,
-                "n_nontarget": result.n_nontarget,
-            }
-        )
+        records.append({"kind": "eer", "partition": partition, "k": k_text, **asdict(result)})
 
     if ref_path is not None:
         refs = _read_transcripts(ref_path)
@@ -386,31 +375,18 @@ def cmd_evaluate(
             raise DataError(
                 f"{hyp_path}: transcript of {unscored[0]!r}, which {ref_path} does not hold"
             )
-        totals = np.zeros(4, dtype=np.int64)  # S, D, I, N
+        total = WerResult(0, 0, 0, 0)
         for utt, ref_words in sorted(refs.items()):
             if not ref_words:  # it would add nothing to the WER denominator
                 raise DataError(f"{ref_path}: reference utterance {utt!r} has no words")
             if utt not in hyps:
                 raise DataError(f"{hyp_path}: no transcript of {utt!r}, which {ref_path} holds")
-            result = wer(ref_words, hyps[utt])
-            totals += (
-                result.substitutions, result.deletions,
-                result.insertions, result.n_ref_words,
-            )
-        rate = float((totals[0] + totals[1] + totals[2]) / totals[3])
+            total += wer(ref_words, hyps[utt])
         lines.append(
-            f"WER: {rate:.4f} (S={totals[0]}, D={totals[1]}, I={totals[2]}, N={totals[3]})"
+            f"WER: {total.rate:.4f} (S={total.substitutions}, D={total.deletions}, "
+            f"I={total.insertions}, N={total.n_ref_words})"
         )
-        records.append(
-            {
-                "kind": "wer",
-                "rate": rate,
-                "substitutions": int(totals[0]),
-                "deletions": int(totals[1]),
-                "insertions": int(totals[2]),
-                "n_ref_words": int(totals[3]),
-            }
-        )
+        records.append({"kind": "wer", "rate": total.rate, **asdict(total)})
 
     out_dir = Path(cfg.paths.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -457,19 +433,21 @@ def cmd_simulate(cfg: RunConfig) -> int:
         sim.n_speakers, sim.utterances_per_speaker, sim.dim, sim.cluster_std,
         seed=derive_seed(master, "speakers"),
     )
+    enroll = EmbeddingPool(s.enroll for s in speakers)
+    test = EmbeddingPool(utt for s in speakers for utt in s.tests)
     pool = make_random_pool(sim.pool_size, sim.dim, seed=derive_seed(master, "pool"))
 
     draws = []
     for spec in sim.specs(master):
         try:
-            draws.append(draw_pseudo_speakers(speakers, pool, spec, sim.repetitions))
+            draws.append(draw_pseudo_speakers(enroll, pool, spec, sim.repetitions))
         except ValueError as exc:  # a range window with no candidate in the generated pool
             if spec.strategy != "range":
                 raise
             raise ConfigError(f"{sim.where('range', spec.target_similarity)}: {exc}") from None
     conditions = []
     for k in sim.k_grid:
-        trials = protocol_trials(speakers, k, cfg.evaluate.gender_partition)
+        trials = protocol_trials(enroll, test, k, cfg.evaluate.gender_partition)
         if sim.include_baseline:
             conditions.append(run_anonymization_benchmark(trials))
         conditions.extend(run_anonymization_benchmark(trials, drawn) for drawn in draws)

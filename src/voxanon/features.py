@@ -39,8 +39,8 @@ VOICING_THRESHOLD = 0.45
 F0_ENERGY_FLOOR = float(np.finfo(np.float64).eps)
 
 MEL_KINDS = {24: "fbank24", 40: "mel40", 80: "melspec80"}
-_FIXED_KIND_DIMS = {"fbank24": 24, "mel40": 40, "melspec80": 80}
-_KINDS = ("fbank24", "mel40", "melspec80", "ppg", "aligned")
+_FIXED_KIND_DIMS = {kind: dim for dim, kind in MEL_KINDS.items()}
+_KINDS = (*MEL_KINDS.values(), "ppg", "aligned")
 # The PPG network's output taps; a "ppg" feature matrix holds either one.
 TAPS = ("softmax", "sigmoid6")
 

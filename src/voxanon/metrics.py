@@ -8,7 +8,9 @@ Scoring uses cosine similarity between enrollment and test embeddings
 ``evaluate`` (trials from a list file) and ``simulate`` (the full enroll x
 test grid) both score through ``score_trials``: a nearest-K mask over the
 test speakers' mean embeddings, one cosine matrix read per trial, and
-per-gender masks over the flat trial arrays.
+per-gender masks over the flat trial arrays. Both then pass the
+``ScoredTrials`` to ``benchmark.verify``, which checks that target and
+non-target trials remain and runs ``compute_eer`` once per partition.
 The equal error rate is located by linearly interpolating the false
 rejection and false acceptance rates between the two operating points
 that bracket their crossing, so the value is invariant to any strictly
@@ -19,7 +21,7 @@ the crossing is found by bisection, with O(log n) count queries.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -89,6 +91,10 @@ class WerResult:
     def rate(self) -> float:
         # May exceed 1 when the hypothesis is much longer than the reference.
         return self.n_errors / self.n_ref_words
+
+    def __add__(self, other: WerResult) -> WerResult:
+        """The counts of both, as of one corpus."""
+        return WerResult(*(a + b for a, b in zip(astuple(self), astuple(other))))
 
 
 def rank_by_similarity(sims: np.ndarray, ids: Sequence[str]) -> np.ndarray:

@@ -38,7 +38,8 @@ def register_config(component: str, config_cls: type) -> None:
 
 
 class TensorTable:
-    """Base of the component configs: ``tensor_items`` yields each tensor's
+    """Base of the component configs, each of which names its ``component``
+    in a class attribute. ``tensor_items`` yields each tensor's
     ``(name, shape)`` in table order, so a reader can stop after as many
     entries as a file stores."""
 
@@ -51,16 +52,20 @@ class TensorTable:
 
 @dataclass(frozen=True, eq=False)
 class ModelWeights:
-    """Named tensors plus the component config they were shaped by.
+    """Named tensors plus the component config they were shaped by, which
+    names their component.
 
     Tensors are read-only float32 views; float32 input is not copied. Other
     input is rounded to float32 once, here: a finite value beyond the float32
     range becomes infinite and fails the finiteness check, which names the
     tensor."""
 
-    component: str
-    config: object
+    config: TensorTable
     tensors: Mapping[str, np.ndarray]
+
+    @property
+    def component(self) -> str:
+        return self.config.component
 
     def __post_init__(self):
         expected = self.config.tensor_shapes()
@@ -111,7 +116,7 @@ def init_weights(component: str, config, seed: int) -> ModelWeights:
         fan_in = _fan_in(name, shape, shapes)
         bound = 1.0 / np.sqrt(fan_in)
         tensors[name] = rng.uniform(-bound, bound, size=shape).astype(np.float32)
-    return ModelWeights(component, config, tensors)
+    return ModelWeights(config, tensors)
 
 
 def _fan_in(name: str, shape: tuple[int, ...], shapes: dict) -> int:
@@ -179,7 +184,7 @@ def load_weights(path) -> ModelWeights:
         tensors[name] = values[start : start + count].reshape(shape)
         start += count
     try:
-        return ModelWeights(component, config, tensors)
+        return ModelWeights(config, tensors)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
 

@@ -455,7 +455,7 @@ def _build_blocks(targets, nontargets, nearest_k):
         for other in others:
             for utt in other.tests:
                 non_scores.append(cosine(target.enroll, utt))
-                non_genders.append(other.gender)
+                non_genders.append(other.enroll.gender)
         blocks.append((target, tar_scores, np.array(non_scores), non_genders))
     return blocks
 
@@ -463,7 +463,7 @@ def _build_blocks(targets, nontargets, nearest_k):
 def _partition_eer(blocks, target_scores, gender):
     tar, non = [], []
     for (speaker, _, non_scores, non_genders), scores in zip(blocks, target_scores):
-        if gender is not None and speaker.gender != gender:
+        if gender is not None and speaker.enroll.gender != gender:
             continue
         tar.append(scores)
         if gender is None:
@@ -481,7 +481,7 @@ def benchmark_eers(speakers, pool, spec, nearest_k, repetitions, gender_partitio
     blocks = _build_blocks(speakers, speakers, nearest_k)
     parts = [None]
     if gender_partition:
-        parts.extend(sorted({b[0].gender for b in blocks if b[0].gender is not None}))
+        parts.extend(sorted({b[0].enroll.gender for b in blocks} - {None}))
     before = {p: _partition_eer(blocks, [b[1] for b in blocks], p) for p in parts}
     after = {p: [] for p in parts}
     for rep in range(repetitions if spec is not None else 0):

@@ -29,6 +29,13 @@ def random_embedding(rng, dim, name):
     return SpeakerEmbedding(name, rng.standard_normal(dim))
 
 
+def grid_pools(speakers):
+    """The enrollment pool and the test-utterance pool of generated speakers,
+    as ``simulate`` builds them."""
+    return (EmbeddingPool(s.enroll for s in speakers),
+            EmbeddingPool(utt for s in speakers for utt in s.tests))
+
+
 def make_similarity_ladder_pool(
     original: SpeakerEmbedding,
     size: int,

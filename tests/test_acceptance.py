@@ -46,7 +46,7 @@ from voxanon.nnet import (
 )
 
 from _oracles import cosine, edit_distance, eer_midpoint_sweep, fft_peak_hz, mean_of
-from conftest import make_similarity_ladder_pool, make_tone
+from conftest import grid_pools, make_similarity_ladder_pool, make_tone
 
 
 @contextmanager
@@ -86,13 +86,14 @@ def test_criterion_2_synthetic_anonymization_direction():
         master = 424242
         speakers = make_cluster_speakers(30, 20, 64, 0.05, seed=master)
         pool = make_random_pool(500, 64, seed=master + 1)
-        trials = protocol_trials(speakers, None, False)
+        enroll, test = grid_pools(speakers)
+        trials = protocol_trials(enroll, test, None, False)
         baseline = run_anonymization_benchmark(trials)
         assert baseline.before["pooled"].eer <= 0.05
         for m in (10, 50, 100, 200):
             spec = AnonymizationSpec("random", n_select=m, seed=master + m)
             result = run_anonymization_benchmark(
-                trials, draw_pseudo_speakers(speakers, pool, spec, 5)
+                trials, draw_pseudo_speakers(enroll, pool, spec, 5)
             )
             assert result.before["pooled"].eer <= 0.05
             assert result.mean_after("pooled") >= 0.25, (m, result.mean_after("pooled"))
@@ -121,10 +122,11 @@ def test_criterion_3_range_selection_monotonicity():
 def test_criterion_4_dissimilarity_range_from_provenance():
     with criterion(4, "reported dissimilarity range equals provenance recomputation"):
         speakers = make_cluster_speakers(12, 8, 32, 0.05, seed=7)
+        enroll, test = grid_pools(speakers)
         pool = make_random_pool(150, 32, seed=8)
         spec = AnonymizationSpec("random", n_select=20, seed=4321)
         result = run_anonymization_benchmark(
-            protocol_trials(speakers, None, False), draw_pseudo_speakers(speakers, pool, spec, 5)
+            protocol_trials(enroll, test, None, False), draw_pseudo_speakers(enroll, pool, spec, 5)
         )
         by_id = {s.id: s for s in speakers}
         values = []

@@ -16,7 +16,7 @@ from voxanon import (
 from voxanon.embeddings import SpeakerEmbedding
 
 from _oracles import cosine, mean_of
-from conftest import make_similarity_ladder_pool
+from conftest import grid_pools, make_similarity_ladder_pool
 
 
 @pytest.fixture(scope="module")
@@ -30,11 +30,12 @@ def pool():
 
 
 def run_condition(speakers, pool, spec, nearest_k=None, repetitions=1, gender_partition=False):
-    trials = benchmark.protocol_trials(speakers, nearest_k, gender_partition)
+    enroll, test = grid_pools(speakers)
+    trials = benchmark.protocol_trials(enroll, test, nearest_k, gender_partition)
     if spec is None:
         return run_anonymization_benchmark(trials)
     return run_anonymization_benchmark(
-        trials, benchmark.draw_pseudo_speakers(speakers, pool, spec, repetitions)
+        trials, benchmark.draw_pseudo_speakers(enroll, pool, spec, repetitions)
     )
 
 
@@ -45,7 +46,7 @@ class TestSyntheticGenerators:
             assert np.array_equal(speaker.enroll.vector, expected.vector)
 
     def test_cluster_genders_alternate(self, speakers):
-        genders = [s.gender for s in speakers]
+        genders = [s.enroll.gender for s in speakers]
         assert set(genders) == {"female", "male"}
 
     def test_random_pool_unit_norm(self, pool):
@@ -69,14 +70,15 @@ class TestSyntheticGenerators:
 class TestProtocol:
     def test_validation(self, speakers, pool):
         spec = AnonymizationSpec("nearest", n_select=5)
+        enroll, test = grid_pools(speakers)
         with pytest.raises(ValueError, match="repetitions"):
-            benchmark.draw_pseudo_speakers(speakers, pool, spec, 0)
+            benchmark.draw_pseudo_speakers(enroll, pool, spec, 0)
         with pytest.raises(ValueError, match="k must be at least 1"):
-            benchmark.protocol_trials(speakers, 0, False)
+            benchmark.protocol_trials(enroll, test, 0, False)
 
     def test_one_speaker_rejected(self, speakers):
         with pytest.raises(ValueError, match="at least two speakers"):
-            benchmark.protocol_trials(speakers[:1], None, False)
+            benchmark.protocol_trials(*grid_pools(speakers[:1]), None, False)
 
     def test_utterance_ids_must_name_the_speaker(self, speakers):
         # Nearest-K groups test utterances into speakers by their ids.
@@ -140,8 +142,8 @@ class TestBenchmark:
     def test_seed_isolation_per_speaker(self, speakers, pool):
         # Dropping one speaker must not change the draws of the others.
         spec = AnonymizationSpec("random", n_select=6, seed=99)
-        full = benchmark.draw_pseudo_speakers(speakers, pool, spec, 2)
-        reduced = benchmark.draw_pseudo_speakers(speakers[:-1], pool, spec, 2)
+        full = benchmark.draw_pseudo_speakers(grid_pools(speakers)[0], pool, spec, 2)
+        reduced = benchmark.draw_pseudo_speakers(grid_pools(speakers[:-1])[0], pool, spec, 2)
         full_events = {
             (rep, speaker_id): pseudo.selected_ids for rep, speaker_id, pseudo in full.events()
         }

@@ -388,22 +388,35 @@ class TestExitCodes:
         assert rc == code, err
         assert str(named) in err and str(config) not in err
 
-    @pytest.mark.parametrize("lines", [
-        "p01 p01_001 tar\np02 p02_001 tar\n",
-        "p01 p02_001 non\np02 p01_001 non\n",
+    @pytest.mark.parametrize("lines, k, problem", [
+        ("p01 p01_001 tar\np02 p02_001 tar\n", None, "no non-target trials to score"),
+        ("p01 p02_001 non\np02 p01_001 non\n", None, "no target trials to score"),
+        # p03's one utterance is p01's enrollment, so p01's one nearest
+        # non-target speaker is p03, and the trial against p02 goes.
+        ("p01 p01_001 tar\np01 p02_001 non\n", 1, "no non-target trials to score with k = 1"),
     ])
-    def test_one_sided_trial_list_exits_3(self, site, extracted, tmp_path, capsys, lines):
+    def test_one_sided_trial_list_exits_3(
+        self, site, extracted, tmp_path, capsys, lines, k, problem
+    ):
         trials = tmp_path / "one_sided.txt"
         trials.write_text(lines)
+        config = tmp_path / "run.ini"
+        config.write_text((site / "run.ini").read_text() + f"[evaluate]\nk = {k or 'all'}\n")
+        enroll = load_pool(extracted / "speaker_xvectors.jsonl")
+        test = tmp_path / "test.jsonl"
+        save_pool(test, EmbeddingPool([
+            *load_pool(extracted / "utterance_xvectors.jsonl"),
+            SpeakerEmbedding("p03_001", enroll.get("p01").vector),
+        ]))
         rc = main([
-            "evaluate", "--config", str(site / "run.ini"),
+            "evaluate", "--config", str(config),
             "--enroll", str(extracted / "speaker_xvectors.jsonl"),
-            "--test", str(extracted / "utterance_xvectors.jsonl"),
+            "--test", str(test),
             "--trials", str(trials),
             "--out-dir", str(tmp_path / "report"),
         ])
         assert rc == 3
-        assert str(trials) in capsys.readouterr().err
+        assert capsys.readouterr().err == f"data error: {trials}: {problem}\n"
         assert not (tmp_path / "report" / "evaluation_report.txt").exists()
 
     def test_bad_trial_id_exits_3(self, site, extracted, tmp_path):

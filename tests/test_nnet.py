@@ -33,7 +33,7 @@ def _fbank(n_frames, seed=0, value=None):
 
 def _zeroed(weights):
     zeros = {name: np.zeros_like(tensor) for name, tensor in weights.tensors.items()}
-    return ModelWeights(weights.component, weights.config, zeros)
+    return ModelWeights(weights.config, zeros)
 
 
 class TestWeights:
@@ -80,13 +80,13 @@ class TestWeights:
         drawn = init_weights("ppg", config, seed=1)
         fine = {name: np.asarray(t, dtype=np.float64) + 1e-12 for name, t in drawn.tensors.items()}
         before = {name: t.copy() for name, t in fine.items()}
-        rounded = ModelWeights("ppg", config, fine)
+        rounded = ModelWeights(config, fine)
         for name, tensor in fine.items():
             assert rounded[name].dtype == np.float32
             assert rounded[name].tobytes() == tensor.astype(np.float32).tobytes()
             assert np.array_equal(tensor, before[name])  # the caller's array is untouched
         # float32 input is not copied.
-        kept = ModelWeights("ppg", config, drawn.tensors)
+        kept = ModelWeights(config, drawn.tensors)
         assert all(np.shares_memory(kept[name], drawn[name]) for name in drawn.tensors)
 
     def test_tensor_beyond_float32_range_names_the_tensor_without_warning(self):
@@ -96,7 +96,7 @@ class TestWeights:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="'hidden1.b' has non-finite values"):
-                ModelWeights("ppg", config, tensors)
+                ModelWeights(config, tensors)
 
     def test_version_2_file_rejected_naming_file_and_version(self, tmp_path):
         path = tmp_path / "ppg.weights"
@@ -133,18 +133,31 @@ class TestWeights:
         tensors = dict(weights.tensors)
         tensors["softmax.w"] = np.zeros((3, 5))  # wrong inner dim
         with pytest.raises(ValueError, match="softmax.w"):
-            ModelWeights("ppg", config, tensors)
+            ModelWeights(config, tensors)
 
     def test_caller_arrays_stay_writable(self):
         weights = init_weights("ppg", PpgConfig(hidden_size=4, n_states=3, hidden_layers=1), seed=1)
         tensors = {name: np.array(tensor) for name, tensor in weights.tensors.items()}
-        shared = ModelWeights("ppg", weights.config, tensors)
+        shared = ModelWeights(weights.config, tensors)
         assert all(tensor.flags.writeable for tensor in tensors.values())
         assert not shared["softmax.w"].flags.writeable
 
     def test_component_config_mismatch(self):
         with pytest.raises(ValueError, match="component"):
             init_weights("xvector", PpgConfig(), seed=0)
+
+    def test_forward_rejects_another_components_weights(
+        self, small_ppg_weights, small_acoustic_weights
+    ):
+        # Weights take their component from their config, so acoustic
+        # tensors cannot pass as PPG weights and fail later on a width.
+        acoustic = ModelWeights(small_acoustic_weights.config, small_acoustic_weights.tensors)
+        assert acoustic.component == "acoustic"
+        frames = FeatureMatrix(np.zeros((10, 40)), hop=0.01, kind="mel40")
+        with pytest.raises(ValueError, match="expected ppg weights, got 'acoustic'"):
+            ppg_forward(frames, acoustic)
+        with pytest.raises(ValueError, match="expected acoustic weights, got 'ppg'"):
+            acoustic_forward(frames, small_ppg_weights)
 
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "junk.weights"
@@ -254,7 +267,7 @@ class TestXVector:
         seg[:, seg.shape[1] // 2 :] = 1.0
         tensors["segment6.w"] = seg
         tensors["segment6.b"] = np.zeros(512)
-        std_only = ModelWeights("xvector", weights.config, tensors)
+        std_only = ModelWeights(weights.config, tensors)
         raw = xvector_embedding(_fbank(n_frames, value=0.37), std_only)
         assert np.array_equal(raw, np.zeros(512))
         # A varying input pools a positive spread through the same weights.
@@ -328,7 +341,7 @@ class TestPpg:
     ):
         tensors = dict(small_ppg_weights.tensors)
         tensors["hidden1.b"] = tensors["hidden1.b"] - 1000.0
-        weights = ModelWeights("ppg", small_ppg_weights.config, tensors)
+        weights = ModelWeights(small_ppg_weights.config, tensors)
         frames = FeatureMatrix(
             np.random.default_rng(5).standard_normal((10, 40)), hop=0.01, kind="mel40"
         )
@@ -390,7 +403,7 @@ class TestAcoustic:
         bias = np.full(80, 0.625)
         tensors = dict(zeroed.tensors)
         tensors["out.b"] = bias
-        weights = ModelWeights("acoustic", config, tensors)
+        weights = ModelWeights(config, tensors)
         out = acoustic_forward(_aligned(7, config, seed=9), weights)
         assert np.array_equal(out.frames, np.tile(bias, (7, 1)))
 
@@ -421,7 +434,7 @@ class TestAcoustic:
         tensors = dict(small_acoustic_weights.tensors)
         for name in ("blstm.fw.b", "blstm.bw.b", "ar.b"):
             tensors[name] = np.full_like(tensors[name], -1000.0)
-        weights = ModelWeights("acoustic", config, tensors)
+        weights = ModelWeights(config, tensors)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = acoustic_forward(_aligned(8, config, seed=3), weights)

@@ -102,7 +102,7 @@ class TestForward:
             name: (np.zeros_like(t) if name.startswith("filter.") else t)
             for name, t in small_nsf_weights.tensors.items()
         }
-        weights = ModelWeights("nsf", config, tensors)
+        weights = ModelWeights(config, tensors)
         mel, f0, xvec = _inputs(12, config, seed=3)
         out = nsf_forward(mel, f0, xvec, weights, seed=21)
         f0_up = np.repeat(f0.values, config.upsample_factor)

@@ -29,6 +29,7 @@ from voxanon.metrics import cosine_matrix, nearest_k_mask, partition_masks
 from voxanon.seeding import derive_seed
 
 from _oracles import benchmark_eers, evaluate_eers, mean_of
+from conftest import grid_pools
 
 
 def _copy_speaker(source, new_id, scale, gender):
@@ -116,8 +117,9 @@ def test_benchmark_matches_pairwise_reference(speakers, k, strategy):
         "random": AnonymizationSpec("random", n_select=5, seed=33),
         "nearest": AnonymizationSpec("nearest", n_select=3),
     }[strategy]
-    trials = protocol_trials(speakers, k, True)
-    draws = None if spec is None else draw_pseudo_speakers(speakers, pool, spec, 2)
+    enroll, test = grid_pools(speakers)
+    trials = protocol_trials(enroll, test, k, True)
+    draws = None if spec is None else draw_pseudo_speakers(enroll, pool, spec, 2)
     result = run_anonymization_benchmark(trials, draws)
     expected = benchmark_eers(speakers, pool, spec, k, 2, True)
     # The reference has no result where a partition lacks target or
@@ -157,7 +159,7 @@ def test_simulate_baseline_equals_evaluate_bit_for_bit(tmp_path, k):
     rows = [json.loads(line) for line in (sim_out / "benchmark_report.jsonl").read_text().splitlines()]
     baseline = {r["partition"]: r for r in rows if r.get("condition") == "none"}
 
-    before = protocol_trials(speakers, k, True).before
+    before = protocol_trials(*grid_pools(speakers), k, True).before
     assert list(got) == list(baseline) == list(before) == ["pooled", "female", "male"]
     for name, result in before.items():
         r = got[name]
