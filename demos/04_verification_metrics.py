@@ -18,7 +18,6 @@ from voxanon import (
     rank_by_similarity,
     read_trials,
     score_trials,
-    trial_indices,
     wer,
     write_trials,
 )
@@ -42,18 +41,18 @@ trials = [
     for enrolled in enroll
     for utt in test
 ]
-# A trial list file reads back as columns: each trial's ids coded against
-# the distinct ids, and a target mask.
+# A trial list file reads back as columns: each trial's row in the
+# enrollment pool, its column in the test pool, and a target mask.
 write_trials("demo_trials.txt", trials)
-columns = read_trials("demo_trials.txt")
-print(f"{len(columns.is_target)} trials over {len(columns.enroll_ids)} enrollments "
-      f"and {len(columns.test_ids)} test utterances")
+rows, cols, is_target = read_trials("demo_trials.txt", list(enroll), list(test))
+print(f"{len(is_target)} trials over {len(set(rows.tolist()))} enrollments "
+      f"and {len(set(cols.tolist()))} test utterances")
 # One cosine matrix scores every enrollment against every test utterance;
 # each trial reads its cell. This is the scoring path `evaluate` takes
 # (here without the nearest-K filter and the gender partitions).
 scored = score_trials(
     EmbeddingPool(enroll.values()), EmbeddingPool(test.values()),
-    *trial_indices(columns, list(enroll), list(test)), k=None, by_gender=False,
+    rows, cols, is_target, k=None, by_gender=False,
 )
 for trial, score in zip(trials[:4], scored.scores):
     print(f"{trial.enroll_id} vs {trial.test_id}: {score:+.3f} ({trial.label})")

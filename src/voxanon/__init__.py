@@ -44,14 +44,12 @@ from .metrics import (
     EerResult,
     ScoredTrials,
     Trial,
-    TrialList,
     WerResult,
     compute_eer,
     nearest_k_mask,
     rank_by_similarity,
     read_trials,
     score_trials,
-    trial_indices,
     wer,
     write_trials,
 )

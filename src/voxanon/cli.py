@@ -55,7 +55,7 @@ from .features import (
     save_f0,
     save_features,
 )
-from .metrics import WerResult, read_trials, score_trials, trial_indices, wer
+from .metrics import WerResult, read_trials, score_trials, wer
 from .seeding import derive_seed
 
 FBANK_HOP = 0.010
@@ -79,6 +79,12 @@ def cmd_extract(cfg: RunConfig, wav_paths: list[str]) -> int:
 
     if not wav_paths:
         raise DataError("no inputs")
+    first_paths = {}
+    for path_text in wav_paths:
+        utt = Path(path_text).stem
+        if utt in first_paths:  # both would write features/{utt}.*
+            raise DataError(f"{first_paths[utt]} and {path_text}: both hold utterance id {utt!r}")
+        first_paths[utt] = path_text
     xvec_weights = nnet.load_weights(_weights_path(cfg, "xvector"))
     ppg_weights = nnet.load_weights(_weights_path(cfg, "ppg"))
     out_dir = Path(cfg.paths.out_dir)
@@ -139,6 +145,17 @@ def cmd_anonymize(cfg: RunConfig, inputs_path: str) -> int:
     spec = a.spec(cfg.run.seed)
     if spec is None:
         raise ConfigError("anonymize.strategy is 'none'; nothing to do")
+    if spec.n_select is not None and spec.n_select > len(pool):
+        raise DataError(
+            f"{a.where()}: more than the {len(pool)} entries of the pool {cfg.paths.pool}"
+        )
+
+    def pseudo_for(label: str, original: SpeakerEmbedding):
+        try:
+            return apply_spec(pool, spec.derived(label), original=original)
+        except ValueError as exc:  # a range window with no candidate in the pool
+            raise DataError(f"{a.where()} with the pool {cfg.paths.pool}: {exc}") from None
+
     out_dir = Path(cfg.paths.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -147,11 +164,11 @@ def cmd_anonymize(cfg: RunConfig, inputs_path: str) -> int:
         # One pseudo speaker reused for every input. Range/nearest still
         # need an original; the mean of the inputs serves as the shared one.
         original = SpeakerEmbedding("shared-original", centered_mean(inputs.vectors))
-        shared = apply_spec(pool, spec.derived("anon:shared"), original=original)
+        shared = pseudo_for("anon:shared", original)
     entries = []
     records = []
     for entry in inputs:
-        pseudo = shared or apply_spec(pool, spec.derived(f"anon:{entry.id}"), original=entry)
+        pseudo = shared or pseudo_for(f"anon:{entry.id}", entry)
         entries.append(SpeakerEmbedding(entry.id, pseudo.embedding.vector))
         records.append({
             "input_id": entry.id,
@@ -218,6 +235,10 @@ def cmd_synthesize(
         for utt in utts
     ]
     weights = [nnet.load_weights(path) for path in weight_paths]
+    for path, component in zip(weight_paths, weights):
+        if component.config.xvec_dim != pseudo.dim:
+            raise DataError(f"{pseudo_path} holds {pseudo.dim}-dim pseudo speakers, but {path} "
+                            f"takes {component.config.xvec_dim}-dim ones")
     seconds = sum(f0.n_frames * f0.hop for _, f0, _, _ in tasks)
     workers = min(cfg.run.jobs or _cpu_count(), len(tasks), int(seconds // _SECONDS_PER_WORKER))
     threads = _openblas_threads() if workers > 1 and hasattr(os, "fork") else None
@@ -339,15 +360,11 @@ def cmd_evaluate(
     if enroll_pool.dim != test_pool.dim:
         raise DataError(f"dimension mismatch: {enroll_path} holds {enroll_pool.dim}-dim "
                         f"embeddings, {test_path} {test_pool.dim}-dim")
-    trials = read_trials(trials_path)
+    trials = read_trials(trials_path, enroll_pool.ids, test_pool.ids)
     k = cfg.evaluate.k
 
     try:
-        indices = trial_indices(trials, enroll_pool.ids, test_pool.ids)
-    except DataError as exc:
-        raise DataError(f"{trials_path}, {exc}") from None
-    try:
-        scored = score_trials(enroll_pool, test_pool, *indices, k, cfg.evaluate.gender_partition)
+        scored = score_trials(enroll_pool, test_pool, *trials, k, cfg.evaluate.gender_partition)
     except ValueError as exc:  # too few non-target speakers for the nearest-K filter
         raise DataError(f"evaluate.k = {k} with test speakers from {test_path}: {exc}") from None
     try:

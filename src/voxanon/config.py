@@ -92,11 +92,13 @@ class AnonymizeSettings:
         try:
             return AnonymizationSpec.of(self.strategy, self.m, self.sim, self.eps, seed)
         except ValueError as exc:
-            if self.strategy == "range":
-                where = f"anonymize.sim (--sim) = {self.sim}, anonymize.eps (--eps) = {self.eps}"
-            else:
-                where = f"anonymize.m (--m) = {self.m}"
-            raise ConfigError(f"{where}: {exc}") from None
+            raise ConfigError(f"{self.where()}: {exc}") from None
+
+    def where(self) -> str:
+        """The keys that set ``strategy``'s parameters, for messages."""
+        if self.strategy == "range":
+            return f"anonymize.sim (--sim) = {self.sim}, anonymize.eps (--eps) = {self.eps}"
+        return f"anonymize.m (--m) = {self.m}"
 
 
 @dataclass

@@ -255,6 +255,10 @@ def extract_f0(
         raise ValueError("F0 extraction requires a sample rate of at least 8 kHz")
     if not math.isfinite(threshold):
         raise ValueError(f"voicing threshold must be finite, got {threshold!r}")
+    for name, hz in (("fmin", fmin), ("fmax", fmax)):
+        # F0Contour holds voiced values to this range.
+        if not F0_MIN_HZ <= hz <= F0_MAX_HZ:
+            raise ValueError(f"{name} must lie in [{F0_MIN_HZ}, {F0_MAX_HZ}] Hz, got {hz!r}")
     fs = waveform.sample_rate
     frame_len = round(FRAME_SECONDS * fs)
     hop_len = round(F0_HOP_SECONDS * fs)

@@ -1,7 +1,8 @@
 """Speaker-verification trial lists, trial scoring, EER, and word error rate.
 
-A trial list file is read into id-coded columns (``TrialList``), with no
-object per trial; ``Trial`` is only the record ``write_trials`` writes.
+``read_trials`` reads a trial list file straight into each trial's pool
+row, pool column and target flag, with no object per trial; ``Trial`` is
+only the record ``write_trials`` writes.
 
 Scoring uses cosine similarity between enrollment and test embeddings
 (higher means more target-like; the accept rule is score >= threshold).
@@ -44,19 +45,6 @@ class Trial:
     def __post_init__(self):
         if self.label not in TRIAL_LABELS:
             raise ValueError(f"trial label must be one of {TRIAL_LABELS}, got {self.label!r}")
-
-
-@dataclass(frozen=True)
-class TrialList:
-    """A trial list in file order: per-trial codes ``enroll``/``test`` into the
-    distinct ids (first-seen order), target flags and line numbers."""
-
-    enroll_ids: tuple[str, ...]
-    test_ids: tuple[str, ...]
-    enroll: np.ndarray
-    test: np.ndarray
-    is_target: np.ndarray
-    lines: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -132,25 +120,6 @@ def nearest_k_mask(
     mask = np.zeros_like(others)
     np.put_along_axis(mask, ranked[:, :k], True, axis=1)
     return mask
-
-
-def trial_indices(
-    trials: TrialList, enroll_ids: Sequence[str], test_ids: Sequence[str]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Enrollment row, test column and target flag of every trial, one lookup per
-    distinct id; an unknown id raises ``DataError`` naming its first trial's line."""
-    rows = {spk_id: i for i, spk_id in enumerate(enroll_ids)}
-    cols = {utt_id: j for j, utt_id in enumerate(test_ids)}
-    row = np.array([rows.get(i, -1) for i in trials.enroll_ids], dtype=np.intp)[trials.enroll]
-    col = np.array([cols.get(i, -1) for i in trials.test_ids], dtype=np.intp)[trials.test]
-    unknown = (row < 0) | (col < 0)
-    if unknown.any():
-        first = int(np.argmax(unknown))
-        side, ids, codes = (("enrollment", trials.enroll_ids, trials.enroll) if row[first] < 0
-                            else ("test", trials.test_ids, trials.test))
-        raise DataError(f"line {trials.lines[first]}: trial references unknown "
-                        f"{side} id {ids[codes[first]]!r}")
-    return row, col, trials.is_target
 
 
 def partition_masks(
@@ -313,14 +282,25 @@ def wer(ref: Sequence[str], hyp: Sequence[str]) -> WerResult:
     return WerResult(int(subs), int(dels), int(inss), n)
 
 
-def read_trials(path) -> TrialList:
-    """Parse a trial list file, one ``enroll_id test_id {tar|non}`` per line,
-    into ``TrialList`` columns coded as it reads: no object and no id string
-    is kept per trial, only one string per distinct id."""
+def read_trials(
+    path, enroll_ids: Sequence[str], test_ids: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The enrollment row (in ``enroll_ids``), test column (in ``test_ids``)
+    and target flag of every trial of a trial list file, one ``enroll_id
+    test_id {tar|non}`` per line. Ids are looked up as the file is read, so
+    no object and no id string is kept per trial.
+
+    A malformed line raises ``DataError`` at once. An id its pool lacks
+    raises after the whole file has parsed, naming the first such trial's
+    line (its enrollment id before its test id), so a malformed line
+    anywhere wins.
+    """
     path = Path(path)
-    enroll_codes, test_codes = {}, {}
-    enroll, test, lines = array("q"), array("q"), array("q")
+    row_of = {spk_id: i for i, spk_id in enumerate(enroll_ids)}
+    col_of = {utt_id: j for j, utt_id in enumerate(test_ids)}
+    rows, cols = array("q"), array("q")
     is_target = bytearray()
+    unknown = None
     for lineno, line in enumerate(read_lines(path, "trial file"), start=1):
         parts = line.split()
         if not parts:
@@ -329,15 +309,20 @@ def read_trials(path) -> TrialList:
             raise DataError(
                 f"{path}, line {lineno}: expected 'enroll_id test_id tar|non', got {line!r}"
             )
-        enroll.append(enroll_codes.setdefault(parts[0], len(enroll_codes)))
-        test.append(test_codes.setdefault(parts[1], len(test_codes)))
+        row, col = row_of.get(parts[0], -1), col_of.get(parts[1], -1)
+        if unknown is None and (row < 0 or col < 0):
+            side, name = ("enrollment", parts[0]) if row < 0 else ("test", parts[1])
+            unknown = f"{path}, line {lineno}: trial references unknown {side} id {name!r}"
+        rows.append(row)
+        cols.append(col)
         is_target.append(parts[2] == "tar")
-        lines.append(lineno)
-    if not lines:
+    if not is_target:
         raise DataError(f"{path}: trial file contains no trials")
-    return TrialList(tuple(enroll_codes), tuple(test_codes), np.frombuffer(enroll, np.int64),
-                     np.frombuffer(test, np.int64), np.frombuffer(is_target, bool),
-                     np.frombuffer(lines, np.int64))
+    if unknown is not None:
+        raise DataError(unknown)
+    return (np.frombuffer(rows, np.int64).astype(np.intp, copy=False),
+            np.frombuffer(cols, np.int64).astype(np.intp, copy=False),
+            np.frombuffer(is_target, bool))
 
 
 def write_trials(path, trials: Sequence[Trial]) -> None:

@@ -594,6 +594,22 @@ class TestExtract:
         assert rc == 3
         assert "broken.wav" in capsys.readouterr().err
 
+    def test_repeated_utterance_id_names_both_files(self, site, tmp_path, capsys, monkeypatch):
+        wavs = []
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            wavs.append(tmp_path / name / "p01_001.wav")
+            wavs[-1].write_bytes((site / "p01_001.wav").read_bytes())
+        monkeypatch.setattr(voxanon.nnet, "load_weights",
+                            lambda path: pytest.fail("weights loaded before the inputs were checked"))
+        out = tmp_path / "o"
+        rc = main(["extract", "--config", str(site / "run.ini"), "--out-dir", str(out), *map(str, wavs)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"data error: {wavs[0]} and {wavs[1]}: both hold utterance id 'p01_001'\n"
+        )
+        assert not out.exists()
+
 
     @pytest.mark.parametrize("damage", [
         pytest.param(lambda m, e: m["config"].update(bogus=1), id="unknown-config-key"),
@@ -731,7 +747,22 @@ class TestAnonymize:
         ])
         assert rc == 3
         err = capsys.readouterr().err
+        assert err.startswith("data error: anonymize.sim (--sim) = 0.999, anonymize.eps (--eps) = "
+                              f"0.0001 with the pool {site / 'pool.jsonl'}: no pool candidates")
         assert "closest achievable similarity" in err
+
+    @pytest.mark.parametrize("strategy", ["random", "nearest"])
+    def test_m_beyond_pool_names_key_and_pool(self, site, extracted, tmp_path, capsys, strategy):
+        rc = main([
+            "anonymize", "--config", str(site / "run.ini"),
+            "--inputs", str(extracted / "speaker_xvectors.jsonl"),
+            "--strategy", strategy, "--m", "41", "--out-dir", str(tmp_path / "o"),
+        ])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"data error: anonymize.m (--m) = 41: more than the 40 entries of the pool "
+            f"{site / 'pool.jsonl'}\n"
+        )
 
     @pytest.mark.parametrize("strategy", ["random", "nearest", "range"])
     def test_dimension_mismatch_names_both_files(self, site, tmp_path, capsys, strategy):
@@ -910,6 +941,23 @@ class TestSynthesize:
         ])
         assert rc == 2
         assert f"{config}: paths.weights is not set" in capsys.readouterr().err
+
+    def test_pseudo_width_mismatch_names_pool_and_widths(self, long_site, tmp_path, capsys):
+        # The long site's models take 6-dim pseudo speakers.
+        pool = tmp_path / "pseudo5.jsonl"
+        save_pool(pool, EmbeddingPool(
+            [SpeakerEmbedding(spk, np.ones(5)) for spk in ("p01", "p02")]
+        ))
+        rc = main([
+            "synthesize", "--config", str(long_site / "run.ini"),
+            "--features-dir", str(long_site / "features"), "--pseudo", str(pool),
+            "--out-dir", str(tmp_path / "o"),
+        ])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"data error: {pool} holds 5-dim pseudo speakers, but "
+            f"{long_site / 'weights' / 'acoustic.weights'} takes 6-dim ones\n"
+        )
 
     @pytest.mark.parametrize("utts, entries, same_as", [
         ("p01_001", (("p01_001", 0), ("p01", 1)), (("p01_001", 0),)),

@@ -15,7 +15,6 @@ from voxanon import (
     rank_by_similarity,
     read_trials,
     score_trials,
-    trial_indices,
     wer,
     write_trials,
 )
@@ -34,12 +33,11 @@ from conftest import random_embedding
 
 def _score(tmp_path, enroll, test, trials):
     # Trial scores the way `evaluate` gets them: a trial list file read into
-    # columns, one cosine matrix, one (row, column) cell per trial.
+    # pool rows and columns, one cosine matrix, one (row, column) cell per trial.
     write_trials(tmp_path / "trials.txt", trials)
     scored = score_trials(
         EmbeddingPool(enroll.values()), EmbeddingPool(test.values()),
-        *trial_indices(read_trials(tmp_path / "trials.txt"), list(enroll), list(test)),
-        None, False,
+        *read_trials(tmp_path / "trials.txt", list(enroll), list(test)), None, False,
     )
     return list(zip(trials, scored.scores.tolist()))
 
@@ -288,11 +286,21 @@ _TRIAL_TEXT = st.lists(
 ).map(lambda lines: "".join(text + end for text, end in lines))
 
 
-def _indices_or_error(read, index, path, enroll_ids, test_ids):
+def _indices_or_error(read, path, enroll_ids, test_ids):
     try:
-        return tuple((a.dtype.kind, a.tolist()) for a in index(read(path), enroll_ids, test_ids))
+        return tuple((a.dtype.kind, a.tolist()) for a in read(path, enroll_ids, test_ids))
     except DataError as exc:
         return str(exc)
+
+
+def _object_indices(path, enroll_ids, test_ids):
+    # The object parser, then the index step, whose error names the file as
+    # `evaluate` named it when reading and indexing were two steps.
+    trials = read_trial_objects(path)
+    try:
+        return trial_object_indices(trials, enroll_ids, test_ids)
+    except DataError as exc:
+        raise DataError(f"{path}, {exc}") from None
 
 
 class TestTrialFiles:
@@ -304,11 +312,10 @@ class TestTrialFiles:
         ]
         path = tmp_path / "trials.txt"
         write_trials(path, trials)
-        got = read_trials(path)
-        assert (got.enroll_ids, got.test_ids) == (("spk1", "spk2"), ("spk1_u01", "spk2_u03"))
-        assert got.enroll.tolist() == [0, 0, 1] and got.test.tolist() == [0, 1, 0]
-        assert got.is_target.tolist() == [True, False, False]
-        assert got.lines.tolist() == [1, 2, 3]
+        # The pools hold the ids in another order than the file.
+        rows, cols, is_target = read_trials(path, ["spk2", "spk1"], ["spk2_u03", "spk1_u01"])
+        assert rows.tolist() == [1, 1, 0] and cols.tolist() == [1, 0, 1]
+        assert is_target.tolist() == [True, False, False]
 
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -322,13 +329,13 @@ class TestTrialFiles:
     def test_write_read_round_trip(self, tmp_path, trials):
         path = tmp_path / "trials.txt"
         write_trials(path, trials)
-        got = read_trials(path)
+        enroll_ids = sorted({t.enroll_id for t in trials})
+        test_ids = sorted({t.test_id for t in trials})
         decoded = [
-            Trial(got.enroll_ids[e], got.test_ids[t], "target" if tar else "nontarget")
-            for e, t, tar in zip(got.enroll, got.test, got.is_target)
+            Trial(enroll_ids[e], test_ids[t], "target" if tar else "nontarget")
+            for e, t, tar in zip(*read_trials(path, enroll_ids, test_ids))
         ]
         assert decoded == trials
-        assert got.lines.tolist() == list(range(1, len(trials) + 1))
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -343,8 +350,8 @@ class TestTrialFiles:
         path = tmp_path / "trials.txt"
         path.write_bytes(text.encode("utf-8"))
         pools = (path, enroll_ids, test_ids)
-        got = _indices_or_error(read_trials, trial_indices, *pools)
-        assert got == _indices_or_error(read_trial_objects, trial_object_indices, *pools)
+        got = _indices_or_error(read_trials, *pools)
+        assert got == _indices_or_error(_object_indices, *pools)
 
     @pytest.mark.parametrize("text, message", [
         ("e t tar\n\nghost t non\n", "line 3: trial references unknown enrollment id 'ghost'"),
@@ -354,11 +361,11 @@ class TestTrialFiles:
         path = tmp_path / "trials.txt"
         path.write_text(text)
         with pytest.raises(DataError) as caught:
-            trial_indices(read_trials(path), ["e"], ["t"])
-        assert str(caught.value) == message
+            read_trials(path, ["e"], ["t"])
+        assert str(caught.value) == f"{path}, {message}"
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("a b maybe\n")
         with pytest.raises(DataError, match="line 1"):
-            read_trials(path)
+            read_trials(path, ["a"], ["b"])

@@ -5,6 +5,7 @@ of ``evaluate``, and the ``.npz`` archive reader behind ``load_weights``,
 ``load_features`` and ``load_f0``.
 """
 
+import functools
 import json
 import struct
 import tracemalloc
@@ -128,7 +129,10 @@ def test_pool_id_spelling_true_still_loads(tmp_path):
 
 # ------------------------------------------------- trials and transcripts
 
-_TEXT_READERS = {"trials": read_trials, "transcripts": _read_transcripts}
+_TEXT_READERS = {
+    "trials": functools.partial(read_trials, enroll_ids=["p01"], test_ids=["p01_001"]),
+    "transcripts": _read_transcripts,
+}
 # Tokens a trial or transcript line is made of, and the separators between
 # them, including characters that split lines or words only in Unicode.
 _TOKEN = st.one_of(

@@ -188,6 +188,18 @@ class TestExtractF0:
         voiced = contour.values[contour.values > 0]
         assert np.all((voiced >= 50.0) & (voiced <= 600.0))
 
+    @pytest.mark.parametrize("tone_hz, bounds, name", [
+        (45.0, dict(fmin=40.0), "fmin"),
+        (700.0, dict(fmax=800.0), "fmax"),
+    ])
+    def test_search_bound_outside_contour_range_rejected(self, tone_hz, bounds, name):
+        # Such a tone would be voiced, and F0Contour rejects its value.
+        with pytest.raises(ValueError) as caught:
+            extract_f0(make_tone(tone_hz, seconds=0.5), **bounds)
+        assert str(caught.value) == (
+            f"{name} must lie in [50.0, 600.0] Hz, got {bounds[name]!r}"
+        )
+
 
 def _click_then_silence(fs=16000):
     samples = np.zeros(fs)
