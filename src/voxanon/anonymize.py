@@ -108,15 +108,15 @@ class AnonymizationSpec:
 
 @dataclass(frozen=True)
 class PseudoSpeaker:
-    """An anonymized pseudo-speaker embedding with its selection provenance.
+    """An anonymized pseudo-speaker vector with its selection provenance.
 
-    ``embedding`` always equals the mean of the pool entries named in
+    ``vector`` always equals the mean of the pool entries named in
     ``selected_ids``. ``similarity`` is the cosine similarity of the
-    original speaker to ``embedding``, filled whenever an original speaker
+    original speaker to ``vector``, filled whenever an original speaker
     was supplied to the selection.
     """
 
-    embedding: SpeakerEmbedding
+    vector: np.ndarray
     selected_ids: tuple[str, ...]
     spec: AnonymizationSpec
     similarity: float | None = None
@@ -152,7 +152,7 @@ def apply_spec(
     random strategy it is optional and only used to measure the similarity.
     ``selected_ids`` lists nearest picks most similar first and the picks
     of the other strategies in pool order; the same draw with the same
-    arguments always returns the same selection and embedding bits.
+    arguments always returns the same selection and vector bits.
 
     An empty range window is a hard error: silently widening it would
     misreport the achieved similarity. The error names the window and the
@@ -173,18 +173,16 @@ def apply_spec(
                 f"(target_similarity={s}, half_width={eps}); "
                 f"closest achievable similarity is {closest:.6f}; widen half_width"
             )
-        new_id = f"pseudo:range:s={s}:eps={eps}:of={original.id}"
     elif spec.n_select > len(pool):
         raise ValueError(f"n_select {spec.n_select} exceeds pool size {len(pool)}")
     elif spec.strategy == "random":
         picks = sorted(_sample_without_replacement(len(pool), spec.n_select, spec.seed))
-        new_id = f"pseudo:random:n={spec.n_select}:seed={spec.seed}"
     else:
         ranked = rank_by_similarity(cosine_matrix(query, pool), pool.ids)
         picks = [int(i) for i in ranked[0, : spec.n_select]]
-        new_id = f"pseudo:nearest:n={spec.n_select}:of={original.id}"
-    embedding = SpeakerEmbedding(new_id, centered_mean(pool.vectors[sorted(picks)]))
+    vector = centered_mean(pool.vectors[sorted(picks)])
+    vector.setflags(write=False)
     similarity = None
     if query is not None:
-        similarity = float(cosine_matrix(query, embedding.vector[None, :])[0, 0])
-    return PseudoSpeaker(embedding, tuple(pool.ids[i] for i in picks), spec, similarity)
+        similarity = float(cosine_matrix(query, vector[None, :])[0, 0])
+    return PseudoSpeaker(vector, tuple(pool.ids[i] for i in picks), spec, similarity)

@@ -46,6 +46,7 @@ from .embeddings import (
 )
 from .errors import ConfigError, DataError, read_lines, write_jsonl
 from .features import (
+    SAMPLE_RATE,
     F0Contour,
     align_streams,
     extract_f0,
@@ -94,12 +95,12 @@ def cmd_extract(cfg: RunConfig, wav_paths: list[str]) -> int:
     def process(path_text: str):
         path = Path(path_text)
         utt = path.stem
-        wav = read_wav(path, expected_rate=cfg.features.sample_rate)
+        wav = read_wav(path, expected_rate=SAMPLE_RATE)
         fbank = mel_features(wav, 24, FBANK_HOP)
         mel40 = mel_features(wav, 40, FBANK_HOP)
-        f0 = extract_f0(wav, threshold=cfg.features.f0_threshold)
+        f0 = extract_f0(wav)
         xvec = nnet.xvector_forward(fbank, xvec_weights, embedding_id=utt)
-        ppg = nnet.ppg_forward(mel40, ppg_weights, tap=cfg.models.ppg_tap)
+        ppg = nnet.ppg_forward(mel40, ppg_weights)
         return utt, xvec, ppg, f0
 
     results = []
@@ -169,7 +170,7 @@ def cmd_anonymize(cfg: RunConfig, inputs_path: str) -> int:
     records = []
     for entry in inputs:
         pseudo = shared or pseudo_for(f"anon:{entry.id}", entry)
-        entries.append(SpeakerEmbedding(entry.id, pseudo.embedding.vector))
+        entries.append(SpeakerEmbedding(entry.id, pseudo.vector))
         records.append({
             "input_id": entry.id,
             **pseudo.spec.record(),
@@ -204,6 +205,8 @@ def cmd_synthesize(
 ) -> int:
     from . import nnet
 
+    if utts is not None:
+        _check_utts(utts)
     weight_paths = (_weights_path(cfg, "acoustic"), _weights_path(cfg, "nsf"))
     feature_dir = Path(features_dir) if features_dir else Path(cfg.paths.out_dir) / "features"
     if not feature_dir.is_dir():
@@ -250,6 +253,23 @@ def cmd_synthesize(
         write_wav(wav_dir / f"{utt}.wav", waveform)
     print(f"synthesized {len(utts)} utterances -> {wav_dir}")
     return 0
+
+
+def _check_utts(utts: list[str]) -> None:
+    """Reject a ``--utts`` id that cannot name one utterance's files
+    ``{utt}.ppg.npz``, ``{utt}.f0.npz`` and ``wav/{utt}.wav``."""
+    seen = set()
+    for utt in utts:
+        if not utt:
+            problem = "is empty"
+        elif utt in seen:
+            problem = "is repeated"
+        elif os.sep in utt or (os.altsep and os.altsep in utt):
+            problem = "holds a path separator"
+        else:
+            seen.add(utt)
+            continue
+        raise DataError(f"--utts: utterance id {utt!r} {problem}")
 
 
 def _cpu_count() -> int:

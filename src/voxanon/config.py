@@ -6,14 +6,13 @@ rejected outright, so typos never silently fall back to defaults. Every
 report embeds the effective configuration (``RunConfig.echo``) for
 provenance.
 
-Sections and keys, each with the command-line option that overrides it
-(``--flag``), if any. Each section is a field of ``RunConfig`` and each
-key a field of that section, named as in the file::
+The five sections and their keys, each with the command-line option that
+overrides it (``--flag``), if any. Each section is a field of
+``RunConfig`` and each key a field of that section, named as in the
+file::
 
     [run]        seed (--seed), jobs (--jobs)
     [paths]      pool, weights, out_dir (--out-dir)
-    [features]   sample_rate, f0_threshold
-    [models]     ppg_tap
     [anonymize]  strategy (--strategy), m (--m), sim (--sim), eps (--eps),
                  shared (--shared)
     [evaluate]   k, gender_partition
@@ -26,10 +25,11 @@ every candidate. No ``[paths]`` value may be empty. One read from a file
 is relative to that file's directory; the defaults and ``--out-dir`` are
 relative to the working directory. ``jobs`` caps the worker processes of
 ``synthesize``; its default ``auto`` allows one per CPU the command may
-run on, and ``extract`` ignores it. ``sample_rate`` is at least 15200
-Hz, twice the 7600 Hz top edge of the mel front ends, so that no mel band
-is empty. ``cluster_std`` is a finite number in [0, 1e6], far below the
-spread at which the generated embeddings overflow.
+run on, and ``extract`` ignores it. ``cluster_std`` is a finite number
+in [0, 1e6], far below the spread at which the generated embeddings
+overflow. The analysis front end of ``extract`` takes no setting: its
+rate, F0 threshold and PPG output are fixed in ``features`` and
+``nnet.ppg``.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from typing import Annotated, get_args, get_origin, get_type_hints
 
 from .anonymize import STRATEGIES, AnonymizationSpec
 from .errors import ConfigError
-from .features import MEL_HIGH_HZ, TAPS
 
 # A nearest-K setting: a count, or None (written ``all``) for every candidate.
 NearestK = Annotated[int | None, "all"]
@@ -63,17 +62,6 @@ class PathSettings:
     pool: str | None = None
     weights: str | None = None
     out_dir: str = "out"
-
-
-@dataclass
-class FeatureSettings:
-    sample_rate: int = 16000
-    f0_threshold: float = 0.45
-
-
-@dataclass
-class ModelSettings:
-    ppg_tap: str = "softmax"  # softmax | sigmoid6
 
 
 @dataclass
@@ -157,8 +145,6 @@ class SimulateSettings:
 class RunConfig:
     run: RunSettings = field(default_factory=RunSettings)
     paths: PathSettings = field(default_factory=PathSettings)
-    features: FeatureSettings = field(default_factory=FeatureSettings)
-    models: ModelSettings = field(default_factory=ModelSettings)
     anonymize: AnonymizeSettings = field(default_factory=AnonymizeSettings)
     evaluate: EvaluateSettings = field(default_factory=EvaluateSettings)
     simulate: SimulateSettings = field(default_factory=SimulateSettings)
@@ -168,20 +154,6 @@ class RunConfig:
             raise ConfigError("paths.out_dir (--out-dir) is empty")
         if self.run.jobs is not None and self.run.jobs < 1:
             raise ConfigError("run.jobs must be at least 1 or 'auto'")
-        # Below twice the mel front ends' top edge, their top bands hold no
-        # FFT bin and read a constant. (The F0 tracker needs only 8 kHz.)
-        if self.features.sample_rate < 2 * MEL_HIGH_HZ:
-            raise ConfigError(
-                f"features.sample_rate must be at least {2 * MEL_HIGH_HZ:g} Hz, "
-                f"got {self.features.sample_rate}"
-            )
-        if not 0.0 <= self.features.f0_threshold <= 1.0:
-            raise ConfigError(
-                "features.f0_threshold must be a number in [0, 1], "
-                f"got {self.features.f0_threshold!r}"
-            )
-        if self.models.ppg_tap not in TAPS:
-            raise ConfigError(f"models.ppg_tap must be one of {TAPS}")
         if self.anonymize.strategy not in ("none",) + STRATEGIES:
             raise ConfigError(f"anonymize.strategy must be 'none' or one of {STRATEGIES}")
         if self.anonymize.strategy == "random" and self.run.seed is None:

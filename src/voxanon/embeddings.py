@@ -168,7 +168,7 @@ def cosine_matrix(a, b) -> np.ndarray:
 
 def centered_mean(matrix: np.ndarray) -> np.ndarray:
     """The mean of the rows of ``matrix``, in row order; raises ``ValueError``
-    when it has zero norm.
+    when it overflows or has zero norm.
 
     This is the package's one mean. It is not re-normalized; cosine
     scoring is scale invariant, so the raw mean is safe.
@@ -176,7 +176,10 @@ def centered_mean(matrix: np.ndarray) -> np.ndarray:
     # Summing deviations from the first row keeps the mean of k identical
     # vectors exactly equal to that vector, for any k.
     base = matrix[0]
-    mean = base + (matrix - base).mean(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
+        mean = base + (matrix - base).mean(axis=0)
+    if not np.isfinite(mean).all():
+        raise ValueError("mean embedding overflows (members too large)")
     if not np.any(mean):
         raise ValueError("mean embedding has zero norm (members cancel out)")
     return mean

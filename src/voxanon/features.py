@@ -10,6 +10,13 @@ Fixed analysis settings (stated so oracles can replicate results bit for
 bit): 25 ms frames, periodic Hann window, 512-point FFT, HTK mel scale
 spanning 20-7600 Hz, log floor ln(1e-10). Hops are 10 ms for the network
 front ends and 5 ms for the synthesis-rate mel spectrogram and F0.
+
+The pipeline analyses audio at one rate, ``SAMPLE_RATE`` (16 kHz), and
+``extract`` rejects a WAV at any other. The rate is fixed because the
+settings above hold only in a narrow band of rates: below 15.2 kHz, twice
+the 7.6 kHz mel top edge, the top mel bands hold no FFT bin, and above
+20.48 kHz a 25 ms frame is longer than the 512-point FFT, which would
+drop the end of every frame.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from .audio import Waveform
 from .embeddings import SpeakerEmbedding
 from .errors import DataError, read_npz, write_npz
 
+SAMPLE_RATE = 16000
 FRAME_SECONDS = 0.025
 FFT_SIZE = 512
 MEL_LOW_HZ = 20.0
@@ -41,8 +49,6 @@ F0_ENERGY_FLOOR = float(np.finfo(np.float64).eps)
 MEL_KINDS = {24: "fbank24", 40: "mel40", 80: "melspec80"}
 _FIXED_KIND_DIMS = {kind: dim for dim, kind in MEL_KINDS.items()}
 _KINDS = (*MEL_KINDS.values(), "ppg", "aligned")
-# The PPG network's output taps; a "ppg" feature matrix holds either one.
-TAPS = ("softmax", "sigmoid6")
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,10 +110,6 @@ class F0Contour:
             raise ValueError(f"hop must be a finite positive number, got {self.hop!r}")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-
-    @property
-    def voicing(self) -> np.ndarray:
-        return self.values > 0
 
     @property
     def n_frames(self) -> int:

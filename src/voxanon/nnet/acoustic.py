@@ -43,7 +43,7 @@ MEL_DIM = 80
 @dataclass(frozen=True)
 class AcousticConfig(TensorTable):
     """Layer sizes; ``content_dim`` is the width of the content block in the
-    aligned input (posterior tap width), so the expected input dimension is
+    aligned input (the PPG width), so the expected input dimension is
     ``content_dim + 2 + xvec_dim``."""
 
     content_dim: int = 1944

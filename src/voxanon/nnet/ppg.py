@@ -1,20 +1,18 @@
 """Frame-level phonetic posterior network.
 
 A stack of sigmoid layers over a spliced context of acoustic frames,
-topped by a softmax over tied phone states. Two taps are exposed: the
-softmax posteriors (rows are probability distributions) or the last
-sigmoid layer's activations (each cell in (0, 1)).
+topped by a softmax over tied phone states. The output is the softmax
+posteriors: each row is a probability distribution over the states.
 
 The input frames are cast to float32 once, before splicing. The sigmoid
 stack and the softmax GEMM then run in float32 on the float32 weights, with
 no cast of any weight tensor. The softmax itself is computed in float64, so
 each row sums to one within float64 rounding, and the output is float64.
 
-Precision contract: every output value, of either tap, is within 1e-6
-absolute of the float64 reference (``tests/_oracles.py``
-``ppg_posteriors``). On full-size ``init_weights`` (seed 23) the drift is
-at most 7.6e-10 on the softmax tap and 2.1e-7 on the sigmoid6 tap, at 24
-frames and at 600 alike.
+Precision contract: every posterior is within 1e-6 absolute of the
+float64 reference (``tests/_oracles.py`` ``ppg_posteriors``). On full-size
+``init_weights`` (seed 23) the drift is at most 7.6e-10, at 24 frames and
+at 600 alike.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..features import TAPS, FeatureMatrix
+from ..features import FeatureMatrix
 from .weights import ModelWeights, TensorTable, register_config
 
 
@@ -71,20 +69,15 @@ def _softmax_rows(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def ppg_forward(
-    frames: FeatureMatrix, weights: ModelWeights, tap: str = "softmax"
-) -> FeatureMatrix:
+def ppg_forward(frames: FeatureMatrix, weights: ModelWeights) -> FeatureMatrix:
     """Posterior features for every input frame.
 
     Edge frames are replicated to fill the splice context, so the output
-    has exactly as many rows as the input. ``tap`` is one of ``TAPS``;
-    with the softmax tap every row sums to one.
+    has exactly as many rows as the input, and every row sums to one.
     """
     if weights.component != "ppg":
         raise ValueError(f"expected ppg weights, got {weights.component!r}")
     config: PpgConfig = weights.config
-    if tap not in TAPS:
-        raise ValueError(f"tap must be one of {TAPS}, got {tap!r}")
     if frames.dim != config.input_dim:
         raise ValueError(
             f"expected {config.input_dim}-dim input frames, got {frames.dim}"
@@ -98,9 +91,5 @@ def ppg_forward(
 
     for i in range(1, config.hidden_layers + 1):
         h = _sigmoid(h @ weights[f"hidden{i}.w"].T + weights[f"hidden{i}.b"])
-    if tap == "sigmoid6":
-        out = h
-    else:
-        logits = h @ weights["softmax.w"].T + weights["softmax.b"]
-        out = _softmax_rows(logits.astype(np.float64))
-    return FeatureMatrix(out, hop=frames.hop, kind="ppg")
+    logits = h @ weights["softmax.w"].T + weights["softmax.b"]
+    return FeatureMatrix(_softmax_rows(logits.astype(np.float64)), hop=frames.hop, kind="ppg")

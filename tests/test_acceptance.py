@@ -168,7 +168,7 @@ def test_criterion_5_architecture_shapes():
         mel40 = FeatureMatrix(
             np.random.default_rng(0).standard_normal((40, 40)), hop=0.010, kind="mel40"
         )
-        posteriors = ppg_forward(mel40, pweights, tap="softmax")
+        posteriors = ppg_forward(mel40, pweights)
         assert posteriors.dim == 1944
         assert np.max(np.abs(posteriors.frames.sum(axis=1) - 1.0)) <= 1e-9
 
@@ -274,7 +274,7 @@ def test_criterion_8_pipeline_determinism(tmp_path):
         ppg_weights = init_weights("ppg", PpgConfig(), seed=50)
         acoustic = init_weights(
             "acoustic",
-            AcousticConfig(content_dim=1024, xvec_dim=512,
+            AcousticConfig(content_dim=1944, xvec_dim=512,
                            ff_size=64, blstm_size=32, ar_size=64),
             seed=51,
         )
@@ -290,7 +290,7 @@ def test_criterion_8_pipeline_determinism(tmp_path):
         features_dir = tmp_path / "features"
         features_dir.mkdir()
         mel40 = FeatureMatrix(rng.standard_normal((20, 40)), hop=0.010, kind="mel40")
-        ppg = ppg_forward(mel40, ppg_weights, tap="sigmoid6")
+        ppg = ppg_forward(mel40, ppg_weights)
         f0 = F0Contour(np.where(rng.random(40) < 0.6, 180.0, 0.0))
         save_features(features_dir / "u_1.ppg.npz", ppg)
         save_f0(features_dir / "u_1.f0.npz", f0)

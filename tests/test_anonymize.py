@@ -112,21 +112,21 @@ class TestRandomSelection:
         pool_mean = mean_of(list(pool)).vector
         for seed in (0, 1, 987654321):
             result = _random(pool, len(pool), seed)
-            assert np.array_equal(result.embedding.vector, pool_mean)
+            assert np.array_equal(result.vector, pool_mean)
             assert sorted(result.selected_ids) == sorted(pool.ids)
 
     def test_single_selection_is_a_pool_member(self, rng):
         pool = _pool(rng, 7)
         result = _random(pool, 1, seed=5)
         member = pool.get(result.selected_ids[0])
-        assert np.array_equal(result.embedding.vector, member.vector)
+        assert np.array_equal(result.vector, member.vector)
 
     def test_seed_determinism(self, rng):
         pool = _pool(rng, 20)
         a = _random(pool, 6, seed=123)
         b = _random(pool, 6, seed=123)
         assert a.selected_ids == b.selected_ids
-        assert np.array_equal(a.embedding.vector, b.embedding.vector)
+        assert np.array_equal(a.vector, b.vector)
         c = _random(pool, 6, seed=124)
         assert a.selected_ids != c.selected_ids
 
@@ -136,7 +136,7 @@ class TestRandomSelection:
             result = _random(pool, 10, seed=seed)
             recomputed = mean_of([pool.get(i) for i in result.selected_ids])
             assert np.allclose(
-                result.embedding.vector, recomputed.vector, rtol=0, atol=1e-12
+                result.vector, recomputed.vector, rtol=0, atol=1e-12
             )
 
     def test_marginal_selection_is_uniform(self, rng):
@@ -175,7 +175,7 @@ class TestRangeSelection:
         original = random_embedding(rng, 8, "orig")
         result = _range(pool, original, 0.0, 2.5)
         assert np.array_equal(
-            result.embedding.vector, mean_of(list(pool)).vector
+            result.vector, mean_of(list(pool)).vector
         )
 
     def test_empty_window_reports_closest(self):
@@ -233,14 +233,14 @@ class TestNearestSelection:
         )[:10]
         assert sorted(result.selected_ids) == sorted(ranked)
         expected = mean_of([pool.get(i) for i in sorted(ranked)])
-        assert np.allclose(result.embedding.vector, expected.vector, rtol=0, atol=1e-12)
+        assert np.allclose(result.vector, expected.vector, rtol=0, atol=1e-12)
 
     def test_full_selection_equals_pool_mean(self, rng):
         pool = _pool(rng, 11)
         original = random_embedding(rng, 8, "orig")
         result = _nearest(pool, original, len(pool))
         assert np.array_equal(
-            result.embedding.vector, mean_of(list(pool)).vector
+            result.vector, mean_of(list(pool)).vector
         )
 
     def test_strategies_agree_on_full_selection(self, rng):
@@ -249,8 +249,8 @@ class TestNearestSelection:
         pool_mean = mean_of(list(pool)).vector
         nearest = _nearest(pool, original, len(pool))
         random = _random(pool, len(pool), seed=777)
-        assert np.array_equal(nearest.embedding.vector, pool_mean)
-        assert np.array_equal(random.embedding.vector, pool_mean)
+        assert np.array_equal(nearest.vector, pool_mean)
+        assert np.array_equal(random.vector, pool_mean)
 
     def test_count_exceeds_pool(self, rng):
         with pytest.raises(ValueError, match="exceeds pool size"):
@@ -286,8 +286,8 @@ class TestApplySpec:
         ):
             result = apply_spec(pool, spec, original)
             assert result.spec is spec
-            assert result.similarity == cosine(original, result.embedding)
-            assert result.measured_dissimilarity == 1.0 - cosine(original, result.embedding)
+            assert result.similarity == cosine(original, result)
+            assert result.measured_dissimilarity == 1.0 - cosine(original, result)
         unmeasured = apply_spec(pool, AnonymizationSpec("random", n_select=4, seed=2))
         assert unmeasured.similarity is None and unmeasured.measured_dissimilarity is None
 
@@ -304,10 +304,10 @@ def _tied_pool(rng, size, dim=6):
 
 def _outcome(select, pool, spec, original):
     try:
-        selected, embedding, measured = select(pool, spec, original)
+        selected, pseudo, measured = select(pool, spec, original)
     except ValueError as exc:
         return type(exc), str(exc)
-    return selected, embedding.vector, measured
+    return selected, pseudo.vector, measured
 
 
 class TestAgainstStrategyBodies:
@@ -316,7 +316,7 @@ class TestAgainstStrategyBodies:
     def _check(self, pool, spec, original):
         def new(pool, spec, original):
             result = apply_spec(pool, spec, original)
-            return result.selected_ids, result.embedding, result.measured_dissimilarity
+            return result.selected_ids, result, result.measured_dissimilarity
 
         got = _outcome(new, pool, spec, original)
         want = _outcome(select_pseudo_speaker, pool, spec, original)

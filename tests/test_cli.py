@@ -281,23 +281,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert key in err and str(path) in err
 
-    @pytest.mark.parametrize("text, key", [
-        ("f0_threshold = nan", "features.f0_threshold"),
-        ("f0_threshold = -3", "features.f0_threshold"),
-        ("f0_threshold = inf", "features.f0_threshold"),
-        ("sample_rate = 0", "features.sample_rate"),
-        ("sample_rate = 4000", "features.sample_rate"),
-        ("sample_rate = 8000", "features.sample_rate"),
-        ("sample_rate = 12000", "features.sample_rate"),
+    @pytest.mark.parametrize("section, text", [
+        ("features", "sample_rate = 16000"),
+        ("features", "f0_threshold = 0.45"),
+        ("models", "ppg_tap = softmax"),
     ])
-    def test_bad_front_end_value_exits_2(self, site, tmp_path, capsys, text, key):
+    def test_removed_front_end_key_exits_2(self, site, tmp_path, capsys, section, text):
+        # The front end is fixed; even a removed key's old default is refused.
         path = tmp_path / "front.ini"
-        path.write_text(f"[paths]\nweights = {site / 'weights'}\n[features]\n{text}\n")
-        args = ["extract", "--config", str(path), "--out-dir", str(tmp_path / "o"),
-                str(site / "p01_001.wav")]
+        path.write_text(f"[paths]\nweights = {site / 'weights'}\n[{section}]\n{text}\n")
+        out = tmp_path / "o"
+        args = ["extract", "--config", str(path), "--out-dir", str(out), str(site / "p01_001.wav")]
         assert main(args) == 2
-        err = capsys.readouterr().err
-        assert key in err and str(path) in err
+        assert capsys.readouterr().err == f"config error: {path}: unknown section [{section}]\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("with_config", [False, True], ids=["flag", "flag-and-config"])
     def test_empty_out_dir_flag_exits_2(self, tmp_path, capsys, with_config):
@@ -594,6 +591,17 @@ class TestExtract:
         assert rc == 3
         assert "broken.wav" in capsys.readouterr().err
 
+    def test_other_sample_rate_exits_3(self, site, tmp_path, capsys):
+        # At 22050 Hz a 25 ms frame outgrows the 512-point FFT.
+        wav = tmp_path / "p03_001.wav"
+        write_wav(wav, Waveform(np.zeros(22050), 22050))
+        out = tmp_path / "o"
+        rc = main(["extract", "--config", str(site / "run.ini"), "--out-dir", str(out), str(wav)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"{wav}: sample rate is 22050 Hz, expected 16000 Hz" in err
+        assert not (out / "features" / "p03_001.ppg.npz").exists()
+
     def test_repeated_utterance_id_names_both_files(self, site, tmp_path, capsys, monkeypatch):
         wavs = []
         for name in ("a", "b"):
@@ -762,6 +770,22 @@ class TestAnonymize:
         assert capsys.readouterr().err == (
             f"data error: anonymize.m (--m) = 41: more than the 40 entries of the pool "
             f"{site / 'pool.jsonl'}\n"
+        )
+
+    def test_overflowing_pool_mean_names_key_and_pool(self, tmp_path, capsys):
+        # Both entries are finite, but their mean is not; the input is fine.
+        pool, inputs = tmp_path / "pool.jsonl", tmp_path / "in.jsonl"
+        save_pool(pool, EmbeddingPool([SpeakerEmbedding("a", [1e308, 1.0]),
+                                       SpeakerEmbedding("b", [-1e308, 1.0])]))
+        save_pool(inputs, EmbeddingPool([SpeakerEmbedding("x", [1.0, 1.0])]))
+        config = tmp_path / "c.ini"
+        config.write_text("[paths]\npool = pool.jsonl\n")
+        rc = main(["anonymize", "--config", str(config), "--inputs", str(inputs), "--seed", "1",
+                   "--strategy", "random", "--m", "2", "--out-dir", str(tmp_path / "o")])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"data error: anonymize.m (--m) = 2 with the pool {pool}: "
+            "mean embedding overflows (members too large)\n"
         )
 
     @pytest.mark.parametrize("strategy", ["random", "nearest", "range"])
@@ -958,6 +982,25 @@ class TestSynthesize:
             f"data error: {pool} holds 5-dim pseudo speakers, but "
             f"{long_site / 'weights' / 'acoustic.weights'} takes 6-dim ones\n"
         )
+
+    @pytest.mark.parametrize("utts, problem", [
+        ("p01_001,p02_001,p01_001", "'p01_001' is repeated"),
+        ("p01_001,,p02_001", "'' is empty"),
+        ("../features/p01_001", "'../features/p01_001' holds a path separator"),
+    ], ids=["repeated", "empty", "path-separator"])
+    def test_bad_utts_id_exits_3(self, long_site, tmp_path, capsys, monkeypatch, utts, problem):
+        # Each id names the files features/{utt}.* and wav/{utt}.wav.
+        monkeypatch.setattr(voxanon.nnet, "load_weights",
+                            lambda path: pytest.fail("weights loaded before --utts was checked"))
+        out = tmp_path / "o"
+        rc = main([
+            "synthesize", "--config", str(long_site / "run.ini"),
+            "--features-dir", str(long_site / "features"),
+            "--pseudo", str(long_site / "pseudo.jsonl"), "--utts", utts, "--out-dir", str(out),
+        ])
+        assert rc == 3
+        assert capsys.readouterr().err == f"data error: --utts: utterance id {problem}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("utts, entries, same_as", [
         ("p01_001", (("p01_001", 0), ("p01", 1)), (("p01_001", 0),)),

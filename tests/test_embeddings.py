@@ -114,6 +114,10 @@ class TestMeanEmbedding:
         with pytest.raises(ValueError, match="zero norm"):
             centered_mean(np.array([[1.0, 0.0], [-1.0, 0.0]]))
 
+    def test_overflowing_mean(self):
+        with pytest.raises(ValueError, match="overflows"):
+            centered_mean(np.array([[1e308, 1.0], [-1e308, 1.0]]))
+
 
 def _toy_pool():
     return EmbeddingPool(

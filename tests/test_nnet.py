@@ -314,7 +314,7 @@ class TestPpg:
         frames = FeatureMatrix(
             np.random.default_rng(2).standard_normal((20, 40)) * 5, hop=0.01, kind="mel40"
         )
-        out = ppg_forward(frames, small_ppg_weights, tap="softmax")
+        out = ppg_forward(frames, small_ppg_weights)
         assert np.all(out.frames >= 0)
         assert np.max(np.abs(out.frames.sum(axis=1) - 1.0)) <= 1e-9
 
@@ -324,17 +324,9 @@ class TestPpg:
         frames = FeatureMatrix(
             np.random.default_rng(3).standard_normal((4, 40)), hop=0.01, kind="mel40"
         )
-        out = ppg_forward(frames, zeroed, tap="softmax")
+        out = ppg_forward(frames, zeroed)
         assert out.dim == 1944
         assert np.allclose(out.frames, 1.0 / 1944.0, rtol=0, atol=1e-15)
-
-    def test_hidden_tap_range_and_width(self, small_ppg_weights):
-        frames = FeatureMatrix(
-            np.random.default_rng(4).standard_normal((6, 40)), hop=0.01, kind="mel40"
-        )
-        out = ppg_forward(frames, small_ppg_weights, tap="sigmoid6")
-        assert out.dim == 32
-        assert np.all((out.frames > 0) & (out.frames < 1))
 
     def test_saturated_hidden_layer_gives_distributions_without_warning(
         self, small_ppg_weights
@@ -347,7 +339,7 @@ class TestPpg:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = ppg_forward(frames, weights, tap="softmax")
+            out = ppg_forward(frames, weights)
         assert np.all(np.isfinite(out.frames))
         assert np.max(np.abs(out.frames.sum(axis=1) - 1.0)) <= 1e-9
 
@@ -360,23 +352,14 @@ class TestPpg:
         frames = FeatureMatrix(np.ones((1, 40)), hop=0.01, kind="mel40")
         assert ppg_forward(frames, small_ppg_weights).n_frames == 1
 
-    def test_bad_tap(self, small_ppg_weights):
-        frames = FeatureMatrix(np.ones((2, 40)), hop=0.01, kind="mel40")
-        with pytest.raises(ValueError, match="tap"):
-            ppg_forward(frames, small_ppg_weights, tap="layer9")
-
-    @pytest.mark.parametrize("tap, n_frames", [
-        pytest.param("softmax", 24, id="softmax-24"),
-        pytest.param("softmax", 600, id="softmax-600"),
-        pytest.param("sigmoid6", 24, id="sigmoid6-24"),
-    ])
-    def test_matches_float64_reference(self, tap, n_frames):
+    @pytest.mark.parametrize("n_frames", [24, 600])
+    def test_matches_float64_reference(self, n_frames):
         weights = init_weights("ppg", PpgConfig(), seed=23)
         frames = FeatureMatrix(
             np.random.default_rng(16).standard_normal((n_frames, 40)), hop=0.01, kind="mel40"
         )
-        out = ppg_forward(frames, weights, tap=tap)
-        expected = ppg_posteriors(frames.frames, weights, tap=tap)
+        out = ppg_forward(frames, weights)
+        expected = ppg_posteriors(frames.frames, weights)
         assert out.frames.dtype == np.float64
         # The sigmoid stack and the softmax GEMM run in float32 against a
         # float64 oracle.
