@@ -291,6 +291,17 @@ class TestApplySpec:
         unmeasured = apply_spec(pool, AnonymizationSpec("random", n_select=4, seed=2))
         assert unmeasured.similarity is None and unmeasured.measured_dissimilarity is None
 
+    @pytest.mark.parametrize("spec", [
+        AnonymizationSpec("random", n_select=4, seed=2),
+        AnonymizationSpec("nearest", n_select=4),
+        AnonymizationSpec("range", target_similarity=0.0, half_width=1.5),
+    ], ids=["random", "nearest", "range"])
+    def test_vector_is_read_only(self, rng, spec):
+        result = apply_spec(_pool(rng, 10), spec, random_embedding(rng, 8, "orig"))
+        assert not result.vector.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            result.vector[0] = 0.0
+
 
 def _tied_pool(rng, size, dim=6):
     # Random entries plus two exact ties of the first one: a duplicate and

@@ -285,9 +285,18 @@ class TestExitCodes:
         ("features", "sample_rate = 16000"),
         ("features", "f0_threshold = 0.45"),
         ("models", "ppg_tap = softmax"),
+        ("features", "sample_rate = 0"),
+        ("features", "sample_rate = 8000"),
+        ("features", "sample_rate = 22050"),
+        ("features", "sample_rate = 48000"),
+        ("features", "f0_threshold = nan"),
+        ("features", "f0_threshold = -3"),
+        ("features", "f0_threshold = 1.5"),
+        ("models", "ppg_tap = sigmoid6"),
     ])
     def test_removed_front_end_key_exits_2(self, site, tmp_path, capsys, section, text):
-        # The front end is fixed; even a removed key's old default is refused.
+        # The front end is fixed, so a removed key is refused whatever its
+        # value: its old default, one it once accepted or one it rejected.
         path = tmp_path / "front.ini"
         path.write_text(f"[paths]\nweights = {site / 'weights'}\n[{section}]\n{text}\n")
         out = tmp_path / "o"
@@ -591,15 +600,18 @@ class TestExtract:
         assert rc == 3
         assert "broken.wav" in capsys.readouterr().err
 
-    def test_other_sample_rate_exits_3(self, site, tmp_path, capsys):
-        # At 22050 Hz a 25 ms frame outgrows the 512-point FFT.
+    @pytest.mark.parametrize("rate", [8000, 15200, 22050, 48000])
+    def test_other_sample_rate_exits_3(self, site, tmp_path, capsys, rate):
+        # Below 15.2 kHz the top mel bands hold no FFT bin; above 20.48 kHz
+        # a 25 ms frame outgrows the 512-point FFT. Between, the rate is
+        # still not the one the networks were built for.
         wav = tmp_path / "p03_001.wav"
-        write_wav(wav, Waveform(np.zeros(22050), 22050))
+        write_wav(wav, Waveform(np.zeros(rate), rate))
         out = tmp_path / "o"
         rc = main(["extract", "--config", str(site / "run.ini"), "--out-dir", str(out), str(wav)])
         assert rc == 3
         err = capsys.readouterr().err
-        assert f"{wav}: sample rate is 22050 Hz, expected 16000 Hz" in err
+        assert f"{wav}: sample rate is {rate} Hz, expected 16000 Hz" in err
         assert not (out / "features" / "p03_001.ppg.npz").exists()
 
     def test_repeated_utterance_id_names_both_files(self, site, tmp_path, capsys, monkeypatch):
@@ -987,7 +999,11 @@ class TestSynthesize:
         ("p01_001,p02_001,p01_001", "'p01_001' is repeated"),
         ("p01_001,,p02_001", "'' is empty"),
         ("../features/p01_001", "'../features/p01_001' holds a path separator"),
-    ], ids=["repeated", "empty", "path-separator"])
+        ("p01_001,", "'' is empty"),
+        ("p01_001,/p01_001", "'/p01_001' holds a path separator"),
+        ("p01_001,,p01_001", "'' is empty"),
+    ], ids=["repeated", "empty", "path-separator", "trailing-comma", "absolute",
+            "first-problem-named"])
     def test_bad_utts_id_exits_3(self, long_site, tmp_path, capsys, monkeypatch, utts, problem):
         # Each id names the files features/{utt}.* and wav/{utt}.wav.
         monkeypatch.setattr(voxanon.nnet, "load_weights",

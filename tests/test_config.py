@@ -128,6 +128,16 @@ class TestAcceptedKeys:
             _load_text(tmp_path, f"[{section}]\n{key} = {text}\n")
         assert str(caught.value) == f"{tmp_path / 'c.ini'}: unknown section [{section}]"
 
+    @pytest.mark.parametrize("section, key, text", [
+        ("features", "sample_rate", "16000"),
+        ("models", "ppg_tap", "softmax"),
+    ])
+    def test_removed_section_refused_among_known_ones(self, tmp_path, section, key, text):
+        text = f"[run]\nseed = 1\n[{section}]\n{key} = {text}\n[simulate]\nn_speakers = 4\n"
+        with pytest.raises(ConfigError) as caught:
+            _load_text(tmp_path, text)
+        assert str(caught.value) == f"{tmp_path / 'c.ini'}: unknown section [{section}]"
+
 
 class TestOneNamePerSetting:
     """A setting has one name: its INI key is its flag's dest, its field
@@ -148,6 +158,11 @@ class TestOneNamePerSetting:
 
     def test_echo_keys_are_the_schema_keys(self):
         assert list(RunConfig().echo()) == list(_SCHEMA)
+
+    def test_echo_holds_no_front_end_key(self):
+        # Every report's config record is this echo.
+        echo = RunConfig().echo()
+        assert not [key for key in echo if key.split(".")[0] in ("features", "models")]
 
     def test_sections_are_the_config_fields(self):
         assert [f.name for f in fields(RunConfig)] == [

@@ -343,6 +343,18 @@ class TestPpg:
         assert np.all(np.isfinite(out.frames))
         assert np.max(np.abs(out.frames.sum(axis=1) - 1.0)) <= 1e-9
 
+    def test_output_width_is_state_count(self, small_ppg_weights):
+        # The posteriors span the 50 tied states, not the 32 hidden units.
+        frames = FeatureMatrix(
+            np.random.default_rng(4).standard_normal((6, 40)), hop=0.01, kind="mel40"
+        )
+        assert ppg_forward(frames, small_ppg_weights).dim == 50
+
+    def test_takes_no_tap(self, small_ppg_weights):
+        frames = FeatureMatrix(np.ones((3, 40)), hop=0.01, kind="mel40")
+        with pytest.raises(TypeError, match="tap"):
+            ppg_forward(frames, small_ppg_weights, tap="softmax")
+
     def test_wrong_input_dim(self, small_ppg_weights):
         frames = FeatureMatrix(np.ones((5, 24)), hop=0.01, kind="fbank24")
         with pytest.raises(ValueError, match="40"):

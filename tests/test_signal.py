@@ -19,7 +19,16 @@ from voxanon import (
     write_wav,
 )
 from voxanon.errors import DataError
-from voxanon.features import LOG_FLOOR, _mel_basis, frame_count, hann_periodic, mel_filterbank
+from voxanon.features import (
+    FFT_SIZE,
+    FRAME_SECONDS,
+    LOG_FLOOR,
+    SAMPLE_RATE,
+    _mel_basis,
+    frame_count,
+    hann_periodic,
+    mel_filterbank,
+)
 
 from _oracles import extract_f0_per_lag, fft_peak_hz, mel_center_frequencies, nccf_peak
 from conftest import make_noise, make_tone
@@ -134,6 +143,19 @@ class TestMelFeatures:
     def test_finite_for_noise(self):
         features = mel_features(make_noise(seconds=0.3, seed=9), 80, 0.005)
         assert np.all(np.isfinite(features.frames))
+
+    @pytest.mark.parametrize("sample, changes_frame_0", [(1, True), (399, True), (400, False)])
+    def test_frame_zero_reads_all_of_its_25_ms(self, sample, changes_frame_0):
+        # At SAMPLE_RATE a 25 ms frame is 400 samples, within the 512-point
+        # FFT, so every sample the window weights is analysed. (The periodic
+        # Hann window gives sample 0 no weight.)
+        assert round(FRAME_SECONDS * SAMPLE_RATE) == 400 <= FFT_SIZE
+        wav = make_noise(seconds=0.1, seed=6)
+        samples = wav.samples.copy()
+        samples[sample] += 0.25
+        base = mel_features(wav, 40, 0.010).frames[0]
+        moved = mel_features(Waveform(samples, SAMPLE_RATE), 40, 0.010).frames[0]
+        assert (not np.array_equal(base, moved)) == changes_frame_0
 
     def test_filterbank_and_window_built_once_read_only(self):
         basis = _mel_basis(40, 16000)
