@@ -61,7 +61,7 @@ print(f"generated mel: {mel_generated.frames.shape}")
 
 # Waveform model: excitation from F0, filtered by dilated-conv blocks.
 nsf_weights = init_weights("nsf", NsfConfig(), seed=13)
-f0_trimmed = type(f0)(f0.values[: aligned.n_frames], hop=f0.hop)
+f0_trimmed = type(f0)(f0.values[: aligned.n_frames])
 out = nsf_forward(mel_generated, f0_trimmed, xvec, nsf_weights, seed=14)
 print(f"waveform: {len(out)} samples = 80 x {aligned.n_frames} frames")
 

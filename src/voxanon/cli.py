@@ -46,6 +46,8 @@ from .embeddings import (
 )
 from .errors import ConfigError, DataError, read_lines, write_jsonl
 from .features import (
+    CONTENT_HOP_SECONDS,
+    F0_HOP_SECONDS,
     SAMPLE_RATE,
     F0Contour,
     align_streams,
@@ -58,8 +60,6 @@ from .features import (
 )
 from .metrics import WerResult, read_trials, score_trials, wer
 from .seeding import derive_seed
-
-FBANK_HOP = 0.010
 
 
 def _weights_path(cfg: RunConfig, component: str) -> Path:
@@ -96,8 +96,8 @@ def cmd_extract(cfg: RunConfig, wav_paths: list[str]) -> int:
         path = Path(path_text)
         utt = path.stem
         wav = read_wav(path, expected_rate=SAMPLE_RATE)
-        fbank = mel_features(wav, 24, FBANK_HOP)
-        mel40 = mel_features(wav, 40, FBANK_HOP)
+        fbank = mel_features(wav, 24, CONTENT_HOP_SECONDS)
+        mel40 = mel_features(wav, 40, CONTENT_HOP_SECONDS)
         f0 = extract_f0(wav)
         xvec = nnet.xvector_forward(fbank, xvec_weights, embedding_id=utt)
         ppg = nnet.ppg_forward(mel40, ppg_weights)
@@ -242,7 +242,7 @@ def cmd_synthesize(
         if component.config.xvec_dim != pseudo.dim:
             raise DataError(f"{pseudo_path} holds {pseudo.dim}-dim pseudo speakers, but {path} "
                             f"takes {component.config.xvec_dim}-dim ones")
-    seconds = sum(f0.n_frames * f0.hop for _, f0, _, _ in tasks)
+    seconds = sum(f0.n_frames * F0_HOP_SECONDS for _, f0, _, _ in tasks)
     workers = min(cfg.run.jobs or _cpu_count(), len(tasks), int(seconds // _SECONDS_PER_WORKER))
     threads = _openblas_threads() if workers > 1 and hasattr(os, "fork") else None
     if threads is None:  # one worker, or no way to give a worker one BLAS thread
@@ -314,7 +314,7 @@ def _synthesize_utterance(task, acoustic_weights, nsf_weights) -> Waveform:
     try:
         aligned = align_streams(load_features(ppg_path), f0, xvec)
         mel = nnet.acoustic_forward(aligned, acoustic_weights)
-        f0_trimmed = F0Contour(f0.values[: aligned.n_frames], hop=f0.hop)
+        f0_trimmed = F0Contour(f0.values[: aligned.n_frames])
         return nnet.nsf_forward(mel, f0_trimmed, xvec, nsf_weights, seed)
     except ValueError as exc:
         raise DataError(f"{ppg_path}: {exc}") from None

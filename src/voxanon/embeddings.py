@@ -29,7 +29,7 @@ from .errors import DataError, read_lines
 class SpeakerEmbedding:
     """A fixed-dimensional speaker identity vector with an optional gender.
 
-    The vector must be finite with a strictly positive Euclidean norm so
+    The vector's float64 Euclidean norm must be positive and finite, so
     that cosine similarity against it is always defined. ``gender`` is a
     nonempty string or None; only gender partitions read it, never the
     geometry operations. These three fields are all a pool record holds
@@ -67,13 +67,20 @@ def _check_labels(entry_id, gender) -> None:
 
 def _row_problem(vectors: np.ndarray) -> tuple[int, str] | None:
     """The first row of ``vectors`` that cosine similarity cannot take and
-    why, or None when every row is finite with a nonzero norm."""
-    nonfinite = ~np.isfinite(vectors).all(axis=1)
-    bad = nonfinite | ~vectors.any(axis=1)
+    why, or None when every row's float64 norm is positive and finite."""
+    with np.errstate(over="ignore"):  # an overflowing norm is rejected below
+        norms = np.linalg.norm(vectors, axis=1)
+    bad = ~(np.isfinite(norms) & (norms > 0))
     if not bad.any():
         return None
     row = int(bad.argmax())
-    return row, "vector has non-finite components" if nonfinite[row] else "vector has zero norm"
+    if not np.isfinite(vectors[row]).all():
+        return row, "vector has non-finite components"
+    if not vectors[row].any():
+        return row, "vector has zero norm"
+    if norms[row] == 0:
+        return row, "vector norm underflows to zero in float64 (components too small)"
+    return row, "vector norm overflows float64 (components too large)"
 
 
 class EmbeddingPool:
@@ -102,7 +109,7 @@ class EmbeddingPool:
     def from_columns(cls, ids: Sequence[str], genders: Sequence[str | None],
                      vectors: np.ndarray) -> EmbeddingPool:
         """A pool of rows already checked as :class:`SpeakerEmbedding` checks
-        one: nonempty ids and genders, finite vectors with nonzero norms. The
+        one: nonempty ids and genders, vectors with positive finite norms. The
         pool takes ``vectors`` and makes it read-only."""
         pool = cls.__new__(cls)
         pool._set_columns(ids, genders, vectors)
@@ -168,7 +175,7 @@ def cosine_matrix(a, b) -> np.ndarray:
 
 def centered_mean(matrix: np.ndarray) -> np.ndarray:
     """The mean of the rows of ``matrix``, in row order; raises ``ValueError``
-    when it overflows or has zero norm.
+    when its float64 norm overflows or is zero.
 
     This is the package's one mean. It is not re-normalized; cosine
     scoring is scale invariant, so the raw mean is safe.
@@ -178,9 +185,10 @@ def centered_mean(matrix: np.ndarray) -> np.ndarray:
     base = matrix[0]
     with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
         mean = base + (matrix - base).mean(axis=0)
-    if not np.isfinite(mean).all():
+        norm = np.linalg.norm(mean)
+    if not np.isfinite(norm):
         raise ValueError("mean embedding overflows (members too large)")
-    if not np.any(mean):
+    if norm == 0:
         raise ValueError("mean embedding has zero norm (members cancel out)")
     return mean
 
@@ -224,8 +232,8 @@ def load_pool(path) -> EmbeddingPool:
 
     A record holds ``id``, ``vec`` and optionally ``gender``, nothing else.
     Malformed lines, other fields, a gender that is neither a nonempty
-    string nor null, dimension inconsistencies, duplicate ids, and
-    non-finite or zero-norm vectors raise ``DataError`` naming the
+    string nor null, dimension inconsistencies, duplicate ids, and vectors
+    without a positive finite float64 norm raise ``DataError`` naming the
     offending line or record.
     """
     path = Path(path)

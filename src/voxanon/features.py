@@ -8,15 +8,18 @@ co-indexed frame for frame:
 
 Fixed analysis settings (stated so oracles can replicate results bit for
 bit): 25 ms frames, periodic Hann window, 512-point FFT, HTK mel scale
-spanning 20-7600 Hz, log floor ln(1e-10). Hops are 10 ms for the network
-front ends and 5 ms for the synthesis-rate mel spectrogram and F0.
+spanning 20-7600 Hz, log floor ln(1e-10).
 
-The pipeline analyses audio at one rate, ``SAMPLE_RATE`` (16 kHz), and
-``extract`` rejects a WAV at any other. The rate is fixed because the
-settings above hold only in a narrow band of rates: below 15.2 kHz, twice
-the 7.6 kHz mel top edge, the top mel bands hold no FFT bin, and above
-20.48 kHz a 25 ms frame is longer than the 512-point FFT, which would
-drop the end of every frame.
+The pipeline runs on one clock: ``SAMPLE_RATE`` (16 kHz), with one frame
+per ``F0_HOP_SECONDS`` (5 ms), that is ``SAMPLES_PER_FRAME`` (80) samples.
+F0 and the synthesis-rate mel spectrogram have that hop, the content
+stream and the network front ends ``CONTENT_HOP_SECONDS`` (10 ms), and the
+NSF vocoder writes ``SAMPLES_PER_FRAME`` samples per F0 frame at
+``SAMPLE_RATE``. The front end rejects audio at any other rate, because
+the settings above hold only in a narrow band of rates: below 15.2 kHz,
+twice the 7.6 kHz mel top edge, the top mel bands hold no FFT bin, and
+above 20.48 kHz a 25 ms frame is longer than the 512-point FFT, which
+would drop the end of every frame.
 """
 
 from __future__ import annotations
@@ -33,12 +36,15 @@ from .embeddings import SpeakerEmbedding
 from .errors import DataError, read_npz, write_npz
 
 SAMPLE_RATE = 16000
+F0_HOP_SECONDS = 0.005
+SAMPLES_PER_FRAME = round(SAMPLE_RATE * F0_HOP_SECONDS)
+CONTENT_HOP_SECONDS = 2 * F0_HOP_SECONDS
 FRAME_SECONDS = 0.025
+FRAME_SAMPLES = round(FRAME_SECONDS * SAMPLE_RATE)
 FFT_SIZE = 512
 MEL_LOW_HZ = 20.0
 MEL_HIGH_HZ = 7600.0
 LOG_FLOOR = 1e-10
-F0_HOP_SECONDS = 0.005
 F0_MIN_HZ = 50.0
 F0_MAX_HZ = 600.0
 VOICING_THRESHOLD = 0.45
@@ -88,10 +94,9 @@ class FeatureMatrix:
 
 @dataclass(frozen=True, eq=False)
 class F0Contour:
-    """Per-frame fundamental frequency in Hz; 0.0 encodes an unvoiced frame."""
+    """F0 in Hz, one value per ``F0_HOP_SECONDS``; 0.0 encodes an unvoiced frame."""
 
     values: np.ndarray
-    hop: float = F0_HOP_SECONDS
 
     def __post_init__(self):
         values = np.array(self.values, dtype=np.float64)
@@ -106,8 +111,6 @@ class F0Contour:
             raise ValueError(
                 f"voiced F0 values must lie in [{F0_MIN_HZ}, {F0_MAX_HZ}] Hz"
             )
-        if not (np.isfinite(self.hop) and self.hop > 0):
-            raise ValueError(f"hop must be a finite positive number, got {self.hop!r}")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -139,36 +142,25 @@ def mel_to_hz(mel):
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(
-    n_mels: int,
-    sample_rate: int,
-    n_fft: int = FFT_SIZE,
-    low_hz: float = MEL_LOW_HZ,
-    high_hz: float = MEL_HIGH_HZ,
-) -> np.ndarray:
-    """Triangular mel filterbank of shape (n_mels, n_fft // 2 + 1).
+@functools.lru_cache(maxsize=32)
+def mel_filterbank(n_mels: int) -> np.ndarray:
+    """The read-only triangular mel filterbank over the FFT_SIZE-point bins
+    at ``SAMPLE_RATE``, built once per width.
 
-    Band edges are equally spaced on the HTK mel scale between ``low_hz``
-    and ``high_hz``; triangles have unit peak height and overlap at the
-    neighboring centers.
+    Band edges are equally spaced on the HTK mel scale between
+    ``MEL_LOW_HZ`` and ``MEL_HIGH_HZ``; triangles have unit peak height and
+    overlap at the neighboring centers.
     """
     if n_mels < 1:
         raise ValueError("n_mels must be positive")
-    edges_hz = mel_to_hz(np.linspace(hz_to_mel(low_hz), hz_to_mel(high_hz), n_mels + 2))
-    bin_hz = np.arange(n_fft // 2 + 1) * (sample_rate / n_fft)
+    edges_hz = mel_to_hz(np.linspace(hz_to_mel(MEL_LOW_HZ), hz_to_mel(MEL_HIGH_HZ), n_mels + 2))
+    bin_hz = np.arange(FFT_SIZE // 2 + 1) * (SAMPLE_RATE / FFT_SIZE)
     weights = np.zeros((n_mels, bin_hz.size))
     for m in range(n_mels):
         left, center, right = edges_hz[m], edges_hz[m + 1], edges_hz[m + 2]
         rising = (bin_hz - left) / (center - left)
         falling = (right - bin_hz) / (right - center)
         weights[m] = np.maximum(0.0, np.minimum(rising, falling))
-    return weights
-
-
-@functools.lru_cache(maxsize=32)
-def _mel_basis(n_mels: int, sample_rate: int) -> np.ndarray:
-    """The read-only default filterbank, built once per (n_mels, rate)."""
-    weights = mel_filterbank(n_mels, sample_rate)
     weights.setflags(write=False)
     return weights
 
@@ -181,6 +173,11 @@ def hann_periodic(length: int) -> np.ndarray:
     return window
 
 
+def _check_rate(waveform: Waveform) -> None:
+    if waveform.sample_rate != SAMPLE_RATE:
+        raise ValueError(f"waveform is at {waveform.sample_rate} Hz, not {SAMPLE_RATE} Hz")
+
+
 def mel_features(
     waveform: Waveform, n_mels: int, hop_seconds: float
 ) -> FeatureMatrix:
@@ -189,7 +186,7 @@ def mel_features(
     Parameters
     ----------
     waveform: Waveform
-        Input audio; must be at least one frame (25 ms) long.
+        Input audio at ``SAMPLE_RATE``, at least one frame (25 ms) long.
     n_mels: int
         Number of mel channels; 24, 40, or 80 (the three widths consumed
         by the downstream networks).
@@ -205,14 +202,13 @@ def mel_features(
     """
     if n_mels not in MEL_KINDS:
         raise ValueError(f"n_mels must be one of {sorted(MEL_KINDS)}, got {n_mels}")
-    fs = waveform.sample_rate
-    frame_len = round(FRAME_SECONDS * fs)
-    hop_len = round(hop_seconds * fs)
-    frames = frame_signal(waveform.samples, frame_len, hop_len)
-    window = hann_periodic(frame_len)
+    _check_rate(waveform)
+    hop_len = round(hop_seconds * SAMPLE_RATE)
+    frames = frame_signal(waveform.samples, FRAME_SAMPLES, hop_len)
+    window = hann_periodic(FRAME_SAMPLES)
     spectrum = np.fft.rfft(frames * window, n=FFT_SIZE, axis=1)
     power = spectrum.real**2 + spectrum.imag**2
-    energies = power @ _mel_basis(n_mels, fs).T
+    energies = power @ mel_filterbank(n_mels).T
     logmel = np.log(np.maximum(energies, LOG_FLOOR))
     return FeatureMatrix(logmel, hop=hop_seconds, kind=MEL_KINDS[n_mels])
 
@@ -223,7 +219,7 @@ def extract_f0(
     fmin: float = F0_MIN_HZ,
     fmax: float = F0_MAX_HZ,
 ) -> F0Contour:
-    """Estimate F0 every 5 ms with a normalized-autocorrelation tracker.
+    """Estimate F0 every 5 ms at ``SAMPLE_RATE`` with a normalized-autocorrelation tracker.
 
     Each 25 ms frame is mean-removed, and the normalized cross-correlation
 
@@ -253,35 +249,30 @@ def extract_f0(
     wanting a different tracker can swap this function as long as they keep
     the 5 ms hop and the shared framing rule.
     """
-    if waveform.sample_rate < 8000:
-        raise ValueError("F0 extraction requires a sample rate of at least 8 kHz")
+    _check_rate(waveform)
     if not math.isfinite(threshold):
         raise ValueError(f"voicing threshold must be finite, got {threshold!r}")
     for name, hz in (("fmin", fmin), ("fmax", fmax)):
         # F0Contour holds voiced values to this range.
         if not F0_MIN_HZ <= hz <= F0_MAX_HZ:
             raise ValueError(f"{name} must lie in [{F0_MIN_HZ}, {F0_MAX_HZ}] Hz, got {hz!r}")
-    fs = waveform.sample_rate
-    frame_len = round(FRAME_SECONDS * fs)
-    hop_len = round(F0_HOP_SECONDS * fs)
-    frames = np.array(frame_signal(waveform.samples, frame_len, hop_len))
-    peak = np.maximum(frames.max(axis=1), -frames.min(axis=1))
-    energy_floor = F0_ENERGY_FLOOR * frame_len * peak * peak
-    frames -= frames.mean(axis=1, keepdims=True)
+    # Every lag in [50, 600] Hz, 27 to 320 samples, fits in one frame.
+    lags = np.arange(math.ceil(SAMPLE_RATE / fmax), math.floor(SAMPLE_RATE / fmin) + 1)
+    if lags.size == 0:
+        raise ValueError(f"no whole-sample lag between fmax={fmax!r} and fmin={fmin!r} Hz")
 
-    lag_min = max(2, math.ceil(fs / fmax))
-    lag_max = min(frame_len - 1, math.floor(fs / fmin))
-    if lag_max <= lag_min:
-        raise ValueError("frame too short for the requested F0 search range")
-    lags = np.arange(lag_min, lag_max + 1)
+    frames = np.array(frame_signal(waveform.samples, FRAME_SAMPLES, SAMPLES_PER_FRAME))
+    peak = np.maximum(frames.max(axis=1), -frames.min(axis=1))
+    energy_floor = F0_ENERGY_FLOOR * FRAME_SAMPLES * peak * peak
+    frames -= frames.mean(axis=1, keepdims=True)
 
     n_frames = frames.shape[0]
     num = np.empty((n_frames, lags.size))
     for i, tau in enumerate(lags):
-        num[:, i] = np.einsum("ij,ij->i", frames[:, : frame_len - tau], frames[:, tau:])
+        num[:, i] = np.einsum("ij,ij->i", frames[:, : FRAME_SAMPLES - tau], frames[:, tau:])
     power = frames * frames
-    head = np.cumsum(power, axis=1)[:, frame_len - 1 - lags]
-    tail = np.cumsum(power[:, ::-1], axis=1)[:, frame_len - 1 - lags]
+    head = np.cumsum(power, axis=1)[:, FRAME_SAMPLES - 1 - lags]
+    tail = np.cumsum(power[:, ::-1], axis=1)[:, FRAME_SAMPLES - 1 - lags]
     denom = np.sqrt(head * tail)
     corr = num / np.maximum(denom, np.finfo(np.float64).tiny)
 
@@ -296,10 +287,10 @@ def extract_f0(
     refine = (best > 0) & (best < lags.size - 1) & (bend < 0)
     with np.errstate(divide="ignore", invalid="ignore"):
         shift = np.where(refine, 0.5 * (left - right) / bend, 0.0)
-        f0 = fs / (lags[best] + shift)
+        f0 = SAMPLE_RATE / (lags[best] + shift)
     voiced = (strength >= threshold) & (power.sum(axis=1) > energy_floor)
     keep = voiced & (f0 >= fmin) & (f0 <= fmax)
-    return F0Contour(np.where(keep, f0, 0.0), hop=F0_HOP_SECONDS)
+    return F0Contour(np.where(keep, f0, 0.0))
 
 
 def align_streams(
@@ -316,9 +307,9 @@ def align_streams(
     """
     if ppg.kind != "ppg":
         raise ValueError(f"content stream must have kind 'ppg', got {ppg.kind!r}")
-    if abs(ppg.hop - 2.0 * f0.hop) > 1e-9:
+    if abs(ppg.hop - CONTENT_HOP_SECONDS) > 1e-9:
         raise ValueError(
-            f"content hop {ppg.hop} is not twice the F0 hop {f0.hop}; streams desynchronized"
+            f"content hop {ppg.hop} is not {CONTENT_HOP_SECONDS}; streams desynchronized"
         )
     doubled = 2 * ppg.n_frames
     if abs(doubled - f0.n_frames) > 2:
@@ -339,7 +330,7 @@ def align_streams(
             np.tile(xvec.vector, (n, 1)),
         ]
     )
-    return FeatureMatrix(rows, hop=f0.hop, kind="aligned")
+    return FeatureMatrix(rows, hop=F0_HOP_SECONDS, kind="aligned")
 
 
 def save_features(path, features: FeatureMatrix) -> None:
@@ -359,11 +350,19 @@ def load_features(path) -> FeatureMatrix:
 
 
 def save_f0(path, contour: F0Contour) -> None:
-    _save_stream(path, "f0", contour.hop, contour.values)
+    _save_stream(path, "f0", F0_HOP_SECONDS, contour.values)
 
 
 def load_f0(path) -> F0Contour:
-    return _load_stream(path, ("f0",), lambda kind, hop, values: F0Contour(values, hop=hop))
+    """Read a contour, refusing a file whose ``hop`` is not ``F0_HOP_SECONDS``."""
+    return _load_stream(path, ("f0",), _f0_of)
+
+
+def _f0_of(kind: str, hop: float, values: np.ndarray) -> F0Contour:
+    contour = F0Contour(values)
+    if hop != F0_HOP_SECONDS:
+        raise ValueError(f"hop {hop!r} is not the F0 hop, {F0_HOP_SECONDS}")
+    return contour
 
 
 def _save_stream(path, kind: str, hop: float, values: np.ndarray) -> None:

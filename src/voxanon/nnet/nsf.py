@@ -6,7 +6,7 @@ condition
     Projects per-frame [mel, speaker embedding] features to the filter
     channel width, at frame rate. The filter reads the projection as the
     sample-rate signal it defines: each frame replicated
-    ``upsample_factor`` times, then smoothed by a zero-padded moving
+    ``SAMPLES_PER_FRAME`` times, then smoothed by a zero-padded moving
     average of ``smooth_width`` samples (replication alone aliases).
 source
     A phase-continuous sine excitation on voiced samples and seeded
@@ -23,7 +23,7 @@ filter
 Replication and the moving average are linear, so over a tile of whole
 frames a layer's conditioning term ``cond.w @ smooth(up(P))`` equals
 ``Y @ S``. ``Y = cond.w @ P.T`` is computed at frame rate for the tile's
-frames and ``band = ceil((smooth_width // 2) / upsample_factor)``
+frames and ``band = ceil((smooth_width // 2) / SAMPLES_PER_FRAME)``
 neighbours on each side. ``S`` is the smoother's response to each of those
 unit frames: one constant matrix for every layer, block and tile. No
 sample-rate conditioning signal is formed.
@@ -45,6 +45,9 @@ identity path stays exact. Against a float64 evaluation of the same layers
 over the explicitly upsampled and smoothed conditioning, block and vocoder
 outputs agree within 1e-4 absolute (tested), below one PCM16 step of 2**-15.
 
+The output has ``features.SAMPLES_PER_FRAME`` (80) samples per F0 frame, at
+``features.SAMPLE_RATE``; neither is a config field.
+
 Only the forward pass exists here; with random weights the output is
 noise-like by design. The structural contracts (lengths, dilation
 schedule, receptive field) are what this module guarantees.
@@ -58,7 +61,7 @@ import numpy as np
 
 from ..audio import Waveform
 from ..embeddings import SpeakerEmbedding
-from ..features import F0Contour, FeatureMatrix
+from ..features import SAMPLE_RATE, SAMPLES_PER_FRAME, F0Contour, FeatureMatrix
 from .weights import ModelWeights, TensorTable, register_config
 
 
@@ -70,8 +73,6 @@ class NsfConfig(TensorTable):
     kernel_size: int = 3
     blocks: int = 5
     layers_per_block: int = 10
-    upsample_factor: int = 80  # samples per frame: 5 ms at 16 kHz
-    sample_rate: int = 16000
     sine_amplitude: float = 0.1
     noise_std: float = 0.003
     smooth_width: int = 81
@@ -83,15 +84,10 @@ class NsfConfig(TensorTable):
             raise ValueError("filter module needs at least one block and one layer")
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:
             raise ValueError("kernel_size must be odd and positive")
-        if self.upsample_factor < 1:
-            raise ValueError("upsample_factor must be positive")
         if self.channels < 1 or self.mel_dim < 1 or self.xvec_dim < 1:
             raise ValueError("dimensions must be positive")
         if self.smooth_width < 1 or self.smooth_width % 2 == 0:
             raise ValueError("smooth_width must be odd and positive")
-        # write_wav stores the byte rate, 2 * sample_rate, as a u32.
-        if not 1 <= self.sample_rate <= 2**31 - 1:
-            raise ValueError(f"sample_rate must be in [1, 2**31 - 1], got {self.sample_rate}")
 
     @property
     def dilations(self) -> tuple[int, ...]:
@@ -128,27 +124,26 @@ _TILE = 4096
 
 
 def _tile_frames(config: NsfConfig) -> int:
-    return max(1, min(_TILE // config.upsample_factor, config.channels))
+    return max(1, min(_TILE // SAMPLES_PER_FRAME, config.channels))
 
 
 def nsf_source(
     f0_upsampled: np.ndarray,
     seed: int,
-    sample_rate: int = 16000,
     amplitude: float = 0.1,
     noise_std: float = 0.003,
 ) -> np.ndarray:
-    """Excitation signal from a sample-rate F0 track.
+    """Excitation signal from an F0 track at ``SAMPLE_RATE``.
 
     Voiced samples (f0 > 0) carry a sine of the accumulated phase
-    phi[n] = phi[n-1] + 2*pi*f0[n]/fs, so the phase is continuous across
+    phi[n] = phi[n-1] + 2*pi*f0[n]/SAMPLE_RATE, so the phase is continuous across
     changes in f0; unvoiced samples carry seeded Gaussian noise. The
     output is fully determined by (f0, seed).
     """
     f0 = np.asarray(f0_upsampled, dtype=np.float64)
     if np.any(f0 < 0):
         raise ValueError("f0 must be non-negative (0 encodes unvoiced)")
-    phase = 2.0 * np.pi * np.cumsum(f0) / sample_rate
+    phase = 2.0 * np.pi * np.cumsum(f0) / SAMPLE_RATE
     sine = amplitude * np.sin(phase)
     rng = np.random.Generator(np.random.PCG64(seed))
     noise = noise_std * rng.standard_normal(f0.size)
@@ -163,18 +158,19 @@ def _moving_average(x: np.ndarray, width: int) -> np.ndarray:
     return (cumsum[width:] - cumsum[:-width]) / width
 
 
-def _interpolation(frames: int, factor: int, width: int) -> np.ndarray:
-    """The (frames + 2 * band, frames * factor) map ``S`` from frame-rate
-    values to the smoothed, upsampled signal over ``frames`` whole frames.
+def _interpolation(frames: int, width: int) -> np.ndarray:
+    """The (frames + 2 * band, frames * SAMPLES_PER_FRAME) map ``S`` from
+    frame-rate values to the smoothed, upsampled signal over ``frames``
+    whole frames.
 
     Row i is the smoother's response to unit frame ``i - band`` over those
     samples, found by running the smoother over replicated unit frames;
     ``band`` frames on each side cover the smoothing window's reach.
     """
-    band = -(-(width // 2) // factor)
-    units = np.repeat(np.eye(frames + 2 * band), factor, axis=0)
+    band = -(-(width // 2) // SAMPLES_PER_FRAME)
+    units = np.repeat(np.eye(frames + 2 * band), SAMPLES_PER_FRAME, axis=0)
     response = _moving_average(units, width)
-    return response[band * factor : (band + frames) * factor].T
+    return response[band * SAMPLES_PER_FRAME : (band + frames) * SAMPLES_PER_FRAME].T
 
 
 def filter_block_forward(
@@ -186,9 +182,9 @@ def filter_block_forward(
     """Run one filter block over a 1-d signal; used directly in diagnostics.
 
     ``condition`` is the frame-rate conditioning projection, shape
-    (ceil(len(excitation) / upsample_factor), channels). The block reads it
-    as the sample-rate signal of the module docstring: every frame
-    replicated ``upsample_factor`` times, smoothed by the zero-padded
+    (ceil(len(excitation) / SAMPLES_PER_FRAME), channels). The block reads
+    it as the sample-rate signal of the module docstring: every frame
+    replicated ``SAMPLES_PER_FRAME`` times, smoothed by the zero-padded
     ``smooth_width`` moving average, and cut to the excitation's length.
     The block output is the input plus the collapsed skip sum, so its
     deviation from the input is confined to the block's receptive field.
@@ -196,9 +192,9 @@ def filter_block_forward(
     """
     config: NsfConfig = weights.config
     prefix = f"filter.block{block}"
-    channels, taps, factor = config.channels, config.kernel_size, config.upsample_factor
+    channels, taps = config.channels, config.kernel_size
     length = excitation.shape[0]
-    n_frames = -(-length // factor)
+    n_frames = -(-length // SAMPLES_PER_FRAME)
     if condition.shape != (n_frames, channels):
         raise ValueError(
             f"condition for {length} samples must have shape {(n_frames, channels)}, "
@@ -223,7 +219,7 @@ def filter_block_forward(
     # tile of whole frames, matching the column blocks [taps | Y | bias] of
     # the fused layer matrix; S and the ones row are written once.
     frames = min(_tile_frames(config), max(n_frames, 1))
-    interp = _interpolation(frames, factor, config.smooth_width)
+    interp = _interpolation(frames, config.smooth_width)
     window, tile = interp.shape
     band = (window - frames) // 2
     tap_rows = taps * channels
@@ -249,7 +245,7 @@ def filter_block_forward(
         fused[:, -1] = weights[f"{prefix}.layer{k}.dil.b"]
         first_tap = margin - dilation * (taps - 1) // 2
         for f0 in range(0, n_frames, frames):
-            t0 = f0 * factor
+            t0 = f0 * SAMPLES_PER_FRAME
             n = min(tile, length - t0)
             for t in range(taps):
                 start = first_tap + t * dilation + t0
@@ -275,8 +271,8 @@ def nsf_forward(
     """Synthesize a waveform from mel features, an F0 contour, and a speaker
     embedding.
 
-    The mel and F0 streams must be frame aligned; the output length is
-    exactly ``frames * upsample_factor`` samples. Samples are clipped to
+    The mel and F0 streams must be frame aligned; the output is exactly
+    ``frames * SAMPLES_PER_FRAME`` samples at ``SAMPLE_RATE``. Samples are clipped to
     [-1, 1] at the end (untrained filters can otherwise stray outside the
     waveform range).
     """
@@ -303,16 +299,11 @@ def nsf_forward(
     condition = per_frame @ weights["cond.proj.w"].T + weights["cond.proj.b"]
 
     # Source module.
-    f0_up = np.repeat(f0.values, config.upsample_factor)
-    signal = nsf_source(
-        f0_up, seed,
-        sample_rate=config.sample_rate,
-        amplitude=config.sine_amplitude,
-        noise_std=config.noise_std,
-    )
+    f0_up = np.repeat(f0.values, SAMPLES_PER_FRAME)
+    signal = nsf_source(f0_up, seed, amplitude=config.sine_amplitude, noise_std=config.noise_std)
 
     # Filter module.
     for b in range(1, config.blocks + 1):
         signal = filter_block_forward(signal, condition, weights, b)
 
-    return Waveform(np.clip(signal, -1.0, 1.0), config.sample_rate)
+    return Waveform(np.clip(signal, -1.0, 1.0), SAMPLE_RATE)

@@ -16,6 +16,7 @@ import numpy as np
 from voxanon.cli import speaker_of
 from voxanon.embeddings import SpeakerEmbedding, centered_mean, cosine_matrix
 from voxanon.errors import DataError, read_lines
+from voxanon.features import SAMPLES_PER_FRAME
 from voxanon.metrics import compute_eer, rank_by_similarity
 from voxanon.seeding import derive_seed
 
@@ -244,7 +245,7 @@ def nsf_filter_block(excitation, condition, weights, block) -> np.ndarray:
     """One NSF filter block in float64, one GEMM per dilated tap.
 
     ``condition`` is the frame-rate projection. It is expanded here to the
-    sample rate: every frame replicated ``upsample_factor`` times, a
+    sample rate: every frame replicated ``SAMPLES_PER_FRAME`` times, a
     zero-padded moving average of ``smooth_width`` samples summed window by
     window, then cut to the excitation's length. Each layer pads the hidden
     state afresh and sums the taps over shifted views, with the
@@ -254,7 +255,7 @@ def nsf_filter_block(excitation, condition, weights, block) -> np.ndarray:
     prefix = f"filter.block{block}"
     length = excitation.shape[0]
     half = config.smooth_width // 2
-    upsampled = np.pad(np.repeat(condition, config.upsample_factor, axis=0), ((half, half), (0, 0)))
+    upsampled = np.pad(np.repeat(condition, SAMPLES_PER_FRAME, axis=0), ((half, half), (0, 0)))
     windows = np.lib.stride_tricks.sliding_window_view(upsampled, config.smooth_width, axis=0)
     condition = windows.sum(axis=-1)[:length] / config.smooth_width
     h = weights[f"{prefix}.in.w"] @ excitation[None, :] + weights[f"{prefix}.in.b"][:, None]
@@ -278,7 +279,7 @@ def _float64(weights, name) -> np.ndarray:
     return np.asarray(weights[name], dtype=np.float64)
 
 
-def ppg_posteriors(frames, weights, tap="softmax") -> np.ndarray:
+def ppg_posteriors(frames, weights) -> np.ndarray:
     """PPG network output in float64, spliced one frame at a time.
 
     Row t of the spliced input concatenates input rows t - half .. t + half,
@@ -295,8 +296,6 @@ def ppg_posteriors(frames, weights, tap="softmax") -> np.ndarray:
     for i in range(1, config.hidden_layers + 1):
         x = h @ _float64(weights, f"hidden{i}.w").T + _float64(weights, f"hidden{i}.b")
         h = 0.5 * (1.0 + np.tanh(0.5 * x))
-    if tap == "sigmoid6":
-        return h
     logits = h @ _float64(weights, "softmax.w").T + _float64(weights, "softmax.b")
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)

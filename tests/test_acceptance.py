@@ -30,6 +30,7 @@ from voxanon import (
 )
 from voxanon.benchmark import draw_pseudo_speakers, protocol_trials, report_records
 from voxanon.cli import main
+from voxanon.features import SAMPLES_PER_FRAME
 from voxanon.nnet import (
     AcousticConfig,
     NsfConfig,
@@ -197,7 +198,7 @@ def test_criterion_5_architecture_shapes():
         center = length // 2
         condition = np.tile(
             np.random.default_rng(3).standard_normal(nconfig.channels),
-            (length // nconfig.upsample_factor, 1),
+            (length // SAMPLES_PER_FRAME, 1),
         )
         impulse = np.zeros(length)
         impulse[center] = 1.0

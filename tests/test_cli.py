@@ -78,7 +78,7 @@ def long_site(tmp_path_factory):
         ppg = rng.dirichlet(np.ones(12), size=200)
         save_features(features / f"{utt}.ppg.npz", FeatureMatrix(ppg, hop=0.01, kind="ppg"))
         f0 = np.where(np.arange(400) % 100 < 70, f0_hz, 0.0)  # voiced and unvoiced runs
-        save_f0(features / f"{utt}.f0.npz", F0Contour(f0, hop=0.005))
+        save_f0(features / f"{utt}.f0.npz", F0Contour(f0))
     components = [
         ("acoustic", AcousticConfig(content_dim=12, xvec_dim=6, ff_size=16, blstm_size=8, ar_size=16)),
         ("nsf", NsfConfig(xvec_dim=6, channels=8, blocks=2, layers_per_block=4)),
@@ -784,11 +784,12 @@ class TestAnonymize:
             f"{site / 'pool.jsonl'}\n"
         )
 
-    def test_overflowing_pool_mean_names_key_and_pool(self, tmp_path, capsys):
-        # Both entries are finite, but their mean is not; the input is fine.
+    def test_cancelling_pool_mean_names_key_and_pool(self, tmp_path, capsys):
+        # Both entries are sound, but their mean has no direction; the input
+        # is fine.
         pool, inputs = tmp_path / "pool.jsonl", tmp_path / "in.jsonl"
-        save_pool(pool, EmbeddingPool([SpeakerEmbedding("a", [1e308, 1.0]),
-                                       SpeakerEmbedding("b", [-1e308, 1.0])]))
+        save_pool(pool, EmbeddingPool([SpeakerEmbedding("a", [1.0, 1e-200]),
+                                       SpeakerEmbedding("b", [-1.0, 1e-200])]))
         save_pool(inputs, EmbeddingPool([SpeakerEmbedding("x", [1.0, 1.0])]))
         config = tmp_path / "c.ini"
         config.write_text("[paths]\npool = pool.jsonl\n")
@@ -797,8 +798,27 @@ class TestAnonymize:
         assert rc == 3
         assert capsys.readouterr().err == (
             f"data error: anonymize.m (--m) = 2 with the pool {pool}: "
-            "mean embedding overflows (members too large)\n"
+            "mean embedding has zero norm (members cancel out)\n"
         )
+
+    @pytest.mark.parametrize("magnitude, problem", [
+        ("1e200", "vector norm overflows float64 (components too large)"),
+        ("1e-200", "vector norm underflows to zero in float64 (components too small)"),
+    ])
+    def test_pool_entry_without_a_float64_norm_names_line(self, tmp_path, capsys, magnitude, problem):
+        # Every component is finite and nonzero, but the norm the cosine
+        # divides by is inf or 0: the entry would score 0 against every input,
+        # or divide by zero.
+        pool, inputs = tmp_path / "pool.jsonl", tmp_path / "in.jsonl"
+        pool.write_text('{"dim": 2, "count": 2}\n{"id": "a", "vec": [1.0, -1.0]}\n'
+                        f'{{"id": "b", "vec": [{magnitude}, {magnitude}]}}\n')
+        save_pool(inputs, EmbeddingPool([SpeakerEmbedding("x", [1.0, 1.0])]))
+        config = tmp_path / "c.ini"
+        config.write_text("[paths]\npool = pool.jsonl\n")
+        rc = main(["anonymize", "--config", str(config), "--inputs", str(inputs), "--seed", "1",
+                   "--strategy", "nearest", "--m", "1", "--out-dir", str(tmp_path / "o")])
+        assert rc == 3
+        assert capsys.readouterr().err == f"data error: {pool}, line 3: embedding 'b': {problem}\n"
 
     @pytest.mark.parametrize("strategy", ["random", "nearest", "range"])
     def test_dimension_mismatch_names_both_files(self, site, tmp_path, capsys, strategy):
@@ -940,12 +960,17 @@ class TestSynthesize:
         assert rc == 2
         assert "nsf" in capsys.readouterr().err
 
+    # The rate and the samples per frame are not config fields: a weight
+    # file naming either is malformed, whatever the value.
     @pytest.mark.parametrize("key, value", [
         ("upsample_factor", 80.0),
+        ("upsample_factor", 80),
         ("smooth_width", 81.0),
         ("sample_rate", 16000.5),
         ("sample_rate", 2**32),
         ("sample_rate", 0),
+        ("sample_rate", 22050),
+        ("sample_rate", 16000),
         ("noise_std", float("nan")),
         ("sine_amplitude", True),
     ])
@@ -967,6 +992,26 @@ class TestSynthesize:
         err = capsys.readouterr().err
         assert rc == 3, err
         assert str(weights / "nsf.weights") in err and key in err
+
+    def test_feature_files_on_another_clock_exit_3_naming_file(self, long_site, tmp_path, capsys):
+        # 50 PPG frames of 20 ms and 100 F0 frames of 10 ms: 1.0 s of speech
+        # that a 5 ms synthesis clock would render as 0.5 s.
+        features = tmp_path / "features"
+        features.mkdir()
+        ppg = np.random.default_rng(2).dirichlet(np.ones(12), size=50)
+        for name, kind, hop, values in (("p01_001.ppg.npz", "ppg", 0.020, ppg),
+                                        ("p01_001.f0.npz", "f0", 0.010, np.full(100, 150.0))):
+            with (features / name).open("wb") as fh:
+                np.savez(fh, kind=np.array(kind), hop=np.array(hop), values=values)
+        rc = main([
+            "synthesize", "--config", str(long_site / "run.ini"), "--features-dir", str(features),
+            "--pseudo", str(long_site / "pseudo.jsonl"), "--utts", "p01_001",
+            "--out-dir", str(tmp_path / "o"),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 3, err
+        assert f"{features / 'p01_001.f0.npz'}: hop 0.01 is not the F0 hop, 0.005" in err
+        assert not list((tmp_path / "o").rglob("*.wav"))
 
     def test_unset_weights_names_config(self, extracted, pseudo, tmp_path, capsys):
         config = tmp_path / "noweights.ini"

@@ -81,6 +81,16 @@ class TestCosineSimilarity:
         with pytest.raises(ValueError, match="non-finite"):
             SpeakerEmbedding("n", [1.0, np.nan])
 
+    @pytest.mark.parametrize("magnitude, problem", [(1e200, "overflows"), (1e-200, "underflows")])
+    def test_norm_beyond_float64_rejected(self, magnitude, problem):
+        # Finite nonzero components whose squares leave the float64 range.
+        with pytest.raises(ValueError, match=f"embedding 's': vector norm {problem}"):
+            SpeakerEmbedding("s", [magnitude, magnitude])
+
+    def test_norm_at_the_float64_edges_accepted(self):
+        for vector in ([1e150, 1e150], [1e-150, 1e-150]):
+            assert SpeakerEmbedding("s", vector).dim == 2
+
     def test_pool_unit_rows_keep_the_bits(self, rng):
         # A pool's cached unit rows give the bits its plain matrix gives, on
         # either side, against a matrix or another pool.
@@ -117,6 +127,13 @@ class TestMeanEmbedding:
     def test_overflowing_mean(self):
         with pytest.raises(ValueError, match="overflows"):
             centered_mean(np.array([[1e308, 1.0], [-1e308, 1.0]]))
+
+    def test_mean_without_a_float64_norm(self):
+        # Finite nonzero means whose norms leave the float64 range.
+        with pytest.raises(ValueError, match="overflows"):
+            centered_mean(np.array([[1e200, 1e200], [1e200, 1e200]]))
+        with pytest.raises(ValueError, match="zero norm"):
+            centered_mean(np.array([[1.0, 1e-200], [-1.0, 1e-200]]))
 
 
 def _toy_pool():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from voxanon import F0Contour, FeatureMatrix, SpeakerEmbedding, Waveform
+from voxanon.features import SAMPLE_RATE, SAMPLES_PER_FRAME
 from voxanon.nnet import (
     ModelWeights,
     NsfConfig,
@@ -22,8 +23,8 @@ from conftest import make_noise
 
 class TestSource:
     def test_constant_f0_has_fft_peak_at_frequency(self):
-        fs = 16000
-        excitation = nsf_source(np.full(fs, 100.0), seed=0, sample_rate=fs)
+        fs = SAMPLE_RATE
+        excitation = nsf_source(np.full(fs, 100.0), seed=0)
         spectrum = np.abs(np.fft.rfft(excitation))
         peak_hz = np.argmax(spectrum) * fs / excitation.size
         assert abs(peak_hz - 100.0) <= fs / excitation.size  # within one bin
@@ -35,9 +36,9 @@ class TestSource:
         assert abs(float(np.mean(excitation))) < 1e-3
 
     def test_phase_continuity_across_f0_change(self):
-        fs = 16000
+        fs = SAMPLE_RATE
         f0 = np.concatenate([np.full(8000, 100.0), np.full(8000, 120.0)])
-        excitation = nsf_source(f0, seed=1, sample_rate=fs)
+        excitation = nsf_source(f0, seed=1)
         jumps = np.abs(np.diff(excitation))
         # |sin(p + d) - sin(p)| <= d with d = 2*pi*fmax/fs, times amplitude.
         bound = 0.1 * 2.0 * np.pi * 120.0 / fs
@@ -73,8 +74,6 @@ class TestConfig:
             NsfConfig(blocks=0)
         with pytest.raises(ValueError, match="kernel"):
             NsfConfig(kernel_size=2)
-        with pytest.raises(ValueError, match="upsample"):
-            NsfConfig(upsample_factor=0)
 
 
 def _inputs(n_frames, config, seed=0):
@@ -94,7 +93,8 @@ class TestForward:
         for n_frames in (1, 3, 17):
             mel, f0, xvec = _inputs(n_frames, config, seed=n_frames)
             out = nsf_forward(mel, f0, xvec, small_nsf_weights, seed=5)
-            assert len(out) == n_frames * config.upsample_factor
+            assert len(out) == n_frames * SAMPLES_PER_FRAME == n_frames * 80
+            assert out.sample_rate == SAMPLE_RATE == 16000
 
     def test_zero_filter_weights_pass_excitation_through(self, small_nsf_weights):
         config = small_nsf_weights.config
@@ -105,10 +105,9 @@ class TestForward:
         weights = ModelWeights(config, tensors)
         mel, f0, xvec = _inputs(12, config, seed=3)
         out = nsf_forward(mel, f0, xvec, weights, seed=21)
-        f0_up = np.repeat(f0.values, config.upsample_factor)
+        f0_up = np.repeat(f0.values, SAMPLES_PER_FRAME)
         excitation = nsf_source(
-            f0_up, 21, sample_rate=config.sample_rate,
-            amplitude=config.sine_amplitude, noise_std=config.noise_std,
+            f0_up, 21, amplitude=config.sine_amplitude, noise_std=config.noise_std
         )
         assert np.array_equal(out.samples, excitation)
 
@@ -142,7 +141,7 @@ class TestForward:
         center = length // 2
         condition = np.tile(
             np.random.default_rng(0).standard_normal(config.channels),
-            (length // config.upsample_factor, 1),
+            (length // SAMPLES_PER_FRAME, 1),
         )
         impulse = np.zeros(length)
         impulse[center] = 1.0
@@ -160,17 +159,17 @@ class TestForward:
 # output may drift by at most this much, well under one PCM16 step (2**-15).
 PRECISION = 1e-4
 
-# The default kernel, one sample per frame with no smoothing, and a
-# smoothing window that reaches three neighbour frames on each side.
+# The default kernel, no smoothing (band 0), and a smoothing window that
+# reaches three neighbour frames on each side (band 3).
 CONTRACT_CONFIGS = {
     "default": NsfConfig(),
-    "factor1-width1": NsfConfig(upsample_factor=1, smooth_width=1),
-    "factor4-width21": NsfConfig(upsample_factor=4, smooth_width=21),
+    "width1": NsfConfig(smooth_width=1),
+    "width401": NsfConfig(smooth_width=401),
 }
 
 
 def _tile(config):
-    return _tile_frames(config) * config.upsample_factor
+    return _tile_frames(config) * SAMPLES_PER_FRAME
 
 
 DEFAULT_TILE = _tile(NsfConfig())
@@ -179,7 +178,7 @@ DEFAULT_TILE = _tile(NsfConfig())
 def _block_inputs(length, config, seed=0):
     rng = np.random.default_rng(seed)
     excitation = 0.1 * rng.standard_normal(length)
-    condition = rng.standard_normal((-(-length // config.upsample_factor), config.channels))
+    condition = rng.standard_normal((-(-length // SAMPLES_PER_FRAME), config.channels))
     return excitation, condition
 
 
@@ -220,7 +219,7 @@ class TestPrecisionContract:
 
 
 class TestPrecisionContractAcrossConfigs:
-    @pytest.fixture(scope="class", params=["factor1-width1", "factor4-width21"])
+    @pytest.fixture(scope="class", params=["width1", "width401"])
     def full_weights(self, request):
         return init_weights("nsf", CONTRACT_CONFIGS[request.param], seed=41)
 
@@ -239,20 +238,19 @@ class TestFrameRateConditioning:
     def test_default_tile_is_51_frames(self):
         assert DEFAULT_TILE == 51 * 80
 
-    @pytest.mark.parametrize("name", list(CONTRACT_CONFIGS))
-    def test_interpolation_is_the_smoother_over_whole_frames(self, name):
+    @pytest.mark.parametrize("name, band", [("default", 1), ("width1", 0), ("width401", 3)])
+    def test_interpolation_is_the_smoother_over_whole_frames(self, name, band):
         config = CONTRACT_CONFIGS[name]
-        frames, factor = _tile_frames(config), config.upsample_factor
-        band = -(-(config.smooth_width // 2) // factor)
-        interp = _interpolation(frames, factor, config.smooth_width)
-        assert interp.shape == (frames + 2 * band, frames * factor)
+        frames = _tile_frames(config)
+        interp = _interpolation(frames, config.smooth_width)
+        assert interp.shape == (frames + 2 * band, frames * SAMPLES_PER_FRAME)
         # Every sample's window lies inside the band, so its weights sum to 1.
         assert np.allclose(interp.sum(axis=0), 1.0, rtol=0, atol=1e-12)
         assert np.all(interp >= 0)
 
     def test_condition_shape_checked(self, small_nsf_weights):
         config = small_nsf_weights.config
-        excitation, condition = _block_inputs(3 * config.upsample_factor + 1, config)
+        excitation, condition = _block_inputs(3 * SAMPLES_PER_FRAME + 1, config)
         with pytest.raises(ValueError, match="shape"):
             filter_block_forward(excitation, condition[:-1], small_nsf_weights, block=1)
 

@@ -20,11 +20,13 @@ from voxanon import (
 )
 from voxanon.errors import DataError
 from voxanon.features import (
+    CONTENT_HOP_SECONDS,
+    F0_HOP_SECONDS,
     FFT_SIZE,
     FRAME_SECONDS,
     LOG_FLOOR,
     SAMPLE_RATE,
-    _mel_basis,
+    SAMPLES_PER_FRAME,
     frame_count,
     hann_periodic,
     mel_filterbank,
@@ -158,17 +160,20 @@ class TestMelFeatures:
         assert (not np.array_equal(base, moved)) == changes_frame_0
 
     def test_filterbank_and_window_built_once_read_only(self):
-        basis = _mel_basis(40, 16000)
-        assert _mel_basis(40, 16000) is basis and hann_periodic(400) is hann_periodic(400)
+        basis = mel_filterbank(40)
+        assert mel_filterbank(40) is basis and hann_periodic(400) is hann_periodic(400)
         assert not basis.flags.writeable and not hann_periodic(400).flags.writeable
-        assert np.array_equal(basis, mel_filterbank(40, 16000))
+
+    def test_other_rate_rejected(self):
+        wav = Waveform(make_noise(seconds=0.1, seed=2).samples, 22050)
+        with pytest.raises(ValueError, match="waveform is at 22050 Hz, not 16000 Hz"):
+            mel_features(wav, 40, 0.010)
 
 
 class TestExtractF0:
     def test_pure_tone_recovered(self):
         wav = make_tone(220.0, seconds=1.0)
         contour = extract_f0(wav)
-        assert contour.hop == 0.005
         interior = contour.values[3:-3]
         voiced = interior[interior > 0]
         assert voiced.size / interior.size >= 0.95
@@ -201,9 +206,18 @@ class TestExtractF0:
         assert contour.n_frames == frame_count(len(wav), 400, 80)
         assert contour.n_frames == mel_features(wav, 80, 0.005).n_frames
 
-    def test_low_rate_rejected(self):
-        with pytest.raises(ValueError, match="8 kHz"):
-            extract_f0(Waveform(np.zeros(4000) + 0.1, 4000))
+    @pytest.mark.parametrize("rate", [4000, 22050])
+    def test_other_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match=f"waveform is at {rate} Hz, not 16000 Hz"):
+            extract_f0(Waveform(np.zeros(4000) + 0.1, rate))
+
+    @pytest.mark.parametrize("fmin, fmax", [(500.0, 100.0), (300.0, 301.0)])
+    def test_range_without_a_whole_sample_lag_rejected(self, fmin, fmax):
+        # The lags run from 16000 / fmax up to 16000 / fmin: 160 to 32, and
+        # 53.2 to 53.3, which holds no whole number.
+        with pytest.raises(ValueError) as caught:
+            extract_f0(make_tone(200.0, seconds=0.1), fmin=fmin, fmax=fmax)
+        assert str(caught.value) == f"no whole-sample lag between fmax={fmax!r} and fmin={fmin!r} Hz"
 
     def test_voiced_values_within_range(self):
         contour = extract_f0(make_tone(599.0, seconds=0.5))
@@ -262,6 +276,14 @@ class TestExtractF0MatchesPerLag:
         tone = offset + 0.2 * make_tone(200.0, seconds=0.25).samples
         assert np.all(extract_f0(Waveform(tone, 16000)).values > 0.0)
 
+    def test_one_lag_range(self):
+        # fs / fmax = fs / fmin = 80: the one lag has no neighbour to refine by.
+        samples = make_tone(200.0, seconds=0.25).samples
+        got = extract_f0(Waveform(samples, 16000), fmin=200.0, fmax=200.0).values
+        want, _ = extract_f0_per_lag(samples, 16000, fmin=200.0, fmax=200.0)
+        assert np.any(want > 0)
+        assert np.array_equal(got, want)
+
     def test_two_lag_range(self):
         # fs / fmax = 80 and fs / fmin = 81: no lag has two neighbours.
         samples = make_tone(200.0, seconds=0.25).samples
@@ -305,7 +327,7 @@ class TestAlignStreams:
         xvec = SpeakerEmbedding("x", np.arange(1, 9, dtype=float))
         aligned = align_streams(ppg, f0, xvec)
         assert aligned.n_frames == 200
-        assert aligned.hop == f0.hop
+        assert aligned.hop == F0_HOP_SECONDS
         for k in range(100):
             assert np.array_equal(aligned.frames[2 * k, :6], ppg.frames[k])
             assert np.array_equal(aligned.frames[2 * k + 1, :6], ppg.frames[k])
@@ -345,6 +367,11 @@ class TestAlignStreams:
         assert np.all(log_f0[~voiced] == 0.0)
         assert np.allclose(log_f0[voiced], np.log(f0.values[:60][voiced]))
 
+    def test_content_hop_other_than_twice_the_f0_hop_rejected(self):
+        ppg = FeatureMatrix(_fake_ppg(50).frames, hop=0.020, kind="ppg")
+        with pytest.raises(ValueError, match="content hop 0.02 is not 0.01; streams desynchronized"):
+            align_streams(ppg, _fake_f0(200), SpeakerEmbedding("x", [1.0]))
+
     def test_requires_ppg_kind(self):
         mel = FeatureMatrix(np.ones((10, 24)), hop=0.010, kind="fbank24")
         with pytest.raises(ValueError, match="ppg"):
@@ -370,7 +397,22 @@ class TestFeatureFiles:
         save_f0(path, contour)
         loaded = load_f0(path)
         assert np.array_equal(loaded.values, contour.values)
-        assert loaded.hop == contour.hop
+        with np.load(path, allow_pickle=False) as archive:
+            assert archive["hop"] == F0_HOP_SECONDS == 0.005
+
+    @pytest.mark.parametrize("hop", [0.01, 0.005 + 1e-12, 0.0, -0.005, math.nan])
+    def test_f0_file_on_another_hop_refused(self, tmp_path, hop):
+        path = tmp_path / "f0.npz"
+        with path.open("wb") as fh:
+            np.savez(fh, kind=np.array("f0"), hop=np.array(hop), values=np.full(4, 120.0))
+        with pytest.raises(DataError, match="is not the F0 hop, 0.005") as info:
+            load_f0(path)
+        assert str(path) in str(info.value)
+
+    def test_clock_constants(self):
+        # Feature files store these hops, so their values are part of the format.
+        assert (SAMPLE_RATE, F0_HOP_SECONDS, SAMPLES_PER_FRAME) == (16000, 0.005, 80)
+        assert CONTENT_HOP_SECONDS == 0.010 == 2 * F0_HOP_SECONDS
 
     def test_malformed_feature_file(self, tmp_path):
         # A feature file in the retired one-record-per-frame JSON format.
@@ -426,10 +468,6 @@ class TestFeatureFiles:
         assert str(path) in str(info.value)
 
     @pytest.mark.parametrize("hop", [0.0, -0.01, math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("build", [
-        pytest.param(lambda hop: FeatureMatrix(np.ones((2, 3)), hop=hop, kind="ppg"), id="features"),
-        pytest.param(lambda hop: F0Contour(np.zeros(4), hop=hop), id="f0"),
-    ])
-    def test_in_memory_stream_rejects_bad_hop(self, build, hop):
+    def test_in_memory_features_reject_bad_hop(self, hop):
         with pytest.raises(ValueError, match="hop must be a finite positive number"):
-            build(hop)
+            FeatureMatrix(np.ones((2, 3)), hop=hop, kind="ppg")
