@@ -46,7 +46,6 @@ from .embeddings import (
 )
 from .errors import ConfigError, DataError, read_lines, write_jsonl
 from .features import (
-    CONTENT_HOP_SECONDS,
     F0_HOP_SECONDS,
     SAMPLE_RATE,
     F0Contour,
@@ -88,6 +87,7 @@ def cmd_extract(cfg: RunConfig, wav_paths: list[str]) -> int:
         first_paths[utt] = path_text
     xvec_weights = nnet.load_weights(_weights_path(cfg, "xvector"))
     ppg_weights = nnet.load_weights(_weights_path(cfg, "ppg"))
+    front_ends = (nnet.xvector.INPUT, nnet.ppg.INPUT)
     out_dir = Path(cfg.paths.out_dir)
     feature_dir = out_dir / "features"
     feature_dir.mkdir(parents=True, exist_ok=True)
@@ -96,8 +96,7 @@ def cmd_extract(cfg: RunConfig, wav_paths: list[str]) -> int:
         path = Path(path_text)
         utt = path.stem
         wav = read_wav(path, expected_rate=SAMPLE_RATE)
-        fbank = mel_features(wav, 24, CONTENT_HOP_SECONDS)
-        mel40 = mel_features(wav, 40, CONTENT_HOP_SECONDS)
+        fbank, mel40 = (mel_features(wav, stream.width, stream.hop) for stream in front_ends)
         f0 = extract_f0(wav)
         xvec = nnet.xvector_forward(fbank, xvec_weights, embedding_id=utt)
         ppg = nnet.ppg_forward(mel40, ppg_weights)

@@ -21,15 +21,16 @@ file::
                  repetitions, include_baseline
 
 List keys are comma separated, and a nearest-K value of ``all`` keeps
-every candidate. No ``[paths]`` value may be empty. One read from a file
-is relative to that file's directory; the defaults and ``--out-dir`` are
-relative to the working directory. ``jobs`` caps the worker processes of
-``synthesize``; its default ``auto`` allows one per CPU the command may
-run on, and ``extract`` ignores it. ``cluster_std`` is a finite number
-in [0, 1e6], far below the spread at which the generated embeddings
-overflow. The analysis front end of ``extract`` takes no setting: its
-rate, F0 threshold and PPG output are fixed in ``features`` and
-``nnet.ppg``.
+every candidate. No list repeats a value, ``k_grid`` is never empty, and
+``strategies`` is empty only with ``include_baseline``. No ``[paths]``
+value may be empty. One read from a file is relative to that file's
+directory; the defaults and ``--out-dir`` are relative to the working
+directory. ``jobs`` caps the worker processes of ``synthesize``; its
+default ``auto`` allows one per CPU the command may run on, and
+``extract`` ignores it. ``cluster_std`` is a finite number in [0, 1e6],
+far below the spread at which the generated embeddings overflow. The
+analysis front end of ``extract`` takes no setting: its rate, F0
+threshold and PPG output are fixed in ``features`` and ``nnet.ppg``.
 """
 
 from __future__ import annotations
@@ -165,6 +166,18 @@ class RunConfig:
         for strategy in self.simulate.strategies:
             if strategy not in STRATEGIES:
                 raise ConfigError(f"simulate.strategies contains unknown {strategy!r}")
+        for key in ("strategies", "m_grid", "s_grid", "k_grid"):
+            values = getattr(self.simulate, key)
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    shown = "all" if value is None else repr(value)
+                    raise ConfigError(f"simulate.{key} repeats {shown}")
+        if not self.simulate.k_grid:
+            raise ConfigError("simulate.k_grid is empty")
+        if not (self.simulate.strategies or self.simulate.include_baseline):
+            raise ConfigError(
+                "simulate.strategies is empty and simulate.include_baseline is false"
+            )
         for key, ks in (("evaluate.k", (self.evaluate.k,)),
                         ("simulate.k_grid", self.simulate.k_grid)):
             if any(k is not None and k < 1 for k in ks):

@@ -12,10 +12,19 @@ spanning 20-7600 Hz, log floor ln(1e-10).
 
 The pipeline runs on one clock: ``SAMPLE_RATE`` (16 kHz), with one frame
 per ``F0_HOP_SECONDS`` (5 ms), that is ``SAMPLES_PER_FRAME`` (80) samples.
-F0 and the synthesis-rate mel spectrogram have that hop, the content
-stream and the network front ends ``CONTENT_HOP_SECONDS`` (10 ms), and the
-NSF vocoder writes ``SAMPLES_PER_FRAME`` samples per F0 frame at
-``SAMPLE_RATE``. The front end rejects audio at any other rate, because
+Each stream between the stages is read at one hop; ``Stream.check`` is the
+one test of a stream's kind and hop:
+
+    kind       width              hop    producer          consumer
+    fbank24    24                 10 ms  mel_features      xvector_forward
+    mel40      40                 10 ms  mel_features      ppg_forward
+    ppg        n_states           10 ms  ppg_forward       align_streams
+    f0         1 (F0Contour)      5 ms   extract_f0        align_streams, nsf_forward
+    aligned    n_states+2+xvec    5 ms   align_streams     acoustic_forward
+    melspec80  80                 5 ms   acoustic_forward  nsf_forward
+
+The NSF vocoder writes ``SAMPLES_PER_FRAME`` samples per 5 ms frame. The
+front end rejects audio at any rate other than ``SAMPLE_RATE``, because
 the settings above hold only in a narrow band of rates: below 15.2 kHz,
 twice the 7.6 kHz mel top edge, the top mel bands hold no FFT bin, and
 above 20.48 kHz a 25 ms frame is longer than the 512-point FFT, which
@@ -52,9 +61,30 @@ VOICING_THRESHOLD = 0.45
 # only the rounding residue of mean removal (a constant offset) and is unvoiced.
 F0_ENERGY_FLOOR = float(np.finfo(np.float64).eps)
 
-MEL_KINDS = {24: "fbank24", 40: "mel40", 80: "melspec80"}
-_FIXED_KIND_DIMS = {kind: dim for dim, kind in MEL_KINDS.items()}
-_KINDS = (*MEL_KINDS.values(), "ppg", "aligned")
+
+@dataclass(frozen=True)
+class Stream:
+    """A kind of feature matrix, its width (None where a network config
+    sets it) and the hop its consumer reads it at."""
+
+    kind: str
+    width: int | None
+    hop: float
+
+    def check(self, features: FeatureMatrix) -> None:
+        """Raise ``ValueError`` unless ``features`` has this kind and hop."""
+        if (features.kind, features.hop) != (self.kind, self.hop):
+            raise ValueError(f"expected {self.kind} at a {self.hop} s hop, "
+                             f"got {features.kind} at a {features.hop} s hop")
+
+
+FBANK24 = Stream("fbank24", 24, CONTENT_HOP_SECONDS)
+MEL40 = Stream("mel40", 40, CONTENT_HOP_SECONDS)
+PPG = Stream("ppg", None, CONTENT_HOP_SECONDS)
+ALIGNED = Stream("aligned", None, F0_HOP_SECONDS)
+MELSPEC80 = Stream("melspec80", 80, F0_HOP_SECONDS)
+_STREAMS = {stream.kind: stream for stream in (FBANK24, MEL40, PPG, ALIGNED, MELSPEC80)}
+MEL_KINDS = {stream.width: stream.kind for stream in _STREAMS.values() if stream.width}
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,13 +101,11 @@ class FeatureMatrix:
             raise ValueError("feature matrix must be 2-d with at least one frame")
         if not np.all(np.isfinite(frames)):
             raise ValueError("feature matrix contains non-finite values")
-        if self.kind not in _KINDS:
+        if self.kind not in _STREAMS:
             raise ValueError(f"unknown feature kind {self.kind!r}")
-        expected = _FIXED_KIND_DIMS.get(self.kind)
-        if expected is not None and frames.shape[1] != expected:
-            raise ValueError(
-                f"kind {self.kind!r} requires dim {expected}, got {frames.shape[1]}"
-            )
+        width = _STREAMS[self.kind].width
+        if width is not None and frames.shape[1] != width:
+            raise ValueError(f"kind {self.kind!r} requires dim {width}, got {frames.shape[1]}")
         if not (np.isfinite(self.hop) and self.hop > 0):
             raise ValueError(f"hop must be a finite positive number, got {self.hop!r}")
         frames.setflags(write=False)
@@ -296,8 +324,8 @@ def extract_f0(
 def align_streams(
     ppg: FeatureMatrix, f0: F0Contour, xvec: SpeakerEmbedding
 ) -> FeatureMatrix:
-    """Merge the 10 ms content stream with the 5 ms F0 stream and a speaker
-    embedding into one synthesis-rate feature matrix.
+    """Merge the ``PPG`` stream with the 5 ms F0 stream and a speaker
+    embedding into one ``ALIGNED`` stream.
 
     Each content row is emitted twice to reach the 5 ms rate, the F0 is
     encoded as (log-F0 where voiced else 0, binary voicing flag), and the
@@ -305,12 +333,7 @@ def align_streams(
     ``min(2 * content_frames, f0_frames)``; a disagreement of more than two
     frames signals desynchronized streams and is an error.
     """
-    if ppg.kind != "ppg":
-        raise ValueError(f"content stream must have kind 'ppg', got {ppg.kind!r}")
-    if abs(ppg.hop - CONTENT_HOP_SECONDS) > 1e-9:
-        raise ValueError(
-            f"content hop {ppg.hop} is not {CONTENT_HOP_SECONDS}; streams desynchronized"
-        )
+    PPG.check(ppg)
     doubled = 2 * ppg.n_frames
     if abs(doubled - f0.n_frames) > 2:
         raise ValueError(
@@ -330,7 +353,7 @@ def align_streams(
             np.tile(xvec.vector, (n, 1)),
         ]
     )
-    return FeatureMatrix(rows, hop=F0_HOP_SECONDS, kind="aligned")
+    return FeatureMatrix(rows, hop=ALIGNED.hop, kind=ALIGNED.kind)
 
 
 def save_features(path, features: FeatureMatrix) -> None:
@@ -345,7 +368,7 @@ def save_features(path, features: FeatureMatrix) -> None:
 
 def load_features(path) -> FeatureMatrix:
     return _load_stream(
-        path, _KINDS, lambda kind, hop, values: FeatureMatrix(values, hop=hop, kind=kind)
+        path, tuple(_STREAMS), lambda kind, hop, values: FeatureMatrix(values, hop=hop, kind=kind)
     )
 
 

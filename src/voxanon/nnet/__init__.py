@@ -6,22 +6,3 @@ from .nsf import NsfConfig, filter_block_forward, nsf_forward, nsf_source
 from .ppg import PpgConfig, ppg_forward
 from .weights import ModelWeights, init_weights, load_weights, save_weights
 from .xvector import XVectorConfig, xvector_embedding, xvector_forward
-
-__all__ = [
-    "AcousticConfig",
-    "ModelWeights",
-    "NsfConfig",
-    "PpgConfig",
-    "XVectorConfig",
-    "acoustic_forward",
-    "filter_block_forward",
-    "init_weights",
-    "load_weights",
-    "nsf_forward",
-    "nsf_source",
-    "ppg_forward",
-    "save_weights",
-    "spectral_loss",
-    "xvector_embedding",
-    "xvector_forward",
-]

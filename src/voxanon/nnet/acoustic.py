@@ -34,10 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..features import FeatureMatrix
+from ..features import ALIGNED, MELSPEC80, FeatureMatrix
 from .weights import ModelWeights, TensorTable, register_config
 
-MEL_DIM = 80
+INPUT = ALIGNED
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ class AcousticConfig(TensorTable):
 
     def tensor_items(self):
         blstm_in = self.ff_size
-        ar_in = 2 * self.blstm_size + MEL_DIM
+        ar_in = 2 * self.blstm_size + MELSPEC80.width
         yield from {
             "ff1.w": (self.ff_size, self.input_dim),
             "ff1.b": (self.ff_size,),
@@ -80,8 +80,8 @@ class AcousticConfig(TensorTable):
             "ar.wx": (4 * self.ar_size, ar_in),
             "ar.wh": (4 * self.ar_size, self.ar_size),
             "ar.b": (4 * self.ar_size,),
-            "out.w": (MEL_DIM, self.ar_size),
-            "out.b": (MEL_DIM,),
+            "out.w": (MELSPEC80.width, self.ar_size),
+            "out.b": (MELSPEC80.width,),
         }.items()
 
 
@@ -115,14 +115,13 @@ def _lstm_sequence(pre, wh, size, reverse=False):
 
 
 def acoustic_forward(aligned: FeatureMatrix, weights: ModelWeights) -> FeatureMatrix:
-    """Generate a mel spectrogram from aligned synthesis-rate features,
-    feeding back the model's own previous frame. Output is (frames x 80) at
-    the input hop."""
+    """Generate the ``melspec80`` stream from the ``aligned`` stream, feeding
+    back the model's own previous frame. Output is (frames x 80), both
+    streams at the 5 ms F0 hop."""
     if weights.component != "acoustic":
         raise ValueError(f"expected acoustic weights, got {weights.component!r}")
     config: AcousticConfig = weights.config
-    if aligned.kind != "aligned":
-        raise ValueError(f"expected aligned features, got kind {aligned.kind!r}")
+    INPUT.check(aligned)
     if aligned.dim != config.input_dim:
         raise ValueError(
             f"aligned width {aligned.dim} does not match model input {config.input_dim}"
@@ -144,4 +143,4 @@ def acoustic_forward(aligned: FeatureMatrix, weights: ModelWeights) -> FeatureMa
     w_step = (weights["ar.wh"] + wx_mel @ weights["out.w"]).astype(np.float32)
     hidden = _lstm_sequence(pre, w_step, config.ar_size)
     out = hidden @ weights["out.w"].T + weights["out.b"]
-    return FeatureMatrix(out, hop=aligned.hop, kind="melspec80")
+    return FeatureMatrix(out, hop=MELSPEC80.hop, kind=MELSPEC80.kind)

@@ -1,6 +1,8 @@
 """Source-filter waveform model.
 
-Three stages:
+It reads the ``melspec80`` stream (``INPUT``) and an F0 contour, both at the
+5 ms F0 hop, and returns ``features.SAMPLES_PER_FRAME`` (80) samples per
+frame at ``features.SAMPLE_RATE``. Three stages:
 
 condition
     Projects per-frame [mel, speaker embedding] features to the filter
@@ -45,9 +47,6 @@ identity path stays exact. Against a float64 evaluation of the same layers
 over the explicitly upsampled and smoothed conditioning, block and vocoder
 outputs agree within 1e-4 absolute (tested), below one PCM16 step of 2**-15.
 
-The output has ``features.SAMPLES_PER_FRAME`` (80) samples per F0 frame, at
-``features.SAMPLE_RATE``; neither is a config field.
-
 Only the forward pass exists here; with random weights the output is
 noise-like by design. The structural contracts (lengths, dilation
 schedule, receptive field) are what this module guarantees.
@@ -61,13 +60,14 @@ import numpy as np
 
 from ..audio import Waveform
 from ..embeddings import SpeakerEmbedding
-from ..features import SAMPLE_RATE, SAMPLES_PER_FRAME, F0Contour, FeatureMatrix
+from ..features import MELSPEC80, SAMPLE_RATE, SAMPLES_PER_FRAME, F0Contour, FeatureMatrix
 from .weights import ModelWeights, TensorTable, register_config
+
+INPUT = MELSPEC80
 
 
 @dataclass(frozen=True)
 class NsfConfig(TensorTable):
-    mel_dim: int = 80
     xvec_dim: int = 512
     channels: int = 64
     kernel_size: int = 3
@@ -84,7 +84,7 @@ class NsfConfig(TensorTable):
             raise ValueError("filter module needs at least one block and one layer")
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:
             raise ValueError("kernel_size must be odd and positive")
-        if self.channels < 1 or self.mel_dim < 1 or self.xvec_dim < 1:
+        if self.channels < 1 or self.xvec_dim < 1:
             raise ValueError("dimensions must be positive")
         if self.smooth_width < 1 or self.smooth_width % 2 == 0:
             raise ValueError("smooth_width must be odd and positive")
@@ -100,7 +100,7 @@ class NsfConfig(TensorTable):
         return 1 + (self.kernel_size - 1) * sum(self.dilations)
 
     def tensor_items(self):
-        yield "cond.proj.w", (self.channels, self.mel_dim + self.xvec_dim)
+        yield "cond.proj.w", (self.channels, INPUT.width + self.xvec_dim)
         yield "cond.proj.b", (self.channels,)
         for b in range(1, self.blocks + 1):
             yield f"filter.block{b}.in.w", (self.channels, 1)
@@ -268,10 +268,10 @@ def nsf_forward(
     weights: ModelWeights,
     seed: int,
 ) -> Waveform:
-    """Synthesize a waveform from mel features, an F0 contour, and a speaker
-    embedding.
+    """Synthesize a waveform from the ``melspec80`` stream, an F0 contour, and
+    a speaker embedding.
 
-    The mel and F0 streams must be frame aligned; the output is exactly
+    The mel and F0 streams must be frame aligned at 5 ms; the output is exactly
     ``frames * SAMPLES_PER_FRAME`` samples at ``SAMPLE_RATE``. Samples are clipped to
     [-1, 1] at the end (untrained filters can otherwise stray outside the
     waveform range).
@@ -279,11 +279,7 @@ def nsf_forward(
     if weights.component != "nsf":
         raise ValueError(f"expected nsf weights, got {weights.component!r}")
     config: NsfConfig = weights.config
-    if mel.kind != "melspec80" or mel.dim != config.mel_dim:
-        raise ValueError(
-            f"expected {config.mel_dim}-dim melspec80 features, got "
-            f"{mel.kind!r} with dim {mel.dim}"
-        )
+    INPUT.check(mel)
     if mel.n_frames != f0.n_frames:
         raise ValueError(
             f"mel has {mel.n_frames} frames but F0 has {f0.n_frames}; "

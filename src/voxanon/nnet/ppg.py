@@ -21,13 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..features import FeatureMatrix
+from ..features import MEL40, PPG, FeatureMatrix
 from .weights import ModelWeights, TensorTable, register_config
+
+INPUT = MEL40
 
 
 @dataclass(frozen=True)
 class PpgConfig(TensorTable):
-    input_dim: int = 40
     context_frames: int = 11
     hidden_size: int = 1024
     hidden_layers: int = 6
@@ -40,11 +41,11 @@ class PpgConfig(TensorTable):
             raise ValueError("ppg network needs at least one hidden layer")
         if self.context_frames < 1 or self.context_frames % 2 == 0:
             raise ValueError("context_frames must be odd and positive")
-        if self.input_dim < 1 or self.hidden_size < 1 or self.n_states < 1:
+        if self.hidden_size < 1 or self.n_states < 1:
             raise ValueError("layer sizes must be positive")
 
     def tensor_items(self):
-        in_dim = self.input_dim * self.context_frames
+        in_dim = INPUT.width * self.context_frames
         for i in range(1, self.hidden_layers + 1):
             yield f"hidden{i}.w", (self.hidden_size, in_dim)
             yield f"hidden{i}.b", (self.hidden_size,)
@@ -70,7 +71,8 @@ def _softmax_rows(x: np.ndarray) -> np.ndarray:
 
 
 def ppg_forward(frames: FeatureMatrix, weights: ModelWeights) -> FeatureMatrix:
-    """Posterior features for every input frame.
+    """The ``ppg`` stream of a ``mel40`` stream, one row per input frame,
+    both at the 10 ms content hop.
 
     Edge frames are replicated to fill the splice context, so the output
     has exactly as many rows as the input, and every row sums to one.
@@ -78,10 +80,7 @@ def ppg_forward(frames: FeatureMatrix, weights: ModelWeights) -> FeatureMatrix:
     if weights.component != "ppg":
         raise ValueError(f"expected ppg weights, got {weights.component!r}")
     config: PpgConfig = weights.config
-    if frames.dim != config.input_dim:
-        raise ValueError(
-            f"expected {config.input_dim}-dim input frames, got {frames.dim}"
-        )
+    INPUT.check(frames)
     half = config.context_frames // 2
     padded = np.pad(frames.frames.astype(np.float32), ((half, half), (0, 0)), mode="edge")
     windows = np.lib.stride_tricks.sliding_window_view(
@@ -92,4 +91,4 @@ def ppg_forward(frames: FeatureMatrix, weights: ModelWeights) -> FeatureMatrix:
     for i in range(1, config.hidden_layers + 1):
         h = _sigmoid(h @ weights[f"hidden{i}.w"].T + weights[f"hidden{i}.b"])
     logits = h @ weights["softmax.w"].T + weights["softmax.b"]
-    return FeatureMatrix(_softmax_rows(logits.astype(np.float64)), hop=frames.hop, kind="ppg")
+    return FeatureMatrix(_softmax_rows(logits.astype(np.float64)), hop=PPG.hop, kind=PPG.kind)

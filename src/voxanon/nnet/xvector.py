@@ -27,10 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..embeddings import SpeakerEmbedding
-from ..features import FeatureMatrix
+from ..features import FBANK24, FeatureMatrix
 from .weights import ModelWeights, TensorTable, register_config
 
-INPUT_DIM = 24
+INPUT = FBANK24
 EMBED_DIM = 512
 SPLICE_OFFSETS = ((-2, -1, 0, 1, 2), (-2, 0, 2), (-3, 0, 3), (0,), (0,))
 FRAME_LAYER_SIZES = (512, 512, 512, 512, 1500)
@@ -55,7 +55,7 @@ class XVectorConfig(TensorTable):
             raise ValueError("n_train_speakers must be positive")
 
     def tensor_items(self):
-        in_dim = INPUT_DIM
+        in_dim = INPUT.width
         for i, (offsets, out_dim) in enumerate(
             zip(SPLICE_OFFSETS, FRAME_LAYER_SIZES), start=1
         ):
@@ -91,8 +91,7 @@ def xvector_embedding(frames: FeatureMatrix, weights: ModelWeights) -> np.ndarra
     """Raw embedding vector (the affine output of the first segment layer)."""
     if weights.component != "xvector":
         raise ValueError(f"expected xvector weights, got {weights.component!r}")
-    if frames.dim != INPUT_DIM:
-        raise ValueError(f"expected {INPUT_DIM}-dim input frames, got {frames.dim}")
+    INPUT.check(frames)
     if frames.n_frames < MIN_FRAMES:
         raise ValueError(
             f"need at least {MIN_FRAMES} frames, got {frames.n_frames}"
@@ -116,7 +115,7 @@ def xvector_embedding(frames: FeatureMatrix, weights: ModelWeights) -> np.ndarra
 def xvector_forward(
     frames: FeatureMatrix, weights: ModelWeights, embedding_id: str = "xvector"
 ) -> SpeakerEmbedding:
-    """Extract a speaker embedding from a 24-dim filterbank stream.
+    """Extract a speaker embedding from the ``fbank24`` stream at 10 ms.
 
     The output dimension is 512 regardless of input length. Note that a
     degenerate all-zero embedding (possible only with pathological

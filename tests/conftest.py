@@ -93,5 +93,5 @@ def small_acoustic_weights():
 
 @pytest.fixture
 def small_nsf_weights():
-    config = NsfConfig(mel_dim=80, xvec_dim=8, channels=8, blocks=2, layers_per_block=4)
+    config = NsfConfig(xvec_dim=8, channels=8, blocks=2, layers_per_block=4)
     return init_weights("nsf", config, seed=13)

@@ -1,4 +1,5 @@
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -110,6 +111,26 @@ def blas_threads() -> int | None:
     """This process's OpenBLAS thread count, read as synthesize reads it."""
     functions = cli._openblas_threads()
     return functions[0]() if functions else None
+
+
+def _name_deleted_field(source, target, key, value, tensor, shape):
+    """Copy the weight file ``source`` to ``target`` as a build that still had
+    the config field ``key`` would have written it with ``key = value``:
+    the manifest names the field and ``tensor`` has the ``shape`` it set
+    (zero values)."""
+    with np.load(source, allow_pickle=False) as archive:
+        manifest, values = json.loads(archive["manifest"].tolist()), archive["values"]
+    manifest["config"][key] = value
+    parts, start = [], 0
+    for entry in manifest["tensors"]:
+        count = math.prod(entry[1])
+        if entry[0] == tensor:
+            entry[1] = list(shape)
+            parts.append(np.zeros(math.prod(shape), dtype=np.float32))
+        else:
+            parts.append(values[start : start + count])
+        start += count
+    write_npz(target, manifest=np.array(json.dumps(manifest)), values=np.concatenate(parts))
 
 
 @pytest.fixture(scope="session")
@@ -280,6 +301,35 @@ class TestExitCodes:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert key in err and str(path) in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("k_grid =", "simulate.k_grid is empty"),
+        ("strategies =\ninclude_baseline = false",
+         "simulate.strategies is empty and simulate.include_baseline is false"),
+        ("m_grid = 3, 3\nk_grid = all, all", "simulate.m_grid repeats 3"),
+        ("k_grid = all, all", "simulate.k_grid repeats all"),
+        ("k_grid = 2, all, 2", "simulate.k_grid repeats 2"),
+        ("strategies = range, random, range\ns_grid = 0.5\neps = 0.5",
+         "simulate.strategies repeats 'range'"),
+        ("strategies = range\ns_grid = 0.5, 0.50\neps = 0.5", "simulate.s_grid repeats 0.5"),
+    ])
+    def test_empty_or_repeated_grid_exits_2_naming_key(self, tmp_path, capsys, text, message):
+        path = tmp_path / "grid.ini"
+        path.write_text("[run]\nseed = 5\n[simulate]\nn_speakers = 4\nutterances_per_speaker = 3\n"
+                        f"dim = 16\n{text}\n")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(path), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {path}: {message}\n"
+        assert not out.exists()
+
+    def test_baseline_alone_exits_0(self, tmp_path):
+        path = tmp_path / "baseline.ini"
+        path.write_text("[simulate]\nn_speakers = 4\nutterances_per_speaker = 3\ndim = 16\n"
+                        "strategies =\nk_grid = all, 2\n")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(path), "--out-dir", str(out)]) == 0
+        rows = [row.split() for row in (out / "benchmark_report.txt").read_text().splitlines()[2:]]
+        assert {row[0] for row in rows} == {"none"} and {row[1] for row in rows} == {"all", "2"}
 
     @pytest.mark.parametrize("section, text", [
         ("features", "sample_rate = 16000"),
@@ -630,6 +680,25 @@ class TestExtract:
         )
         assert not out.exists()
 
+    def test_ppg_weights_naming_input_dim_exit_3_naming_weights(self, site, tmp_path, capsys):
+        # The PPG network reads mel40 only. A file that sized it for 24-dim
+        # input loads no more; it fails as a malformed manifest, not as the
+        # first utterance's input.
+        weights = tmp_path / "weights"
+        weights.mkdir()
+        (weights / "xvector.weights").symlink_to(site / "weights" / "xvector.weights")
+        small = tmp_path / "small.weights"
+        config = PpgConfig(context_frames=3, hidden_size=8, hidden_layers=1, n_states=5)
+        save_weights(small, init_weights("ppg", config, seed=1))
+        _name_deleted_field(small, weights / "ppg.weights", "input_dim", 24, "hidden1.w", (8, 72))
+        run = tmp_path / "run.ini"
+        out = tmp_path / "o"
+        run.write_text(f"[paths]\nweights = {weights}\nout_dir = {out}\n")
+        rc = main(["extract", "--config", str(run), str(site / "p01_001.wav")])
+        err = capsys.readouterr().err
+        assert rc == 3, err
+        assert str(weights / "ppg.weights") in err and "input_dim" in err
+        assert not list((out / "features").glob("*"))
 
     @pytest.mark.parametrize("damage", [
         pytest.param(lambda m, e: m["config"].update(bogus=1), id="unknown-config-key"),
@@ -992,6 +1061,27 @@ class TestSynthesize:
         err = capsys.readouterr().err
         assert rc == 3, err
         assert str(weights / "nsf.weights") in err and key in err
+
+    def test_nsf_weights_naming_mel_dim_exit_3_naming_weights(self, long_site, tmp_path, capsys):
+        # The NSF reads melspec80 only. A file that sized it for 40-dim mel
+        # input loads no more; it fails as a malformed manifest, not as the
+        # utterance's PPG file.
+        weights = tmp_path / "weights"
+        weights.mkdir()
+        (weights / "acoustic.weights").symlink_to(long_site / "weights" / "acoustic.weights")
+        _name_deleted_field(long_site / "weights" / "nsf.weights", weights / "nsf.weights",
+                            "mel_dim", 40, "cond.proj.w", (8, 40 + 6))
+        config = tmp_path / "run.ini"
+        config.write_text(f"[run]\nseed = 5\n[paths]\nweights = {weights}\n")
+        rc = main([
+            "synthesize", "--config", str(config), "--features-dir", str(long_site / "features"),
+            "--pseudo", str(long_site / "pseudo.jsonl"), "--utts", "p01_001",
+            "--out-dir", str(tmp_path / "o"),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 3, err
+        assert str(weights / "nsf.weights") in err and "mel_dim" in err
+        assert not list((tmp_path / "o").rglob("*.wav"))
 
     def test_feature_files_on_another_clock_exit_3_naming_file(self, long_site, tmp_path, capsys):
         # 50 PPG frames of 20 ms and 100 F0 frames of 10 ms: 1.0 s of speech

@@ -221,7 +221,7 @@ class TestEchoRoundTrip:
 
     @FUZZ
     @given(st.floats(0.0, MAX_CLUSTER_STD), st.lists(
-        st.one_of(st.none(), st.integers(1, 10**30)), max_size=4))
+        st.one_of(st.none(), st.integers(1, 10**30)), min_size=1, max_size=4, unique=True))
     def test_values_survive(self, tmp_path, cluster_std, k_grid):
         # Enough speakers that every K has as many non-target speakers.
         n_speakers = max((k for k in k_grid if k is not None), default=1) + 1

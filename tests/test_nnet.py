@@ -111,11 +111,10 @@ class TestWeights:
         assert str(path) in str(info.value)
 
     def test_roundtrip_preserves_forward_output(self, tmp_path):
-        config = PpgConfig(input_dim=5, context_frames=3, hidden_size=8,
-                           hidden_layers=2, n_states=6)
+        config = PpgConfig(context_frames=3, hidden_size=8, hidden_layers=2, n_states=6)
         weights = init_weights("ppg", config, seed=7)
         frames = FeatureMatrix(
-            np.random.default_rng(0).standard_normal((9, 5)), hop=0.01, kind="ppg"
+            np.random.default_rng(0).standard_normal((9, 40)), hop=0.01, kind="mel40"
         )
         before = ppg_forward(frames, weights)
         path = tmp_path / "w.weights"

@@ -79,7 +79,7 @@ class TestConfig:
 def _inputs(n_frames, config, seed=0):
     rng = np.random.default_rng(seed)
     mel = FeatureMatrix(
-        rng.standard_normal((n_frames, config.mel_dim)), hop=0.005, kind="melspec80"
+        rng.standard_normal((n_frames, 80)), hop=0.005, kind="melspec80"
     )
     values = np.where(rng.random(n_frames) < 0.5, 150.0, 0.0)
     f0 = F0Contour(values)

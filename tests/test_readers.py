@@ -226,7 +226,7 @@ def test_wav_rate_zero_names_file_and_fmt_offset(tmp_path):
 
 # ------------------------------------------------------- the .npz archives
 
-_PPG = PpgConfig(input_dim=2, context_frames=1, hidden_size=3, hidden_layers=1, n_states=2)
+_PPG = PpgConfig(context_frames=1, hidden_size=3, hidden_layers=1, n_states=2)
 _READERS = {"weights": load_weights, "features": load_features, "f0": load_f0}
 
 
@@ -349,7 +349,7 @@ def test_archive_with_one_entry_damaged(tmp_path, archives, reader, damage):
 
 @FUZZ
 @given(_MANIFEST_DAMAGE)
-@example(damage=("config", "input_dim", 2.0))  # equals the table's 2, but sizes no slice
+@example(damage=("config", "n_states", 2.0))  # equals the table's 2, but sizes no slice
 def test_weight_manifest_damaged(tmp_path, archives, damage):
     entries = dict(archives["weights"][0])
     entries["manifest"] = _damaged_manifest(entries["manifest"], damage)
@@ -360,8 +360,8 @@ def test_weight_manifest_damaged(tmp_path, archives, damage):
 
 @pytest.mark.parametrize("config, key", [
     (_PPG, "hidden_layers"),
-    (NsfConfig(mel_dim=1, xvec_dim=1, channels=1, blocks=1, layers_per_block=1), "layers_per_block"),
-    (NsfConfig(mel_dim=1, xvec_dim=1, channels=1, blocks=1, layers_per_block=1), "blocks"),
+    (NsfConfig(xvec_dim=1, channels=1, blocks=1, layers_per_block=1), "layers_per_block"),
+    (NsfConfig(xvec_dim=1, channels=1, blocks=1, layers_per_block=1), "blocks"),
 ], ids=["ppg-layers", "nsf-layers", "nsf-blocks"])
 def test_weight_config_declaring_huge_network_is_cheap(tmp_path, config, key):
     # A file of about a kilobyte declares 200,000 layers; the reader must
