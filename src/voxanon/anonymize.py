@@ -10,8 +10,8 @@ the ranking against the pool's cached unit rows, so a selection is one
 matrix-vector product. The strategies differ only in how they pick:
 
 ``random``
-    A seed-determined uniform draw of ``n_select`` distinct entries. Does
-    not depend on any original speaker.
+    A seed-determined uniform draw of ``n_select`` distinct entries. Its
+    picks do not depend on the original speaker.
 ``range``
     All entries whose cosine similarity to the original speaker falls in
     ``[target_similarity - half_width, target_similarity + half_width]``,
@@ -112,20 +112,19 @@ class PseudoSpeaker:
 
     ``vector`` always equals the mean of the pool entries named in
     ``selected_ids``. ``similarity`` is the cosine similarity of the
-    original speaker to ``vector``, filled whenever an original speaker
-    was supplied to the selection.
+    original speaker to ``vector``.
     """
 
     vector: np.ndarray
     selected_ids: tuple[str, ...]
     spec: AnonymizationSpec
-    similarity: float | None = None
+    similarity: float
 
     @property
-    def measured_dissimilarity(self) -> float | None:
+    def measured_dissimilarity(self) -> float:
         """One minus ``similarity``: 0 for the original's own direction, 2 for
         the opposite one. ``anonymize`` and ``simulate`` record it."""
-        return None if self.similarity is None else 1.0 - self.similarity
+        return 1.0 - self.similarity
 
 
 def _sample_without_replacement(n: int, k: int, seed: int) -> list[int]:
@@ -144,12 +143,12 @@ def _sample_without_replacement(n: int, k: int, seed: int) -> list[int]:
 def apply_spec(
     pool: EmbeddingPool,
     spec: AnonymizationSpec,
-    original: SpeakerEmbedding | None = None,
+    original: SpeakerEmbedding,
 ) -> PseudoSpeaker:
-    """The pseudo speaker that ``spec`` selects from ``pool``.
+    """The pseudo speaker that ``spec`` selects from ``pool`` for ``original``.
 
-    ``original`` is required for the range and nearest strategies. For the
-    random strategy it is optional and only used to measure the similarity.
+    The range and nearest strategies pick by similarity to ``original``;
+    every strategy measures the pseudo speaker's similarity to it.
     ``selected_ids`` lists nearest picks most similar first and the picks
     of the other strategies in pool order; the same draw with the same
     arguments always returns the same selection and vector bits.
@@ -159,9 +158,7 @@ def apply_spec(
     closest achievable similarity so the caller can retry with a wider
     ``half_width``.
     """
-    if spec.strategy != "random" and original is None:
-        raise ValueError(f"strategy {spec.strategy!r} requires an original speaker")
-    query = None if original is None else original.vector[None, :]
+    query = original.vector[None, :]
     if spec.strategy == "range":
         sims = cosine_matrix(query, pool)[0]
         s, eps = spec.target_similarity, spec.half_width
@@ -182,7 +179,5 @@ def apply_spec(
         picks = [int(i) for i in ranked[0, : spec.n_select]]
     vector = centered_mean(pool.vectors[sorted(picks)])
     vector.setflags(write=False)
-    similarity = None
-    if query is not None:
-        similarity = float(cosine_matrix(query, vector[None, :])[0, 0])
+    similarity = float(cosine_matrix(query, vector[None, :])[0, 0])
     return PseudoSpeaker(vector, tuple(pool.ids[i] for i in picks), spec, similarity)

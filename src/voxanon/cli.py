@@ -70,6 +70,17 @@ def _weights_path(cfg: RunConfig, component: str) -> Path:
     return path
 
 
+def _load_weights(path: Path, component: str):
+    """The weights in ``path``, which must hold ``component``'s; another
+    component's raises ``DataError`` naming the file."""
+    from . import nnet
+
+    weights = nnet.load_weights(path)
+    if weights.component != component:
+        raise DataError(f"{path}: holds {weights.component} weights, not {component} weights")
+    return weights
+
+
 # ---------------------------------------------------------------------------
 # extract
 
@@ -85,8 +96,8 @@ def cmd_extract(cfg: RunConfig, wav_paths: list[str]) -> int:
         if utt in first_paths:  # both would write features/{utt}.*
             raise DataError(f"{first_paths[utt]} and {path_text}: both hold utterance id {utt!r}")
         first_paths[utt] = path_text
-    xvec_weights = nnet.load_weights(_weights_path(cfg, "xvector"))
-    ppg_weights = nnet.load_weights(_weights_path(cfg, "ppg"))
+    xvec_weights = _load_weights(_weights_path(cfg, "xvector"), "xvector")
+    ppg_weights = _load_weights(_weights_path(cfg, "ppg"), "ppg")
     front_ends = (nnet.xvector.INPUT, nnet.ppg.INPUT)
     out_dir = Path(cfg.paths.out_dir)
     feature_dir = out_dir / "features"
@@ -202,11 +213,9 @@ _OPENBLAS_NAMES = (("scipy_openblas", "64_"), ("openblas", ""), ("openblas", "64
 def cmd_synthesize(
     cfg: RunConfig, features_dir: str | None, pseudo_path: str, utts: list[str] | None
 ) -> int:
-    from . import nnet
-
     if utts is not None:
         _check_utts(utts)
-    weight_paths = (_weights_path(cfg, "acoustic"), _weights_path(cfg, "nsf"))
+    weight_paths = {component: _weights_path(cfg, component) for component in ("acoustic", "nsf")}
     feature_dir = Path(features_dir) if features_dir else Path(cfg.paths.out_dir) / "features"
     if not feature_dir.is_dir():
         raise DataError(f"feature directory not found at {feature_dir}")
@@ -236,11 +245,11 @@ def cmd_synthesize(
          embedding_for(utt), derive_seed(master, f"nsf:{utt}"))
         for utt in utts
     ]
-    weights = [nnet.load_weights(path) for path in weight_paths]
-    for path, component in zip(weight_paths, weights):
-        if component.config.xvec_dim != pseudo.dim:
+    weights = [_load_weights(path, component) for component, path in weight_paths.items()]
+    for path, loaded in zip(weight_paths.values(), weights):
+        if loaded.config.xvec_dim != pseudo.dim:
             raise DataError(f"{pseudo_path} holds {pseudo.dim}-dim pseudo speakers, but {path} "
-                            f"takes {component.config.xvec_dim}-dim ones")
+                            f"takes {loaded.config.xvec_dim}-dim ones")
     seconds = sum(f0.n_frames * F0_HOP_SECONDS for _, f0, _, _ in tasks)
     workers = min(cfg.run.jobs or _cpu_count(), len(tasks), int(seconds // _SECONDS_PER_WORKER))
     threads = _openblas_threads() if workers > 1 and hasattr(os, "fork") else None
@@ -507,9 +516,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="configuration file (INI sections)")
     common.add_argument("--seed", dest="run.seed", type=int, help="master seed override")
     common.add_argument(
-        "--jobs", dest="run.jobs", type=int,
-        help="cap on synthesize's worker processes (default run.jobs = auto: one per CPU; "
-        "extract ignores it)",
+        "--jobs", dest="run.jobs",
+        help="cap on synthesize's worker processes, a count or auto (default run.jobs = auto: "
+        "one per CPU; extract ignores it)",
     )
     common.add_argument("--out-dir", dest="paths.out_dir", help="output directory override")
 

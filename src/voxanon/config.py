@@ -154,7 +154,7 @@ class RunConfig:
         if self.paths.out_dir == "":
             raise ConfigError("paths.out_dir (--out-dir) is empty")
         if self.run.jobs is not None and self.run.jobs < 1:
-            raise ConfigError("run.jobs must be at least 1 or 'auto'")
+            raise ConfigError("run.jobs (--jobs) must be at least 1 or 'auto'")
         if self.anonymize.strategy not in ("none",) + STRATEGIES:
             raise ConfigError(f"anonymize.strategy must be 'none' or one of {STRATEGIES}")
         if self.anonymize.strategy == "random" and self.run.seed is None:
@@ -280,9 +280,10 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     """Read a configuration file, apply overrides, validate once.
 
     ``path`` None starts from the defaults. ``overrides`` maps INI keys
-    ("section.key") to values already of the field's type; None values
-    are skipped. A ``[paths]`` value in the file is joined to the file's
-    directory; an override is not. Unknown sections or keys are errors.
+    ("section.key") to values of the field's type, or to a flag's text
+    (``--jobs auto``), parsed as in a file; None values are skipped. A
+    ``[paths]`` value in the file is joined to the file's directory; an
+    override is not. Unknown sections or keys are errors.
     """
     config = RunConfig()
     if path is not None:
@@ -310,6 +311,8 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     for key, value in (overrides or {}).items():
         if value is not None:
             section, _, name = key.partition(".")
+            if isinstance(value, str) and _SCHEMA[key] is not str:
+                value = _parse_scalar(value, _SCHEMA[key], f"{key} (--{name})")
             setattr(getattr(config, section), name, value)
     try:
         config.validate()

@@ -8,7 +8,10 @@ co-indexed frame for frame:
 
 Fixed analysis settings (stated so oracles can replicate results bit for
 bit): 25 ms frames, periodic Hann window, 512-point FFT, HTK mel scale
-spanning 20-7600 Hz, log floor ln(1e-10).
+spanning 20-7600 Hz, log floor ln(1e-10). The F0 tracker searches the
+whole-sample lags of 50-600 Hz (``F0_LAGS``, 27 to 320 samples) and voices
+a frame at a normalized correlation of at least ``VOICING_THRESHOLD``
+(0.45); it takes no setting.
 
 The pipeline runs on one clock: ``SAMPLE_RATE`` (16 kHz), with one frame
 per ``F0_HOP_SECONDS`` (5 ms), that is ``SAMPLES_PER_FRAME`` (80) samples.
@@ -57,6 +60,9 @@ LOG_FLOOR = 1e-10
 F0_MIN_HZ = 50.0
 F0_MAX_HZ = 600.0
 VOICING_THRESHOLD = 0.45
+# The F0 tracker's lags: 27 to 320 samples, each of which fits in one frame.
+F0_LAGS = np.arange(math.ceil(SAMPLE_RATE / F0_MAX_HZ), math.floor(SAMPLE_RATE / F0_MIN_HZ) + 1)
+F0_LAGS.setflags(write=False)
 # A frame whose mean-removed energy is at most this times L * max x^2 holds
 # only the rounding residue of mean removal (a constant offset) and is unvoiced.
 F0_ENERGY_FLOOR = float(np.finfo(np.float64).eps)
@@ -219,7 +225,8 @@ def mel_features(
         Number of mel channels; 24, 40, or 80 (the three widths consumed
         by the downstream networks).
     hop_seconds: float
-        Frame hop, typically 0.01 or 0.005.
+        Frame hop, a positive whole number of samples at ``SAMPLE_RATE``:
+        ``CONTENT_HOP_SECONDS`` or ``F0_HOP_SECONDS`` in the pipeline.
 
     Returns
     -------
@@ -231,7 +238,11 @@ def mel_features(
     if n_mels not in MEL_KINDS:
         raise ValueError(f"n_mels must be one of {sorted(MEL_KINDS)}, got {n_mels}")
     _check_rate(waveform)
-    hop_len = round(hop_seconds * SAMPLE_RATE)
+    hop_len = round(hop_seconds * SAMPLE_RATE) if math.isfinite(hop_seconds) else 0
+    if hop_len < 1 or hop_len / SAMPLE_RATE != hop_seconds:
+        raise ValueError(
+            f"hop {hop_seconds!r} s is not a positive whole number of samples at {SAMPLE_RATE} Hz"
+        )
     frames = frame_signal(waveform.samples, FRAME_SAMPLES, hop_len)
     window = hann_periodic(FRAME_SAMPLES)
     spectrum = np.fft.rfft(frames * window, n=FFT_SIZE, axis=1)
@@ -241,23 +252,19 @@ def mel_features(
     return FeatureMatrix(logmel, hop=hop_seconds, kind=MEL_KINDS[n_mels])
 
 
-def extract_f0(
-    waveform: Waveform,
-    threshold: float = VOICING_THRESHOLD,
-    fmin: float = F0_MIN_HZ,
-    fmax: float = F0_MAX_HZ,
-) -> F0Contour:
+def extract_f0(waveform: Waveform) -> F0Contour:
     """Estimate F0 every 5 ms at ``SAMPLE_RATE`` with a normalized-autocorrelation tracker.
 
     Each 25 ms frame is mean-removed, and the normalized cross-correlation
 
         r[tau] = sum(x[n] x[n+tau]) / sqrt(sum(x[n]^2) sum(x[n+tau]^2))
 
-    is evaluated over the lag range corresponding to [fmin, fmax]. The lag
-    is chosen by r minus a small octave cost (0.01 per lag doubling),
-    which keeps period multiples, whose correlation ties the true period,
-    from stealing the pick; the voicing decision compares the raw r at the
-    chosen lag against ``threshold``. The peak lag is refined by parabolic
+    is evaluated over ``F0_LAGS``, every whole-sample lag of
+    [``F0_MIN_HZ``, ``F0_MAX_HZ``]. The lag is chosen by r minus a small
+    octave cost (0.01 per lag doubling), which keeps period multiples,
+    whose correlation ties the true period, from stealing the pick; a frame
+    is voiced where the raw r at the chosen lag reaches
+    ``VOICING_THRESHOLD``. The peak lag is refined by parabolic
     interpolation before conversion to Hz. Degenerate input (silence,
     noise) simply yields unvoiced frames. So does a frame of length L whose
     mean-removed energy is at most ``F0_ENERGY_FLOOR * L * max x^2``: a
@@ -278,17 +285,7 @@ def extract_f0(
     the 5 ms hop and the shared framing rule.
     """
     _check_rate(waveform)
-    if not math.isfinite(threshold):
-        raise ValueError(f"voicing threshold must be finite, got {threshold!r}")
-    for name, hz in (("fmin", fmin), ("fmax", fmax)):
-        # F0Contour holds voiced values to this range.
-        if not F0_MIN_HZ <= hz <= F0_MAX_HZ:
-            raise ValueError(f"{name} must lie in [{F0_MIN_HZ}, {F0_MAX_HZ}] Hz, got {hz!r}")
-    # Every lag in [50, 600] Hz, 27 to 320 samples, fits in one frame.
-    lags = np.arange(math.ceil(SAMPLE_RATE / fmax), math.floor(SAMPLE_RATE / fmin) + 1)
-    if lags.size == 0:
-        raise ValueError(f"no whole-sample lag between fmax={fmax!r} and fmin={fmin!r} Hz")
-
+    lags = F0_LAGS
     frames = np.array(frame_signal(waveform.samples, FRAME_SAMPLES, SAMPLES_PER_FRAME))
     peak = np.maximum(frames.max(axis=1), -frames.min(axis=1))
     energy_floor = F0_ENERGY_FLOOR * FRAME_SAMPLES * peak * peak
@@ -316,8 +313,8 @@ def extract_f0(
     with np.errstate(divide="ignore", invalid="ignore"):
         shift = np.where(refine, 0.5 * (left - right) / bend, 0.0)
         f0 = SAMPLE_RATE / (lags[best] + shift)
-    voiced = (strength >= threshold) & (power.sum(axis=1) > energy_floor)
-    keep = voiced & (f0 >= fmin) & (f0 <= fmax)
+    voiced = (strength >= VOICING_THRESHOLD) & (power.sum(axis=1) > energy_floor)
+    keep = voiced & (f0 >= F0_MIN_HZ) & (f0 <= F0_MAX_HZ)
     return F0Contour(np.where(keep, f0, 0.0))
 
 

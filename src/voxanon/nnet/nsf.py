@@ -11,12 +11,13 @@ condition
     ``SAMPLES_PER_FRAME`` times, then smoothed by a zero-padded moving
     average of ``smooth_width`` samples (replication alone aliases).
 source
-    A phase-continuous sine excitation on voiced samples and seeded
-    Gaussian noise on unvoiced samples.
+    A phase-continuous sine excitation of amplitude ``SINE_AMPLITUDE`` (0.1)
+    on voiced samples and seeded Gaussian noise of standard deviation
+    ``NOISE_STD`` (0.003) on unvoiced samples.
 filter
     A cascade of dilated-convolution blocks. Each block expands the 1-d
     signal to ``channels``, runs ``layers_per_block`` tanh dilated layers
-    (kernel 3, dilation doubling per layer) with residual and skip
+    (``KERNEL_SIZE`` 3, dilation doubling per layer) with residual and skip
     connections plus an additive conditioning injection, collapses the
     accumulated skips back to one channel, and adds the result onto the
     block input. The identity path around each block means zeroed filter
@@ -64,17 +65,20 @@ from ..features import MELSPEC80, SAMPLE_RATE, SAMPLES_PER_FRAME, F0Contour, Fea
 from .weights import ModelWeights, TensorTable, register_config
 
 INPUT = MELSPEC80
+# Taps of every dilated filter layer.
+KERNEL_SIZE = 3
+# Amplitude of the voiced sine excitation and standard deviation of the
+# unvoiced noise.
+SINE_AMPLITUDE = 0.1
+NOISE_STD = 0.003
 
 
 @dataclass(frozen=True)
 class NsfConfig(TensorTable):
     xvec_dim: int = 512
     channels: int = 64
-    kernel_size: int = 3
     blocks: int = 5
     layers_per_block: int = 10
-    sine_amplitude: float = 0.1
-    noise_std: float = 0.003
     smooth_width: int = 81
 
     component = "nsf"
@@ -82,8 +86,6 @@ class NsfConfig(TensorTable):
     def __post_init__(self):
         if self.blocks < 1 or self.layers_per_block < 1:
             raise ValueError("filter module needs at least one block and one layer")
-        if self.kernel_size < 1 or self.kernel_size % 2 == 0:
-            raise ValueError("kernel_size must be odd and positive")
         if self.channels < 1 or self.xvec_dim < 1:
             raise ValueError("dimensions must be positive")
         if self.smooth_width < 1 or self.smooth_width % 2 == 0:
@@ -96,8 +98,8 @@ class NsfConfig(TensorTable):
 
     @property
     def receptive_field(self) -> int:
-        """Samples covered by one block: 1 + (kernel-1) * sum(dilations)."""
-        return 1 + (self.kernel_size - 1) * sum(self.dilations)
+        """Samples covered by one block: 1 + (KERNEL_SIZE - 1) * sum(dilations)."""
+        return 1 + (KERNEL_SIZE - 1) * sum(self.dilations)
 
     def tensor_items(self):
         yield "cond.proj.w", (self.channels, INPUT.width + self.xvec_dim)
@@ -107,7 +109,7 @@ class NsfConfig(TensorTable):
             yield f"filter.block{b}.in.b", (self.channels,)
             for k in range(1, self.layers_per_block + 1):
                 yield f"filter.block{b}.layer{k}.dil.w", (
-                    self.channels, self.channels, self.kernel_size,
+                    self.channels, self.channels, KERNEL_SIZE,
                 )
                 yield f"filter.block{b}.layer{k}.dil.b", (self.channels,)
                 yield f"filter.block{b}.layer{k}.cond.w", (self.channels, self.channels)
@@ -127,26 +129,22 @@ def _tile_frames(config: NsfConfig) -> int:
     return max(1, min(_TILE // SAMPLES_PER_FRAME, config.channels))
 
 
-def nsf_source(
-    f0_upsampled: np.ndarray,
-    seed: int,
-    amplitude: float = 0.1,
-    noise_std: float = 0.003,
-) -> np.ndarray:
+def nsf_source(f0_upsampled: np.ndarray, seed: int) -> np.ndarray:
     """Excitation signal from an F0 track at ``SAMPLE_RATE``.
 
-    Voiced samples (f0 > 0) carry a sine of the accumulated phase
-    phi[n] = phi[n-1] + 2*pi*f0[n]/SAMPLE_RATE, so the phase is continuous across
-    changes in f0; unvoiced samples carry seeded Gaussian noise. The
-    output is fully determined by (f0, seed).
+    Voiced samples (f0 > 0) carry a sine of amplitude ``SINE_AMPLITUDE`` and
+    accumulated phase phi[n] = phi[n-1] + 2*pi*f0[n]/SAMPLE_RATE, so the
+    phase is continuous across changes in f0; unvoiced samples carry seeded
+    Gaussian noise of standard deviation ``NOISE_STD``. The output is fully
+    determined by (f0, seed).
     """
     f0 = np.asarray(f0_upsampled, dtype=np.float64)
     if np.any(f0 < 0):
         raise ValueError("f0 must be non-negative (0 encodes unvoiced)")
     phase = 2.0 * np.pi * np.cumsum(f0) / SAMPLE_RATE
-    sine = amplitude * np.sin(phase)
+    sine = SINE_AMPLITUDE * np.sin(phase)
     rng = np.random.Generator(np.random.PCG64(seed))
-    noise = noise_std * rng.standard_normal(f0.size)
+    noise = NOISE_STD * rng.standard_normal(f0.size)
     return np.where(f0 > 0, sine, noise)
 
 
@@ -192,7 +190,7 @@ def filter_block_forward(
     """
     config: NsfConfig = weights.config
     prefix = f"filter.block{block}"
-    channels, taps = config.channels, config.kernel_size
+    channels, taps = config.channels, KERNEL_SIZE
     length = excitation.shape[0]
     n_frames = -(-length // SAMPLES_PER_FRAME)
     if condition.shape != (n_frames, channels):
@@ -296,7 +294,7 @@ def nsf_forward(
 
     # Source module.
     f0_up = np.repeat(f0.values, SAMPLES_PER_FRAME)
-    signal = nsf_source(f0_up, seed, amplitude=config.sine_amplitude, noise_std=config.noise_std)
+    signal = nsf_source(f0_up, seed)
 
     # Filter module.
     for b in range(1, config.blocks + 1):

@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterator, Mapping, get_type_hints
@@ -190,22 +189,16 @@ def load_weights(path) -> ModelWeights:
 
 
 def _config_of(component: str, values) -> TensorTable:
-    """The ``component`` config built from the manifest's ``values``, each
-    checked against its field's type first: an ``int`` field takes a plain
-    int (not a bool, nor a float such as 2.0, which equals 2 in the tensor
-    table but sizes no array), a ``float`` field a finite int or float
-    (``json`` reads ``NaN`` and ``Infinity``). An unknown key is left to the
-    constructor, which raises ``TypeError``."""
+    """The ``component`` config built from the manifest's ``values``. Every
+    config field is an ``int`` and takes a plain int: not a bool, nor a
+    float such as 2.0, which equals 2 in the tensor table but sizes no
+    array. An unknown key is left to the constructor, which raises
+    ``TypeError``."""
     if not isinstance(values, dict):
         raise TypeError("config is not a JSON object")
     config_cls = _CONFIG_REGISTRY[component]
     hints = get_type_hints(config_cls)
     for key, value in values.items():
-        kind = hints.get(key)
-        if kind is int and type(value) is not int:
+        if key in hints and type(value) is not int:
             raise TypeError(f"{component} config {key} = {value!r}: expected an integer")
-        # abs(), not math.isfinite: an int past the float range cannot convert.
-        if kind is float and not (type(value) in (int, float)
-                                  and abs(value) <= sys.float_info.max):
-            raise TypeError(f"{component} config {key} = {value!r}: expected a finite number")
     return config_cls(**values)

@@ -583,15 +583,12 @@ def _anonymize_nearest(pool, original, n_select):
     return selected, embedding, measured
 
 
-def select_pseudo_speaker(pool, spec, original=None):
+def select_pseudo_speaker(pool, spec, original):
     """(selected_ids, embedding, measured dissimilarity) of ``spec``, by the
     strategy body it names."""
     if spec.strategy == "random":
         selected, embedding, _ = _anonymize_random(pool, spec.n_select, spec.seed)
-        measured = None if original is None else 1.0 - cosine(original, embedding)
-        return selected, embedding, measured
-    if original is None:
-        raise ValueError(f"strategy {spec.strategy!r} requires an original speaker")
+        return selected, embedding, 1.0 - cosine(original, embedding)
     if spec.strategy == "range":
         return _anonymize_range(pool, original, spec.target_similarity, spec.half_width)
     return _anonymize_nearest(pool, original, spec.n_select)

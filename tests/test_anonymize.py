@@ -21,7 +21,9 @@ def _pool(rng, size, dim=8):
 
 
 def _random(pool, n_select, seed):
-    return apply_spec(pool, AnonymizationSpec("random", n_select=n_select, seed=seed))
+    # The draw does not depend on the original speaker, only its similarity does.
+    original = SpeakerEmbedding("orig", np.ones(pool.dim))
+    return apply_spec(pool, AnonymizationSpec("random", n_select=n_select, seed=seed), original)
 
 
 def _range(pool, original, target_similarity, half_width):
@@ -273,7 +275,7 @@ class TestApplySpec:
 
     def test_original_required_for_nearest(self, rng):
         pool = _pool(rng, 10)
-        with pytest.raises(ValueError, match="original"):
+        with pytest.raises(TypeError, match="original"):
             apply_spec(pool, AnonymizationSpec("nearest", n_select=3))
 
     def test_similarity_and_dissimilarity_agree(self, rng):
@@ -288,8 +290,6 @@ class TestApplySpec:
             assert result.spec is spec
             assert result.similarity == cosine(original, result)
             assert result.measured_dissimilarity == 1.0 - cosine(original, result)
-        unmeasured = apply_spec(pool, AnonymizationSpec("random", n_select=4, seed=2))
-        assert unmeasured.similarity is None and unmeasured.measured_dissimilarity is None
 
     @pytest.mark.parametrize("spec", [
         AnonymizationSpec("random", n_select=4, seed=2),
@@ -351,8 +351,7 @@ class TestAgainstStrategyBodies:
                 assert self._check(pool, AnonymizationSpec("nearest", n_select=n), original) == fits
                 for seed in (0, 7, 2**40 + trial):
                     spec = AnonymizationSpec("random", n_select=n, seed=seed)
-                    for given in (original, None):
-                        assert self._check(pool, spec, given) == fits
+                    assert self._check(pool, spec, original) == fits
 
     def test_nearest_keeps_rank_order_with_ties(self):
         rng = np.random.default_rng(5)

@@ -258,6 +258,27 @@ class TestExitCodes:
         )
         assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 0
 
+    @pytest.mark.parametrize("jobs, expected", [("auto", None), ("AUTO", None), ("3", 3)])
+    def test_jobs_flag_reads_as_the_ini_value(self, tmp_path, monkeypatch, jobs, expected):
+        # The flag overrides the file's jobs = 1, auto included.
+        path = tmp_path / "jobs.ini"
+        path.write_text("[run]\njobs = 1\n")
+        seen = []
+        monkeypatch.setattr(cli, "cmd_simulate", lambda cfg: seen.append(cfg.run.jobs) or 0)
+        assert main(["simulate", "--config", str(path), "--jobs", jobs]) == 0
+        assert seen == [expected]
+
+    @pytest.mark.parametrize("jobs, message", [
+        ("0", "run.jobs (--jobs) must be at least 1 or 'auto'"),
+        ("two", "run.jobs (--jobs): expected an integer, got 'two'"),
+        ("1.5", "run.jobs (--jobs): expected an integer, got '1.5'"),
+    ])
+    def test_bad_jobs_flag_exits_2_naming_flag(self, tmp_path, capsys, jobs, message):
+        rc = main(["simulate", "--jobs", jobs, "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command, text, key", [
         ("simulate", "[simulate]\nrepetitions = 0\n", "simulate.repetitions"),
         ("simulate", "[simulate]\nk_grid = all, 0\n", "simulate.k_grid"),
@@ -700,6 +721,23 @@ class TestExtract:
         assert str(weights / "ppg.weights") in err and "input_dim" in err
         assert not list((out / "features").glob("*"))
 
+    def test_other_components_weights_exit_3_naming_weights(self, site, tmp_path, capsys):
+        # PPG weights in the x-vector's place are refused before any WAV is
+        # read, so the error names the file, not every utterance.
+        weights = tmp_path / "weights"
+        weights.mkdir()
+        for name in ("xvector.weights", "ppg.weights"):
+            (weights / name).symlink_to(site / "weights" / "ppg.weights")
+        run = tmp_path / "run.ini"
+        out = tmp_path / "o"
+        run.write_text(f"[paths]\nweights = {weights}\nout_dir = {out}\n")
+        rc = main(["extract", "--config", str(run), str(site / "p01_001.wav")])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"data error: {weights / 'xvector.weights'}: holds ppg weights, not xvector weights\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("damage", [
         pytest.param(lambda m, e: m["config"].update(bogus=1), id="unknown-config-key"),
         pytest.param(lambda m, e: m.pop("config"), id="missing-config"),
@@ -1029,8 +1067,9 @@ class TestSynthesize:
         assert rc == 2
         assert "nsf" in capsys.readouterr().err
 
-    # The rate and the samples per frame are not config fields: a weight
-    # file naming either is malformed, whatever the value.
+    # The rate, the samples per frame, the kernel size, the sine amplitude
+    # and the noise level are not config fields: a weight file naming any of
+    # them is malformed, whatever the value.
     @pytest.mark.parametrize("key, value", [
         ("upsample_factor", 80.0),
         ("upsample_factor", 80),
@@ -1042,6 +1081,9 @@ class TestSynthesize:
         ("sample_rate", 16000),
         ("noise_std", float("nan")),
         ("sine_amplitude", True),
+        ("kernel_size", 3),
+        ("sine_amplitude", 0.1),
+        ("noise_std", 0.003),
     ])
     def test_bad_nsf_config_value_exits_3_naming_weights(self, long_site, tmp_path, capsys, key, value):
         weights = tmp_path / "weights"
@@ -1061,6 +1103,31 @@ class TestSynthesize:
         err = capsys.readouterr().err
         assert rc == 3, err
         assert str(weights / "nsf.weights") in err and key in err
+
+    @pytest.mark.parametrize("target, source, config", [
+        ("acoustic", "ppg", PpgConfig(context_frames=1, hidden_size=4, hidden_layers=1, n_states=12)),
+        ("nsf", "xvector", XVectorConfig(n_train_speakers=2)),
+    ], ids=["ppg-as-acoustic", "xvector-as-nsf"])
+    def test_other_components_weights_exit_3_naming_weights(
+        self, long_site, tmp_path, capsys, target, source, config
+    ):
+        weights = tmp_path / "weights"
+        weights.mkdir()
+        other = ({"acoustic", "nsf"} - {target}).pop()
+        (weights / f"{other}.weights").symlink_to(long_site / "weights" / f"{other}.weights")
+        save_weights(weights / f"{target}.weights", init_weights(source, config, seed=1))
+        run = tmp_path / "run.ini"
+        run.write_text(f"[run]\nseed = 5\n[paths]\nweights = {weights}\n")
+        rc = main([
+            "synthesize", "--config", str(run), "--features-dir", str(long_site / "features"),
+            "--pseudo", str(long_site / "pseudo.jsonl"), "--out-dir", str(tmp_path / "o"),
+        ])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"data error: {weights / f'{target}.weights'}: "
+            f"holds {source} weights, not {target} weights\n"
+        )
+        assert not list((tmp_path / "o").rglob("*.wav"))
 
     def test_nsf_weights_naming_mel_dim_exit_3_naming_weights(self, long_site, tmp_path, capsys):
         # The NSF reads melspec80 only. A file that sized it for 40-dim mel

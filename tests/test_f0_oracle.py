@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from voxanon import Waveform, extract_f0
+from voxanon.features import VOICING_THRESHOLD
 
 from _oracles import extract_f0_per_lag
 
@@ -41,11 +42,11 @@ AMBIGUOUS_R = 1e-12
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(_TONES, _RAW), st.floats(0.0, 1.0))
-def test_matches_per_lag_tracker(samples, threshold):
-    got = extract_f0(Waveform(samples, FS), threshold=threshold).values
-    want, strength = extract_f0_per_lag(samples, FS, threshold=threshold)
-    clear = np.abs(strength - threshold) > AMBIGUOUS_R
+@given(st.one_of(_TONES, _RAW))
+def test_matches_per_lag_tracker(samples):
+    got = extract_f0(Waveform(samples, FS)).values
+    want, strength = extract_f0_per_lag(samples, FS, threshold=VOICING_THRESHOLD)
+    clear = np.abs(strength - VOICING_THRESHOLD) > AMBIGUOUS_R
     assert np.array_equal(got[clear] > 0, want[clear] > 0)
     both = (got > 0) & (want > 0)
     assert np.all(np.abs(got[both] - want[both]) <= 1e-9)

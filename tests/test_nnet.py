@@ -1,5 +1,7 @@
 import json
 import warnings
+from dataclasses import fields
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from voxanon.nnet import (
     xvector_embedding,
     xvector_forward,
 )
+from voxanon.nnet.weights import _CONFIG_REGISTRY
 
 from _oracles import acoustic_frames, ppg_posteriors, xvector_embedding_ref
 
@@ -198,6 +201,15 @@ class TestWeights:
         for tensor in loaded.tensors.values():
             assert root(tensor) is values and np.shares_memory(tensor, values)
             assert not tensor.flags.writeable
+
+    def test_every_config_field_is_an_integer(self):
+        # A manifest value is checked only as a plain int, so a field of any
+        # other type would load unchecked.
+        assert set(_CONFIG_REGISTRY) == {"xvector", "ppg", "acoustic", "nsf"}
+        for config in _CONFIG_REGISTRY.values():
+            hints = get_type_hints(config)
+            assert [f.name for f in fields(config)] == list(hints)
+            assert set(hints.values()) == {int}, config.__name__
 
 
 @pytest.fixture(scope="module")

@@ -72,8 +72,6 @@ class TestConfig:
     def test_invalid_configs(self):
         with pytest.raises(ValueError, match="block"):
             NsfConfig(blocks=0)
-        with pytest.raises(ValueError, match="kernel"):
-            NsfConfig(kernel_size=2)
 
 
 def _inputs(n_frames, config, seed=0):
@@ -106,9 +104,7 @@ class TestForward:
         mel, f0, xvec = _inputs(12, config, seed=3)
         out = nsf_forward(mel, f0, xvec, weights, seed=21)
         f0_up = np.repeat(f0.values, SAMPLES_PER_FRAME)
-        excitation = nsf_source(
-            f0_up, 21, amplitude=config.sine_amplitude, noise_std=config.noise_std
-        )
+        excitation = nsf_source(f0_up, 21)
         assert np.array_equal(out.samples, excitation)
 
     def test_frame_count_mismatch(self, small_nsf_weights):

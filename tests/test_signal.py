@@ -22,6 +22,7 @@ from voxanon.errors import DataError
 from voxanon.features import (
     CONTENT_HOP_SECONDS,
     F0_HOP_SECONDS,
+    F0_LAGS,
     FFT_SIZE,
     FRAME_SECONDS,
     LOG_FLOOR,
@@ -132,6 +133,15 @@ class TestMelFeatures:
         with pytest.raises(ValueError, match="n_mels"):
             mel_features(make_tone(200.0, seconds=0.2), 32, 0.01)
 
+    @pytest.mark.parametrize("hop", [0.0101, 1e-5, 0.0, -0.01, math.nan, math.inf])
+    def test_hop_of_no_whole_sample_count_rejected(self, hop):
+        # 0.0101 s is 161.6 samples; the others give no positive count.
+        with pytest.raises(ValueError) as caught:
+            mel_features(make_tone(200.0, seconds=0.2), 40, hop)
+        assert str(caught.value) == (
+            f"hop {hop!r} s is not a positive whole number of samples at 16000 Hz"
+        )
+
     def test_too_short_waveform(self):
         with pytest.raises(ValueError, match="shorter than one frame"):
             mel_features(Waveform(np.zeros(100) + 0.1, 16000), 24, 0.01)
@@ -211,30 +221,14 @@ class TestExtractF0:
         with pytest.raises(ValueError, match=f"waveform is at {rate} Hz, not 16000 Hz"):
             extract_f0(Waveform(np.zeros(4000) + 0.1, rate))
 
-    @pytest.mark.parametrize("fmin, fmax", [(500.0, 100.0), (300.0, 301.0)])
-    def test_range_without_a_whole_sample_lag_rejected(self, fmin, fmax):
-        # The lags run from 16000 / fmax up to 16000 / fmin: 160 to 32, and
-        # 53.2 to 53.3, which holds no whole number.
-        with pytest.raises(ValueError) as caught:
-            extract_f0(make_tone(200.0, seconds=0.1), fmin=fmin, fmax=fmax)
-        assert str(caught.value) == f"no whole-sample lag between fmax={fmax!r} and fmin={fmin!r} Hz"
-
     def test_voiced_values_within_range(self):
         contour = extract_f0(make_tone(599.0, seconds=0.5))
         voiced = contour.values[contour.values > 0]
         assert np.all((voiced >= 50.0) & (voiced <= 600.0))
 
-    @pytest.mark.parametrize("tone_hz, bounds, name", [
-        (45.0, dict(fmin=40.0), "fmin"),
-        (700.0, dict(fmax=800.0), "fmax"),
-    ])
-    def test_search_bound_outside_contour_range_rejected(self, tone_hz, bounds, name):
-        # Such a tone would be voiced, and F0Contour rejects its value.
-        with pytest.raises(ValueError) as caught:
-            extract_f0(make_tone(tone_hz, seconds=0.5), **bounds)
-        assert str(caught.value) == (
-            f"{name} must lie in [50.0, 600.0] Hz, got {bounds[name]!r}"
-        )
+    def test_lags_are_every_whole_sample_period_in_the_contour_range(self):
+        # 16000 / 600 Hz = 26.7 and 16000 / 50 Hz = 320 samples.
+        assert np.array_equal(F0_LAGS, np.arange(27, 321)) and not F0_LAGS.flags.writeable
 
 
 def _click_then_silence(fs=16000):
@@ -275,38 +269,6 @@ class TestExtractF0MatchesPerLag:
         # A tone riding on the same offset is still voiced.
         tone = offset + 0.2 * make_tone(200.0, seconds=0.25).samples
         assert np.all(extract_f0(Waveform(tone, 16000)).values > 0.0)
-
-    def test_one_lag_range(self):
-        # fs / fmax = fs / fmin = 80: the one lag has no neighbour to refine by.
-        samples = make_tone(200.0, seconds=0.25).samples
-        got = extract_f0(Waveform(samples, 16000), fmin=200.0, fmax=200.0).values
-        want, _ = extract_f0_per_lag(samples, 16000, fmin=200.0, fmax=200.0)
-        assert np.any(want > 0)
-        assert np.array_equal(got, want)
-
-    def test_two_lag_range(self):
-        # fs / fmax = 80 and fs / fmin = 81: no lag has two neighbours.
-        samples = make_tone(200.0, seconds=0.25).samples
-        fmin, fmax = 16000 / 81, 200.0
-        got = extract_f0(Waveform(samples, 16000), fmin=fmin, fmax=fmax).values
-        want, _ = extract_f0_per_lag(samples, 16000, fmin=fmin, fmax=fmax)
-        assert np.any(want > 0)
-        assert np.array_equal(got > 0, want > 0)
-        assert np.max(np.abs(got - want)) <= 1e-9
-
-    def test_threshold_is_inclusive(self):
-        # A 200 Hz square wave framed on whole periods has r exactly 1 at
-        # lag 80 in both trackers, so threshold 1.0 still voices it.
-        samples = np.where(np.arange(4000) % 80 < 40, 0.5, -0.5)
-        got = extract_f0(Waveform(samples, 16000), threshold=1.0).values
-        want, strength = extract_f0_per_lag(samples, 16000, threshold=1.0)
-        assert np.all(strength == 1.0) and np.all(got > 0)
-        assert np.max(np.abs(got - want)) <= 1e-9
-
-    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
-    def test_non_finite_threshold_rejected(self, threshold):
-        with pytest.raises(ValueError, match="threshold must be finite"):
-            extract_f0(make_tone(200.0, seconds=0.1), threshold=threshold)
 
 
 def _fake_ppg(n_frames, dim=6, seed=0):
