@@ -16,6 +16,8 @@ import numpy as np
 from .errors import DataError
 
 PCM16_SCALE = 32768.0
+# The pipeline's one sample rate; ``features`` re-exports it.
+SAMPLE_RATE = 16000
 
 
 @dataclass(frozen=True, eq=False)
@@ -23,7 +25,7 @@ class Waveform:
     """Mono audio samples in [-1, 1] at a fixed sample rate."""
 
     samples: np.ndarray
-    sample_rate: int = 16000
+    sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self):
         samples = np.array(self.samples, dtype=np.float64)

@@ -215,8 +215,10 @@ def cmd_synthesize(
 ) -> int:
     if utts is not None:
         _check_utts(utts)
+    if features_dir == "":
+        raise DataError("--features-dir is empty")
     weight_paths = {component: _weights_path(cfg, component) for component in ("acoustic", "nsf")}
-    feature_dir = Path(features_dir) if features_dir else Path(cfg.paths.out_dir) / "features"
+    feature_dir = Path(cfg.paths.out_dir) / "features" if features_dir is None else Path(features_dir)
     if not feature_dir.is_dir():
         raise DataError(f"feature directory not found at {feature_dir}")
     pseudo = load_pool(pseudo_path)
@@ -573,7 +575,7 @@ def main(argv=None) -> int:
         if args.command == "anonymize":
             return cmd_anonymize(cfg, args.inputs)
         if args.command == "synthesize":
-            utts = args.utts.split(",") if args.utts else None
+            utts = args.utts.split(",") if args.utts is not None else None
             return cmd_synthesize(cfg, args.features_dir, args.pseudo, utts)
         if args.command == "evaluate":
             return cmd_evaluate(

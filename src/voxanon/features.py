@@ -13,7 +13,7 @@ whole-sample lags of 50-600 Hz (``F0_LAGS``, 27 to 320 samples) and voices
 a frame at a normalized correlation of at least ``VOICING_THRESHOLD``
 (0.45); it takes no setting.
 
-The pipeline runs on one clock: ``SAMPLE_RATE`` (16 kHz), with one frame
+The pipeline runs on one clock: ``audio.SAMPLE_RATE`` (16 kHz), with one frame
 per ``F0_HOP_SECONDS`` (5 ms), that is ``SAMPLES_PER_FRAME`` (80) samples.
 Each stream between the stages is read at one hop; ``Stream.check`` is the
 one test of a stream's kind and hop:
@@ -43,11 +43,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import Waveform
+from .audio import SAMPLE_RATE, Waveform
 from .embeddings import SpeakerEmbedding
 from .errors import DataError, read_npz, write_npz
 
-SAMPLE_RATE = 16000
 F0_HOP_SECONDS = 0.005
 SAMPLES_PER_FRAME = round(SAMPLE_RATE * F0_HOP_SECONDS)
 CONTENT_HOP_SECONDS = 2 * F0_HOP_SECONDS

@@ -35,29 +35,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..features import ALIGNED, MELSPEC80, FeatureMatrix
-from .weights import ModelWeights, TensorTable, register_config
+from .ppg import PpgConfig
+from .weights import ModelWeights, TensorTable
+from .xvector import EMBED_DIM
 
 INPUT = ALIGNED
 
 
 @dataclass(frozen=True)
-class AcousticConfig(TensorTable):
-    """Layer sizes; ``content_dim`` is the width of the content block in the
+class AcousticConfig(TensorTable, component="acoustic"):
+    """Layer sizes, each an integer of at least 1 (the ``TensorTable``
+    rule); ``content_dim`` is the width of the content block in the
     aligned input (the PPG width), so the expected input dimension is
     ``content_dim + 2 + xvec_dim``."""
 
-    content_dim: int = 1944
-    xvec_dim: int = 512
+    content_dim: int = PpgConfig.n_states
+    xvec_dim: int = EMBED_DIM
     ff_size: int = 512
     blstm_size: int = 256  # per direction
     ar_size: int = 512
-
-    component = "acoustic"
-
-    def __post_init__(self):
-        for name in ("content_dim", "xvec_dim", "ff_size", "blstm_size", "ar_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
 
     @property
     def input_dim(self) -> int:
@@ -83,9 +79,6 @@ class AcousticConfig(TensorTable):
             "out.w": (MELSPEC80.width, self.ar_size),
             "out.b": (MELSPEC80.width,),
         }.items()
-
-
-register_config("acoustic", AcousticConfig)
 
 
 def _lstm_sequence(pre, wh, size, reverse=False):
@@ -118,8 +111,7 @@ def acoustic_forward(aligned: FeatureMatrix, weights: ModelWeights) -> FeatureMa
     """Generate the ``melspec80`` stream from the ``aligned`` stream, feeding
     back the model's own previous frame. Output is (frames x 80), both
     streams at the 5 ms F0 hop."""
-    if weights.component != "acoustic":
-        raise ValueError(f"expected acoustic weights, got {weights.component!r}")
+    weights.require("acoustic")
     config: AcousticConfig = weights.config
     INPUT.check(aligned)
     if aligned.dim != config.input_dim:

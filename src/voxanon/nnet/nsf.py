@@ -62,7 +62,8 @@ import numpy as np
 from ..audio import Waveform
 from ..embeddings import SpeakerEmbedding
 from ..features import MELSPEC80, SAMPLE_RATE, SAMPLES_PER_FRAME, F0Contour, FeatureMatrix
-from .weights import ModelWeights, TensorTable, register_config
+from .weights import ModelWeights, TensorTable
+from .xvector import EMBED_DIM
 
 INPUT = MELSPEC80
 # Taps of every dilated filter layer.
@@ -74,22 +75,21 @@ NOISE_STD = 0.003
 
 
 @dataclass(frozen=True)
-class NsfConfig(TensorTable):
-    xvec_dim: int = 512
+class NsfConfig(TensorTable, component="nsf"):
+    """Condition and filter sizes. Every field is an integer of at least 1
+    (the ``TensorTable`` rule), and ``smooth_width`` is odd, so the moving
+    average centres on its sample."""
+
+    xvec_dim: int = EMBED_DIM
     channels: int = 64
     blocks: int = 5
     layers_per_block: int = 10
     smooth_width: int = 81
 
-    component = "nsf"
-
     def __post_init__(self):
-        if self.blocks < 1 or self.layers_per_block < 1:
-            raise ValueError("filter module needs at least one block and one layer")
-        if self.channels < 1 or self.xvec_dim < 1:
-            raise ValueError("dimensions must be positive")
-        if self.smooth_width < 1 or self.smooth_width % 2 == 0:
-            raise ValueError("smooth_width must be odd and positive")
+        super().__post_init__()
+        if self.smooth_width % 2 == 0:
+            raise ValueError(f"nsf config smooth_width = {self.smooth_width}: expected an odd number")
 
     @property
     def dilations(self) -> tuple[int, ...]:
@@ -116,8 +116,6 @@ class NsfConfig(TensorTable):
             yield f"filter.block{b}.out.w", (1, self.channels)
             yield f"filter.block{b}.out.b", (1,)
 
-
-register_config("nsf", NsfConfig)
 
 # Sample budget of one filter tile. A tile holds whole frames, and no more
 # frames than channels, so the interpolation rows that replace the
@@ -187,8 +185,12 @@ def filter_block_forward(
     The block output is the input plus the collapsed skip sum, so its
     deviation from the input is confined to the block's receptive field.
     Neither input is modified; the result is a new float64 array.
+    ``block`` counts from 1 to ``config.blocks``.
     """
+    weights.require("nsf")
     config: NsfConfig = weights.config
+    if type(block) is not int or not 1 <= block <= config.blocks:
+        raise ValueError(f"block {block!r} is not one of the filter blocks 1..{config.blocks}")
     prefix = f"filter.block{block}"
     channels, taps = config.channels, KERNEL_SIZE
     length = excitation.shape[0]
@@ -274,8 +276,7 @@ def nsf_forward(
     [-1, 1] at the end (untrained filters can otherwise stray outside the
     waveform range).
     """
-    if weights.component != "nsf":
-        raise ValueError(f"expected nsf weights, got {weights.component!r}")
+    weights.require("nsf")
     config: NsfConfig = weights.config
     INPUT.check(mel)
     if mel.n_frames != f0.n_frames:

@@ -22,27 +22,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..features import MEL40, PPG, FeatureMatrix
-from .weights import ModelWeights, TensorTable, register_config
+from .weights import ModelWeights, TensorTable
 
 INPUT = MEL40
 
 
 @dataclass(frozen=True)
-class PpgConfig(TensorTable):
+class PpgConfig(TensorTable, component="ppg"):
+    """Layer sizes. Every field is an integer of at least 1 (the
+    ``TensorTable`` rule), and ``context_frames`` is odd, so the splice
+    window centres on its frame."""
+
     context_frames: int = 11
     hidden_size: int = 1024
     hidden_layers: int = 6
     n_states: int = 1944
 
-    component = "ppg"
-
     def __post_init__(self):
-        if self.hidden_layers < 1:
-            raise ValueError("ppg network needs at least one hidden layer")
-        if self.context_frames < 1 or self.context_frames % 2 == 0:
-            raise ValueError("context_frames must be odd and positive")
-        if self.hidden_size < 1 or self.n_states < 1:
-            raise ValueError("layer sizes must be positive")
+        super().__post_init__()
+        if self.context_frames % 2 == 0:
+            raise ValueError(f"ppg config context_frames = {self.context_frames}: expected an odd number")
 
     def tensor_items(self):
         in_dim = INPUT.width * self.context_frames
@@ -52,9 +51,6 @@ class PpgConfig(TensorTable):
             in_dim = self.hidden_size
         yield "softmax.w", (self.n_states, self.hidden_size)
         yield "softmax.b", (self.n_states,)
-
-
-register_config("ppg", PpgConfig)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -77,8 +73,7 @@ def ppg_forward(frames: FeatureMatrix, weights: ModelWeights) -> FeatureMatrix:
     Edge frames are replicated to fill the splice context, so the output
     has exactly as many rows as the input, and every row sums to one.
     """
-    if weights.component != "ppg":
-        raise ValueError(f"expected ppg weights, got {weights.component!r}")
+    weights.require("ppg")
     config: PpgConfig = weights.config
     INPUT.check(frames)
     half = config.context_frames // 2

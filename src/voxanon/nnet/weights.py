@@ -11,6 +11,14 @@ bit-exact, and equal weights give equal bytes.
 float32 is the one weight dtype: ``ModelWeights`` rounds any other input
 once, when it is built. Format 2 stored float64 values; such a file is
 rejected, naming the file and its version.
+
+Each config class names its component in its class line,
+``class PpgConfig(TensorTable, component="ppg")``, which registers it for
+the reader. ``TensorTable.__post_init__`` holds the one field rule: a plain
+``int`` of at least 1, neither a bool nor a float such as 2.0, which equals
+2 in a tensor table but sizes no array. The reader builds the config from
+the manifest with that constructor, so a file can hold every config that
+can be built, and no other.
 """
 
 from __future__ import annotations
@@ -18,9 +26,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Iterator, Mapping, get_type_hints
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -28,19 +36,27 @@ from ..errors import DataError, read_npz, write_npz
 
 FORMAT_VERSION = 3
 
-# component name -> config class; populated by the component modules.
-_CONFIG_REGISTRY: dict[str, type] = {}
-
-
-def register_config(component: str, config_cls: type) -> None:
-    _CONFIG_REGISTRY[component] = config_cls
+# component name -> config class; each config class enters itself.
+_CONFIG_REGISTRY: dict[str, type[TensorTable]] = {}
 
 
 class TensorTable:
-    """Base of the component configs, each of which names its ``component``
-    in a class attribute. ``tensor_items`` yields each tensor's
-    ``(name, shape)`` in table order, so a reader can stop after as many
-    entries as a file stores."""
+    """Base of the component configs: frozen dataclasses of ``int`` fields,
+    each naming its component as a class keyword. ``tensor_items`` yields
+    each tensor's ``(name, shape)`` in table order, so a reader can stop
+    after as many entries as a file stores."""
+
+    def __init_subclass__(cls, *, component: str, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.component = component
+        _CONFIG_REGISTRY[component] = cls
+
+    def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{self.component} config {field.name} = {value!r}: "
+                                 "expected an integer of at least 1")
 
     def tensor_items(self) -> Iterator[tuple[str, tuple[int, ...]]]:
         raise NotImplementedError
@@ -94,6 +110,11 @@ class ModelWeights:
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
+
+    def require(self, component: str) -> None:
+        """Raise ``ValueError`` unless these are ``component``'s weights."""
+        if self.component != component:
+            raise ValueError(f"expected {component} weights, got {self.component!r}")
 
 
 def init_weights(component: str, config, seed: int) -> ModelWeights:
@@ -162,7 +183,7 @@ def load_weights(path) -> ModelWeights:
     table = manifest.get("tensors")
     stored = len(table) if isinstance(table, list) else 0
     try:
-        config = _config_of(component, manifest["config"])
+        config = _CONFIG_REGISTRY[component](**manifest["config"])
         declared = list(itertools.islice(config.tensor_items(), stored + 1))
     except KeyError as exc:
         raise DataError(f"{path}: manifest is missing {exc}") from exc
@@ -186,19 +207,3 @@ def load_weights(path) -> ModelWeights:
         return ModelWeights(config, tensors)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
-
-
-def _config_of(component: str, values) -> TensorTable:
-    """The ``component`` config built from the manifest's ``values``. Every
-    config field is an ``int`` and takes a plain int: not a bool, nor a
-    float such as 2.0, which equals 2 in the tensor table but sizes no
-    array. An unknown key is left to the constructor, which raises
-    ``TypeError``."""
-    if not isinstance(values, dict):
-        raise TypeError("config is not a JSON object")
-    config_cls = _CONFIG_REGISTRY[component]
-    hints = get_type_hints(config_cls)
-    for key, value in values.items():
-        if key in hints and type(value) is not int:
-            raise TypeError(f"{component} config {key} = {value!r}: expected an integer")
-    return config_cls(**values)

@@ -28,7 +28,7 @@ import numpy as np
 
 from ..embeddings import SpeakerEmbedding
 from ..features import FBANK24, FeatureMatrix
-from .weights import ModelWeights, TensorTable, register_config
+from .weights import ModelWeights, TensorTable
 
 INPUT = FBANK24
 EMBED_DIM = 512
@@ -38,21 +38,16 @@ MIN_FRAMES = 15  # total splice context of the frame-level stack
 
 
 @dataclass(frozen=True)
-class XVectorConfig(TensorTable):
+class XVectorConfig(TensorTable, component="xvector"):
     """Shape parameters of the embedding network.
 
     The frame-level structure is fixed; only the training-softmax width
-    is configurable. Pooling concatenates the mean and the standard
-    deviation of the frame-level outputs.
+    is configurable, as an integer of at least 1 (the ``TensorTable``
+    rule). Pooling concatenates the mean and the standard deviation of the
+    frame-level outputs.
     """
 
     n_train_speakers: int = 200
-
-    component = "xvector"
-
-    def __post_init__(self):
-        if self.n_train_speakers < 1:
-            raise ValueError("n_train_speakers must be positive")
 
     def tensor_items(self):
         in_dim = INPUT.width
@@ -71,9 +66,6 @@ class XVectorConfig(TensorTable):
         yield "softmax.b", (self.n_train_speakers,)
 
 
-register_config("xvector", XVectorConfig)
-
-
 def _splice(x: np.ndarray, offsets: tuple[int, ...]) -> np.ndarray:
     # Valid-region splicing: row t of the output concatenates rows
     # t+off-min(offsets) of x for each offset; the sequence shrinks by
@@ -89,8 +81,7 @@ def _relu(x: np.ndarray) -> np.ndarray:
 
 def xvector_embedding(frames: FeatureMatrix, weights: ModelWeights) -> np.ndarray:
     """Raw embedding vector (the affine output of the first segment layer)."""
-    if weights.component != "xvector":
-        raise ValueError(f"expected xvector weights, got {weights.component!r}")
+    weights.require("xvector")
     INPUT.check(frames)
     if frames.n_frames < MIN_FRAMES:
         raise ValueError(

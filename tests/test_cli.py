@@ -1204,8 +1204,9 @@ class TestSynthesize:
         ("p01_001,", "'' is empty"),
         ("p01_001,/p01_001", "'/p01_001' holds a path separator"),
         ("p01_001,,p01_001", "'' is empty"),
+        ("", "'' is empty"),
     ], ids=["repeated", "empty", "path-separator", "trailing-comma", "absolute",
-            "first-problem-named"])
+            "first-problem-named", "empty-list"])
     def test_bad_utts_id_exits_3(self, long_site, tmp_path, capsys, monkeypatch, utts, problem):
         # Each id names the files features/{utt}.* and wav/{utt}.wav.
         monkeypatch.setattr(voxanon.nnet, "load_weights",
@@ -1218,6 +1219,19 @@ class TestSynthesize:
         ])
         assert rc == 3
         assert capsys.readouterr().err == f"data error: --utts: utterance id {problem}\n"
+        assert not out.exists()
+
+    def test_empty_features_dir_exits_3(self, long_site, tmp_path, capsys, monkeypatch):
+        # An empty value would otherwise name the current directory.
+        monkeypatch.setattr(voxanon.nnet, "load_weights",
+                            lambda path: pytest.fail("weights loaded before --features-dir was checked"))
+        out = tmp_path / "o"
+        rc = main([
+            "synthesize", "--config", str(long_site / "run.ini"), "--features-dir", "",
+            "--pseudo", str(long_site / "pseudo.jsonl"), "--out-dir", str(out),
+        ])
+        assert rc == 3
+        assert capsys.readouterr().err == "data error: --features-dir is empty\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("utts, entries, same_as", [

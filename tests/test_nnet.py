@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from dataclasses import fields
 from typing import get_type_hints
@@ -11,9 +12,11 @@ from voxanon.errors import DataError, write_npz
 from voxanon.nnet import (
     AcousticConfig,
     ModelWeights,
+    NsfConfig,
     PpgConfig,
     XVectorConfig,
     acoustic_forward,
+    filter_block_forward,
     init_weights,
     load_weights,
     ppg_forward,
@@ -126,8 +129,26 @@ class TestWeights:
         assert np.array_equal(before.frames, after.frames)
 
     def test_zero_layer_config_rejected(self):
-        with pytest.raises(ValueError, match="hidden layer"):
+        with pytest.raises(ValueError, match="ppg config hidden_layers = 0: expected an integer"):
             PpgConfig(hidden_layers=0)
+
+    @pytest.mark.parametrize("component", sorted(_CONFIG_REGISTRY))
+    @pytest.mark.parametrize("value", [0, -1, 2.0, True])
+    def test_every_config_field_refuses_what_is_no_count(self, component, value):
+        config = _CONFIG_REGISTRY[component]
+        for field in fields(config):
+            message = f"{component} config {field.name} = {value!r}: expected an integer of at least 1"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                config(**{field.name: value})
+
+    @pytest.mark.parametrize("config, field", [
+        (PpgConfig, "context_frames"), (NsfConfig, "smooth_width"),
+    ])
+    def test_window_widths_must_be_odd(self, config, field):
+        for value in (2, 80):
+            message = f"{config.component} config {field} = {value}: expected an odd number"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                config(**{field: value})
 
     def test_shape_mismatch_rejected(self):
         config = PpgConfig(hidden_size=4, n_states=3, hidden_layers=1)
@@ -160,6 +181,8 @@ class TestWeights:
             ppg_forward(frames, acoustic)
         with pytest.raises(ValueError, match="expected acoustic weights, got 'ppg'"):
             acoustic_forward(frames, small_ppg_weights)
+        with pytest.raises(ValueError, match="expected nsf weights, got 'acoustic'"):
+            filter_block_forward(np.zeros(80), np.zeros((1, 8)), acoustic, block=1)
 
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "junk.weights"
@@ -203,8 +226,8 @@ class TestWeights:
             assert not tensor.flags.writeable
 
     def test_every_config_field_is_an_integer(self):
-        # A manifest value is checked only as a plain int, so a field of any
-        # other type would load unchecked.
+        # The one field rule, TensorTable.__post_init__, takes a plain int of
+        # at least 1, so a field of any other type could never be set.
         assert set(_CONFIG_REGISTRY) == {"xvector", "ppg", "acoustic", "nsf"}
         for config in _CONFIG_REGISTRY.values():
             hints = get_type_hints(config)

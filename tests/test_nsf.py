@@ -250,6 +250,12 @@ class TestFrameRateConditioning:
         with pytest.raises(ValueError, match="shape"):
             filter_block_forward(excitation, condition[:-1], small_nsf_weights, block=1)
 
+    @pytest.mark.parametrize("block", [0, -1, 3, True])
+    def test_block_outside_the_filter_refused(self, small_nsf_weights, block):
+        excitation, condition = _block_inputs(SAMPLES_PER_FRAME, small_nsf_weights.config)
+        with pytest.raises(ValueError, match=rf"block {block} is not one of the filter blocks 1\.\.2"):
+            filter_block_forward(excitation, condition, small_nsf_weights, block=block)
+
     def test_nsf_forward_peak_memory(self):
         # 596 frames is one ~3 s utterance. A float64 (samples, channels)
         # conditioning signal and its smoothing temporaries alone come to

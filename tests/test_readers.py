@@ -5,6 +5,7 @@ of ``evaluate``, and the ``.npz`` archive reader behind ``load_weights``,
 ``load_features`` and ``load_f0``.
 """
 
+import dataclasses
 import functools
 import json
 import struct
@@ -17,7 +18,10 @@ from voxanon import load_pool, read_trials, read_wav
 from voxanon.cli import _read_transcripts
 from voxanon.errors import DataError, write_jsonl, write_npz
 from voxanon.features import FeatureMatrix, F0Contour, load_f0, load_features, save_f0, save_features
-from voxanon.nnet import NsfConfig, PpgConfig, init_weights, load_weights, save_weights
+from voxanon.nnet import (
+    AcousticConfig, NsfConfig, PpgConfig, XVectorConfig, init_weights, load_weights, save_weights,
+)
+from voxanon.nnet.weights import _CONFIG_REGISTRY
 
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, example, given, settings  # noqa: E402
@@ -398,6 +402,63 @@ def test_weight_config_bool_is_no_integer(tmp_path):
     with pytest.raises(DataError, match="hidden_layers = True: expected an integer") as info:
         load_weights(path)
     assert str(path) in str(info.value)
+
+
+# The smallest config of each component; the x-vector's frame layers are fixed.
+_SMALLEST = {config.component: config for config in (
+    XVectorConfig(1), _PPG, AcousticConfig(1, 1, 1, 1, 1), NsfConfig(1, 1, 1, 1, 1),
+)}
+
+
+def _write_config(entries, path, component, config: dict) -> None:
+    """Write ``entries`` to ``path`` with the manifest naming ``component``
+    and ``config``; the reader builds the config before it reads a tensor."""
+    manifest = json.loads(entries["manifest"].tolist())
+    manifest.update(component=component, config=config)
+    write_npz(path, **{**entries, "manifest": np.array(json.dumps(manifest))})
+
+
+@pytest.mark.parametrize("component", sorted(_CONFIG_REGISTRY))
+@pytest.mark.parametrize("value", [0, -1, 2.0, True])
+def test_weight_config_field_is_a_count(tmp_path, archives, component, value):
+    path = tmp_path / "field.weights"
+    for field in dataclasses.fields(_CONFIG_REGISTRY[component]):
+        _write_config(archives["weights"][0], path, component, {field.name: value})
+        with pytest.raises(DataError) as info:
+            load_weights(path)
+        assert str(info.value) == (f"{path}: malformed manifest: {component} config "
+                                   f"{field.name} = {value!r}: expected an integer of at least 1")
+
+
+@settings(FUZZ, max_examples=40)
+@given(st.sampled_from(sorted(_SMALLEST)).flatmap(lambda component: st.tuples(
+    st.just(component),
+    st.dictionaries(st.sampled_from([f.name for f in dataclasses.fields(_SMALLEST[component])]),
+                    st.one_of(st.integers(-1, 4), st.just(2.0), st.booleans())),
+)))
+@example(drawn=("acoustic", {"content_dim": True}))  # was saved, then refused at load
+@example(drawn=("ppg", {"context_frames": 4}))
+@example(drawn=("nsf", {"smooth_width": 2}))
+@example(drawn=("xvector", {"n_train_speakers": 3}))
+def test_weight_config_rule_is_one_from_python_and_from_a_file(tmp_path, archives, drawn):
+    # A config the constructor builds survives a save and a load; values it
+    # refuses fail a file as a malformed manifest with the same message.
+    component, values = drawn
+    path = tmp_path / "drawn.weights"
+    try:
+        config = dataclasses.replace(_SMALLEST[component], **values)
+    except ValueError as exc:
+        _write_config(archives["weights"][0], path, component,
+                      {**dataclasses.asdict(_SMALLEST[component]), **values})
+        with pytest.raises(DataError) as info:
+            load_weights(path)
+        assert str(info.value) == f"{path}: malformed manifest: {exc}"
+        return
+    weights = init_weights(component, config, seed=1)
+    save_weights(path, weights)
+    loaded = load_weights(path)
+    assert loaded.config == config
+    assert all(loaded[name].tobytes() == t.tobytes() for name, t in weights.tensors.items())
 
 
 def _first_member_damaged(raw: bytes, method=None, flags=None, data=b"") -> bytes:
