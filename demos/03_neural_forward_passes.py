@@ -53,9 +53,7 @@ aligned = align_streams(ppg, f0, xvec)
 print(f"aligned: {aligned.frames.shape} (content + logF0 + voicing + embedding)")
 
 # Acoustic model, feeding back its own mel frames.
-acoustic_weights = init_weights(
-    "acoustic", AcousticConfig(content_dim=ppg.dim, xvec_dim=xvec.dim), seed=12
-)
+acoustic_weights = init_weights("acoustic", AcousticConfig(), seed=12)
 mel_generated = acoustic_forward(aligned, acoustic_weights)
 print(f"generated mel: {mel_generated.frames.shape}")
 

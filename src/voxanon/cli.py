@@ -50,6 +50,7 @@ from .features import (
     SAMPLE_RATE,
     F0Contour,
     align_streams,
+    check_speaker_width,
     extract_f0,
     load_f0,
     load_features,
@@ -99,9 +100,6 @@ def cmd_extract(cfg: RunConfig, wav_paths: list[str]) -> int:
     xvec_weights = _load_weights(_weights_path(cfg, "xvector"), "xvector")
     ppg_weights = _load_weights(_weights_path(cfg, "ppg"), "ppg")
     front_ends = (nnet.xvector.INPUT, nnet.ppg.INPUT)
-    out_dir = Path(cfg.paths.out_dir)
-    feature_dir = out_dir / "features"
-    feature_dir.mkdir(parents=True, exist_ok=True)
 
     def process(path_text: str):
         path = Path(path_text)
@@ -125,6 +123,9 @@ def cmd_extract(cfg: RunConfig, wav_paths: list[str]) -> int:
     if failures:
         return 3
 
+    out_dir = Path(cfg.paths.out_dir)
+    feature_dir = out_dir / "features"
+    feature_dir.mkdir(parents=True, exist_ok=True)
     for utt, _, ppg, f0 in results:
         save_features(feature_dir / f"{utt}.ppg.npz", ppg)
         save_f0(feature_dir / f"{utt}.f0.npz", f0)
@@ -167,9 +168,6 @@ def cmd_anonymize(cfg: RunConfig, inputs_path: str) -> int:
         except ValueError as exc:  # a range window with no candidate in the pool
             raise DataError(f"{a.where()} with the pool {cfg.paths.pool}: {exc}") from None
 
-    out_dir = Path(cfg.paths.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     shared = None
     if a.shared:
         # One pseudo speaker reused for every input. Range/nearest still
@@ -188,6 +186,8 @@ def cmd_anonymize(cfg: RunConfig, inputs_path: str) -> int:
             "measured_dissimilarity": pseudo.measured_dissimilarity,
         })
 
+    out_dir = Path(cfg.paths.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     save_pool(out_dir / "pseudo_xvectors.jsonl", EmbeddingPool(entries))
     write_jsonl(out_dir / "anonymize_provenance.jsonl", records)
     print(f"anonymized {len(entries)} embeddings -> {out_dir / 'pseudo_xvectors.jsonl'}")
@@ -222,12 +222,14 @@ def cmd_synthesize(
     if not feature_dir.is_dir():
         raise DataError(f"feature directory not found at {feature_dir}")
     pseudo = load_pool(pseudo_path)
+    try:
+        check_speaker_width(pseudo.dim)
+    except ValueError as exc:
+        raise DataError(f"{pseudo_path}: {exc}") from None
     if utts is None:
         utts = sorted(p.name[: -len(".ppg.npz")] for p in feature_dir.glob("*.ppg.npz"))
     if not utts:
         raise DataError("no inputs")
-    wav_dir = Path(cfg.paths.out_dir) / "wav"
-    wav_dir.mkdir(parents=True, exist_ok=True)
     master = cfg.run.seed or 0
 
     def embedding_for(utt: str) -> SpeakerEmbedding:
@@ -248,10 +250,6 @@ def cmd_synthesize(
         for utt in utts
     ]
     weights = [_load_weights(path, component) for component, path in weight_paths.items()]
-    for path, loaded in zip(weight_paths.values(), weights):
-        if loaded.config.xvec_dim != pseudo.dim:
-            raise DataError(f"{pseudo_path} holds {pseudo.dim}-dim pseudo speakers, but {path} "
-                            f"takes {loaded.config.xvec_dim}-dim ones")
     seconds = sum(f0.n_frames * F0_HOP_SECONDS for _, f0, _, _ in tasks)
     workers = min(cfg.run.jobs or _cpu_count(), len(tasks), int(seconds // _SECONDS_PER_WORKER))
     threads = _openblas_threads() if workers > 1 and hasattr(os, "fork") else None
@@ -259,6 +257,8 @@ def cmd_synthesize(
         waveforms = [_synthesize_utterance(task, *weights) for task in tasks]
     else:
         waveforms = _synthesize_in_workers(tasks, weights, workers, *threads)
+    wav_dir = Path(cfg.paths.out_dir) / "wav"
+    wav_dir.mkdir(parents=True, exist_ok=True)
     for utt, waveform in zip(utts, waveforms):
         write_wav(wav_dir / f"{utt}.wav", waveform)
     print(f"synthesized {len(utts)} utterances -> {wav_dir}")

@@ -15,16 +15,16 @@ a frame at a normalized correlation of at least ``VOICING_THRESHOLD``
 
 The pipeline runs on one clock: ``audio.SAMPLE_RATE`` (16 kHz), with one frame
 per ``F0_HOP_SECONDS`` (5 ms), that is ``SAMPLES_PER_FRAME`` (80) samples.
-Each stream between the stages is read at one hop; ``Stream.check`` is the
-one test of a stream's kind and hop:
+Each stream between the stages has one width and one hop; ``Stream.check``
+is the one test of a stream's kind and hop:
 
-    kind       width              hop    producer          consumer
-    fbank24    24                 10 ms  mel_features      xvector_forward
-    mel40      40                 10 ms  mel_features      ppg_forward
-    ppg        n_states           10 ms  ppg_forward       align_streams
-    f0         1 (F0Contour)      5 ms   extract_f0        align_streams, nsf_forward
-    aligned    n_states+2+xvec    5 ms   align_streams     acoustic_forward
-    melspec80  80                 5 ms   acoustic_forward  nsf_forward
+    kind       width               hop    producer          consumer
+    fbank24    24                  10 ms  mel_features      xvector_forward
+    mel40      40                  10 ms  mel_features      ppg_forward
+    ppg        1944                10 ms  ppg_forward       align_streams
+    f0         1 (F0Contour)       5 ms   extract_f0        align_streams, nsf_forward
+    aligned    1944 + 2 + 512      5 ms   align_streams     acoustic_forward
+    melspec80  80                  5 ms   acoustic_forward  nsf_forward
 
 The NSF vocoder writes ``SAMPLES_PER_FRAME`` samples per 5 ms frame. The
 front end rejects audio at any rate other than ``SAMPLE_RATE``, because
@@ -65,15 +65,16 @@ F0_LAGS.setflags(write=False)
 # A frame whose mean-removed energy is at most this times L * max x^2 holds
 # only the rounding residue of mean removal (a constant offset) and is unvoiced.
 F0_ENERGY_FLOOR = float(np.finfo(np.float64).eps)
+PPG_STATES = 1944  # tied phone states, one posterior each
+EMBED_DIM = 512  # the speaker vector: an x-vector (Snyder et al., ICASSP 2018)
 
 
 @dataclass(frozen=True)
 class Stream:
-    """A kind of feature matrix, its width (None where a network config
-    sets it) and the hop its consumer reads it at."""
+    """A kind of feature matrix, its width and the hop its consumer reads it at."""
 
     kind: str
-    width: int | None
+    width: int
     hop: float
 
     def check(self, features: FeatureMatrix) -> None:
@@ -85,11 +86,17 @@ class Stream:
 
 FBANK24 = Stream("fbank24", 24, CONTENT_HOP_SECONDS)
 MEL40 = Stream("mel40", 40, CONTENT_HOP_SECONDS)
-PPG = Stream("ppg", None, CONTENT_HOP_SECONDS)
-ALIGNED = Stream("aligned", None, F0_HOP_SECONDS)
+PPG = Stream("ppg", PPG_STATES, CONTENT_HOP_SECONDS)
+ALIGNED = Stream("aligned", PPG_STATES + 2 + EMBED_DIM, F0_HOP_SECONDS)
 MELSPEC80 = Stream("melspec80", 80, F0_HOP_SECONDS)
 _STREAMS = {stream.kind: stream for stream in (FBANK24, MEL40, PPG, ALIGNED, MELSPEC80)}
-MEL_KINDS = {stream.width: stream.kind for stream in _STREAMS.values() if stream.width}
+MEL_KINDS = {stream.width: stream.kind for stream in (FBANK24, MEL40, MELSPEC80)}
+
+
+def check_speaker_width(width: int) -> None:
+    """Raise ``ValueError`` unless ``width`` is the speaker vector width, ``EMBED_DIM``."""
+    if width != EMBED_DIM:
+        raise ValueError(f"speaker vectors are {width}-dim, but the networks take {EMBED_DIM}-dim ones")
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +116,7 @@ class FeatureMatrix:
         if self.kind not in _STREAMS:
             raise ValueError(f"unknown feature kind {self.kind!r}")
         width = _STREAMS[self.kind].width
-        if width is not None and frames.shape[1] != width:
+        if frames.shape[1] != width:
             raise ValueError(f"kind {self.kind!r} requires dim {width}, got {frames.shape[1]}")
         if not (np.isfinite(self.hop) and self.hop > 0):
             raise ValueError(f"hop must be a finite positive number, got {self.hop!r}")
@@ -330,6 +337,7 @@ def align_streams(
     frames signals desynchronized streams and is an error.
     """
     PPG.check(ppg)
+    check_speaker_width(xvec.dim)
     doubled = 2 * ppg.n_frames
     if abs(doubled - f0.n_frames) > 2:
         raise ValueError(

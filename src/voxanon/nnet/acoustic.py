@@ -35,9 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..features import ALIGNED, MELSPEC80, FeatureMatrix
-from .ppg import PpgConfig
 from .weights import ModelWeights, TensorTable
-from .xvector import EMBED_DIM
 
 INPUT = ALIGNED
 
@@ -45,25 +43,18 @@ INPUT = ALIGNED
 @dataclass(frozen=True)
 class AcousticConfig(TensorTable, component="acoustic"):
     """Layer sizes, each an integer of at least 1 (the ``TensorTable``
-    rule); ``content_dim`` is the width of the content block in the
-    aligned input (the PPG width), so the expected input dimension is
-    ``content_dim + 2 + xvec_dim``."""
+    rule). The input width is the ``aligned`` stream's, which no config
+    sets."""
 
-    content_dim: int = PpgConfig.n_states
-    xvec_dim: int = EMBED_DIM
     ff_size: int = 512
     blstm_size: int = 256  # per direction
     ar_size: int = 512
-
-    @property
-    def input_dim(self) -> int:
-        return self.content_dim + 2 + self.xvec_dim
 
     def tensor_items(self):
         blstm_in = self.ff_size
         ar_in = 2 * self.blstm_size + MELSPEC80.width
         yield from {
-            "ff1.w": (self.ff_size, self.input_dim),
+            "ff1.w": (self.ff_size, INPUT.width),
             "ff1.b": (self.ff_size,),
             "ff2.w": (self.ff_size, self.ff_size),
             "ff2.b": (self.ff_size,),
@@ -114,10 +105,6 @@ def acoustic_forward(aligned: FeatureMatrix, weights: ModelWeights) -> FeatureMa
     weights.require("acoustic")
     config: AcousticConfig = weights.config
     INPUT.check(aligned)
-    if aligned.dim != config.input_dim:
-        raise ValueError(
-            f"aligned width {aligned.dim} does not match model input {config.input_dim}"
-        )
 
     h = np.tanh(aligned.frames @ weights["ff1.w"].T + weights["ff1.b"])
     h = np.tanh(h @ weights["ff2.w"].T + weights["ff2.b"])

@@ -5,9 +5,9 @@ It reads the ``melspec80`` stream (``INPUT``) and an F0 contour, both at the
 frame at ``features.SAMPLE_RATE``. Three stages:
 
 condition
-    Projects per-frame [mel, speaker embedding] features to the filter
-    channel width, at frame rate. The filter reads the projection as the
-    sample-rate signal it defines: each frame replicated
+    Projects per-frame [mel, speaker embedding] features, 80 + ``EMBED_DIM``
+    wide, to the filter channel width, at frame rate. The filter reads the
+    projection as the sample-rate signal it defines: each frame replicated
     ``SAMPLES_PER_FRAME`` times, then smoothed by a zero-padded moving
     average of ``smooth_width`` samples (replication alone aliases).
 source
@@ -59,11 +59,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..audio import Waveform
+from ..audio import SAMPLE_RATE, Waveform
 from ..embeddings import SpeakerEmbedding
-from ..features import MELSPEC80, SAMPLE_RATE, SAMPLES_PER_FRAME, F0Contour, FeatureMatrix
+from ..features import EMBED_DIM, MELSPEC80, SAMPLES_PER_FRAME, F0Contour, FeatureMatrix, check_speaker_width
 from .weights import ModelWeights, TensorTable
-from .xvector import EMBED_DIM
 
 INPUT = MELSPEC80
 # Taps of every dilated filter layer.
@@ -80,7 +79,6 @@ class NsfConfig(TensorTable, component="nsf"):
     (the ``TensorTable`` rule), and ``smooth_width`` is odd, so the moving
     average centres on its sample."""
 
-    xvec_dim: int = EMBED_DIM
     channels: int = 64
     blocks: int = 5
     layers_per_block: int = 10
@@ -102,7 +100,7 @@ class NsfConfig(TensorTable, component="nsf"):
         return 1 + (KERNEL_SIZE - 1) * sum(self.dilations)
 
     def tensor_items(self):
-        yield "cond.proj.w", (self.channels, INPUT.width + self.xvec_dim)
+        yield "cond.proj.w", (self.channels, INPUT.width + EMBED_DIM)
         yield "cond.proj.b", (self.channels,)
         for b in range(1, self.blocks + 1):
             yield f"filter.block{b}.in.w", (self.channels, 1)
@@ -284,10 +282,7 @@ def nsf_forward(
             f"mel has {mel.n_frames} frames but F0 has {f0.n_frames}; "
             "streams must be frame aligned"
         )
-    if xvec.dim != config.xvec_dim:
-        raise ValueError(
-            f"speaker embedding dim {xvec.dim} does not match model {config.xvec_dim}"
-        )
+    check_speaker_width(xvec.dim)
 
     # Condition module, at frame rate; the filter upsamples and smooths it.
     per_frame = np.hstack([mel.frames, np.tile(xvec.vector, (mel.n_frames, 1))])

@@ -36,7 +36,6 @@ class PpgConfig(TensorTable, component="ppg"):
     context_frames: int = 11
     hidden_size: int = 1024
     hidden_layers: int = 6
-    n_states: int = 1944
 
     def __post_init__(self):
         super().__post_init__()
@@ -49,8 +48,8 @@ class PpgConfig(TensorTable, component="ppg"):
             yield f"hidden{i}.w", (self.hidden_size, in_dim)
             yield f"hidden{i}.b", (self.hidden_size,)
             in_dim = self.hidden_size
-        yield "softmax.w", (self.n_states, self.hidden_size)
-        yield "softmax.b", (self.n_states,)
+        yield "softmax.w", (PPG.width, self.hidden_size)
+        yield "softmax.b", (PPG.width,)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

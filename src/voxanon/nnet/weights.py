@@ -18,7 +18,9 @@ the reader. ``TensorTable.__post_init__`` holds the one field rule: a plain
 ``int`` of at least 1, neither a bool nor a float such as 2.0, which equals
 2 in a tensor table but sizes no array. The reader builds the config from
 the manifest with that constructor, so a file can hold every config that
-can be built, and no other.
+can be built, and no other. A config holds only sizes inside its own
+network: every width between two networks is a constant of ``features``, so
+two weight files cannot disagree about one.
 """
 
 from __future__ import annotations

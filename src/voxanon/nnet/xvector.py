@@ -27,11 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..embeddings import SpeakerEmbedding
-from ..features import FBANK24, FeatureMatrix
+from ..features import EMBED_DIM, FBANK24, FeatureMatrix
 from .weights import ModelWeights, TensorTable
 
 INPUT = FBANK24
-EMBED_DIM = 512
 SPLICE_OFFSETS = ((-2, -1, 0, 1, 2), (-2, 0, 2), (-3, 0, 3), (0,), (0,))
 FRAME_LAYER_SIZES = (512, 512, 512, 512, 1500)
 MIN_FRAMES = 15  # total splice context of the frame-level stack

@@ -81,17 +81,17 @@ def rng():
 # only cost time; shape-contract tests build the full-size defaults.
 @pytest.fixture
 def small_ppg_weights():
-    config = PpgConfig(hidden_size=32, n_states=50)
+    config = PpgConfig(hidden_size=32)
     return init_weights("ppg", config, seed=11)
 
 
 @pytest.fixture
 def small_acoustic_weights():
-    config = AcousticConfig(content_dim=12, xvec_dim=6, ff_size=16, blstm_size=8, ar_size=16)
+    config = AcousticConfig(ff_size=16, blstm_size=8, ar_size=16)
     return init_weights("acoustic", config, seed=12)
 
 
 @pytest.fixture
 def small_nsf_weights():
-    config = NsfConfig(xvec_dim=8, channels=8, blocks=2, layers_per_block=4)
+    config = NsfConfig(channels=8, blocks=2, layers_per_block=4)
     return init_weights("nsf", config, seed=13)

@@ -174,10 +174,10 @@ def test_criterion_5_architecture_shapes():
         assert np.max(np.abs(posteriors.frames.sum(axis=1) - 1.0)) <= 1e-9
 
         # Acoustic model: (T, 80) output.
-        aconfig = AcousticConfig(content_dim=1944, xvec_dim=512)
+        aconfig = AcousticConfig()
         aweights = init_weights("acoustic", aconfig, seed=3)
         aligned = FeatureMatrix(
-            np.random.default_rng(1).standard_normal((21, aconfig.input_dim)),
+            np.random.default_rng(1).standard_normal((21, 1944 + 2 + 512)),
             hop=0.005, kind="aligned",
         )
         mel = acoustic_forward(aligned, aweights)
@@ -222,15 +222,15 @@ def test_criterion_6_dsp_suite():
         assert np.all(np.abs(interior[voiced] - oracle[voiced]) <= 2.0)
 
         rng = np.random.default_rng(11)
-        ppg = FeatureMatrix(rng.uniform(0, 1, (100, 9)), hop=0.010, kind="ppg")
+        ppg = FeatureMatrix(rng.uniform(0, 1, (100, 1944)), hop=0.010, kind="ppg")
         f0 = F0Contour(np.where(rng.random(200) < 0.5, 150.0, 0.0))
-        xvec = SpeakerEmbedding("x", rng.standard_normal(24))
+        xvec = SpeakerEmbedding("x", rng.standard_normal(512))
         aligned = align_streams(ppg, f0, xvec)
         assert aligned.n_frames == 200
         for k in range(100):
-            assert np.array_equal(aligned.frames[2 * k, :9], ppg.frames[k])
-            assert np.array_equal(aligned.frames[2 * k + 1, :9], ppg.frames[k])
-        for row in aligned.frames[:, -24:]:
+            assert np.array_equal(aligned.frames[2 * k, :1944], ppg.frames[k])
+            assert np.array_equal(aligned.frames[2 * k + 1, :1944], ppg.frames[k])
+        for row in aligned.frames[:, -512:]:
             assert np.array_equal(row, xvec.vector)
 
         one_second = make_tone(300.0, seconds=1.0)
@@ -275,8 +275,7 @@ def test_criterion_8_pipeline_determinism(tmp_path):
         ppg_weights = init_weights("ppg", PpgConfig(), seed=50)
         acoustic = init_weights(
             "acoustic",
-            AcousticConfig(content_dim=1944, xvec_dim=512,
-                           ff_size=64, blstm_size=32, ar_size=64),
+            AcousticConfig(ff_size=64, blstm_size=32, ar_size=64),
             seed=51,
         )
         nsf = init_weights("nsf", NsfConfig(channels=16, blocks=2), seed=52)

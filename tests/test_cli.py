@@ -44,7 +44,7 @@ def site(tmp_path_factory):
     components = [
         ("xvector", XVectorConfig(n_train_speakers=40)),
         ("ppg", PpgConfig()),
-        ("acoustic", AcousticConfig(content_dim=1944, xvec_dim=512)),
+        ("acoustic", AcousticConfig()),
         ("nsf", NsfConfig()),
     ]
     for component, config in components:
@@ -76,18 +76,18 @@ def long_site(tmp_path_factory):
     features.mkdir()
     weights.mkdir()
     for utt, f0_hz in (("p01_001", 180.0), ("p01_002", 210.0), ("p02_001", 120.0)):
-        ppg = rng.dirichlet(np.ones(12), size=200)
+        ppg = rng.dirichlet(np.ones(1944), size=200)
         save_features(features / f"{utt}.ppg.npz", FeatureMatrix(ppg, hop=0.01, kind="ppg"))
         f0 = np.where(np.arange(400) % 100 < 70, f0_hz, 0.0)  # voiced and unvoiced runs
         save_f0(features / f"{utt}.f0.npz", F0Contour(f0))
     components = [
-        ("acoustic", AcousticConfig(content_dim=12, xvec_dim=6, ff_size=16, blstm_size=8, ar_size=16)),
-        ("nsf", NsfConfig(xvec_dim=6, channels=8, blocks=2, layers_per_block=4)),
+        ("acoustic", AcousticConfig(ff_size=16, blstm_size=8, ar_size=16)),
+        ("nsf", NsfConfig(channels=8, blocks=2, layers_per_block=4)),
     ]
     for component, config in components:
         save_weights(weights / f"{component}.weights", init_weights(component, config, seed=7))
     save_pool(root / "pseudo.jsonl", EmbeddingPool(
-        [SpeakerEmbedding(spk, rng.standard_normal(6)) for spk in ("p01", "p02")]
+        [SpeakerEmbedding(spk, rng.standard_normal(512)) for spk in ("p01", "p02")]
     ))
     (root / "run.ini").write_text(f"[run]\nseed = 5\n[paths]\nweights = {weights}\n")
     return root
@@ -113,20 +113,20 @@ def blas_threads() -> int | None:
     return functions[0]() if functions else None
 
 
-def _name_deleted_field(source, target, key, value, tensor, shape):
+def _name_deleted_field(source, target, key, value, shapes):
     """Copy the weight file ``source`` to ``target`` as a build that still had
     the config field ``key`` would have written it with ``key = value``:
-    the manifest names the field and ``tensor`` has the ``shape`` it set
-    (zero values)."""
+    the manifest names the field, and each tensor in ``shapes`` has the
+    shape it set (zero values)."""
     with np.load(source, allow_pickle=False) as archive:
         manifest, values = json.loads(archive["manifest"].tolist()), archive["values"]
     manifest["config"][key] = value
     parts, start = [], 0
     for entry in manifest["tensors"]:
         count = math.prod(entry[1])
-        if entry[0] == tensor:
-            entry[1] = list(shape)
-            parts.append(np.zeros(math.prod(shape), dtype=np.float32))
+        if entry[0] in shapes:
+            entry[1] = list(shapes[entry[0]])
+            parts.append(np.zeros(math.prod(entry[1]), dtype=np.float32))
         else:
             parts.append(values[start : start + count])
         start += count
@@ -599,8 +599,8 @@ class TestCorruptInputs:
         bad.unlink()
         if slot == "pseudo":
             bad.write_text('{"dim": 512, "count": 1}\n{"id": "p01", "vec": [1.0, 2.0]}\n')
-        elif slot == "ppg-width":  # a readable PPG narrower than the acoustic model's input
-            save_features(bad, FeatureMatrix(ppg.frames[:, :-2], hop=ppg.hop, kind="ppg"))
+        elif slot == "ppg-width":  # a PPG narrower than the ppg stream
+            write_npz(bad, kind=np.array("ppg"), hop=np.array(ppg.hop), values=ppg.frames[:, :-2])
         else:
             bad.write_bytes(raw[: len(raw) // 2])
         config = tmp_path / "run.ini"
@@ -614,6 +614,7 @@ class TestCorruptInputs:
         err = capsys.readouterr().err
         assert rc == 3, err
         assert str(bad) in err and where in err
+        assert not (tmp_path / "o").exists()
         assert multiprocessing.active_children() == []
         assert dict(os.environ) == environ
         assert blas_threads() == threads
@@ -670,6 +671,7 @@ class TestExtract:
         ])
         assert rc == 3
         assert "broken.wav" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("rate", [8000, 15200, 22050, 48000])
     def test_other_sample_rate_exits_3(self, site, tmp_path, capsys, rate):
@@ -683,7 +685,7 @@ class TestExtract:
         assert rc == 3
         err = capsys.readouterr().err
         assert f"{wav}: sample rate is {rate} Hz, expected 16000 Hz" in err
-        assert not (out / "features" / "p03_001.ppg.npz").exists()
+        assert not out.exists()
 
     def test_repeated_utterance_id_names_both_files(self, site, tmp_path, capsys, monkeypatch):
         wavs = []
@@ -701,25 +703,35 @@ class TestExtract:
         )
         assert not out.exists()
 
+    # The PPG network reads mel40 and writes the 1944-wide ppg stream. A file
+    # whose config sized either loads no more, whatever the value; it fails as
+    # a malformed manifest, not as the first utterance's input.
     def test_ppg_weights_naming_input_dim_exit_3_naming_weights(self, site, tmp_path, capsys):
-        # The PPG network reads mel40 only. A file that sized it for 24-dim
-        # input loads no more; it fails as a malformed manifest, not as the
-        # first utterance's input.
+        self._assert_deleted_field_refused(site, tmp_path, capsys, "input_dim", 24, {"hidden1.w": (8, 72)})
+
+    @pytest.mark.parametrize("value, shapes", [
+        (1944, {}), (5, {"softmax.w": (5, 8), "softmax.b": (5,)}),
+    ], ids=["stream-width", "other-width"])
+    def test_ppg_weights_naming_n_states_exit_3_naming_weights(self, site, tmp_path, capsys, value, shapes):
+        self._assert_deleted_field_refused(site, tmp_path, capsys, "n_states", value, shapes)
+
+    @staticmethod
+    def _assert_deleted_field_refused(site, tmp_path, capsys, key, value, shapes):
         weights = tmp_path / "weights"
         weights.mkdir()
         (weights / "xvector.weights").symlink_to(site / "weights" / "xvector.weights")
         small = tmp_path / "small.weights"
-        config = PpgConfig(context_frames=3, hidden_size=8, hidden_layers=1, n_states=5)
+        config = PpgConfig(context_frames=3, hidden_size=8, hidden_layers=1)
         save_weights(small, init_weights("ppg", config, seed=1))
-        _name_deleted_field(small, weights / "ppg.weights", "input_dim", 24, "hidden1.w", (8, 72))
+        _name_deleted_field(small, weights / "ppg.weights", key, value, shapes)
         run = tmp_path / "run.ini"
         out = tmp_path / "o"
         run.write_text(f"[paths]\nweights = {weights}\nout_dir = {out}\n")
         rc = main(["extract", "--config", str(run), str(site / "p01_001.wav")])
         err = capsys.readouterr().err
         assert rc == 3, err
-        assert str(weights / "ppg.weights") in err and "input_dim" in err
-        assert not list((out / "features").glob("*"))
+        assert f"{weights / 'ppg.weights'}: malformed manifest: " in err and repr(key) in err
+        assert not out.exists()
 
     def test_other_components_weights_exit_3_naming_weights(self, site, tmp_path, capsys):
         # PPG weights in the x-vector's place are refused before any WAV is
@@ -877,6 +889,7 @@ class TestAnonymize:
         assert err.startswith("data error: anonymize.sim (--sim) = 0.999, anonymize.eps (--eps) = "
                               f"0.0001 with the pool {site / 'pool.jsonl'}: no pool candidates")
         assert "closest achievable similarity" in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("strategy", ["random", "nearest"])
     def test_m_beyond_pool_names_key_and_pool(self, site, extracted, tmp_path, capsys, strategy):
@@ -1048,6 +1061,7 @@ class TestSynthesize:
         ])
         assert rc == 3
         assert str(corrupt) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_weights_names_component(self, site, extracted, pseudo, tmp_path, capsys):
         partial = tmp_path / "partial_weights"
@@ -1105,7 +1119,7 @@ class TestSynthesize:
         assert str(weights / "nsf.weights") in err and key in err
 
     @pytest.mark.parametrize("target, source, config", [
-        ("acoustic", "ppg", PpgConfig(context_frames=1, hidden_size=4, hidden_layers=1, n_states=12)),
+        ("acoustic", "ppg", PpgConfig(context_frames=1, hidden_size=4, hidden_layers=1)),
         ("nsf", "xvector", XVectorConfig(n_train_speakers=2)),
     ], ids=["ppg-as-acoustic", "xvector-as-nsf"])
     def test_other_components_weights_exit_3_naming_weights(
@@ -1127,17 +1141,38 @@ class TestSynthesize:
             f"data error: {weights / f'{target}.weights'}: "
             f"holds {source} weights, not {target} weights\n"
         )
-        assert not list((tmp_path / "o").rglob("*.wav"))
+        assert not (tmp_path / "o").exists()
 
+    # Each network reads and writes streams of fixed widths. A file whose
+    # config sized one loads no more, whatever the value; it fails as a
+    # malformed manifest, not as the utterance's PPG file.
     def test_nsf_weights_naming_mel_dim_exit_3_naming_weights(self, long_site, tmp_path, capsys):
-        # The NSF reads melspec80 only. A file that sized it for 40-dim mel
-        # input loads no more; it fails as a malformed manifest, not as the
-        # utterance's PPG file.
+        self._assert_deleted_field_refused(long_site, tmp_path, capsys, "nsf", "mel_dim", 40,
+                                           {"cond.proj.w": (8, 40 + 512)})
+
+    @pytest.mark.parametrize("component, key, value, shapes", [
+        ("acoustic", "content_dim", 1944, {}),
+        ("acoustic", "content_dim", 12, {"ff1.w": (16, 12 + 2 + 512)}),
+        ("acoustic", "xvec_dim", 512, {}),
+        ("acoustic", "xvec_dim", 6, {"ff1.w": (16, 1944 + 2 + 6)}),
+        ("nsf", "xvec_dim", 512, {}),
+        ("nsf", "xvec_dim", 6, {"cond.proj.w": (8, 80 + 6)}),
+    ], ids=["acoustic-content_dim-stream-width", "acoustic-content_dim-other-width",
+            "acoustic-xvec_dim-stream-width", "acoustic-xvec_dim-other-width",
+            "nsf-xvec_dim-stream-width", "nsf-xvec_dim-other-width"])
+    def test_weights_naming_a_stream_width_exit_3_naming_weights(
+        self, long_site, tmp_path, capsys, component, key, value, shapes
+    ):
+        self._assert_deleted_field_refused(long_site, tmp_path, capsys, component, key, value, shapes)
+
+    @staticmethod
+    def _assert_deleted_field_refused(long_site, tmp_path, capsys, component, key, value, shapes):
         weights = tmp_path / "weights"
         weights.mkdir()
-        (weights / "acoustic.weights").symlink_to(long_site / "weights" / "acoustic.weights")
-        _name_deleted_field(long_site / "weights" / "nsf.weights", weights / "nsf.weights",
-                            "mel_dim", 40, "cond.proj.w", (8, 40 + 6))
+        other = ({"acoustic", "nsf"} - {component}).pop()
+        (weights / f"{other}.weights").symlink_to(long_site / "weights" / f"{other}.weights")
+        _name_deleted_field(long_site / "weights" / f"{component}.weights",
+                            weights / f"{component}.weights", key, value, shapes)
         config = tmp_path / "run.ini"
         config.write_text(f"[run]\nseed = 5\n[paths]\nweights = {weights}\n")
         rc = main([
@@ -1147,15 +1182,15 @@ class TestSynthesize:
         ])
         err = capsys.readouterr().err
         assert rc == 3, err
-        assert str(weights / "nsf.weights") in err and "mel_dim" in err
-        assert not list((tmp_path / "o").rglob("*.wav"))
+        assert f"{weights / f'{component}.weights'}: malformed manifest: " in err and repr(key) in err
+        assert not (tmp_path / "o").exists()
 
     def test_feature_files_on_another_clock_exit_3_naming_file(self, long_site, tmp_path, capsys):
         # 50 PPG frames of 20 ms and 100 F0 frames of 10 ms: 1.0 s of speech
         # that a 5 ms synthesis clock would render as 0.5 s.
         features = tmp_path / "features"
         features.mkdir()
-        ppg = np.random.default_rng(2).dirichlet(np.ones(12), size=50)
+        ppg = np.random.default_rng(2).dirichlet(np.ones(1944), size=50)
         for name, kind, hop, values in (("p01_001.ppg.npz", "ppg", 0.020, ppg),
                                         ("p01_001.f0.npz", "f0", 0.010, np.full(100, 150.0))):
             with (features / name).open("wb") as fh:
@@ -1168,7 +1203,7 @@ class TestSynthesize:
         err = capsys.readouterr().err
         assert rc == 3, err
         assert f"{features / 'p01_001.f0.npz'}: hop 0.01 is not the F0 hop, 0.005" in err
-        assert not list((tmp_path / "o").rglob("*.wav"))
+        assert not (tmp_path / "o").exists()
 
     def test_unset_weights_names_config(self, extracted, pseudo, tmp_path, capsys):
         config = tmp_path / "noweights.ini"
@@ -1180,22 +1215,27 @@ class TestSynthesize:
         assert rc == 2
         assert f"{config}: paths.weights is not set" in capsys.readouterr().err
 
-    def test_pseudo_width_mismatch_names_pool_and_widths(self, long_site, tmp_path, capsys):
-        # The long site's models take 6-dim pseudo speakers.
+    def test_pseudo_width_mismatch_names_pool_and_widths(self, long_site, tmp_path, capsys, monkeypatch):
+        # Every network takes 512-dim speaker vectors; the pool is checked
+        # before any F0 or weight file is read.
+        monkeypatch.setattr(voxanon.nnet, "load_weights",
+                            lambda path: pytest.fail("weights loaded before the pool was checked"))
+        monkeypatch.setattr(cli, "load_f0", lambda path: pytest.fail("F0 loaded before the pool was checked"))
         pool = tmp_path / "pseudo5.jsonl"
         save_pool(pool, EmbeddingPool(
             [SpeakerEmbedding(spk, np.ones(5)) for spk in ("p01", "p02")]
         ))
+        out = tmp_path / "o"
         rc = main([
             "synthesize", "--config", str(long_site / "run.ini"),
             "--features-dir", str(long_site / "features"), "--pseudo", str(pool),
-            "--out-dir", str(tmp_path / "o"),
+            "--out-dir", str(out),
         ])
         assert rc == 3
         assert capsys.readouterr().err == (
-            f"data error: {pool} holds 5-dim pseudo speakers, but "
-            f"{long_site / 'weights' / 'acoustic.weights'} takes 6-dim ones\n"
+            f"data error: {pool}: speaker vectors are 5-dim, but the networks take 512-dim ones\n"
         )
+        assert not out.exists()
 
     @pytest.mark.parametrize("utts, problem", [
         ("p01_001,p02_001,p01_001", "'p01_001' is repeated"),
@@ -1242,7 +1282,7 @@ class TestSynthesize:
     def test_pseudo_speaker_lookup(self, long_site, tmp_path, capsys, utts, entries, same_as):
         # An utterance takes its own entry, else its speaker's, else the
         # only entry of a one-entry pool; (id, row) pairs pick the vectors.
-        vectors = np.random.default_rng(2).standard_normal((2, 6))
+        vectors = np.random.default_rng(2).standard_normal((2, 512))
 
         def run(name, entries):
             pool = tmp_path / f"{name}.jsonl"
@@ -1258,6 +1298,7 @@ class TestSynthesize:
             err = capsys.readouterr().err
             assert "no pseudo embedding for utterance 'p01_001'" in err
             assert "(looked for ids 'p01_001' and 'p01')" in err
+            assert not (tmp_path / "lookup").exists()
             return
         assert run("lookup", entries) == 0
         assert run("expected", same_as) == 0

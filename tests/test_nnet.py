@@ -1,7 +1,7 @@
 import json
 import re
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from typing import get_type_hints
 
 import numpy as np
@@ -9,6 +9,7 @@ import pytest
 
 from voxanon import FeatureMatrix, SpeakerEmbedding
 from voxanon.errors import DataError, write_npz
+from voxanon.features import ALIGNED, EMBED_DIM, FBANK24, MEL40, MELSPEC80, PPG
 from voxanon.nnet import (
     AcousticConfig,
     ModelWeights,
@@ -42,9 +43,22 @@ def _zeroed(weights):
     return ModelWeights(weights.config, zeros)
 
 
+# Each tensor axis that reads or writes a stream, and the width it must have:
+# the stream's, times the frames of a splice window where it reads one.
+_STREAM_AXES = [
+    ("xvector", "frame1.w", 1, lambda config: FBANK24.width * 5),
+    ("xvector", "segment6.w", 0, lambda config: EMBED_DIM),
+    ("ppg", "hidden1.w", 1, lambda config: MEL40.width * config.context_frames),
+    ("ppg", "softmax.w", 0, lambda config: PPG.width),
+    ("acoustic", "ff1.w", 1, lambda config: ALIGNED.width),
+    ("acoustic", "out.w", 0, lambda config: MELSPEC80.width),
+    ("nsf", "cond.proj.w", 1, lambda config: MELSPEC80.width + EMBED_DIM),
+]
+
+
 class TestWeights:
     def test_init_is_seed_deterministic(self):
-        config = PpgConfig(hidden_size=16, n_states=8)
+        config = PpgConfig(hidden_size=16)
         a = init_weights("ppg", config, seed=3)
         b = init_weights("ppg", config, seed=3)
         c = init_weights("ppg", config, seed=4)
@@ -53,13 +67,13 @@ class TestWeights:
         assert any(not np.array_equal(a[name], c[name]) for name in a.tensors)
 
     def test_fan_in_bound(self):
-        config = PpgConfig(hidden_size=16, n_states=8)
+        config = PpgConfig(hidden_size=16)
         weights = init_weights("ppg", config, seed=5)
         bound = 1.0 / np.sqrt(40 * 11)
         assert np.max(np.abs(weights["hidden1.w"])) <= bound
 
     def test_roundtrip_bit_exact(self, tmp_path):
-        config = PpgConfig(hidden_size=16, n_states=8)
+        config = PpgConfig(hidden_size=16)
         weights = init_weights("ppg", config, seed=6)
         path = tmp_path / "ppg.weights"
         save_weights(path, weights)
@@ -82,7 +96,7 @@ class TestWeights:
             assert tensor.tobytes() == loaded[name].tobytes()
 
     def test_float64_input_is_rounded_once(self):
-        config = PpgConfig(hidden_size=4, n_states=3, hidden_layers=1)
+        config = PpgConfig(hidden_size=4, hidden_layers=1)
         drawn = init_weights("ppg", config, seed=1)
         fine = {name: np.asarray(t, dtype=np.float64) + 1e-12 for name, t in drawn.tensors.items()}
         before = {name: t.copy() for name, t in fine.items()}
@@ -96,7 +110,7 @@ class TestWeights:
         assert all(np.shares_memory(kept[name], drawn[name]) for name in drawn.tensors)
 
     def test_tensor_beyond_float32_range_names_the_tensor_without_warning(self):
-        config = PpgConfig(hidden_size=4, n_states=3, hidden_layers=1)
+        config = PpgConfig(hidden_size=4, hidden_layers=1)
         tensors = dict(init_weights("ppg", config, seed=1).tensors)
         tensors["hidden1.b"] = np.full(4, 1e39)  # finite in float64 only
         with warnings.catch_warnings():
@@ -106,7 +120,7 @@ class TestWeights:
 
     def test_version_2_file_rejected_naming_file_and_version(self, tmp_path):
         path = tmp_path / "ppg.weights"
-        save_weights(path, init_weights("ppg", PpgConfig(hidden_size=8, n_states=5), seed=2))
+        save_weights(path, init_weights("ppg", PpgConfig(hidden_size=8), seed=2))
         with np.load(path, allow_pickle=False) as archive:
             manifest = json.loads(archive["manifest"].tolist())
             values = archive["values"].astype(np.float64)
@@ -117,7 +131,7 @@ class TestWeights:
         assert str(path) in str(info.value)
 
     def test_roundtrip_preserves_forward_output(self, tmp_path):
-        config = PpgConfig(context_frames=3, hidden_size=8, hidden_layers=2, n_states=6)
+        config = PpgConfig(context_frames=3, hidden_size=8, hidden_layers=2)
         weights = init_weights("ppg", config, seed=7)
         frames = FeatureMatrix(
             np.random.default_rng(0).standard_normal((9, 40)), hop=0.01, kind="mel40"
@@ -151,15 +165,15 @@ class TestWeights:
                 config(**{field: value})
 
     def test_shape_mismatch_rejected(self):
-        config = PpgConfig(hidden_size=4, n_states=3, hidden_layers=1)
+        config = PpgConfig(hidden_size=4, hidden_layers=1)
         weights = init_weights("ppg", config, seed=1)
         tensors = dict(weights.tensors)
-        tensors["softmax.w"] = np.zeros((3, 5))  # wrong inner dim
+        tensors["softmax.w"] = np.zeros((PPG.width, 5))  # wrong inner dim
         with pytest.raises(ValueError, match="softmax.w"):
             ModelWeights(config, tensors)
 
     def test_caller_arrays_stay_writable(self):
-        weights = init_weights("ppg", PpgConfig(hidden_size=4, n_states=3, hidden_layers=1), seed=1)
+        weights = init_weights("ppg", PpgConfig(hidden_size=4, hidden_layers=1), seed=1)
         tensors = {name: np.array(tensor) for name, tensor in weights.tensors.items()}
         shared = ModelWeights(weights.config, tensors)
         assert all(tensor.flags.writeable for tensor in tensors.values())
@@ -197,20 +211,20 @@ class TestWeights:
             load_weights(path)
 
     def test_save_is_deterministic(self, tmp_path):
-        weights = init_weights("ppg", PpgConfig(hidden_size=8, n_states=5, hidden_layers=2), seed=2)
+        weights = init_weights("ppg", PpgConfig(hidden_size=8, hidden_layers=2), seed=2)
         save_weights(tmp_path / "a.weights", weights)
         save_weights(tmp_path / "b.weights", weights)
         assert (tmp_path / "a.weights").read_bytes() == (tmp_path / "b.weights").read_bytes()
 
     def test_file_holds_manifest_and_values(self, tmp_path):
         path = tmp_path / "ppg.weights"
-        save_weights(path, init_weights("ppg", PpgConfig(hidden_size=8, n_states=5), seed=2))
+        save_weights(path, init_weights("ppg", PpgConfig(hidden_size=8), seed=2))
         with np.load(path, allow_pickle=False) as archive:
             assert sorted(archive.files) == ["manifest", "values"]
 
     def test_loaded_tensors_are_read_only_views_of_one_array(self, tmp_path):
         path = tmp_path / "ppg.weights"
-        save_weights(path, init_weights("ppg", PpgConfig(hidden_size=8, n_states=5), seed=3))
+        save_weights(path, init_weights("ppg", PpgConfig(hidden_size=8), seed=3))
         loaded = load_weights(path)
 
         def root(arr):
@@ -233,6 +247,16 @@ class TestWeights:
             hints = get_type_hints(config)
             assert [f.name for f in fields(config)] == list(hints)
             assert set(hints.values()) == {int}, config.__name__
+
+    @pytest.mark.parametrize("component, tensor, axis, width", _STREAM_AXES,
+                             ids=[f"{c}-{t}" for c, t, _, _ in _STREAM_AXES])
+    def test_config_fields_stay_inside_their_network(self, component, tensor, axis, width):
+        # A config sizes only its own network: no field moves a stream's width.
+        default = _CONFIG_REGISTRY[component]()
+        for field in fields(default):
+            # +2 keeps an odd window width odd.
+            config = replace(default, **{field.name: getattr(default, field.name) + 2})
+            assert config.tensor_shapes()[tensor][axis] == width(config), field.name
 
 
 @pytest.fixture(scope="module")
@@ -378,11 +402,11 @@ class TestPpg:
         assert np.max(np.abs(out.frames.sum(axis=1) - 1.0)) <= 1e-9
 
     def test_output_width_is_state_count(self, small_ppg_weights):
-        # The posteriors span the 50 tied states, not the 32 hidden units.
+        # The posteriors span the 1944 tied states, not the 32 hidden units.
         frames = FeatureMatrix(
             np.random.default_rng(4).standard_normal((6, 40)), hop=0.01, kind="mel40"
         )
-        assert ppg_forward(frames, small_ppg_weights).dim == 50
+        assert ppg_forward(frames, small_ppg_weights).dim == 1944
 
     def test_takes_no_tap(self, small_ppg_weights):
         frames = FeatureMatrix(np.ones((3, 40)), hop=0.01, kind="mel40")
@@ -412,17 +436,16 @@ class TestPpg:
         assert np.abs(out.frames - expected).max() <= 1e-6
 
 
-def _aligned(n_frames, config, seed=0):
+def _aligned(n_frames, seed=0):
     rng = np.random.default_rng(seed)
     return FeatureMatrix(
-        rng.standard_normal((n_frames, config.input_dim)), hop=0.005, kind="aligned"
+        rng.standard_normal((n_frames, ALIGNED.width)), hop=0.005, kind="aligned"
     )
 
 
 class TestAcoustic:
     def test_output_shape(self, small_acoustic_weights):
-        config = small_acoustic_weights.config
-        out = acoustic_forward(_aligned(12, config), small_acoustic_weights)
+        out = acoustic_forward(_aligned(12), small_acoustic_weights)
         assert out.frames.shape == (12, 80)
         assert out.kind == "melspec80"
 
@@ -433,13 +456,14 @@ class TestAcoustic:
         tensors = dict(zeroed.tensors)
         tensors["out.b"] = bias
         weights = ModelWeights(config, tensors)
-        out = acoustic_forward(_aligned(7, config, seed=9), weights)
+        out = acoustic_forward(_aligned(7, seed=9), weights)
         assert np.array_equal(out.frames, np.tile(bias, (7, 1)))
 
-    def test_input_width_checked(self, small_acoustic_weights):
-        bad = FeatureMatrix(np.ones((4, 7)), hop=0.005, kind="aligned")
-        with pytest.raises(ValueError, match="width"):
-            acoustic_forward(bad, small_acoustic_weights)
+    def test_input_width_checked(self):
+        # The aligned stream has one width, 1944 + 2 + 512, which every
+        # FeatureMatrix of its kind has; no config sets another.
+        with pytest.raises(ValueError, match="kind 'aligned' requires dim 2458, got 7"):
+            FeatureMatrix(np.ones((4, 7)), hop=0.005, kind="aligned")
 
     @pytest.mark.parametrize("n_frames", [
         pytest.param(24, id="free"),
@@ -449,7 +473,7 @@ class TestAcoustic:
         # The recurrences run in float32 against a float64 oracle: the
         # contract is 1e-6 absolute on every output value.
         weights = init_weights("acoustic", AcousticConfig(), seed=21)
-        aligned = _aligned(n_frames, weights.config, seed=13)
+        aligned = _aligned(n_frames, seed=13)
         out = acoustic_forward(aligned, weights)
         expected = acoustic_frames(aligned.frames, weights)
         assert out.frames.dtype == np.float64
@@ -466,12 +490,11 @@ class TestAcoustic:
         weights = ModelWeights(config, tensors)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = acoustic_forward(_aligned(8, config, seed=3), weights)
+            out = acoustic_forward(_aligned(8, seed=3), weights)
         assert np.array_equal(out.frames, np.tile(tensors["out.b"], (8, 1)))
 
     def test_deterministic(self, small_acoustic_weights):
-        config = small_acoustic_weights.config
-        aligned = _aligned(9, config, seed=11)
+        aligned = _aligned(9, seed=11)
         a = acoustic_forward(aligned, small_acoustic_weights)
         b = acoustic_forward(aligned, small_acoustic_weights)
         assert np.array_equal(a.frames, b.frames)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from voxanon import F0Contour, FeatureMatrix, SpeakerEmbedding, Waveform
-from voxanon.features import SAMPLE_RATE, SAMPLES_PER_FRAME
+from voxanon.features import EMBED_DIM, SAMPLE_RATE, SAMPLES_PER_FRAME
 from voxanon.nnet import (
     ModelWeights,
     NsfConfig,
@@ -74,22 +74,21 @@ class TestConfig:
             NsfConfig(blocks=0)
 
 
-def _inputs(n_frames, config, seed=0):
+def _inputs(n_frames, seed=0):
     rng = np.random.default_rng(seed)
     mel = FeatureMatrix(
         rng.standard_normal((n_frames, 80)), hop=0.005, kind="melspec80"
     )
     values = np.where(rng.random(n_frames) < 0.5, 150.0, 0.0)
     f0 = F0Contour(values)
-    xvec = SpeakerEmbedding("x", rng.standard_normal(config.xvec_dim))
+    xvec = SpeakerEmbedding("x", rng.standard_normal(EMBED_DIM))
     return mel, f0, xvec
 
 
 class TestForward:
     def test_output_length_law(self, small_nsf_weights):
-        config = small_nsf_weights.config
         for n_frames in (1, 3, 17):
-            mel, f0, xvec = _inputs(n_frames, config, seed=n_frames)
+            mel, f0, xvec = _inputs(n_frames, seed=n_frames)
             out = nsf_forward(mel, f0, xvec, small_nsf_weights, seed=5)
             assert len(out) == n_frames * SAMPLES_PER_FRAME == n_frames * 80
             assert out.sample_rate == SAMPLE_RATE == 16000
@@ -101,29 +100,27 @@ class TestForward:
             for name, t in small_nsf_weights.tensors.items()
         }
         weights = ModelWeights(config, tensors)
-        mel, f0, xvec = _inputs(12, config, seed=3)
+        mel, f0, xvec = _inputs(12, seed=3)
         out = nsf_forward(mel, f0, xvec, weights, seed=21)
         f0_up = np.repeat(f0.values, SAMPLES_PER_FRAME)
         excitation = nsf_source(f0_up, 21)
         assert np.array_equal(out.samples, excitation)
 
     def test_frame_count_mismatch(self, small_nsf_weights):
-        config = small_nsf_weights.config
-        mel, f0, xvec = _inputs(10, config)
+        mel, f0, xvec = _inputs(10)
         short_f0 = F0Contour(f0.values[:9])
         with pytest.raises(ValueError, match="frame"):
             nsf_forward(mel, short_f0, xvec, small_nsf_weights, seed=0)
 
     def test_embedding_dim_mismatch(self, small_nsf_weights):
-        config = small_nsf_weights.config
-        mel, f0, _ = _inputs(4, config)
-        wrong = SpeakerEmbedding("w", np.ones(config.xvec_dim + 1))
-        with pytest.raises(ValueError, match="dim"):
+        mel, f0, _ = _inputs(4)
+        wrong = SpeakerEmbedding("w", np.ones(EMBED_DIM + 1))
+        message = "speaker vectors are 513-dim, but the networks take 512-dim ones"
+        with pytest.raises(ValueError, match=message):
             nsf_forward(mel, f0, wrong, small_nsf_weights, seed=0)
 
     def test_deterministic_given_seed(self, small_nsf_weights):
-        config = small_nsf_weights.config
-        mel, f0, xvec = _inputs(8, config, seed=2)
+        mel, f0, xvec = _inputs(8, seed=2)
         a = nsf_forward(mel, f0, xvec, small_nsf_weights, seed=77)
         b = nsf_forward(mel, f0, xvec, small_nsf_weights, seed=77)
         assert np.array_equal(a.samples, b.samples)
@@ -131,7 +128,7 @@ class TestForward:
     def test_block_impulse_response_support(self):
         # The deviation a single input sample can cause is confined to the
         # block's receptive field, measured against a zero-input baseline.
-        config = NsfConfig(channels=8, blocks=1, xvec_dim=4)
+        config = NsfConfig(channels=8, blocks=1)
         weights = init_weights("nsf", config, seed=31)
         length = 6000
         center = length // 2
@@ -187,7 +184,7 @@ def _check_block(weights, length):
 
 
 def _check_forward(weights, n_frames, monkeypatch):
-    mel, f0, xvec = _inputs(n_frames, weights.config, seed=8)
+    mel, f0, xvec = _inputs(n_frames, seed=8)
     out = nsf_forward(mel, f0, xvec, weights, seed=3)
     monkeypatch.setattr(nsf_module, "filter_block_forward", nsf_filter_block)
     expected = nsf_forward(mel, f0, xvec, weights, seed=3)
@@ -262,7 +259,7 @@ class TestFrameRateConditioning:
         # about 96 MB at this size.
         config = NsfConfig()
         weights = init_weights("nsf", config, seed=41)
-        mel, f0, xvec = _inputs(596, config, seed=1)
+        mel, f0, xvec = _inputs(596, seed=1)
         tracemalloc.start()
         try:
             nsf_forward(mel, f0, xvec, weights, seed=1)
@@ -283,7 +280,7 @@ class TestInputsUnchanged:
         assert np.array_equal(condition, condition_before)
 
     def test_nsf_forward_leaves_inputs_alone(self, small_nsf_weights):
-        mel, f0, xvec = _inputs(9, small_nsf_weights.config, seed=6)
+        mel, f0, xvec = _inputs(9, seed=6)
         before = (mel.frames.copy(), f0.values.copy(), xvec.vector.copy())
         out = nsf_forward(mel, f0, xvec, small_nsf_weights, seed=2)
         assert out.samples.dtype == np.float64

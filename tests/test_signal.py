@@ -21,11 +21,13 @@ from voxanon import (
 from voxanon.errors import DataError
 from voxanon.features import (
     CONTENT_HOP_SECONDS,
+    EMBED_DIM,
     F0_HOP_SECONDS,
     F0_LAGS,
     FFT_SIZE,
     FRAME_SECONDS,
     LOG_FLOOR,
+    PPG_STATES,
     SAMPLE_RATE,
     SAMPLES_PER_FRAME,
     frame_count,
@@ -271,9 +273,13 @@ class TestExtractF0MatchesPerLag:
         assert np.all(extract_f0(Waveform(tone, 16000)).values > 0.0)
 
 
-def _fake_ppg(n_frames, dim=6, seed=0):
+def _fake_ppg(n_frames, seed=0):
     rng = np.random.default_rng(seed)
-    return FeatureMatrix(rng.uniform(0.1, 1.0, (n_frames, dim)), hop=0.010, kind="ppg")
+    return FeatureMatrix(rng.uniform(0.1, 1.0, (n_frames, PPG_STATES)), hop=0.010, kind="ppg")
+
+
+def _xvec(seed=2):
+    return SpeakerEmbedding("x", np.random.default_rng(seed).standard_normal(EMBED_DIM))
 
 
 def _fake_f0(n_frames, seed=1):
@@ -286,43 +292,47 @@ class TestAlignStreams:
     def test_double_replication(self):
         ppg = _fake_ppg(100)
         f0 = _fake_f0(200)
-        xvec = SpeakerEmbedding("x", np.arange(1, 9, dtype=float))
+        xvec = SpeakerEmbedding("x", np.arange(1, EMBED_DIM + 1, dtype=float))
         aligned = align_streams(ppg, f0, xvec)
         assert aligned.n_frames == 200
         assert aligned.hop == F0_HOP_SECONDS
         for k in range(100):
-            assert np.array_equal(aligned.frames[2 * k, :6], ppg.frames[k])
-            assert np.array_equal(aligned.frames[2 * k + 1, :6], ppg.frames[k])
+            assert np.array_equal(aligned.frames[2 * k, :PPG_STATES], ppg.frames[k])
+            assert np.array_equal(aligned.frames[2 * k + 1, :PPG_STATES], ppg.frames[k])
 
     def test_xvector_broadcast_bitwise(self, rng):
-        xvec = SpeakerEmbedding("x", rng.standard_normal(16))
+        xvec = SpeakerEmbedding("x", rng.standard_normal(EMBED_DIM))
         aligned = align_streams(_fake_ppg(40), _fake_f0(80), xvec)
-        block = aligned.frames[:, -16:]
+        block = aligned.frames[:, -EMBED_DIM:]
         for row in block:
             assert np.array_equal(row, xvec.vector)
 
     def test_width_is_content_plus_two_plus_embedding(self, rng):
-        xvec = SpeakerEmbedding("x", rng.standard_normal(32))
-        aligned = align_streams(_fake_ppg(10, dim=13), _fake_f0(20), xvec)
-        assert aligned.dim == 13 + 2 + 32
+        xvec = SpeakerEmbedding("x", rng.standard_normal(512))
+        aligned = align_streams(_fake_ppg(10), _fake_f0(20), xvec)
+        assert aligned.dim == 1944 + 2 + 512
+
+    @pytest.mark.parametrize("width", [1, 511, 513])
+    def test_speaker_vector_of_another_width_refused(self, rng, width):
+        xvec = SpeakerEmbedding("x", rng.standard_normal(width))
+        message = f"speaker vectors are {width}-dim, but the networks take 512-dim ones"
+        with pytest.raises(ValueError, match=message):
+            align_streams(_fake_ppg(10), _fake_f0(20), xvec)
 
     def test_trims_to_shorter_stream(self):
-        xvec = SpeakerEmbedding("x", [1.0, 2.0])
-        aligned = align_streams(_fake_ppg(100), _fake_f0(199), xvec)
+        aligned = align_streams(_fake_ppg(100), _fake_f0(199), _xvec())
         assert aligned.n_frames == 199
 
     def test_large_mismatch_rejected(self):
-        xvec = SpeakerEmbedding("x", [1.0, 2.0])
         with pytest.raises(ValueError, match="desynchronized|disagree"):
-            align_streams(_fake_ppg(100), _fake_f0(197), xvec)
+            align_streams(_fake_ppg(100), _fake_f0(197), _xvec())
 
     def test_f0_channels(self):
         ppg = _fake_ppg(30)
         f0 = _fake_f0(60)
-        xvec = SpeakerEmbedding("x", [3.0, 4.0])
-        aligned = align_streams(ppg, f0, xvec)
-        log_f0 = aligned.frames[:, 6]
-        flag = aligned.frames[:, 7]
+        aligned = align_streams(ppg, f0, _xvec())
+        log_f0 = aligned.frames[:, PPG_STATES]
+        flag = aligned.frames[:, PPG_STATES + 1]
         assert set(np.unique(flag)) <= {0.0, 1.0}
         voiced = f0.values[:60] > 0
         assert np.array_equal(flag.astype(bool), voiced)
@@ -332,17 +342,17 @@ class TestAlignStreams:
     def test_content_hop_other_than_twice_the_f0_hop_rejected(self):
         ppg = FeatureMatrix(_fake_ppg(50).frames, hop=0.020, kind="ppg")
         with pytest.raises(ValueError, match="expected ppg at a 0.01 s hop, got ppg at a 0.02 s hop"):
-            align_streams(ppg, _fake_f0(200), SpeakerEmbedding("x", [1.0]))
+            align_streams(ppg, _fake_f0(200), _xvec())
 
     def test_requires_ppg_kind(self):
         mel = FeatureMatrix(np.ones((10, 24)), hop=0.010, kind="fbank24")
         with pytest.raises(ValueError, match="ppg"):
-            align_streams(mel, _fake_f0(20), SpeakerEmbedding("x", [1.0]))
+            align_streams(mel, _fake_f0(20), _xvec())
 
 
 class TestFeatureFiles:
     def test_feature_roundtrip_exact(self, rng, tmp_path):
-        features = FeatureMatrix(rng.standard_normal((17, 5)), hop=0.01, kind="ppg")
+        features = FeatureMatrix(rng.standard_normal((17, PPG_STATES)), hop=0.01, kind="ppg")
         path = tmp_path / "f.ppg"
         save_features(path, features)
         assert [p.name for p in tmp_path.iterdir()] == ["f.ppg"]
@@ -413,7 +423,7 @@ class TestFeatureFiles:
     def test_malformed_stream_names_path(self, tmp_path, loader, write, problem):
         path = tmp_path / "stream.npz"
         if isinstance(write, dict):
-            entries = {"kind": np.array("ppg"), "hop": np.array(0.01), "values": np.ones((4, 3))}
+            entries = {"kind": np.array("ppg"), "hop": np.array(0.01), "values": np.ones((4, PPG_STATES))}
             entries.update(write)
             with path.open("wb") as fh:
                 np.savez(fh, **{k: v for k, v in entries.items() if v is not None})
@@ -432,4 +442,4 @@ class TestFeatureFiles:
     @pytest.mark.parametrize("hop", [0.0, -0.01, math.nan, math.inf, -math.inf])
     def test_in_memory_features_reject_bad_hop(self, hop):
         with pytest.raises(ValueError, match="hop must be a finite positive number"):
-            FeatureMatrix(np.ones((2, 3)), hop=hop, kind="ppg")
+            FeatureMatrix(np.ones((2, PPG_STATES)), hop=hop, kind="ppg")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from voxanon import F0Contour, FeatureMatrix, SpeakerEmbedding, align_streams, extract_f0, mel_features
-from voxanon.features import FBANK24, MEL40
+from voxanon.features import ALIGNED, EMBED_DIM, FBANK24, MEL40, MELSPEC80, PPG
 from voxanon.nnet import (
     AcousticConfig,
     NsfConfig,
@@ -25,15 +25,12 @@ from voxanon.nnet import (
 
 from conftest import make_tone
 
-XVEC_DIM = 512  # the x-vector network's embedding width
-
-
 @pytest.fixture(scope="module")
 def nets():
     """Tiny weights for every network (the x-vector's frame layers are fixed)."""
-    ppg = PpgConfig(context_frames=3, hidden_size=8, hidden_layers=1, n_states=6)
-    acoustic = AcousticConfig(content_dim=6, xvec_dim=XVEC_DIM, ff_size=8, blstm_size=4, ar_size=8)
-    nsf = NsfConfig(xvec_dim=XVEC_DIM, channels=4, blocks=1, layers_per_block=2)
+    ppg = PpgConfig(context_frames=3, hidden_size=8, hidden_layers=1)
+    acoustic = AcousticConfig(ff_size=8, blstm_size=4, ar_size=8)
+    nsf = NsfConfig(channels=4, blocks=1, layers_per_block=2)
     return SimpleNamespace(
         xvector=init_weights("xvector", XVectorConfig(n_train_speakers=3), seed=1),
         ppg=init_weights("ppg", ppg, seed=2),
@@ -43,7 +40,7 @@ def nets():
 
 
 def _xvec():
-    return SpeakerEmbedding("x", np.random.default_rng(5).standard_normal(XVEC_DIM))
+    return SpeakerEmbedding("x", np.random.default_rng(5).standard_normal(EMBED_DIM))
 
 
 def _f0(n_frames):
@@ -60,27 +57,27 @@ CONSUMERS = {
                     lambda m, nets: nsf_forward(m, _f0(m.n_frames), _xvec(), nets.nsf, seed=6)),
 }
 
-# (consumer, kind, hop, width) of a stream the consumer must refuse. The
-# width is the one the consumer's weights take, so only the kind or the hop
-# is wrong.
+# (consumer, kind, hop) of a stream the consumer must refuse. The matrix
+# has its kind's one width, so only the kind or the hop is wrong.
 REFUSED = [
-    pytest.param("xvector_forward", "aligned", 0.01, 24, id="xvector-aligned"),
-    pytest.param("xvector_forward", "fbank24", 0.005, 24, id="xvector-5ms"),
-    pytest.param("ppg_forward", "ppg", 0.005, 40, id="ppg-5ms-ppg"),
-    pytest.param("ppg_forward", "mel40", 0.005, 40, id="ppg-5ms"),
-    pytest.param("align_streams", "mel40", 0.01, 40, id="align-mel40"),
-    pytest.param("align_streams", "ppg", 0.005, 6, id="align-5ms"),
-    pytest.param("acoustic_forward", "ppg", 0.005, 6 + 2 + XVEC_DIM, id="acoustic-ppg"),
-    pytest.param("acoustic_forward", "aligned", 0.01, 6 + 2 + XVEC_DIM, id="acoustic-10ms"),
-    pytest.param("nsf_forward", "aligned", 0.005, 80, id="nsf-aligned"),
-    pytest.param("nsf_forward", "melspec80", 0.01, 80, id="nsf-10ms"),
+    pytest.param("xvector_forward", "aligned", 0.01, id="xvector-aligned"),
+    pytest.param("xvector_forward", "fbank24", 0.005, id="xvector-5ms"),
+    pytest.param("ppg_forward", "ppg", 0.005, id="ppg-5ms-ppg"),
+    pytest.param("ppg_forward", "mel40", 0.005, id="ppg-5ms"),
+    pytest.param("align_streams", "mel40", 0.01, id="align-mel40"),
+    pytest.param("align_streams", "ppg", 0.005, id="align-5ms"),
+    pytest.param("acoustic_forward", "ppg", 0.005, id="acoustic-ppg"),
+    pytest.param("acoustic_forward", "aligned", 0.01, id="acoustic-10ms"),
+    pytest.param("nsf_forward", "aligned", 0.005, id="nsf-aligned"),
+    pytest.param("nsf_forward", "melspec80", 0.01, id="nsf-10ms"),
 ]
+WIDTHS = {stream.kind: stream.width for stream in (FBANK24, MEL40, PPG, ALIGNED, MELSPEC80)}
 
 
-@pytest.mark.parametrize("consumer, kind, hop, width", REFUSED)
-def test_stream_of_another_kind_or_hop_refused(nets, consumer, kind, hop, width):
+@pytest.mark.parametrize("consumer, kind, hop", REFUSED)
+def test_stream_of_another_kind_or_hop_refused(nets, consumer, kind, hop):
     (expected_kind, expected_hop), call = CONSUMERS[consumer]
-    matrix = FeatureMatrix(np.random.default_rng(7).standard_normal((20, width)), hop=hop, kind=kind)
+    matrix = FeatureMatrix(np.random.default_rng(7).standard_normal((20, WIDTHS[kind])), hop=hop, kind=kind)
     message = (f"expected {expected_kind} at a {expected_hop} s hop, "
                f"got {kind} at a {hop} s hop")
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -97,8 +94,8 @@ def test_chain_hands_each_stage_its_stream(nets):
     mel = acoustic_forward(aligned, nets.acoustic)
     out = nsf_forward(mel, F0Contour(f0.values[: aligned.n_frames]), xvec, nets.nsf, seed=8)
     edges = [(m.kind, m.dim, m.hop) for m in (fbank, mel40, ppg, aligned, mel)]
-    assert edges == [("fbank24", 24, 0.01), ("mel40", 40, 0.01), ("ppg", 6, 0.01),
-                     ("aligned", 6 + 2 + XVEC_DIM, 0.005), ("melspec80", 80, 0.005)]
+    assert edges == [("fbank24", 24, 0.01), ("mel40", 40, 0.01), ("ppg", 1944, 0.01),
+                     ("aligned", 1944 + 2 + 512, 0.005), ("melspec80", 80, 0.005)]
     assert aligned.n_frames == f0.n_frames == 56
     assert len(out) == 80 * aligned.n_frames
     assert out.sample_rate == 16000
