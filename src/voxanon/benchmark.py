@@ -201,34 +201,13 @@ def run_anonymization_benchmark(
 # Reports
 
 
-def report_table(conditions: Sequence[ConditionResult]) -> str:
-    """The text report: one row per condition, nearest-K and partition."""
-    header = (
-        f"{'condition':<24} {'K':>4} {'part':>8} {'EER before':>11} "
-        f"{'EER after':>10} {'dis range':>15}"
-    )
-    rows = [header, "-" * len(header)]
-    for c in conditions:
-        dis = c.dissimilarity_range
-        dis_text = f"{dis[0]:.3f}-{dis[1]:.3f}" if dis else "-"
-        k_text = str(c.nearest_k) if c.nearest_k else "all"
-        rows.extend(
-            f"{c.label:<24} {k_text:>4} {name:>8} "
-            f"{before.eer:>10.2%} {c.mean_after(name):>9.2%} {dis_text:>15}"
-            for name, before in c.before.items()
-        )
-    return "\n".join(rows) + "\n"
-
-
-def report_records(conditions: Sequence[ConditionResult], echo: dict) -> list[dict]:
-    """The JSON-lines report: the config echo, then one record per
-    condition, nearest-K and partition."""
-    records = [{"config": echo}]
+def _rows(conditions: Sequence[ConditionResult]) -> Iterator[dict]:
+    """One record per condition, nearest-K and partition: the rows of both reports."""
     for c in conditions:
         spec = c.draws.spec if c.draws else None
         dis_min, dis_max = c.dissimilarity_range or (None, None)
-        records.extend(
-            {
+        for name, before in c.before.items():
+            yield {
                 "condition": c.label,
                 "k": c.nearest_k if c.nearest_k is not None else "all",
                 "m": spec.n_select if spec else None,
@@ -241,9 +220,27 @@ def report_records(conditions: Sequence[ConditionResult], echo: dict) -> list[di
                 "dis_max": dis_max,
                 "seeds": [s for s in c.draws.rep_seeds if s is not None] if c.draws else [],
             }
-            for name, before in c.before.items()
+
+
+def report_table(conditions: Sequence[ConditionResult]) -> str:
+    """The text report: one line per row of ``_rows``."""
+    header = (
+        f"{'condition':<24} {'K':>4} {'part':>8} {'EER before':>11} "
+        f"{'EER after':>10} {'dis range':>15}"
+    )
+    lines = [header, "-" * len(header)]
+    for row in _rows(conditions):
+        dis = "-" if row["dis_min"] is None else f"{row['dis_min']:.3f}-{row['dis_max']:.3f}"
+        lines.append(
+            f"{row['condition']:<24} {row['k']!s:>4} {row['partition']:>8} "
+            f"{row['eer_before']:>10.2%} {row['eer_after']:>9.2%} {dis:>15}"
         )
-    return records
+    return "\n".join(lines) + "\n"
+
+
+def report_records(conditions: Sequence[ConditionResult], echo: dict) -> list[dict]:
+    """The JSON-lines report: the config echo, then the rows of ``_rows``."""
+    return [{"config": echo}, *_rows(conditions)]
 
 
 def report_provenance(conditions: Sequence[ConditionResult]) -> Iterator[dict]:

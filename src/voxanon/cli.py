@@ -82,6 +82,16 @@ def _load_weights(path: Path, component: str):
     return weights
 
 
+def _load_speakers(path) -> EmbeddingPool:
+    """The pool in ``path``; a width the networks cannot take raises ``DataError``."""
+    pool = load_pool(path)
+    try:
+        check_speaker_width(pool.dim)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    return pool
+
+
 # ---------------------------------------------------------------------------
 # extract
 
@@ -148,7 +158,7 @@ def cmd_anonymize(cfg: RunConfig, inputs_path: str) -> int:
         raise ConfigError("no embedding pool configured")
     if not Path(cfg.paths.pool).exists():
         raise ConfigError(f"embedding pool not found at {cfg.paths.pool}")
-    pool = load_pool(cfg.paths.pool)
+    pool = _load_speakers(cfg.paths.pool)
     inputs = load_pool(inputs_path)
     if inputs.dim != pool.dim:
         raise DataError(f"dimension mismatch: {inputs_path} holds {inputs.dim}-dim "
@@ -221,11 +231,7 @@ def cmd_synthesize(
     feature_dir = Path(cfg.paths.out_dir) / "features" if features_dir is None else Path(features_dir)
     if not feature_dir.is_dir():
         raise DataError(f"feature directory not found at {feature_dir}")
-    pseudo = load_pool(pseudo_path)
-    try:
-        check_speaker_width(pseudo.dim)
-    except ValueError as exc:
-        raise DataError(f"{pseudo_path}: {exc}") from None
+    pseudo = _load_speakers(pseudo_path)
     if utts is None:
         utts = sorted(p.name[: -len(".ppg.npz")] for p in feature_dir.glob("*.ppg.npz"))
     if not utts:
@@ -249,14 +255,18 @@ def cmd_synthesize(
          embedding_for(utt), derive_seed(master, f"nsf:{utt}"))
         for utt in utts
     ]
-    weights = [_load_weights(path, component) for component, path in weight_paths.items()]
     seconds = sum(f0.n_frames * F0_HOP_SECONDS for _, f0, _, _ in tasks)
     workers = min(cfg.run.jobs or _cpu_count(), len(tasks), int(seconds // _SECONDS_PER_WORKER))
     threads = _openblas_threads() if workers > 1 and hasattr(os, "fork") else None
-    if threads is None:  # one worker, or no way to give a worker one BLAS thread
-        waveforms = [_synthesize_utterance(task, *weights) for task in tasks]
-    else:
-        waveforms = _synthesize_in_workers(tasks, weights, workers, *threads)
+    global _synthesis_weights
+    try:
+        _synthesis_weights = tuple(_load_weights(path, name) for name, path in weight_paths.items())
+        if threads is None:  # one worker, or no way to give a worker one BLAS thread
+            waveforms = list(map(_synthesize_utterance, tasks))
+        else:
+            waveforms = _synthesize_in_workers(tasks, workers, *threads)
+    finally:
+        _synthesis_weights = ()
     wav_dir = Path(cfg.paths.out_dir) / "wav"
     wav_dir.mkdir(parents=True, exist_ok=True)
     for utt, waveform in zip(utts, waveforms):
@@ -314,13 +324,19 @@ def _openblas_threads():
     return None
 
 
-def _synthesize_utterance(task, acoustic_weights, nsf_weights) -> Waveform:
-    """The waveform of one ``(ppg_path, f0, pseudo_speaker, seed)`` task.
+# The acoustic and NSF weights, filled only while cmd_synthesize runs.
+_synthesis_weights = ()
+
+
+def _synthesize_utterance(task) -> Waveform:
+    """The waveform of one ``(ppg_path, f0, pseudo_speaker, seed)`` task,
+    made with the acoustic and NSF weights in ``_synthesis_weights``.
     Inputs the networks cannot take (a PPG of another width, say) raise a
     ``DataError`` naming the utterance's PPG file."""
     from . import nnet
 
     ppg_path, f0, xvec, seed = task
+    acoustic_weights, nsf_weights = _synthesis_weights
     try:
         aligned = align_streams(load_features(ppg_path), f0, xvec)
         mel = nnet.acoustic_forward(aligned, acoustic_weights)
@@ -330,12 +346,14 @@ def _synthesize_utterance(task, acoustic_weights, nsf_weights) -> Waveform:
         raise DataError(f"{ppg_path}: {exc}") from None
 
 
-def _synthesize_in_workers(tasks, weights, workers: int, get_threads, set_threads) -> list[Waveform]:
-    """The waveforms of ``tasks``, in input order, from ``workers`` processes
-    forked from this one. They inherit ``weights`` and OpenBLAS's thread
-    count, which is 1 while the pool runs and restored after. A task's
-    exception is raised here unchanged; every worker has exited when this
-    returns or raises.
+def _synthesize_in_workers(tasks, workers: int, get_threads, set_threads) -> list[Waveform]:
+    """``_synthesize_utterance`` mapped over ``tasks`` by ``workers``
+    processes forked from this one. They inherit the filled
+    ``_synthesis_weights`` and OpenBLAS's thread count, which is 1 while
+    the pool runs and restored after. ``Executor.map`` returns the
+    waveforms in input order, raises the first failing task's exception
+    (in input order) unchanged, and cancels every task not yet started;
+    every worker has exited when this returns or raises.
 
     Forking is safe while no other thread holds a lock: the executor forks
     every worker before it starts its own thread, the CLI starts none, and
@@ -346,31 +364,10 @@ def _synthesize_in_workers(tasks, weights, workers: int, get_threads, set_thread
     threads = get_threads()
     set_threads(1)  # the workers split the CPUs; this process only waits
     try:
-        with ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork"),
-            initializer=_keep_weights, initargs=weights,
-        ) as executor:
-            futures = [executor.submit(_synthesize_kept, task) for task in tasks]
-            try:
-                return [future.result() for future in futures]
-            finally:
-                for future in futures:  # after a failure, start no further task
-                    future.cancel()
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as executor:
+            return list(executor.map(_synthesize_utterance, tasks))
     finally:
         set_threads(threads)
-
-
-# A pool worker's acoustic and NSF weights, which its initializer keeps.
-_kept_weights = ()
-
-
-def _keep_weights(*weights) -> None:
-    global _kept_weights
-    _kept_weights = weights
-
-
-def _synthesize_kept(task) -> Waveform:
-    return _synthesize_utterance(task, *_kept_weights)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@ import json
 import math
 import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -906,11 +908,12 @@ class TestAnonymize:
 
     def test_cancelling_pool_mean_names_key_and_pool(self, tmp_path, capsys):
         # Both entries are sound, but their mean has no direction; the input
-        # is fine.
+        # is fine. Past their first two components, all three are zeros.
         pool, inputs = tmp_path / "pool.jsonl", tmp_path / "in.jsonl"
-        save_pool(pool, EmbeddingPool([SpeakerEmbedding("a", [1.0, 1e-200]),
-                                       SpeakerEmbedding("b", [-1.0, 1e-200])]))
-        save_pool(inputs, EmbeddingPool([SpeakerEmbedding("x", [1.0, 1.0])]))
+        a, b, x = np.zeros((3, 512))
+        a[:2], b[:2], x[:2] = [1.0, 1e-200], [-1.0, 1e-200], [1.0, 1.0]
+        save_pool(pool, EmbeddingPool([SpeakerEmbedding("a", a), SpeakerEmbedding("b", b)]))
+        save_pool(inputs, EmbeddingPool([SpeakerEmbedding("x", x)]))
         config = tmp_path / "c.ini"
         config.write_text("[paths]\npool = pool.jsonl\n")
         rc = main(["anonymize", "--config", str(config), "--inputs", str(inputs), "--seed", "1",
@@ -920,6 +923,22 @@ class TestAnonymize:
             f"data error: anonymize.m (--m) = 2 with the pool {pool}: "
             "mean embedding has zero norm (members cancel out)\n"
         )
+
+    def test_pool_of_another_width_than_the_networks_exits_3(self, tmp_path, capsys):
+        # The pool and the inputs agree with each other, but synthesize would
+        # refuse the pseudo speakers they make.
+        pool, inputs = tmp_path / "pool.jsonl", tmp_path / "in.jsonl"
+        save_pool(pool, make_random_pool(20, 5, seed=4))
+        save_pool(inputs, make_random_pool(1, 5, seed=5))
+        config = tmp_path / "c.ini"
+        config.write_text("[paths]\npool = pool.jsonl\n")
+        rc = main(["anonymize", "--config", str(config), "--inputs", str(inputs), "--seed", "1",
+                   "--strategy", "random", "--m", "4", "--out-dir", str(tmp_path / "o")])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"data error: {pool}: speaker vectors are 5-dim, but the networks take 512-dim ones\n"
+        )
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("magnitude, problem", [
         ("1e200", "vector norm overflows float64 (components too large)"),
@@ -1375,6 +1394,60 @@ class TestSynthesizeWorkers:
         ]) == 0
         assert len(nsf_calls) == 4
 
+    def truncate_ppgs(self, long_site, tmp_path, utts) -> tuple[Path, list[Path]]:
+        """A copy of the long site's features whose PPGs of ``utts`` are cut
+        in half, and those PPG files."""
+        features = tmp_path / "features"
+        features.mkdir()
+        for source in (long_site / "features").iterdir():
+            (features / source.name).symlink_to(source)
+        bad = [features / f"{utt}.ppg.npz" for utt in utts]
+        for path in bad:
+            raw = path.read_bytes()
+            path.unlink()
+            path.write_bytes(raw[: len(raw) // 2])
+        return features, bad
+
+    @pytest.mark.parametrize("jobs", ["1", "2"], ids=["in-process", "pooled"])
+    def test_first_failure_in_utts_order_is_named(self, long_site, tmp_path, capsys, nsf_calls, jobs):
+        # p02_001 comes before p01_002 in --utts, after it in sorted order.
+        features, bad = self.truncate_ppgs(long_site, tmp_path, ("p02_001", "p01_002"))
+        rc = self.run(long_site, tmp_path / "o", "--features-dir", str(features),
+                      "--utts", "p01_001,p02_001,p01_002", "--jobs", jobs)
+        err = capsys.readouterr().err
+        assert rc == 3, err
+        assert err.startswith(f"data error: {bad[0]}: ") and str(bad[1]) not in err
+        assert nsf_calls == ([400] if jobs == "1" else [])
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"], ids=["in-process", "pooled"])
+    def test_a_late_failure_first_in_order_is_named(self, long_site, tmp_path, capsys, monkeypatch, jobs):
+        # p01_001 fails in the vocoder, after p02_001's truncated PPG has
+        # failed in the other worker.
+        features, _ = self.truncate_ppgs(long_site, tmp_path, ("p02_001",))
+
+        def late(*args, **kwargs):  # forked workers inherit this patch
+            time.sleep(0.2)
+            raise ValueError("late failure")
+
+        monkeypatch.setattr(voxanon.nnet, "nsf_forward", late)
+        rc = self.run(long_site, tmp_path / "o", "--features-dir", str(features),
+                      "--utts", "p01_001,p02_001", "--jobs", jobs)
+        assert rc == 3
+        assert capsys.readouterr().err == f"data error: {features / 'p01_001.ppg.npz'}: late failure\n"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"], ids=["in-process", "pooled"])
+    @pytest.mark.parametrize("fails", [False, True], ids=["success", "failure"])
+    def test_weights_are_released_when_synthesize_returns(self, long_site, tmp_path, nsf_calls, jobs, fails):
+        # A traced benchmark pass runs every command in one process, where
+        # weights left behind would stay in memory across commands.
+        features, _ = self.truncate_ppgs(long_site, tmp_path, ("p02_001",) if fails else ())
+        rc = self.run(long_site, tmp_path / "o", "--features-dir", str(features), "--jobs", jobs)
+        assert rc == (3 if fails else 0)
+        assert (nsf_calls == []) == (jobs == "2")
+        assert cli._synthesis_weights == ()
+
     def test_python_dash_m_synthesize_forks_workers(self, long_site, tmp_path):
         # The workers are forked from the command's process, so they import
         # nothing and re-run no main module. The timeout turns a deadlock
@@ -1391,6 +1464,86 @@ class TestSynthesizeWorkers:
         assert proc.returncode == 0, proc.stderr
         assert self.run(long_site, tmp_path / "serial", "--jobs", "1") == 0
         self.assert_same_bytes(tmp_path, "pooled", "serial")
+
+
+class TestChain:
+    """extract -> anonymize -> synthesize -> extract -> evaluate on the site's
+    three WAVs, scoring every original enrollment against every
+    resynthesized test utterance."""
+
+    UTTS = ("p01_001", "p01_002", "p02_001")
+    SPEAKERS = ("p01", "p02")
+
+    @pytest.fixture(scope="class")
+    def config(self, site, tmp_path_factory) -> Path:
+        """The site's config with its x-vector and PPG weights, and the small
+        acoustic and NSF weights of acceptance criterion 8."""
+        root = tmp_path_factory.mktemp("chain")
+        weights = root / "weights"
+        weights.mkdir()
+        for component in ("xvector", "ppg"):
+            (weights / f"{component}.weights").symlink_to(site / "weights" / f"{component}.weights")
+        for component, small in (("acoustic", AcousticConfig(ff_size=64, blstm_size=32, ar_size=64)),
+                                 ("nsf", NsfConfig(channels=16, blocks=2))):
+            save_weights(weights / f"{component}.weights", init_weights(component, small, seed=51))
+        config = root / "run.ini"
+        config.write_text((site / "run.ini").read_text().replace(str(site / "weights"), str(weights)))
+        return config
+
+    def chain(self, site, config: Path, out: Path, *synth_flags: str) -> dict:
+        """Run the chain into an emptied ``out`` and return every file it
+        wrote, by path. The evaluate report echoes ``out``, so a rerun
+        writes to the same directory."""
+        shutil.rmtree(out, ignore_errors=True)
+        out.mkdir()
+        trials = out / "trials.txt"
+        trials.write_text("".join(
+            f"{spk} {utt} {'tar' if speaker_of(utt) == spk else 'non'}\n"
+            for spk in self.SPEAKERS for utt in self.UTTS
+        ))
+        steps = [
+            ["extract", *(str(site / f"{utt}.wav") for utt in self.UTTS), "--out-dir", str(out / "orig")],
+            ["anonymize", "--inputs", str(out / "orig" / "speaker_xvectors.jsonl"),
+             "--out-dir", str(out / "anon")],
+            ["synthesize", "--features-dir", str(out / "orig" / "features"),
+             "--pseudo", str(out / "anon" / "pseudo_xvectors.jsonl"), "--out-dir", str(out / "anon"),
+             *synth_flags],
+            ["extract", *(str(out / "anon" / "wav" / f"{utt}.wav") for utt in self.UTTS),
+             "--out-dir", str(out / "resynth")],
+            ["evaluate", "--enroll", str(out / "orig" / "speaker_xvectors.jsonl"),
+             "--test", str(out / "resynth" / "utterance_xvectors.jsonl"), "--trials", str(trials),
+             "--out-dir", str(out / "eval")],
+        ]
+        for step in steps:
+            assert main([*step, "--config", str(config)]) == 0, step[0]
+        return {path.relative_to(out): path.read_bytes() for path in out.rglob("*") if path.is_file()}
+
+    def assert_ids_match(self, out: Path) -> None:
+        for stage in ("orig", "resynth"):
+            assert load_pool(out / stage / "utterance_xvectors.jsonl").ids == self.UTTS
+            assert load_pool(out / stage / "speaker_xvectors.jsonl").ids == self.SPEAKERS
+        assert load_pool(out / "anon" / "pseudo_xvectors.jsonl").ids == self.SPEAKERS
+        assert sorted(p.stem for p in (out / "anon" / "wav").iterdir()) == list(self.UTTS)
+        lines = (out / "eval" / "evaluation_report.jsonl").read_text().splitlines()
+        eer = [json.loads(line) for line in lines if '"kind": "eer"' in line]
+        assert [(r["partition"], r["n_target"], r["n_nontarget"]) for r in eer] == [("pooled", 3, 3)]
+
+    def test_reruns_and_pool_write_the_same_bytes(self, site, config, tmp_path, monkeypatch, nsf_calls):
+        serial = self.chain(site, config, tmp_path / "serial", "--jobs", "1")
+        self.assert_ids_match(tmp_path / "serial")
+        assert self.chain(site, config, tmp_path / "serial", "--jobs", "1") == serial
+        assert len(nsf_calls) == 6
+
+        # 0.54 s of audio in all: two workers at 0.1 s each and two CPUs.
+        monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "_SECONDS_PER_WORKER", 0.1)
+        pooled = self.chain(site, config, tmp_path / "pooled")
+        self.assert_ids_match(tmp_path / "pooled")
+        assert self.chain(site, config, tmp_path / "pooled") == pooled
+        assert len(nsf_calls) == 6, "a pooled synthesize ran in this process"
+        assert multiprocessing.active_children() == []
+        wavs = [Path("anon", "wav", f"{utt}.wav") for utt in self.UTTS]
+        assert [pooled[wav] for wav in wavs] == [serial[wav] for wav in wavs]
 
 
 class TestEvaluate:
