@@ -9,6 +9,7 @@ waveform I/O, the three mel widths, and the 5 ms F0 contour.
 import numpy as np
 
 from voxanon import Waveform, extract_f0, mel_features, read_wav, write_wav
+from voxanon.features import MEL_STREAMS, MELSPEC80
 
 fs = 16000
 t = np.arange(fs) / fs
@@ -28,10 +29,10 @@ print(f"wav round-trip max error: {np.abs(reloaded.samples - wav.samples).max():
 
 # The three mel widths consumed downstream. The 10 ms streams feed the
 # embedding and posterior networks; the 5 ms stream is the synthesis rate.
-for n_mels, hop in [(24, 0.010), (40, 0.010), (80, 0.005)]:
-    features = mel_features(wav, n_mels, hop)
+for stream in MEL_STREAMS:
+    features = mel_features(wav, stream)
     print(
-        f"mel {n_mels:2d} @ {hop * 1000:4.0f} ms: {features.n_frames} frames, "
+        f"mel {stream.width:2d} @ {stream.hop * 1000:4.0f} ms: {features.n_frames} frames, "
         f"energy range [{features.frames.min():.1f}, {features.frames.max():.1f}]"
     )
 
@@ -45,5 +46,5 @@ print(
 
 # Framing is shared between streams: the 5 ms mel and the F0 contour are
 # co-indexed frame for frame.
-assert mel_features(wav, 80, 0.005).n_frames == contour.n_frames
+assert mel_features(wav, MELSPEC80).n_frames == contour.n_frames
 print("5 ms mel and f0 streams are co-indexed")

@@ -12,6 +12,7 @@ shapes, normalizations, lengths, and determinism.
 import numpy as np
 
 from voxanon import Waveform, align_streams, extract_f0, mel_features
+from voxanon.features import FBANK24, MEL40
 from voxanon.nnet import (
     AcousticConfig,
     NsfConfig,
@@ -34,8 +35,8 @@ wav = Waveform(
 )
 
 # Front-end streams.
-fbank = mel_features(wav, 24, 0.010)
-mel40 = mel_features(wav, 40, 0.010)
+fbank = mel_features(wav, FBANK24)
+mel40 = mel_features(wav, MEL40)
 f0 = extract_f0(wav)
 
 # Speaker embedding network: frame layers, stats pooling, segment affine.

@@ -47,6 +47,7 @@ from .embeddings import (
 from .errors import ConfigError, DataError, read_lines, write_jsonl
 from .features import (
     F0_HOP_SECONDS,
+    PPG,
     SAMPLE_RATE,
     F0Contour,
     align_streams,
@@ -115,7 +116,7 @@ def cmd_extract(cfg: RunConfig, wav_paths: list[str]) -> int:
         path = Path(path_text)
         utt = path.stem
         wav = read_wav(path, expected_rate=SAMPLE_RATE)
-        fbank, mel40 = (mel_features(wav, stream.width, stream.hop) for stream in front_ends)
+        fbank, mel40 = (mel_features(wav, stream) for stream in front_ends)
         f0 = extract_f0(wav)
         xvec = nnet.xvector_forward(fbank, xvec_weights, embedding_id=utt)
         ppg = nnet.ppg_forward(mel40, ppg_weights)
@@ -167,15 +168,11 @@ def cmd_anonymize(cfg: RunConfig, inputs_path: str) -> int:
     spec = a.spec(cfg.run.seed)
     if spec is None:
         raise ConfigError("anonymize.strategy is 'none'; nothing to do")
-    if spec.n_select is not None and spec.n_select > len(pool):
-        raise DataError(
-            f"{a.where()}: more than the {len(pool)} entries of the pool {cfg.paths.pool}"
-        )
 
     def pseudo_for(label: str, original: SpeakerEmbedding):
         try:
             return apply_spec(pool, spec.derived(label), original=original)
-        except ValueError as exc:  # a range window with no candidate in the pool
+        except ValueError as exc:  # m beyond the pool, or a range window with no candidate
             raise DataError(f"{a.where()} with the pool {cfg.paths.pool}: {exc}") from None
 
     shared = None
@@ -338,7 +335,7 @@ def _synthesize_utterance(task) -> Waveform:
     ppg_path, f0, xvec, seed = task
     acoustic_weights, nsf_weights = _synthesis_weights
     try:
-        aligned = align_streams(load_features(ppg_path), f0, xvec)
+        aligned = align_streams(load_features(ppg_path, PPG), f0, xvec)
         mel = nnet.acoustic_forward(aligned, acoustic_weights)
         f0_trimmed = F0Contour(f0.values[: aligned.n_frames])
         return nnet.nsf_forward(mel, f0_trimmed, xvec, nsf_weights, seed)

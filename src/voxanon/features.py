@@ -15,16 +15,18 @@ a frame at a normalized correlation of at least ``VOICING_THRESHOLD``
 
 The pipeline runs on one clock: ``audio.SAMPLE_RATE`` (16 kHz), with one frame
 per ``F0_HOP_SECONDS`` (5 ms), that is ``SAMPLES_PER_FRAME`` (80) samples.
-Each stream between the stages has one width and one hop; ``Stream.check``
-is the one test of a stream's kind and hop:
+Each stream between the stages is declared once, as a ``Stream`` of one kind,
+width and hop. A ``FeatureMatrix`` holds its stream, ``Stream.check`` is a
+consumer's one test of it, and every stream-file reader and writer takes the
+kind and the hop from it, so a file of another kind or hop is refused on read:
 
-    kind       width               hop    producer          consumer
-    fbank24    24                  10 ms  mel_features      xvector_forward
-    mel40      40                  10 ms  mel_features      ppg_forward
-    ppg        1944                10 ms  ppg_forward       align_streams
-    f0         1 (F0Contour)       5 ms   extract_f0        align_streams, nsf_forward
-    aligned    1944 + 2 + 512      5 ms   align_streams     acoustic_forward
-    melspec80  80                  5 ms   acoustic_forward  nsf_forward
+    stream     width               hop    producer          consumer
+    FBANK24    24                  10 ms  mel_features      xvector_forward
+    MEL40      40                  10 ms  mel_features      ppg_forward
+    PPG        1944                10 ms  ppg_forward       align_streams
+    F0         1 (F0Contour)       5 ms   extract_f0        align_streams, nsf_forward
+    ALIGNED    1944 + 2 + 512      5 ms   align_streams     acoustic_forward
+    MELSPEC80  80                  5 ms   acoustic_forward  nsf_forward
 
 The NSF vocoder writes ``SAMPLES_PER_FRAME`` samples per 5 ms frame. The
 front end rejects audio at any rate other than ``SAMPLE_RATE``, because
@@ -71,26 +73,26 @@ EMBED_DIM = 512  # the speaker vector: an x-vector (Snyder et al., ICASSP 2018)
 
 @dataclass(frozen=True)
 class Stream:
-    """A kind of feature matrix, its width and the hop its consumer reads it at."""
+    """A kind of feature matrix, its width and the one hop it runs at."""
 
     kind: str
     width: int
     hop: float
 
     def check(self, features: FeatureMatrix) -> None:
-        """Raise ``ValueError`` unless ``features`` has this kind and hop."""
-        if (features.kind, features.hop) != (self.kind, self.hop):
+        """Raise ``ValueError`` unless ``features`` is of this stream."""
+        if features.stream != self:
             raise ValueError(f"expected {self.kind} at a {self.hop} s hop, "
-                             f"got {features.kind} at a {features.hop} s hop")
+                             f"got {features.stream.kind} at a {features.stream.hop} s hop")
 
 
 FBANK24 = Stream("fbank24", 24, CONTENT_HOP_SECONDS)
 MEL40 = Stream("mel40", 40, CONTENT_HOP_SECONDS)
 PPG = Stream("ppg", PPG_STATES, CONTENT_HOP_SECONDS)
+F0 = Stream("f0", 1, F0_HOP_SECONDS)  # the file kind of an F0Contour
 ALIGNED = Stream("aligned", PPG_STATES + 2 + EMBED_DIM, F0_HOP_SECONDS)
 MELSPEC80 = Stream("melspec80", 80, F0_HOP_SECONDS)
-_STREAMS = {stream.kind: stream for stream in (FBANK24, MEL40, PPG, ALIGNED, MELSPEC80)}
-MEL_KINDS = {stream.width: stream.kind for stream in (FBANK24, MEL40, MELSPEC80)}
+MEL_STREAMS = (FBANK24, MEL40, MELSPEC80)
 
 
 def check_speaker_width(width: int) -> None:
@@ -101,11 +103,10 @@ def check_speaker_width(width: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class FeatureMatrix:
-    """A (frames x dim) matrix of acoustic features at a fixed hop."""
+    """A (frames x width) matrix of one ``Stream``."""
 
     frames: np.ndarray
-    hop: float
-    kind: str
+    stream: Stream
 
     def __post_init__(self):
         frames = np.array(self.frames, dtype=np.float64)
@@ -113,13 +114,9 @@ class FeatureMatrix:
             raise ValueError("feature matrix must be 2-d with at least one frame")
         if not np.all(np.isfinite(frames)):
             raise ValueError("feature matrix contains non-finite values")
-        if self.kind not in _STREAMS:
-            raise ValueError(f"unknown feature kind {self.kind!r}")
-        width = _STREAMS[self.kind].width
+        kind, width = self.stream.kind, self.stream.width
         if frames.shape[1] != width:
-            raise ValueError(f"kind {self.kind!r} requires dim {width}, got {frames.shape[1]}")
-        if not (np.isfinite(self.hop) and self.hop > 0):
-            raise ValueError(f"hop must be a finite positive number, got {self.hop!r}")
+            raise ValueError(f"kind {kind!r} requires dim {width}, got {frames.shape[1]}")
         frames.setflags(write=False)
         object.__setattr__(self, "frames", frames)
 
@@ -218,44 +215,34 @@ def _check_rate(waveform: Waveform) -> None:
         raise ValueError(f"waveform is at {waveform.sample_rate} Hz, not {SAMPLE_RATE} Hz")
 
 
-def mel_features(
-    waveform: Waveform, n_mels: int, hop_seconds: float
-) -> FeatureMatrix:
-    """Log-mel energies of a waveform.
+def mel_features(waveform: Waveform, stream: Stream) -> FeatureMatrix:
+    """Log-mel energies of a waveform, as one of the ``MEL_STREAMS``.
 
     Parameters
     ----------
     waveform: Waveform
         Input audio at ``SAMPLE_RATE``, at least one frame (25 ms) long.
-    n_mels: int
-        Number of mel channels; 24, 40, or 80 (the three widths consumed
-        by the downstream networks).
-    hop_seconds: float
-        Frame hop, a positive whole number of samples at ``SAMPLE_RATE``:
-        ``CONTENT_HOP_SECONDS`` or ``F0_HOP_SECONDS`` in the pipeline.
+    stream: Stream
+        ``FBANK24``, ``MEL40`` or ``MELSPEC80``. Its width is the number of
+        mel channels, and a frame starts every ``stream.hop`` seconds.
 
     Returns
     -------
-    FeatureMatrix with one row per frame. Each cell is
+    FeatureMatrix of ``stream`` with one row per frame. Each cell is
     ln(max(mel_energy, 1e-10)) of the power spectrum, so an all-zero
     waveform produces a matrix filled with ln(1e-10) and the output is
     finite for every input.
     """
-    if n_mels not in MEL_KINDS:
-        raise ValueError(f"n_mels must be one of {sorted(MEL_KINDS)}, got {n_mels}")
+    if stream not in MEL_STREAMS:
+        raise ValueError(f"mel_features makes {', '.join(s.kind for s in MEL_STREAMS)}, not {stream!r}")
     _check_rate(waveform)
-    hop_len = round(hop_seconds * SAMPLE_RATE) if math.isfinite(hop_seconds) else 0
-    if hop_len < 1 or hop_len / SAMPLE_RATE != hop_seconds:
-        raise ValueError(
-            f"hop {hop_seconds!r} s is not a positive whole number of samples at {SAMPLE_RATE} Hz"
-        )
-    frames = frame_signal(waveform.samples, FRAME_SAMPLES, hop_len)
+    frames = frame_signal(waveform.samples, FRAME_SAMPLES, round(stream.hop * SAMPLE_RATE))
     window = hann_periodic(FRAME_SAMPLES)
     spectrum = np.fft.rfft(frames * window, n=FFT_SIZE, axis=1)
     power = spectrum.real**2 + spectrum.imag**2
-    energies = power @ mel_filterbank(n_mels).T
+    energies = power @ mel_filterbank(stream.width).T
     logmel = np.log(np.maximum(energies, LOG_FLOOR))
-    return FeatureMatrix(logmel, hop=hop_seconds, kind=MEL_KINDS[n_mels])
+    return FeatureMatrix(logmel, stream)
 
 
 def extract_f0(waveform: Waveform) -> F0Contour:
@@ -357,56 +344,49 @@ def align_streams(
             np.tile(xvec.vector, (n, 1)),
         ]
     )
-    return FeatureMatrix(rows, hop=ALIGNED.hop, kind=ALIGNED.kind)
+    return FeatureMatrix(rows, ALIGNED)
 
 
 def save_features(path, features: FeatureMatrix) -> None:
     """Write a feature matrix as an ``.npz`` stream file.
 
-    The archive holds three entries: ``kind`` (0-d unicode), ``hop``
-    (0-d float64) and ``values`` (the frames x dim float64 matrix).
+    The archive holds three entries: the stream's ``kind`` (0-d unicode) and
+    ``hop`` (0-d float64), and ``values`` (the frames x width float64 matrix).
     Floats round-trip exactly, and equal matrices give equal bytes.
     """
-    _save_stream(path, features.kind, features.hop, features.frames)
+    _save_stream(path, features.stream, features.frames)
 
 
-def load_features(path) -> FeatureMatrix:
-    return _load_stream(
-        path, tuple(_STREAMS), lambda kind, hop, values: FeatureMatrix(values, hop=hop, kind=kind)
-    )
+def load_features(path, stream: Stream) -> FeatureMatrix:
+    """Read a matrix of ``stream``, refusing a file of another kind or hop."""
+    return _load_stream(path, stream, lambda values: FeatureMatrix(values, stream))
 
 
 def save_f0(path, contour: F0Contour) -> None:
-    _save_stream(path, "f0", F0_HOP_SECONDS, contour.values)
+    _save_stream(path, F0, contour.values)
 
 
 def load_f0(path) -> F0Contour:
-    """Read a contour, refusing a file whose ``hop`` is not ``F0_HOP_SECONDS``."""
-    return _load_stream(path, ("f0",), _f0_of)
+    """Read a contour, refusing a file of another kind or hop than ``F0``."""
+    return _load_stream(path, F0, F0Contour)
 
 
-def _f0_of(kind: str, hop: float, values: np.ndarray) -> F0Contour:
-    contour = F0Contour(values)
-    if hop != F0_HOP_SECONDS:
-        raise ValueError(f"hop {hop!r} is not the F0 hop, {F0_HOP_SECONDS}")
-    return contour
+def _save_stream(path, stream: Stream, values: np.ndarray) -> None:
+    write_npz(path, kind=np.array(stream.kind), hop=np.array(stream.hop, dtype=np.float64), values=values)
 
 
-def _save_stream(path, kind: str, hop: float, values: np.ndarray) -> None:
-    write_npz(path, kind=np.array(kind), hop=np.array(hop, dtype=np.float64), values=values)
-
-
-def _load_stream(path, kinds: tuple[str, ...], build):
+def _load_stream(path, stream: Stream, build):
     path = Path(path)
     kind, hop, values = read_npz(path, ("kind", "hop", "values"), "feature file")
-    kind = kind.tolist()
-    if kind not in kinds:
-        raise DataError(f"{path}: kind {kind!r} is not one of {', '.join(kinds)}")
+    if kind.tolist() != stream.kind:
+        raise DataError(f"{path}: kind {kind.tolist()!r} is not {stream.kind}")
     if hop.shape != () or hop.dtype != np.float64:
         raise DataError(f"{path}: hop must be a 0-d float64, got {hop.tolist()!r}")
+    if hop != stream.hop:
+        raise DataError(f"{path}: hop {float(hop)!r} is not the {stream.kind} hop, {stream.hop}")
     if values.dtype != np.float64:
         raise DataError(f"{path}: values must be float64, got {values.dtype}")
     try:
-        return build(kind, float(hop), values)
+        return build(values)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc

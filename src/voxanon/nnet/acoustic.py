@@ -122,4 +122,4 @@ def acoustic_forward(aligned: FeatureMatrix, weights: ModelWeights) -> FeatureMa
     w_step = (weights["ar.wh"] + wx_mel @ weights["out.w"]).astype(np.float32)
     hidden = _lstm_sequence(pre, w_step, config.ar_size)
     out = hidden @ weights["out.w"].T + weights["out.b"]
-    return FeatureMatrix(out, hop=MELSPEC80.hop, kind=MELSPEC80.kind)
+    return FeatureMatrix(out, MELSPEC80)

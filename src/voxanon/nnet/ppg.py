@@ -85,4 +85,4 @@ def ppg_forward(frames: FeatureMatrix, weights: ModelWeights) -> FeatureMatrix:
     for i in range(1, config.hidden_layers + 1):
         h = _sigmoid(h @ weights[f"hidden{i}.w"].T + weights[f"hidden{i}.b"])
     logits = h @ weights["softmax.w"].T + weights["softmax.b"]
-    return FeatureMatrix(_softmax_rows(logits.astype(np.float64)), hop=PPG.hop, kind=PPG.kind)
+    return FeatureMatrix(_softmax_rows(logits.astype(np.float64)), PPG)

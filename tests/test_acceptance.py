@@ -30,7 +30,7 @@ from voxanon import (
 )
 from voxanon.benchmark import draw_pseudo_speakers, protocol_trials, report_records
 from voxanon.cli import main
-from voxanon.features import SAMPLES_PER_FRAME
+from voxanon.features import ALIGNED, FBANK24, MEL40, MELSPEC80, PPG, SAMPLES_PER_FRAME
 from voxanon.nnet import (
     AcousticConfig,
     NsfConfig,
@@ -160,14 +160,14 @@ def test_criterion_5_architecture_shapes():
         for n_frames in (15, 23, 61, 200):
             frames = FeatureMatrix(
                 np.random.default_rng(n_frames).standard_normal((n_frames, 24)),
-                hop=0.010, kind="fbank24",
+                FBANK24,
             )
             assert xvector_forward(frames, xweights).dim == 512
 
         # Posterior network: width 1944, rows sum to one.
         pweights = init_weights("ppg", PpgConfig(), seed=2)
         mel40 = FeatureMatrix(
-            np.random.default_rng(0).standard_normal((40, 40)), hop=0.010, kind="mel40"
+            np.random.default_rng(0).standard_normal((40, 40)), MEL40
         )
         posteriors = ppg_forward(mel40, pweights)
         assert posteriors.dim == 1944
@@ -178,7 +178,7 @@ def test_criterion_5_architecture_shapes():
         aweights = init_weights("acoustic", aconfig, seed=3)
         aligned = FeatureMatrix(
             np.random.default_rng(1).standard_normal((21, 1944 + 2 + 512)),
-            hop=0.005, kind="aligned",
+            ALIGNED,
         )
         mel = acoustic_forward(aligned, aweights)
         assert mel.frames.shape == (21, 80)
@@ -222,7 +222,7 @@ def test_criterion_6_dsp_suite():
         assert np.all(np.abs(interior[voiced] - oracle[voiced]) <= 2.0)
 
         rng = np.random.default_rng(11)
-        ppg = FeatureMatrix(rng.uniform(0, 1, (100, 1944)), hop=0.010, kind="ppg")
+        ppg = FeatureMatrix(rng.uniform(0, 1, (100, 1944)), PPG)
         f0 = F0Contour(np.where(rng.random(200) < 0.5, 150.0, 0.0))
         xvec = SpeakerEmbedding("x", rng.standard_normal(512))
         aligned = align_streams(ppg, f0, xvec)
@@ -234,8 +234,9 @@ def test_criterion_6_dsp_suite():
             assert np.array_equal(row, xvec.vector)
 
         one_second = make_tone(300.0, seconds=1.0)
-        assert mel_features(one_second, 24, 0.005).n_frames == 196
-        assert mel_features(one_second, 24, 0.010).n_frames == 98
+        # No 24-band stream runs at 5 ms; the 80-band one frames at that hop.
+        assert mel_features(one_second, MELSPEC80).n_frames == 196
+        assert mel_features(one_second, FBANK24).n_frames == 98
 
 
 def test_criterion_7_wer_oracle_equivalence():
@@ -289,7 +290,7 @@ def test_criterion_8_pipeline_determinism(tmp_path):
 
         features_dir = tmp_path / "features"
         features_dir.mkdir()
-        mel40 = FeatureMatrix(rng.standard_normal((20, 40)), hop=0.010, kind="mel40")
+        mel40 = FeatureMatrix(rng.standard_normal((20, 40)), MEL40)
         ppg = ppg_forward(mel40, ppg_weights)
         f0 = F0Contour(np.where(rng.random(40) < 0.6, 180.0, 0.0))
         save_features(features_dir / "u_1.ppg.npz", ppg)

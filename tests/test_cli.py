@@ -26,7 +26,7 @@ from voxanon.cli import main, speaker_of
 from voxanon.config import load_config
 from voxanon.embeddings import EmbeddingPool, SpeakerEmbedding
 from voxanon.errors import ConfigError, DataError, write_npz
-from voxanon.features import F0Contour, FeatureMatrix, load_features, save_f0, save_features
+from voxanon.features import PPG, F0Contour, FeatureMatrix, load_features, save_f0, save_features
 from voxanon.nnet import AcousticConfig, NsfConfig, PpgConfig, XVectorConfig, init_weights, save_weights
 
 
@@ -79,7 +79,7 @@ def long_site(tmp_path_factory):
     weights.mkdir()
     for utt, f0_hz in (("p01_001", 180.0), ("p01_002", 210.0), ("p02_001", 120.0)):
         ppg = rng.dirichlet(np.ones(1944), size=200)
-        save_features(features / f"{utt}.ppg.npz", FeatureMatrix(ppg, hop=0.01, kind="ppg"))
+        save_features(features / f"{utt}.ppg.npz", FeatureMatrix(ppg, PPG))
         f0 = np.where(np.arange(400) % 100 < 70, f0_hz, 0.0)  # voiced and unvoiced runs
         save_f0(features / f"{utt}.f0.npz", F0Contour(f0))
     components = [
@@ -597,12 +597,12 @@ class TestCorruptInputs:
                "ppg-width": features / "p01_001.ppg.npz", "nsf": weights / "nsf.weights",
                "acoustic": weights / "acoustic.weights", "pseudo": pool}[slot]
         raw = bad.read_bytes()
-        ppg = load_features(bad) if slot == "ppg-width" else None
+        ppg = load_features(bad, PPG) if slot == "ppg-width" else None
         bad.unlink()
         if slot == "pseudo":
             bad.write_text('{"dim": 512, "count": 1}\n{"id": "p01", "vec": [1.0, 2.0]}\n')
         elif slot == "ppg-width":  # a PPG narrower than the ppg stream
-            write_npz(bad, kind=np.array("ppg"), hop=np.array(ppg.hop), values=ppg.frames[:, :-2])
+            write_npz(bad, kind=np.array("ppg"), hop=np.array(PPG.hop), values=ppg.frames[:, :-2])
         else:
             bad.write_bytes(raw[: len(raw) // 2])
         config = tmp_path / "run.ini"
@@ -902,9 +902,10 @@ class TestAnonymize:
         ])
         assert rc == 3
         assert capsys.readouterr().err == (
-            f"data error: anonymize.m (--m) = 41: more than the 40 entries of the pool "
-            f"{site / 'pool.jsonl'}\n"
+            f"data error: anonymize.m (--m) = 41 with the pool {site / 'pool.jsonl'}: "
+            f"n_select 41 exceeds pool size 40\n"
         )
+        assert not (tmp_path / "o").exists()
 
     def test_cancelling_pool_mean_names_key_and_pool(self, tmp_path, capsys):
         # Both entries are sound, but their mean has no direction; the input
@@ -1043,7 +1044,7 @@ class TestSynthesize:
         assert wav1.read_bytes() == (out2 / "wav" / "p01_001.wav").read_bytes()
         from voxanon import load_f0, load_features
 
-        ppg = load_features(extracted / "features" / "p01_001.ppg.npz")
+        ppg = load_features(extracted / "features" / "p01_001.ppg.npz", PPG)
         f0 = load_f0(extracted / "features" / "p01_001.f0.npz")
         expected = 80 * min(2 * ppg.n_frames, f0.n_frames)
         assert len(read_wav(wav1)) == expected
@@ -1206,23 +1207,27 @@ class TestSynthesize:
 
     def test_feature_files_on_another_clock_exit_3_naming_file(self, long_site, tmp_path, capsys):
         # 50 PPG frames of 20 ms and 100 F0 frames of 10 ms: 1.0 s of speech
-        # that a 5 ms synthesis clock would render as 0.5 s.
+        # that a 5 ms synthesis clock would render as 0.5 s. The F0 file is
+        # refused first; on the 5 ms clock it is sound, and the PPG file is
+        # refused on read.
         features = tmp_path / "features"
         features.mkdir()
         ppg = np.random.default_rng(2).dirichlet(np.ones(1944), size=50)
-        for name, kind, hop, values in (("p01_001.ppg.npz", "ppg", 0.020, ppg),
-                                        ("p01_001.f0.npz", "f0", 0.010, np.full(100, 150.0))):
-            with (features / name).open("wb") as fh:
-                np.savez(fh, kind=np.array(kind), hop=np.array(hop), values=values)
-        rc = main([
-            "synthesize", "--config", str(long_site / "run.ini"), "--features-dir", str(features),
-            "--pseudo", str(long_site / "pseudo.jsonl"), "--utts", "p01_001",
-            "--out-dir", str(tmp_path / "o"),
-        ])
-        err = capsys.readouterr().err
-        assert rc == 3, err
-        assert f"{features / 'p01_001.f0.npz'}: hop 0.01 is not the F0 hop, 0.005" in err
-        assert not (tmp_path / "o").exists()
+        for f0_hop, bad, message in ((0.010, "p01_001.f0.npz", "hop 0.01 is not the f0 hop, 0.005"),
+                                     (0.005, "p01_001.ppg.npz", "hop 0.02 is not the ppg hop, 0.01")):
+            for name, kind, hop, values in (("p01_001.ppg.npz", "ppg", 0.020, ppg),
+                                            ("p01_001.f0.npz", "f0", f0_hop, np.full(100, 150.0))):
+                with (features / name).open("wb") as fh:
+                    np.savez(fh, kind=np.array(kind), hop=np.array(hop), values=values)
+            rc = main([
+                "synthesize", "--config", str(long_site / "run.ini"), "--features-dir", str(features),
+                "--pseudo", str(long_site / "pseudo.jsonl"), "--utts", "p01_001",
+                "--out-dir", str(tmp_path / "o"),
+            ])
+            err = capsys.readouterr().err
+            assert rc == 3, err
+            assert f"{features / bad}: {message}" in err
+            assert not (tmp_path / "o").exists()
 
     def test_unset_weights_names_config(self, extracted, pseudo, tmp_path, capsys):
         config = tmp_path / "noweights.ini"

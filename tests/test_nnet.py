@@ -35,7 +35,7 @@ def _fbank(n_frames, seed=0, value=None):
         data = np.full((n_frames, 24), value)
     else:
         data = np.random.default_rng(seed).standard_normal((n_frames, 24))
-    return FeatureMatrix(data, hop=0.010, kind="fbank24")
+    return FeatureMatrix(data, FBANK24)
 
 
 def _zeroed(weights):
@@ -134,7 +134,7 @@ class TestWeights:
         config = PpgConfig(context_frames=3, hidden_size=8, hidden_layers=2)
         weights = init_weights("ppg", config, seed=7)
         frames = FeatureMatrix(
-            np.random.default_rng(0).standard_normal((9, 40)), hop=0.01, kind="mel40"
+            np.random.default_rng(0).standard_normal((9, 40)), MEL40
         )
         before = ppg_forward(frames, weights)
         path = tmp_path / "w.weights"
@@ -190,7 +190,7 @@ class TestWeights:
         # tensors cannot pass as PPG weights and fail later on a width.
         acoustic = ModelWeights(small_acoustic_weights.config, small_acoustic_weights.tensors)
         assert acoustic.component == "acoustic"
-        frames = FeatureMatrix(np.zeros((10, 40)), hop=0.01, kind="mel40")
+        frames = FeatureMatrix(np.zeros((10, 40)), MEL40)
         with pytest.raises(ValueError, match="expected ppg weights, got 'acoustic'"):
             ppg_forward(frames, acoustic)
         with pytest.raises(ValueError, match="expected acoustic weights, got 'ppg'"):
@@ -288,7 +288,7 @@ class TestXVector:
             xvector_forward(_fbank(14), weights)
 
     def test_input_dim_enforced(self, weights):
-        frames = FeatureMatrix(np.ones((30, 40)), hop=0.01, kind="mel40")
+        frames = FeatureMatrix(np.ones((30, 40)), MEL40)
         with pytest.raises(ValueError, match="24"):
             xvector_forward(frames, weights)
 
@@ -334,7 +334,7 @@ class TestXVector:
     def test_context_sensitivity(self, weights):
         base = _fbank(30, seed=5)
         padded = FeatureMatrix(
-            np.vstack([np.full((3, 24), 0.5), base.frames]), hop=0.010, kind="fbank24"
+            np.vstack([np.full((3, 24), 0.5), base.frames]), FBANK24
         )
         a = xvector_embedding(base, weights)
         b = xvector_embedding(padded, weights)
@@ -362,15 +362,15 @@ class TestXVector:
 class TestPpg:
     def test_output_rows_match_input(self, small_ppg_weights):
         frames = FeatureMatrix(
-            np.random.default_rng(1).standard_normal((50, 40)), hop=0.01, kind="mel40"
+            np.random.default_rng(1).standard_normal((50, 40)), MEL40
         )
         out = ppg_forward(frames, small_ppg_weights)
         assert out.n_frames == 50
-        assert out.kind == "ppg"
+        assert out.stream.kind == "ppg"
 
     def test_softmax_rows_are_distributions(self, small_ppg_weights):
         frames = FeatureMatrix(
-            np.random.default_rng(2).standard_normal((20, 40)) * 5, hop=0.01, kind="mel40"
+            np.random.default_rng(2).standard_normal((20, 40)) * 5, MEL40
         )
         out = ppg_forward(frames, small_ppg_weights)
         assert np.all(out.frames >= 0)
@@ -380,7 +380,7 @@ class TestPpg:
         config = PpgConfig()
         zeroed = _zeroed(init_weights("ppg", config, seed=1))
         frames = FeatureMatrix(
-            np.random.default_rng(3).standard_normal((4, 40)), hop=0.01, kind="mel40"
+            np.random.default_rng(3).standard_normal((4, 40)), MEL40
         )
         out = ppg_forward(frames, zeroed)
         assert out.dim == 1944
@@ -393,7 +393,7 @@ class TestPpg:
         tensors["hidden1.b"] = tensors["hidden1.b"] - 1000.0
         weights = ModelWeights(small_ppg_weights.config, tensors)
         frames = FeatureMatrix(
-            np.random.default_rng(5).standard_normal((10, 40)), hop=0.01, kind="mel40"
+            np.random.default_rng(5).standard_normal((10, 40)), MEL40
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -404,29 +404,29 @@ class TestPpg:
     def test_output_width_is_state_count(self, small_ppg_weights):
         # The posteriors span the 1944 tied states, not the 32 hidden units.
         frames = FeatureMatrix(
-            np.random.default_rng(4).standard_normal((6, 40)), hop=0.01, kind="mel40"
+            np.random.default_rng(4).standard_normal((6, 40)), MEL40
         )
         assert ppg_forward(frames, small_ppg_weights).dim == 1944
 
     def test_takes_no_tap(self, small_ppg_weights):
-        frames = FeatureMatrix(np.ones((3, 40)), hop=0.01, kind="mel40")
+        frames = FeatureMatrix(np.ones((3, 40)), MEL40)
         with pytest.raises(TypeError, match="tap"):
             ppg_forward(frames, small_ppg_weights, tap="softmax")
 
     def test_wrong_input_dim(self, small_ppg_weights):
-        frames = FeatureMatrix(np.ones((5, 24)), hop=0.01, kind="fbank24")
+        frames = FeatureMatrix(np.ones((5, 24)), FBANK24)
         with pytest.raises(ValueError, match="40"):
             ppg_forward(frames, small_ppg_weights)
 
     def test_single_frame_input(self, small_ppg_weights):
-        frames = FeatureMatrix(np.ones((1, 40)), hop=0.01, kind="mel40")
+        frames = FeatureMatrix(np.ones((1, 40)), MEL40)
         assert ppg_forward(frames, small_ppg_weights).n_frames == 1
 
     @pytest.mark.parametrize("n_frames", [24, 600])
     def test_matches_float64_reference(self, n_frames):
         weights = init_weights("ppg", PpgConfig(), seed=23)
         frames = FeatureMatrix(
-            np.random.default_rng(16).standard_normal((n_frames, 40)), hop=0.01, kind="mel40"
+            np.random.default_rng(16).standard_normal((n_frames, 40)), MEL40
         )
         out = ppg_forward(frames, weights)
         expected = ppg_posteriors(frames.frames, weights)
@@ -439,7 +439,7 @@ class TestPpg:
 def _aligned(n_frames, seed=0):
     rng = np.random.default_rng(seed)
     return FeatureMatrix(
-        rng.standard_normal((n_frames, ALIGNED.width)), hop=0.005, kind="aligned"
+        rng.standard_normal((n_frames, ALIGNED.width)), ALIGNED
     )
 
 
@@ -447,7 +447,7 @@ class TestAcoustic:
     def test_output_shape(self, small_acoustic_weights):
         out = acoustic_forward(_aligned(12), small_acoustic_weights)
         assert out.frames.shape == (12, 80)
-        assert out.kind == "melspec80"
+        assert out.stream.kind == "melspec80"
 
     def test_zero_weights_emit_output_bias(self, small_acoustic_weights):
         config = small_acoustic_weights.config
@@ -463,7 +463,7 @@ class TestAcoustic:
         # The aligned stream has one width, 1944 + 2 + 512, which every
         # FeatureMatrix of its kind has; no config sets another.
         with pytest.raises(ValueError, match="kind 'aligned' requires dim 2458, got 7"):
-            FeatureMatrix(np.ones((4, 7)), hop=0.005, kind="aligned")
+            FeatureMatrix(np.ones((4, 7)), ALIGNED)
 
     @pytest.mark.parametrize("n_frames", [
         pytest.param(24, id="free"),

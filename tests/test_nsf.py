@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from voxanon import F0Contour, FeatureMatrix, SpeakerEmbedding, Waveform
-from voxanon.features import EMBED_DIM, SAMPLE_RATE, SAMPLES_PER_FRAME
+from voxanon.features import EMBED_DIM, MELSPEC80, SAMPLE_RATE, SAMPLES_PER_FRAME
 from voxanon.nnet import (
     ModelWeights,
     NsfConfig,
@@ -77,7 +77,7 @@ class TestConfig:
 def _inputs(n_frames, seed=0):
     rng = np.random.default_rng(seed)
     mel = FeatureMatrix(
-        rng.standard_normal((n_frames, 80)), hop=0.005, kind="melspec80"
+        rng.standard_normal((n_frames, 80)), MELSPEC80
     )
     values = np.where(rng.random(n_frames) < 0.5, 150.0, 0.0)
     f0 = F0Contour(values)

@@ -17,7 +17,7 @@ import pytest
 from voxanon import load_pool, read_trials, read_wav
 from voxanon.cli import _read_transcripts
 from voxanon.errors import DataError, write_jsonl, write_npz
-from voxanon.features import FeatureMatrix, F0Contour, load_f0, load_features, save_f0, save_features
+from voxanon.features import FBANK24, FeatureMatrix, F0Contour, load_f0, load_features, save_f0, save_features
 from voxanon.nnet import (
     AcousticConfig, NsfConfig, PpgConfig, XVectorConfig, init_weights, load_weights, save_weights,
 )
@@ -231,7 +231,7 @@ def test_wav_rate_zero_names_file_and_fmt_offset(tmp_path):
 # ------------------------------------------------------- the .npz archives
 
 _PPG = PpgConfig(context_frames=1, hidden_size=3, hidden_layers=1)
-_READERS = {"weights": load_weights, "features": load_features, "f0": load_f0}
+_READERS = {"weights": load_weights, "features": lambda path: load_features(path, FBANK24), "f0": load_f0}
 
 
 @pytest.fixture(scope="module")
@@ -240,7 +240,7 @@ def archives(tmp_path_factory):
     root = tmp_path_factory.mktemp("archives")
     save_weights(root / "weights", init_weights("ppg", _PPG, seed=1))
     # The narrowest stream, so that most fuzzed bytes fall outside the values.
-    save_features(root / "features", FeatureMatrix(np.full((3, 24), 0.25), hop=0.01, kind="fbank24"))
+    save_features(root / "features", FeatureMatrix(np.full((3, 24), 0.25), FBANK24))
     save_f0(root / "f0", F0Contour(np.array([0.0, 120.0, 0.0])))
     valid = {}
     for name in _READERS:

@@ -20,16 +20,24 @@ from voxanon import (
 )
 from voxanon.errors import DataError
 from voxanon.features import (
+    ALIGNED,
     CONTENT_HOP_SECONDS,
     EMBED_DIM,
+    F0,
     F0_HOP_SECONDS,
     F0_LAGS,
+    FBANK24,
     FFT_SIZE,
     FRAME_SECONDS,
     LOG_FLOOR,
+    MEL40,
+    MEL_STREAMS,
+    MELSPEC80,
+    PPG,
     PPG_STATES,
     SAMPLE_RATE,
     SAMPLES_PER_FRAME,
+    Stream,
     frame_count,
     hann_periodic,
     mel_filterbank,
@@ -108,54 +116,57 @@ class TestWavIo:
 class TestMelFeatures:
     def test_frame_count_arithmetic(self):
         wav = make_tone(300.0, seconds=1.0)
-        assert mel_features(wav, 24, 0.005).n_frames == (16000 - 400) // 80 + 1 == 196
-        assert mel_features(wav, 24, 0.010).n_frames == (16000 - 400) // 160 + 1 == 98
+        assert mel_features(wav, MELSPEC80).n_frames == (16000 - 400) // 80 + 1 == 196
+        assert mel_features(wav, FBANK24).n_frames == (16000 - 400) // 160 + 1 == 98
 
     def test_all_zero_waveform_hits_log_floor(self):
         wav = Waveform(np.zeros(1600), 16000)
-        features = mel_features(wav, 80, 0.005)
+        features = mel_features(wav, MELSPEC80)
         assert np.all(features.frames == math.log(LOG_FLOOR))
 
-    @pytest.mark.parametrize("n_mels", [24, 80])
-    def test_tone_peaks_in_nearest_channel(self, n_mels):
+    @pytest.mark.parametrize("stream", [pytest.param(FBANK24, id="24"), pytest.param(MELSPEC80, id="80")])
+    def test_tone_peaks_in_nearest_channel(self, stream):
         wav = make_tone(1000.0, seconds=0.5)
-        features = mel_features(wav, n_mels, 0.010)
-        centers = mel_center_frequencies(n_mels, 20.0, 7600.0)
+        features = mel_features(wav, stream)
+        centers = mel_center_frequencies(stream.width, 20.0, 7600.0)
         expected_channel = int(np.argmin(np.abs(centers - 1000.0)))
         peak_channels = np.argmax(features.frames, axis=1)
         assert np.all(peak_channels == expected_channel)
 
     def test_kinds_by_width(self):
         wav = make_tone(200.0, seconds=0.2)
-        assert mel_features(wav, 24, 0.01).kind == "fbank24"
-        assert mel_features(wav, 40, 0.01).kind == "mel40"
-        assert mel_features(wav, 80, 0.005).kind == "melspec80"
+        made = [mel_features(wav, stream) for stream in MEL_STREAMS]
+        assert [(m.stream.kind, m.dim, m.stream.hop) for m in made] == [
+            ("fbank24", 24, 0.01), ("mel40", 40, 0.01), ("melspec80", 80, 0.005)]
 
     def test_unsupported_width(self):
-        with pytest.raises(ValueError, match="n_mels"):
-            mel_features(make_tone(200.0, seconds=0.2), 32, 0.01)
+        for stream in (Stream("mel32", 32, 0.01), PPG, F0):
+            with pytest.raises(ValueError, match="mel_features makes fbank24, mel40, melspec80, not Stream"):
+                mel_features(make_tone(200.0, seconds=0.2), stream)
 
     @pytest.mark.parametrize("hop", [0.0101, 1e-5, 0.0, -0.01, math.nan, math.inf])
     def test_hop_of_no_whole_sample_count_rejected(self, hop):
-        # 0.0101 s is 161.6 samples; the others give no positive count.
+        # 0.0101 s is 161.6 samples; the others give no positive count. Only
+        # the declared mel streams are made, so a 40-band one at such a hop
+        # is refused rather than framed at a rounded hop.
         with pytest.raises(ValueError) as caught:
-            mel_features(make_tone(200.0, seconds=0.2), 40, hop)
+            mel_features(make_tone(200.0, seconds=0.2), Stream("mel40", 40, hop))
         assert str(caught.value) == (
-            f"hop {hop!r} s is not a positive whole number of samples at 16000 Hz"
+            f"mel_features makes fbank24, mel40, melspec80, not Stream(kind='mel40', width=40, hop={hop!r})"
         )
 
     def test_too_short_waveform(self):
         with pytest.raises(ValueError, match="shorter than one frame"):
-            mel_features(Waveform(np.zeros(100) + 0.1, 16000), 24, 0.01)
+            mel_features(Waveform(np.zeros(100) + 0.1, 16000), FBANK24)
 
     def test_determinism(self):
         wav = make_noise(seconds=0.3, seed=4)
-        a = mel_features(wav, 24, 0.01)
-        b = mel_features(wav, 24, 0.01)
+        a = mel_features(wav, FBANK24)
+        b = mel_features(wav, FBANK24)
         assert np.array_equal(a.frames, b.frames)
 
     def test_finite_for_noise(self):
-        features = mel_features(make_noise(seconds=0.3, seed=9), 80, 0.005)
+        features = mel_features(make_noise(seconds=0.3, seed=9), MELSPEC80)
         assert np.all(np.isfinite(features.frames))
 
     @pytest.mark.parametrize("sample, changes_frame_0", [(1, True), (399, True), (400, False)])
@@ -167,8 +178,8 @@ class TestMelFeatures:
         wav = make_noise(seconds=0.1, seed=6)
         samples = wav.samples.copy()
         samples[sample] += 0.25
-        base = mel_features(wav, 40, 0.010).frames[0]
-        moved = mel_features(Waveform(samples, SAMPLE_RATE), 40, 0.010).frames[0]
+        base = mel_features(wav, MEL40).frames[0]
+        moved = mel_features(Waveform(samples, SAMPLE_RATE), MEL40).frames[0]
         assert (not np.array_equal(base, moved)) == changes_frame_0
 
     def test_filterbank_and_window_built_once_read_only(self):
@@ -179,7 +190,7 @@ class TestMelFeatures:
     def test_other_rate_rejected(self):
         wav = Waveform(make_noise(seconds=0.1, seed=2).samples, 22050)
         with pytest.raises(ValueError, match="waveform is at 22050 Hz, not 16000 Hz"):
-            mel_features(wav, 40, 0.010)
+            mel_features(wav, MEL40)
 
 
 class TestExtractF0:
@@ -216,7 +227,7 @@ class TestExtractF0:
         wav = make_tone(180.0, seconds=0.73)
         contour = extract_f0(wav)
         assert contour.n_frames == frame_count(len(wav), 400, 80)
-        assert contour.n_frames == mel_features(wav, 80, 0.005).n_frames
+        assert contour.n_frames == mel_features(wav, MELSPEC80).n_frames
 
     @pytest.mark.parametrize("rate", [4000, 22050])
     def test_other_rate_rejected(self, rate):
@@ -275,7 +286,16 @@ class TestExtractF0MatchesPerLag:
 
 def _fake_ppg(n_frames, seed=0):
     rng = np.random.default_rng(seed)
-    return FeatureMatrix(rng.uniform(0.1, 1.0, (n_frames, PPG_STATES)), hop=0.010, kind="ppg")
+    return FeatureMatrix(rng.uniform(0.1, 1.0, (n_frames, PPG_STATES)), PPG)
+
+
+def _load_ppg(path):
+    return load_features(path, PPG)
+
+
+# Every declared stream, and the other of the pipeline's two hops.
+DECLARED = (FBANK24, MEL40, PPG, F0, ALIGNED, MELSPEC80)
+OTHER_HOP = {CONTENT_HOP_SECONDS: F0_HOP_SECONDS, F0_HOP_SECONDS: CONTENT_HOP_SECONDS}
 
 
 def _xvec(seed=2):
@@ -295,7 +315,7 @@ class TestAlignStreams:
         xvec = SpeakerEmbedding("x", np.arange(1, EMBED_DIM + 1, dtype=float))
         aligned = align_streams(ppg, f0, xvec)
         assert aligned.n_frames == 200
-        assert aligned.hop == F0_HOP_SECONDS
+        assert aligned.stream == ALIGNED and aligned.stream.hop == F0_HOP_SECONDS
         for k in range(100):
             assert np.array_equal(aligned.frames[2 * k, :PPG_STATES], ppg.frames[k])
             assert np.array_equal(aligned.frames[2 * k + 1, :PPG_STATES], ppg.frames[k])
@@ -340,27 +360,26 @@ class TestAlignStreams:
         assert np.allclose(log_f0[voiced], np.log(f0.values[:60][voiced]))
 
     def test_content_hop_other_than_twice_the_f0_hop_rejected(self):
-        ppg = FeatureMatrix(_fake_ppg(50).frames, hop=0.020, kind="ppg")
+        ppg = FeatureMatrix(_fake_ppg(50).frames, Stream("ppg", PPG_STATES, 0.020))
         with pytest.raises(ValueError, match="expected ppg at a 0.01 s hop, got ppg at a 0.02 s hop"):
             align_streams(ppg, _fake_f0(200), _xvec())
 
     def test_requires_ppg_kind(self):
-        mel = FeatureMatrix(np.ones((10, 24)), hop=0.010, kind="fbank24")
+        mel = FeatureMatrix(np.ones((10, 24)), FBANK24)
         with pytest.raises(ValueError, match="ppg"):
             align_streams(mel, _fake_f0(20), _xvec())
 
 
 class TestFeatureFiles:
     def test_feature_roundtrip_exact(self, rng, tmp_path):
-        features = FeatureMatrix(rng.standard_normal((17, PPG_STATES)), hop=0.01, kind="ppg")
+        features = FeatureMatrix(rng.standard_normal((17, PPG_STATES)), PPG)
         path = tmp_path / "f.ppg"
         save_features(path, features)
         assert [p.name for p in tmp_path.iterdir()] == ["f.ppg"]
         with np.load(path, allow_pickle=False) as archive:
             assert archive.files == ["kind", "hop", "values"]
-        loaded = load_features(path)
-        assert loaded.kind == "ppg"
-        assert loaded.hop == features.hop
+        loaded = load_features(path, PPG)
+        assert loaded.stream == PPG
         assert np.array_equal(loaded.frames, features.frames)
 
     def test_f0_roundtrip_exact(self, tmp_path):
@@ -372,52 +391,68 @@ class TestFeatureFiles:
         with np.load(path, allow_pickle=False) as archive:
             assert archive["hop"] == F0_HOP_SECONDS == 0.005
 
-    @pytest.mark.parametrize("hop", [0.01, 0.005 + 1e-12, 0.0, -0.005, math.nan])
-    def test_f0_file_on_another_hop_refused(self, tmp_path, hop):
-        path = tmp_path / "f0.npz"
+    @pytest.mark.parametrize("stream, hop", [
+        *(pytest.param(F0, hop, id=str(hop)) for hop in [0.01, 0.005 + 1e-12, 0.0, -0.005, math.nan]),
+        *(pytest.param(stream, OTHER_HOP[stream.hop], id=f"{stream.kind}-at-{OTHER_HOP[stream.hop]}")
+          for stream in (FBANK24, MEL40, PPG, ALIGNED, MELSPEC80)),
+    ])
+    def test_f0_file_on_another_hop_refused(self, tmp_path, stream, hop):
+        # Each stream file is read against its stream's one hop; the values
+        # are sound, so only the hop is wrong.
+        path = tmp_path / "stream.npz"
+        values = np.full(4, 120.0) if stream is F0 else np.ones((4, stream.width))
         with path.open("wb") as fh:
-            np.savez(fh, kind=np.array("f0"), hop=np.array(hop), values=np.full(4, 120.0))
-        with pytest.raises(DataError, match="is not the F0 hop, 0.005") as info:
-            load_f0(path)
-        assert str(path) in str(info.value)
+            np.savez(fh, kind=np.array(stream.kind), hop=np.array(hop), values=values)
+        with pytest.raises(DataError) as info:
+            load_f0(path) if stream is F0 else load_features(path, stream)
+        assert str(info.value) == f"{path}: hop {hop!r} is not the {stream.kind} hop, {stream.hop}"
 
     def test_clock_constants(self):
         # Feature files store these hops, so their values are part of the format.
         assert (SAMPLE_RATE, F0_HOP_SECONDS, SAMPLES_PER_FRAME) == (16000, 0.005, 80)
         assert CONTENT_HOP_SECONDS == 0.010 == 2 * F0_HOP_SECONDS
+        # Every declared hop is a whole number of samples, which mel_features
+        # and the frame-rate conversions below rely on.
+        for stream in DECLARED:
+            samples = round(stream.hop * SAMPLE_RATE)
+            assert samples >= 1 and samples / SAMPLE_RATE == stream.hop, stream
+        assert PPG.hop == 2 * ALIGNED.hop  # align_streams repeats each PPG row twice
+        assert F0.hop == ALIGNED.hop == MELSPEC80.hop
+        assert SAMPLES_PER_FRAME == round(ALIGNED.hop * SAMPLE_RATE)
 
     def test_malformed_feature_file(self, tmp_path):
         # A feature file in the retired one-record-per-frame JSON format.
         path = tmp_path / "bad.ppg.jsonl"
         path.write_text('{"kind": "ppg", "hop": 0.01, "dim": 3, "frames": 1}\n{"t": 0}\n')
         with pytest.raises(DataError, match="not an .npz archive") as info:
-            load_features(path)
+            load_features(path, PPG)
         assert str(path) in str(info.value)
 
     @pytest.mark.parametrize("loader, write, problem", [
-        pytest.param(load_features, None, "cannot read", id="missing-file"),
-        pytest.param(load_features, b"", "not an .npz archive", id="empty-file"),
-        pytest.param(load_features, "half", "not an .npz archive", id="truncated"),
-        pytest.param(load_features, "npy", "bare .npy", id="bare-npy"),
-        pytest.param(load_features, {"hop": None}, "missing entries", id="missing-hop"),
-        pytest.param(load_features, {"values": None}, "missing entries", id="missing-values"),
-        pytest.param(load_features, {"values": np.ones((4, 3), np.float32)}, "float64",
+        pytest.param(_load_ppg, None, "cannot read", id="missing-file"),
+        pytest.param(_load_ppg, b"", "not an .npz archive", id="empty-file"),
+        pytest.param(_load_ppg, "half", "not an .npz archive", id="truncated"),
+        pytest.param(_load_ppg, "npy", "bare .npy", id="bare-npy"),
+        pytest.param(_load_ppg, {"hop": None}, "missing entries", id="missing-hop"),
+        pytest.param(_load_ppg, {"values": None}, "missing entries", id="missing-values"),
+        pytest.param(_load_ppg, {"values": np.ones((4, 3), np.float32)}, "float64",
                      id="float32-values"),
-        pytest.param(load_features, {"values": np.array([[None, 1.0]], dtype=object)},
+        pytest.param(_load_ppg, {"values": np.array([[None, 1.0]], dtype=object)},
                      "Object arrays", id="object-values"),
-        pytest.param(load_features, {"hop": np.array("fast")}, "hop", id="text-hop"),
-        pytest.param(load_features, {"hop": np.array(0.0)}, "hop", id="zero-hop"),
-        pytest.param(load_features, {"hop": np.array(-0.01)}, "hop", id="negative-hop"),
-        pytest.param(load_features, {"hop": np.array(np.nan)}, "hop", id="nan-hop"),
-        pytest.param(load_features, {"hop": np.array([0.01])}, "hop", id="1d-hop"),
-        pytest.param(load_features, {"kind": np.array("spectrogram")}, "kind", id="unknown-kind"),
-        pytest.param(load_features, {"kind": np.array(3)}, "kind", id="numeric-kind"),
-        pytest.param(load_features, {"kind": np.array("f0")}, "kind", id="f0-as-features"),
-        pytest.param(load_f0, {}, "kind", id="ppg-as-f0"),
-        pytest.param(load_features, {"values": np.ones(4)}, "2-d", id="1d-features"),
-        pytest.param(load_features, {"kind": np.array("melspec80")}, "dim 80", id="wrong-dim"),
-        pytest.param(load_f0, {"kind": np.array("f0")}, "1-d", id="2d-f0"),
-        pytest.param(load_features, {"values": np.full((4, 3), np.inf)}, "non-finite",
+        pytest.param(_load_ppg, {"hop": np.array("fast")}, "hop", id="text-hop"),
+        pytest.param(_load_ppg, {"hop": np.array(0.0)}, "hop", id="zero-hop"),
+        pytest.param(_load_ppg, {"hop": np.array(-0.01)}, "hop", id="negative-hop"),
+        pytest.param(_load_ppg, {"hop": np.array(np.nan)}, "hop", id="nan-hop"),
+        pytest.param(_load_ppg, {"hop": np.array([0.01])}, "hop", id="1d-hop"),
+        pytest.param(_load_ppg, {"kind": np.array("spectrogram")}, "kind", id="unknown-kind"),
+        pytest.param(_load_ppg, {"kind": np.array(3)}, "kind 3 is not ppg", id="numeric-kind"),
+        pytest.param(_load_ppg, {"kind": np.array(["ppg"])}, r"kind \['ppg'\] is not ppg", id="1d-kind"),
+        pytest.param(_load_ppg, {"kind": np.array("f0")}, "kind", id="f0-as-features"),
+        pytest.param(load_f0, {}, "kind 'ppg' is not f0", id="ppg-as-f0"),
+        pytest.param(_load_ppg, {"values": np.ones(4)}, "2-d", id="1d-features"),
+        pytest.param(_load_ppg, {"values": np.ones((4, 80))}, "requires dim 1944, got 80", id="wrong-dim"),
+        pytest.param(load_f0, {"kind": np.array("f0"), "hop": np.array(0.005)}, "1-d", id="2d-f0"),
+        pytest.param(_load_ppg, {"values": np.full((4, 3), np.inf)}, "non-finite",
                      id="infinite-values"),
     ])
     def test_malformed_stream_names_path(self, tmp_path, loader, write, problem):
@@ -438,8 +473,3 @@ class TestFeatureFiles:
         with pytest.raises(DataError, match=problem) as info:
             loader(path)
         assert str(path) in str(info.value)
-
-    @pytest.mark.parametrize("hop", [0.0, -0.01, math.nan, math.inf, -math.inf])
-    def test_in_memory_features_reject_bad_hop(self, hop):
-        with pytest.raises(ValueError, match="hop must be a finite positive number"):
-            FeatureMatrix(np.ones((2, PPG_STATES)), hop=hop, kind="ppg")

@@ -1,7 +1,12 @@
 """Each network, and ``align_streams`` for its PPG, reads one stream: a
-feature matrix of another kind or at another hop fails the one shared check
+feature matrix of another stream fails the one shared check
 (``features.Stream.check``) with a message naming the expected and the
-received kind and hop."""
+received kind and hop.
+
+A matrix holds its ``Stream``, so every matrix the pipeline makes is at its
+kind's one hop. The hop cases below hand a consumer a matrix of an
+undeclared stream, built for the test; files at another hop are refused on
+read (``test_signal.py::TestFeatureFiles``)."""
 
 import re
 from types import SimpleNamespace
@@ -10,7 +15,7 @@ import numpy as np
 import pytest
 
 from voxanon import F0Contour, FeatureMatrix, SpeakerEmbedding, align_streams, extract_f0, mel_features
-from voxanon.features import ALIGNED, EMBED_DIM, FBANK24, MEL40, MELSPEC80, PPG
+from voxanon.features import ALIGNED, EMBED_DIM, FBANK24, MEL40, MELSPEC80, PPG, Stream
 from voxanon.nnet import (
     AcousticConfig,
     NsfConfig,
@@ -58,7 +63,8 @@ CONSUMERS = {
 }
 
 # (consumer, kind, hop) of a stream the consumer must refuse. The matrix
-# has its kind's one width, so only the kind or the hop is wrong.
+# has its kind's one width, so only the kind or the hop is wrong; a kind at
+# its other hop is no declared stream.
 REFUSED = [
     pytest.param("xvector_forward", "aligned", 0.01, id="xvector-aligned"),
     pytest.param("xvector_forward", "fbank24", 0.005, id="xvector-5ms"),
@@ -77,7 +83,8 @@ WIDTHS = {stream.kind: stream.width for stream in (FBANK24, MEL40, PPG, ALIGNED,
 @pytest.mark.parametrize("consumer, kind, hop", REFUSED)
 def test_stream_of_another_kind_or_hop_refused(nets, consumer, kind, hop):
     (expected_kind, expected_hop), call = CONSUMERS[consumer]
-    matrix = FeatureMatrix(np.random.default_rng(7).standard_normal((20, WIDTHS[kind])), hop=hop, kind=kind)
+    stream = Stream(kind, WIDTHS[kind], hop)
+    matrix = FeatureMatrix(np.random.default_rng(7).standard_normal((20, stream.width)), stream)
     message = (f"expected {expected_kind} at a {expected_hop} s hop, "
                f"got {kind} at a {hop} s hop")
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -86,14 +93,14 @@ def test_stream_of_another_kind_or_hop_refused(nets, consumer, kind, hop):
 
 def test_chain_hands_each_stage_its_stream(nets):
     wav = make_tone(170.0, seconds=0.3)
-    fbank, mel40 = (mel_features(wav, stream.width, stream.hop) for stream in (FBANK24, MEL40))
+    fbank, mel40 = (mel_features(wav, stream) for stream in (FBANK24, MEL40))
     f0 = extract_f0(wav)
     xvec = xvector_forward(fbank, nets.xvector, embedding_id="tone")
     ppg = ppg_forward(mel40, nets.ppg)
     aligned = align_streams(ppg, f0, xvec)
     mel = acoustic_forward(aligned, nets.acoustic)
     out = nsf_forward(mel, F0Contour(f0.values[: aligned.n_frames]), xvec, nets.nsf, seed=8)
-    edges = [(m.kind, m.dim, m.hop) for m in (fbank, mel40, ppg, aligned, mel)]
+    edges = [(m.stream.kind, m.dim, m.stream.hop) for m in (fbank, mel40, ppg, aligned, mel)]
     assert edges == [("fbank24", 24, 0.01), ("mel40", 40, 0.01), ("ppg", 1944, 0.01),
                      ("aligned", 1944 + 2 + 512, 0.005), ("melspec80", 80, 0.005)]
     assert aligned.n_frames == f0.n_frames == 56
